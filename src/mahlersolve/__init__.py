@@ -15,6 +15,7 @@ from .errors import (
     InputFormatError,
     InsufficientPrefixError,
     InternalInvariantError,
+    InvalidArgumentError,
     MahlerError,
     MixedRadixError,
     NegativeExponentError,

@@ -199,7 +199,7 @@ def _rational_solves(op, f) -> bool:
 
 def _cmd_puiseux(args) -> dict:
     op = _require_solvable(_load_operator(args.file))
-    if args.ramification:
+    if args.ramification is not None:
         basis = puiseux_basis(op, args.ramification, args.order)
     else:
         basis = puiseux_basis_all(op, args.order)
@@ -238,9 +238,14 @@ def _cmd_transcendence(args) -> dict:
     prefix = [parse_fraction(tok.strip()) for tok in args.initial.split(",")]
     if args.oracle == "bell-coons":
         solving = _solving_operator(op, True)
-        kappa, bound = bell_coons_dimensions(solving)
-        series = _consistent_extension(solving, prefix, kappa + bound + 1)
-        transcendental = bell_coons_rank(solving, series)
+        if solving.order < 1:
+            # only the zero series solves l_0 y = 0; this raises otherwise
+            _consistent_extension(solving, prefix, len(prefix))
+            transcendental = False
+        else:
+            kappa, bound = bell_coons_dimensions(solving)
+            series = _consistent_extension(solving, prefix, kappa + bound + 1)
+            transcendental = bell_coons_rank(solving, series)
         return {
             "kind": "transcendence",
             "method": "bell-coons",
@@ -305,6 +310,21 @@ def _render(doc: dict, fmt: str) -> str:
     return _basis_text(doc)
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mahlersolve",
@@ -324,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="truncated power-series solution basis")
     p.add_argument("file")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int_at_least(0), required=True)
     p.add_argument(
         "--auto-normalize",
         action=argparse.BooleanOptionalAction,
@@ -355,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("puiseux", help="ramified (Puiseux) solution basis")
     p.add_argument("file")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--ramification", type=int, default=None)
+    p.add_argument("--order", type=_int_at_least(0), required=True)
+    p.add_argument("--ramification", type=_int_at_least(1), default=None)
     common(p)
     p.set_defaults(handler=_cmd_puiseux)
 

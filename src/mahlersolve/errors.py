@@ -49,6 +49,10 @@ class InsufficientPrefixError(MahlerError):
     """A coefficient prefix is too short for the requested test."""
 
 
+class InvalidArgumentError(MahlerError):
+    """A numeric argument is outside its documented range."""
+
+
 class InternalInvariantError(MahlerError):
     """An internal consistency check failed; this indicates a bug."""
 

@@ -5,6 +5,10 @@ prolongation of approximate series solutions.
 Extracting the coefficient of x^m from (phi(L)) y = 0 gives one linear
 relation between series coefficients; row m, column n of the matrix
 holds the coefficient of y_n in that relation.
+
+Prolongation pushes each nonzero coefficient forward into the rows it
+appears in, so it costs about (nonzero coefficients) x (operator terms)
+rather than (truncation order) x (operator terms).
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Sequence
 
 from .errors import IncompatiblePrefixError, InternalInvariantError
@@ -225,7 +230,10 @@ def prolong(
 
     The input must hold the coefficients 0..floor(nu) and satisfy the
     relation rows up to floor(mu); each further row then determines one
-    new coefficient by forward substitution.
+    new coefficient by forward substitution.  Only rows that some nonzero
+    coefficient reaches are visited: each nonzero y_n adds c y_n to the
+    pending sum of row j + b^k n for every term c x^j M^k, and pending
+    rows are solved in increasing order.
     """
     if extra < 0:
         raise ValueError("extra must be >= 0")
@@ -257,21 +265,43 @@ def prolong(
                 continue
             terms.append((bk, j, c))
 
-    y = list(approx)
-    for m in range(mu_floor + 1, mu_floor + extra + 1):
-        target = m - tv0
-        acc = _ZERO
+    top = mu_floor + extra
+    # Row j + b^k n reads y_n through the term c x^j M^k and determines
+    # y_{j + b^k n - v(l_0)}; the gap j - v(l_0) + (b^k - 1) n between the
+    # two only grows with n, so the term's first row above floor(mu)
+    # stands for every later row.
+    for bk, j, c in terms:
+        n = max(0, (mu_floor - j) // bk + 1)
+        if j + bk * n <= top and j - tv0 + (bk - 1) * n <= 0:
+            raise InternalInvariantError(
+                "prolongation row touched an undetermined coefficient"
+            )
+
+    y = list(approx) + [_ZERO] * extra
+    pending: dict[int, Fraction] = {}  # row -> sum of its known terms
+    rows: list[int] = []  # heap of the pending rows
+
+    def push(n: int, yn: Fraction, settled: int) -> None:
+        # rows up to `settled` are done: the prefix satisfies those up to
+        # floor(mu), and the check above keeps a coefficient found at
+        # row m out of the rows up to m
         for bk, j, c in terms:
-            t = m - j
-            if t < 0 or t % bk:
-                continue
-            n = t // bk
-            if n >= target:
-                raise InternalInvariantError(
-                    "prolongation row touched an undetermined coefficient"
-                )
-            yn = y[n]
-            if yn:
-                acc += c * yn
-        y.append(-acc / diag)
+            m = j + bk * n
+            if settled < m <= top:
+                if m in pending:
+                    pending[m] += c * yn
+                else:
+                    pending[m] = c * yn
+                    heappush(rows, m)
+
+    for n, yn in enumerate(approx):
+        if yn:
+            push(n, yn, mu_floor)
+    while rows:
+        m = heappop(rows)
+        acc = pending.pop(m)
+        if acc:
+            n = m - tv0
+            y[n] = -acc / diag
+            push(n, y[n], m)
     return y

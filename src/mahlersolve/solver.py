@@ -15,7 +15,9 @@ from typing import Optional, Sequence
 
 from .errors import (
     InternalInvariantError,
+    InvalidArgumentError,
     NoAdmissibleEdgeError,
+    UnsupportedEquationError,
     ZeroTrailingCoefficientError,
 )
 from .newton import mu_nu, ramification_data, select_edge_for_ramification
@@ -179,9 +181,9 @@ def puiseux_basis(op: MahlerOperator, ramification: int, order: int) -> Solution
     rescaled by b^-w; the effective ramification is then ramification*b^w.
     """
     if not op:
-        raise ValueError("zero operator")
+        raise UnsupportedEquationError("zero operator")
     if ramification < 1:
-        raise ValueError("ramification must be >= 1")
+        raise InvalidArgumentError(f"ramification must be >= 1, got {ramification}")
     kind = "puiseux_basis"
     w0 = op.m_valuation
     if w0 > 0:
@@ -202,7 +204,7 @@ def puiseux_basis(op: MahlerOperator, ramification: int, order: int) -> Solution
     ns = slope * ramification
     nc = intercept * ramification
     if ns.denominator != 1 or nc.denominator != 1:
-        raise AssertionError("edge data is not integral for the chosen ramification")
+        raise InternalInvariantError("edge data is not integral for the chosen ramification")
     phi = PhiTransform(-int(ns), ramification, int(nc))
     transformed = phi_apply(op, phi)
     nu, mu = mu_nu(transformed)
@@ -234,7 +236,7 @@ def puiseux_basis_all(op: MahlerOperator, order: int) -> SolutionBasis:
     """Basis of all Puiseux-series solutions; the ramification bound is
     the lcm of the admissible slope denominators coprime to the radix."""
     if not op:
-        raise ValueError("zero operator")
+        raise UnsupportedEquationError("zero operator")
     stripped = op.m_shift(-op.m_valuation)
     if stripped.order == 0:
         return SolutionBasis("puiseux_basis", ())

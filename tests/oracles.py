@@ -5,9 +5,12 @@ Gaussian elimination, independent of the row-sparse engine and of the
 substitution-based kernel solver.
 """
 
+import math
 from fractions import Fraction
 
-from mahlersolve.operator import MahlerOperator
+from mahlersolve.errors import IncompatiblePrefixError, InternalInvariantError
+from mahlersolve.newton import mu_nu
+from mahlersolve.operator import MahlerOperator, PhiTransform, apply_to_coeffs, phi_apply
 from mahlersolve.poly import Poly
 
 ZERO = Fraction(0)
@@ -117,3 +120,42 @@ def apply_exact(op: MahlerOperator, p: Poly) -> Poly:
         img = mahler_substitute(p, op.radix, k) if k else p
         total = total + lk * img
     return total
+
+
+def prolong_oracle(
+    op: MahlerOperator, phi: PhiTransform, approx: list[Fraction], extra: int
+) -> list[Fraction]:
+    """Prolongation row by row: every row from floor(mu)+1 on determines
+    one coefficient, pulled from all operator terms, zero or not."""
+    transformed = phi_apply(op, phi)
+    nu, mu = mu_nu(transformed)
+    if len(approx) != math.floor(nu) + 1:
+        raise ValueError("approximate solution has the wrong length")
+    mu_floor = math.floor(mu)
+    if apply_to_coeffs(transformed, approx, mu_floor + 1):
+        raise IncompatiblePrefixError("prefix violates a relation row")
+    l0 = transformed.coeffs[0]
+    tv0 = l0.valuation
+    diag = l0.trailing_coefficient
+    terms = [
+        (transformed.radix**k, j, c)
+        for k, lk in transformed.nonzero_coefficients()
+        for j, c in lk.terms
+        if k or j != tv0
+    ]
+    y = list(approx)
+    for m in range(mu_floor + 1, mu_floor + extra + 1):
+        target = m - tv0
+        acc = ZERO
+        for bk, j, c in terms:
+            t = m - j
+            if t < 0 or t % bk:
+                continue
+            n = t // bk
+            if n >= target:
+                raise InternalInvariantError(
+                    "prolongation row touched an undetermined coefficient"
+                )
+            acc += c * y[n]
+        y.append(-acc / diag)
+    return y

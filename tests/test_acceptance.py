@@ -233,6 +233,19 @@ def test_criterion_7_sparse_stretch(sparse_stretch_example):
     report("criterion 7 (sparse stretch, %.1fs)" % elapsed)
 
 
+def test_criterion_7_sparse_stretch_low_order(sparse_stretch_example):
+    """Criterion 7 at order 1000, fast enough for every run."""
+    basis = puiseux_basis_all(sparse_stretch_example, 1000)
+    assert basis.dimension == 2
+    by_val = {e.terms[0][0]: e for e in basis.elements}
+    assert [t[0] for t in by_val[F(-221, 5)].terms] == [F(-221, 5), F(1939, 5)]
+    assert [t[0] for t in by_val[F(203, 13)].terms] == [F(203, 13)]
+    for elem in basis.elements:
+        assert elem.ramification == 65
+        assert elem.truncation_order == F(1000) + F(1, 65)
+        check_puiseux_element(sparse_stretch_example, elem)
+
+
 def test_criterion_8a_residual_certificates():
     rng = random.Random(6001)
     series_checked = puiseux_checked = poly_checked = rational_checked = 0

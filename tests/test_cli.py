@@ -169,6 +169,51 @@ def test_transcendence_command(run, tmp_path):
     assert doc["verdict"] == "transcendental" and doc["method"] == "bell-coons"
 
 
+def test_transcendence_order_zero(run, tmp_path):
+    # l_0 y = 0 has only the zero solution; both oracles must say so
+    path = tmp_path / "order0.json"
+    path.write_text(json.dumps(operator_to_json(operator(2, pol(1, 1)))))
+    for oracle in ("rational-basis", "bell-coons"):
+        code, _, err = run("transcendence", str(path), "--initial", "1,0", "--oracle", oracle)
+        assert code == 2
+        assert json.loads(err)["message"] == "prefix extends to no series solution"
+        code, out, _ = run("transcendence", str(path), "--initial", "0,0,0", "--oracle", oracle)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["verdict"] == "rational" and doc["method"] == oracle
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("puiseux", "--order", "5", "--ramification", "0"), "must be >= 1, got 0"),
+        (("puiseux", "--order", "5", "--ramification", "-1"), "must be >= 1, got -1"),
+        (("puiseux", "--order", "-1"), "must be >= 0, got -1"),
+        (("series", "--order", "-3"), "must be >= 0, got -3"),
+        (("series", "--order", "three"), "invalid integer: 'three'"),
+    ],
+)
+def test_argument_ranges(argv, message, running_example_file, capsys):
+    command, *flags = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, running_example_file, *flags])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_puiseux_invariant_exit(run, running_example_file, monkeypatch):
+    # an edge whose data is not integral for the ramification is a bug:
+    # exit 5 with a message, not a traceback
+    from mahlersolve import solver
+
+    monkeypatch.setattr(
+        solver, "select_edge_for_ramification", lambda op, q: (F(1, 3), F(0))
+    )
+    code, _, err = run("puiseux", running_example_file, "--order", "5", "--ramification", "1")
+    assert code == 5
+    assert "not integral" in json.loads(err)["message"]
+
+
 def test_stdin_input(running_example, monkeypatch, capsys):
     import io
 

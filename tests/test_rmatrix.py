@@ -4,16 +4,21 @@ from fractions import Fraction
 import pytest
 
 from conftest import operator, random_operator
+import oracles
+from oracles import prolong_oracle
 from mahlersolve.errors import IncompatiblePrefixError, InternalInvariantError
+from mahlersolve import rmatrix
 from mahlersolve.newton import mu_nu
 from mahlersolve.operator import (
     IDENTITY_PHI,
+    MahlerOperator,
     PhiTransform,
     apply_truncated,
     phi_apply,
 )
 from mahlersolve.poly import Poly
 from mahlersolve.rmatrix import build_submatrix, entry_oracle, prolong, solve_prescribed
+from mahlersolve.solver import approximate_series_basis
 
 F = Fraction
 ONE = Poly.one()
@@ -159,6 +164,21 @@ def test_solve_prescribed_detects_bad_selection():
         solve_prescribed(op, IDENTITY_PHI, 10, 3, [5, 7, 9], "lower")
 
 
+def _same_coefficients(a, b):
+    # repr tells Fraction from int, so equal lists serialize identically
+    assert [repr(c) for c in a] == [repr(c) for c in b]
+
+
+def _lower_kernel(op):
+    nu, mu = mu_nu(op)
+    w = int(nu) + 1
+    rows = [
+        min(c.valuation + n * op.radix**k for k, c in op.nonzero_coefficients())
+        for n in range(w)
+    ]
+    return solve_prescribed(op, IDENTITY_PHI, int(mu) + 1, w, rows, "lower").vectors
+
+
 def test_prolong_running_example(running_example, running_example_series):
     approx = [F(0), F(0), F(0), F(1)]
     out = prolong(running_example, IDENTITY_PHI, approx, 9)
@@ -174,6 +194,11 @@ def test_prolong_transformed(running_example):
     out = prolong(running_example, phi, approx, 5)
     expected = [F(c) for c in [1, 0, -1, 0, 1, 0, -1, 0, 1, 0, -1, 0, 1]]
     assert out == expected
+    for extra in (0, 1, 5, 40):
+        _same_coefficients(
+            prolong(running_example, phi, approx, extra),
+            prolong_oracle(running_example, phi, approx, extra),
+        )
     # residual of the transformed operator vanishes far out
     transformed = phi_apply(running_example, phi)
     assert all(c == 0 for c in apply_truncated(transformed, out, 14))
@@ -190,14 +215,8 @@ def test_prolong_residual_guarantee():
         nu, mu = mu_nu(op)
         if nu < 0:
             continue
-        w = int(nu) + 1
         h = int(mu) + 1
-        rows = [
-            min(c.valuation + n * radix**k for k, c in op.nonzero_coefficients())
-            for n in range(w)
-        ]
-        basis = solve_prescribed(op, IDENTITY_PHI, h, w, rows, "lower")
-        for vec in basis.vectors:
+        for vec in _lower_kernel(op):
             checked += 1
             # kernel contract: solutions modulo x^h before prolongation
             assert all(c == 0 for c in apply_truncated(op, list(vec), h))
@@ -205,3 +224,84 @@ def test_prolong_residual_guarantee():
             out = prolong(op, IDENTITY_PHI, list(vec), extra)
             assert all(c == 0 for c in apply_truncated(op, out, int(mu) + extra + 1))
     assert checked >= 25
+
+
+def test_prolong_matches_oracle_on_random_operators():
+    rng = random.Random(404)
+    checked = 0
+    for _ in range(400):
+        if checked >= 30:
+            break
+        radix = rng.choice((2, 3))
+        op = random_operator(rng, radix, rng.randint(1, 3), 6)
+        if mu_nu(op)[0] < 0:
+            continue
+        for vec in _lower_kernel(op):
+            checked += 1
+            extra = rng.randint(0, 60)
+            _same_coefficients(
+                prolong(op, IDENTITY_PHI, list(vec), extra),
+                prolong_oracle(op, IDENTITY_PHI, list(vec), extra),
+            )
+    assert checked >= 30
+
+
+def test_prolong_matches_oracle_on_sparse_products():
+    # products of first-order factors M - u with u = 1 +- x^e +- ...,
+    # e >= 2000: almost every prolonged coefficient is zero
+    rng = random.Random(505)
+    for _ in range(6):
+        radix = rng.choice((2, 3))
+        op = None
+        for _ in range(rng.randint(1, 2)):
+            exps = rng.sample(range(2000, 2400), rng.randint(1, 3))
+            u = ONE + Poly([(e, F(rng.choice((-1, 1)))) for e in exps])
+            factor = MahlerOperator(radix, [-u, ONE])
+            op = factor if op is None else op * factor
+        heads = approximate_series_basis(op, auto_normalize=False).elements
+        assert heads
+        for head in heads:
+            approx = list(head.coefficients)
+            out = prolong(op, IDENTITY_PHI, approx, 2500)
+            assert any(out[2000:])
+            _same_coefficients(out, prolong_oracle(op, IDENTITY_PHI, approx, 2500))
+
+
+def test_prolong_invariant_check_matches_oracle(monkeypatch, running_example):
+    # An understated mu makes prolongation rows read coefficients they
+    # are meant to determine; both forms must notice on the same inputs.
+    shift = [0]
+
+    def shifted_mu_nu(op):
+        nu, mu = mu_nu(op)
+        return nu, mu - shift[0]
+
+    monkeypatch.setattr(rmatrix, "mu_nu", shifted_mu_nu)
+    monkeypatch.setattr(oracles, "mu_nu", shifted_mu_nu)
+
+    def raises(fn, op, vec, extra):
+        try:
+            fn(op, IDENTITY_PHI, list(vec), extra)
+        except InternalInvariantError:
+            return True
+        return False
+
+    shift[0] = 1
+    with pytest.raises(InternalInvariantError):
+        prolong(running_example, IDENTITY_PHI, [F(0), F(0), F(0), F(1)], 5)
+
+    rng = random.Random(606)
+    seen = set()
+    for _ in range(150):
+        radix = rng.choice((2, 3))
+        op = random_operator(rng, radix, rng.randint(1, 3), 6)
+        shift[0] = 0
+        if mu_nu(op)[0] < 0:
+            continue
+        for vec in _lower_kernel(op):
+            shift[0] = rng.randint(1, 4)
+            extra = rng.randint(0, 20)
+            verdict = raises(prolong, op, vec, extra)
+            assert verdict == raises(prolong_oracle, op, vec, extra)
+            seen.add(verdict)
+    assert seen == {True, False}

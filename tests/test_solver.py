@@ -11,7 +11,12 @@ from conftest import (
     random_series_solvable_operator,
 )
 from oracles import polynomial_solution_space, same_span, series_prefix_space
-from mahlersolve.errors import ZeroTrailingCoefficientError
+from mahlersolve.errors import (
+    InvalidArgumentError,
+    MahlerError,
+    UnsupportedEquationError,
+    ZeroTrailingCoefficientError,
+)
 from mahlersolve.newton import candidate_valuations
 from mahlersolve.operator import MahlerOperator, apply_to_poly
 from mahlersolve.poly import Poly
@@ -255,3 +260,15 @@ def test_valuation_zero_corollary():
 def test_certificate_order_formula(running_example):
     assert certificate_order(running_example, F(10)) == 16
     assert residual_valuation(running_example, [(F(0), F(1))]) is not None
+
+
+def test_puiseux_argument_errors(running_example):
+    with pytest.raises(InvalidArgumentError, match="ramification must be >= 1"):
+        puiseux_basis(running_example, 0, 5)
+    with pytest.raises(MahlerError):
+        puiseux_basis(running_example, -1, 5)
+    zero = MahlerOperator(2, [])
+    with pytest.raises(UnsupportedEquationError):
+        puiseux_basis(zero, 1, 5)
+    with pytest.raises(UnsupportedEquationError):
+        puiseux_basis_all(zero, 5)
