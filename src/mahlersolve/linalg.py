@@ -96,18 +96,3 @@ def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
             return None
         sol[pc] = row[ncols]
     return sol
-
-
-def span_contains(basis: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> bool:
-    if not any(vec):
-        return True
-    if not basis:
-        return False
-    reduced, _ = rref(basis)
-    return rank(reduced + [list(vec)]) == len(reduced)
-
-
-def span_equal(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> bool:
-    ra, pa = rref(a)
-    rb, pb = rref(b)
-    return ra == rb and pa == pb

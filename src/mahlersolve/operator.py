@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import poly as P
-from .errors import NegativeExponentError
+from .errors import InternalInvariantError, NegativeExponentError
 from .poly import Poly, checked_power, mahler_substitute, poly_sections
 
 _ZERO = Fraction(0)
@@ -181,36 +181,47 @@ class MahlerOperator:
 # -- application -------------------------------------------------------------
 
 
-def apply_to_coeffs(
-    op: MahlerOperator, coeffs: Sequence[Fraction], limit: int
+def apply_below(
+    op: MahlerOperator,
+    support: Sequence[tuple[int, Fraction]],
+    limit: int,
+    scale: int = 1,
 ) -> dict[int, Fraction]:
-    """Sparse coefficients of op applied to sum(coeffs[n] x^n), mod x^limit."""
+    """Terms of op applied to sum(c x^(e/scale)) with exponent below limit/scale.
+
+    `support` holds the (e, c) pairs, e an integer, in increasing order
+    of e; the result maps each exponent, again in units of 1/scale, to
+    its nonzero coefficient.  M^k multiplies exponents by b^k, so a
+    truncated series is known only far below most of its image; the
+    terms from limit/scale on are never formed.
+    """
     acc: dict[int, Fraction] = {}
+    if not support:
+        return acc
+    low = support[0][0]
     b = op.radix
     for k, lk in op.nonzero_coefficients():
         bk = b**k
         for j, c in lk.terms:
-            if j >= limit:
+            js = j * scale
+            if js + bk * low >= limit:
                 break
-            for n, yn in enumerate(coeffs):
-                if not yn:
-                    continue
-                m = j + bk * n
+            for e, v in support:
+                m = js + bk * e
                 if m >= limit:
                     break
-                s = acc.get(m, _ZERO) + c * yn
-                if s:
-                    acc[m] = s
-                elif m in acc:
-                    del acc[m]
-    return acc
+                if m in acc:
+                    acc[m] += c * v
+                else:
+                    acc[m] = c * v
+    return {m: s for m, s in acc.items() if s}
 
 
 def apply_truncated(op: MahlerOperator, coeffs: Sequence[Fraction], limit: int) -> list[Fraction]:
     """Dense coefficients 0..limit-1 of op applied to the given polynomial."""
-    sparse = apply_to_coeffs(op, coeffs, limit)
+    support = [(n, c) for n, c in enumerate(coeffs) if c]
     out = [_ZERO] * limit
-    for m, c in sparse.items():
+    for m, c in apply_below(op, support, limit).items():
         out[m] = c
     return out
 
@@ -253,7 +264,7 @@ def right_divide(
         q = (g * q) + step
         c = g * c
         if r and r.order >= nb + k:
-            raise AssertionError("pseudo-division failed to reduce the order")
+            raise InternalInvariantError("pseudo-division failed to reduce the order")
     return c, q, r
 
 

@@ -23,12 +23,7 @@ from typing import Sequence
 from .errors import IncompatiblePrefixError, InternalInvariantError
 from .linalg import kernel_basis, rref
 from .newton import mu_nu
-from .operator import (
-    MahlerOperator,
-    PhiTransform,
-    apply_to_coeffs,
-    phi_apply,
-)
+from .operator import MahlerOperator, PhiTransform, apply_below, phi_apply
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -80,17 +75,22 @@ def build_submatrix(
     if any(b >= a for a, b in zip(labels[1:], labels)):
         raise ValueError("row indices must be strictly increasing")
     b = op.radix
+    # (b^k, alpha b^k - gamma, beta^-1 mod b^k, terms of l_k) per M^k
+    blocks = []
+    for k, lk in op.nonzero_coefficients():
+        bk = b**k
+        inv = pow(phi.beta, -1, bk)
+        blocks.append((bk, phi.alpha * bk - phi.gamma, inv, lk.terms))
     rows = []
     for m in labels:
         acc: dict[int, Fraction] = {}
-        for k, lk in op.nonzero_coefficients():
-            bk = b**k
-            base = m + phi.gamma - phi.alpha * bk
+        for bk, shift, inv, terms in blocks:
+            base = m - shift
             if base < 0:
                 continue
-            j0 = (pow(phi.beta, -1, bk) * base) % bk if bk > 1 else 0
+            j0 = (inv * base) % bk
             low = base - bk * width  # beta*j must satisfy low < beta*j <= base
-            for j, c in lk.terms:
+            for j, c in terms:
                 bj = phi.beta * j
                 if bj > base:
                     break
@@ -151,7 +151,8 @@ def _substitute(matrix: RowSparseMatrix, zero_positions: list[int], seed: int, l
                 diag = val
             else:
                 acc += val * vec[col]
-        vec[i] = -acc / diag
+        if acc:
+            vec[i] = -acc / diag
     return vec
 
 
@@ -201,7 +202,8 @@ def solve_prescribed(
         return KernelBasis(width, ())
 
     transformed = phi_apply(op, phi)
-    residuals = [apply_to_coeffs(transformed, g, h) for g in candidates]
+    supports = [[(n, v) for n, v in enumerate(g) if v] for g in candidates]
+    residuals = [apply_below(transformed, s, h) for s in supports]
     nonzero_rows = sorted(set().union(*[r.keys() for r in residuals]))
     rho = len(candidates)
     s_rows = [[res.get(m, _ZERO) for res in residuals] for m in nonzero_rows]
@@ -210,11 +212,10 @@ def solve_prescribed(
     combined = []
     for coeffs in kernel:
         vec = [_ZERO] * width
-        for c, g in zip(coeffs, candidates):
+        for c, support in zip(coeffs, supports):
             if c:
-                for idx, val in enumerate(g):
-                    if val:
-                        vec[idx] += c * val
+                for idx, val in support:
+                    vec[idx] += c * val
         combined.append(vec)
     reduced, _ = rref(combined)
     return KernelBasis(width, tuple(tuple(v) for v in reduced))
@@ -245,7 +246,8 @@ def prolong(
     if len(approx) != head:
         raise ValueError(f"approximate solution must have exactly {head} coefficients")
     mu_floor = math.floor(mu)
-    residual = apply_to_coeffs(transformed, approx, mu_floor + 1)
+    support = [(n, yn) for n, yn in enumerate(approx) if yn]
+    residual = apply_below(transformed, support, mu_floor + 1)
     if residual:
         bad = min(residual)
         raise IncompatiblePrefixError(
@@ -294,9 +296,8 @@ def prolong(
                     pending[m] = c * yn
                     heappush(rows, m)
 
-    for n, yn in enumerate(approx):
-        if yn:
-            push(n, yn, mu_floor)
+    for n, yn in support:
+        push(n, yn, mu_floor)
     while rows:
         m = heappop(rows)
         acc = pending.pop(m)

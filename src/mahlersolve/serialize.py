@@ -22,10 +22,6 @@ from .solver import PuiseuxSeries, SolutionBasis, TruncatedSeries
 _COEFF_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-def fraction_to_str(f: Fraction) -> str:
-    return str(f)
-
-
 def parse_fraction(text) -> Fraction:
     if not isinstance(text, str) or not _COEFF_RE.match(text):
         raise InputFormatError(f"bad coefficient {text!r}")

@@ -22,11 +22,9 @@ from .errors import (
 )
 from .newton import mu_nu, ramification_data, select_edge_for_ramification
 from .normalize import normalize_l0
-from .operator import IDENTITY_PHI, MahlerOperator, PhiTransform, phi_apply
+from .operator import IDENTITY_PHI, MahlerOperator, PhiTransform, apply_below, phi_apply
 from .poly import Poly
 from .rmatrix import prolong, solve_prescribed
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -45,11 +43,6 @@ class TruncatedSeries:
             if c:
                 return i
         return None
-
-    def term_list(self) -> list[tuple[Fraction, Fraction]]:
-        return [
-            (Fraction(i), c) for i, c in enumerate(self.coefficients) if c
-        ]
 
 
 @dataclass(frozen=True)
@@ -247,24 +240,6 @@ def puiseux_basis_all(op: MahlerOperator, order: int) -> SolutionBasis:
 # -- residual certificates -----------------------------------------------------
 
 
-def apply_to_fractional(
-    op: MahlerOperator, terms: Sequence[tuple[Fraction, Fraction]]
-) -> dict[Fraction, Fraction]:
-    """Image of a finite sum of terms c x^e (e rational) under op."""
-    acc: dict[Fraction, Fraction] = {}
-    for k, lk in op.nonzero_coefficients():
-        bk = op.radix**k
-        for j, c in lk.terms:
-            for e, v in terms:
-                key = j + bk * e
-                s = acc.get(key, _ZERO) + c * v
-                if s:
-                    acc[key] = s
-                elif key in acc:
-                    del acc[key]
-    return acc
-
-
 def certificate_order(op: MahlerOperator, truncation_order: Fraction) -> Fraction:
     """Largest order to which the image of a truncation is trustworthy:
     a truncated solution satisfies the equation modulo x^(this value)."""
@@ -274,33 +249,57 @@ def certificate_order(op: MahlerOperator, truncation_order: Fraction) -> Fractio
     )
 
 
+def _integer_support(
+    terms: Sequence[tuple[Fraction, Fraction]], ramification: int
+) -> tuple[int, list[tuple[int, Fraction]]]:
+    """(scale, support): the terms c x^e with e written as an integer in
+    units of 1/scale, sorted by exponent; scale is a multiple of the
+    ramification and of every exponent's denominator."""
+    scale = math.lcm(ramification, *(e.denominator for e, _ in terms))
+    support = sorted((e.numerator * (scale // e.denominator), c) for e, c in terms)
+    return scale, support
+
+
 def residual_valuation(
     op: MahlerOperator, terms: Sequence[tuple[Fraction, Fraction]]
 ) -> Optional[Fraction]:
     """Smallest exponent with nonzero coefficient in op(terms), if any."""
-    image = apply_to_fractional(op, terms)
-    return min(image) if image else None
+    if not terms:
+        return None
+    scale, support = _integer_support(terms, 1)
+    top = max(
+        (c.degree * scale + op.radix**k * support[-1][0] for k, c in op.nonzero_coefficients()),
+        default=0,
+    )
+    image = apply_below(op, support, top + 1, scale)
+    return Fraction(min(image), scale) if image else None
 
 
-def check_series_element(
-    op: MahlerOperator, element: TruncatedSeries
+def _check_residual(
+    op: MahlerOperator,
+    truncation_order: Fraction,
+    support: Sequence[tuple[int, Fraction]],
+    scale: int,
 ) -> Fraction:
+    """Certified order of a truncated solution whose terms c x^(e/scale)
+    are `support`; raises unless its image vanishes below that order."""
+    bound = certificate_order(op, truncation_order)
+    image = apply_below(op, support, math.ceil(bound * scale), scale)
+    if image:
+        val = Fraction(min(image), scale)
+        raise InternalInvariantError(f"residual has a term of exponent {val} below {bound}")
+    return bound
+
+
+def check_series_element(op: MahlerOperator, element: TruncatedSeries) -> Fraction:
     """Verify the residual certificate of a truncated series solution and
     return the certified order; raises on failure."""
-    bound = certificate_order(op, Fraction(element.truncation_order))
-    val = residual_valuation(op, element.term_list())
-    if val is not None and val < bound:
-        raise InternalInvariantError(
-            f"series residual has a term of exponent {val} below {bound}"
-        )
-    return bound
+    support = [(n, c) for n, c in enumerate(element.coefficients) if c]
+    return _check_residual(op, Fraction(element.truncation_order), support, 1)
 
 
 def check_puiseux_element(op: MahlerOperator, element: PuiseuxSeries) -> Fraction:
-    bound = certificate_order(op, element.truncation_order)
-    val = residual_valuation(op, element.terms)
-    if val is not None and val < bound:
-        raise InternalInvariantError(
-            f"residual has a term of exponent {val} below {bound}"
-        )
-    return bound
+    """Verify the residual certificate of a truncated Puiseux solution and
+    return the certified order; raises on failure."""
+    scale, support = _integer_support(element.terms, element.ramification)
+    return _check_residual(op, element.truncation_order, support, scale)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from mahlersolve.errors import IncompatiblePrefixError, InternalInvariantError
 from mahlersolve.newton import mu_nu
-from mahlersolve.operator import MahlerOperator, PhiTransform, apply_to_coeffs, phi_apply
+from mahlersolve.operator import MahlerOperator, PhiTransform, phi_apply
 from mahlersolve.poly import Poly
 
 ZERO = Fraction(0)
@@ -122,6 +122,25 @@ def apply_exact(op: MahlerOperator, p: Poly) -> Poly:
     return total
 
 
+def apply_to_fractional(
+    op: MahlerOperator, terms: list[tuple[Fraction, Fraction]]
+) -> dict[Fraction, Fraction]:
+    """Whole image of a finite sum of terms c x^e (e rational) under op,
+    term by term, with no truncation."""
+    acc: dict[Fraction, Fraction] = {}
+    for k, lk in op.nonzero_coefficients():
+        bk = op.radix**k
+        for j, c in lk.terms:
+            for e, v in terms:
+                key = j + bk * e
+                s = acc.get(key, ZERO) + c * v
+                if s:
+                    acc[key] = s
+                elif key in acc:
+                    del acc[key]
+    return acc
+
+
 def prolong_oracle(
     op: MahlerOperator, phi: PhiTransform, approx: list[Fraction], extra: int
 ) -> list[Fraction]:
@@ -132,7 +151,8 @@ def prolong_oracle(
     if len(approx) != math.floor(nu) + 1:
         raise ValueError("approximate solution has the wrong length")
     mu_floor = math.floor(mu)
-    if apply_to_coeffs(transformed, approx, mu_floor + 1):
+    image = apply_to_fractional(transformed, list(enumerate(approx)))
+    if any(m <= mu_floor for m in image):
         raise IncompatiblePrefixError("prefix violates a relation row")
     l0 = transformed.coeffs[0]
     tv0 = l0.valuation

@@ -214,6 +214,17 @@ def test_puiseux_invariant_exit(run, running_example_file, monkeypatch):
     assert "not integral" in json.loads(err)["message"]
 
 
+def test_certify_failure_exit(run, running_example_file, monkeypatch):
+    # a residual term below the certified order fails the certificate: exit 5
+    from mahlersolve import solver
+
+    monkeypatch.setattr(solver, "apply_below", lambda op, support, limit, scale: {0: F(1)})
+    code, out, err = run("series", running_example_file, "--order", "12", "--certify")
+    assert code == 5
+    assert not out
+    assert "residual has a term of exponent 0 below 19" in json.loads(err)["message"]
+
+
 def test_stdin_input(running_example, monkeypatch, capsys):
     import io
 

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import mono, operator, pol, random_operator, random_poly
-from mahlersolve.errors import MixedRadixError, NegativeExponentError
+from oracles import apply_to_fractional
+from mahlersolve.errors import InternalInvariantError, MixedRadixError, NegativeExponentError
 from mahlersolve.operator import (
     IDENTITY_PHI,
     MahlerOperator,
     PhiTransform,
+    apply_below,
     apply_to_poly,
     apply_truncated,
     interreduce,
@@ -77,6 +79,25 @@ def test_apply_truncated(running_example, running_example_series):
     assert all(c == 0 for c in apply_truncated(lop, [F(1)], 12))
 
 
+def test_apply_below_matches_whole_image(running_example):
+    # the reference forms the whole image with rational exponents;
+    # apply_below must agree with it on every exponent below the limit
+    rng = random.Random(9090)
+    phi = PhiTransform(1, 5, -2)  # 5 is coprime to both radices
+    cases = [(phi_apply(running_example, PhiTransform(-1, 2, -3)), 1)]
+    for i in range(60):
+        radix = rng.choice((2, 3))
+        op = random_operator(rng, radix, rng.randint(1, 3), 6, nonzero_l0=False)
+        cases.append((phi_apply(op, phi) if i % 3 == 0 else op, rng.choice((1, 2, 5))))
+    for op, scale in cases:
+        exps = sorted(rng.sample(range(-8 if scale > 1 else 0, 30), rng.randint(0, 8)))
+        support = [(e, F(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3))) for e in exps]
+        whole = apply_to_fractional(op, [(F(e, scale), c) for e, c in support])
+        for limit in (rng.randint(-5, 40), rng.randint(40, 200), 10**6):
+            want = {int(e * scale): c for e, c in whole.items() if e * scale < limit}
+            assert apply_below(op, support, limit, scale) == want
+
+
 def test_apply_composition():
     rng = random.Random(8)
     for _ in range(30):
@@ -123,6 +144,14 @@ def test_right_divide_identity_random():
         assert c
         assert c * a == q * b + r
         assert not r or r.order < b.order
+
+
+def test_right_divide_invariant_is_typed(monkeypatch):
+    # a step that leaves the order unreduced is a bug in the library:
+    # a typed error, not an AssertionError
+    monkeypatch.setattr(MahlerOperator, "__sub__", lambda self, other: self)
+    with pytest.raises(InternalInvariantError, match="failed to reduce the order"):
+        right_divide(operator(2, X, -pol(1, 1), ONE), operator(2, -ONE, ONE))
 
 
 def test_phi_apply_running_example(running_example):

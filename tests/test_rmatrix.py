@@ -188,6 +188,30 @@ def test_prolong_running_example(running_example, running_example_series):
         prolong(running_example, IDENTITY_PHI, [F(1), F(1), F(1), F(1)], 3)
 
 
+def test_prolong_prefix_check_reaches_row_floor_mu():
+    # prefixes that satisfy every relation row below floor(mu): prolong
+    # rejects exactly those that break row floor(mu), as the oracle does
+    rng = random.Random(606)
+    verdicts = {True: 0, False: 0}
+    for _ in range(200):
+        op = random_operator(rng, rng.choice((2, 3)), rng.randint(1, 3), 6)
+        nu, mu = mu_nu(op)
+        if nu < 0 or mu < 1:
+            continue
+        head = int(nu) + 1
+        for vec in oracles.kernel(oracles.brute_rows(op, int(mu) - 1, head), head):
+            outcomes = []
+            for solve in (prolong, prolong_oracle):
+                try:
+                    solve(op, IDENTITY_PHI, list(vec), 3)
+                    outcomes.append(False)
+                except IncompatiblePrefixError:
+                    outcomes.append(True)
+            assert outcomes[0] == outcomes[1]
+            verdicts[outcomes[0]] += 1
+    assert verdicts[True] >= 30 and verdicts[False] >= 3
+
+
 def test_prolong_transformed(running_example):
     phi = PhiTransform(-1, 2, -3)
     approx = [F(c) for c in [1, 0, -1, 0, 1, 0, -1, 0]]

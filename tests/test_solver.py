@@ -10,8 +10,14 @@ from conftest import (
     random_poly_solvable,
     random_series_solvable_operator,
 )
-from oracles import polynomial_solution_space, same_span, series_prefix_space
+from oracles import (
+    apply_to_fractional,
+    polynomial_solution_space,
+    same_span,
+    series_prefix_space,
+)
 from mahlersolve.errors import (
+    InternalInvariantError,
     InvalidArgumentError,
     MahlerError,
     UnsupportedEquationError,
@@ -27,6 +33,8 @@ from mahlersolve.solver import (
     check_series_element,
     polynomial_basis,
     polynomial_solutions_bounded,
+    PuiseuxSeries,
+    TruncatedSeries,
     puiseux_basis,
     puiseux_basis_all,
     residual_valuation,
@@ -260,6 +268,82 @@ def test_valuation_zero_corollary():
 def test_certificate_order_formula(running_example):
     assert certificate_order(running_example, F(10)) == 16
     assert residual_valuation(running_example, [(F(0), F(1))]) is not None
+
+
+def test_residual_valuation_matches_whole_image():
+    rng = random.Random(77)
+    for _ in range(40):
+        radix = rng.choice((2, 3))
+        op = random_operator(rng, radix, rng.randint(1, 3), 6, nonzero_l0=False)
+        scale = rng.choice((1, 2, 6))
+        exps = sorted(rng.sample(range(-10, 20), rng.randint(0, 6)))
+        terms = [(F(e, scale), F(rng.choice((-2, -1, 1, 2)))) for e in exps]
+        rng.shuffle(terms)
+        image = apply_to_fractional(op, terms)
+        assert residual_valuation(op, terms) == (min(image) if image else None)
+
+
+def _whole_image_accepts(op, terms, truncation_order):
+    """The certificate computed from the whole image: its lowest term
+    must not lie below the certified order."""
+    image = apply_to_fractional(op, terms)
+    return not image or min(image) >= certificate_order(op, truncation_order)
+
+
+def test_certificates_reject_perturbed_coefficients(running_example):
+    series = series_basis(running_example, 12).elements[0]
+    coeffs = list(series.coefficients)
+    coeffs[7] += 1
+    with pytest.raises(InternalInvariantError, match="below 19"):
+        check_series_element(running_example, TruncatedSeries(tuple(coeffs)))
+    puiseux = puiseux_basis(running_example, 2, 5).elements[0]
+    terms = list(puiseux.terms)
+    terms[2] = (terms[2][0], 2 * terms[2][1])
+    bad = PuiseuxSeries(puiseux.ramification, tuple(terms), puiseux.truncation_order)
+    with pytest.raises(InternalInvariantError, match="residual has a term"):
+        check_puiseux_element(running_example, bad)
+    # a truncation order finer than the ramification: x^(1/2) - x is not
+    # cancelled below O(x^(2/3)) by y(x^2) - y(x)
+    shift = operator(2, -ONE, ONE)
+    with pytest.raises(InternalInvariantError, match="exponent 1/2 below 2/3"):
+        check_puiseux_element(shift, PuiseuxSeries(2, ((F(1, 2), F(1)),), F(2, 3)))
+
+    # on random equations, one perturbed coefficient below the truncation
+    # is rejected exactly when the whole image has a term below the bound
+    rng = random.Random(5150)
+    verdicts = {True: 0, False: 0}
+    for i in range(40):
+        radix = rng.choice((2, 3))
+        if i % 2:
+            op = random_operator(rng, radix, rng.randint(1, 3), 7)
+        else:
+            op = random_series_solvable_operator(rng, radix, rng.randint(1, 3))
+        n = rng.randint(2, 10)
+        for elem in series_basis(op, n).elements:
+            coeffs = list(elem.coefficients)
+            coeffs[rng.randrange(len(coeffs))] += 1
+            bad = TruncatedSeries(tuple(coeffs))
+            terms = [(F(e), c) for e, c in enumerate(coeffs) if c]
+            accepts = _whole_image_accepts(op, terms, F(bad.truncation_order))
+            verdicts[accepts] += 1
+            if accepts:
+                check_series_element(op, bad)
+            else:
+                with pytest.raises(InternalInvariantError):
+                    check_series_element(op, bad)
+        for elem in puiseux_basis_all(op, n).elements:
+            terms = list(elem.terms)
+            k = rng.randrange(len(terms))
+            terms[k] = (terms[k][0], 2 * terms[k][1])
+            bad = PuiseuxSeries(elem.ramification, tuple(terms), elem.truncation_order)
+            accepts = _whole_image_accepts(op, terms, bad.truncation_order)
+            verdicts[accepts] += 1
+            if accepts:
+                check_puiseux_element(op, bad)
+            else:
+                with pytest.raises(InternalInvariantError):
+                    check_puiseux_element(op, bad)
+    assert verdicts[False] >= 30 and verdicts[True] >= 1
 
 
 def test_puiseux_argument_errors(running_example):
