@@ -62,7 +62,6 @@ from .rmatrix import (
     KernelBasis,
     RowSparseMatrix,
     build_submatrix,
-    entry_oracle,
     prolong,
     solve_prescribed,
 )

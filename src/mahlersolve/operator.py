@@ -9,6 +9,7 @@ and content normalization all live here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -181,6 +182,16 @@ class MahlerOperator:
 # -- application -------------------------------------------------------------
 
 
+def integer_terms(op: MahlerOperator) -> tuple[int, list[tuple[int, int, int]]]:
+    """(L, terms): L is the lcm of the coefficient denominators and
+    terms lists (b^k, j, L c) for every term c x^j M^k of op, in
+    increasing order of k, then j; every L c is an int."""
+    b = op.radix
+    terms = [(b**k, j, c) for k, lk in op.nonzero_coefficients() for j, c in lk.terms]
+    lcm = math.lcm(*(c.denominator for _, _, c in terms))
+    return lcm, [(bk, j, c.numerator * (lcm // c.denominator)) for bk, j, c in terms]
+
+
 def apply_below(
     op: MahlerOperator,
     support: Sequence[tuple[int, Fraction]],
@@ -193,28 +204,31 @@ def apply_below(
     of e; the result maps each exponent, again in units of 1/scale, to
     its nonzero coefficient.  M^k multiplies exponents by b^k, so a
     truncated series is known only far below most of its image; the
-    terms from limit/scale on are never formed.
+    terms from limit/scale on are never formed.  The sums run on ints:
+    the operator is scaled by L and the support by D, the lcms of their
+    denominators, and only the nonzero image terms become Fractions.
     """
-    acc: dict[int, Fraction] = {}
     if not support:
-        return acc
+        return {}
+    lcm, terms = integer_terms(op)
+    den = math.lcm(*(v.denominator for _, v in support))
+    ints = [(e, v.numerator * (den // v.denominator)) for e, v in support]
     low = support[0][0]
-    b = op.radix
-    for k, lk in op.nonzero_coefficients():
-        bk = b**k
-        for j, c in lk.terms:
-            js = j * scale
-            if js + bk * low >= limit:
+    acc: dict[int, int] = {}
+    for bk, j, c in terms:
+        js = j * scale
+        if js + bk * low >= limit:
+            continue
+        for e, v in ints:
+            m = js + bk * e
+            if m >= limit:
                 break
-            for e, v in support:
-                m = js + bk * e
-                if m >= limit:
-                    break
-                if m in acc:
-                    acc[m] += c * v
-                else:
-                    acc[m] = c * v
-    return {m: s for m, s in acc.items() if s}
+            if m in acc:
+                acc[m] += c * v
+            else:
+                acc[m] = c * v
+    den *= lcm
+    return {m: Fraction(s, den) for m, s in acc.items() if s}
 
 
 def apply_truncated(op: MahlerOperator, coeffs: Sequence[Fraction], limit: int) -> list[Fraction]:

@@ -23,7 +23,7 @@ from typing import Sequence
 from .errors import IncompatiblePrefixError, InternalInvariantError
 from .linalg import kernel_basis, rref
 from .newton import mu_nu
-from .operator import MahlerOperator, PhiTransform, apply_below, phi_apply
+from .operator import MahlerOperator, PhiTransform, apply_below, integer_terms, phi_apply
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -106,18 +106,6 @@ def build_submatrix(
     return RowSparseMatrix(labels, width, rows)
 
 
-def entry_oracle(op: MahlerOperator, phi: PhiTransform, m: int, n: int) -> Fraction:
-    """Single matrix entry by direct summation over the operator support."""
-    phi.validate_for(op.radix)
-    total = _ZERO
-    for k, lk in op.nonzero_coefficients():
-        bk = op.radix**k
-        for j, c in lk.terms:
-            if phi.alpha * bk + phi.beta * j - phi.gamma + bk * n == m:
-                total += c
-    return total
-
-
 @dataclass(frozen=True)
 class KernelBasis:
     """Canonical basis of a kernel of polynomials of degree < width:
@@ -149,7 +137,7 @@ def _substitute(matrix: RowSparseMatrix, zero_positions: list[int], seed: int, l
         for col, val in matrix.row_nonzeros(i):
             if col == i:
                 diag = val
-            else:
+            elif vec[col]:
                 acc += val * vec[col]
         if acc:
             vec[i] = -acc / diag
@@ -234,7 +222,9 @@ def prolong(
     new coefficient by forward substitution.  Only rows that some nonzero
     coefficient reaches are visited: each nonzero y_n adds c y_n to the
     pending sum of row j + b^k n for every term c x^j M^k, and pending
-    rows are solved in increasing order.
+    rows are solved in increasing order.  The sums run on ints over a
+    common denominator; each nonzero new coefficient becomes a Fraction
+    once, when its row is solved.
     """
     if extra < 0:
         raise ValueError("extra must be >= 0")
@@ -256,16 +246,10 @@ def prolong(
     if extra == 0:
         return list(approx)
 
-    l0 = transformed.coeffs[0]
-    tv0 = l0.valuation
-    diag = l0.trailing_coefficient
-    terms = []
-    for k, lk in transformed.nonzero_coefficients():
-        bk = transformed.radix**k
-        for j, c in lk.terms:
-            if k == 0 and j == tv0:
-                continue
-            terms.append((bk, j, c))
+    # Scaled by L, row m reads d y_{m - v(l_0)} + (sum of c y_n over the
+    # other terms) = 0; the trailing term d x^v(l_0) of l_0 comes first.
+    _, terms = integer_terms(transformed)
+    (_, tv0, d), terms = terms[0], terms[1:]
 
     top = mu_floor + extra
     # Row j + b^k n reads y_n through the term c x^j M^k and determines
@@ -279,30 +263,41 @@ def prolong(
                 "prolongation row touched an undetermined coefficient"
             )
 
+    # A coefficient or pending sum is an int pair (num, lev) standing for
+    # num / (den d^lev), den the lcm of the prefix denominators.
+    den = math.lcm(*(yn.denominator for _, yn in support))
     y = list(approx) + [_ZERO] * extra
-    pending: dict[int, Fraction] = {}  # row -> sum of its known terms
+    pending: dict[int, list[int]] = {}  # row -> [num, lev] of its known terms
     rows: list[int] = []  # heap of the pending rows
 
-    def push(n: int, yn: Fraction, settled: int) -> None:
+    def push(n: int, num: int, lev: int, settled: int) -> None:
         # rows up to `settled` are done: the prefix satisfies those up to
         # floor(mu), and the check above keeps a coefficient found at
         # row m out of the rows up to m
         for bk, j, c in terms:
             m = j + bk * n
             if settled < m <= top:
-                if m in pending:
-                    pending[m] += c * yn
-                else:
-                    pending[m] = c * yn
+                row = pending.get(m)
+                if row is None:
+                    pending[m] = [c * num, lev]
                     heappush(rows, m)
+                elif row[1] >= lev:
+                    row[0] += c * num * d ** (row[1] - lev)
+                else:
+                    row[0] = row[0] * d ** (lev - row[1]) + c * num
+                    row[1] = lev
 
     for n, yn in support:
-        push(n, yn, mu_floor)
+        push(n, yn.numerator * (den // yn.denominator), 0, mu_floor)
     while rows:
         m = heappop(rows)
-        acc = pending.pop(m)
-        if acc:
+        num, lev = pending.pop(m)
+        if num:
+            num, lev = -num, lev + 1
+            while lev and num % d == 0:
+                num //= d
+                lev -= 1
             n = m - tv0
-            y[n] = -acc / diag
-            push(n, y[n], m)
+            y[n] = Fraction(num, den * d**lev)
+            push(n, num, lev, m)
     return y

@@ -73,7 +73,7 @@ class SolutionBasis:
 def _solving_operator(op: MahlerOperator, auto_normalize: bool) -> MahlerOperator:
     """Validate the equation and make its trailing coefficient nonzero."""
     if not op:
-        raise ValueError("zero operator")
+        raise UnsupportedEquationError("zero operator")
     if op.coefficient(0):
         return op
     if not auto_normalize:
@@ -106,14 +106,14 @@ def approximate_series_basis(
 
 def _lower_row_indices(op: MahlerOperator, w: int) -> list[int]:
     b = op.radix
-    nz = op.nonzero_coefficients()
-    return [min(c.valuation + n * b**k for k, c in nz) for n in range(w)]
+    nz = [(c.valuation, b**k) for k, c in op.nonzero_coefficients()]
+    return [min(v + n * bk for v, bk in nz) for n in range(w)]
 
 
 def _upper_row_indices(op: MahlerOperator, w: int) -> list[int]:
     b = op.radix
-    nz = op.nonzero_coefficients()
-    return [max(c.degree + n * b**k for k, c in nz) for n in range(w)]
+    nz = [(c.degree, b**k) for k, c in op.nonzero_coefficients()]
+    return [max(d + n * bk for d, bk in nz) for n in range(w)]
 
 
 def series_basis(op: MahlerOperator, order: int, auto_normalize: bool = True) -> SolutionBasis:

@@ -183,15 +183,32 @@ def random_operator(
     return MahlerOperator(radix, coeffs)
 
 
-def random_series_solvable_operator(rng: random.Random, radix: int, order: int) -> MahlerOperator:
-    """Product of first-order factors M - u with unit trailing terms and
-    trailing exponents divisible by radix-1; the rightmost factor then
-    guarantees a nonempty power-series solution space."""
+def random_rational_operator(
+    rng: random.Random, radix: int, order: int, max_degree: int
+) -> MahlerOperator:
+    """random_operator with the trailing coefficient of l_0 drawn from
+    +-2, +-3 and 3/2, then scaled by 2/3 or 5/7: coefficients with
+    denominators and a recurrence diagonal other than +-1."""
+    op = random_operator(rng, radix, order, max_degree)
+    l0 = op.coeffs[0]
+    diag = rng.choice((Fraction(2), Fraction(-2), Fraction(3), Fraction(-3), Fraction(3, 2)))
+    l0 = Poly([(l0.valuation, diag), *l0.terms[1:]])
+    scale = rng.choice((Fraction(2, 3), Fraction(5, 7)))
+    return MahlerOperator(radix, (l0, *op.coeffs[1:])).scale(scale)
+
+
+def random_series_solvable_operator(
+    rng: random.Random, radix: int, order: int, lead=1
+) -> MahlerOperator:
+    """Product of first-order factors lead*M - u where u has the trailing
+    term lead*x^v, v divisible by radix-1; the rightmost factor then
+    guarantees a nonempty power-series solution space.  A lead other
+    than +-1 puts its powers into the denominators of the solutions."""
     result = None
     for _ in range(order):
         val = (radix - 1) * rng.randint(0, 1)
-        u = Poly.monomial(val) + random_poly(rng, 3, zero_ok=True).shift(val + 1)
-        factor = MahlerOperator(radix, [-u, Poly.one()])
+        u = Poly.monomial(val, lead) + random_poly(rng, 3, zero_ok=True).shift(val + 1)
+        factor = MahlerOperator(radix, [-u, Poly.monomial(0, lead)])
         result = factor if result is None else result * factor
     return result
 

@@ -16,6 +16,19 @@ from mahlersolve.poly import Poly
 ZERO = Fraction(0)
 
 
+def entry_oracle(op: MahlerOperator, phi: PhiTransform, m: int, n: int) -> Fraction:
+    """Single entry of the recurrence matrix of phi(op), by direct
+    summation over the operator support."""
+    phi.validate_for(op.radix)
+    total = ZERO
+    for k, lk in op.nonzero_coefficients():
+        bk = op.radix**k
+        for j, c in lk.terms:
+            if phi.alpha * bk + phi.beta * j - phi.gamma + bk * n == m:
+                total += c
+    return total
+
+
 def brute_rows(op: MahlerOperator, max_row: int, ncols: int) -> list[list[Fraction]]:
     """Dense rows 0..max_row of the recurrence system on y_0..y_{ncols-1},
     built directly from the definition: row m collects the coefficient of

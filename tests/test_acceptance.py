@@ -18,7 +18,7 @@ from conftest import (
     random_poly_solvable,
     random_series_solvable_operator,
 )
-from oracles import polynomial_solution_space, same_span, series_prefix_space
+from oracles import entry_oracle, polynomial_solution_space, same_span, series_prefix_space
 from mahlersolve.newton import lower_polygon, mu_nu, ramification_data
 from mahlersolve.normalize import gcrd, normalize_l0, split
 from mahlersolve.operator import (
@@ -37,7 +37,7 @@ from mahlersolve.rational import (
     rational_basis,
     transcendence_test,
 )
-from mahlersolve.rmatrix import build_submatrix, entry_oracle
+from mahlersolve.rmatrix import build_submatrix
 from mahlersolve.solver import (
     approximate_series_basis,
     check_puiseux_element,

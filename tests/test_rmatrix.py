@@ -3,9 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import operator, random_operator
+from conftest import (
+    operator,
+    random_operator,
+    random_rational_operator,
+    random_series_solvable_operator,
+)
 import oracles
-from oracles import prolong_oracle
+from oracles import entry_oracle, prolong_oracle
 from mahlersolve.errors import IncompatiblePrefixError, InternalInvariantError
 from mahlersolve import rmatrix
 from mahlersolve.newton import mu_nu
@@ -17,7 +22,7 @@ from mahlersolve.operator import (
     phi_apply,
 )
 from mahlersolve.poly import Poly
-from mahlersolve.rmatrix import build_submatrix, entry_oracle, prolong, solve_prescribed
+from mahlersolve.rmatrix import build_submatrix, prolong, solve_prescribed
 from mahlersolve.solver import approximate_series_basis
 
 F = Fraction
@@ -268,6 +273,38 @@ def test_prolong_matches_oracle_on_random_operators():
                 prolong_oracle(op, IDENTITY_PHI, list(vec), extra),
             )
     assert checked >= 30
+
+
+def test_prolong_over_common_denominators():
+    # prolong runs on ints: the operator scaled by L, the prefix by D, and
+    # each new coefficient kept as num / (D d^lev) with d = L diag.  Scaled
+    # operators, diagonals other than +-1 and prefixes with denominators
+    # exercise L, D and lev, which integer operators with unit diagonals
+    # never do.  A left factor keeps the series solutions of the right
+    # factor, whose lead puts powers of 1/lead into the coefficients.
+    rng = random.Random(707)
+    phi = PhiTransform(1, 5, -2)
+    checked = transformed_checked = grown = 0
+    for i in range(60):
+        radix = rng.choice((2, 3))
+        op = random_rational_operator(rng, radix, rng.randint(0, 1), 4)
+        lead = rng.choice((F(1), F(2), F(-3), F(3, 2)))
+        op = op * random_series_solvable_operator(rng, radix, rng.randint(1, 2), lead)
+        t = phi if i % 3 == 0 else IDENTITY_PHI
+        transformed = phi_apply(op, t)
+        if mu_nu(transformed)[0] < 0:
+            continue
+        for vec in _lower_kernel(transformed):
+            checked += 1
+            transformed_checked += t is phi
+            unit = rng.choice((F(1, 6), F(-5, 6), F(7, 3)))
+            approx = [c * unit for c in vec]
+            extra = rng.randint(0, 40)
+            out = prolong(op, t, approx, extra)
+            _same_coefficients(out, prolong_oracle(op, t, approx, extra))
+            prefix_den = max(c.denominator for c in approx)
+            grown += max(c.denominator for c in out) > prefix_den
+    assert checked >= 40 and transformed_checked >= 10 and grown >= 20
 
 
 def test_prolong_matches_oracle_on_sparse_products():

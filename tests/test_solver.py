@@ -26,6 +26,7 @@ from mahlersolve.errors import (
 from mahlersolve.newton import candidate_valuations
 from mahlersolve.operator import MahlerOperator, apply_to_poly
 from mahlersolve.poly import Poly
+from mahlersolve.rational import rational_basis
 from mahlersolve.solver import (
     approximate_series_basis,
     certificate_order,
@@ -356,3 +357,17 @@ def test_puiseux_argument_errors(running_example):
         puiseux_basis(zero, 1, 5)
     with pytest.raises(UnsupportedEquationError):
         puiseux_basis_all(zero, 5)
+
+
+def test_zero_operator_is_unsupported():
+    zero = MahlerOperator(2, [])
+    solves = (
+        lambda: series_basis(zero, 5),
+        lambda: approximate_series_basis(zero),
+        lambda: polynomial_basis(zero),
+        lambda: polynomial_solutions_bounded(zero, 3),
+        lambda: rational_basis(zero),
+    )
+    for solve in solves:
+        with pytest.raises(UnsupportedEquationError, match="zero operator"):
+            solve()
