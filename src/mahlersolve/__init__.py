@@ -38,8 +38,6 @@ from .operator import (
     IDENTITY_PHI,
     MahlerOperator,
     PhiTransform,
-    apply_to_poly,
-    apply_truncated,
     interreduce,
     operator_section,
     operator_sections,
@@ -68,9 +66,9 @@ from .rmatrix import (
 from .solver import (
     PuiseuxSeries,
     SolutionBasis,
-    TruncatedSeries,
     approximate_series_basis,
     certificate_order,
+    certify,
     polynomial_basis,
     polynomial_solutions_bounded,
     puiseux_basis,
@@ -85,6 +83,7 @@ from .rational import (
     TranscendenceVerdict,
     alt_denominator_bound,
     bell_coons_rank,
+    bell_coons_test,
     denominator_bound,
     ramified_rational_basis,
     rational_basis,

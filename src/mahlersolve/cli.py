@@ -10,6 +10,7 @@ stdin); results go to stdout as JSON (default) or text.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -23,17 +24,9 @@ from .errors import (
     UnsupportedEquationError,
 )
 from .newton import lower_polygon, mu_nu, ramification_data, upper_polygon
-from .normalize import gcrd_raw, normalization_content
-from .operator import MahlerOperator, apply_to_poly, primitive_part, right_divide
-from .poly import Poly, mahler_substitute
-from .rational import (
-    _consistent_extension,
-    bell_coons_dimensions,
-    bell_coons_rank,
-    rational_basis,
-    transcendence_test,
-)
-from .solver import _solving_operator
+from .normalize import gcrd_raw, normalize_l0_raw
+from .operator import MahlerOperator, primitive_part, right_divide
+from .rational import bell_coons_test, rational_basis, transcendence_test
 from .serialize import (
     basis_to_json,
     edge_to_json,
@@ -43,10 +36,7 @@ from .serialize import (
     poly_to_json,
 )
 from .solver import (
-    PuiseuxSeries,
-    TruncatedSeries,
-    check_puiseux_element,
-    check_series_element,
+    certify,
     polynomial_basis,
     puiseux_basis,
     puiseux_basis_all,
@@ -124,12 +114,17 @@ def _basis_text(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _certify_series(op, basis, doc):
-    for elem, edoc in zip(basis.elements, doc["elements"]):
-        if isinstance(elem, TruncatedSeries):
-            edoc["certified_order"] = str(check_series_element(op, elem))
-        elif isinstance(elem, PuiseuxSeries):
-            edoc["certified_order"] = str(check_puiseux_element(op, elem))
+def _basis_doc(op, basis, certified: bool) -> dict:
+    """The basis document; with `certified`, every element also carries
+    its certificate from `certify`."""
+    doc = basis_to_json(basis)
+    if certified:
+        for order, edoc in zip(certify(op, basis), doc["elements"]):
+            if order is None:
+                edoc["certified"] = True
+            else:
+                edoc["certified_order"] = str(order)
+    return doc
 
 
 def _cmd_newton(args) -> dict:
@@ -152,49 +147,19 @@ def _cmd_newton(args) -> dict:
 def _cmd_series(args) -> dict:
     op = _require_solvable(_load_operator(args.file))
     basis = series_basis(op, args.order, auto_normalize=args.auto_normalize)
-    doc = basis_to_json(basis)
-    if args.certify:
-        _certify_series(op, basis, doc)
-    return doc
+    return _basis_doc(op, basis, args.certify)
 
 
 def _cmd_poly(args) -> dict:
     op = _require_solvable(_load_operator(args.file))
     basis = polynomial_basis(op, auto_normalize=args.auto_normalize)
-    doc = basis_to_json(basis)
-    if args.certify:
-        for p, edoc in zip(basis.elements, doc["elements"]):
-            if apply_to_poly(op, p):
-                raise InternalInvariantError("polynomial certificate failed")
-            edoc["certified"] = True
-    return doc
+    return _basis_doc(op, basis, args.certify)
 
 
 def _cmd_rational(args) -> dict:
     op = _require_solvable(_load_operator(args.file))
     basis = rational_basis(op, auto_normalize=args.auto_normalize)
-    doc = basis_to_json(basis)
-    if args.certify:
-        for f, edoc in zip(basis.elements, doc["elements"]):
-            if not _rational_solves(op, f):
-                raise InternalInvariantError("rational certificate failed")
-            edoc["certified"] = True
-    return doc
-
-
-def _rational_solves(op, f) -> bool:
-    b = op.radix
-    den = f.denominator.shift(f.x_power)
-    total = Poly.zero()
-    for k, lk in op.nonzero_coefficients():
-        num_k = mahler_substitute(f.numerator, b, k) if k else f.numerator
-        cofactor = Poly.one()
-        for i in range(op.order + 1):
-            if i != k:
-                img = mahler_substitute(den, b, i) if i else den
-                cofactor = cofactor * img
-        total = total + lk * num_k * cofactor
-    return not total
+    return _basis_doc(op, basis, args.certify)
 
 
 def _cmd_puiseux(args) -> dict:
@@ -203,15 +168,12 @@ def _cmd_puiseux(args) -> dict:
         basis = puiseux_basis(op, args.ramification, args.order)
     else:
         basis = puiseux_basis_all(op, args.order)
-    doc = basis_to_json(basis)
-    if args.certify:
-        _certify_series(op, basis, doc)
-    return doc
+    return _basis_doc(op, basis, args.certify)
 
 
 def _cmd_normalize(args) -> dict:
     op = _require_solvable(_load_operator(args.file))
-    content, primitive = normalization_content(op)
+    content, primitive = primitive_part(normalize_l0_raw(op))
     doc = operator_to_json(primitive)
     doc["kind"] = "normalized_operator"
     doc["content"] = poly_to_json(content)
@@ -236,23 +198,8 @@ def _cmd_gcrd(args) -> dict:
 def _cmd_transcendence(args) -> dict:
     op = _require_solvable(_load_operator(args.file))
     prefix = [parse_fraction(tok.strip()) for tok in args.initial.split(",")]
-    if args.oracle == "bell-coons":
-        solving = _solving_operator(op, True)
-        if solving.order < 1:
-            # only the zero series solves l_0 y = 0; this raises otherwise
-            _consistent_extension(solving, prefix, len(prefix))
-            transcendental = False
-        else:
-            kappa, bound = bell_coons_dimensions(solving)
-            series = _consistent_extension(solving, prefix, kappa + bound + 1)
-            transcendental = bell_coons_rank(solving, series)
-        return {
-            "kind": "transcendence",
-            "method": "bell-coons",
-            "verdict": "transcendental" if transcendental else "rational",
-            "witness": None,
-        }
-    verdict = transcendence_test(op, prefix)
+    test = bell_coons_test if args.oracle == "bell-coons" else transcendence_test
+    verdict = test(op, prefix)
     doc = {
         "kind": "transcendence",
         "method": verdict.method,
@@ -325,6 +272,7 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mahlersolve",

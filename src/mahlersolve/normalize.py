@@ -115,7 +115,3 @@ def gcrd(ops: list[MahlerOperator]) -> MahlerOperator:
     """gcrd_raw in primitive, monic-leading canonical form."""
     return primitive_part(gcrd_raw(ops))[1]
 
-
-def normalization_content(op: MahlerOperator) -> tuple[Poly, MahlerOperator]:
-    """(content, primitive) of the raw normalized operator."""
-    return primitive_part(normalize_l0_raw(op))

@@ -18,8 +18,6 @@ from . import poly as P
 from .errors import InternalInvariantError, NegativeExponentError
 from .poly import Poly, checked_power, mahler_substitute, poly_sections
 
-_ZERO = Fraction(0)
-
 
 class MahlerOperator:
     __slots__ = ("radix", "coeffs")
@@ -229,24 +227,6 @@ def apply_below(
                 acc[m] = c * v
     den *= lcm
     return {m: Fraction(s, den) for m, s in acc.items() if s}
-
-
-def apply_truncated(op: MahlerOperator, coeffs: Sequence[Fraction], limit: int) -> list[Fraction]:
-    """Dense coefficients 0..limit-1 of op applied to the given polynomial."""
-    support = [(n, c) for n, c in enumerate(coeffs) if c]
-    out = [_ZERO] * limit
-    for m, c in apply_below(op, support, limit).items():
-        out[m] = c
-    return out
-
-
-def apply_to_poly(op: MahlerOperator, p: Poly) -> Poly:
-    """Exact image of a polynomial under the operator."""
-    result = Poly.zero()
-    for k, lk in op.nonzero_coefficients():
-        img = mahler_substitute(p, op.radix, k) if k else p
-        result = result + lk * img
-    return result
 
 
 # -- right pseudo-division ----------------------------------------------------

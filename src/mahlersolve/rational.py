@@ -14,18 +14,16 @@ from . import poly as P
 from .errors import InconsistentPrefixError, InsufficientPrefixError
 from .linalg import rank, solve
 from .newton import mu_nu, ramification_data
-from .operator import IDENTITY_PHI, MahlerOperator, PhiTransform, phi_apply
+from .operator import MahlerOperator, PhiTransform, phi_apply
 from .poly import Poly, graeffe, lcm_orbit, mahler_substitute, poly_sections
-from .rmatrix import prolong
 from .solver import (
     SolutionBasis,
-    approximate_series_basis,
     polynomial_solutions_bounded,
-    _solving_operator,
+    series_basis,
+    solving_operator,
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -234,7 +232,7 @@ def rational_basis(op: MahlerOperator, auto_normalize: bool = True) -> SolutionB
     Change of unknown y = p / (x^v_bar q_star) turns the problem into a
     bounded-degree polynomial solve for p.
     """
-    op = _solving_operator(op, auto_normalize)
+    op = solving_operator(op, auto_normalize)
     kind = "rational_basis"
     r = op.order
     if r < 1:
@@ -305,14 +303,13 @@ def _canonicalize_rational(elements: list[RationalFunction]) -> tuple:
     return tuple(done)
 
 
-def ramified_rational_basis(op: MahlerOperator, order_hint=None) -> SolutionBasis:
+def ramified_rational_basis(op: MahlerOperator) -> SolutionBasis:
     """Basis of solutions that are rational functions of some x^(1/N).
 
     The M-valuation is stripped, the variable is rescaled to make every
     admissible ramified slope integral, and the plain rational solver
     runs on the rescaled equation.
     """
-    del order_hint  # accepted for interface symmetry; the solve is exact
     if not op:
         raise ValueError("zero operator")
     kind = "ramified_rational_basis"
@@ -355,7 +352,6 @@ def _consistent_extension(
         if any(prefix):
             raise InconsistentPrefixError("prefix extends to no series solution")
         return [_ZERO] * max(length, len(prefix))
-    approx = approximate_series_basis(op, auto_normalize=False)
     nu, _ = mu_nu(op)
     head = math.floor(nu) + 1 if nu >= 0 else 0
     if len(prefix) < max(head, 1):
@@ -364,9 +360,11 @@ def _consistent_extension(
         )
     target = max(length, len(prefix))
     expanded = []
-    for elem in approx.elements:
-        extra = max(0, target - 1 - math.floor(nu))
-        expanded.append(prolong(op, IDENTITY_PHI, list(elem.coefficients), extra))
+    for elem in series_basis(op, target - 1, auto_normalize=False).elements:
+        dense = [_ZERO] * int(elem.truncation_order)
+        for e, c in elem.terms:
+            dense[int(e)] = c
+        expanded.append(dense)
     window = len(prefix)
     rows = [[exp[i] for exp in expanded] for i in range(window)]
     combo = solve(rows, list(prefix[:window])) if expanded else None
@@ -396,7 +394,7 @@ def transcendence_test(
     Solutions of a linear Mahler equation are never algebraic irrational,
     so the verdict is a dichotomy.
     """
-    op = _solving_operator(op, auto_normalize)
+    op = solving_operator(op, auto_normalize)
     prefix = [Fraction(c) for c in prefix]
     series = _consistent_extension(op, prefix, len(prefix))
     if not any(series):
@@ -426,6 +424,24 @@ def transcendence_test(
         if c:
             witness = witness + f.scale(c)
     return TranscendenceVerdict("rational", witness, "rational-basis")
+
+
+def bell_coons_test(
+    op: MahlerOperator, prefix: Sequence[Fraction], auto_normalize: bool = True
+) -> TranscendenceVerdict:
+    """The Bell-Coons oracle for the same question as transcendence_test:
+    extend the prefix to the series solution it identifies and decide by
+    the Hankel rank; gives no witness."""
+    op = solving_operator(op, auto_normalize)
+    prefix = [Fraction(c) for c in prefix]
+    if op.order < 1:
+        # only the zero series solves l_0 y = 0; this raises otherwise
+        _consistent_extension(op, prefix, len(prefix))
+        return TranscendenceVerdict("rational", None, "bell-coons")
+    kappa, bound = bell_coons_dimensions(op)
+    series = _consistent_extension(op, prefix, kappa + bound + 1)
+    verdict = "transcendental" if bell_coons_rank(op, series) else "rational"
+    return TranscendenceVerdict(verdict, None, "bell-coons")
 
 
 def bell_coons_dimensions(op: MahlerOperator) -> tuple[int, int]:

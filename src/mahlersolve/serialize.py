@@ -17,7 +17,7 @@ from .errors import InputFormatError
 from .newton import PolygonEdge
 from .operator import MahlerOperator
 from .poly import MAX_EXPONENT, Poly
-from .solver import PuiseuxSeries, SolutionBasis, TruncatedSeries
+from .solver import PuiseuxSeries, SolutionBasis
 
 _COEFF_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -102,14 +102,11 @@ def parse_operator(doc) -> MahlerOperator:
     return MahlerOperator.from_dict(radix, coeffs)
 
 
-def _series_element_to_json(elem) -> dict:
-    if isinstance(elem, TruncatedSeries):
-        terms = [[str(Fraction(i)), str(c)] for i, c in enumerate(elem.coefficients) if c]
-        order = str(Fraction(elem.truncation_order))
-    else:
-        terms = [[str(e), str(c)] for e, c in elem.terms]
-        order = str(elem.truncation_order)
-    return {"terms": terms, "truncation_order": order}
+def _series_element_to_json(elem: PuiseuxSeries) -> dict:
+    return {
+        "terms": [[str(e), str(c)] for e, c in elem.terms],
+        "truncation_order": str(elem.truncation_order),
+    }
 
 
 def basis_to_json(basis: SolutionBasis) -> dict:
@@ -140,11 +137,7 @@ def basis_to_json(basis: SolutionBasis) -> dict:
     if basis.kind == "polynomial_basis":
         doc["elements"] = [{"terms": poly_to_json(p)} for p in basis.elements]
         return doc
-    ram = 1
-    for elem in basis.elements:
-        if isinstance(elem, PuiseuxSeries):
-            ram = max(ram, elem.ramification)
-    doc["ramification"] = ram
+    doc["ramification"] = max((e.ramification for e in basis.elements), default=1)
     doc["elements"] = [_series_element_to_json(e) for e in basis.elements]
     return doc
 

@@ -1,5 +1,6 @@
 """User-facing solvers: truncated power-series bases, polynomial bases,
-and ramified (Puiseux) bases of linear Mahler equations.
+and ramified (Puiseux) bases of linear Mahler equations, and `certify`,
+which substitutes a basis back into its equation.
 
 The simple shape shared by all solvers: pick the window parameters from
 the Newton polygon, call the prescribed-support kernel solver, and, for
@@ -23,32 +24,15 @@ from .errors import (
 from .newton import mu_nu, ramification_data, select_edge_for_ramification
 from .normalize import normalize_l0
 from .operator import IDENTITY_PHI, MahlerOperator, PhiTransform, apply_below, phi_apply
-from .poly import Poly
+from .poly import Poly, mahler_substitute
 from .rmatrix import prolong, solve_prescribed
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """c_0 + c_1 x + ... + c_{T-1} x^{T-1} + O(x^T) with T = len(coefficients)."""
-
-    coefficients: tuple[Fraction, ...]
-
-    @property
-    def truncation_order(self) -> int:
-        return len(self.coefficients)
-
-    @property
-    def valuation(self) -> Optional[int]:
-        for i, c in enumerate(self.coefficients):
-            if c:
-                return i
-        return None
 
 
 @dataclass(frozen=True)
 class PuiseuxSeries:
     """Finitely many terms c x^e with e in (1/ramification)Z, exponents
-    strictly increasing, truncated at O(x^truncation_order)."""
+    strictly increasing, truncated at O(x^truncation_order).  A power
+    series is the case ramification = 1."""
 
     ramification: int
     terms: tuple[tuple[Fraction, Fraction], ...]
@@ -70,7 +54,17 @@ class SolutionBasis:
         return len(self.elements)
 
 
-def _solving_operator(op: MahlerOperator, auto_normalize: bool) -> MahlerOperator:
+def _series(
+    coeffs: Sequence[Fraction], shift: int, ramification: int, truncation_order: Fraction
+) -> PuiseuxSeries:
+    """The nonzero coefficients c_i as terms c_i x^((i - shift)/ramification)."""
+    terms = tuple(
+        (Fraction(i - shift, ramification), c) for i, c in enumerate(coeffs) if c
+    )
+    return PuiseuxSeries(ramification, terms, Fraction(truncation_order))
+
+
+def solving_operator(op: MahlerOperator, auto_normalize: bool) -> MahlerOperator:
     """Validate the equation and make its trailing coefficient nonzero."""
     if not op:
         raise UnsupportedEquationError("zero operator")
@@ -83,6 +77,20 @@ def _solving_operator(op: MahlerOperator, auto_normalize: bool) -> MahlerOperato
     return normalize_l0(op)
 
 
+def _approximate_heads(op: MahlerOperator) -> tuple[int, tuple]:
+    """(w, vectors): the coefficients 0..w-1, w = floor(nu)+1, of a basis
+    of the power-series solutions of op (trailing coefficient nonzero)."""
+    if op.order < 1:
+        return 0, ()
+    nu, mu = mu_nu(op)
+    if nu < 0:
+        return 0, ()
+    h = math.floor(mu) + 1
+    w = math.floor(nu) + 1
+    rows = _lower_row_indices(op, w)
+    return w, solve_prescribed(op, IDENTITY_PHI, h, w, rows, "lower").vectors
+
+
 def approximate_series_basis(
     op: MahlerOperator, auto_normalize: bool = True
 ) -> SolutionBasis:
@@ -90,18 +98,8 @@ def approximate_series_basis(
 
     Each element extends to exactly one power-series solution.
     """
-    op = _solving_operator(op, auto_normalize)
-    kind = "approximate_series_basis"
-    if op.order < 1:
-        return SolutionBasis(kind, ())
-    nu, mu = mu_nu(op)
-    if nu < 0:
-        return SolutionBasis(kind, ())
-    h = math.floor(mu) + 1
-    w = math.floor(nu) + 1
-    rows = _lower_row_indices(op, w)
-    kernel = solve_prescribed(op, IDENTITY_PHI, h, w, rows, "lower")
-    return SolutionBasis(kind, tuple(TruncatedSeries(v) for v in kernel.vectors))
+    w, heads = _approximate_heads(solving_operator(op, auto_normalize))
+    return SolutionBasis("approximate_series_basis", tuple(_series(v, 0, 1, w) for v in heads))
 
 
 def _lower_row_indices(op: MahlerOperator, w: int) -> list[int]:
@@ -121,16 +119,13 @@ def series_basis(op: MahlerOperator, order: int, auto_normalize: bool = True) ->
 
     The truncation never drops below the approximate order floor(nu)+1.
     """
-    solving = _solving_operator(op, auto_normalize)
-    approx = approximate_series_basis(solving, auto_normalize=False)
-    if not approx.elements:
-        return SolutionBasis("series_basis", ())
-    nu, _ = mu_nu(solving)
-    extra = max(0, order - math.floor(nu))
+    op = solving_operator(op, auto_normalize)
+    w, heads = _approximate_heads(op)
+    extra = max(0, order + 1 - w)
     elements = []
-    for head in approx.elements:
-        coeffs = prolong(solving, IDENTITY_PHI, list(head.coefficients), extra)
-        elements.append(TruncatedSeries(tuple(coeffs)))
+    for head in heads:
+        coeffs = prolong(op, IDENTITY_PHI, list(head), extra)
+        elements.append(_series(coeffs, 0, 1, len(coeffs)))
     return SolutionBasis("series_basis", tuple(elements))
 
 
@@ -140,7 +135,7 @@ def polynomial_solutions_bounded(
     """Basis of polynomial solutions of degree < w."""
     if w < 1:
         raise ValueError("degree bound must be >= 1")
-    op = _solving_operator(op, auto_normalize)
+    op = solving_operator(op, auto_normalize)
     kind = "polynomial_basis"
     if op.order < 1:
         return SolutionBasis(kind, ())
@@ -158,7 +153,7 @@ def polynomial_solutions_bounded(
 def polynomial_basis(op: MahlerOperator, auto_normalize: bool = True) -> SolutionBasis:
     """Basis of all polynomial solutions; the degree bound comes from the
     upper Newton polygon."""
-    solving = _solving_operator(op, auto_normalize)
+    solving = solving_operator(op, auto_normalize)
     if solving.order < 1:
         return SolutionBasis("polynomial_basis", ())
     b, r = solving.radix, solving.order
@@ -215,13 +210,8 @@ def puiseux_basis(op: MahlerOperator, ramification: int, order: int) -> Solution
         else:
             extra = max(0, top - math.floor(nu))
             coeffs = prolong(op, phi, list(head), extra)[: top + 1]
-        # coefficient i carries the exponent (-slope + i/ramification)/b^w0
-        terms = []
-        for i, c in enumerate(coeffs):
-            if c:
-                e = (-slope + Fraction(i, ramification)) / scale
-                terms.append((e, c))
-        elements.append(PuiseuxSeries(out_ram, tuple(terms), trunc))
+        # coefficient i carries the exponent (-slope + i/ramification)/b^w0 = (i - ns)/out_ram
+        elements.append(_series(coeffs, int(ns), out_ram, trunc))
     return SolutionBasis(kind, tuple(elements))
 
 
@@ -275,15 +265,11 @@ def residual_valuation(
     return Fraction(min(image), scale) if image else None
 
 
-def _check_residual(
-    op: MahlerOperator,
-    truncation_order: Fraction,
-    support: Sequence[tuple[int, Fraction]],
-    scale: int,
-) -> Fraction:
-    """Certified order of a truncated solution whose terms c x^(e/scale)
-    are `support`; raises unless its image vanishes below that order."""
-    bound = certificate_order(op, truncation_order)
+def _check_residual(op: MahlerOperator, elem: PuiseuxSeries) -> Fraction:
+    """Certified order of a truncated solution; raises unless its image
+    vanishes below that order."""
+    scale, support = _integer_support(elem.terms, elem.ramification)
+    bound = certificate_order(op, elem.truncation_order)
     image = apply_below(op, support, math.ceil(bound * scale), scale)
     if image:
         val = Fraction(min(image), scale)
@@ -291,15 +277,35 @@ def _check_residual(
     return bound
 
 
-def check_series_element(op: MahlerOperator, element: TruncatedSeries) -> Fraction:
-    """Verify the residual certificate of a truncated series solution and
-    return the certified order; raises on failure."""
-    support = [(n, c) for n, c in enumerate(element.coefficients) if c]
-    return _check_residual(op, Fraction(element.truncation_order), support, 1)
+def certify(op: MahlerOperator, basis: SolutionBasis) -> list[Optional[Fraction]]:
+    """Substitute every element of a solution basis back into op.
 
-
-def check_puiseux_element(op: MahlerOperator, element: PuiseuxSeries) -> Fraction:
-    """Verify the residual certificate of a truncated Puiseux solution and
-    return the certified order; raises on failure."""
-    scale, support = _integer_support(element.terms, element.ramification)
-    return _check_residual(op, element.truncation_order, support, scale)
+    Returns, element by element, the certified order of a truncated
+    series (see certificate_order) or None for an exact polynomial or
+    rational solution; raises InternalInvariantError when an element
+    fails its certificate.  Series, approximate-series, Puiseux,
+    polynomial and rational bases are understood.
+    """
+    if basis.kind in ("series_basis", "approximate_series_basis", "puiseux_basis"):
+        return [_check_residual(op, elem) for elem in basis.elements]
+    if basis.kind == "polynomial_basis":
+        for p in basis.elements:
+            if residual_valuation(op, p.terms) is not None:
+                raise InternalInvariantError("polynomial certificate failed")
+        return [None] * basis.dimension
+    if basis.kind == "rational_basis":
+        # op(N / den) = 0 with den = x^v D exactly when N solves the
+        # operator with coefficients l_k * prod_{i != k} den(x^(b^i))
+        b = op.radix
+        for f in basis.elements:
+            den = f.denominator.shift(f.x_power)
+            images = [mahler_substitute(den, b, i) if i else den for i in range(op.order + 1)]
+            coeffs = list(op.coeffs)
+            for k, _ in op.nonzero_coefficients():
+                for i, img in enumerate(images):
+                    if i != k:
+                        coeffs[k] = coeffs[k] * img
+            if residual_valuation(MahlerOperator(b, coeffs), f.numerator.terms) is not None:
+                raise InternalInvariantError("rational certificate failed")
+        return [None] * basis.dimension
+    raise InvalidArgumentError(f"cannot certify a {basis.kind}")

@@ -25,6 +25,16 @@ def operator(radix, *coeffs) -> MahlerOperator:
     return MahlerOperator(radix, list(coeffs))
 
 
+def dense(elem) -> list[Fraction]:
+    """Coefficients 0..T-1 of a power series c_0 + c_1 x + ... + O(x^T),
+    given as a PuiseuxSeries of ramification 1."""
+    assert elem.ramification == 1 and elem.truncation_order.denominator == 1
+    out = [Fraction(0)] * int(elem.truncation_order)
+    for e, c in elem.terms:
+        out[int(e)] = c
+    return out
+
+
 @pytest.fixture(scope="session")
 def running_example() -> MahlerOperator:
     """Order-2 radix-3 operator whose Newton polygon has slopes -3 and 1/2."""

@@ -1,4 +1,6 @@
+import ast
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import operator, pol
-from mahlersolve.cli import main
+from mahlersolve import cli
+from mahlersolve.cli import build_parser, main
 from mahlersolve.poly import Poly
 from mahlersolve.serialize import operator_to_json
 
@@ -284,3 +287,45 @@ def test_console_script_entry_point(tmp_path, running_example):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dimension"] == 1
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_calls_in_a_row_match_calls_alone(run, running_example_file, tmp_path):
+    # the parser is shared between calls: no option of one request may
+    # leak into the next
+    path = tmp_path / "lop.json"
+    path.write_text(json.dumps(operator_to_json(operator(2, Poly.x(), -pol(1, 1), Poly.one()))))
+    requests = [
+        ("series", running_example_file, "--order", "6", "--certify"),
+        ("puiseux", running_example_file, "--order", "4", "--ramification", "1"),
+        ("puiseux", running_example_file, "--order", "4"),
+        ("poly", str(path)),
+        ("transcendence", str(path), "--initial", "0,1,1,0,1", "--oracle", "bell-coons"),
+        ("transcendence", str(path), "--initial", "1,0,0,0,0"),
+        ("newton", running_example_file, "--format", "text"),
+        ("series", running_example_file, "--order", "6"),
+    ]
+    alone = []
+    for argv in requests:
+        build_parser.cache_clear()
+        alone.append(run(*argv))
+    build_parser.cache_clear()
+    assert [run(*argv) for argv in requests] == alone
+    assert all(code == 0 for code, _, _ in alone)
+
+
+def test_no_private_cross_module_imports():
+    package = os.path.dirname(cli.__file__)
+    offenders = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("mahlersolve")):
+                offenders += [(name, a.name) for a in node.names if a.name.startswith("_")]
+    assert offenders == []

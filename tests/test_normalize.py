@@ -8,11 +8,11 @@ from oracles import same_span, series_prefix_space
 from mahlersolve.errors import MixedRadixError
 from mahlersolve.normalize import (
     gcrd,
-    normalization_content,
     normalize_l0,
+    normalize_l0_raw,
     split,
 )
-from mahlersolve.operator import MahlerOperator, right_divide
+from mahlersolve.operator import MahlerOperator, primitive_part, right_divide
 from mahlersolve.poly import Poly
 
 F = Fraction
@@ -54,7 +54,7 @@ def test_split_bounds_random():
 def test_normalize_golden(reduction_example, reduction_example_normalized):
     prim = normalize_l0(reduction_example)
     assert prim == reduction_example_normalized
-    content, prim2 = normalization_content(reduction_example)
+    content, prim2 = primitive_part(normalize_l0_raw(reduction_example))
     assert prim2 == prim
     expected_content = (X**3 * pol(1, 1, 1) * pol(1, -1, 1)).monic()
     assert content.monic() == expected_content

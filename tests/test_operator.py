@@ -4,15 +4,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import mono, operator, pol, random_operator, random_poly, random_rational_operator
-from oracles import apply_to_fractional
+from oracles import apply_exact, apply_to_fractional
 from mahlersolve.errors import InternalInvariantError, MixedRadixError, NegativeExponentError
 from mahlersolve.operator import (
     IDENTITY_PHI,
     MahlerOperator,
     PhiTransform,
     apply_below,
-    apply_to_poly,
-    apply_truncated,
     interreduce,
     operator_section,
     operator_sections,
@@ -70,13 +68,12 @@ def test_mixed_radix_rejected():
         operator(2, ONE) * operator(3, ONE)
 
 
-def test_apply_truncated(running_example, running_example_series):
-    y = running_example_series[:10]
-    out = apply_truncated(running_example, y, 16)
-    assert all(c == 0 for c in out)
-    assert apply_truncated(running_example, [], 5) == [F(0)] * 5
+def test_apply_below_solutions(running_example, running_example_series):
+    y = [(n, c) for n, c in enumerate(running_example_series[:10]) if c]
+    assert apply_below(running_example, y, 16) == {}
+    assert apply_below(running_example, [], 5) == {}
     lop = operator(2, X, -pol(1, 1), ONE)
-    assert all(c == 0 for c in apply_truncated(lop, [F(1)], 12))
+    assert apply_below(lop, [(0, F(1))], 12) == {}
 
 
 def test_apply_below_matches_whole_image(running_example):
@@ -105,26 +102,28 @@ def test_apply_below_matches_whole_image(running_example):
 
 
 def test_apply_composition():
+    # (a1 a2)(y) = a1(a2(y)) below t: no operator lowers an exponent, so
+    # the terms of a2(y) from t on never reach below t
     rng = random.Random(8)
     for _ in range(30):
         b = rng.choice((2, 3))
         a1 = random_operator(rng, b, rng.randint(0, 2), 5, nonzero_l0=False)
         a2 = random_operator(rng, b, rng.randint(0, 2), 5, nonzero_l0=False)
-        y = [F(rng.randint(-3, 3)) for _ in range(6)]
+        y = [(n, F(c)) for n in range(6) if (c := rng.randint(-3, 3))]
         t = 12
-        inner = apply_truncated(a2, y, t)
-        assert apply_truncated(a1 * a2, y, t) == apply_truncated(a1, inner, t)
+        inner = sorted(apply_below(a2, y, t).items())
+        assert apply_below(a1 * a2, y, t) == apply_below(a1, inner, t)
 
 
-def test_apply_to_poly_matches_truncated():
+def test_apply_below_matches_exact_polynomial_image():
     rng = random.Random(17)
     for _ in range(20):
         op = random_operator(rng, 2, 2, 5, nonzero_l0=False)
         p = random_poly(rng, 4, zero_ok=True)
-        img = apply_to_poly(op, p)
-        limit = img.degree + 2 if img else 8
-        dense = [p.coefficient(i) for i in range(5)]
-        assert apply_truncated(op, dense, limit) == [img.coefficient(i) for i in range(limit)]
+        img = apply_exact(op, p)
+        for limit in (img.degree + 2 if img else 8, rng.randint(0, 12)):
+            want = {e: c for e, c in img.terms if e < limit}
+            assert apply_below(op, p.terms, limit) == want
 
 
 def test_right_divide_examples():

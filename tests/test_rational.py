@@ -3,9 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import operator, pol, random_operator, random_series_solvable_operator
+from conftest import (
+    dense,
+    operator,
+    pol,
+    random_operator,
+    random_poly,
+    random_series_solvable_operator,
+)
 from oracles import same_span
-from mahlersolve.errors import InconsistentPrefixError, InsufficientPrefixError
+from mahlersolve.errors import (
+    InconsistentPrefixError,
+    InsufficientPrefixError,
+    InternalInvariantError,
+)
 from mahlersolve.operator import MahlerOperator
 from mahlersolve.poly import Poly, gcd, mahler_substitute, poly_sections
 from mahlersolve.rational import (
@@ -13,11 +24,13 @@ from mahlersolve.rational import (
     alt_denominator_bound,
     bell_coons_dimensions,
     bell_coons_rank,
+    bell_coons_test,
     denominator_bound,
     ramified_rational_basis,
     rational_basis,
     transcendence_test,
 )
+from mahlersolve.solver import SolutionBasis, certify, series_basis
 
 F = Fraction
 ONE = Poly.one()
@@ -254,6 +267,62 @@ def test_bell_coons(rat_example):
         bell_coons_rank(lop, [F(1), F(1)])
 
 
+def test_order_zero_transcendence():
+    # l_0 y = 0 has only the zero solution
+    op = operator(2, pol(1, 1))
+    verdict = bell_coons_test(op, [F(0), F(0), F(0)])
+    assert (verdict.verdict, verdict.witness, verdict.method) == ("rational", None, "bell-coons")
+    verdict = transcendence_test(op, [F(0), F(0), F(0)])
+    assert (verdict.verdict, verdict.method) == ("rational", "rational-basis")
+    for oracle in (transcendence_test, bell_coons_test):
+        with pytest.raises(InconsistentPrefixError, match="prefix extends to no series solution"):
+            oracle(op, [F(1), F(0)])
+
+
+def test_oracles_agree_on_transcendence_fixtures(rat_example):
+    lop = operator(2, X, -pol(1, 1), ONE)
+    target = RationalFunction.make(ONE, 0, pol(-1, -1, 1))
+    cases = [
+        (lop, [F(0), F(1), F(1), F(0), F(1)], "transcendental"),
+        (lop, [F(1), F(0), F(0), F(0), F(0)], "rational"),
+        (rat_example, target.laurent_coefficients(0, 8), "rational"),
+    ]
+    for op, prefix, expected in cases:
+        for oracle in (transcendence_test, bell_coons_test):
+            assert oracle(op, prefix).verdict == expected
+    for oracle in (transcendence_test, bell_coons_test):
+        with pytest.raises(InconsistentPrefixError):
+            oracle(lop, [F(1), F(2), F(3), F(4), F(5)])
+        with pytest.raises(InsufficientPrefixError):
+            oracle(lop, [F(1)])
+
+
+def test_certify_rational_matches_exact_identity(rat_example):
+    basis = rational_basis(rat_example)
+    assert certify(rat_example, basis) == [None, None]
+    # a perturbed numerator is rejected exactly when the cleared identity fails
+    rng = random.Random(616)
+    verdicts = {True: 0, False: 0}
+    for _ in range(25):
+        radix = rng.choice((2, 3))
+        p = random_poly(rng, 2)
+        q = ONE + random_poly(rng, 2).shift(1)
+        # y = p/q solves p q(x^b) M - p(x^b) q, so the product has it too
+        right = MahlerOperator(radix, [-(mahler_substitute(p, radix) * q), p * mahler_substitute(q, radix)])
+        op = random_operator(rng, radix, rng.randint(0, 1), 2) * right
+        for f in rational_basis(op).elements:
+            bump = f.numerator + Poly.monomial(rng.randint(0, 4))
+            for g in (f, RationalFunction(bump, f.x_power, f.denominator)):
+                solves = verify_rational_solution(op, g)
+                verdicts[solves] += 1
+                if solves:
+                    assert certify(op, SolutionBasis("rational_basis", (g,))) == [None]
+                else:
+                    with pytest.raises(InternalInvariantError, match="rational certificate failed"):
+                        certify(op, SolutionBasis("rational_basis", (g,)))
+    assert verdicts[True] >= 20 and verdicts[False] >= 20
+
+
 def test_transcendence_and_bell_coons_agree():
     rng = random.Random(808)
     agreements = 0
@@ -262,13 +331,11 @@ def test_transcendence_and_bell_coons_agree():
         op = random_series_solvable_operator(rng, radix, rng.randint(1, 2))
         if not op.coefficient(0):
             continue
-        from mahlersolve.solver import series_basis
-
         kappa, bound = bell_coons_dimensions(op)
         need = kappa + bound + 1
         basis = series_basis(op, need)
         for elem in basis.elements:
-            series = list(elem.coefficients[:need])
+            series = dense(elem)[:need]
             if len(series) < need:
                 continue
             verdict = transcendence_test(op, series)

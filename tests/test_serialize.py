@@ -13,7 +13,7 @@ from mahlersolve.serialize import (
     parse_poly,
     poly_to_json,
 )
-from mahlersolve.solver import PuiseuxSeries, SolutionBasis, TruncatedSeries
+from mahlersolve.solver import PuiseuxSeries, SolutionBasis
 
 F = Fraction
 
@@ -80,10 +80,11 @@ def test_zero_coefficient_entries_allowed():
 
 def test_basis_documents():
     series = SolutionBasis(
-        "series_basis", (TruncatedSeries((F(0), F(1), F(-2))),)
+        "series_basis", (PuiseuxSeries(1, ((F(1), F(1)), (F(2), F(-2))), F(3)),)
     )
     doc = basis_to_json(series)
     assert doc["dimension"] == 1
+    assert doc["ramification"] == 1
     assert doc["elements"][0]["terms"] == [["1", "1"], ["2", "-2"]]
     assert doc["elements"][0]["truncation_order"] == "3"
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    dense,
     operator,
     pol,
     random_operator,
@@ -11,6 +12,7 @@ from conftest import (
     random_series_solvable_operator,
 )
 from oracles import (
+    apply_exact,
     apply_to_fractional,
     polynomial_solution_space,
     same_span,
@@ -23,19 +25,22 @@ from mahlersolve.errors import (
     UnsupportedEquationError,
     ZeroTrailingCoefficientError,
 )
-from mahlersolve.newton import candidate_valuations
-from mahlersolve.operator import MahlerOperator, apply_to_poly
+from mahlersolve.newton import (
+    candidate_valuations,
+    ramification_data,
+    select_edge_for_ramification,
+)
+from mahlersolve.operator import MahlerOperator
 from mahlersolve.poly import Poly
 from mahlersolve.rational import rational_basis
 from mahlersolve.solver import (
     approximate_series_basis,
     certificate_order,
-    check_puiseux_element,
-    check_series_element,
+    certify,
     polynomial_basis,
     polynomial_solutions_bounded,
     PuiseuxSeries,
-    TruncatedSeries,
+    SolutionBasis,
     puiseux_basis,
     puiseux_basis_all,
     residual_valuation,
@@ -49,7 +54,7 @@ X = Poly.x()
 
 def test_approximate_basis_examples(running_example):
     basis = approximate_series_basis(running_example)
-    assert [e.coefficients for e in basis.elements] == [(F(0), F(0), F(0), F(1))]
+    assert [dense(e) for e in basis.elements] == [[F(0), F(0), F(0), F(1)]]
     # M - 2 admits no series solution: the only edge is not admissible
     assert approximate_series_basis(operator(2, pol(-2), ONE)).dimension == 0
     # negative corner slope rules out series solutions outright
@@ -59,18 +64,18 @@ def test_approximate_basis_examples(running_example):
 def test_series_basis_golden(running_example, running_example_series):
     basis = series_basis(running_example, 12)
     assert basis.dimension == 1
-    assert list(basis.elements[0].coefficients) == running_example_series
+    assert dense(basis.elements[0]) == running_example_series
     assert basis.elements[0].truncation_order == 13
     # truncation request below the approximate order keeps the full head
     head = series_basis(running_example, 3)
-    assert list(head.elements[0].coefficients) == [F(0), F(0), F(0), F(1)]
+    assert dense(head.elements[0]) == [F(0), F(0), F(0), F(1)]
 
 
 def test_series_basis_two_dimensional():
     lop = operator(2, X, -pol(1, 1), ONE)  # (M - x)(M - 1)
     basis = series_basis(lop, 8)
     assert basis.dimension == 2
-    coeffs = [list(e.coefficients) for e in basis.elements]
+    coeffs = [dense(e) for e in basis.elements]
     assert [F(1)] + [F(0)] * 8 in coeffs
     assert [F(0), F(1), F(1), F(0), F(1), F(0), F(0), F(0), F(1)] in coeffs
 
@@ -84,7 +89,7 @@ def test_polynomial_solutions(rat_example_transformed, running_example):
     want = [[p.coefficient(i) for i in range(7)] for p in expected]
     assert same_span(got, want)
     for p in basis.elements:
-        assert not apply_to_poly(rat_example_transformed, p)
+        assert not apply_exact(rat_example_transformed, p)
     # full-basis variant finds the same space
     full = polynomial_basis(rat_example_transformed)
     got_full = [[p.coefficient(i) for i in range(7)] for p in full.elements]
@@ -158,6 +163,40 @@ def test_puiseux_positive_m_valuation():
     assert series_basis(lop, 6).dimension == 0
 
 
+def test_puiseux_exponents_match_former_formula():
+    # each exponent is built as one Fraction((i - ns), ramification * b^w0);
+    # it must equal the former (-slope + i/ramification) / b^w0 for an
+    # integer i in the prolonged range, on operators with a right factor M^w0
+    assert puiseux_basis_all(operator(2, Poly.zero(), -X, Poly.zero(), ONE), 4).elements[0].terms == (
+        (F(1, 6), F(1)),
+    )
+    rng = random.Random(2718)
+    ops = []
+    while len(ops) < 25:
+        radix = rng.choice((2, 3))
+        op = random_operator(rng, radix, rng.randint(1, 3), 6).m_shift(rng.randint(1, 2))
+        if ramification_data(op.m_shift(-op.m_valuation))[1] > 1:
+            ops.append(op)
+    checked = 0
+    for op in ops:
+        w0 = op.m_valuation
+        stripped = op.m_shift(-w0)
+        _, ram = ramification_data(stripped)
+        slope, _ = select_edge_for_ramification(stripped, ram)
+        scale = op.radix**w0
+        order = 5
+        basis = puiseux_basis(op, ram, order)
+        for elem in basis.elements:
+            assert elem.ramification == ram * scale
+            for e, _ in elem.terms:
+                i = (e * scale + slope) * ram
+                assert i.denominator == 1 and 0 <= i <= slope * ram + ram * order * scale
+                assert repr(e) == repr((-slope + F(int(i), ram)) / scale)
+                checked += 1
+        certify(op, basis)
+    assert checked >= 500
+
+
 def test_no_admissible_edge_flag():
     basis = puiseux_basis(operator(2, pol(-2), ONE), 1, 4)
     assert basis.dimension == 0
@@ -168,7 +207,7 @@ def test_auto_normalization_toggle():
     lop = operator(2, Poly.zero(), -ONE, ONE)  # M(M - 1)
     basis = series_basis(lop, 6)
     assert basis.dimension == 1
-    assert basis.elements[0].coefficients[0] == 1
+    assert dense(basis.elements[0])[0] == 1
     with pytest.raises(ZeroTrailingCoefficientError):
         series_basis(lop, 6, auto_normalize=False)
 
@@ -185,7 +224,7 @@ def test_series_oracle_equivalence_random():
         length = 12
         expected = series_prefix_space(op, length)
         got = series_basis(op, length - 1)
-        vectors = [list(e.coefficients) for e in got.elements]
+        vectors = [dense(e) for e in got.elements]
         assert same_span(vectors, expected)
         assert got.dimension <= op.order
         solvable_hits += bool(got.dimension)
@@ -216,7 +255,7 @@ def test_polynomial_oracle_equivalence_random():
             vec = [known.coefficient(i) for i in range(width + 1)]
             assert same_span(got + [vec], got)
         for p in basis.elements:
-            assert not apply_to_poly(op, p)
+            assert not apply_exact(op, p)
     assert solvable_hits >= 30
 
 
@@ -226,12 +265,16 @@ def test_residual_certificates_random():
         radix = rng.choice((2, 3))
         op = random_operator(rng, radix, rng.randint(1, 3), 7)
         n = rng.randint(2, 12)
-        for elem in series_basis(op, n).elements:
-            order = check_series_element(op, elem)
+        basis = series_basis(op, n)
+        for elem, order in zip(basis.elements, certify(op, basis)):
             v0 = op.coeffs[0].valuation
             assert order >= v0 + n or elem.truncation_order > n
-        for elem in puiseux_basis_all(op, n).elements:
-            check_puiseux_element(op, elem)
+        puiseux = puiseux_basis_all(op, n)
+        assert len(certify(op, puiseux)) == puiseux.dimension
+        approx = approximate_series_basis(op)
+        assert certify(op, approx) == [
+            certificate_order(op, e.truncation_order) for e in approx.elements
+        ]
 
 
 def test_valuation_zero_corollary():
@@ -262,7 +305,7 @@ def test_valuation_zero_corollary():
             continue
         found += 1
         basis = approximate_series_basis(op2)
-        assert any(e.coefficients[0] != 0 for e in basis.elements)
+        assert any(dense(e)[0] != 0 for e in basis.elements)
     assert found >= 30
 
 
@@ -284,6 +327,16 @@ def test_residual_valuation_matches_whole_image():
         assert residual_valuation(op, terms) == (min(image) if image else None)
 
 
+def _power_series(coeffs):
+    """c_0 + c_1 x + ... + O(x^len(coeffs)) as a PuiseuxSeries."""
+    terms = tuple((F(i), c) for i, c in enumerate(coeffs) if c)
+    return PuiseuxSeries(1, terms, F(len(coeffs)))
+
+
+def _certify_one(op, elem, kind="puiseux_basis"):
+    return certify(op, SolutionBasis(kind, (elem,)))[0]
+
+
 def _whole_image_accepts(op, terms, truncation_order):
     """The certificate computed from the whole image: its lowest term
     must not lie below the certified order."""
@@ -293,21 +346,21 @@ def _whole_image_accepts(op, terms, truncation_order):
 
 def test_certificates_reject_perturbed_coefficients(running_example):
     series = series_basis(running_example, 12).elements[0]
-    coeffs = list(series.coefficients)
+    coeffs = dense(series)
     coeffs[7] += 1
     with pytest.raises(InternalInvariantError, match="below 19"):
-        check_series_element(running_example, TruncatedSeries(tuple(coeffs)))
+        _certify_one(running_example, _power_series(coeffs), "series_basis")
     puiseux = puiseux_basis(running_example, 2, 5).elements[0]
     terms = list(puiseux.terms)
     terms[2] = (terms[2][0], 2 * terms[2][1])
     bad = PuiseuxSeries(puiseux.ramification, tuple(terms), puiseux.truncation_order)
     with pytest.raises(InternalInvariantError, match="residual has a term"):
-        check_puiseux_element(running_example, bad)
+        _certify_one(running_example, bad)
     # a truncation order finer than the ramification: x^(1/2) - x is not
     # cancelled below O(x^(2/3)) by y(x^2) - y(x)
     shift = operator(2, -ONE, ONE)
     with pytest.raises(InternalInvariantError, match="exponent 1/2 below 2/3"):
-        check_puiseux_element(shift, PuiseuxSeries(2, ((F(1, 2), F(1)),), F(2, 3)))
+        _certify_one(shift, PuiseuxSeries(2, ((F(1, 2), F(1)),), F(2, 3)))
 
     # on random equations, one perturbed coefficient below the truncation
     # is rejected exactly when the whole image has a term below the bound
@@ -321,17 +374,16 @@ def test_certificates_reject_perturbed_coefficients(running_example):
             op = random_series_solvable_operator(rng, radix, rng.randint(1, 3))
         n = rng.randint(2, 10)
         for elem in series_basis(op, n).elements:
-            coeffs = list(elem.coefficients)
+            coeffs = dense(elem)
             coeffs[rng.randrange(len(coeffs))] += 1
-            bad = TruncatedSeries(tuple(coeffs))
-            terms = [(F(e), c) for e, c in enumerate(coeffs) if c]
-            accepts = _whole_image_accepts(op, terms, F(bad.truncation_order))
+            bad = _power_series(coeffs)
+            accepts = _whole_image_accepts(op, list(bad.terms), bad.truncation_order)
             verdicts[accepts] += 1
             if accepts:
-                check_series_element(op, bad)
+                _certify_one(op, bad, "series_basis")
             else:
                 with pytest.raises(InternalInvariantError):
-                    check_series_element(op, bad)
+                    _certify_one(op, bad, "series_basis")
         for elem in puiseux_basis_all(op, n).elements:
             terms = list(elem.terms)
             k = rng.randrange(len(terms))
@@ -340,11 +392,39 @@ def test_certificates_reject_perturbed_coefficients(running_example):
             accepts = _whole_image_accepts(op, terms, bad.truncation_order)
             verdicts[accepts] += 1
             if accepts:
-                check_puiseux_element(op, bad)
+                _certify_one(op, bad)
             else:
                 with pytest.raises(InternalInvariantError):
-                    check_puiseux_element(op, bad)
+                    _certify_one(op, bad)
     assert verdicts[False] >= 30 and verdicts[True] >= 1
+
+
+def test_certify_polynomials_matches_exact_image(rat_example_transformed):
+    basis = polynomial_basis(rat_example_transformed)
+    assert certify(rat_example_transformed, basis) == [None, None]
+    # a polynomial is certified exactly when its exact image is zero
+    rng = random.Random(1234)
+    verdicts = {True: 0, False: 0}
+    for i in range(60):
+        radix = rng.choice((2, 3))
+        op, p = random_poly_solvable(rng, radix, rng.randint(1, 3))
+        if i % 3 == 0:
+            p = p + Poly.monomial(rng.randint(0, 3), rng.choice((-1, 1)))
+        solves = not apply_exact(op, p)
+        verdicts[solves] += 1
+        if solves:
+            assert certify(op, SolutionBasis("polynomial_basis", (p,))) == [None]
+        else:
+            with pytest.raises(InternalInvariantError, match="polynomial certificate failed"):
+                certify(op, SolutionBasis("polynomial_basis", (p,)))
+    assert verdicts[True] >= 30 and verdicts[False] >= 10
+
+
+def test_certify_rejects_other_kinds(running_example):
+    for kind in ("ramified_rational_basis", "newton"):
+        with pytest.raises(InvalidArgumentError, match=f"cannot certify a {kind}"):
+            certify(running_example, SolutionBasis(kind, ()))
+    assert certify(running_example, SolutionBasis("series_basis", ())) == []
 
 
 def test_puiseux_argument_errors(running_example):
