@@ -426,13 +426,11 @@ def transcendence_test(
     return TranscendenceVerdict("rational", witness, "rational-basis")
 
 
-def bell_coons_test(
-    op: MahlerOperator, prefix: Sequence[Fraction], auto_normalize: bool = True
-) -> TranscendenceVerdict:
+def bell_coons_test(op: MahlerOperator, prefix: Sequence[Fraction]) -> TranscendenceVerdict:
     """The Bell-Coons oracle for the same question as transcendence_test:
     extend the prefix to the series solution it identifies and decide by
     the Hankel rank; gives no witness."""
-    op = solving_operator(op, auto_normalize)
+    op = solving_operator(op, True)
     prefix = [Fraction(c) for c in prefix]
     if op.order < 1:
         # only the zero series solves l_0 y = 0; this raises otherwise

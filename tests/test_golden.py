@@ -8,6 +8,7 @@ perfbench/golden.json.  The perfbench files are only read.
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -18,8 +19,24 @@ import pytest
 from mahlersolve.cli import main
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
-sys.path.insert(0, PERFBENCH)
-import corpus  # noqa: E402  (perfbench/corpus.py)
+
+
+def _load_corpus():
+    """Import perfbench/corpus.py (and the perfbench/exact.py it imports
+    by bare name) without leaving perfbench/ on sys.path or its modules
+    in sys.modules, where they would shadow stdlib names such as trace."""
+    before = set(sys.modules)
+    sys.path.insert(0, PERFBENCH)
+    try:
+        return importlib.import_module("corpus")
+    finally:
+        sys.path.remove(PERFBENCH)
+        for name in set(sys.modules) - before:
+            if getattr(sys.modules[name], "__file__", "").startswith(PERFBENCH):
+                del sys.modules[name]
+
+
+corpus = _load_corpus()
 
 with open(os.path.join(PERFBENCH, "golden.json")) as _fh:
     GOLDEN = json.load(_fh)
