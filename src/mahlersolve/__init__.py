@@ -56,13 +56,7 @@ from .newton import (
     select_edge_for_ramification,
     upper_polygon,
 )
-from .rmatrix import (
-    KernelBasis,
-    RowSparseMatrix,
-    build_submatrix,
-    prolong,
-    solve_prescribed,
-)
+from .rmatrix import prolong, solve_prescribed
 from .solver import (
     PuiseuxSeries,
     SolutionBasis,

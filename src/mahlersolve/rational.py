@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import poly as P
-from .errors import InconsistentPrefixError, InsufficientPrefixError
+from .errors import InconsistentPrefixError, InsufficientPrefixError, UnsupportedEquationError
 from .linalg import rank, solve
 from .newton import mu_nu, ramification_data
 from .operator import MahlerOperator, PhiTransform, phi_apply
@@ -163,12 +163,12 @@ def denominator_bound(op: MahlerOperator) -> DenominatorBound:
     factors living on root-power cycles.
     """
     if not op:
-        raise ValueError("zero operator")
+        raise UnsupportedEquationError("zero operator")
     if not op.coefficient(0):
-        raise ValueError("denominator bound requires a nonzero trailing coefficient")
+        raise UnsupportedEquationError("denominator bound requires a nonzero trailing coefficient")
     r = op.order
     if r < 1:
-        raise ValueError("denominator bound requires order >= 1")
+        raise UnsupportedEquationError("denominator bound requires order >= 1")
     b = op.radix
     delta = op.degree
 
@@ -311,7 +311,7 @@ def ramified_rational_basis(op: MahlerOperator) -> SolutionBasis:
     runs on the rescaled equation.
     """
     if not op:
-        raise ValueError("zero operator")
+        raise UnsupportedEquationError("zero operator")
     kind = "ramified_rational_basis"
     w0 = op.m_valuation
     if w0:

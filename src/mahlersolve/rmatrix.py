@@ -1,26 +1,35 @@
-"""Row-sparse finite slices of the infinite recurrence matrix of an
-operator, the prescribed-support kernel solver, and term-by-term
-prolongation of approximate series solutions.
+"""Forward substitution along the recurrence of an operator: the window
+solve for approximate series and polynomial solutions, and term-by-term
+prolongation of series solutions.
 
 Extracting the coefficient of x^m from (phi(L)) y = 0 gives one linear
-relation between series coefficients; row m, column n of the matrix
-holds the coefficient of y_n in that relation.
+relation between series coefficients, row m of the recurrence: it reads
+c y_n for every term c x^j M^k of phi(L) with j + b^k n = m.  In the
+lower orientation position n is determined by row min_k(v(l_k) + b^k n),
+which reads no later position; in the upper one by row
+max_k(deg l_k + b^k n), which reads no earlier one.  The upper
+orientation is the lower one in negated exponents and positions.
 
-Prolongation pushes each nonzero coefficient forward into the rows it
-appears in, so it costs about (nonzero coefficients) x (operator terms)
-rather than (truncation order) x (operator terms).
+Both routines push each nonzero coefficient forward into the rows it
+appears in and solve the pending rows in order, so they cost about
+(nonzero coefficients) x (operator terms), however wide the window or
+long the truncation.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Sequence
+from itertools import combinations
+from typing import Callable, Optional, Sequence
 
-from .errors import IncompatiblePrefixError, InternalInvariantError
+from .errors import (
+    IncompatiblePrefixError,
+    InternalInvariantError,
+    InvalidArgumentError,
+    UnsupportedEquationError,
+)
 from .linalg import kernel_basis, rref
 from .newton import mu_nu
 from .operator import MahlerOperator, PhiTransform, apply_below, integer_terms, phi_apply
@@ -28,120 +37,103 @@ from .operator import MahlerOperator, PhiTransform, apply_below, integer_terms, 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-
-class RowSparseMatrix:
-    """Rows indexed by labels from E, columns 0..width-1; each row stores
-    its nonzero entries as sorted (column, value) pairs.  Immutable."""
-
-    __slots__ = ("row_labels", "width", "rows")
-
-    def __init__(self, row_labels, width, rows):
-        self.row_labels = tuple(row_labels)
-        self.width = width
-        self.rows = tuple(tuple(row) for row in rows)
-
-    def entry(self, i: int, n: int) -> Fraction:
-        row = self.rows[i]
-        cols = [c for c, _ in row]
-        pos = bisect_left(cols, n)
-        if pos < len(row) and row[pos][0] == n:
-            return row[pos][1]
-        return _ZERO
-
-    def row_nonzeros(self, i: int):
-        return self.rows[i]
-
-    @property
-    def height(self) -> int:
-        return len(self.rows)
+Term = tuple[int, int, int]  # (b^k, j, c): the term c x^j M^k
 
 
-def build_submatrix(
-    op: MahlerOperator,
-    phi: PhiTransform,
-    width: int,
-    row_indices: Sequence[int],
-) -> RowSparseMatrix:
-    """Rows of the recurrence matrix of phi(op) with the given indices,
-    restricted to the first `width` columns.
+def _push(
+    terms: Sequence[Term],
+    support: Sequence[tuple[int, int]],
+    den: int,
+    d: int,
+    start: int,
+    last: int,
+    shift: int = 0,
+    position: Optional[Callable[[int], Optional[tuple[int, int]]]] = None,
+) -> list[tuple[int, Fraction]]:
+    """Forward substitution from the nonzero coefficients in `support`.
 
-    The exponent transform is handled by index arithmetic on the original
-    coefficients, so the transformed operator is never materialized.  For
-    each coefficient of M^k only the stored terms in the right residue
-    class modulo b^k are visited, which keeps sparse operators cheap.
+    `support` holds (n, num) pairs, num / den standing for y_n, whose
+    rows up to `start` hold.  Each nonzero y_n adds c y_n to the pending
+    sum of row j + b^k n for every term (b^k, j, c), and the pending rows
+    up to `last` are solved in increasing order.  Row m determines
+    y_{m - shift} through the diagonal d, as every row beyond the Newton
+    corner does, unless `position` is given: then position(m) is None
+    when row m determines no coefficient, else (n, d / diagonal of row m).
+    The sums run on ints: a coefficient or pending sum is a pair
+    (num, lev) standing for num / (den d^lev), and each nonzero new
+    coefficient becomes a Fraction once, when its row is solved.  Returns
+    the new nonzero (n, y_n) pairs in the order of their rows.
     """
-    phi.validate_for(op.radix)
-    labels = list(row_indices)
-    if any(b >= a for a, b in zip(labels[1:], labels)):
-        raise ValueError("row indices must be strictly increasing")
-    b = op.radix
-    # (b^k, alpha b^k - gamma, beta^-1 mod b^k, terms of l_k) per M^k
-    blocks = []
-    for k, lk in op.nonzero_coefficients():
-        bk = b**k
-        inv = pow(phi.beta, -1, bk)
-        blocks.append((bk, phi.alpha * bk - phi.gamma, inv, lk.terms))
-    rows = []
-    for m in labels:
-        acc: dict[int, Fraction] = {}
-        for bk, shift, inv, terms in blocks:
-            base = m - shift
-            if base < 0:
-                continue
-            j0 = (inv * base) % bk
-            low = base - bk * width  # beta*j must satisfy low < beta*j <= base
-            for j, c in terms:
-                bj = phi.beta * j
-                if bj > base:
-                    break
-                if j % bk != j0 or bj <= low:
-                    continue
-                n = (base - bj) // bk
-                s = acc.get(n, _ZERO) + c
-                if s:
-                    acc[n] = s
-                elif n in acc:
-                    del acc[n]
-        rows.append(sorted(acc.items()))
-    return RowSparseMatrix(labels, width, rows)
+    pending: dict[int, list[int]] = {}  # row -> [num, lev] of its known terms
+    rows: list[int] = []  # heap of the pending rows
+    found = []
 
+    def push(n: int, num: int, lev: int, settled: int) -> None:
+        # every term of y_n lands at or above the row that determined it
+        for bk, j, c in terms:
+            m = j + bk * n
+            if settled < m <= last:
+                row = pending.get(m)
+                if row is None:
+                    pending[m] = [c * num, lev]
+                    heappush(rows, m)
+                elif row[1] >= lev:
+                    row[0] += c * num * d ** (row[1] - lev)
+                else:
+                    row[0] = row[0] * d ** (lev - row[1]) + c * num
+                    row[1] = lev
 
-@dataclass(frozen=True)
-class KernelBasis:
-    """Canonical basis of a kernel of polynomials of degree < width:
-    reduced echelon with pivots at the lowest nonzero coefficient, pivot
-    coefficients 1, ordered by pivot position."""
-
-    width: int
-    vectors: tuple[tuple[Fraction, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-
-def _substitute(matrix: RowSparseMatrix, zero_positions: list[int], seed: int, lower: bool):
-    """One candidate kernel vector: unit seed at one free position, zero at
-    the other free positions, and substitution along the invertible rows.
-    Rows with a zero diagonal are skipped; the residual pass picks up the
-    equations they stand for."""
-    w = matrix.width
-    free = set(zero_positions)
-    vec: list[Fraction] = [_ZERO] * w
-    positions = range(w) if lower else range(w - 1, -1, -1)
-    for i in positions:
-        if i in free:
-            vec[i] = _ONE if i == seed else _ZERO
+    for n, num in support:
+        push(n, num, 0, start)
+    while rows:
+        m = heappop(rows)
+        num, lev = pending.pop(m)
+        if not num:
             continue
-        acc = _ZERO
-        diag = _ZERO
-        for col, val in matrix.row_nonzeros(i):
-            if col == i:
-                diag = val
-            elif vec[col]:
-                acc += val * vec[col]
-        if acc:
-            vec[i] = -acc / diag
-    return vec
+        if position is None:
+            n = m - shift
+        else:
+            solved = position(m)
+            if not solved:
+                continue
+            n, f = solved
+            num *= f
+        num, lev = -num, lev + 1
+        while lev and num % d == 0:
+            num //= d
+            lev -= 1
+        found.append((n, Fraction(num, den * d**lev)))
+        push(n, num, lev, m)
+    return found
+
+
+def _lines(terms: Sequence[Term]) -> list[Term]:
+    """The term of least exponent of each power of M: the row of
+    position n is the least value j + b^k n of these lines."""
+    ends: dict[int, Term] = {}
+    for bk, j, c in terms:
+        if bk not in ends or j < ends[bk][1]:
+            ends[bk] = (bk, j, c)
+    return list(ends.values())
+
+
+def _diagonal(lines: Sequence[Term], n: int) -> tuple[int, int]:
+    """(row, diagonal) of position n: the diagonal sums the coefficients
+    of the lines that attain the row."""
+    row = min(j + bk * n for bk, j, _ in lines)
+    return row, sum(c for bk, j, c in lines if j + bk * n == row)
+
+
+def _ties(lines: Sequence[Term], lo: int, hi: int) -> dict[int, int]:
+    """Diagonal of each position in lo..hi where two lines meet.  At any
+    other position one line attains the row, and the diagonal is its
+    nonzero coefficient."""
+    ties = {}
+    for (b1, j1, _), (b2, j2, _) in combinations(lines, 2):
+        n, rem = divmod(j1 - j2, b2 - b1)
+        if not rem and lo <= n <= hi:
+            ties[n] = _diagonal(lines, n)[1]
+    return ties
 
 
 def solve_prescribed(
@@ -149,95 +141,94 @@ def solve_prescribed(
     phi: PhiTransform,
     h: int,
     width: int,
-    row_indices: Sequence[int],
     orientation: str,
-) -> KernelBasis:
+) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
     """Basis of {y of degree < width : phi(op) y = 0 mod x^h}.
 
-    The row indices must select a square lower (resp. upper) triangular
-    submatrix with at most order-many zeros on the diagonal; candidates
-    found by substitution are recombined so that all rows below x^h hold.
+    Each basis vector is the tuple of its nonzero (n, y_n) pairs; the
+    basis is reduced echelon with pivots at the lowest nonzero
+    coefficient, pivot coefficients 1, ordered by pivot.  Every position
+    whose row has a zero diagonal gets a unit seed, and forward
+    substitution from it gives one candidate; the candidates are then
+    recombined so that all rows below x^h hold, not only the rows that
+    determine a position.
     """
     if orientation not in ("lower", "upper"):
-        raise ValueError("orientation must be 'lower' or 'upper'")
-    lower = orientation == "lower"
-    labels = list(row_indices)
-    if len(labels) != width:
-        raise ValueError("need exactly width row indices")
-    if labels and labels[-1] >= h:
-        raise ValueError("row indices must be below h")
-    matrix = build_submatrix(op, phi, width, labels)
-
-    zero_positions = []
-    for i in range(width):
-        row = matrix.row_nonzeros(i)
-        bad = [c for c, _ in row if (c > i if lower else c < i)]
-        if bad:
-            raise InternalInvariantError(
-                f"row {labels[i]} is not {orientation} triangular (column {bad[0]})"
-            )
-        if not matrix.entry(i, i):
-            zero_positions.append(i)
-    if op and len(zero_positions) > op.order:
-        raise InternalInvariantError(
-            f"{len(zero_positions)} zero diagonal entries exceed the order {op.order}"
-        )
-
-    candidates = [
-        _substitute(matrix, zero_positions, seed, lower) for seed in zero_positions
-    ]
-    if not candidates:
-        return KernelBasis(width, ())
-
+        raise InvalidArgumentError("orientation must be 'lower' or 'upper'")
+    if not op:
+        raise UnsupportedEquationError("zero operator")
+    sign = 1 if orientation == "lower" else -1
     transformed = phi_apply(op, phi)
-    supports = [[(n, v) for n, v in enumerate(g) if v] for g in candidates]
-    residuals = [apply_below(transformed, s, h) for s in supports]
-    nonzero_rows = sorted(set().union(*[r.keys() for r in residuals]))
-    rho = len(candidates)
-    s_rows = [[res.get(m, _ZERO) for res in residuals] for m in nonzero_rows]
-    kernel = kernel_basis(s_rows, rho)
+    _, terms = integer_terms(transformed)
+    terms = [(bk, sign * j, c) for bk, j, c in terms]
+    lines = _lines(terms)
+    lo, hi = (0, width - 1) if sign == 1 else (1 - width, 0)
 
+    ties = _ties(lines, lo, hi)
+    seeds = sorted(n for n, g in ties.items() if not g)
+    if len(seeds) > op.order:
+        raise InternalInvariantError(
+            f"{len(seeds)} zero diagonal entries exceed the order {op.order}"
+        )
+    d = math.lcm(*(abs(g) for g in ties.values() if g), *(abs(c) for _, _, c in lines))
+
+    def position(m: int) -> Optional[tuple[int, int]]:
+        n = max(-((j - m) // bk) for bk, j, _ in lines)
+        row, g = _diagonal(lines, n)
+        return (n, d // g) if row == m and g else None
+
+    last = _diagonal(lines, hi)[0]
+    candidates = []
+    for s in seeds:
+        start = _diagonal(lines, s)[0]
+        found = _push(terms, [(s, 1)], 1, d, start, last, position=position)
+        candidates.append(sorted([(sign * s, _ONE)] + [(sign * n, y) for n, y in found]))
+
+    residuals = [apply_below(transformed, vec, h) for vec in candidates]
+    nonzero_rows = sorted(set().union(*residuals))
+    s_rows = [[res.get(m, _ZERO) for res in residuals] for m in nonzero_rows]
     combined = []
-    for coeffs in kernel:
-        vec = [_ZERO] * width
-        for c, support in zip(coeffs, supports):
+    for coeffs in kernel_basis(s_rows, len(candidates)):
+        vec: dict[int, Fraction] = {}
+        for c, cand in zip(coeffs, candidates):
             if c:
-                for idx, val in support:
-                    vec[idx] += c * val
+                for n, y in cand:
+                    vec[n] = vec.get(n, _ZERO) + c * y
         combined.append(vec)
-    reduced, _ = rref(combined)
-    return KernelBasis(width, tuple(tuple(v) for v in reduced))
+    support = sorted(set().union(*combined))
+    reduced, _ = rref([[vec.get(n, _ZERO) for n in support] for vec in combined])
+    return tuple(tuple((n, y) for n, y in zip(support, row) if y) for row in reduced)
 
 
 def prolong(
     op: MahlerOperator,
     phi: PhiTransform,
-    approx: Sequence[Fraction],
+    approx: Sequence[tuple[int, Fraction]],
     extra: int,
-) -> list[Fraction]:
+) -> list[tuple[int, Fraction]]:
     """Extend an approximate series solution of phi(op) by `extra` terms.
 
-    The input must hold the coefficients 0..floor(nu) and satisfy the
-    relation rows up to floor(mu); each further row then determines one
-    new coefficient by forward substitution.  Only rows that some nonzero
-    coefficient reaches are visited: each nonzero y_n adds c y_n to the
-    pending sum of row j + b^k n for every term c x^j M^k, and pending
-    rows are solved in increasing order.  The sums run on ints over a
-    common denominator; each nonzero new coefficient becomes a Fraction
-    once, when its row is solved.
+    `approx` holds the nonzero (n, y_n) pairs among the coefficients
+    0..floor(nu), in increasing order of n, and must satisfy the
+    relation rows up to floor(mu).  Beyond the Newton corner row m
+    determines y_{m - v(l_0)}, so each further row gives one new
+    coefficient.  Returns the nonzero pairs among the coefficients
+    0..floor(nu) + extra, head first.
     """
     if extra < 0:
-        raise ValueError("extra must be >= 0")
+        raise InvalidArgumentError("extra must be >= 0")
     transformed = phi_apply(op, phi)
     if transformed.order < 1:
-        raise ValueError("prolongation needs an operator of order >= 1")
+        raise UnsupportedEquationError("prolongation needs an operator of order >= 1")
     nu, mu = mu_nu(transformed)
     head = math.floor(nu) + 1
-    if len(approx) != head:
-        raise ValueError(f"approximate solution must have exactly {head} coefficients")
+    bounds = [-1] + [n for n, _ in approx] + [head]
+    if any(a >= b for a, b in zip(bounds, bounds[1:])):
+        raise InvalidArgumentError(
+            f"approximate solution needs increasing indices in 0..{head - 1}"
+        )
     mu_floor = math.floor(mu)
-    support = [(n, yn) for n, yn in enumerate(approx) if yn]
-    residual = apply_below(transformed, support, mu_floor + 1)
+    residual = apply_below(transformed, approx, mu_floor + 1)
     if residual:
         bad = min(residual)
         raise IncompatiblePrefixError(
@@ -263,41 +254,6 @@ def prolong(
                 "prolongation row touched an undetermined coefficient"
             )
 
-    # A coefficient or pending sum is an int pair (num, lev) standing for
-    # num / (den d^lev), den the lcm of the prefix denominators.
-    den = math.lcm(*(yn.denominator for _, yn in support))
-    y = list(approx) + [_ZERO] * extra
-    pending: dict[int, list[int]] = {}  # row -> [num, lev] of its known terms
-    rows: list[int] = []  # heap of the pending rows
-
-    def push(n: int, num: int, lev: int, settled: int) -> None:
-        # rows up to `settled` are done: the prefix satisfies those up to
-        # floor(mu), and the check above keeps a coefficient found at
-        # row m out of the rows up to m
-        for bk, j, c in terms:
-            m = j + bk * n
-            if settled < m <= top:
-                row = pending.get(m)
-                if row is None:
-                    pending[m] = [c * num, lev]
-                    heappush(rows, m)
-                elif row[1] >= lev:
-                    row[0] += c * num * d ** (row[1] - lev)
-                else:
-                    row[0] = row[0] * d ** (lev - row[1]) + c * num
-                    row[1] = lev
-
-    for n, yn in support:
-        push(n, yn.numerator * (den // yn.denominator), 0, mu_floor)
-    while rows:
-        m = heappop(rows)
-        num, lev = pending.pop(m)
-        if num:
-            num, lev = -num, lev + 1
-            while lev and num % d == 0:
-                num //= d
-                lev -= 1
-            n = m - tv0
-            y[n] = Fraction(num, den * d**lev)
-            push(n, num, lev, m)
-    return y
+    den = math.lcm(*(yn.denominator for _, yn in approx))
+    support = [(n, yn.numerator * (den // yn.denominator)) for n, yn in approx]
+    return list(approx) + _push(terms, support, den, d, mu_floor, top, tv0)

@@ -3,8 +3,11 @@ and ramified (Puiseux) bases of linear Mahler equations, and `certify`,
 which substitutes a basis back into its equation.
 
 The simple shape shared by all solvers: pick the window parameters from
-the Newton polygon, call the prescribed-support kernel solver, and, for
-series-like output, extend each basis element by forward substitution.
+the Newton polygon, solve the window with `rmatrix.solve_prescribed`,
+and, for series-like output, extend each basis element with
+`rmatrix.prolong`.  Both return the nonzero (index, coefficient) pairs
+only, so the cost follows the size of the answer, not the window width
+or the truncation order.
 """
 
 from __future__ import annotations
@@ -55,12 +58,13 @@ class SolutionBasis:
 
 
 def _series(
-    coeffs: Sequence[Fraction], shift: int, ramification: int, truncation_order: Fraction
+    pairs: Sequence[tuple[int, Fraction]],
+    shift: int,
+    ramification: int,
+    truncation_order: Fraction,
 ) -> PuiseuxSeries:
-    """The nonzero coefficients c_i as terms c_i x^((i - shift)/ramification)."""
-    terms = tuple(
-        (Fraction(i - shift, ramification), c) for i, c in enumerate(coeffs) if c
-    )
+    """The nonzero coefficients (i, c_i) as terms c_i x^((i - shift)/ramification)."""
+    terms = tuple((Fraction(i - shift, ramification), c) for i, c in pairs)
     return PuiseuxSeries(ramification, terms, Fraction(truncation_order))
 
 
@@ -78,8 +82,9 @@ def solving_operator(op: MahlerOperator, auto_normalize: bool) -> MahlerOperator
 
 
 def _approximate_heads(op: MahlerOperator) -> tuple[int, tuple]:
-    """(w, vectors): the coefficients 0..w-1, w = floor(nu)+1, of a basis
-    of the power-series solutions of op (trailing coefficient nonzero)."""
+    """(w, heads): the nonzero (n, y_n) pairs among the coefficients
+    0..w-1, w = floor(nu)+1, of a basis of the power-series solutions of
+    op (trailing coefficient nonzero)."""
     if op.order < 1:
         return 0, ()
     nu, mu = mu_nu(op)
@@ -87,8 +92,7 @@ def _approximate_heads(op: MahlerOperator) -> tuple[int, tuple]:
         return 0, ()
     h = math.floor(mu) + 1
     w = math.floor(nu) + 1
-    rows = _lower_row_indices(op, w)
-    return w, solve_prescribed(op, IDENTITY_PHI, h, w, rows, "lower").vectors
+    return w, solve_prescribed(op, IDENTITY_PHI, h, w, "lower")
 
 
 def approximate_series_basis(
@@ -102,31 +106,20 @@ def approximate_series_basis(
     return SolutionBasis("approximate_series_basis", tuple(_series(v, 0, 1, w) for v in heads))
 
 
-def _lower_row_indices(op: MahlerOperator, w: int) -> list[int]:
-    b = op.radix
-    nz = [(c.valuation, b**k) for k, c in op.nonzero_coefficients()]
-    return [min(v + n * bk for v, bk in nz) for n in range(w)]
-
-
-def _upper_row_indices(op: MahlerOperator, w: int) -> list[int]:
-    b = op.radix
-    nz = [(c.degree, b**k) for k, c in op.nonzero_coefficients()]
-    return [max(d + n * bk for d, bk in nz) for n in range(w)]
-
-
 def series_basis(op: MahlerOperator, order: int, auto_normalize: bool = True) -> SolutionBasis:
     """Basis of power-series solutions truncated at O(x^(order+1)).
 
     The truncation never drops below the approximate order floor(nu)+1.
     """
+    if order < 0:
+        raise InvalidArgumentError(f"order must be >= 0, got {order}")
     op = solving_operator(op, auto_normalize)
     w, heads = _approximate_heads(op)
     extra = max(0, order + 1 - w)
-    elements = []
-    for head in heads:
-        coeffs = prolong(op, IDENTITY_PHI, list(head), extra)
-        elements.append(_series(coeffs, 0, 1, len(coeffs)))
-    return SolutionBasis("series_basis", tuple(elements))
+    elements = tuple(
+        _series(prolong(op, IDENTITY_PHI, head, extra), 0, 1, w + extra) for head in heads
+    )
+    return SolutionBasis("series_basis", elements)
 
 
 def polynomial_solutions_bounded(
@@ -134,7 +127,7 @@ def polynomial_solutions_bounded(
 ) -> SolutionBasis:
     """Basis of polynomial solutions of degree < w."""
     if w < 1:
-        raise ValueError("degree bound must be >= 1")
+        raise InvalidArgumentError(f"degree bound must be >= 1, got {w}")
     op = solving_operator(op, auto_normalize)
     kind = "polynomial_basis"
     if op.order < 1:
@@ -143,11 +136,8 @@ def polynomial_solutions_bounded(
     if nu < 0:
         return SolutionBasis(kind, ())
     h = op.degree + (w - 1) * op.radix**op.order + 1
-    rows = _upper_row_indices(op, w)
-    kernel = solve_prescribed(op, IDENTITY_PHI, h, w, rows, "upper")
-    return SolutionBasis(
-        kind, tuple(Poly.from_coeffs(v) for v in kernel.vectors)
-    )
+    kernel = solve_prescribed(op, IDENTITY_PHI, h, w, "upper")
+    return SolutionBasis(kind, tuple(Poly(v) for v in kernel))
 
 
 def polynomial_basis(op: MahlerOperator, auto_normalize: bool = True) -> SolutionBasis:
@@ -172,6 +162,8 @@ def puiseux_basis(op: MahlerOperator, ramification: int, order: int) -> Solution
         raise UnsupportedEquationError("zero operator")
     if ramification < 1:
         raise InvalidArgumentError(f"ramification must be >= 1, got {ramification}")
+    if order < 0:
+        raise InvalidArgumentError(f"order must be >= 0, got {order}")
     kind = "puiseux_basis"
     w0 = op.m_valuation
     if w0 > 0:
@@ -198,18 +190,14 @@ def puiseux_basis(op: MahlerOperator, ramification: int, order: int) -> Solution
     nu, mu = mu_nu(transformed)
     h = math.floor(mu) + 1
     width = math.floor(nu) + 1
-    rows = _lower_row_indices(transformed, width)
-    kernel = solve_prescribed(op, phi, h, width, rows, "lower")
+    kernel = solve_prescribed(op, phi, h, width, "lower")
 
     top = int(ns) + ramification * order
+    extra = max(0, top - math.floor(nu))
     trunc = Fraction(order, scale) + Fraction(1, out_ram)
     elements = []
-    for head in kernel.vectors:
-        if top < 0:
-            coeffs: Sequence[Fraction] = ()
-        else:
-            extra = max(0, top - math.floor(nu))
-            coeffs = prolong(op, phi, list(head), extra)[: top + 1]
+    for head in kernel:
+        coeffs = [(i, c) for i, c in prolong(op, phi, head, extra) if i <= top]
         # coefficient i carries the exponent (-slope + i/ramification)/b^w0 = (i - ns)/out_ram
         elements.append(_series(coeffs, int(ns), out_ram, trunc))
     return SolutionBasis(kind, tuple(elements))

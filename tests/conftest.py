@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mahlersolve.operator import MahlerOperator
+from mahlersolve.operator import MahlerOperator, apply_below
 from mahlersolve.poly import Poly
 
 
@@ -23,6 +23,13 @@ def signed(plus, minus=()) -> Poly:
 
 def operator(radix, *coeffs) -> MahlerOperator:
     return MahlerOperator(radix, list(coeffs))
+
+
+def recurrence_row(op, m: int, width: int) -> list[tuple[int, Fraction]]:
+    """Nonzero entries (n, value) of row m of the recurrence of op on the
+    columns 0..width-1: the coefficient of x^m in op(x^n), read from the
+    library's one operator application."""
+    return [(n, v) for n in range(width) if (v := apply_below(op, [(n, 1)], m + 1).get(m))]
 
 
 def dense(elem) -> list[Fraction]:

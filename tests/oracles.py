@@ -1,8 +1,10 @@
 """Brute-force reference computations used to cross-check the solvers.
 
 Everything here goes through plain term arithmetic and a self-contained
-Gaussian elimination, independent of the row-sparse engine and of the
-substitution-based kernel solver.
+Gaussian elimination, independent of the library's operator application
+(`apply_below`) and of the push loop behind its window solve and
+prolongation (`rmatrix`): the oracles build dense recurrence rows and
+visit every row, zero or not.
 """
 
 import math

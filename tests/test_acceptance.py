@@ -1,7 +1,7 @@
 """Acceptance gate: one test per criterion, exact comparisons throughout.
 
 Run `pytest tests/test_acceptance.py -v` for the per-criterion pass/fail
-lines; criterion 7 is tagged slow and runs with `pytest -m slow`.
+lines.
 """
 
 import random
@@ -18,6 +18,7 @@ from conftest import (
     random_poly,
     random_poly_solvable,
     random_series_solvable_operator,
+    recurrence_row,
 )
 from oracles import (
     apply_exact,
@@ -31,6 +32,7 @@ from mahlersolve.normalize import gcrd, normalize_l0, split
 from mahlersolve.operator import (
     IDENTITY_PHI,
     MahlerOperator,
+    apply_below,
     operator_sections,
     right_divide,
 )
@@ -43,7 +45,6 @@ from mahlersolve.rational import (
     rational_basis,
     transcendence_test,
 )
-from mahlersolve.rmatrix import build_submatrix
 from mahlersolve.solver import (
     approximate_series_basis,
     certify,
@@ -98,10 +99,11 @@ def test_criterion_2_running_example_puiseux(running_example):
 
 
 def test_criterion_3_recurrence_rows(running_example):
-    row20 = list(build_submatrix(running_example, IDENTITY_PHI, 15, [20]).rows[0])
-    assert row20 == [(13, F(1)), (14, F(1))]
-    row42 = list(build_submatrix(running_example, IDENTITY_PHI, 37, [42]).rows[0])
-    assert row42 == [
+    # row m, column n: the coefficient of x^m in op(x^n)
+    assert recurrence_row(running_example, 10, 12) == [(0, F(-1)), (3, F(1)), (4, F(1))]
+    assert recurrence_row(running_example, 11, 12) == [(4, F(1)), (5, F(1))]
+    assert recurrence_row(running_example, 20, 15) == [(13, F(1)), (14, F(1))]
+    assert recurrence_row(running_example, 42, 37) == [
         (4, F(-1)),
         (5, F(-1)),
         (6, F(-1)),
@@ -116,11 +118,10 @@ def test_criterion_3_recurrence_rows(running_example):
         radix = rng.choice((2, 3))
         op = random_operator(rng, radix, rng.randint(1, 3), 8)
         width = rng.randint(5, 15)
-        labels = sorted(rng.sample(range(80), 5))
-        matrix = build_submatrix(op, IDENTITY_PHI, width, labels)
-        for i, m in enumerate(labels):
+        for m in sorted(rng.sample(range(80), 5)):
             for n in range(min(width, 5)):
-                assert matrix.entry(i, n) == entry_oracle(op, IDENTITY_PHI, m, n)
+                entry = apply_below(op, [(n, 1)], m + 1).get(m, 0)
+                assert entry == entry_oracle(op, IDENTITY_PHI, m, n)
                 positions += 1
     assert positions >= 1000
     report(f"criterion 3 (matrix rows + {positions} oracle positions)")
@@ -202,7 +203,6 @@ def test_criterion_6_one_liners():
     report("criterion 6 (ramified one-liners + transcendence)")
 
 
-@pytest.mark.slow
 def test_criterion_7_sparse_stretch(sparse_stretch_example):
     start = time.perf_counter()
     edges = lower_polygon(sparse_stretch_example)

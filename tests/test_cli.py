@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,27 @@ def test_poly_command(run, tmp_path):
     assert code == 0
     assert doc["dimension"] == 1
     assert doc["elements"][0]["terms"] == [[0, "1"]]
+
+
+def test_solving_cost_follows_the_answer(run, tmp_path):
+    # x^N y(x) - y(x^2) has the one solution x^N; its window is N + 1
+    # wide, but only position N is seeded and nothing else is reached
+    n = 10**9
+    op = operator(2, Poly.monomial(n, 1), -Poly.one())
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(operator_to_json(op)))
+    start = time.perf_counter()
+    code, out, _ = run("series", str(path), "--order", "5", "--certify")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    (elem,) = json.loads(out)["elements"]
+    assert elem["terms"] == [[str(n), "1"]]
+    assert elem["truncation_order"] == str(n + 1)
+    start = time.perf_counter()
+    code, out, _ = run("poly", str(path))
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert json.loads(out)["elements"] == [{"terms": [[n, "1"]]}]
 
 
 def test_normalize_command(run, tmp_path, reduction_example, reduction_example_normalized):

@@ -16,6 +16,7 @@ from mahlersolve.errors import (
     InconsistentPrefixError,
     InsufficientPrefixError,
     InternalInvariantError,
+    UnsupportedEquationError,
 )
 from mahlersolve.operator import MahlerOperator
 from mahlersolve.poly import Poly, gcd, mahler_substitute, poly_sections
@@ -95,6 +96,19 @@ def test_denominator_bound_trivial():
     op = operator(2, -ONE, ONE)
     bound = denominator_bound(op)
     assert bound.q_star == ONE and bound.v_bar == 0
+
+
+def test_denominator_bound_rejects_unsupported_operators():
+    unsupported = (
+        MahlerOperator(2, []),  # zero
+        operator(2, ONE + X),  # order 0
+        operator(2, Poly.zero(), ONE),  # zero trailing coefficient
+    )
+    for op in unsupported:
+        with pytest.raises(UnsupportedEquationError):
+            denominator_bound(op)
+    with pytest.raises(UnsupportedEquationError, match="zero operator"):
+        ramified_rational_basis(MahlerOperator(3, []))
 
 
 def test_denominator_bound_section_gcd_is_maximal():

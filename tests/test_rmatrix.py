@@ -7,12 +7,18 @@ from conftest import (
     dense,
     operator,
     random_operator,
+    random_poly_solvable,
     random_rational_operator,
     random_series_solvable_operator,
+    recurrence_row,
 )
 import oracles
 from oracles import entry_oracle, prolong_oracle
-from mahlersolve.errors import IncompatiblePrefixError, InternalInvariantError
+from mahlersolve.errors import (
+    IncompatiblePrefixError,
+    InternalInvariantError,
+    InvalidArgumentError,
+)
 from mahlersolve import rmatrix
 from mahlersolve.newton import mu_nu
 from mahlersolve.operator import (
@@ -23,7 +29,7 @@ from mahlersolve.operator import (
     phi_apply,
 )
 from mahlersolve.poly import Poly
-from mahlersolve.rmatrix import build_submatrix, prolong, solve_prescribed
+from mahlersolve.rmatrix import prolong, solve_prescribed
 from mahlersolve.solver import approximate_series_basis
 
 F = Fraction
@@ -31,15 +37,10 @@ ONE = Poly.one()
 X = Poly.x()
 
 
-def residual(op, coeffs, limit):
-    """Image terms below x^limit of the polynomial with these coefficients."""
-    return apply_below(op, [(n, c) for n, c in enumerate(coeffs) if c], limit)
-
-
 def test_golden_rows(running_example):
-    row = list(build_submatrix(running_example, IDENTITY_PHI, 15, [20]).rows[0])
+    row = recurrence_row(running_example, 20, 15)
     assert row == [(13, F(1)), (14, F(1))]
-    row = list(build_submatrix(running_example, IDENTITY_PHI, 37, [42]).rows[0])
+    row = recurrence_row(running_example, 42, 37)
     assert row == [
         (4, F(-1)),
         (5, F(-1)),
@@ -49,15 +50,17 @@ def test_golden_rows(running_example):
         (35, F(1)),
         (36, F(1)),
     ]
-    first = build_submatrix(running_example, IDENTITY_PHI, 12, [10, 11]).rows
     # row 10 also touches y_0 through the coefficient of M^2
-    assert first[0] == ((0, F(-1)), (3, F(1)), (4, F(1)))
-    assert first[1] == ((4, F(1)), (5, F(1)))
+    assert recurrence_row(running_example, 10, 12) == [(0, F(-1)), (3, F(1)), (4, F(1))]
+    assert recurrence_row(running_example, 11, 12) == [(4, F(1)), (5, F(1))]
 
 
-def test_empty_selection(running_example):
-    m = build_submatrix(running_example, IDENTITY_PHI, 10, [])
-    assert m.height == 0
+def test_empty_selection():
+    # y(x^2) = 2 y(x): the one tie, at n = 0, has diagonal -2 + 1, so no
+    # position is seeded and the window solve returns the empty basis
+    op = operator(2, F(-2) * ONE, ONE)
+    assert solve_prescribed(op, IDENTITY_PHI, 5, 3, "lower") == ()
+    assert oracles.kernel(oracles.brute_rows(op, 4, 3), 3) == []
 
 
 def test_entry_oracle_basics(running_example):
@@ -66,26 +69,29 @@ def test_entry_oracle_basics(running_example):
     assert entry_oracle(running_example, IDENTITY_PHI, 5, 9) == 0
 
 
+def _random_phi(rng, radix):
+    if rng.random() < 0.5:
+        return IDENTITY_PHI
+    beta = rng.choice((1, 5)) if radix == 3 else rng.choice((1, 3, 5))
+    return PhiTransform(rng.randint(0, 3), beta, -rng.randint(0, 3))
+
+
 def test_engine_matches_oracle_random():
     rng = random.Random(1234)
     for _ in range(25):
         radix = rng.choice((2, 3))
         op = random_operator(rng, radix, rng.randint(1, 3), 8)
-        if rng.random() < 0.5:
-            phi = IDENTITY_PHI
-        else:
-            beta = rng.choice((1, 5)) if radix == 3 else rng.choice((1, 3, 5))
-            phi = PhiTransform(rng.randint(0, 3), beta, -rng.randint(0, 3))
+        phi = _random_phi(rng, radix)
+        transformed = phi_apply(op, phi)
         w = rng.randint(1, 12)
-        rows = sorted(rng.sample(range(60), rng.randint(1, 6)))
-        matrix = build_submatrix(op, phi, w, rows)
-        for i, m in enumerate(rows):
-            for n in range(w):
-                assert matrix.entry(i, n) == entry_oracle(op, phi, m, n)
-        # row-sparse structure: stored entries are nonzero
-        for row in matrix.rows:
+        for m in sorted(rng.sample(range(60), rng.randint(1, 6))):
+            row = recurrence_row(transformed, m, w)
+            # sparse rows: stored entries are nonzero, in column order
             assert all(v != 0 for _, v in row)
             assert [c for c, _ in row] == sorted(c for c, _ in row)
+            entries = dict(row)
+            for n in range(w):
+                assert entries.get(n, 0) == entry_oracle(op, phi, m, n)
 
 
 def test_row_nonzero_count_bound():
@@ -94,9 +100,8 @@ def test_row_nonzero_count_bound():
         radix = rng.choice((2, 3))
         op = random_operator(rng, radix, rng.randint(1, 3), 8)
         bound = op.order + 2 * op.degree
-        matrix = build_submatrix(op, IDENTITY_PHI, 30, sorted(rng.sample(range(90), 5)))
-        for row in matrix.rows:
-            assert len(row) <= bound
+        for m in sorted(rng.sample(range(90), 5)):
+            assert len(recurrence_row(op, m, 30)) <= bound
 
 
 def test_strip_structure():
@@ -105,9 +110,8 @@ def test_strip_structure():
     rng = random.Random(9)
     for _ in range(20):
         op = random_operator(rng, 2, 2, 6)
-        matrix = build_submatrix(op, IDENTITY_PHI, 20, list(range(0, 25)))
-        for i, m in enumerate(matrix.row_labels):
-            for n, _ in matrix.rows[i]:
+        for m in range(25):
+            for n, _ in recurrence_row(op, m, 20):
                 ok = False
                 for k, c in op.nonzero_coefficients():
                     j = m - 2**k * n
@@ -116,31 +120,28 @@ def test_strip_structure():
                 assert ok
 
 
+def _coeffs(pairs, length):
+    """Dense coefficients 0..length-1 of the nonzero (n, c) pairs."""
+    out = [F(0)] * length
+    for n, c in pairs:
+        out[n] = c
+    return out
+
+
 def test_solve_prescribed_running_example(running_example):
     nu, mu = mu_nu(running_example)
-    w = int(nu) + 1
-    h = int(mu) + 1
-    rows = [
-        min(c.valuation + n * 3**k for k, c in running_example.nonzero_coefficients())
-        for n in range(w)
-    ]
-    assert rows == [0, 3, 6, 9]
-    basis = solve_prescribed(running_example, IDENTITY_PHI, h, w, rows, "lower")
-    assert basis.vectors == ((F(0), F(0), F(0), F(1)),)
+    basis = solve_prescribed(running_example, IDENTITY_PHI, int(mu) + 1, int(nu) + 1, "lower")
+    assert basis == (((3, F(1)),),)
 
 
 def test_solve_prescribed_upper(rat_example_transformed):
     op = rat_example_transformed
     w = 6
     h = op.degree + (w - 1) * 3**2 + 1
-    rows = [
-        max(c.degree + n * 3**k for k, c in op.nonzero_coefficients())
-        for n in range(w)
-    ]
-    basis = solve_prescribed(op, IDENTITY_PHI, h, w, rows, "upper")
+    basis = solve_prescribed(op, IDENTITY_PHI, h, w, "upper")
     assert len(basis) == 2
-    for vec in basis.vectors:
-        assert not residual(op, vec, h)
+    for vec in basis:
+        assert not apply_below(op, vec, h)
 
 
 def test_solve_prescribed_with_transform(running_example):
@@ -150,53 +151,96 @@ def test_solve_prescribed_with_transform(running_example):
     nu, mu = mu_nu(transformed)
     assert (nu, mu) == (F(7), F(21))
     w, h = int(nu) + 1, int(mu) + 1
-    rows = [
-        min(c.valuation + n * 3**k for k, c in transformed.nonzero_coefficients())
-        for n in range(w)
+    basis = solve_prescribed(running_example, phi, h, w, "lower")
+    assert [_coeffs(vec, w) for vec in basis] == [
+        [F(1), F(0), F(-1), F(0), F(1), F(0), F(-1), F(0)],
+        [F(0), F(0), F(0), F(0), F(0), F(0), F(0), F(1)],
     ]
-    basis = solve_prescribed(running_example, phi, h, w, rows, "lower")
-    assert basis.vectors == (
-        (F(1), F(0), F(-1), F(0), F(1), F(0), F(-1), F(0)),
-        (F(0), F(0), F(0), F(0), F(0), F(0), F(0), F(1)),
-    )
 
 
 def test_solve_prescribed_constants():
     op = operator(2, -ONE, ONE)  # M - 1
-    basis = solve_prescribed(op, IDENTITY_PHI, 1, 1, [0], "lower")
-    assert basis.vectors == ((F(1),),)
+    assert solve_prescribed(op, IDENTITY_PHI, 1, 1, "lower") == (((0, F(1)),),)
 
 
-def test_solve_prescribed_detects_bad_selection():
+def test_solve_prescribed_matches_dense_oracle():
+    # {y of degree < w : phi(op) y = 0 mod x^h} against a dense kernel of
+    # the rows 0..h-1, whenever h lies above the row of every window
+    # position; the two bases must agree as reduced echelon forms
+    rng = random.Random(2024)
+    seen = {"lower": 0, "upper": 0}
+    nontrivial = 0
+    for i in range(160):
+        radix = rng.choice((2, 3))
+        if i % 3 == 0:
+            op = random_operator(rng, radix, rng.randint(1, 3), 6)
+        elif i % 3 == 1:
+            op = random_series_solvable_operator(rng, radix, rng.randint(1, 2))
+        else:
+            op, _ = random_poly_solvable(rng, radix, rng.randint(1, 2))
+        phi = _random_phi(rng, radix)
+        transformed = phi_apply(op, phi)
+        orientation = rng.choice(("lower", "upper"))
+        w = rng.randint(1, 10)
+        ends = [
+            (c.valuation if orientation == "lower" else c.degree) + radix**k * (w - 1)
+            for k, c in transformed.nonzero_coefficients()
+        ]
+        top = min(ends) if orientation == "lower" else max(ends)
+        h = top + 1 + rng.randint(0, 6)
+        basis = solve_prescribed(op, phi, h, w, orientation)
+        for vec in basis:
+            assert vec and all(c for _, c in vec)
+            assert [n for n, _ in vec] == sorted({n for n, _ in vec})
+            assert all(0 <= n < w for n, _ in vec)
+        dense_kernel = oracles.kernel(oracles.brute_rows(transformed, h - 1, w), w)
+        expected, _ = oracles.eliminate(dense_kernel)
+        assert [_coeffs(vec, w) for vec in basis] == expected
+        seen[orientation] += 1
+        nontrivial += bool(basis)
+    assert min(seen.values()) >= 60 and nontrivial >= 40
+
+
+def test_solve_prescribed_detects_bad_selection(monkeypatch):
+    # the zero diagonals of the window are vertices of the envelope of
+    # the r + 1 lines, so there are at most r of them; a tie finder that
+    # reports more is caught before any substitution
     op = operator(2, -ONE, ONE)
-    # rows 5, 7, 9 are identically zero on columns 0..2, giving three
-    # zero diagonal entries for an order-1 operator
-    with pytest.raises(InternalInvariantError):
-        solve_prescribed(op, IDENTITY_PHI, 10, 3, [5, 7, 9], "lower")
+    monkeypatch.setattr(rmatrix, "_ties", lambda lines, lo, hi: {0: 0, 1: 0})
+    with pytest.raises(InternalInvariantError, match="exceed the order 1"):
+        solve_prescribed(op, IDENTITY_PHI, 10, 3, "lower")
 
 
-def _same_coefficients(a, b):
-    # repr tells Fraction from int, so equal lists serialize identically
-    assert [repr(c) for c in a] == [repr(c) for c in b]
+def _same_as_oracle(pairs, expected):
+    # the nonzero pairs, head first, against the oracle's dense list; repr
+    # tells Fraction from int, so equal lists serialize identically
+    assert [n for n, _ in pairs] == [n for n, c in enumerate(expected) if c]
+    assert [repr(c) for _, c in pairs] == [repr(c) for c in expected if c]
 
 
 def _lower_kernel(op):
     nu, mu = mu_nu(op)
-    w = int(nu) + 1
-    rows = [
-        min(c.valuation + n * op.radix**k for k, c in op.nonzero_coefficients())
-        for n in range(w)
-    ]
-    return solve_prescribed(op, IDENTITY_PHI, int(mu) + 1, w, rows, "lower").vectors
+    return solve_prescribed(op, IDENTITY_PHI, int(mu) + 1, int(nu) + 1, "lower")
+
+
+def _pairs(vec):
+    """The nonzero (n, c) pairs of a dense coefficient list."""
+    return [(n, c) for n, c in enumerate(vec) if c]
 
 
 def test_prolong_running_example(running_example, running_example_series):
-    approx = [F(0), F(0), F(0), F(1)]
+    approx = [(3, F(1))]
     out = prolong(running_example, IDENTITY_PHI, approx, 9)
-    assert out == running_example_series
+    _same_as_oracle(out, running_example_series)
     assert prolong(running_example, IDENTITY_PHI, approx, 0) == approx
     with pytest.raises(IncompatiblePrefixError):
-        prolong(running_example, IDENTITY_PHI, [F(1), F(1), F(1), F(1)], 3)
+        prolong(running_example, IDENTITY_PHI, _pairs([F(1), F(1), F(1), F(1)]), 3)
+    # the head must be the coefficients 0..floor(nu) = 0..3, in order
+    for bad in ([(4, F(1))], [(-1, F(1))], [(3, F(1)), (2, F(1))], [(3, F(1)), (3, F(1))]):
+        with pytest.raises(InvalidArgumentError):
+            prolong(running_example, IDENTITY_PHI, bad, 3)
+    with pytest.raises(InvalidArgumentError):
+        prolong(running_example, IDENTITY_PHI, approx, -1)
 
 
 def test_prolong_prefix_check_reaches_row_floor_mu():
@@ -212,9 +256,9 @@ def test_prolong_prefix_check_reaches_row_floor_mu():
         head = int(nu) + 1
         for vec in oracles.kernel(oracles.brute_rows(op, int(mu) - 1, head), head):
             outcomes = []
-            for solve in (prolong, prolong_oracle):
+            for solve, approx in ((prolong, _pairs(vec)), (prolong_oracle, list(vec))):
                 try:
-                    solve(op, IDENTITY_PHI, list(vec), 3)
+                    solve(op, IDENTITY_PHI, approx, 3)
                     outcomes.append(False)
                 except IncompatiblePrefixError:
                     outcomes.append(True)
@@ -226,17 +270,17 @@ def test_prolong_prefix_check_reaches_row_floor_mu():
 def test_prolong_transformed(running_example):
     phi = PhiTransform(-1, 2, -3)
     approx = [F(c) for c in [1, 0, -1, 0, 1, 0, -1, 0]]
-    out = prolong(running_example, phi, approx, 5)
+    out = prolong(running_example, phi, _pairs(approx), 5)
     expected = [F(c) for c in [1, 0, -1, 0, 1, 0, -1, 0, 1, 0, -1, 0, 1]]
-    assert out == expected
+    _same_as_oracle(out, expected)
     for extra in (0, 1, 5, 40):
-        _same_coefficients(
-            prolong(running_example, phi, approx, extra),
+        _same_as_oracle(
+            prolong(running_example, phi, _pairs(approx), extra),
             prolong_oracle(running_example, phi, approx, extra),
         )
     # residual of the transformed operator vanishes far out
     transformed = phi_apply(running_example, phi)
-    assert not residual(transformed, out, 14)
+    assert not apply_below(transformed, out, 14)
 
 
 def test_prolong_residual_guarantee():
@@ -254,10 +298,10 @@ def test_prolong_residual_guarantee():
         for vec in _lower_kernel(op):
             checked += 1
             # kernel contract: solutions modulo x^h before prolongation
-            assert not residual(op, vec, h)
+            assert not apply_below(op, vec, h)
             extra = rng.randint(1, 10)
-            out = prolong(op, IDENTITY_PHI, list(vec), extra)
-            assert not residual(op, out, int(mu) + extra + 1)
+            out = prolong(op, IDENTITY_PHI, vec, extra)
+            assert not apply_below(op, out, int(mu) + extra + 1)
     assert checked >= 25
 
 
@@ -269,14 +313,15 @@ def test_prolong_matches_oracle_on_random_operators():
             break
         radix = rng.choice((2, 3))
         op = random_operator(rng, radix, rng.randint(1, 3), 6)
-        if mu_nu(op)[0] < 0:
+        nu = mu_nu(op)[0]
+        if nu < 0:
             continue
         for vec in _lower_kernel(op):
             checked += 1
             extra = rng.randint(0, 60)
-            _same_coefficients(
-                prolong(op, IDENTITY_PHI, list(vec), extra),
-                prolong_oracle(op, IDENTITY_PHI, list(vec), extra),
+            _same_as_oracle(
+                prolong(op, IDENTITY_PHI, vec, extra),
+                prolong_oracle(op, IDENTITY_PHI, _coeffs(vec, int(nu) + 1), extra),
             )
     assert checked >= 30
 
@@ -298,18 +343,19 @@ def test_prolong_over_common_denominators():
         op = op * random_series_solvable_operator(rng, radix, rng.randint(1, 2), lead)
         t = phi if i % 3 == 0 else IDENTITY_PHI
         transformed = phi_apply(op, t)
-        if mu_nu(transformed)[0] < 0:
+        nu = mu_nu(transformed)[0]
+        if nu < 0:
             continue
         for vec in _lower_kernel(transformed):
             checked += 1
             transformed_checked += t is phi
             unit = rng.choice((F(1, 6), F(-5, 6), F(7, 3)))
-            approx = [c * unit for c in vec]
+            approx = [(n, c * unit) for n, c in vec]
             extra = rng.randint(0, 40)
             out = prolong(op, t, approx, extra)
-            _same_coefficients(out, prolong_oracle(op, t, approx, extra))
-            prefix_den = max(c.denominator for c in approx)
-            grown += max(c.denominator for c in out) > prefix_den
+            _same_as_oracle(out, prolong_oracle(op, t, _coeffs(approx, int(nu) + 1), extra))
+            prefix_den = max(c.denominator for _, c in approx)
+            grown += max(c.denominator for _, c in out) > prefix_den
     assert checked >= 40 and transformed_checked >= 10 and grown >= 20
 
 
@@ -328,10 +374,9 @@ def test_prolong_matches_oracle_on_sparse_products():
         heads = approximate_series_basis(op, auto_normalize=False).elements
         assert heads
         for head in heads:
-            approx = dense(head)
-            out = prolong(op, IDENTITY_PHI, approx, 2500)
-            assert any(out[2000:])
-            _same_coefficients(out, prolong_oracle(op, IDENTITY_PHI, approx, 2500))
+            out = prolong(op, IDENTITY_PHI, [(int(e), c) for e, c in head.terms], 2500)
+            assert any(n >= 2000 for n, _ in out)
+            _same_as_oracle(out, prolong_oracle(op, IDENTITY_PHI, dense(head), 2500))
 
 
 def test_prolong_invariant_check_matches_oracle(monkeypatch, running_example):
@@ -346,16 +391,16 @@ def test_prolong_invariant_check_matches_oracle(monkeypatch, running_example):
     monkeypatch.setattr(rmatrix, "mu_nu", shifted_mu_nu)
     monkeypatch.setattr(oracles, "mu_nu", shifted_mu_nu)
 
-    def raises(fn, op, vec, extra):
+    def raises(fn, op, approx, extra):
         try:
-            fn(op, IDENTITY_PHI, list(vec), extra)
+            fn(op, IDENTITY_PHI, approx, extra)
         except InternalInvariantError:
             return True
         return False
 
     shift[0] = 1
     with pytest.raises(InternalInvariantError):
-        prolong(running_example, IDENTITY_PHI, [F(0), F(0), F(0), F(1)], 5)
+        prolong(running_example, IDENTITY_PHI, [(3, F(1))], 5)
 
     rng = random.Random(606)
     seen = set()
@@ -363,12 +408,13 @@ def test_prolong_invariant_check_matches_oracle(monkeypatch, running_example):
         radix = rng.choice((2, 3))
         op = random_operator(rng, radix, rng.randint(1, 3), 6)
         shift[0] = 0
-        if mu_nu(op)[0] < 0:
+        nu = mu_nu(op)[0]
+        if nu < 0:
             continue
         for vec in _lower_kernel(op):
             shift[0] = rng.randint(1, 4)
             extra = rng.randint(0, 20)
             verdict = raises(prolong, op, vec, extra)
-            assert verdict == raises(prolong_oracle, op, vec, extra)
+            assert verdict == raises(prolong_oracle, op, _coeffs(vec, int(nu) + 1), extra)
             seen.add(verdict)
     assert seen == {True, False}

@@ -430,6 +430,8 @@ def test_certify_rejects_other_kinds(running_example):
 def test_puiseux_argument_errors(running_example):
     with pytest.raises(InvalidArgumentError, match="ramification must be >= 1"):
         puiseux_basis(running_example, 0, 5)
+    with pytest.raises(InvalidArgumentError, match="order must be >= 0"):
+        puiseux_basis(running_example, 2, -1)
     with pytest.raises(MahlerError):
         puiseux_basis(running_example, -1, 5)
     zero = MahlerOperator(2, [])
@@ -437,6 +439,14 @@ def test_puiseux_argument_errors(running_example):
         puiseux_basis(zero, 1, 5)
     with pytest.raises(UnsupportedEquationError):
         puiseux_basis_all(zero, 5)
+
+
+def test_order_and_degree_bound_errors(running_example):
+    # no silent clamping: series_basis(op, -1) used to return the heads
+    with pytest.raises(InvalidArgumentError, match="order must be >= 0"):
+        series_basis(running_example, -1)
+    with pytest.raises(InvalidArgumentError, match="degree bound must be >= 1"):
+        polynomial_solutions_bounded(running_example, 0)
 
 
 def test_zero_operator_is_unsupported():
