@@ -14,7 +14,8 @@ class UnsupportedEquationError(MahlerError):
 
 
 class ZeroTrailingCoefficientError(UnsupportedEquationError):
-    """The trailing coefficient is zero and auto-normalization is disabled."""
+    """The trailing coefficient is zero where a routine needs it nonzero
+    (normalize first, or enable auto-normalization)."""
 
 
 class MixedRadixError(UnsupportedEquationError):

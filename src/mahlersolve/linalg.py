@@ -1,12 +1,16 @@
-"""Small exact linear algebra over Fraction: RREF, kernels, solving.
+"""Small exact linear algebra over Q: RREF, kernels, solving.
 
-Everything works on dense lists of Fractions.  Matrices at this layer
-are small (dimensions bounded by operator orders or truncation windows),
-so plain Gaussian elimination with exact rationals is the right tool.
+Matrices come in as dense lists of ints or Fractions; `rank`,
+`kernel_basis` and `solve` are views of the one elimination kernel,
+`rref`.  It runs fraction-free (Bareiss 1968) on Python ints: every row
+is scaled to integers once, every intermediate entry is a minor of the
+scaled matrix, so each division is exact and the numbers stay as small
+as determinants; only the entries of the result become Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -21,40 +25,37 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     first nonzero column of each row, scaled to 1 and eliminated from all
     other rows; rows come out sorted by pivot column.
     """
-    work = [list(r) for r in rows if any(r)]
+    work = []
+    for r in rows:
+        if any(r):
+            den = math.lcm(*(v.denominator for v in r))
+            work.append([v.numerator * (den // v.denominator) for v in r])
     if not work:
         return [], []
     ncols = len(work[0])
     pivots: list[int] = []
-    out: list[list[Fraction]] = []
+    done: list[list[int]] = []
+    prev = 1
     for col in range(ncols):
-        pivot_row = None
-        for r in work:
-            if r[col]:
-                pivot_row = r
-                break
+        pivot_row = next((r for r in work if r[col]), None)
         if pivot_row is None:
             continue
         work.remove(pivot_row)
-        inv = 1 / pivot_row[col]
-        pivot_row = [c * inv for c in pivot_row]
-        for r in work:
+        p = pivot_row[col]
+        # Gauss-Jordan step: (p*r - r[col]*pivot_row) / prev is a minor of
+        # the scaled matrix, hence exact, only if every other row takes
+        # the step, even with r[col] = 0.
+        for r in work + done:
             f = r[col]
-            if f:
-                for j in range(col, ncols):
-                    r[j] -= f * pivot_row[j]
-        for r in out:
-            f = r[col]
-            if f:
-                for j in range(col, ncols):
-                    r[j] -= f * pivot_row[j]
-        out.append(pivot_row)
+            r[:] = [(p * a - f * b) // prev for a, b in zip(r, pivot_row)]
+        done.append(pivot_row)
         pivots.append(col)
+        prev = p
         work = [r for r in work if any(r)]
         if not work:
             break
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [out[i] for i in order], sorted(pivots)
+    # every finished row now has the last pivot on its diagonal
+    return [[Fraction(v, prev) if v else _ZERO for v in r] for r in done], pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:

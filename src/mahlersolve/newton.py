@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NoAdmissibleEdgeError
+from .errors import NoAdmissibleEdgeError, UnsupportedEquationError, ZeroTrailingCoefficientError
 from .operator import MahlerOperator
 
 
@@ -35,7 +35,7 @@ class PolygonEdge:
 def newton_diagram(op: MahlerOperator) -> list[tuple[int, int, Fraction]]:
     """All diagram points (u = b^k, j) with their coefficients."""
     if not op:
-        raise ValueError("zero operator has no Newton diagram")
+        raise UnsupportedEquationError("zero operator has no Newton diagram")
     points = []
     for k, c in op.nonzero_coefficients():
         u = op.radix**k
@@ -72,7 +72,7 @@ def _hull(points: list[tuple[int, int]], lower: bool) -> list[tuple[int, int]]:
 
 def _polygon(op: MahlerOperator, lower: bool) -> list[PolygonEdge]:
     if not op:
-        raise ValueError("zero operator has no Newton polygon")
+        raise UnsupportedEquationError("zero operator has no Newton polygon")
     cols = _column_points(op, lower)
     hull = _hull([(u, j) for _, u, j in cols], lower)
     edges = []
@@ -125,10 +125,12 @@ def mu_nu(op: MahlerOperator) -> tuple[Fraction, Fraction]:
     nu = max over k >= 1 of (v_0 - v_k)/(b^k - 1) and mu = v_0 + nu.
     Requires a nonzero M^0 coefficient and order >= 1.
     """
-    if not op or not op.coefficient(0):
-        raise ValueError("mu_nu requires a nonzero trailing coefficient")
+    if not op:
+        raise UnsupportedEquationError("mu_nu of the zero operator")
+    if not op.coefficient(0):
+        raise ZeroTrailingCoefficientError("mu_nu needs a nonzero trailing coefficient")
     if op.order < 1:
-        raise ValueError("mu_nu requires order >= 1")
+        raise UnsupportedEquationError("mu_nu requires order >= 1")
     v0 = op.coeffs[0].valuation
     nu = max(
         Fraction(v0 - c.valuation, op.radix**k - 1)
@@ -141,8 +143,10 @@ def mu_nu(op: MahlerOperator) -> tuple[Fraction, Fraction]:
 def ramification_data(op: MahlerOperator) -> tuple[set[int], int]:
     """(Q, N): denominators of admissible lower-edge slopes coprime to the
     radix, and their lcm (1 when Q is empty)."""
-    if not op or not op.coefficient(0):
-        raise ValueError("ramification data requires a nonzero trailing coefficient")
+    if not op:
+        raise UnsupportedEquationError("ramification data of the zero operator")
+    if not op.coefficient(0):
+        raise ZeroTrailingCoefficientError("ramification data needs a nonzero trailing coefficient")
     q_set = set()
     for edge in lower_polygon(op):
         if not edge.admissible:

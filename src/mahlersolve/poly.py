@@ -9,6 +9,7 @@ a machine-word-like range.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -144,18 +145,20 @@ class Poly:
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.terms and other.terms:
-            _check_exponent(self.degree + other.degree)
-        acc: dict[int, Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
+        if not (self.terms and other.terms):
+            return _POLY_ZERO
+        _check_exponent(self.degree + other.degree)
+        # the sums run on ints: each operand is scaled by the lcm of its
+        # denominators, and only the nonzero result terms become Fractions
+        den1, ints1 = _integer_terms(self.terms)
+        den2, ints2 = _integer_terms(other.terms)
+        acc: dict[int, int] = {}
+        for e1, c1 in ints1:
+            for e2, c2 in ints2:
                 e = e1 + e2
-                s = acc.get(e, _ZERO) + c1 * c2
-                if s:
-                    acc[e] = s
-                elif e in acc:
-                    del acc[e]
-        return _raw(sorted(acc.items()))
+                acc[e] = acc.get(e, 0) + c1 * c2
+        den = den1 * den2
+        return _raw((e, Fraction(s, den)) for e, s in sorted(acc.items()) if s)
 
     __rmul__ = __mul__
 
@@ -239,13 +242,11 @@ class Poly:
         """Positive rational c with self/c integer, coprime coefficients."""
         if not self.terms:
             return _ZERO
-        from math import gcd, lcm
-
         num = 0
         den = 1
         for _, c in self.terms:
-            num = gcd(num, c.numerator)
-            den = lcm(den, c.denominator)
+            num = math.gcd(num, c.numerator)
+            den = math.lcm(den, c.denominator)
         return Fraction(num, den)
 
     def primitive(self) -> "Poly":
@@ -305,6 +306,12 @@ class Poly:
 
 
 _ZERO = Fraction(0)
+
+
+def _integer_terms(terms) -> tuple[int, list[tuple[int, int]]]:
+    """(L, [(e, L c)]): L is the lcm of the coefficient denominators."""
+    den = math.lcm(*(c.denominator for _, c in terms))
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms]
 
 
 def _raw(terms) -> Poly:

@@ -11,7 +11,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import poly as P
-from .errors import InconsistentPrefixError, InsufficientPrefixError, UnsupportedEquationError
+from .errors import (
+    InconsistentPrefixError,
+    InsufficientPrefixError,
+    UnsupportedEquationError,
+    ZeroTrailingCoefficientError,
+)
 from .linalg import rank, solve
 from .newton import mu_nu, ramification_data
 from .operator import MahlerOperator, PhiTransform, phi_apply
@@ -207,11 +212,13 @@ def alt_denominator_bound(op: MahlerOperator) -> Poly:
     """Coarser denominator bound: a product of iterated Gräffe images of
     the leading coefficient.  Returns 1 outright when the leading degree
     rules out nonconstant rational solutions."""
-    if not op or not op.coefficient(0):
-        raise ValueError("requires nonzero trailing and leading coefficients")
+    if not op:
+        raise UnsupportedEquationError("zero operator")
+    if not op.coefficient(0):
+        raise ZeroTrailingCoefficientError("denominator bound needs a nonzero trailing coefficient")
     r = op.order
     if r < 1:
-        raise ValueError("requires order >= 1")
+        raise UnsupportedEquationError("denominator bound requires order >= 1")
     b = op.radix
     lead = op.coeffs[r]
     if lead.degree < b ** (r - 1):
@@ -445,11 +452,13 @@ def bell_coons_test(op: MahlerOperator, prefix: Sequence[Fraction]) -> Transcend
 def bell_coons_dimensions(op: MahlerOperator) -> tuple[int, int]:
     """(kappa, bound) such that the rank test needs the Hankel-style
     matrix with kappa+1 rows and bound+1 columns."""
-    if not op or not op.coefficient(0):
-        raise ValueError("requires a nonzero trailing coefficient")
+    if not op:
+        raise UnsupportedEquationError("zero operator")
+    if not op.coefficient(0):
+        raise ZeroTrailingCoefficientError("Bell-Coons test needs a nonzero trailing coefficient")
     r = op.order
     if r < 1:
-        raise ValueError("requires order >= 1")
+        raise UnsupportedEquationError("Bell-Coons test requires order >= 1")
     b = op.radix
     d = op.degree
     kappa1 = (b - 1) * d // (b ** (r + 1) - 2 * b**r + 1)

@@ -192,9 +192,10 @@ def puiseux_basis(op: MahlerOperator, ramification: int, order: int) -> Solution
     width = math.floor(nu) + 1
     kernel = solve_prescribed(op, phi, h, width, "lower")
 
-    top = int(ns) + ramification * order
-    extra = max(0, top - math.floor(nu))
-    trunc = Fraction(order, scale) + Fraction(1, out_ram)
+    # like series_basis, never cut an element below the window head
+    top = max(int(ns) + ramification * order, math.floor(nu))
+    extra = top - math.floor(nu)
+    trunc = Fraction(top + 1 - int(ns), out_ram)
     elements = []
     for head in kernel:
         coeffs = [(i, c) for i, c in prolong(op, phi, head, extra) if i <= top]

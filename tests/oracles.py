@@ -1,10 +1,10 @@
 """Brute-force reference computations used to cross-check the solvers.
 
-Everything here goes through plain term arithmetic and a self-contained
-Gaussian elimination, independent of the library's operator application
-(`apply_below`) and of the push loop behind its window solve and
-prolongation (`rmatrix`): the oracles build dense recurrence rows and
-visit every row, zero or not.
+Everything here goes through plain Fraction term arithmetic and a
+self-contained Gaussian elimination, independent of the library's
+integer kernels (`linalg.rref`, `Poly.__mul__`, `apply_below`) and of
+the push loop behind its window solve and prolongation (`rmatrix`): the
+oracles build dense recurrence rows and visit every row, zero or not.
 """
 
 import math
@@ -72,6 +72,20 @@ def eliminate(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[in
         work = [r for r in work if any(r)]
     order = sorted(range(len(pivots)), key=lambda i: pivots[i])
     return [out[i] for i in order], sorted(pivots)
+
+
+def poly_mul_oracle(a: Poly, b: Poly) -> Poly:
+    """Schoolbook product, one Fraction multiply-add per pair of terms."""
+    acc: dict[int, Fraction] = {}
+    for e1, c1 in a.terms:
+        for e2, c2 in b.terms:
+            e = e1 + e2
+            s = acc.get(e, ZERO) + c1 * c2
+            if s:
+                acc[e] = s
+            elif e in acc:
+                del acc[e]
+    return Poly(sorted(acc.items()))
 
 
 def kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:

@@ -120,25 +120,41 @@ def test_poly_command(run, tmp_path):
     assert doc["elements"][0]["terms"] == [[0, "1"]]
 
 
-def test_solving_cost_follows_the_answer(run, tmp_path):
-    # x^N y(x) - y(x^2) has the one solution x^N; its window is N + 1
-    # wide, but only position N is seeded and nothing else is reached
-    n = 10**9
-    op = operator(2, Poly.monomial(n, 1), -Poly.one())
+@pytest.fixture()
+def far_file(tmp_path):
+    """x^N y(x) - y(x^2), N = 10^9: the one solution x^N sits at the far
+    end of a window N + 1 wide."""
     path = tmp_path / "far.json"
-    path.write_text(json.dumps(operator_to_json(op)))
+    path.write_text(json.dumps(operator_to_json(operator(2, Poly.monomial(10**9, 1), -Poly.one()))))
+    return str(path)
+
+
+def test_solving_cost_follows_the_answer(run, far_file):
+    # only position N is seeded and nothing else is reached
+    n = 10**9
     start = time.perf_counter()
-    code, out, _ = run("series", str(path), "--order", "5", "--certify")
+    code, out, _ = run("series", far_file, "--order", "5", "--certify")
     assert time.perf_counter() - start < 2.0
     assert code == 0
     (elem,) = json.loads(out)["elements"]
     assert elem["terms"] == [[str(n), "1"]]
     assert elem["truncation_order"] == str(n + 1)
     start = time.perf_counter()
-    code, out, _ = run("poly", str(path))
+    code, out, _ = run("poly", far_file)
     assert time.perf_counter() - start < 2.0
     assert code == 0
     assert json.loads(out)["elements"] == [{"terms": [[n, "1"]]}]
+
+
+def test_puiseux_keeps_the_window_head(run, far_file):
+    # --order 5 lies below the one term x^(10^9): the element must not be cut there
+    code, out, _ = run("puiseux", far_file, "--order", "5", "--certify")
+    assert code == 0
+    code, series_out, _ = run("series", far_file, "--order", "5", "--certify")
+    assert code == 0
+    (elem,) = json.loads(out)["elements"]
+    assert elem == json.loads(series_out)["elements"][0]
+    assert elem["terms"] == [[str(10**9), "1"]]
 
 
 def test_normalize_command(run, tmp_path, reduction_example, reduction_example_normalized):

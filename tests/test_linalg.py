@@ -1,0 +1,124 @@
+import random
+from fractions import Fraction
+
+from oracles import eliminate, kernel
+from mahlersolve.linalg import kernel_basis, rank, rref, solve
+from mahlersolve.poly import Poly
+
+F = Fraction
+DENOMINATORS = (1, 2, 3, 7)
+
+
+def random_matrix(rng: random.Random, nrows: int, ncols: int) -> list[list[Fraction]]:
+    """Sparse-ish entries with denominators 1/2/3/7, some rows repeated as
+    combinations of others, some rows and columns zeroed."""
+
+    def entry():
+        return F(rng.randint(-4, 4), rng.choice(DENOMINATORS)) if rng.random() < 0.6 else F(0)
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(nrows):
+        roll = rng.random()
+        if roll < 0.15 and i >= 2:
+            a, b = F(rng.randint(-3, 3), rng.choice(DENOMINATORS)), F(rng.randint(-3, 3))
+            rows[i] = [a * x + b * y for x, y in zip(rows[i - 1], rows[i - 2])]
+        elif roll < 0.25:
+            rows[i] = [F(0)] * ncols
+    if rng.random() < 0.3:
+        j = rng.randrange(ncols)
+        for r in rows:
+            r[j] = F(0)
+    return rows
+
+
+def hankel(series: list[Fraction], nrows: int, ncols: int) -> list[list[Fraction]]:
+    """The matrix (y_{i+j}) of bell_coons_rank."""
+    return [[series[i + j] for j in range(ncols)] for i in range(nrows)]
+
+
+def matrices():
+    rng = random.Random(2024)
+    shapes = [(1, 1), (1, 7), (7, 1), (3, 3), (4, 9), (9, 4), (6, 6), (2, 12)]
+    for nrows, ncols in shapes:
+        for _ in range(60):
+            yield random_matrix(rng, nrows, ncols)
+    yield [[F(0)] * 5 for _ in range(3)]
+    yield [[F(0)]]
+    # a rational series (rank 2) and a random one (full rank), in
+    # bell_coons_rank's shapes
+    fib = [F(1, 3), F(1, 3)]
+    while len(fib) < 166:
+        fib.append(fib[-1] + fib[-2])
+    noise = [F(rng.randint(-5, 5), rng.choice(DENOMINATORS)) for _ in range(166)]
+    for series in (fib, noise):
+        for nrows, ncols in [(4, 20), (8, 40), (20, 146)]:
+            yield hankel(series, nrows, ncols)
+
+
+def test_rref_matches_oracle():
+    count = 0
+    for rows in matrices():
+        assert repr(rref(rows)) == repr(eliminate(rows))
+        count += 1
+    assert count > 480
+
+
+def test_rref_accepts_int_entries():
+    rows = [[2, 4, 1], [1, 2, F(1, 2)], [0, 0, 3]]
+    assert repr(rref(rows)) == repr(eliminate([[F(v) for v in r] for r in rows]))
+
+
+def test_rank_and_kernel_match_oracle():
+    for rows in matrices():
+        ncols = len(rows[0])
+        assert rank(rows) == len(eliminate(rows)[0])
+        assert repr(kernel_basis(rows, ncols)) == repr(kernel(rows, ncols))
+
+
+def test_solve_matches_consistency():
+    rng = random.Random(77)
+    for rows in matrices():
+        ncols = len(rows[0])
+        pivots = eliminate(rows)[1]
+        if rng.random() < 0.5:
+            # consistent by construction
+            x0 = [F(rng.randint(-3, 3), rng.choice(DENOMINATORS)) for _ in range(ncols)]
+            rhs = [sum((a * x for a, x in zip(r, x0)), F(0)) for r in rows]
+        else:
+            rhs = [F(rng.randint(-3, 3), rng.choice(DENOMINATORS)) for _ in rows]
+        aug = [r + [b] for r, b in zip(rows, rhs)]
+        consistent = ncols not in eliminate(aug)[1]
+        x = solve(rows, rhs)
+        assert (x is None) == (not consistent)
+        if x is not None:
+            assert [sum((a * v for a, v in zip(r, x)), F(0)) for r in rows] == rhs
+            assert all(not x[j] for j in range(ncols) if j not in pivots)
+
+
+def count_fraction_arithmetic(monkeypatch) -> list[int]:
+    """Count every Fraction + - * / from now on, as the perfbench tracer does."""
+    calls = [0]
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__"):
+        original = getattr(Fraction, name)
+
+        def counted(*args, _original=original):
+            calls[0] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    return calls
+
+
+def test_kernels_run_on_ints(monkeypatch):
+    rng = random.Random(3)
+    series = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(20 + 146)]
+    matrix = hankel(series, 20, 146)
+    p = Poly((e, F(rng.randint(-9, 9), rng.randint(1, 7))) for e in range(0, 40, 3))
+    q = Poly((e, F(rng.randint(-9, 9), rng.randint(1, 7))) for e in range(0, 30, 2))
+    calls = count_fraction_arithmetic(monkeypatch)
+    reduced, pivots = rref(matrix)
+    assert calls[0] == 0
+    product = p * q
+    assert calls[0] == 0
+    monkeypatch.undo()
+    assert len(pivots) == 20 and product.degree == p.degree + q.degree

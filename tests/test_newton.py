@@ -4,16 +4,22 @@ from fractions import Fraction
 import pytest
 
 from conftest import operator, pol, random_operator
-from mahlersolve.errors import NoAdmissibleEdgeError
+from mahlersolve.errors import (
+    NoAdmissibleEdgeError,
+    UnsupportedEquationError,
+    ZeroTrailingCoefficientError,
+)
 from mahlersolve.newton import (
     candidate_degrees,
     candidate_valuations,
     lower_polygon,
     mu_nu,
+    newton_diagram,
     ramification_data,
     select_edge_for_ramification,
     upper_polygon,
 )
+from mahlersolve.operator import MahlerOperator
 from mahlersolve.poly import Poly
 
 F = Fraction
@@ -53,10 +59,12 @@ def test_mu_nu(running_example):
     assert mu_nu(running_example) == (F(3), F(9))
     assert mu_nu(operator(2, -ONE, ONE)) == (F(0), F(0))
     assert mu_nu(operator(2, X, -pol(1, 1), ONE)) == (F(1), F(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ZeroTrailingCoefficientError):
         mu_nu(operator(2, Poly.zero(), ONE))
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedEquationError):
         mu_nu(operator(2, ONE))
+    with pytest.raises(UnsupportedEquationError, match="zero operator"):
+        mu_nu(MahlerOperator.zero(2))
 
 
 def test_ramification_data(running_example, sparse_stretch_example):
@@ -67,6 +75,20 @@ def test_ramification_data(running_example, sparse_stretch_example):
     assert slopes == [F(-203, 13), F(-3), F(0), F(1, 1458), F(221, 5)]
     assert all(e.admissible for e in lower_polygon(sparse_stretch_example))
     assert ramification_data(operator(2, -X, Poly.zero(), ONE)) == ({3}, 3)
+
+
+def test_ramification_data_errors():
+    with pytest.raises(ZeroTrailingCoefficientError):
+        ramification_data(operator(2, Poly.zero(), ONE))
+    with pytest.raises(UnsupportedEquationError, match="zero operator"):
+        ramification_data(MahlerOperator.zero(3))
+
+
+def test_zero_operator_has_no_diagram_or_polygon():
+    zero = MahlerOperator.zero(2)
+    for fn in (newton_diagram, lower_polygon, upper_polygon):
+        with pytest.raises(UnsupportedEquationError, match="zero operator"):
+            fn(zero)
 
 
 def test_select_edge(running_example, sparse_stretch_example):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import pol
+from oracles import poly_mul_oracle
 from mahlersolve.errors import ExactDivisionError, ExponentOverflowError
 from mahlersolve.poly import (
     MAX_EXPONENT,
@@ -209,3 +210,26 @@ def test_exponent_cap_is_enforced():
         Poly.monomial(MAX_EXPONENT + 1)
     with pytest.raises(ExponentOverflowError):
         Poly.monomial(MAX_EXPONENT // 2) * Poly.monomial(MAX_EXPONENT // 2 + 2)
+
+
+def test_product_matches_schoolbook_oracle():
+    rng = random.Random(11)
+    dens = (1, 2, 3, 7)
+
+    def draw(ints_only):
+        def coefficient():
+            c = rng.randint(-5, 5)
+            return c if ints_only else Fraction(c, rng.choice(dens))
+
+        return Poly((rng.randint(0, 12), coefficient()) for _ in range(rng.randint(0, 6)))
+
+    cases = [
+        (pol(1, 1), pol(1, -1)),  # x^2 - 1: the x term cancels
+        (pol(Fraction(1, 2), Fraction(1, 3)), pol(Fraction(1, 2), Fraction(-1, 3))),  # 1/4 - x^2/9
+        (pol(Fraction(1, 6)), pol(6)),
+        (Poly.zero(), pol(1, 2)),
+        (pol(1, 2), Poly.zero()),
+    ]
+    cases += [(draw(rng.random() < 0.3), draw(rng.random() < 0.3)) for _ in range(400)]
+    for p, q in cases:
+        assert repr(p * q) == repr(poly_mul_oracle(p, q))

@@ -17,6 +17,7 @@ from mahlersolve.errors import (
     InsufficientPrefixError,
     InternalInvariantError,
     UnsupportedEquationError,
+    ZeroTrailingCoefficientError,
 )
 from mahlersolve.operator import MahlerOperator
 from mahlersolve.poly import Poly, gcd, mahler_substitute, poly_sections
@@ -142,6 +143,15 @@ def test_alt_denominator_bound(rat_example):
     bound = alt_denominator_bound(rat_example)
     assert pol(-1, 2).monic().divides(bound)
     assert pol(-1, -1, 1).divides(bound)
+
+
+def test_alt_denominator_bound_errors():
+    with pytest.raises(ZeroTrailingCoefficientError):
+        alt_denominator_bound(operator(2, Poly.zero(), ONE))
+    with pytest.raises(UnsupportedEquationError, match="order >= 1"):
+        alt_denominator_bound(operator(2, ONE + X))
+    with pytest.raises(UnsupportedEquationError, match="zero operator"):
+        alt_denominator_bound(MahlerOperator(2, []))
 
 
 def test_rational_basis_golden(rat_example):
@@ -279,6 +289,15 @@ def test_bell_coons(rat_example):
     assert bell_coons_rank(rat_example, series) is False
     with pytest.raises(InsufficientPrefixError):
         bell_coons_rank(lop, [F(1), F(1)])
+
+
+def test_bell_coons_dimensions_errors():
+    with pytest.raises(ZeroTrailingCoefficientError):
+        bell_coons_dimensions(operator(2, Poly.zero(), ONE))
+    with pytest.raises(UnsupportedEquationError, match="order >= 1"):
+        bell_coons_dimensions(operator(2, ONE + X))
+    with pytest.raises(UnsupportedEquationError, match="zero operator"):
+        bell_coons_dimensions(MahlerOperator(2, []))
 
 
 def test_order_zero_transcendence():
