@@ -11,7 +11,12 @@ a section, and sections strictly decrease the order.
 
 from __future__ import annotations
 
-from .errors import InternalInvariantError, MixedRadixError
+from .errors import (
+    InternalInvariantError,
+    InvalidArgumentError,
+    MixedRadixError,
+    UnsupportedEquationError,
+)
 from .operator import (
     MahlerOperator,
     interreduce,
@@ -28,7 +33,7 @@ def split(op: MahlerOperator) -> list[MahlerOperator]:
     degree / b^w, where w is the M-valuation of op.
     """
     if not op:
-        raise ValueError("cannot split the zero operator")
+        raise UnsupportedEquationError("cannot split the zero operator")
     if op.m_valuation == 0:
         return [op]
     sections = operator_sections(op)
@@ -76,7 +81,7 @@ def normalize_l0_raw(op: MahlerOperator) -> MahlerOperator:
     """Single operator with M-valuation 0 and the same series solutions,
     as produced by the interreduction loop (no normalization applied)."""
     if not op:
-        raise ValueError("cannot normalize the zero operator")
+        raise UnsupportedEquationError("cannot normalize the zero operator")
     return _reduce_to_singleton(split(op))
 
 
@@ -98,9 +103,9 @@ def gcrd_raw(ops: list[MahlerOperator]) -> MahlerOperator:
     inputs generate (over rational-function coefficients).
     """
     if not ops:
-        raise ValueError("gcrd of an empty family")
+        raise InvalidArgumentError("gcrd of an empty family")
     if any(not op for op in ops):
-        raise ValueError("gcrd of a family containing the zero operator")
+        raise UnsupportedEquationError("gcrd of a family containing the zero operator")
     radix = ops[0].radix
     if any(op.radix != radix for op in ops):
         raise MixedRadixError("gcrd requires a common radix")

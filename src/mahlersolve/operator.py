@@ -169,7 +169,7 @@ class MahlerOperator:
             m = "" if k == 0 else ("M" if k == 1 else f"M^{k}")
             body = str(c)
             if m:
-                body = f"({body})*{m}" if len(c.terms) > 1 or body.startswith("-") else f"{body}*{m}"
+                body = f"({body})*{m}" if len(c.nums) > 1 or body.startswith("-") else f"{body}*{m}"
             parts.append(body)
         return " + ".join(parts)
 
@@ -185,9 +185,12 @@ def integer_terms(op: MahlerOperator) -> tuple[int, list[tuple[int, int, int]]]:
     terms lists (b^k, j, L c) for every term c x^j M^k of op, in
     increasing order of k, then j; every L c is an int."""
     b = op.radix
-    terms = [(b**k, j, c) for k, lk in op.nonzero_coefficients() for j, c in lk.terms]
-    lcm = math.lcm(*(c.denominator for _, _, c in terms))
-    return lcm, [(bk, j, c.numerator * (lcm // c.denominator)) for bk, j, c in terms]
+    lcm = math.lcm(*(lk.den for lk in op.coeffs))
+    terms = []
+    for k, lk in op.nonzero_coefficients():
+        bk, f = b**k, lcm // lk.den
+        terms.extend((bk, j, c * f) for j, c in lk.nums)
+    return lcm, terms
 
 
 def apply_below(
@@ -304,15 +307,16 @@ def phi_apply(op: MahlerOperator, phi: PhiTransform) -> MahlerOperator:
         return op
     out = []
     for k, lk in enumerate(op.coeffs):
-        terms = []
-        for j, c in lk.terms:
+        nums = []
+        for j, c in lk.nums:
             e = phi.exponent(op.radix, k, j)
             if e < 0:
                 raise NegativeExponentError(
                     f"x^{j} M^{k} maps to exponent {e} < 0 under {phi}"
                 )
-            terms.append((e, c))
-        out.append(Poly(terms))
+            nums.append((e, c))
+        # beta > 0 keeps the exponents increasing
+        out.append(Poly.from_integers(lk.den, nums))
     return MahlerOperator(op.radix, out)
 
 

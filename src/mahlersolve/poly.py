@@ -1,10 +1,14 @@
-"""Exact univariate polynomials over Q, stored as sparse term lists.
+"""Exact univariate polynomials over Q, stored as sparse integer term lists.
 
-A polynomial is a tuple of (exponent, coefficient) pairs with strictly
-increasing exponents and nonzero Fraction coefficients; the zero
-polynomial is the empty tuple.  All operations are exact.  Exponents are
-capped at MAX_EXPONENT so that index arithmetic downstream stays inside
-a machine-word-like range.
+A polynomial is nums / den: `den` is a positive int and `nums` a tuple
+of (exponent, int) pairs with strictly increasing exponents and nonzero
+integers, in lowest terms (gcd(den, every num) = 1); the zero polynomial
+has den 1 and no nums.  Every operation runs on these ints: sums over a
+common denominator, products of numerators, pseudo-division for
+Euclidean division and a primitive remainder sequence for gcds.  The
+(exponent, Fraction) view `terms` is built the first time it is read.
+Exponents are capped at MAX_EXPONENT so that index arithmetic
+downstream stays inside a machine-word-like range.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import ExactDivisionError, ExponentOverflowError
+from .errors import ExactDivisionError, ExponentOverflowError, InvalidArgumentError
 
 MAX_EXPONENT = 2**63 - 1
 
@@ -34,20 +38,25 @@ def checked_power(base: int, exp: int) -> int:
 class Poly:
     """Immutable sparse polynomial with rational coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("den", "nums", "_terms")
 
     def __init__(self, terms: Iterable[tuple[int, Fraction]] = ()):
         acc: dict[int, Fraction] = {}
         for e, c in terms:
             if e < 0:
-                raise ValueError(f"negative exponent {e}")
+                raise InvalidArgumentError(f"negative exponent {e}")
             _check_exponent(e)
             c = acc.get(e, _ZERO) + Fraction(c)
             if c:
                 acc[e] = c
             elif e in acc:
                 del acc[e]
-        object.__setattr__(self, "terms", tuple(sorted(acc.items())))
+        items = sorted(acc.items())
+        # lowest-terms coefficients over their lcm leave no common factor
+        den = math.lcm(*(c.denominator for _, c in items))
+        self.den = den
+        self.nums = tuple((e, c.numerator * (den // c.denominator)) for e, c in items)
+        self._terms = tuple(items)
 
     # -- construction helpers ------------------------------------------
 
@@ -65,46 +74,67 @@ class Poly:
 
     @classmethod
     def monomial(cls, e: int, c=1) -> "Poly":
-        return cls([(e, Fraction(c))])
+        c = Fraction(c)
+        return cls.from_integers(c.denominator, [(e, c.numerator)] if c else [])
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence) -> "Poly":
         """Dense constructor: coeffs[i] is the coefficient of x**i."""
         return cls((i, Fraction(c)) for i, c in enumerate(coeffs) if c)
 
+    @classmethod
+    def from_integers(cls, den: int, nums: Sequence[tuple[int, int]]) -> "Poly":
+        """nums / den from a nonzero int den and (e, int) pairs with
+        strictly increasing exponents and nonzero ints; common factors
+        are divided out."""
+        if nums:
+            if nums[0][0] < 0:
+                raise InvalidArgumentError(f"negative exponent {nums[0][0]}")
+            _check_exponent(nums[-1][0])
+        return _reduced(den, nums)
+
     # -- basic queries --------------------------------------------------
 
+    @property
+    def terms(self) -> tuple[tuple[int, Fraction], ...]:
+        """The (exponent, Fraction coefficient) pairs, built on first use."""
+        t = self._terms
+        if t is None:
+            den = self.den
+            t = self._terms = tuple((e, Fraction(n, den)) for e, n in self.nums)
+        return t
+
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     @property
     def degree(self) -> int:
         """Largest exponent; -1 for the zero polynomial."""
-        return self.terms[-1][0] if self.terms else -1
+        return self.nums[-1][0] if self.nums else -1
 
     @property
     def valuation(self) -> int:
         """Smallest exponent; raises on the zero polynomial."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no valuation")
-        return self.terms[0][0]
+        if not self.nums:
+            raise InvalidArgumentError("zero polynomial has no valuation")
+        return self.nums[0][0]
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.terms[-1][1]
+        if not self.nums:
+            raise InvalidArgumentError("zero polynomial has no leading coefficient")
+        return Fraction(self.nums[-1][1], self.den)
 
     @property
     def trailing_coefficient(self) -> Fraction:
-        if not self.terms:
-            raise ValueError("zero polynomial has no trailing coefficient")
-        return self.terms[0][1]
+        if not self.nums:
+            raise InvalidArgumentError("zero polynomial has no trailing coefficient")
+        return Fraction(self.nums[0][1], self.den)
 
     def coefficient(self, e: int) -> Fraction:
-        for exp, c in self.terms:
+        for exp, c in self.nums:
             if exp == e:
-                return c
+                return Fraction(c, self.den)
             if exp > e:
                 break
         return _ZERO
@@ -114,63 +144,55 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.terms == other.terms
+            return self.den == other.den and self.nums == other.nums
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.terms)
+        return hash((self.den, self.nums))
 
     # -- arithmetic ------------------------------------------------------
 
     def __neg__(self) -> "Poly":
-        return _raw((e, -c) for e, c in self.terms)
+        return _raw(self.den, tuple((e, -c) for e, c in self.nums))
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            s = acc.get(e, _ZERO) + c
-            if s:
-                acc[e] = s
-            elif e in acc:
-                del acc[e]
-        return _raw(sorted(acc.items()))
+        return _combine(self, other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return _combine(self, other, -1)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        if not (self.terms and other.terms):
+        if not (self.nums and other.nums):
             return _POLY_ZERO
         _check_exponent(self.degree + other.degree)
-        # the sums run on ints: each operand is scaled by the lcm of its
-        # denominators, and only the nonzero result terms become Fractions
-        den1, ints1 = _integer_terms(self.terms)
-        den2, ints2 = _integer_terms(other.terms)
         acc: dict[int, int] = {}
-        for e1, c1 in ints1:
-            for e2, c2 in ints2:
+        for e1, c1 in self.nums:
+            for e2, c2 in other.nums:
                 e = e1 + e2
                 acc[e] = acc.get(e, 0) + c1 * c2
-        den = den1 * den2
-        return _raw((e, Fraction(s, den)) for e, s in sorted(acc.items()) if s)
+        return _reduced(self.den * other.den, [(e, s) for e, s in sorted(acc.items()) if s])
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
         if not c:
             return _POLY_ZERO
-        return _raw((e, c * v) for e, v in self.terms)
+        p = c.numerator
+        return _reduced(self.den * c.denominator, [(e, p * v) for e, v in self.nums])
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
-            raise ValueError("negative power")
+            raise InvalidArgumentError("negative power")
         result = _POLY_ONE
         base = self
         while n:
@@ -183,38 +205,26 @@ class Poly:
 
     def shift(self, e: int) -> "Poly":
         """Multiply by x**e."""
-        if e == 0:
+        if e == 0 or not self.nums:
             return self
         if e > 0:
-            if self.terms:
-                _check_exponent(self.degree + e)
-            return _raw((exp + e, c) for exp, c in self.terms)
-        if self.terms and self.valuation + e < 0:
+            _check_exponent(self.degree + e)
+        elif self.valuation + e < 0:
             raise ExactDivisionError(f"x**{-e} does not divide {self}")
-        return _raw((exp + e, c) for exp, c in self.terms)
+        return _raw(self.den, tuple((exp + e, c) for exp, c in self.nums))
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Euclidean division; other must be nonzero."""
+        """Euclidean division; other must be nonzero.
+
+        Pseudo-division on the numerators, m A = Q B + R, followed by one
+        rescaling: self = (Q other.den / (m self.den)) other + R / (m self.den).
+        """
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        q: dict[int, Fraction] = {}
-        rem = dict(self.terms)
-        dd = other.degree
-        lead = other.leading_coefficient
-        while rem:
-            e = max(rem)
-            if e < dd:
-                break
-            c = rem[e] / lead
-            q[e - dd] = c
-            for oe, oc in other.terms:
-                k = e - dd + oe
-                s = rem.get(k, _ZERO) - c * oc
-                if s:
-                    rem[k] = s
-                elif k in rem:
-                    del rem[k]
-        return _raw(sorted(q.items())), _raw(sorted(rem.items()))
+        m, q, r = _pseudo_divmod(self.nums, other.nums)
+        den = m * self.den
+        quotient = _reduced(den, [(e, c * other.den) for e, c in q])
+        return quotient, _reduced(den, r)
 
     def exact_div(self, other: "Poly") -> "Poly":
         q, r = self.divmod(other)
@@ -231,29 +241,22 @@ class Poly:
     # -- normalizations ---------------------------------------------------
 
     def monic(self) -> "Poly":
-        if not self.terms:
+        nums = self.nums
+        if not nums or nums[-1][1] == self.den:
             return self
-        lc = self.leading_coefficient
-        if lc == 1:
-            return self
-        return _raw((e, c / lc) for e, c in self.terms)
+        return _monic(nums)
 
     def content(self) -> Fraction:
         """Positive rational c with self/c integer, coprime coefficients."""
-        if not self.terms:
+        if not self.nums:
             return _ZERO
-        num = 0
-        den = 1
-        for _, c in self.terms:
-            num = math.gcd(num, c.numerator)
-            den = math.lcm(den, c.denominator)
-        return Fraction(num, den)
+        return Fraction(math.gcd(*(c for _, c in self.nums)), self.den)
 
     def primitive(self) -> "Poly":
         """self divided by its content (zero stays zero)."""
-        if not self.terms:
+        if not self.nums:
             return self
-        return self.scale(1 / self.content())
+        return _raw(1, _primitive(self.nums))
 
     # -- evaluation and substitution --------------------------------------
 
@@ -271,18 +274,19 @@ class Poly:
     def substitute_power(self, m: int) -> "Poly":
         """Compose with x -> x**m (m >= 1)."""
         if m < 1:
-            raise ValueError("substitution power must be >= 1")
-        if self.terms:
-            _check_exponent(self.degree * m)
-        return _raw((e * m, c) for e, c in self.terms)
+            raise InvalidArgumentError("substitution power must be >= 1")
+        if not self.nums:
+            return self
+        _check_exponent(self.degree * m)
+        return _raw(self.den, tuple((e * m, c) for e, c in self.nums))
 
     def derivative(self) -> "Poly":
-        return _raw((e - 1, e * c) for e, c in self.terms if e)
+        return _reduced(self.den, [(e - 1, e * c) for e, c in self.nums if e])
 
     # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
         for e, c in self.terms:
@@ -308,17 +312,94 @@ class Poly:
 _ZERO = Fraction(0)
 
 
-def _integer_terms(terms) -> tuple[int, list[tuple[int, int]]]:
-    """(L, [(e, L c)]): L is the lcm of the coefficient denominators."""
-    den = math.lcm(*(c.denominator for _, c in terms))
-    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms]
-
-
-def _raw(terms) -> Poly:
-    """Build a Poly from already-normalized (sorted, nonzero) terms."""
+def _raw(den: int, nums: tuple) -> Poly:
+    """Build a Poly from a canonical integer form."""
     p = Poly.__new__(Poly)
-    object.__setattr__(p, "terms", tuple(terms))
+    p.den = den
+    p.nums = nums
+    p._terms = None
     return p
+
+
+def _reduced(den: int, nums) -> Poly:
+    """Poly nums / den (den nonzero, nums sorted and nonzero) in lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *(c for _, c in nums))
+        if den < 0:
+            g = -g
+        if g != 1:
+            return _raw(den // g, tuple((e, c // g) for e, c in nums))
+    return _raw(den, tuple(nums))
+
+
+def _combine(a: Poly, b: Poly, sign: int) -> Poly:
+    """a + sign * b."""
+    if not b.nums:
+        return a
+    if not a.nums:
+        return b if sign == 1 else -b
+    da, db = a.den, b.den
+    g = math.gcd(da, db)
+    fa, fb = db // g, sign * (da // g)
+    acc = {e: c * fa for e, c in a.nums} if fa != 1 else dict(a.nums)
+    for e, c in b.nums:
+        acc[e] = acc.get(e, 0) + c * fb
+    return _reduced(da * (db // g), [(e, s) for e, s in sorted(acc.items()) if s])
+
+
+def _primitive(nums) -> tuple:
+    """nums divided by the gcd of its entries (nonempty)."""
+    g = math.gcd(*(c for _, c in nums))
+    if g == 1:
+        return tuple(nums)
+    return tuple((e, c // g) for e, c in nums)
+
+
+def _monic(nums) -> Poly:
+    """The monic polynomial with these numerators (nonempty)."""
+    lead = nums[-1][1]
+    g = math.gcd(*(c for _, c in nums))
+    if lead < 0:
+        g = -g
+    return _raw(lead // g, tuple((e, c // g) for e, c in nums))
+
+
+def _pseudo_divmod(a, b) -> tuple[int, list, list]:
+    """(m, q, r) with m a = q b + r, m a positive int and deg r < deg b.
+
+    a and b are integer term lists, b nonzero.  A leading term c of the
+    remainder costs the factor |lead b| / gcd(c, lead b), which is 1
+    whenever lead b divides c; q and r come back sorted.
+    """
+    db, lead = b[-1]
+    body = b[:-1]
+    rem = dict(a)
+    q: dict[int, int] = {}
+    m = 1
+    while rem:
+        e = max(rem)
+        if e < db:
+            break
+        c = rem.pop(e)
+        g = math.gcd(c, lead)
+        f = abs(lead) // g
+        if f != 1:
+            m *= f
+            for k in rem:
+                rem[k] *= f
+            for k in q:
+                q[k] *= f
+        t = c // g if lead > 0 else -c // g
+        s = e - db
+        q[s] = t
+        for be, bc in body:
+            k = s + be
+            v = rem.get(k, 0) - t * bc
+            if v:
+                rem[k] = v
+            elif k in rem:
+                del rem[k]
+    return m, sorted(q.items()), sorted(rem.items())
 
 
 _POLY_ZERO = Poly()
@@ -327,11 +408,19 @@ _POLY_X = Poly([(1, Fraction(1))])
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd; gcd(0, 0) = 0."""
-    a, b = a.monic(), b.monic()
-    while b:
-        a, b = b, a.divmod(b)[1].monic()
-    return a
+    """Monic gcd; gcd(0, 0) = 0.
+
+    A primitive remainder sequence on the numerators, made monic at the
+    end.
+    """
+    if not b.nums:
+        return a.monic()
+    x, y = _primitive(a.nums), _primitive(b.nums)
+    while y:
+        x, y = y, _pseudo_divmod(x, y)[2]
+        if y:
+            y = _primitive(y)
+    return _monic(x)
 
 
 def gcd_all(polys: Iterable[Poly]) -> Poly:
@@ -356,9 +445,9 @@ def mahler_substitute(p: Poly, radix: int, power: int = 1) -> Poly:
     ExponentOverflowError when the result leaves the supported range.
     """
     if radix < 2:
-        raise ValueError("radix must be >= 2")
+        raise InvalidArgumentError("radix must be >= 2")
     if power < 1:
-        raise ValueError("power must be >= 1")
+        raise InvalidArgumentError("power must be >= 1")
     return p.substitute_power(checked_power(radix, power))
 
 
@@ -369,26 +458,25 @@ def poly_sections(p: Poly, radix: int) -> list[Poly]:
     section i collects the exponents congruent to i, shifted and divided.
     """
     if radix < 2:
-        raise ValueError("radix must be >= 2")
-    buckets: list[list[tuple[int, Fraction]]] = [[] for _ in range(radix)]
-    for e, c in p.terms:
+        raise InvalidArgumentError("radix must be >= 2")
+    buckets: list[list[tuple[int, int]]] = [[] for _ in range(radix)]
+    for e, c in p.nums:
         i = e % radix
         buckets[i].append(((e - i) // radix, c))
-    return [_raw(b) for b in buckets]
+    return [_reduced(p.den, b) if b else _POLY_ZERO for b in buckets]
 
 
 def _graeffe_step(p: Poly, radix: int) -> Poly:
     # Determinant of the multiplication-by-p(y) map on the free module
     # with basis 1, y, ..., y^(radix-1) over Q[x], modulo y^radix = x.
     sections = poly_sections(p, radix)
-    x = Poly.x()
     mat = [[Poly.zero()] * radix for _ in range(radix)]
     for j in range(radix):
         for i, f in enumerate(sections):
             if not f:
                 continue
             row = (i + j) % radix
-            entry = f if i + j < radix else f * x
+            entry = f if i + j < radix else f.shift(1)
             mat[row][j] = mat[row][j] + entry
     return bareiss_determinant(mat)
 
@@ -399,9 +487,9 @@ def graeffe(p: Poly, radix: int, power: int = 1) -> Poly:
     y**(radix**power) - x and p(y) with respect to y; not unit-normalized.
     """
     if radix < 2:
-        raise ValueError("radix must be >= 2")
+        raise InvalidArgumentError("radix must be >= 2")
     if power < 1:
-        raise ValueError("power must be >= 1")
+        raise InvalidArgumentError("power must be >= 1")
     result = p
     for _ in range(power):
         result = _graeffe_step(result, radix)
@@ -416,9 +504,9 @@ def graeffe_monic(p: Poly, radix: int, power: int = 1) -> Poly:
 def lcm_orbit(a: Poly, radix: int, order: int) -> Poly:
     """lcm of a, Ma, ..., M^(order-1) a, monic-normalized."""
     if not a:
-        raise ValueError("lcm_orbit of the zero polynomial")
+        raise InvalidArgumentError("lcm_orbit of the zero polynomial")
     if order < 1:
-        raise ValueError("order must be >= 1")
+        raise InvalidArgumentError("order must be >= 1")
     result = a.monic()
     img = a
     for _ in range(1, order):

@@ -121,20 +121,31 @@ class RationalFunction:
 
 
 def _power_series_div(num: Poly, den: Poly, length: int) -> list[Fraction]:
-    """First `length` coefficients of num/den; den(0) must be nonzero."""
-    d0 = den.coefficient(0)
-    if not d0:
+    """First `length` coefficients of num/den; den(0) must be nonzero.
+
+    The recurrence runs on the integer forms: with A = num.nums,
+    D = den.nums and d0 = D(0), t_n = A_n d0^n - sum_e D_e d0^(e-1) t_(n-e)
+    is the coefficient of x^n in A/D times d0^(n+1), and only the
+    nonzero coefficients become Fractions.
+    """
+    if not den.nums or den.nums[0][0]:
         raise ZeroDivisionError("denominator vanishes at 0")
+    d0 = den.nums[0][1]
+    tail = [(e, c * d0 ** (e - 1)) for e, c in den.nums[1:]]
+    num_map = dict(num.nums)
     out = [_ZERO] * length
-    den_terms = [(e, c) for e, c in den.terms if e > 0]
-    num_map = {e: c for e, c in num.terms}
+    ints = [0] * length
+    power = 1  # d0^n
     for n in range(length):
-        acc = num_map.get(n, _ZERO)
-        for e, c in den_terms:
+        acc = num_map.get(n, 0) * power
+        for e, c in tail:
             if e > n:
                 break
-            acc -= c * out[n - e]
-        out[n] = acc / d0
+            acc -= c * ints[n - e]
+        ints[n] = acc
+        power *= d0
+        if acc:
+            out[n] = Fraction(acc * den.den, power * num.den)
     return out
 
 
@@ -366,30 +377,27 @@ def _consistent_extension(
             f"need at least {max(head, 1)} coefficients, got {len(prefix)}"
         )
     target = max(length, len(prefix))
+    elements = series_basis(op, target - 1, auto_normalize=False).elements
     expanded = []
-    for elem in series_basis(op, target - 1, auto_normalize=False).elements:
+    for elem in elements:
         dense = [_ZERO] * int(elem.truncation_order)
         for e, c in elem.terms:
             dense[int(e)] = c
         expanded.append(dense)
     window = len(prefix)
     rows = [[exp[i] for exp in expanded] for i in range(window)]
-    combo = solve(rows, list(prefix[:window])) if expanded else None
-    if expanded and combo is not None:
-        candidate = [
-            sum((c * exp[i] for c, exp in zip(combo, expanded)), _ZERO)
-            for i in range(window)
-        ]
-        if candidate != list(prefix[:window]):
-            combo = None
-    if combo is None:
-        if any(prefix):
-            raise InconsistentPrefixError("prefix extends to no series solution")
-        return [_ZERO] * target
-    return [
-        sum((c * exp[i] for c, exp in zip(combo, expanded)), _ZERO)
-        for i in range(target)
-    ]
+    combo = solve(rows, list(prefix)) if expanded else None
+    if combo is not None:
+        series = [_ZERO] * target
+        for c, elem in zip(combo, elements):
+            if c:
+                for e, v in elem.terms:
+                    series[int(e)] += c * v
+        if series[:window] == list(prefix):
+            return series
+    if any(prefix):
+        raise InconsistentPrefixError("prefix extends to no series solution")
+    return [_ZERO] * target
 
 
 def transcendence_test(

@@ -10,6 +10,7 @@ Operator document: {"radix": b, "coefficients": [{"order": k, "terms":
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -22,19 +23,23 @@ from .solver import PuiseuxSeries, SolutionBasis
 _COEFF_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-def parse_fraction(text) -> Fraction:
+def _parse_ratio(text) -> tuple[int, int]:
+    """(numerator, positive denominator) of a coefficient in lowest terms."""
     if not isinstance(text, str) or not _COEFF_RE.match(text):
         raise InputFormatError(f"bad coefficient {text!r}")
     num, _, den = text.partition("/")
-    if den:
-        d = int(den)
-        if d == 0:
-            raise InputFormatError(f"zero denominator in {text!r}")
-        f = Fraction(int(num), d)
-        if f.denominator != d:
-            raise InputFormatError(f"coefficient {text!r} is not in lowest terms")
-        return f
-    return Fraction(int(num))
+    if not den:
+        return int(num), 1
+    n, d = int(num), int(den)
+    if d == 0:
+        raise InputFormatError(f"zero denominator in {text!r}")
+    if math.gcd(n, d) != 1:
+        raise InputFormatError(f"coefficient {text!r} is not in lowest terms")
+    return n, d
+
+
+def parse_fraction(text) -> Fraction:
+    return Fraction(*_parse_ratio(text))
 
 
 def poly_to_json(p: Poly) -> list:
@@ -44,7 +49,7 @@ def poly_to_json(p: Poly) -> list:
 def parse_poly(doc) -> Poly:
     if not isinstance(doc, list):
         raise InputFormatError("polynomial must be a list of [exponent, coefficient]")
-    terms = []
+    terms = []  # (exponent, numerator, denominator)
     last = -1
     for item in doc:
         if not isinstance(item, list) or len(item) != 2:
@@ -59,11 +64,12 @@ def parse_poly(doc) -> Poly:
         if e <= last:
             raise InputFormatError("exponents must be strictly ascending")
         last = e
-        value = parse_fraction(c)
-        if not value:
+        n, d = _parse_ratio(c)
+        if not n:
             raise InputFormatError("zero coefficients must be omitted")
-        terms.append((e, value))
-    return Poly(terms)
+        terms.append((e, n, d))
+    den = math.lcm(*(d for _, _, d in terms))
+    return Poly.from_integers(den, [(e, n * (den // d)) for e, n, d in terms])
 
 
 def operator_to_json(op: MahlerOperator) -> dict:

@@ -2,9 +2,11 @@
 
 Everything here goes through plain Fraction term arithmetic and a
 self-contained Gaussian elimination, independent of the library's
-integer kernels (`linalg.rref`, `Poly.__mul__`, `apply_below`) and of
-the push loop behind its window solve and prolongation (`rmatrix`): the
-oracles build dense recurrence rows and visit every row, zero or not.
+integer kernels (`linalg.rref`, the integer `Poly` arithmetic,
+`apply_below`) and of the push loop behind its window solve and
+prolongation (`rmatrix`): the oracles build dense recurrence rows and
+visit every row, zero or not.  The polynomial oracles take and return
+term tuples, sorted (exponent, nonzero Fraction) pairs, as `Poly.terms`.
 """
 
 import math
@@ -86,6 +88,75 @@ def poly_mul_oracle(a: Poly, b: Poly) -> Poly:
             elif e in acc:
                 del acc[e]
     return Poly(sorted(acc.items()))
+
+
+def _sorted_terms(acc: dict) -> tuple:
+    return tuple(sorted((e, c) for e, c in acc.items() if c))
+
+
+def poly_add_oracle(a: tuple, b: tuple) -> tuple:
+    acc = dict(a)
+    for e, c in b:
+        acc[e] = acc.get(e, ZERO) + c
+    return _sorted_terms(acc)
+
+
+def poly_divmod_oracle(a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    """Euclidean division, one Fraction division per quotient term."""
+    q: dict[int, Fraction] = {}
+    rem = dict(a)
+    db, lead = b[-1]
+    while rem:
+        e = max(rem)
+        if e < db:
+            break
+        c = rem[e] / lead
+        q[e - db] = c
+        for be, bc in b:
+            k = e - db + be
+            s = rem.get(k, ZERO) - c * bc
+            if s:
+                rem[k] = s
+            else:
+                rem.pop(k, None)
+    return _sorted_terms(q), _sorted_terms(rem)
+
+
+def poly_monic_oracle(a: tuple) -> tuple:
+    if not a:
+        return a
+    lead = a[-1][1]
+    return tuple((e, c / lead) for e, c in a)
+
+
+def poly_gcd_oracle(a: tuple, b: tuple) -> tuple:
+    """Monic Euclid over Q; gcd(0, 0) = 0."""
+    a, b = poly_monic_oracle(a), poly_monic_oracle(b)
+    while b:
+        a, b = b, poly_monic_oracle(poly_divmod_oracle(a, b)[1])
+    return a
+
+
+def poly_content_oracle(a: tuple) -> Fraction:
+    num, den = 0, 1
+    for _, c in a:
+        num = math.gcd(num, c.numerator)
+        den = math.lcm(den, c.denominator)
+    return Fraction(num, den)
+
+
+def poly_primitive_oracle(a: tuple) -> tuple:
+    if not a:
+        return a
+    content = poly_content_oracle(a)
+    return tuple((e, c / content) for e, c in a)
+
+
+def poly_sections_oracle(a: tuple, radix: int) -> list[tuple]:
+    buckets: list[list] = [[] for _ in range(radix)]
+    for e, c in a:
+        buckets[e % radix].append((e // radix, c))
+    return [tuple(b) for b in buckets]
 
 
 def kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:

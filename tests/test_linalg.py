@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 from oracles import eliminate, kernel
 from mahlersolve.linalg import kernel_basis, rank, rref, solve
-from mahlersolve.poly import Poly
+from mahlersolve.operator import MahlerOperator, integer_terms
+from mahlersolve.poly import Poly, gcd, poly_sections
 
 F = Fraction
 DENOMINATORS = (1, 2, 3, 7)
@@ -122,3 +124,36 @@ def test_kernels_run_on_ints(monkeypatch):
     assert calls[0] == 0
     monkeypatch.undo()
     assert len(pivots) == 20 and product.degree == p.degree + q.degree
+
+
+def test_poly_arithmetic_runs_on_ints(monkeypatch):
+    rng = random.Random(5)
+
+    def draw(top):
+        return Poly((e, F(rng.randint(-9, 9), rng.randint(1, 7))) for e in range(0, top, 2))
+
+    p, q, common = draw(40), draw(30), draw(8)
+    a, b = p * common, q * common
+    op = MahlerOperator(3, [p, q, common])
+    c = F(-3, 5)
+    calls = count_fraction_arithmetic(monkeypatch)
+    results = [
+        p + q,
+        p - q,
+        -p,
+        p * q,
+        *p.divmod(q),
+        a.exact_div(common),
+        gcd(a, b),
+        p.monic(),
+        p.primitive(),
+        p.scale(c),
+        p.scale(7),
+        *poly_sections(p, 3),
+        integer_terms(op),
+    ]
+    assert calls[0] == 0
+    monkeypatch.undo()
+    # the results are right, too
+    assert results[6] == p and results[7] == common.monic() * gcd(p, q)
+    assert results[-1][0] == math.lcm(p.den, q.den, common.den)

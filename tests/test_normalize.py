@@ -5,7 +5,7 @@ import pytest
 
 from conftest import operator, pol, random_operator
 from oracles import same_span, series_prefix_space
-from mahlersolve.errors import MixedRadixError
+from mahlersolve.errors import InvalidArgumentError, MixedRadixError, UnsupportedEquationError
 from mahlersolve.normalize import (
     gcrd,
     normalize_l0,
@@ -31,8 +31,10 @@ def test_split_examples(reduction_example):
         (2, 15),
         (3, 49),
     ]
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedEquationError):
         split(MahlerOperator.zero(2))
+    with pytest.raises(UnsupportedEquationError):
+        normalize_l0_raw(MahlerOperator.zero(2))
 
 
 def test_split_bounds_random():
@@ -183,9 +185,9 @@ def test_gcrd_right_divides_random_families():
 
 
 def test_gcrd_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError):
         gcrd([])
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedEquationError):
         gcrd([MahlerOperator.zero(2)])
     with pytest.raises(MixedRadixError):
         gcrd([operator(2, ONE), operator(3, ONE)])

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import pol
 from oracles import poly_mul_oracle
-from mahlersolve.errors import ExactDivisionError, ExponentOverflowError
+from mahlersolve.errors import ExactDivisionError, ExponentOverflowError, InvalidArgumentError
 from mahlersolve.poly import (
     MAX_EXPONENT,
     Poly,
@@ -192,7 +192,7 @@ def test_lcm_orbit():
     two_factors = lcm_orbit(pol(-1, -1, 1), 3, 2)
     expected = pol(-1, -1, 1) * Poly([(0, Fraction(-1)), (3, Fraction(-1)), (6, Fraction(1))])
     assert two_factors == expected.monic()
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError):
         lcm_orbit(Poly.zero(), 2, 1)
 
 

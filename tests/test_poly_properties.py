@@ -1,0 +1,104 @@
+"""The integer-backed Poly against the Fraction oracles in oracles.py.
+
+Operands mix denominators, carry negative leading coefficients and
+factors x^k, and include the zero polynomial; every result must also be
+in canonical integer form.
+"""
+
+import math
+from fractions import Fraction
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from oracles import (
+    poly_add_oracle,
+    poly_content_oracle,
+    poly_divmod_oracle,
+    poly_gcd_oracle,
+    poly_monic_oracle,
+    poly_primitive_oracle,
+    poly_sections_oracle,
+)
+from mahlersolve.poly import Poly, gcd, poly_sections
+
+numerators = st.one_of(st.integers(-12, 12), st.integers(-(10**20), 10**20))
+coefficients = st.builds(Fraction, numerators, st.sampled_from((1, 2, 3, 4, 6, 7, 9, 10**12)))
+
+
+@st.composite
+def polys(draw):
+    """A sum of terms times x^shift, negated or not (so the leading
+    coefficient takes either sign)."""
+    terms = draw(st.lists(st.tuples(st.integers(0, 10), coefficients), max_size=6))
+    shift = draw(st.integers(0, 4))
+    sign = draw(st.sampled_from((1, -1)))
+    return Poly((e + shift, sign * c) for e, c in terms)
+
+
+nonzero_polys = polys().filter(bool)
+
+
+def assert_canonical(p: Poly) -> None:
+    assert p.den > 0
+    assert all(c for _, c in p.nums)
+    assert all(e1 < e2 for (e1, _), (e2, _) in zip(p.nums, p.nums[1:]))
+    assert math.gcd(p.den, *(c for _, c in p.nums)) == 1
+    assert p.terms == tuple((e, Fraction(c, p.den)) for e, c in p.nums)
+
+
+@given(polys(), polys())
+def test_sum_and_difference(a, b):
+    for result, want in (
+        (a + b, poly_add_oracle(a.terms, b.terms)),
+        (a - b, poly_add_oracle(a.terms, (-b).terms)),
+        (-a, tuple((e, -c) for e, c in a.terms)),
+    ):
+        assert_canonical(result)
+        assert result.terms == want
+
+
+@given(polys(), nonzero_polys)
+def test_divmod(a, b):
+    q, r = a.divmod(b)
+    want_q, want_r = poly_divmod_oracle(a.terms, b.terms)
+    assert_canonical(q)
+    assert_canonical(r)
+    assert (q.terms, r.terms) == (want_q, want_r)
+
+
+@given(polys(), polys(), polys())
+def test_gcd(a, b, common):
+    # a common factor makes nontrivial gcds likely
+    a, b = a * common, b * common
+    g = gcd(a, b)
+    assert_canonical(g)
+    assert g.terms == poly_gcd_oracle(a.terms, b.terms)
+
+
+@given(polys(), coefficients)
+def test_monic_primitive_content_scale(a, c):
+    for result, want in (
+        (a.monic(), poly_monic_oracle(a.terms)),
+        (a.primitive(), poly_primitive_oracle(a.terms)),
+        (a.scale(c), tuple((e, v * c) for e, v in a.terms if v * c)),
+    ):
+        assert_canonical(result)
+        assert result.terms == want
+    assert a.content() == poly_content_oracle(a.terms)
+
+
+@given(polys(), st.integers(2, 5))
+def test_sections(a, radix):
+    sections = poly_sections(a, radix)
+    for section in sections:
+        assert_canonical(section)
+    assert [s.terms for s in sections] == poly_sections_oracle(a.terms, radix)
+
+
+@given(st.lists(st.tuples(st.integers(0, 10), coefficients), max_size=6))
+def test_constructor_and_from_integers_agree(terms):
+    p = Poly(terms)
+    assert_canonical(p)
+    # any scaling of the integer form describes the same polynomial
+    assert Poly.from_integers(-6 * p.den, [(e, -6 * c) for e, c in p.nums]) == p
