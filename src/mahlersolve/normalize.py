@@ -42,7 +42,8 @@ def split(op: MahlerOperator) -> list[MahlerOperator]:
         m = MahlerOperator.m_power(op.radix, 1)
         for i, s in enumerate(sections):
             total = total + MahlerOperator(op.radix, [Poly.monomial(i)]) * m * s
-        assert total == op, "section reconstruction failed"
+        if total != op:
+            raise InternalInvariantError("section reconstruction failed")
     members = []
     for section in sections:
         if section:

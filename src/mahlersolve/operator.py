@@ -15,7 +15,12 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import poly as P
-from .errors import InternalInvariantError, NegativeExponentError
+from .errors import (
+    InternalInvariantError,
+    InvalidArgumentError,
+    NegativeExponentError,
+    UnsupportedEquationError,
+)
 from .poly import Poly, checked_power, mahler_substitute, poly_sections
 
 
@@ -24,7 +29,7 @@ class MahlerOperator:
 
     def __init__(self, radix: int, coeffs: Iterable[Poly] = ()):
         if radix < 2:
-            raise ValueError("radix must be >= 2")
+            raise InvalidArgumentError(f"radix must be >= 2, got {radix}")
         cs = list(coeffs)
         while cs and not cs[-1]:
             cs.pop()
@@ -71,7 +76,7 @@ class MahlerOperator:
         for k, c in enumerate(self.coeffs):
             if c:
                 return k
-        raise ValueError("zero operator has no M-valuation")
+        raise UnsupportedEquationError("zero operator has no M-valuation")
 
     def coefficient(self, k: int) -> Poly:
         if 0 <= k < len(self.coeffs):
@@ -158,7 +163,9 @@ class MahlerOperator:
         if delta > 0:
             return MahlerOperator(self.radix, (Poly.zero(),) * delta + self.coeffs)
         if self.m_valuation < -delta:
-            raise ValueError("m_shift below M-valuation")
+            raise InvalidArgumentError(
+                f"m_shift by {delta} below the M-valuation {self.m_valuation}"
+            )
         return MahlerOperator(self.radix, self.coeffs[-delta:])
 
     def __str__(self) -> str:
@@ -195,32 +202,32 @@ def integer_terms(op: MahlerOperator) -> tuple[int, list[tuple[int, int, int]]]:
 
 def apply_below(
     op: MahlerOperator,
-    support: Sequence[tuple[int, Fraction]],
+    den: int,
+    nums: Sequence[tuple[int, int]],
     limit: int,
     scale: int = 1,
 ) -> dict[int, Fraction]:
-    """Terms of op applied to sum(c x^(e/scale)) with exponent below limit/scale.
+    """Terms of op applied to sum(v x^(e/scale)) / den with exponent
+    below limit/scale.
 
-    `support` holds the (e, c) pairs, e an integer, in increasing order
-    of e; the result maps each exponent, again in units of 1/scale, to
-    its nonzero coefficient.  M^k multiplies exponents by b^k, so a
-    truncated series is known only far below most of its image; the
-    terms from limit/scale on are never formed.  The sums run on ints:
-    the operator is scaled by L and the support by D, the lcms of their
+    `nums` holds the (e, v) pairs, e and v ints, in increasing order of
+    e, over the nonzero int `den`; the result maps each exponent, again
+    in units of 1/scale, to its nonzero coefficient.  M^k multiplies
+    exponents by b^k, so a truncated series is known only far below most
+    of its image; the terms from limit/scale on are never formed.  The
+    sums run on ints, the operator scaled by L, the lcm of its
     denominators, and only the nonzero image terms become Fractions.
     """
-    if not support:
+    if not nums:
         return {}
     lcm, terms = integer_terms(op)
-    den = math.lcm(*(v.denominator for _, v in support))
-    ints = [(e, v.numerator * (den // v.denominator)) for e, v in support]
-    low = support[0][0]
+    low = nums[0][0]
     acc: dict[int, int] = {}
     for bk, j, c in terms:
         js = j * scale
         if js + bk * low >= limit:
             continue
-        for e, v in ints:
+        for e, v in nums:
             m = js + bk * e
             if m >= limit:
                 break
@@ -244,7 +251,7 @@ def right_divide(
     order(r) < order(b).  b right-divides a exactly when r = 0.
     """
     if not b:
-        raise ValueError("right division by the zero operator")
+        raise UnsupportedEquationError("right division by the zero operator")
     a._require_same_radix(b)
     radix = a.radix
     c = Poly.one()
@@ -282,7 +289,7 @@ class PhiTransform:
 
     def __post_init__(self):
         if self.beta < 1:
-            raise ValueError("beta must be positive")
+            raise InvalidArgumentError(f"beta must be positive, got {self.beta}")
 
     def exponent(self, radix: int, k: int, j: int) -> int:
         return self.alpha * checked_power(radix, k) + self.beta * j - self.gamma
@@ -294,7 +301,7 @@ class PhiTransform:
         from math import gcd
 
         if gcd(self.beta, radix) != 1:
-            raise ValueError(f"beta={self.beta} is not coprime to radix {radix}")
+            raise InvalidArgumentError(f"beta={self.beta} is not coprime to radix {radix}")
 
 
 IDENTITY_PHI = PhiTransform(0, 1, 0)
@@ -330,7 +337,7 @@ def operator_section(op: MahlerOperator, i: int) -> MahlerOperator:
     """
     b = op.radix
     if not 0 <= i < b:
-        raise ValueError(f"section index {i} out of range for radix {b}")
+        raise InvalidArgumentError(f"section index {i} out of range for radix {b}")
     out: dict[int, Poly] = {}
     for k, lk in op.nonzero_coefficients():
         if k == 0:
@@ -353,7 +360,7 @@ def interreduce(op1: MahlerOperator, op2: MahlerOperator) -> MahlerOperator:
     """
     op1._require_same_radix(op2)
     if not op1 or not op2 or op1.m_valuation != 0 or op2.m_valuation != 0:
-        raise ValueError("interreduce requires nonzero operators of M-valuation 0")
+        raise UnsupportedEquationError("interreduce requires nonzero operators of M-valuation 0")
     c1 = op1.coeffs[0]
     c2 = op2.coeffs[0]
     return (c2 * op1) - (c1 * op2)
@@ -366,7 +373,7 @@ def primitive_part(op: MahlerOperator) -> tuple[Poly, MahlerOperator]:
     primitive part has a monic leading coefficient.
     """
     if not op:
-        raise ValueError("primitive part of the zero operator")
+        raise UnsupportedEquationError("primitive part of the zero operator")
     g = P.gcd_all(c for c in op.coeffs if c)
     reduced = [c.exact_div(g) if c else c for c in op.coeffs]
     lam = reduced[-1].leading_coefficient

@@ -321,15 +321,22 @@ def _raw(den: int, nums: tuple) -> Poly:
     return p
 
 
-def _reduced(den: int, nums) -> Poly:
-    """Poly nums / den (den nonzero, nums sorted and nonzero) in lowest terms."""
+def lowest_terms(den: int, nums) -> tuple[int, tuple]:
+    """(den, nums) divided by the gcd of den and every numerator, the
+    sign carried by the numerators: the canonical integer form of the
+    numbers v / den (den nonzero) for the (key, v) pairs in nums."""
     if den != 1:
         g = math.gcd(den, *(c for _, c in nums))
         if den < 0:
             g = -g
         if g != 1:
-            return _raw(den // g, tuple((e, c // g) for e, c in nums))
-    return _raw(den, tuple(nums))
+            return den // g, tuple((e, c // g) for e, c in nums)
+    return den, tuple(nums)
+
+
+def _reduced(den: int, nums) -> Poly:
+    """Poly nums / den (den nonzero, nums sorted and nonzero) in lowest terms."""
+    return _raw(*lowest_terms(den, nums))
 
 
 def _combine(a: Poly, b: Poly, sign: int) -> Poly:

@@ -14,6 +14,7 @@ from . import poly as P
 from .errors import (
     InconsistentPrefixError,
     InsufficientPrefixError,
+    InvalidArgumentError,
     UnsupportedEquationError,
     ZeroTrailingCoefficientError,
 )
@@ -49,7 +50,7 @@ class RationalFunction:
         if not denominator:
             raise ZeroDivisionError("zero denominator")
         if x_power < 0:
-            raise ValueError("negative x power")
+            raise InvalidArgumentError(f"negative x power {x_power}")
         if not numerator:
             return cls(Poly.zero(), 0, Poly.one())
         v = x_power + denominator.valuation
@@ -76,7 +77,7 @@ class RationalFunction:
     @property
     def valuation(self) -> int:
         if not self.numerator:
-            raise ValueError("zero function has no valuation")
+            raise InvalidArgumentError("zero function has no valuation")
         return self.numerator.valuation - self.x_power
 
     def scale(self, c) -> "RationalFunction":
@@ -378,11 +379,13 @@ def _consistent_extension(
         )
     target = max(length, len(prefix))
     elements = series_basis(op, target - 1, auto_normalize=False).elements
+    # each column holds an element's numerators, den times the element:
+    # the combination absorbs the factors 1/den
     expanded = []
     for elem in elements:
-        dense = [_ZERO] * int(elem.truncation_order)
-        for e, c in elem.terms:
-            dense[int(e)] = c
+        dense = [0] * int(elem.truncation_order)
+        for e, v in elem.nums:
+            dense[e] = v
         expanded.append(dense)
     window = len(prefix)
     rows = [[exp[i] for exp in expanded] for i in range(window)]
@@ -391,8 +394,8 @@ def _consistent_extension(
         series = [_ZERO] * target
         for c, elem in zip(combo, elements):
             if c:
-                for e, v in elem.terms:
-                    series[int(e)] += c * v
+                for e, v in elem.nums:
+                    series[e] += c * v
         if series[:window] == list(prefix):
             return series
     if any(prefix):
@@ -410,7 +413,6 @@ def transcendence_test(
     so the verdict is a dichotomy.
     """
     op = solving_operator(op, auto_normalize)
-    prefix = [Fraction(c) for c in prefix]
     series = _consistent_extension(op, prefix, len(prefix))
     if not any(series):
         return TranscendenceVerdict("rational", RationalFunction.constant(0), "rational-basis")
@@ -446,7 +448,6 @@ def bell_coons_test(op: MahlerOperator, prefix: Sequence[Fraction]) -> Transcend
     extend the prefix to the series solution it identifies and decide by
     the Hankel rank; gives no witness."""
     op = solving_operator(op, True)
-    prefix = [Fraction(c) for c in prefix]
     if op.order < 1:
         # only the zero series solves l_0 y = 0; this raises otherwise
         _consistent_extension(op, prefix, len(prefix))
@@ -484,7 +485,6 @@ def bell_coons_rank(op: MahlerOperator, series: Sequence[Fraction]) -> bool:
     is not rational.
     """
     kappa, bound = bell_coons_dimensions(op)
-    series = [Fraction(c) for c in series]
     if len(series) < kappa + bound + 1:
         raise InsufficientPrefixError(
             f"need {kappa + bound + 1} coefficients, got {len(series)}"

@@ -13,7 +13,10 @@ orientation is the lower one in negated exponents and positions.
 Both routines push each nonzero coefficient forward into the rows it
 appears in and solve the pending rows in order, so they cost about
 (nonzero coefficients) x (operator terms), however wide the window or
-long the truncation.
+long the truncation.  The push runs on ints: every coefficient is an
+integer numerator over the input's denominator times a power of the
+diagonal, and `prolong` returns the numerators over one common
+denominator rather than one Fraction per coefficient.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from .errors import (
 from .linalg import kernel_basis, rref
 from .newton import mu_nu
 from .operator import MahlerOperator, PhiTransform, apply_below, integer_terms, phi_apply
+from .poly import lowest_terms
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 Term = tuple[int, int, int]  # (b^k, j, c): the term c x^j M^k
 
@@ -43,41 +46,53 @@ Term = tuple[int, int, int]  # (b^k, j, c): the term c x^j M^k
 def _push(
     terms: Sequence[Term],
     support: Sequence[tuple[int, int]],
-    den: int,
     d: int,
     start: int,
     last: int,
     shift: int = 0,
     position: Optional[Callable[[int], Optional[tuple[int, int]]]] = None,
-) -> list[tuple[int, Fraction]]:
+) -> list[tuple[int, int, int]]:
     """Forward substitution from the nonzero coefficients in `support`.
 
-    `support` holds (n, num) pairs, num / den standing for y_n, whose
-    rows up to `start` hold.  Each nonzero y_n adds c y_n to the pending
-    sum of row j + b^k n for every term (b^k, j, c), and the pending rows
-    up to `last` are solved in increasing order.  Row m determines
-    y_{m - shift} through the diagonal d, as every row beyond the Newton
-    corner does, unless `position` is given: then position(m) is None
-    when row m determines no coefficient, else (n, d / diagonal of row m).
-    The sums run on ints: a coefficient or pending sum is a pair
-    (num, lev) standing for num / (den d^lev), and each nonzero new
-    coefficient becomes a Fraction once, when its row is solved.  Returns
-    the new nonzero (n, y_n) pairs in the order of their rows.
+    `support` holds (n, num) pairs, num standing for D y_n with D a
+    common denominator, whose rows up to `start` hold.  Each nonzero y_n
+    adds c y_n to the pending sum of row j + b^k n for every term
+    (b^k, j, c), and the pending rows up to `last` are solved in
+    increasing order.  Row m determines y_{m - shift} through the
+    diagonal d, as every row beyond the Newton corner does, unless
+    `position` is given: then position(m) is None when row m determines
+    no coefficient, else (n, d / diagonal of row m).  The sums run on
+    ints: a coefficient or pending sum is a pair (num, lev) standing for
+    num / (D d^lev).  Returns the new nonzero coefficients as
+    (n, num, lev) triples in the order of their rows.
     """
+    # the terms of each power of M by increasing j: a group ends at the
+    # first row beyond `last`
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for bk, j, c in terms:
+        groups.setdefault(bk, []).append((j, c))
+    by_power = [(bk, sorted(group)) for bk, group in groups.items()]
     pending: dict[int, list[int]] = {}  # row -> [num, lev] of its known terms
     rows: list[int] = []  # heap of the pending rows
     found = []
 
     def push(n: int, num: int, lev: int, settled: int) -> None:
         # every term of y_n lands at or above the row that determined it
-        for bk, j, c in terms:
-            m = j + bk * n
-            if settled < m <= last:
+        for bk, group in by_power:
+            base = bk * n
+            for j, c in group:
+                m = j + base
+                if m > last:
+                    break
+                if m <= settled:
+                    continue
                 row = pending.get(m)
                 if row is None:
                     pending[m] = [c * num, lev]
                     heappush(rows, m)
-                elif row[1] >= lev:
+                elif row[1] == lev:
+                    row[0] += c * num
+                elif row[1] > lev:
                     row[0] += c * num * d ** (row[1] - lev)
                 else:
                     row[0] = row[0] * d ** (lev - row[1]) + c * num
@@ -102,9 +117,31 @@ def _push(
         while lev and num % d == 0:
             num //= d
             lev -= 1
-        found.append((n, Fraction(num, den * d**lev)))
+        found.append((n, num, lev))
         push(n, num, lev, m)
     return found
+
+
+def _over_common(
+    support: Sequence[tuple[int, int]], found: Sequence[tuple[int, int, int]], d: int
+) -> tuple[int, list[tuple[int, int]]]:
+    """(s, pairs): the support and the (n, num, lev) triples of `_push`,
+    merged over the common scale d^maxlev = s, in increasing order of n."""
+    top = max((lev for _, _, lev in found), default=0)
+    scale = d**top
+    pairs = [(n, num * scale) for n, num in support]
+    pairs += [(n, num * d ** (top - lev)) for n, num, lev in found]
+    pairs.sort()
+    return scale, pairs
+
+
+def integer_pairs(
+    pairs: Sequence[tuple[int, Fraction]],
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(den, nums): the (n, c) pairs as (n, int) pairs over their lowest
+    common denominator."""
+    den = math.lcm(*(c.denominator for _, c in pairs))
+    return den, tuple((n, c.numerator * (den // c.denominator)) for n, c in pairs)
 
 
 def _lines(terms: Sequence[Term]) -> list[Term]:
@@ -181,10 +218,12 @@ def solve_prescribed(
     candidates = []
     for s in seeds:
         start = _diagonal(lines, s)[0]
-        found = _push(terms, [(s, 1)], 1, d, start, last, position=position)
-        candidates.append(sorted([(sign * s, _ONE)] + [(sign * n, y) for n, y in found]))
+        found = _push(terms, [(s, 1)], d, start, last, position=position)
+        # a candidate scaled by a constant spans the same line
+        _, pairs = _over_common([(s, 1)], found, d)
+        candidates.append(sorted((sign * n, v) for n, v in pairs))
 
-    residuals = [apply_below(transformed, vec, h) for vec in candidates]
+    residuals = [apply_below(transformed, 1, vec, h) for vec in candidates]
     nonzero_rows = sorted(set().union(*residuals))
     s_rows = [[res.get(m, _ZERO) for res in residuals] for m in nonzero_rows]
     combined = []
@@ -192,8 +231,8 @@ def solve_prescribed(
         vec: dict[int, Fraction] = {}
         for c, cand in zip(coeffs, candidates):
             if c:
-                for n, y in cand:
-                    vec[n] = vec.get(n, _ZERO) + c * y
+                for n, v in cand:
+                    vec[n] = vec.get(n, _ZERO) + c * v
         combined.append(vec)
     support = sorted(set().union(*combined))
     reduced, _ = rref([[vec.get(n, _ZERO) for n in support] for vec in combined])
@@ -205,15 +244,16 @@ def prolong(
     phi: PhiTransform,
     approx: Sequence[tuple[int, Fraction]],
     extra: int,
-) -> list[tuple[int, Fraction]]:
+) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Extend an approximate series solution of phi(op) by `extra` terms.
 
     `approx` holds the nonzero (n, y_n) pairs among the coefficients
     0..floor(nu), in increasing order of n, and must satisfy the
     relation rows up to floor(mu).  Beyond the Newton corner row m
     determines y_{m - v(l_0)}, so each further row gives one new
-    coefficient.  Returns the nonzero pairs among the coefficients
-    0..floor(nu) + extra, head first.
+    coefficient.  Returns (den, pairs): den is a positive int and pairs
+    the nonzero (n, den y_n) among the coefficients 0..floor(nu) + extra,
+    head first, ints with no factor common to all of them and den.
     """
     if extra < 0:
         raise InvalidArgumentError("extra must be >= 0")
@@ -227,15 +267,16 @@ def prolong(
         raise InvalidArgumentError(
             f"approximate solution needs increasing indices in 0..{head - 1}"
         )
+    den, support = integer_pairs(approx)
     mu_floor = math.floor(mu)
-    residual = apply_below(transformed, approx, mu_floor + 1)
+    residual = apply_below(transformed, den, support, mu_floor + 1)
     if residual:
         bad = min(residual)
         raise IncompatiblePrefixError(
             f"prefix violates the relation for the coefficient of x^{bad}"
         )
     if extra == 0:
-        return list(approx)
+        return den, support
 
     # Scaled by L, row m reads d y_{m - v(l_0)} + (sum of c y_n over the
     # other terms) = 0; the trailing term d x^v(l_0) of l_0 comes first.
@@ -254,6 +295,6 @@ def prolong(
                 "prolongation row touched an undetermined coefficient"
             )
 
-    den = math.lcm(*(yn.denominator for _, yn in approx))
-    support = [(n, yn.numerator * (den // yn.denominator)) for n, yn in approx]
-    return list(approx) + _push(terms, support, den, d, mu_floor, top, tv0)
+    found = _push(terms, support, d, mu_floor, top, tv0)
+    scale, pairs = _over_common(support, found, d)
+    return lowest_terms(den * scale, pairs)

@@ -42,8 +42,19 @@ def parse_fraction(text) -> Fraction:
     return Fraction(*_parse_ratio(text))
 
 
+def _ratio(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for a positive den, without the Fraction."""
+    if den == 1:
+        return str(num)
+    g = math.gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return f"{num // g}/{den // g}"
+
+
 def poly_to_json(p: Poly) -> list:
-    return [[e, str(c)] for e, c in p.terms]
+    den = p.den
+    return [[e, _ratio(c, den)] for e, c in p.nums]
 
 
 def parse_poly(doc) -> Poly:
@@ -109,8 +120,9 @@ def parse_operator(doc) -> MahlerOperator:
 
 
 def _series_element_to_json(elem: PuiseuxSeries) -> dict:
+    scale, den = elem.scale, elem.den
     return {
-        "terms": [[str(e), str(c)] for e, c in elem.terms],
+        "terms": [[_ratio(e, scale), _ratio(v, den)] for e, v in elem.nums],
         "truncation_order": str(elem.truncation_order),
     }
 

@@ -7,7 +7,10 @@ the Newton polygon, solve the window with `rmatrix.solve_prescribed`,
 and, for series-like output, extend each basis element with
 `rmatrix.prolong`.  Both return the nonzero (index, coefficient) pairs
 only, so the cost follows the size of the answer, not the window width
-or the truncation order.
+or the truncation order.  Prolongation hands back integer numerators
+over one denominator, and a `PuiseuxSeries` keeps them in that form
+through `certify` (which applies the operator on the same ints) to the
+JSON writer; no per-coefficient Fraction is built on the way.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     InternalInvariantError,
@@ -27,23 +30,88 @@ from .errors import (
 from .newton import mu_nu, ramification_data, select_edge_for_ramification
 from .normalize import normalize_l0
 from .operator import IDENTITY_PHI, MahlerOperator, PhiTransform, apply_below, phi_apply
-from .poly import Poly, mahler_substitute
-from .rmatrix import prolong, solve_prescribed
+from .poly import Poly, lowest_terms, mahler_substitute
+from .rmatrix import integer_pairs, prolong, solve_prescribed
 
 
-@dataclass(frozen=True)
 class PuiseuxSeries:
     """Finitely many terms c x^e with e in (1/ramification)Z, exponents
     strictly increasing, truncated at O(x^truncation_order).  A power
-    series is the case ramification = 1."""
+    series is the case ramification = 1.
 
-    ramification: int
-    terms: tuple[tuple[Fraction, Fraction], ...]
-    truncation_order: Fraction
+    Stored like a `Poly`: `scale` is the least multiple of the
+    ramification in whose units every exponent is an integer, and the
+    terms are nums / den, `den` a positive int and `nums` the
+    (e, int) pairs, e in units of 1/scale and strictly increasing, the
+    ints nonzero and in lowest terms with den.  The (exponent, Fraction)
+    view `terms` is built the first time it is read.
+    """
+
+    __slots__ = ("ramification", "scale", "den", "nums", "truncation_order", "_terms")
+
+    def __init__(
+        self,
+        ramification: int,
+        terms: Iterable[tuple[Fraction, Fraction]],
+        truncation_order: Fraction,
+    ):
+        items = sorted((Fraction(e), Fraction(c)) for e, c in terms if c)
+        scale = math.lcm(ramification, *(e.denominator for e, _ in items))
+        den = math.lcm(*(c.denominator for _, c in items))
+        self.ramification = ramification
+        self.scale = scale
+        self.den = den
+        self.nums = tuple(
+            (e.numerator * (scale // e.denominator), c.numerator * (den // c.denominator))
+            for e, c in items
+        )
+        self.truncation_order = Fraction(truncation_order)
+        self._terms = tuple(items)
+
+    @classmethod
+    def from_integers(
+        cls,
+        ramification: int,
+        den: int,
+        nums: Sequence[tuple[int, int]],
+        truncation_order: Fraction,
+    ) -> "PuiseuxSeries":
+        """nums / den from a nonzero int den and (e, int) pairs, e in
+        units of 1/ramification and strictly increasing, the ints
+        nonzero; common factors are divided out."""
+        s = cls.__new__(cls)
+        s.ramification = s.scale = ramification
+        s.den, s.nums = lowest_terms(den, nums)
+        s.truncation_order = Fraction(truncation_order)
+        s._terms = None
+        return s
+
+    @property
+    def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The (exponent, Fraction coefficient) pairs, built on first use."""
+        t = self._terms
+        if t is None:
+            den, scale = self.den, self.scale
+            t = self._terms = tuple((Fraction(e, scale), Fraction(v, den)) for e, v in self.nums)
+        return t
 
     @property
     def valuation(self) -> Optional[Fraction]:
-        return self.terms[0][0] if self.terms else None
+        return Fraction(self.nums[0][0], self.scale) if self.nums else None
+
+    def _key(self) -> tuple:
+        return (self.ramification, self.scale, self.den, self.nums, self.truncation_order)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PuiseuxSeries):
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"PuiseuxSeries({self.ramification}, {self.terms!r}, {self.truncation_order!r})"
 
 
 @dataclass(frozen=True)
@@ -55,17 +123,6 @@ class SolutionBasis:
     @property
     def dimension(self) -> int:
         return len(self.elements)
-
-
-def _series(
-    pairs: Sequence[tuple[int, Fraction]],
-    shift: int,
-    ramification: int,
-    truncation_order: Fraction,
-) -> PuiseuxSeries:
-    """The nonzero coefficients (i, c_i) as terms c_i x^((i - shift)/ramification)."""
-    terms = tuple((Fraction(i - shift, ramification), c) for i, c in pairs)
-    return PuiseuxSeries(ramification, terms, Fraction(truncation_order))
 
 
 def solving_operator(op: MahlerOperator, auto_normalize: bool) -> MahlerOperator:
@@ -103,7 +160,10 @@ def approximate_series_basis(
     Each element extends to exactly one power-series solution.
     """
     w, heads = _approximate_heads(solving_operator(op, auto_normalize))
-    return SolutionBasis("approximate_series_basis", tuple(_series(v, 0, 1, w) for v in heads))
+    return SolutionBasis(
+        "approximate_series_basis",
+        tuple(PuiseuxSeries.from_integers(1, *integer_pairs(v), w) for v in heads),
+    )
 
 
 def series_basis(op: MahlerOperator, order: int, auto_normalize: bool = True) -> SolutionBasis:
@@ -117,7 +177,8 @@ def series_basis(op: MahlerOperator, order: int, auto_normalize: bool = True) ->
     w, heads = _approximate_heads(op)
     extra = max(0, order + 1 - w)
     elements = tuple(
-        _series(prolong(op, IDENTITY_PHI, head, extra), 0, 1, w + extra) for head in heads
+        PuiseuxSeries.from_integers(1, *prolong(op, IDENTITY_PHI, head, extra), w + extra)
+        for head in heads
     )
     return SolutionBasis("series_basis", elements)
 
@@ -137,7 +198,7 @@ def polynomial_solutions_bounded(
         return SolutionBasis(kind, ())
     h = op.degree + (w - 1) * op.radix**op.order + 1
     kernel = solve_prescribed(op, IDENTITY_PHI, h, w, "upper")
-    return SolutionBasis(kind, tuple(Poly(v) for v in kernel))
+    return SolutionBasis(kind, tuple(Poly.from_integers(*integer_pairs(v)) for v in kernel))
 
 
 def polynomial_basis(op: MahlerOperator, auto_normalize: bool = True) -> SolutionBasis:
@@ -185,7 +246,8 @@ def puiseux_basis(op: MahlerOperator, ramification: int, order: int) -> Solution
     nc = intercept * ramification
     if ns.denominator != 1 or nc.denominator != 1:
         raise InternalInvariantError("edge data is not integral for the chosen ramification")
-    phi = PhiTransform(-int(ns), ramification, int(nc))
+    shift = int(ns)
+    phi = PhiTransform(-shift, ramification, int(nc))
     transformed = phi_apply(op, phi)
     nu, mu = mu_nu(transformed)
     h = math.floor(mu) + 1
@@ -193,14 +255,15 @@ def puiseux_basis(op: MahlerOperator, ramification: int, order: int) -> Solution
     kernel = solve_prescribed(op, phi, h, width, "lower")
 
     # like series_basis, never cut an element below the window head
-    top = max(int(ns) + ramification * order, math.floor(nu))
+    top = max(shift + ramification * order, math.floor(nu))
     extra = top - math.floor(nu)
-    trunc = Fraction(top + 1 - int(ns), out_ram)
+    trunc = Fraction(top + 1 - shift, out_ram)
     elements = []
     for head in kernel:
-        coeffs = [(i, c) for i, c in prolong(op, phi, head, extra) if i <= top]
+        den, pairs = prolong(op, phi, head, extra)
         # coefficient i carries the exponent (-slope + i/ramification)/b^w0 = (i - ns)/out_ram
-        elements.append(_series(coeffs, int(ns), out_ram, trunc))
+        nums = [(i - shift, c) for i, c in pairs if i <= top]
+        elements.append(PuiseuxSeries.from_integers(out_ram, den, nums, trunc))
     return SolutionBasis(kind, tuple(elements))
 
 
@@ -228,38 +291,28 @@ def certificate_order(op: MahlerOperator, truncation_order: Fraction) -> Fractio
     )
 
 
-def _integer_support(
-    terms: Sequence[tuple[Fraction, Fraction]], ramification: int
-) -> tuple[int, list[tuple[int, Fraction]]]:
-    """(scale, support): the terms c x^e with e written as an integer in
-    units of 1/scale, sorted by exponent; scale is a multiple of the
-    ramification and of every exponent's denominator."""
-    scale = math.lcm(ramification, *(e.denominator for e, _ in terms))
-    support = sorted((e.numerator * (scale // e.denominator), c) for e, c in terms)
-    return scale, support
-
-
 def residual_valuation(
-    op: MahlerOperator, terms: Sequence[tuple[Fraction, Fraction]]
+    op: MahlerOperator, den: int, nums: Sequence[tuple[int, int]], scale: int = 1
 ) -> Optional[Fraction]:
-    """Smallest exponent with nonzero coefficient in op(terms), if any."""
-    if not terms:
+    """Smallest exponent with nonzero coefficient in op applied to
+    sum(v x^(e/scale)) / den, if any; `nums` holds the (e, v) pairs, e
+    and v ints, in increasing order of e."""
+    if not nums:
         return None
-    scale, support = _integer_support(terms, 1)
     top = max(
-        (c.degree * scale + op.radix**k * support[-1][0] for k, c in op.nonzero_coefficients()),
+        (c.degree * scale + op.radix**k * nums[-1][0] for k, c in op.nonzero_coefficients()),
         default=0,
     )
-    image = apply_below(op, support, top + 1, scale)
+    image = apply_below(op, den, nums, top + 1, scale)
     return Fraction(min(image), scale) if image else None
 
 
 def _check_residual(op: MahlerOperator, elem: PuiseuxSeries) -> Fraction:
     """Certified order of a truncated solution; raises unless its image
     vanishes below that order."""
-    scale, support = _integer_support(elem.terms, elem.ramification)
     bound = certificate_order(op, elem.truncation_order)
-    image = apply_below(op, support, math.ceil(bound * scale), scale)
+    scale = elem.scale
+    image = apply_below(op, elem.den, elem.nums, math.ceil(bound * scale), scale)
     if image:
         val = Fraction(min(image), scale)
         raise InternalInvariantError(f"residual has a term of exponent {val} below {bound}")
@@ -279,7 +332,7 @@ def certify(op: MahlerOperator, basis: SolutionBasis) -> list[Optional[Fraction]
         return [_check_residual(op, elem) for elem in basis.elements]
     if basis.kind == "polynomial_basis":
         for p in basis.elements:
-            if residual_valuation(op, p.terms) is not None:
+            if residual_valuation(op, p.den, p.nums) is not None:
                 raise InternalInvariantError("polynomial certificate failed")
         return [None] * basis.dimension
     if basis.kind == "rational_basis":
@@ -294,7 +347,8 @@ def certify(op: MahlerOperator, basis: SolutionBasis) -> list[Optional[Fraction]
                 for i, img in enumerate(images):
                     if i != k:
                         coeffs[k] = coeffs[k] * img
-            if residual_valuation(MahlerOperator(b, coeffs), f.numerator.terms) is not None:
+            num = f.numerator
+            if residual_valuation(MahlerOperator(b, coeffs), num.den, num.nums) is not None:
                 raise InternalInvariantError("rational certificate failed")
         return [None] * basis.dimension
     raise InvalidArgumentError(f"cannot certify a {basis.kind}")

@@ -35,7 +35,7 @@ def recurrence_row(op, m: int, width: int) -> list[tuple[int, Fraction]]:
     """Nonzero entries (n, value) of row m of the recurrence of op on the
     columns 0..width-1: the coefficient of x^m in op(x^n), read from the
     library's one operator application."""
-    return [(n, v) for n in range(width) if (v := apply_below(op, [(n, 1)], m + 1).get(m))]
+    return [(n, v) for n in range(width) if (v := apply_below(op, 1, [(n, 1)], m + 1).get(m))]
 
 
 def dense(elem) -> list[Fraction]:

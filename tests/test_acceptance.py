@@ -120,7 +120,7 @@ def test_criterion_3_recurrence_rows(running_example):
         width = rng.randint(5, 15)
         for m in sorted(rng.sample(range(80), 5)):
             for n in range(min(width, 5)):
-                entry = apply_below(op, [(n, 1)], m + 1).get(m, 0)
+                entry = apply_below(op, 1, [(n, 1)], m + 1).get(m, 0)
                 assert entry == entry_oracle(op, IDENTITY_PHI, m, n)
                 positions += 1
     assert positions >= 1000

@@ -259,7 +259,7 @@ def test_certify_failure_exit(run, running_example_file, monkeypatch):
     # a residual term below the certified order fails the certificate: exit 5
     from mahlersolve import solver
 
-    monkeypatch.setattr(solver, "apply_below", lambda op, support, limit, scale: {0: F(1)})
+    monkeypatch.setattr(solver, "apply_below", lambda op, den, nums, limit, scale: {0: F(1)})
     code, out, err = run("series", running_example_file, "--order", "12", "--certify")
     assert code == 5
     assert not out
@@ -366,4 +366,24 @@ def test_no_private_cross_module_imports():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("mahlersolve")):
                 offenders += [(name, a.name) for a in node.names if a.name.startswith("_")]
+    assert offenders == []
+
+
+def test_no_untyped_errors_or_asserts():
+    # library validation raises typed MahlerErrors; an assert vanishes
+    # under python -O and an untyped raise escapes the exit-code contract
+    package = os.path.dirname(cli.__file__)
+    offenders = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assert):
+                offenders.append((name, node.lineno, "assert"))
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in ("ValueError", "AssertionError"):
+                    offenders.append((name, node.lineno, exc.id))
     assert offenders == []

@@ -283,6 +283,13 @@ def test_bell_coons(rat_example):
         k *= 2
     assert bell_coons_rank(lop, y) is True
     assert bell_coons_rank(lop, [F(1)] + [F(0)] * (need - 1)) is False
+    # plain ints are coefficients too: the rank and both oracles take them
+    assert bell_coons_rank(lop, [int(c) for c in y]) is True
+    assert bell_coons_rank(lop, [1] + [0] * (need - 1)) is False
+    for prefix in ([0, 1, 1, 0, 1], [1, 0, 0, 0, 0]):
+        want = transcendence_test(lop, [F(c) for c in prefix])
+        assert transcendence_test(lop, prefix) == want
+        assert bell_coons_test(lop, prefix).verdict == want.verdict
     kappa2, bound2 = bell_coons_dimensions(rat_example)
     target = RationalFunction.make(ONE, 0, pol(-1, 2))
     series = target.laurent_coefficients(0, kappa2 + bound2 + 1)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from mahlersolve.operator import (
     phi_apply,
 )
 from mahlersolve.poly import Poly
-from mahlersolve.rmatrix import prolong, solve_prescribed
+from mahlersolve.rmatrix import integer_pairs, prolong, solve_prescribed
 from mahlersolve.solver import approximate_series_basis
 
 F = Fraction
@@ -141,7 +142,7 @@ def test_solve_prescribed_upper(rat_example_transformed):
     basis = solve_prescribed(op, IDENTITY_PHI, h, w, "upper")
     assert len(basis) == 2
     for vec in basis:
-        assert not apply_below(op, vec, h)
+        assert not apply_below(op, *integer_pairs(vec), h)
 
 
 def test_solve_prescribed_with_transform(running_example):
@@ -211,9 +212,19 @@ def test_solve_prescribed_detects_bad_selection(monkeypatch):
         solve_prescribed(op, IDENTITY_PHI, 10, 3, "lower")
 
 
-def _same_as_oracle(pairs, expected):
+def _fractions(out):
+    """The (n, Fraction) pairs of prolong's (den, pairs), after checking
+    that they are in lowest terms over a positive den."""
+    den, pairs = out
+    assert den > 0 and all(v for _, v in pairs)
+    assert math.gcd(den, *(v for _, v in pairs)) == 1
+    return [(n, F(v, den)) for n, v in pairs]
+
+
+def _same_as_oracle(out, expected):
     # the nonzero pairs, head first, against the oracle's dense list; repr
     # tells Fraction from int, so equal lists serialize identically
+    pairs = _fractions(out)
     assert [n for n, _ in pairs] == [n for n, c in enumerate(expected) if c]
     assert [repr(c) for _, c in pairs] == [repr(c) for c in expected if c]
 
@@ -232,7 +243,7 @@ def test_prolong_running_example(running_example, running_example_series):
     approx = [(3, F(1))]
     out = prolong(running_example, IDENTITY_PHI, approx, 9)
     _same_as_oracle(out, running_example_series)
-    assert prolong(running_example, IDENTITY_PHI, approx, 0) == approx
+    assert prolong(running_example, IDENTITY_PHI, approx, 0) == (1, ((3, 1),))
     with pytest.raises(IncompatiblePrefixError):
         prolong(running_example, IDENTITY_PHI, _pairs([F(1), F(1), F(1), F(1)]), 3)
     # the head must be the coefficients 0..floor(nu) = 0..3, in order
@@ -280,7 +291,7 @@ def test_prolong_transformed(running_example):
         )
     # residual of the transformed operator vanishes far out
     transformed = phi_apply(running_example, phi)
-    assert not apply_below(transformed, out, 14)
+    assert not apply_below(transformed, *out, 14)
 
 
 def test_prolong_residual_guarantee():
@@ -298,10 +309,10 @@ def test_prolong_residual_guarantee():
         for vec in _lower_kernel(op):
             checked += 1
             # kernel contract: solutions modulo x^h before prolongation
-            assert not apply_below(op, vec, h)
+            assert not apply_below(op, *integer_pairs(vec), h)
             extra = rng.randint(1, 10)
             out = prolong(op, IDENTITY_PHI, vec, extra)
-            assert not apply_below(op, out, int(mu) + extra + 1)
+            assert not apply_below(op, *out, int(mu) + extra + 1)
     assert checked >= 25
 
 
@@ -355,7 +366,7 @@ def test_prolong_over_common_denominators():
             out = prolong(op, t, approx, extra)
             _same_as_oracle(out, prolong_oracle(op, t, _coeffs(approx, int(nu) + 1), extra))
             prefix_den = max(c.denominator for _, c in approx)
-            grown += max(c.denominator for _, c in out) > prefix_den
+            grown += max(c.denominator for _, c in _fractions(out)) > prefix_den
     assert checked >= 40 and transformed_checked >= 10 and grown >= 20
 
 
@@ -375,7 +386,7 @@ def test_prolong_matches_oracle_on_sparse_products():
         assert heads
         for head in heads:
             out = prolong(op, IDENTITY_PHI, [(int(e), c) for e, c in head.terms], 2500)
-            assert any(n >= 2000 for n, _ in out)
+            assert any(n >= 2000 for n, _ in out[1])
             _same_as_oracle(out, prolong_oracle(op, IDENTITY_PHI, dense(head), 2500))
 
 

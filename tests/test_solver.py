@@ -311,7 +311,7 @@ def test_valuation_zero_corollary():
 
 def test_certificate_order_formula(running_example):
     assert certificate_order(running_example, F(10)) == 16
-    assert residual_valuation(running_example, [(F(0), F(1))]) is not None
+    assert residual_valuation(running_example, 1, [(0, 1)]) is not None
 
 
 def test_residual_valuation_matches_whole_image():
@@ -324,7 +324,9 @@ def test_residual_valuation_matches_whole_image():
         terms = [(F(e, scale), F(rng.choice((-2, -1, 1, 2)))) for e in exps]
         rng.shuffle(terms)
         image = apply_to_fractional(op, terms)
-        assert residual_valuation(op, terms) == (min(image) if image else None)
+        # the constructor sorts the terms and writes them over integers
+        s = PuiseuxSeries(1, terms, F(0))
+        assert residual_valuation(op, s.den, s.nums, s.scale) == (min(image) if image else None)
 
 
 def _power_series(coeffs):
@@ -385,11 +387,14 @@ def test_certificates_reject_perturbed_coefficients(running_example):
                 with pytest.raises(InternalInvariantError):
                     _certify_one(op, bad, "series_basis")
         for elem in puiseux_basis_all(op, n).elements:
-            terms = list(elem.terms)
-            k = rng.randrange(len(terms))
-            terms[k] = (terms[k][0], 2 * terms[k][1])
-            bad = PuiseuxSeries(elem.ramification, tuple(terms), elem.truncation_order)
-            accepts = _whole_image_accepts(op, terms, bad.truncation_order)
+            # doubled on the integer form: one numerator over the same den
+            nums = list(elem.nums)
+            k = rng.randrange(len(nums))
+            nums[k] = (nums[k][0], 2 * nums[k][1])
+            bad = PuiseuxSeries.from_integers(
+                elem.ramification, elem.den, nums, elem.truncation_order
+            )
+            accepts = _whole_image_accepts(op, list(bad.terms), bad.truncation_order)
             verdicts[accepts] += 1
             if accepts:
                 _certify_one(op, bad)
