@@ -28,7 +28,6 @@ from .poly import (
     gcd,
     gcd_all,
     graeffe,
-    graeffe_monic,
     lcm,
     lcm_orbit,
     mahler_substitute,
@@ -75,7 +74,6 @@ from .rational import (
     RamifiedRationalFunction,
     RationalFunction,
     TranscendenceVerdict,
-    alt_denominator_bound,
     bell_coons_rank,
     bell_coons_test,
     denominator_bound,
@@ -83,6 +81,6 @@ from .rational import (
     rational_basis,
     transcendence_test,
 )
-from .normalize import gcrd, gcrd_raw, normalize_l0, normalize_l0_raw, split
+from .normalize import certify_gcrd, gcrd, gcrd_raw, normalize_l0, normalize_l0_raw, split
 
 __version__ = "0.1.0"

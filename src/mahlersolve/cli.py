@@ -24,8 +24,8 @@ from .errors import (
     UnsupportedEquationError,
 )
 from .newton import lower_polygon, mu_nu, ramification_data, upper_polygon
-from .normalize import gcrd_raw, normalize_l0_raw
-from .operator import MahlerOperator, primitive_part, right_divide
+from .normalize import certify_gcrd, gcrd_raw, normalize_l0_raw
+from .operator import MahlerOperator, primitive_part
 from .rational import bell_coons_test, rational_basis, transcendence_test
 from .serialize import (
     basis_to_json,
@@ -185,10 +185,7 @@ def _cmd_gcrd(args) -> dict:
     raw = gcrd_raw(ops)
     content, primitive = primitive_part(raw)
     if args.certify:
-        for op in ops:
-            _, _, rem = right_divide(op, primitive)
-            if rem:
-                raise InternalInvariantError("gcrd does not right-divide an input")
+        certify_gcrd(ops, primitive)
     doc = operator_to_json(primitive)
     doc["kind"] = "gcrd"
     doc["content"] = poly_to_json(content)

@@ -1,18 +1,22 @@
-"""Small exact linear algebra over Q: RREF, kernels, solving.
+"""Small exact linear algebra over Q: RREF, kernels, solving, and a row
+independence test.
 
-Matrices come in as dense lists of ints or Fractions; `rank`,
-`kernel_basis` and `solve` are views of the one elimination kernel,
-`rref`.  It runs fraction-free (Bareiss 1968) on Python ints: every row
-is scaled to integers once, every intermediate entry is a minor of the
-scaled matrix, so each division is exact and the numbers stay as small
-as determinants; only the entries of the result become Fractions.
+Matrices come in as dense lists of ints or Fractions.  `kernel_basis`
+and `solve` are views of the one elimination kernel, `rref`.  It runs
+fraction-free (Bareiss 1968) on Python ints: every row is scaled to
+integers once, every intermediate entry is a minor of the scaled matrix,
+so each division is exact and the numbers stay as small as
+determinants; only the entries of the result become Fractions.
+`independent` answers the yes/no question of full row rank with the
+same Bareiss step, forward only, one row at a time, and stops at the
+first row that depends on the rows before it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -58,8 +62,33 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     return [[Fraction(v, prev) if v else _ZERO for v in r] for r in done], pivots
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[0])
+def independent(rows: Iterable[Sequence[Fraction]]) -> bool:
+    """True when the rows are linearly independent over Q.
+
+    Rows are read lazily and none past the first dependent one is taken,
+    so a matrix of rank rho costs at most rho + 1 rows.  Each row is
+    scaled to integers and reduced against the pivot rows kept so far by
+    the Bareiss step (p*r - r[col]*pivot_row) // prev.  Every pivot row
+    was reduced the same way, so with column pivoting the kept rows are
+    the forward Bareiss elimination of the rows read so far: each entry
+    is a minor of the scaled rows, and each division is exact.
+    """
+    pivots: list[tuple[int, int, list[int]]] = []
+    for r in rows:
+        den = math.lcm(*(v.denominator for v in r))
+        row = [v.numerator * (den // v.denominator) for v in r]
+        prev = 1
+        for col, p, pivot_row in pivots:
+            # every step is taken, even with row[col] = 0, so that the
+            # entries stay minors and the next division stays exact
+            f = row[col]
+            row = [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]
+            prev = p
+        col = next((j for j, a in enumerate(row) if a), None)
+        if col is None:
+            return False
+        pivots.append((col, row[col], row))
+    return True
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:

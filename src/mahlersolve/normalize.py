@@ -22,6 +22,7 @@ from .operator import (
     interreduce,
     operator_sections,
     primitive_part,
+    right_divide,
 )
 from .poly import Poly
 
@@ -121,3 +122,10 @@ def gcrd(ops: list[MahlerOperator]) -> MahlerOperator:
     """gcrd_raw in primitive, monic-leading canonical form."""
     return primitive_part(gcrd_raw(ops))[1]
 
+
+def certify_gcrd(ops: list[MahlerOperator], g: MahlerOperator) -> None:
+    """Check that g right-divides every member of the family; raise
+    InternalInvariantError naming the first input it does not divide."""
+    for i, op in enumerate(ops):
+        if right_divide(op, g)[2]:
+            raise InternalInvariantError(f"gcrd does not right-divide input {i}")

@@ -24,8 +24,36 @@ from .errors import (
 from .poly import Poly, checked_power, mahler_substitute, poly_sections
 
 
+class _TermsKey(tuple):
+    """A Poly's (den, nums), ordered as its terms tuple of (exponent,
+    Fraction) pairs is, without building a Fraction.  The integer form
+    is canonical, so tuple equality is equality of the polynomials; an
+    order comparison walks the terms and compares n1/d1 with n2/d2 as
+    n1*d2 with n2*d1."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        (d1, t1), (d2, t2) = self, other
+        for (e1, n1), (e2, n2) in zip(t1, t2):
+            if e1 != e2:
+                return e1 < e2
+            if n1 * d2 != n2 * d1:
+                return n1 * d2 < n2 * d1
+        return len(t1) < len(t2)
+
+    def __gt__(self, other):
+        return other < self
+
+    def __le__(self, other):
+        return not other < self
+
+    def __ge__(self, other):
+        return not self < other
+
+
 class MahlerOperator:
-    __slots__ = ("radix", "coeffs")
+    __slots__ = ("radix", "coeffs", "_key")
 
     def __init__(self, radix: int, coeffs: Iterable[Poly] = ()):
         if radix < 2:
@@ -35,6 +63,7 @@ class MahlerOperator:
             cs.pop()
         object.__setattr__(self, "radix", radix)
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_key", None)
 
     @classmethod
     def from_dict(cls, radix: int, coeffs: Mapping[int, Poly]) -> "MahlerOperator":
@@ -95,12 +124,16 @@ class MahlerOperator:
         return hash((self.radix, self.coeffs))
 
     def sort_key(self):
-        """Deterministic total order used by the interreduction loops."""
-        return (
-            -self.order,
-            self.degree,
-            tuple((k, c.terms) for k, c in self.nonzero_coefficients()),
-        )
+        """Deterministic total order used by the interreduction loops,
+        computed once per operator."""
+        key = self._key
+        if key is None:
+            key = self._key = (
+                -self.order,
+                self.degree,
+                tuple((k, _TermsKey((c.den, c.nums))) for k, c in self.nonzero_coefficients()),
+            )
+        return key
 
     # -- ring operations ----------------------------------------------------
 

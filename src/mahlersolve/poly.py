@@ -503,11 +503,6 @@ def graeffe(p: Poly, radix: int, power: int = 1) -> Poly:
     return result
 
 
-def graeffe_monic(p: Poly, radix: int, power: int = 1) -> Poly:
-    """Monic associate of graeffe()."""
-    return graeffe(p, radix, power).monic()
-
-
 def lcm_orbit(a: Poly, radix: int, order: int) -> Poly:
     """lcm of a, Ma, ..., M^(order-1) a, monic-normalized."""
     if not a:

@@ -1,6 +1,6 @@
 """Rational solutions: denominator bounds from the leading coefficient,
-the alternative Gräffe-product bound, the full rational solver, ramified
-rational solving, and the two transcendence tests.
+the full rational solver, ramified rational solving, and the two
+transcendence tests.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .errors import (
     UnsupportedEquationError,
     ZeroTrailingCoefficientError,
 )
-from .linalg import rank, solve
+from .linalg import independent, solve
 from .newton import mu_nu, ramification_data
 from .operator import MahlerOperator, PhiTransform, phi_apply
 from .poly import Poly, graeffe, lcm_orbit, mahler_substitute, poly_sections
@@ -208,41 +208,6 @@ def denominator_bound(op: MahlerOperator) -> DenominatorBound:
     q_star = (q_star * graeffe(u_tilde, b)).monic()
     v_bar = delta // (b**r - b ** (r - 1))
     return DenominatorBound(q_star, v_bar, tuple(u_steps), u_tilde)
-
-
-def _integer_log(base: int, value: int) -> int:
-    """Largest e with base**e <= value (value >= 1)."""
-    e = 0
-    acc = base
-    while acc <= value:
-        acc *= base
-        e += 1
-    return e
-
-
-def alt_denominator_bound(op: MahlerOperator) -> Poly:
-    """Coarser denominator bound: a product of iterated Gräffe images of
-    the leading coefficient.  Returns 1 outright when the leading degree
-    rules out nonconstant rational solutions."""
-    if not op:
-        raise UnsupportedEquationError("zero operator")
-    if not op.coefficient(0):
-        raise ZeroTrailingCoefficientError("denominator bound needs a nonzero trailing coefficient")
-    r = op.order
-    if r < 1:
-        raise UnsupportedEquationError("denominator bound requires order >= 1")
-    b = op.radix
-    lead = op.coeffs[r]
-    if lead.degree < b ** (r - 1):
-        return Poly.one()
-    cap = _integer_log(b, 3 * lead.degree) - r
-    result = Poly.one()
-    image = graeffe(lead, b, r) if cap >= 0 else None
-    for k in range(cap + 1):
-        result = result * image
-        if k < cap:
-            image = graeffe(image, b)
-    return result.monic()
 
 
 def rational_basis(op: MahlerOperator, auto_normalize: bool = True) -> SolutionBasis:
@@ -481,13 +446,14 @@ def bell_coons_rank(op: MahlerOperator, series: Sequence[Fraction]) -> bool:
     """Hankel-rank transcendence test: True means transcendental.
 
     Needs at least kappa + bound + 1 coefficients of a true series
-    solution; the matrix (y_{i+j}) is full rank exactly when the function
-    is not rational.
+    solution; the kappa + 1 rows of the matrix (y_{i+j}) are independent
+    exactly when the function is not rational.  The rows are built one
+    at a time and the test stops at the first dependent row, so a
+    rational function of Hankel rank rho costs rho + 1 rows.
     """
     kappa, bound = bell_coons_dimensions(op)
     if len(series) < kappa + bound + 1:
         raise InsufficientPrefixError(
             f"need {kappa + bound + 1} coefficients, got {len(series)}"
         )
-    matrix = [[series[i + j] for j in range(bound + 1)] for i in range(kappa + 1)]
-    return rank(matrix) == kappa + 1
+    return independent(series[i : i + bound + 1] for i in range(kappa + 1))

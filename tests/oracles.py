@@ -2,20 +2,28 @@
 
 Everything here goes through plain Fraction term arithmetic and a
 self-contained Gaussian elimination, independent of the library's
-integer kernels (`linalg.rref`, the integer `Poly` arithmetic,
-`apply_below`) and of the push loop behind its window solve and
-prolongation (`rmatrix`): the oracles build dense recurrence rows and
-visit every row, zero or not.  The polynomial oracles take and return
-term tuples, sorted (exponent, nonzero Fraction) pairs, as `Poly.terms`.
+integer kernels (`linalg.rref` and `independent`, the integer `Poly`
+arithmetic, `apply_below`) and of the push loop behind its window solve
+and prolongation (`rmatrix`): the oracles build dense recurrence rows
+and visit every row, zero or not.  The polynomial oracles take and
+return term tuples, sorted (exponent, nonzero Fraction) pairs, as
+`Poly.terms`.  `graeffe_monic` and `alt_denominator_bound` are the
+exception: they are built on the library's `Poly` and `graeffe` and
+serve as cross-checks of the denominator bound.
 """
 
 import math
 from fractions import Fraction
 
-from mahlersolve.errors import IncompatiblePrefixError, InternalInvariantError
+from mahlersolve.errors import (
+    IncompatiblePrefixError,
+    InternalInvariantError,
+    UnsupportedEquationError,
+    ZeroTrailingCoefficientError,
+)
 from mahlersolve.newton import mu_nu
 from mahlersolve.operator import MahlerOperator, PhiTransform, phi_apply
-from mahlersolve.poly import Poly
+from mahlersolve.poly import Poly, graeffe
 
 ZERO = Fraction(0)
 
@@ -157,6 +165,57 @@ def poly_sections_oracle(a: tuple, radix: int) -> list[tuple]:
     for e, c in a:
         buckets[e % radix].append((e // radix, c))
     return [tuple(b) for b in buckets]
+
+
+def sort_key_oracle(op: MahlerOperator):
+    """The interreduction order on the Fraction view of the coefficients:
+    order descending, degree ascending, then the (k, terms) pairs."""
+    return (
+        -op.order,
+        op.degree,
+        tuple((k, c.terms) for k, c in op.nonzero_coefficients()),
+    )
+
+
+def graeffe_monic(p: Poly, radix: int, power: int = 1) -> Poly:
+    """Monic associate of graeffe()."""
+    return graeffe(p, radix, power).monic()
+
+
+def _integer_log(base: int, value: int) -> int:
+    """Largest e with base**e <= value (value >= 1)."""
+    e = 0
+    acc = base
+    while acc <= value:
+        acc *= base
+        e += 1
+    return e
+
+
+def alt_denominator_bound(op: MahlerOperator) -> Poly:
+    """Coarser denominator bound, a cross-check of
+    `rational.denominator_bound`: a product of iterated Gräffe images of
+    the leading coefficient.  Returns 1 outright when the leading degree
+    rules out nonconstant rational solutions."""
+    if not op:
+        raise UnsupportedEquationError("zero operator")
+    if not op.coefficient(0):
+        raise ZeroTrailingCoefficientError("denominator bound needs a nonzero trailing coefficient")
+    r = op.order
+    if r < 1:
+        raise UnsupportedEquationError("denominator bound requires order >= 1")
+    b = op.radix
+    lead = op.coeffs[r]
+    if lead.degree < b ** (r - 1):
+        return Poly.one()
+    cap = _integer_log(b, 3 * lead.degree) - r
+    result = Poly.one()
+    image = graeffe(lead, b, r) if cap >= 0 else None
+    for k in range(cap + 1):
+        result = result * image
+        if k < cap:
+            image = graeffe(image, b)
+    return result.monic()
 
 
 def kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:

@@ -23,6 +23,7 @@ from conftest import (
 from oracles import (
     apply_exact,
     entry_oracle,
+    graeffe_monic,
     polynomial_solution_space,
     same_span,
     series_prefix_space,
@@ -36,7 +37,7 @@ from mahlersolve.operator import (
     operator_sections,
     right_divide,
 )
-from mahlersolve.poly import Poly, graeffe, graeffe_monic, mahler_substitute
+from mahlersolve.poly import Poly, graeffe, mahler_substitute
 from mahlersolve.rational import (
     RationalFunction,
     bell_coons_dimensions,

@@ -1,9 +1,13 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from oracles import eliminate, kernel
-from mahlersolve.linalg import kernel_basis, rank, rref, solve
+from mahlersolve.linalg import independent, kernel_basis, rref, solve
 from mahlersolve.operator import MahlerOperator, integer_terms
 from mahlersolve.poly import Poly, gcd, poly_sections
 
@@ -70,11 +74,98 @@ def test_rref_accepts_int_entries():
     assert repr(rref(rows)) == repr(eliminate([[F(v) for v in r] for r in rows]))
 
 
+def full_row_rank(rows) -> bool:
+    return len(eliminate([[F(v) for v in r] for r in rows])[0]) == len(rows)
+
+
 def test_rank_and_kernel_match_oracle():
     for rows in matrices():
         ncols = len(rows[0])
-        assert rank(rows) == len(eliminate(rows)[0])
+        assert independent(rows) == full_row_rank(rows)
         assert repr(kernel_basis(rows, ncols)) == repr(kernel(rows, ncols))
+
+
+entries = st.one_of(
+    st.integers(-4, 4),
+    st.builds(F, st.integers(-4, 4), st.sampled_from(DENOMINATORS)),
+    st.builds(F, st.integers(-(10**20), 10**20), st.sampled_from((1, 3, 10**12))),
+)
+
+
+@st.composite
+def row_lists(draw):
+    """Rows of ints and Fractions; some zero, some combinations of the
+    rows before them."""
+    nrows = draw(st.integers(0, 7))
+    ncols = draw(st.integers(1, 7))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(("free", "free", "zero", "combination")))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "combination" and rows:
+            weights = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+            rows.append([sum((w * r[j] for w, r in zip(weights, rows)), F(0)) for j in range(ncols)])
+        else:
+            rows.append(draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+@given(row_lists())
+def test_independent_matches_oracle(rows):
+    assert independent(rows) == full_row_rank(rows)
+    assert independent(iter(rows)) == full_row_rank(rows)
+
+
+def test_independent_shapes():
+    assert independent([]) is True
+    assert independent([[F(0), F(0), F(0)]]) is False
+    assert independent([[0, F(1, 3), 2]]) is True
+    assert independent([[F(2, 3)], [F(5)]]) is False
+    assert independent([[F(2, 3)]]) is True
+    assert independent([[F(0)], [F(1)]]) is False
+    # a row that combines earlier rows, after a row with another pivot column
+    a, b = [0, 1, F(1, 2), 3], [2, 0, 5, F(-1, 7)]
+    assert independent([a, b]) is True
+    assert independent([a, b, [F(1, 3) * x - 4 * y for x, y in zip(a, b)]]) is False
+
+
+def recurrence_series(rng: random.Random, rho: int, length: int) -> list[Fraction]:
+    """A rational series p/q with deg q = rho (order-rho recurrence)."""
+    coeffs = [F(rng.randint(-5, 5), rng.choice(DENOMINATORS)) for _ in range(rho - 1)]
+    coeffs.append(F(rng.choice((-3, -1, 1, 2)), rng.choice(DENOMINATORS)))
+    series = [F(rng.randint(-5, 5), rng.choice(DENOMINATORS)) for _ in range(rho)]
+    while len(series) < length:
+        series.append(sum((c * series[-1 - i] for i, c in enumerate(coeffs)), F(0)))
+    return series
+
+
+def test_independent_hankel_of_rational_series_and_noise():
+    rng = random.Random(11)
+    for rho in range(1, 7):
+        series = recurrence_series(rng, rho, 24 + 170)
+        matrix = hankel(series, 24, 170)
+        assert independent(matrix) is False
+        assert full_row_rank(matrix[:rho]) == independent(matrix[:rho])
+    noise = [F(rng.randint(-5, 5), rng.choice(DENOMINATORS)) for _ in range(24 + 170)]
+    assert independent(hankel(noise, 24, 170)) is True
+
+
+def test_independent_stops_at_first_dependent_row():
+    rng = random.Random(12)
+    for rho in range(1, 7):
+        series = recurrence_series(rng, rho, 40 + 120)
+        rank = len(eliminate(hankel(series, 40, 120))[0])
+        assert rank <= rho
+        read = [0]
+
+        def rows():
+            for i in range(40):
+                read[0] += 1
+                yield series[i : i + 120]
+
+        assert independent(rows()) is False
+        assert read[0] <= rank + 1
 
 
 def test_solve_matches_consistency():
@@ -97,17 +188,26 @@ def test_solve_matches_consistency():
             assert all(not x[j] for j in range(ncols) if j not in pivots)
 
 
-def count_fraction_arithmetic(monkeypatch) -> list[int]:
-    """Count every Fraction + - * / from now on, as the perfbench tracer does."""
-    calls = [0]
+def count_fraction_arithmetic(monkeypatch) -> Counter:
+    """Count every Fraction + - * / (as the perfbench tracer does) under
+    "arithmetic" and every Fraction built, `Fraction(n, d)` included,
+    under "new", from now on."""
+    calls = Counter()
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__"):
         original = getattr(Fraction, name)
 
         def counted(*args, _original=original):
-            calls[0] += 1
+            calls["arithmetic"] += 1
             return _original(*args)
 
         monkeypatch.setattr(Fraction, name, counted)
+    original_new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        calls["new"] += 1
+        return original_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
     return calls
 
 
@@ -117,13 +217,19 @@ def test_kernels_run_on_ints(monkeypatch):
     matrix = hankel(series, 20, 146)
     p = Poly((e, F(rng.randint(-9, 9), rng.randint(1, 7))) for e in range(0, 40, 3))
     q = Poly((e, F(rng.randint(-9, 9), rng.randint(1, 7))) for e in range(0, 30, 2))
+    rational = hankel(recurrence_series(rng, 4, 20 + 146), 20, 146)
     calls = count_fraction_arithmetic(monkeypatch)
     reduced, pivots = rref(matrix)
-    assert calls[0] == 0
+    built = calls["new"]
+    assert calls["arithmetic"] == 0
+    verdicts = independent(matrix), independent(rational)
     product = p * q
-    assert calls[0] == 0
+    assert calls == Counter({"new": built})
     monkeypatch.undo()
-    assert len(pivots) == 20 and product.degree == p.degree + q.degree
+    # rref builds one Fraction per nonzero result entry, and nothing else
+    assert built == sum(1 for r in reduced for v in r if v) > 0
+    assert len(pivots) == 20 and verdicts == (True, False)
+    assert product.degree == p.degree + q.degree
 
 
 def test_poly_arithmetic_runs_on_ints(monkeypatch):
@@ -152,7 +258,7 @@ def test_poly_arithmetic_runs_on_ints(monkeypatch):
         *poly_sections(p, 3),
         integer_terms(op),
     ]
-    assert calls[0] == 0
+    assert calls == Counter()
     monkeypatch.undo()
     # the results are right, too
     assert results[6] == p and results[7] == common.monic() * gcd(p, q)

@@ -4,9 +4,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import operator, pol, random_operator
-from oracles import same_span, series_prefix_space
-from mahlersolve.errors import InvalidArgumentError, MixedRadixError, UnsupportedEquationError
+from oracles import same_span, series_prefix_space, sort_key_oracle
+from mahlersolve.errors import (
+    InternalInvariantError,
+    InvalidArgumentError,
+    MixedRadixError,
+    UnsupportedEquationError,
+)
 from mahlersolve.normalize import (
+    certify_gcrd,
     gcrd,
     normalize_l0,
     normalize_l0_raw,
@@ -176,6 +182,7 @@ def test_gcrd_right_divides_random_families():
         assert result.order <= max(op.order for op in family)
         assert result.degree <= max(op.degree for op in family)
         assert result.m_valuation == min(op.m_valuation for op in family)
+        certify_gcrd(family, result)
         for op in family:
             _, _, rem = right_divide(op, result)
             assert not rem
@@ -191,3 +198,62 @@ def test_gcrd_errors():
         gcrd([MahlerOperator.zero(2)])
     with pytest.raises(MixedRadixError):
         gcrd([operator(2, ONE), operator(3, ONE)])
+
+
+def test_certify_gcrd_names_the_failing_input():
+    common = operator(2, pol(1, 1), ONE)
+    family = [operator(2, ONE, X) * common, operator(2, X, ONE) * common, common]
+    certify_gcrd(family, gcrd(family))
+    certify_gcrd(family, common)
+    wrong = operator(2, pol(2, 1), ONE)
+    with pytest.raises(InternalInvariantError, match="input 0"):
+        certify_gcrd(family, wrong)
+    family[1] = operator(2, X, ONE) * wrong
+    with pytest.raises(InternalInvariantError, match="input 1"):
+        certify_gcrd(family, common)
+
+
+def _variants(rng: random.Random, op: MahlerOperator) -> list[MahlerOperator]:
+    """op with one coefficient changed in one term's value, by one extra
+    term, or negated, and op itself twice, so that keys tie far into
+    the term data."""
+    out = [op, MahlerOperator(op.radix, op.coeffs)]
+    for _ in range(4):
+        coeffs = list(op.coeffs)
+        k = rng.randrange(len(coeffs))
+        c = coeffs[k]
+        roll = rng.random()
+        if roll < 0.4 and c:
+            e, v = rng.choice(c.terms)
+            delta = F(rng.choice((-1, 1)), rng.choice((1, 2, 3, 10**9)))
+            coeffs[k] = c + Poly.monomial(e, delta) if v + delta else c
+        elif roll < 0.7:
+            coeffs[k] = c + Poly.monomial(rng.randint(0, 6), F(rng.randint(-3, 3), rng.choice((1, 2, 7))))
+        else:
+            coeffs[k] = -c
+        if any(coeffs):
+            out.append(MahlerOperator(op.radix, coeffs))
+    return out
+
+
+def test_sort_key_orders_like_the_fraction_key():
+    rng = random.Random(4242)
+    for _ in range(60):
+        radix = rng.choice((2, 3))
+        family = []
+        for _ in range(rng.randint(1, 3)):
+            base = random_operator(rng, radix, rng.randint(0, 2), 4, nonzero_l0=rng.random() < 0.5)
+            family.extend(_variants(rng, base))
+        rng.shuffle(family)
+        assert sorted(family, key=MahlerOperator.sort_key) == sorted(family, key=sort_key_oracle)
+        for a in family:
+            ka, oa = a.sort_key(), sort_key_oracle(a)
+            for b in family:
+                kb, ob = b.sort_key(), sort_key_oracle(b)
+                assert (ka == kb, ka < kb, ka > kb, ka <= kb, ka >= kb) == (
+                    oa == ob,
+                    oa < ob,
+                    oa > ob,
+                    oa <= ob,
+                    oa >= ob,
+                )

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import pol
-from oracles import poly_mul_oracle
+from oracles import graeffe_monic, poly_mul_oracle
 from mahlersolve.errors import ExactDivisionError, ExponentOverflowError, InvalidArgumentError
 from mahlersolve.poly import (
     MAX_EXPONENT,
@@ -13,7 +13,6 @@ from mahlersolve.poly import (
     gcd,
     gcd_all,
     graeffe,
-    graeffe_monic,
     lcm,
     lcm_orbit,
     mahler_substitute,

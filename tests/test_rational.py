@@ -11,7 +11,7 @@ from conftest import (
     random_poly,
     random_series_solvable_operator,
 )
-from oracles import same_span
+from oracles import alt_denominator_bound, eliminate, same_span
 from mahlersolve.errors import (
     InconsistentPrefixError,
     InsufficientPrefixError,
@@ -23,7 +23,6 @@ from mahlersolve.operator import MahlerOperator
 from mahlersolve.poly import Poly, gcd, mahler_substitute, poly_sections
 from mahlersolve.rational import (
     RationalFunction,
-    alt_denominator_bound,
     bell_coons_dimensions,
     bell_coons_rank,
     bell_coons_test,
@@ -365,7 +364,7 @@ def test_certify_rational_matches_exact_identity(rat_example):
 
 def test_transcendence_and_bell_coons_agree():
     rng = random.Random(808)
-    agreements = 0
+    agreements = transcendental = 0
     for _ in range(60):
         radix = rng.choice((2, 3))
         op = random_series_solvable_operator(rng, radix, rng.randint(1, 2))
@@ -381,8 +380,12 @@ def test_transcendence_and_bell_coons_agree():
             verdict = transcendence_test(op, series)
             hankel = bell_coons_rank(op, series)
             assert (verdict.verdict == "transcendental") == hankel
+            # the early-exit test answers as the full rank of the matrix
+            matrix = [series[i : i + bound + 1] for i in range(kappa + 1)]
+            assert hankel == (len(eliminate(matrix)[0]) == kappa + 1)
             agreements += 1
-    assert agreements >= 20
+            transcendental += hankel
+    assert agreements >= 20 and 0 < transcendental < agreements
 
 
 def test_degree_guards_random():
