@@ -1,8 +1,10 @@
-"""Small exact linear algebra over Q: RREF, kernels, solving, and a row
+"""Small exact linear algebra over Q: RREF, kernels, and a row
 independence test.
 
-Matrices come in as dense lists of ints or Fractions.  `kernel_basis`
-and `solve` are views of the one elimination kernel, `rref`.  It runs
+Matrices come in as dense lists of ints or Fractions.  `rref` is the one
+elimination kernel: the window solve recombines and reduces its
+candidates with it (through `kernel_basis`, its view as a kernel), and
+the rational solver puts its basis in canonical form with it.  It runs
 fraction-free (Bareiss 1968) on Python ints: every row is scaled to
 integers once, every intermediate entry is a minor of the scaled matrix,
 so each division is exact and the numbers stay as small as
@@ -109,20 +111,3 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fr
         basis.append(vec)
     return basis
 
-
-def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """One exact solution of rows * x = rhs, or None if inconsistent.
-
-    Free variables are set to zero.
-    """
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    ncols = len(rows[0]) if rows else 0
-    reduced, pivots = rref(aug)
-    sol = [_ZERO] * ncols
-    # With free variables pinned to zero, each reduced row directly gives
-    # the value of its pivot variable (other pivot columns are eliminated).
-    for row, pc in zip(reduced, pivots):
-        if pc == ncols:
-            return None
-        sol[pc] = row[ncols]
-    return sol

@@ -38,13 +38,15 @@ def split(op: MahlerOperator) -> list[MahlerOperator]:
     if op.m_valuation == 0:
         return [op]
     sections = operator_sections(op)
-    if __debug__:
-        total = MahlerOperator.zero(op.radix)
-        m = MahlerOperator.m_power(op.radix, 1)
+    # op = sum_i x^i M section_i: l_k interleaves the sections' coefficients
+    # of M^(k-1), substituted x -> x^b, by exponent residue
+    top = max(op.order, 1 + max(s.order for s in sections))
+    for k in range(1, top + 1):
+        total = Poly.zero()
         for i, s in enumerate(sections):
-            total = total + MahlerOperator(op.radix, [Poly.monomial(i)]) * m * s
-        if total != op:
-            raise InternalInvariantError("section reconstruction failed")
+            total = total + s.coefficient(k - 1).substitute_power(op.radix).shift(i)
+        if total != op.coefficient(k):
+            raise InternalInvariantError(f"section reconstruction failed at M^{k}")
     members = []
     for section in sections:
         if section:
@@ -92,10 +94,6 @@ def normalize_l0(op: MahlerOperator) -> MahlerOperator:
     return primitive_part(normalize_l0_raw(op))[1]
 
 
-def _common_m_valuation(ops: list[MahlerOperator]) -> int:
-    return min(op.m_valuation for op in ops)
-
-
 def gcrd_raw(ops: list[MahlerOperator]) -> MahlerOperator:
     """A greatest common right divisor of the family.
 
@@ -111,7 +109,7 @@ def gcrd_raw(ops: list[MahlerOperator]) -> MahlerOperator:
     radix = ops[0].radix
     if any(op.radix != radix for op in ops):
         raise MixedRadixError("gcrd requires a common radix")
-    w = _common_m_valuation(ops)
+    w = min(op.m_valuation for op in ops)
     worklist = []
     for op in ops:
         worklist.extend(split(op.m_shift(-w)))

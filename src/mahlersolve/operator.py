@@ -18,6 +18,7 @@ from . import poly as P
 from .errors import (
     InternalInvariantError,
     InvalidArgumentError,
+    MixedRadixError,
     NegativeExponentError,
     UnsupportedEquationError,
 )
@@ -75,10 +76,6 @@ class MahlerOperator:
     @classmethod
     def zero(cls, radix: int) -> "MahlerOperator":
         return cls(radix)
-
-    @classmethod
-    def identity(cls, radix: int) -> "MahlerOperator":
-        return cls(radix, [Poly.one()])
 
     @classmethod
     def m_power(cls, radix: int, k: int) -> "MahlerOperator":
@@ -139,8 +136,6 @@ class MahlerOperator:
 
     def _require_same_radix(self, other: "MahlerOperator") -> None:
         if self.radix != other.radix:
-            from .errors import MixedRadixError
-
             raise MixedRadixError(f"radix {self.radix} vs {other.radix}")
 
     def __add__(self, other: "MahlerOperator") -> "MahlerOperator":
@@ -331,9 +326,7 @@ class PhiTransform:
         return self.alpha == 0 and self.beta == 1 and self.gamma == 0
 
     def validate_for(self, radix: int) -> None:
-        from math import gcd
-
-        if gcd(self.beta, radix) != 1:
+        if math.gcd(self.beta, radix) != 1:
             raise InvalidArgumentError(f"beta={self.beta} is not coprime to radix {radix}")
 
 

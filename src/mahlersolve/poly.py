@@ -78,11 +78,6 @@ class Poly:
         return cls.from_integers(c.denominator, [(e, c.numerator)] if c else [])
 
     @classmethod
-    def from_coeffs(cls, coeffs: Sequence) -> "Poly":
-        """Dense constructor: coeffs[i] is the coefficient of x**i."""
-        return cls((i, Fraction(c)) for i, c in enumerate(coeffs) if c)
-
-    @classmethod
     def from_integers(cls, den: int, nums: Sequence[tuple[int, int]]) -> "Poly":
         """nums / den from a nonzero int den and (e, int) pairs with
         strictly increasing exponents and nonzero ints; common factors
@@ -125,12 +120,6 @@ class Poly:
             raise InvalidArgumentError("zero polynomial has no leading coefficient")
         return Fraction(self.nums[-1][1], self.den)
 
-    @property
-    def trailing_coefficient(self) -> Fraction:
-        if not self.nums:
-            raise InvalidArgumentError("zero polynomial has no trailing coefficient")
-        return Fraction(self.nums[0][1], self.den)
-
     def coefficient(self, e: int) -> Fraction:
         for exp, c in self.nums:
             if exp == e:
@@ -138,9 +127,6 @@ class Poly:
             if exp > e:
                 break
         return _ZERO
-
-    def is_constant(self) -> bool:
-        return self.degree <= 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
@@ -258,18 +244,7 @@ class Poly:
             return self
         return _raw(1, _primitive(self.nums))
 
-    # -- evaluation and substitution --------------------------------------
-
-    def evaluate(self, point) -> Fraction:
-        point = Fraction(point)
-        result = _ZERO
-        prev = 0
-        acc = Fraction(1)
-        for e, c in self.terms:
-            acc *= point ** (e - prev)
-            prev = e
-            result += c * acc
-        return result
+    # -- substitution -------------------------------------------------------
 
     def substitute_power(self, m: int) -> "Poly":
         """Compose with x -> x**m (m >= 1)."""
@@ -279,9 +254,6 @@ class Poly:
             return self
         _check_exponent(self.degree * m)
         return _raw(self.den, tuple((e * m, c) for e, c in self.nums))
-
-    def derivative(self) -> "Poly":
-        return _reduced(self.den, [(e - 1, e * c) for e, c in self.nums if e])
 
     # -- display -----------------------------------------------------------
 

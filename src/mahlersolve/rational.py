@@ -1,6 +1,14 @@
 """Rational solutions: denominator bounds from the leading coefficient,
 the full rational solver, ramified rational solving, and the two
 transcendence tests.
+
+Every answer here is read off a reduced echelon basis rather than
+solved for.  The rational basis is put in canonical form by one
+`linalg.rref` on the expansions of its numerators.  The series basis
+has unit pivots below its head, so a prefix picks its combination at
+those pivots; the rational basis has unit pivots at its valuations, so
+a series picks its rational witness there.  Each combination is then
+checked once against what it must reproduce.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from .errors import (
     UnsupportedEquationError,
     ZeroTrailingCoefficientError,
 )
-from .linalg import independent, solve
+from .linalg import independent, rref
 from .newton import mu_nu, ramification_data
 from .operator import MahlerOperator, PhiTransform, phi_apply
 from .poly import Poly, graeffe, lcm_orbit, mahler_substitute, poly_sections
@@ -70,9 +78,6 @@ class RationalFunction:
         if not c:
             return cls(Poly.zero(), 0, Poly.one())
         return cls(Poly.monomial(0, c), 0, Poly.one())
-
-    def is_zero(self) -> bool:
-        return not self.numerator
 
     @property
     def valuation(self) -> int:
@@ -249,42 +254,36 @@ def rational_basis(op: MahlerOperator, auto_normalize: bool = True) -> SolutionB
     aux = MahlerOperator(b, coeffs)
 
     w = q_star.degree + 2 * v_bar + 1
-    numerators = polynomial_solutions_bounded(aux, w, auto_normalize=False)
-    elements = [RationalFunction.make(p, v_bar, q_star) for p in numerators.elements]
-    return SolutionBasis(kind, _canonicalize_rational(elements))
+    numerators = polynomial_solutions_bounded(aux, w, auto_normalize=False).elements
+    return SolutionBasis(kind, _echelon(numerators, v_bar, q_star))
 
 
-def _canonicalize_rational(elements: list[RationalFunction]) -> tuple:
-    """Echelon form on expansions: distinct leading exponents ascending,
-    leading coefficient one, later pivots eliminated from earlier rows."""
-    work = [e for e in elements if not e.is_zero()]
-    if not work:
+def _echelon(numerators: Sequence[Poly], v_bar: int, q_star: Poly) -> tuple:
+    """The solutions p / (x^v_bar q_star) in reduced echelon form on their
+    Laurent expansions: valuations ascending, leading coefficient one,
+    each valuation a zero of the other elements.
+
+    Every expansion is p/q0 shifted by the same power of x, q0 the x-free
+    part of q_star, and p -> p/q0 mod x^w is injective on degree < w.  So
+    one rref of the rows [first w coefficients of p/q0 | coefficients of
+    p] puts its pivots in the left half, and the right half holds the
+    numerators of the canonical basis.
+    """
+    if not numerators:
         return ()
-    # Triangularize by valuation.
-    done: list[RationalFunction] = []
-    while work:
-        work.sort(key=lambda f: f.valuation)
-        head = work.pop(0)
-        head = head.scale(1 / head.laurent_coefficients(head.valuation, head.valuation + 1)[0])
-        reduced = []
-        for f in work:
-            if f.valuation == head.valuation:
-                c = f.laurent_coefficients(f.valuation, f.valuation + 1)[0]
-                g = f + head.scale(-c)
-                if not g.is_zero():
-                    reduced.append(g)
-            else:
-                reduced.append(f)
-        done.append(head)
-        work = reduced
-    # Back-substitution: clear each pivot exponent from the earlier rows.
-    for i in range(len(done)):
-        for j in range(i + 1, len(done)):
-            pv = done[j].valuation
-            c = done[i].laurent_coefficients(pv, pv + 1)[0]
-            if c:
-                done[i] = done[i] + done[j].scale(-c)
-    return tuple(done)
+    q0 = q_star.shift(-q_star.valuation)
+    w = 1 + max(p.degree for p in numerators)
+    rows = []
+    for p in numerators:
+        coeffs = [_ZERO] * w
+        for e, c in p.terms:
+            coeffs[e] = c
+        rows.append(_power_series_div(p, q0, w) + coeffs)
+    reduced, _ = rref(rows)
+    return tuple(
+        RationalFunction.make(Poly((e, c) for e, c in enumerate(row[w:]) if c), v_bar, q_star)
+        for row in reduced
+    )
 
 
 def ramified_rational_basis(op: MahlerOperator) -> SolutionBasis:
@@ -329,43 +328,36 @@ class TranscendenceVerdict:
 
 def _consistent_extension(
     op: MahlerOperator, prefix: Sequence[Fraction], length: int
-) -> list[Fraction]:
-    """Check the prefix against the series solutions and extend it to the
-    requested length; raises when no solution matches."""
-    if op.order < 1:
-        if any(prefix):
-            raise InconsistentPrefixError("prefix extends to no series solution")
-        return [_ZERO] * max(length, len(prefix))
-    nu, _ = mu_nu(op)
-    head = math.floor(nu) + 1 if nu >= 0 else 0
-    if len(prefix) < max(head, 1):
-        raise InsufficientPrefixError(
-            f"need at least {max(head, 1)} coefficients, got {len(prefix)}"
-        )
+) -> tuple[int, list[int]]:
+    """The series solution that starts with the prefix, to
+    max(length, len(prefix)) coefficients, as (den, nums): int
+    numerators over one positive int den.  Raises when no solution
+    starts with the prefix.
+
+    The series basis is reduced echelon with its pivots, of value 1,
+    below the head, so the one combination that can match the prefix
+    takes the prefix coefficient at each element's pivot.
+    """
     target = max(length, len(prefix))
-    elements = series_basis(op, target - 1, auto_normalize=False).elements
-    # each column holds an element's numerators, den times the element:
-    # the combination absorbs the factors 1/den
-    expanded = []
-    for elem in elements:
-        dense = [0] * int(elem.truncation_order)
+    elements = ()
+    if op.order >= 1:
+        nu, _ = mu_nu(op)
+        head = math.floor(nu) + 1 if nu >= 0 else 0
+        if len(prefix) < max(head, 1):
+            raise InsufficientPrefixError(
+                f"need at least {max(head, 1)} coefficients, got {len(prefix)}"
+            )
+        elements = series_basis(op, target - 1, auto_normalize=False).elements
+    combo = [(c, elem) for elem in elements if (c := prefix[elem.nums[0][0]])]
+    den = math.lcm(*(c.denominator * elem.den for c, elem in combo))
+    nums = [0] * target
+    for c, elem in combo:
+        f = c.numerator * (den // (c.denominator * elem.den))
         for e, v in elem.nums:
-            dense[e] = v
-        expanded.append(dense)
-    window = len(prefix)
-    rows = [[exp[i] for exp in expanded] for i in range(window)]
-    combo = solve(rows, list(prefix)) if expanded else None
-    if combo is not None:
-        series = [_ZERO] * target
-        for c, elem in zip(combo, elements):
-            if c:
-                for e, v in elem.nums:
-                    series[e] += c * v
-        if series[:window] == list(prefix):
-            return series
-    if any(prefix):
+            nums[e] += f * v
+    if any(c.numerator * den != v * c.denominator for c, v in zip(prefix, nums)):
         raise InconsistentPrefixError("prefix extends to no series solution")
-    return [_ZERO] * target
+    return den, nums
 
 
 def transcendence_test(
@@ -375,36 +367,25 @@ def transcendence_test(
     rational function (with witness) or transcendental.
 
     Solutions of a linear Mahler equation are never algebraic irrational,
-    so the verdict is a dichotomy.
+    so the verdict is a dichotomy.  The rational basis is reduced echelon
+    in Laurent coordinates with its pivots at the valuations, so the one
+    combination that can match the series takes the series coefficient
+    at each valuation (0 at a negative one or one past the prefix); its
+    expansion is then checked against the series.
     """
     op = solving_operator(op, auto_normalize)
-    series = _consistent_extension(op, prefix, len(prefix))
+    den, series = _consistent_extension(op, prefix, len(prefix))
     if not any(series):
         return TranscendenceVerdict("rational", RationalFunction.constant(0), "rational-basis")
-
-    basis = rational_basis(op, auto_normalize=False)
-    candidates = [f for f in basis.elements]
-    if not candidates:
-        return TranscendenceVerdict("transcendental", None, "rational-basis")
-    lo = min(0, min(f.valuation for f in candidates))
     hi = len(series)
-    expansions = [f.laurent_coefficients(lo, hi) for f in candidates]
-    rhs = [_ZERO] * (0 - lo) + list(series)
-    rows = [[exp[i] for exp in expansions] for i in range(hi - lo)]
-    combo = solve(rows, rhs)
-    if combo is not None:
-        check = [
-            sum((c * exp[i] for c, exp in zip(combo, expansions)), _ZERO)
-            for i in range(hi - lo)
-        ]
-        if check != rhs:
-            combo = None
-    if combo is None:
-        return TranscendenceVerdict("transcendental", None, "rational-basis")
     witness = RationalFunction.constant(0)
-    for c, f in zip(combo, candidates):
-        if c:
-            witness = witness + f.scale(c)
+    for f in rational_basis(op, auto_normalize=False).elements:
+        v = f.valuation
+        if 0 <= v < hi and series[v]:
+            witness = witness + f.scale(Fraction(series[v], den))
+    expansion = witness.laurent_coefficients(0, hi)
+    if any(c.numerator * den != n * c.denominator for c, n in zip(expansion, series)):
+        return TranscendenceVerdict("transcendental", None, "rational-basis")
     return TranscendenceVerdict("rational", witness, "rational-basis")
 
 
@@ -418,7 +399,7 @@ def bell_coons_test(op: MahlerOperator, prefix: Sequence[Fraction]) -> Transcend
         _consistent_extension(op, prefix, len(prefix))
         return TranscendenceVerdict("rational", None, "bell-coons")
     kappa, bound = bell_coons_dimensions(op)
-    series = _consistent_extension(op, prefix, kappa + bound + 1)
+    _, series = _consistent_extension(op, prefix, kappa + bound + 1)
     verdict = "transcendental" if bell_coons_rank(op, series) else "rational"
     return TranscendenceVerdict(verdict, None, "bell-coons")
 

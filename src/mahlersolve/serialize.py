@@ -14,7 +14,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import InputFormatError
+from .errors import ExponentOverflowError, InputFormatError
 from .newton import PolygonEdge
 from .operator import MahlerOperator
 from .poly import MAX_EXPONENT, Poly
@@ -69,8 +69,6 @@ def parse_poly(doc) -> Poly:
         if not isinstance(e, int) or isinstance(e, bool) or e < 0:
             raise InputFormatError(f"bad exponent {e!r}")
         if e > MAX_EXPONENT:
-            from .errors import ExponentOverflowError
-
             raise ExponentOverflowError(f"exponent {e} exceeds {MAX_EXPONENT}")
         if e <= last:
             raise InputFormatError("exponents must be strictly ascending")

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,16 @@ settings.load_profile("deterministic")
 
 def pol(*coeffs) -> Poly:
     """Dense helper: pol(c0, c1, ...) = c0 + c1 x + ..."""
-    return Poly.from_coeffs([Fraction(c) for c in coeffs])
+    return Poly((i, Fraction(c)) for i, c in enumerate(coeffs) if c)
+
+
+def evaluate(p: Poly, point) -> Fraction:
+    """p(point), term by term."""
+    return sum((c * Fraction(point) ** e for e, c in p.terms), Fraction(0))
+
+
+def derivative(p: Poly) -> Poly:
+    return Poly((e - 1, e * c) for e, c in p.terms if e)
 
 
 def mono(e, c=1) -> Poly:
@@ -46,6 +56,29 @@ def dense(elem) -> list[Fraction]:
     for e, c in elem.terms:
         out[int(e)] = c
     return out
+
+
+def count_fraction_arithmetic(monkeypatch) -> Counter:
+    """Count every Fraction + - * / (as the perfbench tracer does) under
+    "arithmetic" and every Fraction built, `Fraction(n, d)` included,
+    under "new", from now on."""
+    calls = Counter()
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__"):
+        original = getattr(Fraction, name)
+
+        def counted(*args, _original=original):
+            calls["arithmetic"] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    original_new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        calls["new"] += 1
+        return original_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    return calls
 
 
 @pytest.fixture(scope="session")

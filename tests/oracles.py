@@ -9,7 +9,12 @@ and visit every row, zero or not.  The polynomial oracles take and
 return term tuples, sorted (exponent, nonzero Fraction) pairs, as
 `Poly.terms`.  `graeffe_monic` and `alt_denominator_bound` are the
 exception: they are built on the library's `Poly` and `graeffe` and
-serve as cross-checks of the denominator bound.
+serve as cross-checks of the denominator bound.  The rational and
+transcendence oracles at the end take the routes the library took
+before it read its answers off echelon bases: elimination on the
+`RationalFunction`s themselves, and exact solves of dense systems of
+expansions.  They start from the library's denominator bound, its
+polynomial solutions of the auxiliary equation and its series basis.
 """
 
 import math
@@ -268,7 +273,7 @@ def polynomial_solution_space(op: MahlerOperator, bound: int) -> list[Poly]:
     coefficients over the full (finite) system."""
     max_row = op.degree + op.radix**op.order * (bound - 1)
     vecs = kernel(brute_rows(op, max_row, bound), bound)
-    return [Poly.from_coeffs(v) for v in vecs]
+    return [Poly((i, c) for i, c in enumerate(v) if c) for v in vecs]
 
 
 def apply_exact(op: MahlerOperator, p: Poly) -> Poly:
@@ -315,7 +320,7 @@ def prolong_oracle(
         raise IncompatiblePrefixError("prefix violates a relation row")
     l0 = transformed.coeffs[0]
     tv0 = l0.valuation
-    diag = l0.trailing_coefficient
+    diag = l0.terms[0][1]
     terms = [
         (transformed.radix**k, j, c)
         for k, lk in transformed.nonzero_coefficients()
@@ -338,3 +343,146 @@ def prolong_oracle(
             acc += c * y[n]
         y.append(-acc / diag)
     return y
+
+
+def solve_oracle(rows: list[list[Fraction]], rhs: list[Fraction]):
+    """One solution of rows * x = rhs with the free variables at zero,
+    or None when the system is inconsistent."""
+    ncols = len(rows[0]) if rows else 0
+    reduced, pivots = eliminate([list(r) + [b] for r, b in zip(rows, rhs)])
+    sol = [ZERO] * ncols
+    for row, pc in zip(reduced, pivots):
+        if pc == ncols:
+            return None
+        sol[pc] = row[ncols]
+    return sol
+
+
+def canonicalize_rational_oracle(elements) -> tuple:
+    """Echelon form of RationalFunctions on their expansions by
+    elimination on the functions themselves: distinct valuations
+    ascending, leading coefficient one, each valuation cleared from the
+    other elements.  Every step goes through `RationalFunction` sums."""
+    work = [e for e in elements if e.numerator]
+    done = []
+    while work:
+        work.sort(key=lambda f: f.valuation)
+        head = work.pop(0)
+        head = head.scale(1 / head.laurent_coefficients(head.valuation, head.valuation + 1)[0])
+        reduced = []
+        for f in work:
+            if f.valuation == head.valuation:
+                c = f.laurent_coefficients(f.valuation, f.valuation + 1)[0]
+                g = f + head.scale(-c)
+                if g.numerator:
+                    reduced.append(g)
+            else:
+                reduced.append(f)
+        done.append(head)
+        work = reduced
+    # back-substitution: clear each pivot exponent from the earlier rows
+    for i in range(len(done)):
+        for j in range(i + 1, len(done)):
+            pv = done[j].valuation
+            c = done[i].laurent_coefficients(pv, pv + 1)[0]
+            if c:
+                done[i] = done[i] + done[j].scale(-c)
+    return tuple(done)
+
+
+def rational_basis_oracle(op: MahlerOperator) -> tuple:
+    """Rational solutions of op (order >= 1, nonzero trailing
+    coefficient): the library's denominator bound x^v_bar q_star and
+    polynomial solutions p of the auxiliary equation, and the functions
+    p / (x^v_bar q_star) put in canonical form by
+    `canonicalize_rational_oracle`."""
+    from mahlersolve.poly import mahler_substitute
+    from mahlersolve.rational import RationalFunction, denominator_bound
+    from mahlersolve.solver import polynomial_solutions_bounded
+
+    b, r, delta = op.radix, op.order, op.degree
+    if delta < b ** (r - 1):
+        total = Poly.zero()
+        for _, c in op.nonzero_coefficients():
+            total = total + c
+        return () if total else (RationalFunction.constant(1),)
+    bound = denominator_bound(op)
+    q_star, v_bar = bound.q_star, bound.v_bar
+    orbit = [mahler_substitute(q_star, b, i) if i else q_star for i in range(r + 1)]
+    coeffs = []
+    for k in range(r + 1):
+        cofactor = Poly.one()
+        for i in range(r + 1):
+            if i != k:
+                cofactor = cofactor * orbit[i]
+        lk = op.coefficient(k)
+        coeffs.append(lk.shift(b * delta // (b - 1) - b**k * v_bar) * cofactor if lk else lk)
+    aux = MahlerOperator(b, coeffs)
+    numerators = polynomial_solutions_bounded(aux, q_star.degree + 2 * v_bar + 1, False)
+    return canonicalize_rational_oracle(
+        [RationalFunction.make(p, v_bar, q_star) for p in numerators.elements]
+    )
+
+
+def consistent_extension_oracle(op: MahlerOperator, prefix, length: int) -> list[Fraction]:
+    """The series solution starting with the prefix, to max(length,
+    len(prefix)) coefficients, by solving the prefix against the dense
+    expansions of the library's series basis; raises like the library."""
+    from mahlersolve.errors import InconsistentPrefixError, InsufficientPrefixError
+    from mahlersolve.solver import series_basis
+
+    target = max(length, len(prefix))
+    expanded = []
+    if op.order >= 1:
+        nu, _ = mu_nu(op)
+        head = math.floor(nu) + 1 if nu >= 0 else 0
+        if len(prefix) < max(head, 1):
+            raise InsufficientPrefixError(f"need at least {max(head, 1)} coefficients")
+        for elem in series_basis(op, target - 1, auto_normalize=False).elements:
+            dense = [ZERO] * target
+            for e, c in elem.terms:
+                dense[int(e)] = c
+            expanded.append(dense)
+    rows = [[exp[i] for exp in expanded] for i in range(len(prefix))]
+    combo = solve_oracle(rows, [Fraction(c) for c in prefix])
+    if combo is None:
+        raise InconsistentPrefixError("prefix extends to no series solution")
+    return [sum((c * exp[i] for c, exp in zip(combo, expanded)), ZERO) for i in range(target)]
+
+
+def transcendence_oracle(op: MahlerOperator, prefix, candidates) -> tuple:
+    """(verdict, witness) of the rational-basis transcendence test with
+    the rational solutions `candidates`: the series solution is solved
+    against their expansions, the solution checked, and the witness
+    summed from it."""
+    from mahlersolve.rational import RationalFunction
+
+    series = consistent_extension_oracle(op, prefix, len(prefix))
+    if not any(series):
+        return "rational", RationalFunction.constant(0)
+    if not candidates:
+        return "transcendental", None
+    lo = min(0, min(f.valuation for f in candidates))
+    hi = len(series)
+    expansions = [f.laurent_coefficients(lo, hi) for f in candidates]
+    rhs = [ZERO] * -lo + series
+    rows = [[exp[i] for exp in expansions] for i in range(hi - lo)]
+    combo = solve_oracle(rows, rhs)
+    if combo is None:
+        return "transcendental", None
+    witness = RationalFunction.constant(0)
+    for c, f in zip(combo, candidates):
+        if c:
+            witness = witness + f.scale(c)
+    return "rational", witness
+
+
+def bell_coons_oracle(op: MahlerOperator, prefix) -> str:
+    """Bell-Coons verdict from the full rank of the Hankel matrix of the
+    extended series."""
+    from mahlersolve.rational import bell_coons_dimensions
+
+    kappa, bound = bell_coons_dimensions(op)
+    series = consistent_extension_oracle(op, prefix, kappa + bound + 1)
+    matrix = [series[i : i + bound + 1] for i in range(kappa + 1)]
+    return "transcendental" if len(eliminate(matrix)[0]) == kappa + 1 else "rational"

@@ -6,8 +6,9 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import count_fraction_arithmetic
 from oracles import eliminate, kernel
-from mahlersolve.linalg import independent, kernel_basis, rref, solve
+from mahlersolve.linalg import independent, kernel_basis, rref
 from mahlersolve.operator import MahlerOperator, integer_terms
 from mahlersolve.poly import Poly, gcd, poly_sections
 
@@ -166,49 +167,6 @@ def test_independent_stops_at_first_dependent_row():
 
         assert independent(rows()) is False
         assert read[0] <= rank + 1
-
-
-def test_solve_matches_consistency():
-    rng = random.Random(77)
-    for rows in matrices():
-        ncols = len(rows[0])
-        pivots = eliminate(rows)[1]
-        if rng.random() < 0.5:
-            # consistent by construction
-            x0 = [F(rng.randint(-3, 3), rng.choice(DENOMINATORS)) for _ in range(ncols)]
-            rhs = [sum((a * x for a, x in zip(r, x0)), F(0)) for r in rows]
-        else:
-            rhs = [F(rng.randint(-3, 3), rng.choice(DENOMINATORS)) for _ in rows]
-        aug = [r + [b] for r, b in zip(rows, rhs)]
-        consistent = ncols not in eliminate(aug)[1]
-        x = solve(rows, rhs)
-        assert (x is None) == (not consistent)
-        if x is not None:
-            assert [sum((a * v for a, v in zip(r, x)), F(0)) for r in rows] == rhs
-            assert all(not x[j] for j in range(ncols) if j not in pivots)
-
-
-def count_fraction_arithmetic(monkeypatch) -> Counter:
-    """Count every Fraction + - * / (as the perfbench tracer does) under
-    "arithmetic" and every Fraction built, `Fraction(n, d)` included,
-    under "new", from now on."""
-    calls = Counter()
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__"):
-        original = getattr(Fraction, name)
-
-        def counted(*args, _original=original):
-            calls["arithmetic"] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(Fraction, name, counted)
-    original_new = Fraction.__new__
-
-    def counted_new(cls, *args, **kwargs):
-        calls["new"] += 1
-        return original_new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
-    return calls
 
 
 def test_kernels_run_on_ints(monkeypatch):

@@ -11,6 +11,7 @@ from mahlersolve.errors import (
     MixedRadixError,
     UnsupportedEquationError,
 )
+from mahlersolve import normalize
 from mahlersolve.normalize import (
     certify_gcrd,
     gcrd,
@@ -18,7 +19,12 @@ from mahlersolve.normalize import (
     normalize_l0_raw,
     split,
 )
-from mahlersolve.operator import MahlerOperator, primitive_part, right_divide
+from mahlersolve.operator import (
+    MahlerOperator,
+    operator_sections,
+    primitive_part,
+    right_divide,
+)
 from mahlersolve.poly import Poly
 
 F = Fraction
@@ -29,7 +35,7 @@ X = Poly.x()
 def test_split_examples(reduction_example):
     keep = operator(2, pol(1, 1), ONE)
     assert split(keep) == [keep]
-    assert split(MahlerOperator.m_power(2, 1)) == [MahlerOperator.identity(2)]
+    assert split(MahlerOperator.m_power(2, 1)) == [operator(2, Poly.one())]
     members = split(reduction_example)
     assert sorted((m.order, m.degree) for m in members) == [
         (2, 12),
@@ -41,6 +47,27 @@ def test_split_examples(reduction_example):
         split(MahlerOperator.zero(2))
     with pytest.raises(UnsupportedEquationError):
         normalize_l0_raw(MahlerOperator.zero(2))
+
+
+def test_split_rejects_a_wrong_section(monkeypatch, reduction_example):
+    # split checks op = sum_i x^i M section_i coefficient by coefficient
+    right = operator_sections(reduction_example)
+    b, r = reduction_example.radix, reduction_example.order
+    swapped = [right[1], right[0], *right[2:]]
+    bumped = [right[0] + operator(b, Poly.zero(), X), *right[1:]]
+    # a term above the order of op, which no coefficient of op can match
+    longer = [*right[:2], right[2] + MahlerOperator.m_power(b, r), *right[3:]]
+    for wrong in (swapped, bumped, longer):
+        # wrong sections for op itself, right ones for its sections
+        monkeypatch.setattr(
+            normalize,
+            "operator_sections",
+            lambda op: wrong if op == reduction_example else operator_sections(op),
+        )
+        with pytest.raises(InternalInvariantError, match="section reconstruction failed"):
+            split(reduction_example)
+    monkeypatch.undo()
+    assert split(reduction_example)
 
 
 def test_split_bounds_random():
@@ -79,7 +106,7 @@ def test_normalize_identity_and_degenerate():
     keep = operator(2, pol(1, 1), ONE)
     assert normalize_l0(keep) == keep
     collapsed = normalize_l0(operator(2, Poly.zero(), -X, ONE))  # M^2 - xM
-    assert collapsed == MahlerOperator.identity(2)
+    assert collapsed == operator(2, Poly.one())
 
 
 def test_normalize_preserves_series_solutions():
@@ -176,7 +203,7 @@ def test_gcrd_right_divides_random_families():
         for _ in range(rng.randint(1, 3)):
             left = random_operator(rng, radix, rng.randint(0, 2), 2, nonzero_l0=False)
             if not left:
-                left = MahlerOperator.identity(radix)
+                left = operator(radix, Poly.one())
             family.append(left * common)
         result = gcrd(family)
         assert result.order <= max(op.order for op in family)

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
+    count_fraction_arithmetic,
     dense,
     operator,
     pol,
@@ -19,6 +21,7 @@ from mahlersolve.errors import (
     UnsupportedEquationError,
     ZeroTrailingCoefficientError,
 )
+from mahlersolve.newton import mu_nu
 from mahlersolve.operator import MahlerOperator
 from mahlersolve.poly import Poly, gcd, mahler_substitute, poly_sections
 from mahlersolve.rational import (
@@ -65,7 +68,7 @@ def test_rational_function_normal_form():
     series = f.laurent_coefficients(-1, 3)
     assert series == [F(-1), F(-1), F(-1), F(-1)]
     zero = RationalFunction.make(Poly.zero(), 3, pol(1, 1))
-    assert zero.is_zero() and zero.denominator == ONE
+    assert not zero.numerator and zero.denominator == ONE
 
 
 def test_denominator_bound_trace(rat_example):
@@ -297,6 +300,39 @@ def test_bell_coons(rat_example):
         bell_coons_rank(lop, [F(1), F(1)])
 
 
+def test_series_extension_runs_on_ints(monkeypatch, rat_example):
+    # Bell-Coons extends the prefix to kappa + bound + 1 coefficients by
+    # combining the series basis on its integer numerators: beyond the
+    # Fractions of mu_nu and of the series basis itself, neither the
+    # extension nor the Hankel test builds or computes with one
+    lop = operator(2, X, -pol(1, 1), ONE)
+    witness = RationalFunction.make(ONE, 0, pol(-1, -1, 1))
+    cases = [
+        (lop, [F(0), F(1), F(1), F(0), F(1)], "transcendental"),
+        (lop, [F(3, 2), F(0), F(0)], "rational"),
+        (rat_example, witness.laurent_coefficients(0, 8), "rational"),
+    ]
+    lengths, counts = [], []
+    for op, prefix, verdict in cases:
+        kappa, bound = bell_coons_dimensions(op)
+        calls = count_fraction_arithmetic(monkeypatch)
+        mu_nu(op)
+        series_basis(op, kappa + bound, auto_normalize=False)
+        parts = calls.copy()
+        calls.clear()
+        got = bell_coons_test(op, prefix)
+        total = calls.copy()
+        monkeypatch.undo()
+        assert total == parts
+        assert got.verdict == verdict
+        lengths.append(kappa + bound + 1)
+        counts.append(total)
+    # the same count for 18 coefficients as for 200: the slopes of mu_nu
+    # and the window solve of two basis elements, nothing per coefficient
+    assert lengths == [18, 18, 200]
+    assert counts == [Counter({"new": 20, "arithmetic": 8})] * 3
+
+
 def test_bell_coons_dimensions_errors():
     with pytest.raises(ZeroTrailingCoefficientError):
         bell_coons_dimensions(operator(2, Poly.zero(), ONE))
@@ -430,5 +466,5 @@ def test_small_degree_implies_constants():
         checked += 1
         basis = rational_basis(op)
         for f in basis.elements:
-            assert f.numerator.is_constant() and f.denominator == ONE
+            assert f.numerator.degree <= 0 and f.denominator == ONE
     assert checked >= 100

@@ -1,0 +1,201 @@
+"""Rational bases and both transcendence oracles against the routes
+they replaced.
+
+`rational_basis` reads its canonical basis off one `rref`, and the
+transcendence tests read their combinations off the pivots of echelon
+bases.  The oracles in oracles.py take the old routes: elimination on
+the rational functions themselves, and exact solves of dense systems of
+expansions.  Equations are built with known rational solutions, so
+bases of dimension 2 occur, with Laurent (negative valuation) and
+high-valuation elements; a random left factor adds series solutions
+that are not rational.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_operator, random_series_solvable_operator
+from oracles import (
+    bell_coons_oracle,
+    rational_basis_oracle,
+    transcendence_oracle,
+)
+from mahlersolve import rational
+from mahlersolve.errors import MahlerError
+from mahlersolve.newton import mu_nu
+from mahlersolve.operator import MahlerOperator
+from mahlersolve.poly import Poly, bareiss_determinant, mahler_substitute
+from mahlersolve.rational import (
+    RationalFunction,
+    bell_coons_test,
+    rational_basis,
+    transcendence_test,
+)
+from mahlersolve.solver import SolutionBasis, series_basis
+
+F = Fraction
+ONE = Poly.one()
+small = st.integers(-3, 3)
+nonzero = small.filter(bool)
+
+
+@st.composite
+def rational_functions(draw, max_degree=2):
+    """(a, c) for a / c: a = x^t (nonzero + ...), c = x^s (1 + ...)."""
+    a = Poly([(0, F(draw(nonzero)))] + [(e, F(draw(small))) for e in range(1, max_degree + 1)])
+    c = Poly([(0, F(1))] + [(e, F(draw(small))) for e in range(1, max_degree + 1)])
+    return a.shift(draw(st.integers(0, 2))), c.shift(draw(st.integers(0, 1)))
+
+
+def casoratian(radix: int, functions) -> MahlerOperator:
+    """The operator y -> det(Casoratian matrix of y, f_1, ..., f_n), each
+    row cleared of its denominators: it annihilates every f_i = a_i/c_i
+    and is zero only when the f_i are linearly dependent."""
+    n = len(functions)
+    rows = []
+    for a, c in functions:
+        images = [(a, c)] + [
+            (mahler_substitute(a, radix, k), mahler_substitute(c, radix, k)) for k in range(1, n + 1)
+        ]
+        row = []
+        for k in range(n + 1):
+            entry = images[k][0]
+            for j in range(n + 1):
+                if j != k:
+                    entry = entry * images[j][1]
+            row.append(entry)
+        rows.append(row)
+    coeffs = []
+    for k in range(n + 1):
+        minor = [[row[j] for j in range(n + 1) if j != k] for row in rows]
+        det = bareiss_determinant(minor)
+        coeffs.append(det if k % 2 == 0 else -det)
+    return MahlerOperator(radix, coeffs)
+
+
+@st.composite
+def equations(draw, max_degree=2, max_order=2):
+    """(op, n) with n rational functions known to solve op.  Either op
+    has n drawn rational functions among its solutions, behind a left
+    factor that may add others, or it is a product of first-order
+    factors with a power-series solution that is mostly transcendental
+    (n = 0)."""
+    radix = draw(st.sampled_from((2, 3)))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        return random_series_solvable_operator(rng, radix, draw(st.integers(1, max_order))), 0
+    n = draw(st.integers(1, max_order))
+    right = casoratian(radix, [draw(rational_functions(max_degree)) for _ in range(n)])
+    if not right:
+        right = casoratian(radix, [(ONE, ONE)])
+        n = 1
+    left = random_operator(rng, radix, draw(st.integers(0, max_order - n)), 1)
+    return left * right, n
+
+
+def assert_reduced_echelon(elements):
+    """Valuations strictly ascending, the Laurent coefficient of each
+    element at its own valuation 1 and at every other valuation 0."""
+    vals = [f.valuation for f in elements]
+    assert vals == sorted(set(vals))
+    if vals:
+        lo = vals[0]
+        for i, f in enumerate(elements):
+            coeffs = f.laurent_coefficients(lo, vals[-1] + 1)
+            assert [coeffs[v - lo] for v in vals] == [int(i == j) for j in range(len(vals))]
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the MahlerError it raises."""
+    try:
+        return fn(*args)
+    except MahlerError as exc:
+        return type(exc)
+
+
+@st.composite
+def prefixes(draw, op):
+    """A prefix of one of five kinds: the start of a series solution
+    (a random combination of the basis), random numbers, zeros, one
+    coefficient too few, and a solution with one coefficient bumped."""
+    nu, _ = mu_nu(op)
+    head = max(1, math.floor(nu) + 1)
+    length = head + draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(("solution", "solution", "random", "zero", "short", "bumped")))
+    if kind == "zero":
+        return [F(0)] * length
+    if kind == "short":
+        return [F(0)] * (head - 1) + [F(1)] if head > 1 else []
+    if kind == "random":
+        return [F(draw(small), draw(st.integers(1, 3))) for _ in range(length)]
+    prefix = [F(0)] * length
+    for elem in series_basis(op, length - 1).elements:
+        c = F(draw(nonzero))
+        for e, v in elem.terms:
+            prefix[int(e)] += c * v
+    if kind == "bumped":
+        prefix[draw(st.integers(0, length - 1))] += 1
+    return prefix
+
+
+@settings(max_examples=80)
+@given(equations())
+def test_rational_basis_matches_oracle(case):
+    op, n = case
+    basis = rational_basis(op)
+    assert basis.elements == rational_basis_oracle(op)
+    assert basis.dimension >= n
+    assert_reduced_echelon(basis.elements)
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_transcendence_test_matches_oracle(data):
+    op, _ = data.draw(equations())
+    prefix = data.draw(prefixes(op))
+    candidates = rational_basis(op).elements
+    got = outcome(transcendence_test, op, prefix)
+    want = outcome(transcendence_oracle, op, prefix, candidates)
+    if isinstance(got, type):
+        assert got == want
+    else:
+        assert (got.verdict, got.witness) == want
+
+
+@settings(max_examples=50)
+@given(st.data())
+def test_bell_coons_test_matches_oracle(data):
+    op, _ = data.draw(equations(max_degree=1, max_order=1))
+    prefix = data.draw(prefixes(op))
+    got = outcome(bell_coons_test, op, prefix)
+    want = outcome(bell_coons_oracle, op, prefix)
+    assert (got if isinstance(got, type) else got.verdict) == want
+
+
+def test_candidate_past_the_prefix(monkeypatch, rat_example):
+    # a basis element whose valuation is at or past the end of the prefix
+    # takes no part in the combination, with either route
+    target = RationalFunction.make(ONE, 0, Poly([(0, F(-1)), (1, F(-1)), (2, F(1))]))
+    prefix = target.laurent_coefficients(0, 8)
+    true_basis = rational_basis(rat_example).elements
+    for extra in (8, 11):
+        fake = true_basis + (RationalFunction.make(Poly.monomial(extra), 0, ONE),)
+        basis = SolutionBasis("rational_basis", fake)
+        monkeypatch.setattr(rational, "rational_basis", lambda op, auto_normalize: basis)
+        got = transcendence_test(rat_example, prefix)
+        assert (got.verdict, got.witness) == transcendence_oracle(rat_example, prefix, fake)
+        assert got.witness == target
+
+
+@pytest.mark.parametrize("fixture", ["rat_example", "reduction_example_normalized"])
+def test_fixture_bases_match_oracle(fixture, request):
+    op = request.getfixturevalue(fixture)
+    basis = rational_basis(op)
+    assert basis.dimension == 2
+    assert basis.elements == rational_basis_oracle(op)
+    assert_reduced_echelon(basis.elements)
