@@ -46,11 +46,8 @@ from .operator import (
 )
 from .newton import (
     PolygonEdge,
-    candidate_degrees,
-    candidate_valuations,
     lower_polygon,
     mu_nu,
-    newton_diagram,
     ramification_data,
     select_edge_for_ramification,
     upper_polygon,

@@ -212,9 +212,36 @@ def _cmd_transcendence(args) -> dict:
     return doc
 
 
+_enc = json.encoder.encode_basestring_ascii
+
+
+def _json(value, indent: str = "") -> str:
+    """What `json.dumps` writes with an indent of 2, byte for byte, for the
+    values the CLI renders: dicts with str keys, lists, strs, ints, bools
+    and None.  A list of [str, str] pairs (the terms of a series) is
+    written with one f-string per pair: the indenting encoder makes
+    several generator steps per item."""
+    if type(value) is str:
+        return _enc(value)
+    if not isinstance(value, (dict, list)) or not value:
+        return json.dumps(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        body = f",\n{inner}".join([f"{_enc(k)}: {_json(v, inner)}" for k, v in value.items()])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if all(type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is str for p in value):
+        deeper = inner + "  "
+        body = f"\n{inner}],\n{inner}[\n{deeper}".join(
+            [f"{_enc(a)},\n{deeper}{_enc(b)}" for a, b in value]
+        )
+        return f"[\n{inner}[\n{deeper}{body}\n{inner}]\n{indent}]"
+    body = f",\n{inner}".join([_json(v, inner) for v in value])
+    return f"[\n{inner}{body}\n{indent}]"
+
+
 def _render(doc: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(doc, indent=2)
+        return _json(doc)
     if doc.get("kind") == "newton":
         lines = ["lower polygon:"]
         lines += [

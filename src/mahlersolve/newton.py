@@ -32,17 +32,6 @@ class PolygonEdge:
         return self.start[1] - self.slope * self.start[0]
 
 
-def newton_diagram(op: MahlerOperator) -> list[tuple[int, int, Fraction]]:
-    """All diagram points (u = b^k, j) with their coefficients."""
-    if not op:
-        raise UnsupportedEquationError("zero operator has no Newton diagram")
-    points = []
-    for k, c in op.nonzero_coefficients():
-        u = op.radix**k
-        points.extend((u, j, coeff) for j, coeff in c.terms)
-    return points
-
-
 def _column_points(op: MahlerOperator, lower: bool) -> list[tuple[int, int, int]]:
     """One extreme point per nonzero coefficient: (k, u=b^k, j)."""
     pts = []
@@ -105,18 +94,6 @@ def lower_polygon(op: MahlerOperator) -> list[PolygonEdge]:
 def upper_polygon(op: MahlerOperator) -> list[PolygonEdge]:
     """Edges of the upper Newton polygon, left to right."""
     return _polygon(op, lower=False)
-
-
-def candidate_valuations(op: MahlerOperator) -> set[Fraction]:
-    """Possible valuations of Puiseux-series solutions: the opposites of
-    the slopes of admissible lower edges."""
-    return {-e.slope for e in lower_polygon(op) if e.admissible}
-
-
-def candidate_degrees(op: MahlerOperator) -> set[Fraction]:
-    """Possible top exponents of finite solutions, reported raw; callers
-    filter for nonnegative integers when looking for polynomials."""
-    return {-e.slope for e in upper_polygon(op) if e.admissible}
 
 
 def mu_nu(op: MahlerOperator) -> tuple[Fraction, Fraction]:

@@ -361,21 +361,22 @@ def operator_section(op: MahlerOperator, i: int) -> MahlerOperator:
 
     Terms of M-degree zero are annihilated.
     """
-    b = op.radix
-    if not 0 <= i < b:
-        raise InvalidArgumentError(f"section index {i} out of range for radix {b}")
-    out: dict[int, Poly] = {}
-    for k, lk in op.nonzero_coefficients():
-        if k == 0:
-            continue
-        section = poly_sections(lk, b)[i]
-        if section:
-            out[k - 1] = section
-    return MahlerOperator.from_dict(op.radix, out)
+    if not 0 <= i < op.radix:
+        raise InvalidArgumentError(f"section index {i} out of range for radix {op.radix}")
+    return operator_sections(op)[i]
 
 
 def operator_sections(op: MahlerOperator) -> list[MahlerOperator]:
-    return [operator_section(op, i) for i in range(op.radix)]
+    """All b sections, operator_section(op, i) for i < b; each coefficient
+    is split into its residue classes once."""
+    b = op.radix
+    outs: list[dict[int, Poly]] = [{} for _ in range(b)]
+    for k, lk in op.nonzero_coefficients():
+        if k:
+            for out, section in zip(outs, poly_sections(lk, b)):
+                if section:
+                    out[k - 1] = section
+    return [MahlerOperator.from_dict(b, out) for out in outs]
 
 
 def interreduce(op1: MahlerOperator, op2: MahlerOperator) -> MahlerOperator:

@@ -338,6 +338,9 @@ def _consistent_extension(
     below the head, so the one combination that can match the prefix
     takes the prefix coefficient at each element's pivot.
     """
+    for c in prefix:
+        if type(c) is not int and not isinstance(c, Fraction):
+            raise InvalidArgumentError(f"prefix entries must be int or Fraction, got {c!r}")
     target = max(length, len(prefix))
     elements = ()
     if op.order >= 1:

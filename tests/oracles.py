@@ -9,7 +9,9 @@ and visit every row, zero or not.  The polynomial oracles take and
 return term tuples, sorted (exponent, nonzero Fraction) pairs, as
 `Poly.terms`.  `graeffe_monic` and `alt_denominator_bound` are the
 exception: they are built on the library's `Poly` and `graeffe` and
-serve as cross-checks of the denominator bound.  The rational and
+serve as cross-checks of the denominator bound; `candidate_valuations`
+and `candidate_degrees` read the library's Newton polygons and bound
+the exponents the solvers may return.  The rational and
 transcendence oracles at the end take the routes the library took
 before it read its answers off echelon bases: elimination on the
 `RationalFunction`s themselves, and exact solves of dense systems of
@@ -26,7 +28,7 @@ from mahlersolve.errors import (
     UnsupportedEquationError,
     ZeroTrailingCoefficientError,
 )
-from mahlersolve.newton import mu_nu
+from mahlersolve.newton import lower_polygon, mu_nu, upper_polygon
 from mahlersolve.operator import MahlerOperator, PhiTransform, phi_apply
 from mahlersolve.poly import Poly, graeffe
 
@@ -221,6 +223,18 @@ def alt_denominator_bound(op: MahlerOperator) -> Poly:
         if k < cap:
             image = graeffe(image, b)
     return result.monic()
+
+
+def candidate_valuations(op: MahlerOperator) -> set[Fraction]:
+    """Possible valuations of Puiseux-series solutions: the opposites of
+    the slopes of admissible lower edges."""
+    return {-e.slope for e in lower_polygon(op) if e.admissible}
+
+
+def candidate_degrees(op: MahlerOperator) -> set[Fraction]:
+    """Possible top exponents of finite solutions, reported raw; callers
+    filter for nonnegative integers when looking for polynomials."""
+    return {-e.slope for e in upper_polygon(op) if e.admissible}
 
 
 def kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:

@@ -4,17 +4,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import operator, pol, random_operator
+from oracles import candidate_degrees, candidate_valuations
 from mahlersolve.errors import (
     NoAdmissibleEdgeError,
     UnsupportedEquationError,
     ZeroTrailingCoefficientError,
 )
 from mahlersolve.newton import (
-    candidate_degrees,
-    candidate_valuations,
     lower_polygon,
     mu_nu,
-    newton_diagram,
     ramification_data,
     select_edge_for_ramification,
     upper_polygon,
@@ -86,7 +84,7 @@ def test_ramification_data_errors():
 
 def test_zero_operator_has_no_diagram_or_polygon():
     zero = MahlerOperator.zero(2)
-    for fn in (newton_diagram, lower_polygon, upper_polygon):
+    for fn in (lower_polygon, upper_polygon):
         with pytest.raises(UnsupportedEquationError, match="zero operator"):
             fn(zero)
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import mono, operator, pol, random_operator, random_poly, random_rational_operator
-from oracles import apply_exact, apply_to_fractional
+from oracles import apply_exact, apply_to_fractional, poly_sections_oracle
 from mahlersolve.errors import (
     InternalInvariantError,
     InvalidArgumentError,
@@ -12,6 +12,7 @@ from mahlersolve.errors import (
     NegativeExponentError,
     UnsupportedEquationError,
 )
+import mahlersolve.operator as operator_module
 from mahlersolve.operator import (
     IDENTITY_PHI,
     MahlerOperator,
@@ -221,6 +222,29 @@ def test_operator_sections():
         for i, s in enumerate(operator_sections(shifted)):
             total = total + operator(radix, Poly.monomial(i)) * MahlerOperator.m_power(radix, 1) * s
         assert total == shifted
+
+
+def test_operator_sections_split_each_coefficient_once(monkeypatch):
+    calls = []
+    real = operator_module.poly_sections
+    monkeypatch.setattr(operator_module, "poly_sections", lambda p, b: calls.append(p) or real(p, b))
+    rng = random.Random(8)
+    for _ in range(80):
+        radix = rng.choice((2, 3, 5))
+        op = random_operator(rng, radix, rng.randint(0, 3), 8, nonzero_l0=False)
+        calls.clear()
+        sections = operator_sections(op)
+        assert len(calls) == sum(1 for k, _ in op.nonzero_coefficients() if k >= 1)
+        expected = [{} for _ in range(radix)]
+        for k, lk in op.nonzero_coefficients():
+            for i, terms in enumerate(poly_sections_oracle(lk.terms, radix) if k else ()):
+                if terms:
+                    expected[i][k - 1] = Poly(terms)
+        assert sections == [MahlerOperator.from_dict(radix, e) for e in expected]
+        assert [operator_section(op, i) for i in range(radix)] == sections
+        for i in (-1, radix):
+            with pytest.raises(InvalidArgumentError, match="out of range"):
+                operator_section(op, i)
 
 
 def test_section_right_factor_compatibility():

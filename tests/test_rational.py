@@ -18,6 +18,7 @@ from mahlersolve.errors import (
     InconsistentPrefixError,
     InsufficientPrefixError,
     InternalInvariantError,
+    InvalidArgumentError,
     UnsupportedEquationError,
     ZeroTrailingCoefficientError,
 )
@@ -272,6 +273,29 @@ def test_transcendence_test(rat_example):
         transcendence_test(lop, [F(1), F(2), F(3), F(4), F(5)])
     with pytest.raises(InsufficientPrefixError):
         transcendence_test(lop, [F(1)])
+
+
+NON_RATIONAL_PREFIXES = (
+    [0.5, 0, 0, 0, 0],
+    [F(1), F(0), 0.0, F(0), F(0)],
+    ["1", 0, 0, 0, 0],
+    [True, 0, 0, 0, 0],
+    [1, 0, 0, 0, False],
+)
+
+
+@pytest.mark.parametrize("prefix", NON_RATIONAL_PREFIXES)
+def test_transcendence_test_rejects_non_rational_prefix(prefix):
+    for op in (operator(2, X, -pol(1, 1), ONE), operator(2, pol(1, 1))):
+        with pytest.raises(InvalidArgumentError, match="int or Fraction"):
+            transcendence_test(op, prefix)
+
+
+@pytest.mark.parametrize("prefix", NON_RATIONAL_PREFIXES)
+def test_bell_coons_test_rejects_non_rational_prefix(prefix):
+    for op in (operator(2, X, -pol(1, 1), ONE), operator(2, pol(1, 1))):
+        with pytest.raises(InvalidArgumentError, match="int or Fraction"):
+            bell_coons_test(op, prefix)
 
 
 def test_bell_coons(rat_example):

@@ -13,6 +13,7 @@ from conftest import (
 )
 from oracles import (
     apply_exact,
+    candidate_valuations,
     apply_to_fractional,
     polynomial_solution_space,
     same_span,
@@ -26,7 +27,6 @@ from mahlersolve.errors import (
     ZeroTrailingCoefficientError,
 )
 from mahlersolve.newton import (
-    candidate_valuations,
     ramification_data,
     select_edge_for_ramification,
 )
