@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import errors as E
 from .errors import (
@@ -26,6 +25,7 @@ from .errors import (
 from .newton import lower_polygon, mu_nu, ramification_data, upper_polygon
 from .normalize import certify_gcrd, gcrd_raw, normalize_l0_raw
 from .operator import MahlerOperator, primitive_part
+from .poly import format_terms
 from .rational import bell_coons_test, rational_basis, transcendence_test
 from .serialize import (
     basis_to_json,
@@ -56,55 +56,20 @@ def _load_operator(path: str) -> MahlerOperator:
     return parse_operator(doc)
 
 
-def _require_solvable(op: MahlerOperator) -> MahlerOperator:
-    if not op:
-        raise UnsupportedEquationError("the zero operator has no leading coefficient")
-    return op
-
-
-def _fmt_terms(terms) -> str:
-    if not terms:
-        return "0"
-    parts = []
-    for e, c in terms:
-        e = Fraction(e)
-        if e == 0:
-            body = str(c)
-        else:
-            if e == 1:
-                mono = "x"
-            elif e.denominator == 1 and e > 0:
-                mono = f"x^{e}"
-            else:
-                mono = f"x^({e})"
-            if c == 1:
-                body = mono
-            elif c == -1:
-                body = f"-{mono}"
-            else:
-                body = f"{c}*{mono}"
-        if parts and not body.startswith("-"):
-            parts.append("+")
-        parts.append(body)
-    return " ".join(parts)
-
-
 def _basis_text(doc: dict) -> str:
     lines = [f"{doc['kind']} (dimension {doc['dimension']})"]
     if doc.get("note"):
         lines.append(f"note: {doc['note']}")
     for i, elem in enumerate(doc.get("elements", []), start=1):
         if "numerator" in elem:
-            num = _fmt_terms([(e, Fraction(c)) for e, c in elem["numerator"]])
-            den = _fmt_terms([(e, Fraction(c)) for e, c in elem["denominator"]])
+            num = format_terms(elem["numerator"])
+            den = format_terms(elem["denominator"])
             pole = f" / x^{elem['x_power']}" if elem["x_power"] else ""
             body = f"({num}) / ({den}){pole}"
             if "ramification" in elem and elem["ramification"] != 1:
                 body += f"  in x^(1/{elem['ramification']})"
         else:
-            body = _fmt_terms(
-                [(Fraction(e), Fraction(c)) for e, c in elem["terms"]]
-            )
+            body = format_terms(elem["terms"])
             if "truncation_order" in elem:
                 order = elem["truncation_order"]
                 if "/" in order or order.startswith("-"):
@@ -128,7 +93,7 @@ def _basis_doc(op, basis, certified: bool) -> dict:
 
 
 def _cmd_newton(args) -> dict:
-    op = _require_solvable(_load_operator(args.file))
+    op = _load_operator(args.file)
     doc = {
         "kind": "newton",
         "lower": [edge_to_json(e) for e in lower_polygon(op)],
@@ -145,25 +110,25 @@ def _cmd_newton(args) -> dict:
 
 
 def _cmd_series(args) -> dict:
-    op = _require_solvable(_load_operator(args.file))
+    op = _load_operator(args.file)
     basis = series_basis(op, args.order, auto_normalize=args.auto_normalize)
     return _basis_doc(op, basis, args.certify)
 
 
 def _cmd_poly(args) -> dict:
-    op = _require_solvable(_load_operator(args.file))
+    op = _load_operator(args.file)
     basis = polynomial_basis(op, auto_normalize=args.auto_normalize)
     return _basis_doc(op, basis, args.certify)
 
 
 def _cmd_rational(args) -> dict:
-    op = _require_solvable(_load_operator(args.file))
+    op = _load_operator(args.file)
     basis = rational_basis(op, auto_normalize=args.auto_normalize)
     return _basis_doc(op, basis, args.certify)
 
 
 def _cmd_puiseux(args) -> dict:
-    op = _require_solvable(_load_operator(args.file))
+    op = _load_operator(args.file)
     if args.ramification is not None:
         basis = puiseux_basis(op, args.ramification, args.order)
     else:
@@ -172,7 +137,7 @@ def _cmd_puiseux(args) -> dict:
 
 
 def _cmd_normalize(args) -> dict:
-    op = _require_solvable(_load_operator(args.file))
+    op = _load_operator(args.file)
     content, primitive = primitive_part(normalize_l0_raw(op))
     doc = operator_to_json(primitive)
     doc["kind"] = "normalized_operator"
@@ -181,7 +146,7 @@ def _cmd_normalize(args) -> dict:
 
 
 def _cmd_gcrd(args) -> dict:
-    ops = [_require_solvable(_load_operator(path)) for path in args.files]
+    ops = [_load_operator(path) for path in args.files]
     raw = gcrd_raw(ops)
     content, primitive = primitive_part(raw)
     if args.certify:
@@ -193,7 +158,7 @@ def _cmd_gcrd(args) -> dict:
 
 
 def _cmd_transcendence(args) -> dict:
-    op = _require_solvable(_load_operator(args.file))
+    op = _load_operator(args.file)
     prefix = [parse_fraction(tok.strip()) for tok in args.initial.split(",")]
     test = bell_coons_test if args.oracle == "bell-coons" else transcendence_test
     verdict = test(op, prefix)
@@ -218,9 +183,9 @@ _enc = json.encoder.encode_basestring_ascii
 def _json(value, indent: str = "") -> str:
     """What `json.dumps` writes with an indent of 2, byte for byte, for the
     values the CLI renders: dicts with str keys, lists, strs, ints, bools
-    and None.  A list of [str, str] pairs (the terms of a series) is
-    written with one f-string per pair: the indenting encoder makes
-    several generator steps per item."""
+    and None.  A list of [str, str] or [int, str] pairs (the terms of a
+    series or of a polynomial) is written with one f-string per pair: the
+    indenting encoder makes several generator steps per item."""
     if type(value) is str:
         return _enc(value)
     if not isinstance(value, (dict, list)) or not value:
@@ -229,10 +194,13 @@ def _json(value, indent: str = "") -> str:
     if isinstance(value, dict):
         body = f",\n{inner}".join([f"{_enc(k)}: {_json(v, inner)}" for k, v in value.items()])
         return f"{{\n{inner}{body}\n{indent}}}"
-    if all(type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is str for p in value):
+    if all(
+        type(p) is list and len(p) == 2 and type(p[0]) in (str, int) and type(p[1]) is str
+        for p in value
+    ):
         deeper = inner + "  "
         body = f"\n{inner}],\n{inner}[\n{deeper}".join(
-            [f"{_enc(a)},\n{deeper}{_enc(b)}" for a, b in value]
+            [f"{_enc(a) if type(a) is str else a},\n{deeper}{_enc(b)}" for a, b in value]
         )
         return f"[\n{inner}[\n{deeper}{body}\n{inner}]\n{indent}]"
     body = f",\n{inner}".join([_json(v, inner) for v in value])
@@ -261,20 +229,15 @@ def _render(doc: dict, fmt: str) -> str:
     if doc.get("kind") in ("normalized_operator", "gcrd"):
         lines = [f"{doc['kind']}:"]
         for entry in doc["coefficients"]:
-            lines.append(
-                f"  M^{entry['order']}: "
-                + _fmt_terms([(e, Fraction(c)) for e, c in entry["terms"]])
-            )
-        lines.append(
-            "content: " + _fmt_terms([(e, Fraction(c)) for e, c in doc["content"]])
-        )
+            lines.append(f"  M^{entry['order']}: {format_terms(entry['terms'])}")
+        lines.append(f"content: {format_terms(doc['content'])}")
         return "\n".join(lines)
     if doc.get("kind") == "transcendence":
         line = f"{doc['verdict']} (method: {doc['method']})"
         if doc.get("witness"):
             w = doc["witness"]
-            num = _fmt_terms([(e, Fraction(c)) for e, c in w["numerator"]])
-            den = _fmt_terms([(e, Fraction(c)) for e, c in w["denominator"]])
+            num = format_terms(w["numerator"])
+            den = format_terms(w["denominator"])
             pole = f" / x^{w['x_power']}" if w["x_power"] else ""
             line += f"; witness ({num}) / ({den}){pole}"
         return line

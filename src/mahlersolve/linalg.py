@@ -1,17 +1,16 @@
-"""Small exact linear algebra over Q: RREF, kernels, and a row
-independence test.
+"""Small exact linear algebra over Q: RREF and a row independence test.
 
 Matrices come in as dense lists of ints or Fractions.  `rref` is the one
 elimination kernel: the window solve recombines and reduces its
-candidates with it (through `kernel_basis`, its view as a kernel), and
-the rational solver puts its basis in canonical form with it.  It runs
-fraction-free (Bareiss 1968) on Python ints: every row is scaled to
-integers once, every intermediate entry is a minor of the scaled matrix,
-so each division is exact and the numbers stay as small as
-determinants; only the entries of the result become Fractions.
-`independent` answers the yes/no question of full row rank with the
-same Bareiss step, forward only, one row at a time, and stops at the
-first row that depends on the rows before it.
+candidates with it, and the rational solver puts its basis in canonical
+form with it.  It runs fraction-free (Bareiss 1968) on Python ints:
+every row is scaled to integers once, every intermediate entry is a
+minor of the scaled matrix, so each division is exact and the numbers
+stay as small as determinants; the result is int rows over the last
+pivot, and no Fraction is built.  `independent` answers the yes/no
+question of full row rank with the same Bareiss step, forward only, one
+row at a time, and stops at the first row that depends on the rows
+before it.
 """
 
 from __future__ import annotations
@@ -20,16 +19,15 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
+def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]], list[int]]:
+    """Reduced row echelon form, as integers over one denominator.
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form.
-
-    Returns (reduced nonzero rows, pivot column indices).  Pivots are the
-    first nonzero column of each row, scaled to 1 and eliminated from all
-    other rows; rows come out sorted by pivot column.
+    Returns (den, reduced nonzero rows, pivot column indices): den is a
+    positive int and the reduced rows are int rows whose entries stand
+    for entry / den.  Pivots are the first nonzero column of each row,
+    of value den (1 after the division), eliminated from all other rows;
+    rows come out sorted by pivot column.
     """
     work = []
     for r in rows:
@@ -37,7 +35,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
             den = math.lcm(*(v.denominator for v in r))
             work.append([v.numerator * (den // v.denominator) for v in r])
     if not work:
-        return [], []
+        return 1, [], []
     ncols = len(work[0])
     pivots: list[int] = []
     done: list[list[int]] = []
@@ -61,7 +59,9 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
         if not work:
             break
     # every finished row now has the last pivot on its diagonal
-    return [[Fraction(v, prev) if v else _ZERO for v in r] for r in done], pivots
+    if prev < 0:
+        done = [[-v for v in r] for r in done]
+    return abs(prev), done, pivots
 
 
 def independent(rows: Iterable[Sequence[Fraction]]) -> bool:
@@ -91,23 +91,3 @@ def independent(rows: Iterable[Sequence[Fraction]]) -> bool:
             return False
         pivots.append((col, row[col], row))
     return True
-
-
-def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel of the matrix, one vector per free column.
-
-    The vector for free column j has entry 1 at j and 0 at the other free
-    columns, which makes the basis canonical.
-    """
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
-    for j in free:
-        vec = [_ZERO] * ncols
-        vec[j] = _ONE
-        for row, pc in zip(reduced, pivots):
-            vec[pc] = -row[j]
-        basis.append(vec)
-    return basis
-

@@ -228,33 +228,23 @@ def integer_terms(op: MahlerOperator) -> tuple[int, list[tuple[int, int, int]]]:
     return lcm, terms
 
 
-def apply_below(
+def image_below(
     op: MahlerOperator,
-    den: int,
     nums: Sequence[tuple[int, int]],
     limit: int,
     scale: int = 1,
-) -> dict[int, Fraction]:
-    """Terms of op applied to sum(v x^(e/scale)) / den with exponent
-    below limit/scale.
-
-    `nums` holds the (e, v) pairs, e and v ints, in increasing order of
-    e, over the nonzero int `den`; the result maps each exponent, again
-    in units of 1/scale, to its nonzero coefficient.  M^k multiplies
-    exponents by b^k, so a truncated series is known only far below most
-    of its image; the terms from limit/scale on are never formed.  The
-    sums run on ints, the operator scaled by L, the lcm of its
-    denominators, and only the nonzero image terms become Fractions.
-    """
-    if not nums:
-        return {}
+) -> tuple[int, dict[int, int]]:
+    """(L, image): op applied to sum(v x^(e/scale)), the (e, v) pairs in
+    `nums` ints in increasing order of e, below x^(limit/scale).  `image`
+    maps each exponent, in units of 1/scale, to L times its nonzero
+    coefficient, an int: L is the lcm of op's denominators.  M^k
+    multiplies exponents by b^k, so a truncated series is known only far
+    below most of its image; the terms from limit/scale on are never
+    formed."""
     lcm, terms = integer_terms(op)
-    low = nums[0][0]
     acc: dict[int, int] = {}
     for bk, j, c in terms:
         js = j * scale
-        if js + bk * low >= limit:
-            continue
         for e, v in nums:
             m = js + bk * e
             if m >= limit:
@@ -263,8 +253,22 @@ def apply_below(
                 acc[m] += c * v
             else:
                 acc[m] = c * v
+    return lcm, {m: s for m, s in acc.items() if s}
+
+
+def apply_below(
+    op: MahlerOperator,
+    den: int,
+    nums: Sequence[tuple[int, int]],
+    limit: int,
+    scale: int = 1,
+) -> dict[int, Fraction]:
+    """Terms of op applied to sum(v x^(e/scale)) / den with exponent
+    below limit/scale: the image of `image_below` over the nonzero int
+    `den`, each nonzero coefficient as a Fraction."""
+    lcm, image = image_below(op, nums, limit, scale)
     den *= lcm
-    return {m: Fraction(s, den) for m, s in acc.items() if s}
+    return {m: Fraction(s, den) for m, s in image.items()}
 
 
 # -- right pseudo-division ----------------------------------------------------

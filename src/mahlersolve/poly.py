@@ -258,30 +258,41 @@ class Poly:
     # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.nums:
-            return "0"
-        parts = []
-        for e, c in self.terms:
-            if e == 0:
-                body = str(c)
-            else:
-                mono = "x" if e == 1 else f"x^{e}"
-                if c == 1:
-                    body = mono
-                elif c == -1:
-                    body = f"-{mono}"
-                else:
-                    body = f"{c}*{mono}"
-            if parts and not body.startswith("-"):
-                parts.append("+")
-            parts.append(body)
-        return " ".join(parts)
+        return format_terms(self.terms)
 
     def __repr__(self) -> str:
         return f"Poly({list(self.terms)!r})"
 
 
 _ZERO = Fraction(0)
+
+
+def format_terms(terms: Iterable[tuple]) -> str:
+    """The terms c x^e as text, "0" for none.  Each e and c is anything
+    `Fraction` reads, such as an int or a string "-1/2"; a negative or
+    fractional exponent is written in parentheses."""
+    parts = []
+    for e, c in terms:
+        e, c = Fraction(e), Fraction(c)
+        if e == 0:
+            body = str(c)
+        else:
+            if e == 1:
+                mono = "x"
+            elif e.denominator == 1 and e > 0:
+                mono = f"x^{e}"
+            else:
+                mono = f"x^({e})"
+            if c == 1:
+                body = mono
+            elif c == -1:
+                body = f"-{mono}"
+            else:
+                body = f"{c}*{mono}"
+        if parts and not body.startswith("-"):
+            parts.append("+")
+        parts.append(body)
+    return " ".join(parts) or "0"
 
 
 def _raw(den: int, nums: tuple) -> Poly:

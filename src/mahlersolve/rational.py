@@ -279,9 +279,11 @@ def _echelon(numerators: Sequence[Poly], v_bar: int, q_star: Poly) -> tuple:
         for e, c in p.terms:
             coeffs[e] = c
         rows.append(_power_series_div(p, q0, w) + coeffs)
-    reduced, _ = rref(rows)
+    den, reduced, _ = rref(rows)
     return tuple(
-        RationalFunction.make(Poly((e, c) for e, c in enumerate(row[w:]) if c), v_bar, q_star)
+        RationalFunction.make(
+            Poly.from_integers(den, [(e, c) for e, c in enumerate(row[w:]) if c]), v_bar, q_star
+        )
         for row in reduced
     )
 

@@ -15,14 +15,13 @@ appears in and solve the pending rows in order, so they cost about
 (nonzero coefficients) x (operator terms), however wide the window or
 long the truncation.  The push runs on ints: every coefficient is an
 integer numerator over the input's denominator times a power of the
-diagonal, and `prolong` returns the numerators over one common
-denominator rather than one Fraction per coefficient.
+diagonal.  Coefficient vectors come in and go out in one form, (den,
+pairs): the nonzero (n, den y_n) ints over a positive den, n increasing.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
 from typing import Callable, Optional, Sequence
@@ -33,12 +32,10 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedEquationError,
 )
-from .linalg import kernel_basis, rref
+from .linalg import rref
 from .newton import mu_nu
-from .operator import MahlerOperator, PhiTransform, apply_below, integer_terms, phi_apply
+from .operator import MahlerOperator, PhiTransform, image_below, integer_terms, phi_apply
 from .poly import lowest_terms
-
-_ZERO = Fraction(0)
 
 Term = tuple[int, int, int]  # (b^k, j, c): the term c x^j M^k
 
@@ -135,15 +132,6 @@ def _over_common(
     return scale, pairs
 
 
-def integer_pairs(
-    pairs: Sequence[tuple[int, Fraction]],
-) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(den, nums): the (n, c) pairs as (n, int) pairs over their lowest
-    common denominator."""
-    den = math.lcm(*(c.denominator for _, c in pairs))
-    return den, tuple((n, c.numerator * (den // c.denominator)) for n, c in pairs)
-
-
 def _lines(terms: Sequence[Term]) -> list[Term]:
     """The term of least exponent of each power of M: the row of
     position n is the least value j + b^k n of these lines."""
@@ -179,16 +167,15 @@ def solve_prescribed(
     h: int,
     width: int,
     orientation: str,
-) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
     """Basis of {y of degree < width : phi(op) y = 0 mod x^h}.
 
-    Each basis vector is the tuple of its nonzero (n, y_n) pairs; the
-    basis is reduced echelon with pivots at the lowest nonzero
-    coefficient, pivot coefficients 1, ordered by pivot.  Every position
-    whose row has a zero diagonal gets a unit seed, and forward
-    substitution from it gives one candidate; the candidates are then
-    recombined so that all rows below x^h hold, not only the rows that
-    determine a position.
+    Each basis vector is (den, pairs), in lowest terms; the basis is
+    reduced echelon with pivots at the lowest nonzero coefficient, pivot
+    coefficients 1, ordered by pivot.  Every position whose row has a
+    zero diagonal gets a unit seed, and forward substitution from it
+    gives one candidate; the candidates are then recombined so that all
+    rows below x^h hold, not only the rows that determine a position.
     """
     if orientation not in ("lower", "upper"):
         raise InvalidArgumentError("orientation must be 'lower' or 'upper'")
@@ -221,62 +208,73 @@ def solve_prescribed(
         found = _push(terms, [(s, 1)], d, start, last, position=position)
         # a candidate scaled by a constant spans the same line
         _, pairs = _over_common([(s, 1)], found, d)
-        candidates.append(sorted((sign * n, v) for n, v in pairs))
+        candidates.append({sign * n: v for n, v in pairs})
 
-    residuals = [apply_below(transformed, 1, vec, h) for vec in candidates]
+    # One row [residual below x^h | candidate] per candidate; the reduced
+    # rows with their pivot in the candidate half span the combinations
+    # whose residual vanishes, in reduced echelon form.
+    residuals = [image_below(transformed, sorted(vec.items()), h)[1] for vec in candidates]
     nonzero_rows = sorted(set().union(*residuals))
-    s_rows = [[res.get(m, _ZERO) for res in residuals] for m in nonzero_rows]
-    combined = []
-    for coeffs in kernel_basis(s_rows, len(candidates)):
-        vec: dict[int, Fraction] = {}
-        for c, cand in zip(coeffs, candidates):
-            if c:
-                for n, v in cand:
-                    vec[n] = vec.get(n, _ZERO) + c * v
-        combined.append(vec)
-    support = sorted(set().union(*combined))
-    reduced, _ = rref([[vec.get(n, _ZERO) for n in support] for vec in combined])
-    return tuple(tuple((n, y) for n, y in zip(support, row) if y) for row in reduced)
+    support = sorted(set().union(*candidates))
+    rows = [
+        [res.get(m, 0) for m in nonzero_rows] + [vec.get(n, 0) for n in support]
+        for res, vec in zip(residuals, candidates)
+    ]
+    den, reduced, pivots = rref(rows)
+    k = len(nonzero_rows)
+    return tuple(
+        lowest_terms(den, [(n, v) for n, v in zip(support, row[k:]) if v])
+        for row, p in zip(reduced, pivots)
+        if p >= k
+    )
 
 
 def prolong(
     op: MahlerOperator,
     phi: PhiTransform,
-    approx: Sequence[tuple[int, Fraction]],
+    approx: tuple[int, Sequence[tuple[int, int]]],
     extra: int,
 ) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Extend an approximate series solution of phi(op) by `extra` terms.
 
-    `approx` holds the nonzero (n, y_n) pairs among the coefficients
-    0..floor(nu), in increasing order of n, and must satisfy the
-    relation rows up to floor(mu).  Beyond the Newton corner row m
-    determines y_{m - v(l_0)}, so each further row gives one new
-    coefficient.  Returns (den, pairs): den is a positive int and pairs
-    the nonzero (n, den y_n) among the coefficients 0..floor(nu) + extra,
-    head first, ints with no factor common to all of them and den.
+    `approx` is (den, pairs), as `solve_prescribed` returns it, for the
+    coefficients 0..floor(nu); it must satisfy the relation rows up to
+    floor(mu).  Beyond the Newton corner row m determines
+    y_{m - v(l_0)}, so each further row gives one new coefficient.
+    Returns (den, pairs) for the coefficients 0..floor(nu) + extra, head
+    first, in lowest terms.
     """
     if extra < 0:
         raise InvalidArgumentError("extra must be >= 0")
+    try:
+        den, support = approx
+        ok = type(den) is int and den > 0
+        ok = ok and all(type(n) is type(v) is int and v for n, v in support)
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise InvalidArgumentError(
+            "approximate solution must be a positive int den and nonzero (int, int) pairs"
+        )
     transformed = phi_apply(op, phi)
     if transformed.order < 1:
         raise UnsupportedEquationError("prolongation needs an operator of order >= 1")
     nu, mu = mu_nu(transformed)
     head = math.floor(nu) + 1
-    bounds = [-1] + [n for n, _ in approx] + [head]
+    bounds = [-1] + [n for n, _ in support] + [head]
     if any(a >= b for a, b in zip(bounds, bounds[1:])):
         raise InvalidArgumentError(
             f"approximate solution needs increasing indices in 0..{head - 1}"
         )
-    den, support = integer_pairs(approx)
     mu_floor = math.floor(mu)
-    residual = apply_below(transformed, den, support, mu_floor + 1)
+    _, residual = image_below(transformed, support, mu_floor + 1)
     if residual:
         bad = min(residual)
         raise IncompatiblePrefixError(
             f"prefix violates the relation for the coefficient of x^{bad}"
         )
     if extra == 0:
-        return den, support
+        return lowest_terms(den, support)
 
     # Scaled by L, row m reads d y_{m - v(l_0)} + (sum of c y_n over the
     # other terms) = 0; the trailing term d x^v(l_0) of l_0 comes first.

@@ -5,12 +5,12 @@ which substitutes a basis back into its equation.
 The simple shape shared by all solvers: pick the window parameters from
 the Newton polygon, solve the window with `rmatrix.solve_prescribed`,
 and, for series-like output, extend each basis element with
-`rmatrix.prolong`.  Both return the nonzero (index, coefficient) pairs
-only, so the cost follows the size of the answer, not the window width
-or the truncation order.  Prolongation hands back integer numerators
-over one denominator, and a `PuiseuxSeries` keeps them in that form
-through `certify` (which applies the operator on the same ints) to the
-JSON writer; no per-coefficient Fraction is built on the way.
+`rmatrix.prolong`.  Both pass a vector as (den, pairs), the nonzero
+coefficients only, as integer numerators over one denominator, so the
+cost follows the size of the answer, not the window width or the
+truncation order; a `Poly` or `PuiseuxSeries` keeps that form through
+`certify` (which applies the operator on the same ints) to the JSON
+writer, and no per-coefficient Fraction is built on the way.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .newton import mu_nu, ramification_data, select_edge_for_ramification
 from .normalize import normalize_l0
 from .operator import IDENTITY_PHI, MahlerOperator, PhiTransform, apply_below, phi_apply
 from .poly import Poly, lowest_terms, mahler_substitute
-from .rmatrix import integer_pairs, prolong, solve_prescribed
+from .rmatrix import prolong, solve_prescribed
 
 
 class PuiseuxSeries:
@@ -139,9 +139,9 @@ def solving_operator(op: MahlerOperator, auto_normalize: bool) -> MahlerOperator
 
 
 def _approximate_heads(op: MahlerOperator) -> tuple[int, tuple]:
-    """(w, heads): the nonzero (n, y_n) pairs among the coefficients
-    0..w-1, w = floor(nu)+1, of a basis of the power-series solutions of
-    op (trailing coefficient nonzero)."""
+    """(w, heads): the coefficients 0..w-1, w = floor(nu)+1, of a basis
+    of the power-series solutions of op (trailing coefficient nonzero),
+    each as the (den, pairs) of `solve_prescribed`."""
     if op.order < 1:
         return 0, ()
     nu, mu = mu_nu(op)
@@ -162,7 +162,7 @@ def approximate_series_basis(
     w, heads = _approximate_heads(solving_operator(op, auto_normalize))
     return SolutionBasis(
         "approximate_series_basis",
-        tuple(PuiseuxSeries.from_integers(1, *integer_pairs(v), w) for v in heads),
+        tuple(PuiseuxSeries.from_integers(1, *v, w) for v in heads),
     )
 
 
@@ -198,7 +198,7 @@ def polynomial_solutions_bounded(
         return SolutionBasis(kind, ())
     h = op.degree + (w - 1) * op.radix**op.order + 1
     kernel = solve_prescribed(op, IDENTITY_PHI, h, w, "upper")
-    return SolutionBasis(kind, tuple(Poly.from_integers(*integer_pairs(v)) for v in kernel))
+    return SolutionBasis(kind, tuple(Poly.from_integers(*v) for v in kernel))
 
 
 def polynomial_basis(op: MahlerOperator, auto_normalize: bool = True) -> SolutionBasis:

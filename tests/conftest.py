@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -56,6 +57,14 @@ def dense(elem) -> list[Fraction]:
     for e, c in elem.terms:
         out[int(e)] = c
     return out
+
+
+def integer_pairs(pairs) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(den, pairs): (n, c) pairs with int or Fraction c as the (n, int)
+    pairs over their lowest common denominator, the form the window solve
+    and prolongation pass around."""
+    den = math.lcm(*(c.denominator for _, c in pairs))
+    return den, tuple((n, c.numerator * (den // c.denominator)) for n, c in pairs)
 
 
 def count_fraction_arithmetic(monkeypatch) -> Counter:

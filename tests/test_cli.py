@@ -276,6 +276,33 @@ def test_stdin_input(running_example, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["N"] == 2
 
 
+@pytest.mark.parametrize(
+    "form",
+    [
+        ("newton",),
+        ("series", "--order", "3"),
+        ("poly",),
+        ("rational",),
+        ("puiseux", "--order", "3"),
+        ("puiseux", "--order", "3", "--ramification", "2"),
+        ("normalize",),
+        ("gcrd",),
+        ("transcendence", "--initial", "1,0"),
+        ("transcendence", "--initial", "1,0", "--oracle", "bell-coons"),
+    ],
+    ids=" ".join,
+)
+def test_zero_operator_exits_unsupported(run, tmp_path, form):
+    # the library rejects the zero operator on every subcommand, so the
+    # CLI needs no check of its own
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"radix": 2, "coefficients": []}))
+    code, out, err = run(form[0], str(zero), *form[1:])
+    assert code == 3 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == 3 and "Traceback" not in err
+
+
 def test_error_exits(run, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -366,6 +393,32 @@ def test_no_private_cross_module_imports():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("mahlersolve")):
                 offenders += [(name, a.name) for a in node.names if a.name.startswith("_")]
+    assert offenders == []
+
+
+def test_no_unused_module_names():
+    # a module-level import, or a module-level _private name, that its
+    # module never reads again is dead code left behind by a refactor
+    package = os.path.dirname(cli.__file__)
+    offenders = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        imported, private = [], []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                private.append(node.name)
+            elif isinstance(node, ast.Assign):
+                private += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        private = [n for n in private if n.startswith("_") and not n.startswith("__")]
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        offenders += [(name, n) for n in imported + private if n not in read]
     assert offenders == []
 
 

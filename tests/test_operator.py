@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mono, operator, pol, random_operator, random_poly, random_rational_operator
+from conftest import (
+    integer_pairs,
+    mono,
+    operator,
+    pol,
+    random_operator,
+    random_poly,
+    random_rational_operator,
+)
 from oracles import apply_exact, apply_to_fractional, poly_sections_oracle
 from mahlersolve.errors import (
     InternalInvariantError,
@@ -18,6 +26,7 @@ from mahlersolve.operator import (
     MahlerOperator,
     PhiTransform,
     apply_below,
+    image_below,
     interreduce,
     operator_section,
     operator_sections,
@@ -26,7 +35,6 @@ from mahlersolve.operator import (
     right_divide,
 )
 from mahlersolve.poly import Poly
-from mahlersolve.rmatrix import integer_pairs
 
 F = Fraction
 ONE = Poly.one()
@@ -106,8 +114,13 @@ def test_apply_below_matches_whole_image(running_example):
         whole = apply_to_fractional(op, [(F(e, scale), c) for e, c in support])
         for limit in (rng.randint(-5, 40), rng.randint(40, 200), 10**6):
             want = sorted((int(e * scale), c) for e, c in whole.items() if e * scale < limit)
-            image = apply_below(op, *integer_pairs(support), limit, scale)
+            den, nums = integer_pairs(support)
+            image = apply_below(op, den, nums, limit, scale)
             assert repr(sorted(image.items())) == repr(want)
+            # the int image behind it: nonzero ints over the operator's lcm
+            lcm, ints = image_below(op, nums, limit, scale)
+            assert all(type(v) is int and v for v in ints.values())
+            assert {m: F(v, den * lcm) for m, v in ints.items()} == image
 
 
 def test_apply_composition():

@@ -352,9 +352,10 @@ def test_series_extension_runs_on_ints(monkeypatch, rat_example):
         lengths.append(kappa + bound + 1)
         counts.append(total)
     # the same count for 18 coefficients as for 200: the slopes of mu_nu
-    # and the window solve of two basis elements, nothing per coefficient
+    # and the truncation orders, nothing per coefficient; the window solve
+    # builds none
     assert lengths == [18, 18, 200]
-    assert counts == [Counter({"new": 20, "arithmetic": 8})] * 3
+    assert counts == [Counter({"new": 14, "arithmetic": 4})] * 3
 
 
 def test_bell_coons_dimensions_errors():

@@ -1,10 +1,10 @@
 """The CLI's JSON writer against `json.dumps(value, indent=2)`.
 
-`cli._json` writes a list of [str, str] pairs, the terms of a series,
-in one step and every other value as the indenting encoder does.  The
-documents below mix those pair lists with near misses of their shape,
-so that both paths, and the choice between them, are compared byte for
-byte with the standard library.
+`cli._json` writes a list of [str, str] or [int, str] pairs, the terms
+of a series or of a polynomial, in one step and every other value as
+the indenting encoder does.  The documents below mix those pair lists
+with near misses of their shape, so that both paths, and the choice
+between them, are compared byte for byte with the standard library.
 """
 
 import json
@@ -24,9 +24,13 @@ scalars = st.one_of(
     st.integers(),
     strings,
 )
-pairs = st.lists(strings, min_size=2, max_size=2)
-near_pairs = st.one_of(
+pairs = st.one_of(
+    st.lists(strings, min_size=2, max_size=2),
     st.tuples(st.integers(), strings).map(list),
+)
+near_pairs = st.one_of(
+    st.tuples(st.booleans(), strings).map(list),
+    st.tuples(st.integers(), st.integers()).map(list),
     st.tuples(strings, st.integers()).map(list),
     st.tuples(strings, st.booleans()).map(list),
     st.lists(strings, min_size=1, max_size=1),
@@ -38,7 +42,8 @@ near_pairs = st.one_of(
 
 @st.composite
 def pair_lists(draw):
-    """A list of [str, str] pairs, sometimes with one odd item."""
+    """A list of [str, str] and [int, str] pairs, sometimes with one odd
+    item."""
     items = draw(st.lists(pairs, min_size=1, max_size=5))
     if draw(st.integers(0, 2)) == 0:
         items.insert(draw(st.integers(0, len(items))), draw(near_pairs))
@@ -62,5 +67,9 @@ documents = st.recursive(
 @example({"terms": [["-1/2", "3"], ["7", "é\"\\"]], "truncation_order": "9"})
 @example([["1", "2"], ["3", 4]])
 @example([[True, "x"], ["1", False]])
+@example({"coefficients": [{"order": 0, "terms": [[0, "1"], [3, "-1/2"]]}], "content": [[2, "7"]]})
+@example([[-5, "a"], [10**30, "b"], [-(10**40), "-3/4"], [0, ""]])
+@example([[0, "1"], [True, "2"]])
+@example([[False, "x"]])
 def test_writer_matches_json_dumps(value):
     assert _json(value) == json.dumps(value, indent=2)

@@ -1,11 +1,14 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
+    count_fraction_arithmetic,
     dense,
+    integer_pairs,
     operator,
     random_operator,
     random_poly_solvable,
@@ -30,7 +33,7 @@ from mahlersolve.operator import (
     phi_apply,
 )
 from mahlersolve.poly import Poly
-from mahlersolve.rmatrix import integer_pairs, prolong, solve_prescribed
+from mahlersolve.rmatrix import prolong, solve_prescribed
 from mahlersolve.solver import approximate_series_basis
 
 F = Fraction
@@ -132,7 +135,7 @@ def _coeffs(pairs, length):
 def test_solve_prescribed_running_example(running_example):
     nu, mu = mu_nu(running_example)
     basis = solve_prescribed(running_example, IDENTITY_PHI, int(mu) + 1, int(nu) + 1, "lower")
-    assert basis == (((3, F(1)),),)
+    assert basis == ((1, ((3, 1),)),)
 
 
 def test_solve_prescribed_upper(rat_example_transformed):
@@ -142,7 +145,7 @@ def test_solve_prescribed_upper(rat_example_transformed):
     basis = solve_prescribed(op, IDENTITY_PHI, h, w, "upper")
     assert len(basis) == 2
     for vec in basis:
-        assert not apply_below(op, *integer_pairs(vec), h)
+        assert not apply_below(op, *vec, h)
 
 
 def test_solve_prescribed_with_transform(running_example):
@@ -153,7 +156,7 @@ def test_solve_prescribed_with_transform(running_example):
     assert (nu, mu) == (F(7), F(21))
     w, h = int(nu) + 1, int(mu) + 1
     basis = solve_prescribed(running_example, phi, h, w, "lower")
-    assert [_coeffs(vec, w) for vec in basis] == [
+    assert [_coeffs(_fractions(vec), w) for vec in basis] == [
         [F(1), F(0), F(-1), F(0), F(1), F(0), F(-1), F(0)],
         [F(0), F(0), F(0), F(0), F(0), F(0), F(0), F(1)],
     ]
@@ -161,7 +164,7 @@ def test_solve_prescribed_with_transform(running_example):
 
 def test_solve_prescribed_constants():
     op = operator(2, -ONE, ONE)  # M - 1
-    assert solve_prescribed(op, IDENTITY_PHI, 1, 1, "lower") == (((0, F(1)),),)
+    assert solve_prescribed(op, IDENTITY_PHI, 1, 1, "lower") == ((1, ((0, 1),)),)
 
 
 def test_solve_prescribed_matches_dense_oracle():
@@ -191,12 +194,12 @@ def test_solve_prescribed_matches_dense_oracle():
         h = top + 1 + rng.randint(0, 6)
         basis = solve_prescribed(op, phi, h, w, orientation)
         for vec in basis:
-            assert vec and all(c for _, c in vec)
-            assert [n for n, _ in vec] == sorted({n for n, _ in vec})
-            assert all(0 <= n < w for n, _ in vec)
+            pairs = _fractions(vec)
+            assert pairs and [n for n, _ in pairs] == sorted({n for n, _ in pairs})
+            assert all(0 <= n < w for n, _ in pairs)
         dense_kernel = oracles.kernel(oracles.brute_rows(transformed, h - 1, w), w)
         expected, _ = oracles.eliminate(dense_kernel)
-        assert [_coeffs(vec, w) for vec in basis] == expected
+        assert [_coeffs(_fractions(vec), w) for vec in basis] == expected
         seen[orientation] += 1
         nontrivial += bool(basis)
     assert min(seen.values()) >= 60 and nontrivial >= 40
@@ -213,10 +216,11 @@ def test_solve_prescribed_detects_bad_selection(monkeypatch):
 
 
 def _fractions(out):
-    """The (n, Fraction) pairs of prolong's (den, pairs), after checking
-    that they are in lowest terms over a positive den."""
+    """The (n, Fraction) pairs of a (den, pairs) vector, after checking
+    that they are nonzero ints in lowest terms over a positive int den."""
     den, pairs = out
-    assert den > 0 and all(v for _, v in pairs)
+    assert type(den) is int and den > 0
+    assert all(type(n) is type(v) is int and v for n, v in pairs)
     assert math.gcd(den, *(v for _, v in pairs)) == 1
     return [(n, F(v, den)) for n, v in pairs]
 
@@ -240,18 +244,48 @@ def _pairs(vec):
 
 
 def test_prolong_running_example(running_example, running_example_series):
-    approx = [(3, F(1))]
+    approx = (1, ((3, 1),))
     out = prolong(running_example, IDENTITY_PHI, approx, 9)
     _same_as_oracle(out, running_example_series)
     assert prolong(running_example, IDENTITY_PHI, approx, 0) == (1, ((3, 1),))
+    assert prolong(running_example, IDENTITY_PHI, (6, [(3, 4)]), 0) == (3, ((3, 2),))
     with pytest.raises(IncompatiblePrefixError):
-        prolong(running_example, IDENTITY_PHI, _pairs([F(1), F(1), F(1), F(1)]), 3)
+        prolong(running_example, IDENTITY_PHI, (1, ((0, 1), (1, 1), (2, 1), (3, 1))), 3)
     # the head must be the coefficients 0..floor(nu) = 0..3, in order
-    for bad in ([(4, F(1))], [(-1, F(1))], [(3, F(1)), (2, F(1))], [(3, F(1)), (3, F(1))]):
-        with pytest.raises(InvalidArgumentError):
-            prolong(running_example, IDENTITY_PHI, bad, 3)
+    for bad in ([(4, 1)], [(-1, 1)], [(3, 1), (2, 1)], [(3, 1), (3, 1)]):
+        with pytest.raises(InvalidArgumentError, match="increasing indices"):
+            prolong(running_example, IDENTITY_PHI, (1, bad), 3)
     with pytest.raises(InvalidArgumentError):
         prolong(running_example, IDENTITY_PHI, approx, -1)
+
+
+def test_prolong_rejects_malformed_heads(running_example):
+    # a head is (den, pairs): a positive int den and nonzero (int, int)
+    # pairs; a bare list of (n, Fraction) pairs and every near miss are
+    # rejected before any work
+    malformed = [
+        [(3, F(1))],
+        [(3, 1)],
+        ((3, 1),),
+        (1, [(3, F(1))]),
+        (1, [(F(3), 1)]),
+        (1, [(3, 1.0)]),
+        (1, [(3, True)]),
+        (1, [(3, 0)]),
+        (1, [(3,)]),
+        (1, [3]),
+        (1, None),
+        (0, [(3, 1)]),
+        (-1, [(3, 1)]),
+        (F(1), [(3, 1)]),
+        (True, [(3, 1)]),
+        (1.0, [(3, 1)]),
+        (1, [(3, 1)], 0),
+        None,
+    ]
+    for head in malformed:
+        with pytest.raises(InvalidArgumentError, match="positive int den"):
+            prolong(running_example, IDENTITY_PHI, head, 3)
 
 
 def test_prolong_prefix_check_reaches_row_floor_mu():
@@ -267,7 +301,8 @@ def test_prolong_prefix_check_reaches_row_floor_mu():
         head = int(nu) + 1
         for vec in oracles.kernel(oracles.brute_rows(op, int(mu) - 1, head), head):
             outcomes = []
-            for solve, approx in ((prolong, _pairs(vec)), (prolong_oracle, list(vec))):
+            heads = ((prolong, integer_pairs(_pairs(vec))), (prolong_oracle, list(vec)))
+            for solve, approx in heads:
                 try:
                     solve(op, IDENTITY_PHI, approx, 3)
                     outcomes.append(False)
@@ -281,12 +316,12 @@ def test_prolong_prefix_check_reaches_row_floor_mu():
 def test_prolong_transformed(running_example):
     phi = PhiTransform(-1, 2, -3)
     approx = [F(c) for c in [1, 0, -1, 0, 1, 0, -1, 0]]
-    out = prolong(running_example, phi, _pairs(approx), 5)
+    out = prolong(running_example, phi, integer_pairs(_pairs(approx)), 5)
     expected = [F(c) for c in [1, 0, -1, 0, 1, 0, -1, 0, 1, 0, -1, 0, 1]]
     _same_as_oracle(out, expected)
     for extra in (0, 1, 5, 40):
         _same_as_oracle(
-            prolong(running_example, phi, _pairs(approx), extra),
+            prolong(running_example, phi, integer_pairs(_pairs(approx)), extra),
             prolong_oracle(running_example, phi, approx, extra),
         )
     # residual of the transformed operator vanishes far out
@@ -309,7 +344,7 @@ def test_prolong_residual_guarantee():
         for vec in _lower_kernel(op):
             checked += 1
             # kernel contract: solutions modulo x^h before prolongation
-            assert not apply_below(op, *integer_pairs(vec), h)
+            assert not apply_below(op, *vec, h)
             extra = rng.randint(1, 10)
             out = prolong(op, IDENTITY_PHI, vec, extra)
             assert not apply_below(op, *out, int(mu) + extra + 1)
@@ -332,7 +367,7 @@ def test_prolong_matches_oracle_on_random_operators():
             extra = rng.randint(0, 60)
             _same_as_oracle(
                 prolong(op, IDENTITY_PHI, vec, extra),
-                prolong_oracle(op, IDENTITY_PHI, _coeffs(vec, int(nu) + 1), extra),
+                prolong_oracle(op, IDENTITY_PHI, _coeffs(_fractions(vec), int(nu) + 1), extra),
             )
     assert checked >= 30
 
@@ -361,9 +396,9 @@ def test_prolong_over_common_denominators():
             checked += 1
             transformed_checked += t is phi
             unit = rng.choice((F(1, 6), F(-5, 6), F(7, 3)))
-            approx = [(n, c * unit) for n, c in vec]
+            approx = [(n, c * unit) for n, c in _fractions(vec)]
             extra = rng.randint(0, 40)
-            out = prolong(op, t, approx, extra)
+            out = prolong(op, t, integer_pairs(approx), extra)
             _same_as_oracle(out, prolong_oracle(op, t, _coeffs(approx, int(nu) + 1), extra))
             prefix_den = max(c.denominator for _, c in approx)
             grown += max(c.denominator for _, c in _fractions(out)) > prefix_den
@@ -385,7 +420,7 @@ def test_prolong_matches_oracle_on_sparse_products():
         heads = approximate_series_basis(op, auto_normalize=False).elements
         assert heads
         for head in heads:
-            out = prolong(op, IDENTITY_PHI, [(int(e), c) for e, c in head.terms], 2500)
+            out = prolong(op, IDENTITY_PHI, (head.den, head.nums), 2500)
             assert any(n >= 2000 for n, _ in out[1])
             _same_as_oracle(out, prolong_oracle(op, IDENTITY_PHI, dense(head), 2500))
 
@@ -411,7 +446,7 @@ def test_prolong_invariant_check_matches_oracle(monkeypatch, running_example):
 
     shift[0] = 1
     with pytest.raises(InternalInvariantError):
-        prolong(running_example, IDENTITY_PHI, [(3, F(1))], 5)
+        prolong(running_example, IDENTITY_PHI, (1, ((3, 1),)), 5)
 
     rng = random.Random(606)
     seen = set()
@@ -426,6 +461,23 @@ def test_prolong_invariant_check_matches_oracle(monkeypatch, running_example):
             shift[0] = rng.randint(1, 4)
             extra = rng.randint(0, 20)
             verdict = raises(prolong, op, vec, extra)
-            assert verdict == raises(prolong_oracle, op, _coeffs(vec, int(nu) + 1), extra)
+            assert verdict == raises(
+                prolong_oracle, op, _coeffs(_fractions(vec), int(nu) + 1), extra
+            )
             seen.add(verdict)
     assert seen == {True, False}
+
+
+def test_window_solve_runs_on_ints(monkeypatch, running_example):
+    # seeds, push, residuals and the one rref all run on ints, and the
+    # basis comes back as (den, pairs): no Fraction is built or used
+    nu, mu = mu_nu(running_example)
+    phi = PhiTransform(-1, 2, -3)
+    nu2, mu2 = mu_nu(phi_apply(running_example, phi))
+    calls = count_fraction_arithmetic(monkeypatch)
+    basis = solve_prescribed(running_example, IDENTITY_PHI, int(mu) + 1, int(nu) + 1, "lower")
+    sheared = solve_prescribed(running_example, phi, int(mu2) + 1, int(nu2) + 1, "lower")
+    assert calls == Counter()
+    monkeypatch.undo()
+    assert basis == ((1, ((3, 1),)),)
+    assert sheared == ((1, ((0, 1), (2, -1), (4, 1), (6, -1))), (1, ((7, 1),)))
