@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ExactDivisionError, ExponentOverflowError, InvalidArgumentError
 
@@ -78,10 +78,11 @@ class Poly:
         return cls.from_integers(c.denominator, [(e, c.numerator)] if c else [])
 
     @classmethod
-    def from_integers(cls, den: int, nums: Sequence[tuple[int, int]]) -> "Poly":
+    def from_integers(cls, den: int, nums: Iterable[tuple[int, int]]) -> "Poly":
         """nums / den from a nonzero int den and (e, int) pairs with
         strictly increasing exponents and nonzero ints; common factors
         are divided out."""
+        nums = tuple(nums)
         if nums:
             if nums[0][0] < 0:
                 raise InvalidArgumentError(f"negative exponent {nums[0][0]}")
@@ -307,14 +308,16 @@ def _raw(den: int, nums: tuple) -> Poly:
 def lowest_terms(den: int, nums) -> tuple[int, tuple]:
     """(den, nums) divided by the gcd of den and every numerator, the
     sign carried by the numerators: the canonical integer form of the
-    numbers v / den (den nonzero) for the (key, v) pairs in nums."""
+    numbers v / den (den nonzero) for the (key, v) pairs in nums, any
+    iterable."""
+    nums = tuple(nums)
     if den != 1:
         g = math.gcd(den, *(c for _, c in nums))
         if den < 0:
             g = -g
         if g != 1:
             return den // g, tuple((e, c // g) for e, c in nums)
-    return den, tuple(nums)
+    return den, nums
 
 
 def _reduced(den: int, nums) -> Poly:

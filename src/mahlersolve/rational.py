@@ -69,8 +69,10 @@ class RationalFunction:
         cancel = min(v, num.valuation)
         num = num.shift(-cancel)
         v -= cancel
-        lc = den.leading_coefficient
-        return cls(num.scale(1 / lc), v, den.monic())
+        # num / lc(den) on the integer forms
+        lc, lc_den = den.nums[-1][1], den.den
+        num = Poly.from_integers(num.den * lc, [(e, c * lc_den) for e, c in num.nums])
+        return cls(num, v, den.monic())
 
     @classmethod
     def constant(cls, c) -> "RationalFunction":
@@ -108,7 +110,14 @@ class RationalFunction:
         length = hi + self.x_power
         if length <= 0:
             return [_ZERO] * (hi - lo)
-        series = _power_series_div(self.numerator, self.denominator, length)
+        num, den = self.numerator, self.denominator
+        ints = _power_series_div(num, den, length)
+        d0 = den.nums[0][1]
+        series = []
+        power = 1  # d0^(n+1)
+        for t in ints:
+            power *= d0
+            series.append(Fraction(t * den.den, power * num.den) if t else _ZERO)
         out = []
         for e in range(lo, hi):
             idx = e + self.x_power
@@ -126,20 +135,18 @@ class RationalFunction:
         return f"({self.numerator}) / ({' * '.join(den_parts)})"
 
 
-def _power_series_div(num: Poly, den: Poly, length: int) -> list[Fraction]:
-    """First `length` coefficients of num/den; den(0) must be nonzero.
-
-    The recurrence runs on the integer forms: with A = num.nums,
-    D = den.nums and d0 = D(0), t_n = A_n d0^n - sum_e D_e d0^(e-1) t_(n-e)
-    is the coefficient of x^n in A/D times d0^(n+1), and only the
-    nonzero coefficients become Fractions.
+def _power_series_div(num: Poly, den: Poly, length: int) -> list[int]:
+    """The integer form of the first `length` coefficients of num/den,
+    den(0) nonzero: with A = num.nums, D = den.nums and d0 = D(0), the
+    int t_n = A_n d0^n - sum_e D_e d0^(e-1) t_(n-e) is the coefficient of
+    x^n in A/D times d0^(n+1), so that of num/den is
+    t_n den.den / (d0^(n+1) num.den).
     """
     if not den.nums or den.nums[0][0]:
         raise ZeroDivisionError("denominator vanishes at 0")
     d0 = den.nums[0][1]
     tail = [(e, c * d0 ** (e - 1)) for e, c in den.nums[1:]]
     num_map = dict(num.nums)
-    out = [_ZERO] * length
     ints = [0] * length
     power = 1  # d0^n
     for n in range(length):
@@ -150,9 +157,7 @@ def _power_series_div(num: Poly, den: Poly, length: int) -> list[Fraction]:
             acc -= c * ints[n - e]
         ints[n] = acc
         power *= d0
-        if acc:
-            out[n] = Fraction(acc * den.den, power * num.den)
-    return out
+    return ints
 
 
 @dataclass(frozen=True)
@@ -272,13 +277,19 @@ def _echelon(numerators: Sequence[Poly], v_bar: int, q_star: Poly) -> tuple:
     if not numerators:
         return ()
     q0 = q_star.shift(-q_star.valuation)
+    d0 = q0.nums[0][1]
     w = 1 + max(p.degree for p in numerators)
     rows = []
     for p in numerators:
-        coeffs = [_ZERO] * w
-        for e, c in p.terms:
-            coeffs[e] = c
-        rows.append(_power_series_div(p, q0, w) + coeffs)
+        # the row times p.den d0^w, t_n q0.den d0^(w-1-n) | p.nums d0^w,
+        # then divided by its content
+        ints = _power_series_div(p, q0, w)
+        row = [t * q0.den * d0 ** (w - 1 - n) for n, t in enumerate(ints)]
+        row += [0] * w
+        for e, c in p.nums:
+            row[w + e] = c * d0**w
+        g = math.gcd(*row)
+        rows.append([v // g for v in row])
     den, reduced, _ = rref(rows)
     return tuple(
         RationalFunction.make(

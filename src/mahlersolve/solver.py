@@ -73,7 +73,7 @@ class PuiseuxSeries:
         cls,
         ramification: int,
         den: int,
-        nums: Sequence[tuple[int, int]],
+        nums: Iterable[tuple[int, int]],
         truncation_order: Fraction,
     ) -> "PuiseuxSeries":
         """nums / den from a nonzero int den and (e, int) pairs, e in

@@ -15,9 +15,11 @@ from mahlersolve.poly import (
     graeffe,
     lcm,
     lcm_orbit,
+    lowest_terms,
     mahler_substitute,
     poly_sections,
 )
+from mahlersolve.solver import PuiseuxSeries
 
 
 def test_construction_normalizes():
@@ -232,3 +234,15 @@ def test_product_matches_schoolbook_oracle():
     cases += [(draw(rng.random() < 0.3), draw(rng.random() < 0.3)) for _ in range(400)]
     for p, q in cases:
         assert repr(p * q) == repr(poly_mul_oracle(p, q))
+
+
+def test_integer_forms_read_an_iterator_once():
+    # the (e, num) pairs may come as any iterable, read once
+    pairs = [(0, 4), (1, 6)]
+    assert lowest_terms(2, iter(pairs)) == lowest_terms(2, pairs) == (1, ((0, 2), (1, 3)))
+    assert lowest_terms(1, iter(pairs)) == (1, tuple(pairs))
+    assert Poly.from_integers(2, iter(pairs)) == Poly.from_integers(2, pairs) == pol(2, 3)
+    elem = PuiseuxSeries.from_integers(1, 2, iter(pairs), 3)
+    assert elem.nums == ((0, 2), (1, 3)) and elem == PuiseuxSeries.from_integers(1, 2, pairs, 3)
+    with pytest.raises(InvalidArgumentError):
+        Poly.from_integers(1, iter([(-1, 1)]))

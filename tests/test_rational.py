@@ -14,6 +14,7 @@ from conftest import (
     random_series_solvable_operator,
 )
 from oracles import alt_denominator_bound, eliminate, same_span
+from mahlersolve import rational
 from mahlersolve.errors import (
     InconsistentPrefixError,
     InsufficientPrefixError,
@@ -493,3 +494,49 @@ def test_small_degree_implies_constants():
         for f in basis.elements:
             assert f.numerator.degree <= 0 and f.denominator == ONE
     assert checked >= 100
+
+
+def _expansion(p: Poly, q: Poly, w: int) -> list[Fraction]:
+    """First w coefficients of p/q, q(0) nonzero, divided out on Fractions."""
+    out = []
+    for n in range(w):
+        s = p.coefficient(n) - sum(q.coefficient(e) * out[n - e] for e in range(1, n + 1))
+        out.append(s / q.coefficient(0))
+    return out
+
+
+def test_echelon_runs_on_ints(monkeypatch, rat_example):
+    # the rational basis is one rref of int rows: the integer form of the
+    # expansion of each p/q0 beside the numerators of p.  No Fraction is
+    # built, and the basis is the reduced echelon form of the Fraction rows
+    calls = count_fraction_arithmetic(monkeypatch)
+    seen = []
+    original = rational._echelon
+
+    def counted(*args):
+        before = calls.copy()
+        out = original(*args)
+        seen.append((args, out, calls - before))
+        return out
+
+    monkeypatch.setattr(rational, "_echelon", counted)
+    p, q = pol(1, 2), pol(3, 1)
+    ops = [
+        rat_example,
+        # (p q(x^2)) y(x^2) - (p(x^2) q) y(x) has the solution p/q, and q(0) = 3
+        MahlerOperator(2, [-(mahler_substitute(p, 2) * q), p * mahler_substitute(q, 2)]),
+    ]
+    dims = [rational_basis(op).dimension for op in ops]
+    monkeypatch.undo()
+    assert dims == [2, 1]
+    leads = []
+    for (numerators, v_bar, q_star), out, count in seen:
+        assert count == Counter()
+        q0 = q_star.shift(-q_star.valuation)
+        leads.append(abs(q0.coefficient(0)))
+        w = 1 + max(p.degree for p in numerators)
+        rows = [_expansion(p, q0, w) + [p.coefficient(e) for e in range(w)] for p in numerators]
+        reduced, _ = eliminate(rows)
+        numerators = [Poly((e, c) for e, c in enumerate(r[w:]) if c) for r in reduced]
+        assert list(out) == [RationalFunction.make(p, v_bar, q_star) for p in numerators]
+    assert max(leads) > 1

@@ -4,6 +4,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     count_fraction_arithmetic,
@@ -24,7 +26,7 @@ from mahlersolve.errors import (
     InvalidArgumentError,
 )
 from mahlersolve import rmatrix
-from mahlersolve.newton import mu_nu
+from mahlersolve.newton import mu_nu, select_edge_for_ramification
 from mahlersolve.operator import (
     IDENTITY_PHI,
     MahlerOperator,
@@ -32,9 +34,9 @@ from mahlersolve.operator import (
     apply_below,
     phi_apply,
 )
-from mahlersolve.poly import Poly
+from mahlersolve.poly import Poly, mahler_substitute
 from mahlersolve.rmatrix import prolong, solve_prescribed
-from mahlersolve.solver import approximate_series_basis
+from mahlersolve.solver import approximate_series_basis, puiseux_basis_all, series_basis
 
 F = Fraction
 ONE = Poly.one()
@@ -481,3 +483,190 @@ def test_window_solve_runs_on_ints(monkeypatch, running_example):
     monkeypatch.undo()
     assert basis == ((1, ((3, 1),)),)
     assert sheared == ((1, ((0, 1), (2, -1), (4, 1), (6, -1))), (1, ((7, 1),)))
+
+
+def test_prolong_reads_an_iterator_head_once(running_example, running_example_series):
+    op = MahlerOperator(2, [ONE - X, -ONE])  # y(x) - x y(x) - y(x^2)
+    want = (1, ((0, 1), (1, 1), (2, 2), (3, 2), (4, 4), (5, 4)))
+    assert prolong(op, IDENTITY_PHI, (1, ((0, 1),)), 5) == want
+    assert prolong(op, IDENTITY_PHI, (1, iter([(0, 1)])), 5) == want
+    out = prolong(running_example, IDENTITY_PHI, (1, (p for p in [(3, 1)])), 9)
+    _same_as_oracle(out, running_example_series)
+
+
+K = rmatrix._NEAR_TAIL
+
+
+def _kernel_calls(monkeypatch) -> Counter:
+    """Count the calls of `_walk` under "walk" and of `_push` under
+    "push", from now on."""
+    calls = Counter()
+    for name in ("_walk", "_push"):
+        original = getattr(rmatrix, name)
+
+        def counted(*args, _original=original, _key=name[1:], **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(rmatrix, name, counted)
+    return calls
+
+
+def _walks(op, phi) -> bool:
+    """The kernel rule, read off the transformed operator's coefficients:
+    l_0's trailing coefficient is +-1 over the lcm of all denominators,
+    and the next term of l_0 lies at most K above it."""
+    transformed = phi_apply(op, phi)
+    l0 = transformed.coeffs[0]
+    lcm = math.lcm(*(lk.den for lk in transformed.coeffs))
+    (v0, c0), rest = l0.terms[0], l0.terms[1:]
+    return abs(c0 * lcm) == 1 and bool(rest) and rest[0][0] - v0 <= K
+
+
+def _tail_product(radix, d, tail, left=None) -> MahlerOperator:
+    """left * (d M - u), u = d + (c x^o for the (o, c) pairs in tail):
+    the right factor has a power-series solution 1 + ..., and a left
+    factor with a monomial l_0 keeps l_0's tail and |d|."""
+    u = Poly.from_integers(1, [(0, d), *tail])
+    right = MahlerOperator(radix, [-u, Poly.monomial(0, d)])
+    return right if left is None else left * right
+
+
+def _heads(op, phi):
+    """The window-solve basis of phi(op) for prolongation, nu >= 0."""
+    nu, mu = mu_nu(phi_apply(op, phi))
+    return solve_prescribed(op, phi, math.floor(mu) + 1, math.floor(nu) + 1, "lower")
+
+
+def _combine(heads, weights):
+    """sum w_i head_i as (den, pairs); nonzero weights on an echelon
+    basis give a nonzero head."""
+    den = math.lcm(*(h[0] for h in heads))
+    acc = Counter()
+    for (hd, pairs), w in zip(heads, weights):
+        for n, v in pairs:
+            acc[n] += w * v * (den // hd)
+    return den, tuple(sorted((n, v) for n, v in acc.items() if v))
+
+
+coefficients = st.sampled_from((-2, -1, 1, 2))
+
+
+@st.composite
+def walk_cases(draw):
+    """(op, phi, extra, weights): o_min from 1 to K + 1, diagonals +-1 and
+    2, left factors x^a + l_1 M that lengthen the head, and the Puiseux
+    transforms `puiseux_basis` prolongs under, which multiply o_min by
+    the ramification."""
+    radix = draw(st.sampled_from((2, 3)))
+    d = draw(st.sampled_from((1, -1, 2)))
+    o_min = draw(st.integers(1, K + 1))
+    above = sorted(draw(st.sets(st.integers(o_min + 1, 3 * K), max_size=3)))
+    tail = [(o, draw(coefficients)) for o in [o_min, *above]]
+    left = None
+    if draw(st.booleans()):
+        l0 = Poly.monomial(draw(st.integers(0, 8)), draw(st.sampled_from((1, -1))))
+        exps = sorted({0} | draw(st.sets(st.integers(1, 3), max_size=2)))
+        l1 = Poly.from_integers(1, [(e, draw(coefficients)) for e in exps])
+        left = MahlerOperator(radix, [l0, l1])
+    op = _tail_product(radix, d, tail, left)
+    phi = IDENTITY_PHI
+    ramification = draw(st.sampled_from((1, 3, 5) if radix == 2 else (1, 2, 5)))
+    if ramification > 1:
+        slope, intercept = select_edge_for_ramification(op, ramification)
+        phi = PhiTransform(-int(slope * ramification), ramification, int(intercept * ramification))
+    weights = draw(st.lists(st.sampled_from((1, -1, 2, -3)), min_size=4, max_size=4))
+    return op, phi, draw(st.integers(1, 60)), weights
+
+
+@given(walk_cases())
+def test_walk_matches_oracle(case):
+    # each prolongation takes the kernel the rule names, and both give
+    # the oracle's coefficients, repr for repr
+    op, phi, extra, weights = case
+    heads = _heads(op, phi)
+    assert heads  # the right factor's series solution, at least
+    head = _combine(heads, weights)
+    nu = mu_nu(phi_apply(op, phi))[0]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _kernel_calls(mp)
+        out = prolong(op, phi, head, extra)
+    assert calls == Counter({"walk" if _walks(op, phi) else "push": 1})
+    den, pairs = head
+    approx = _coeffs([(n, F(v, den)) for n, v in pairs], math.floor(nu) + 1)
+    _same_as_oracle(out, prolong_oracle(op, phi, approx, extra))
+
+
+def test_prolong_kernel_choice(monkeypatch, running_example, sparse_stretch_example):
+    # the transformed operator alone picks the kernel: o_min = K walks and
+    # K + 1 pushes, as do a diagonal of 2 (also from scaling by 2/3, which
+    # puts 3 into the lcm) and l_0 without a tail
+    cases = [
+        (_tail_product(2, 1, [(K, 1), (K + 1, -1)]), "walk"),
+        (_tail_product(3, -1, [(K, -1), (2 * K, 2)]), "walk"),
+        (_tail_product(2, 1, [(K + 1, 1), (K + 2, -1)]), "push"),
+        (_tail_product(3, 2, [(1, 1)]), "push"),
+        (_tail_product(2, 1, [(1, -1), (2, 1)]).scale(F(2, 3)), "push"),
+        (_tail_product(2, -1, [(1, 1)]).scale(F(-1)), "walk"),
+        (MahlerOperator(2, [Poly.monomial(1, -1), ONE + X]), "push"),
+        (running_example, "walk"),
+    ]
+    for op, kernel in cases:
+        assert _walks(op, IDENTITY_PHI) == (kernel == "walk")
+        (head,) = _heads(op, IDENTITY_PHI)
+        calls = _kernel_calls(monkeypatch)
+        out = prolong(op, IDENTITY_PHI, head, 300)
+        monkeypatch.undo()
+        assert calls == Counter({kernel: 1})
+        approx = _coeffs(_fractions(head), int(mu_nu(op)[0]) + 1)
+        _same_as_oracle(out, prolong_oracle(op, IDENTITY_PHI, approx, 300))
+    # y(x) + x y(x) + x y(x^2) walks; nu = -1 leaves only the empty head
+    op = MahlerOperator(2, [ONE + X, X])
+    assert _walks(op, IDENTITY_PHI) and mu_nu(op)[0] == -1
+    assert prolong(op, IDENTITY_PHI, (1, ()), 5) == (1, ())
+
+    # the window solve pushes; the sparse products M - (1 +- x^e), e >= 2000,
+    # at order 10^4 and the stretch operator push everywhere
+    calls = _kernel_calls(monkeypatch)
+    series_basis(running_example, 40)
+    assert calls == Counter({"push": 1, "walk": 1})
+    calls.clear()
+    rng = random.Random(505)
+    for _ in range(3):
+        exps = rng.sample(range(2000, 2400), rng.randint(1, 2))
+        u = ONE + Poly([(e, F(rng.choice((-1, 1)))) for e in exps])
+        assert len(series_basis(MahlerOperator(rng.choice((2, 3)), [-u, ONE]), 10**4).elements) == 1
+    puiseux_basis_all(sparse_stretch_example, 100)
+    assert calls["walk"] == 0 and calls["push"] >= 6
+
+
+def test_walk_runs_on_ints(monkeypatch, running_example):
+    # the walk builds no Fraction, on a dense sheared prolongation and on
+    # finite solutions: p M - p(x^b) has the polynomial solution p, and
+    # l_0 = -p(x^b) has the diagonal -1 and o_min = b <= K, so every row
+    # past deg p solves to zero
+    p = Poly.from_integers(1, [(0, 1), (1, -2), (3, 5)])
+    cases = [(running_example, PhiTransform(-1, 2, -3))]
+    for radix in (2, 3):
+        left = MahlerOperator(radix, [ONE, X - ONE])
+        op = left * MahlerOperator(radix, [-mahler_substitute(p, radix), p])
+        cases.append((op, IDENTITY_PHI))
+    heads = [_heads(op, phi)[0] for op, phi in cases]
+    calls = count_fraction_arithmetic(monkeypatch)
+    walked = []
+    original = rmatrix._walk
+
+    def counted(*args):
+        before = calls.copy()
+        out = original(*args)
+        walked.append(calls - before)
+        return out
+
+    monkeypatch.setattr(rmatrix, "_walk", counted)
+    results = [prolong(op, phi, head, 60) for (op, phi), head in zip(cases, heads)]
+    monkeypatch.undo()
+    assert walked == [Counter()] * 3
+    assert len(results[0][1]) > 30 and results[1] == results[2] == (1, p.nums)
+    for (op, phi), head, out in zip(cases, heads, results):
+        approx = _coeffs(_fractions(head), int(mu_nu(phi_apply(op, phi))[0]) + 1)
+        _same_as_oracle(out, prolong_oracle(op, phi, approx, 60))
