@@ -2,9 +2,11 @@
 of the radix-b substitution map M, with the commutation rule M x = x^b M.
 
 The coefficient of M^k sits at index k of ``coeffs``; the zero operator
-is the empty tuple.  Operator application, multiplication, fraction-free
-right pseudo-division, exponent substitutions, sections, interreduction,
-and content normalization all live here.
+is the empty tuple.  Operator application (`image_below`, the only one),
+the change of unknown y = p / (x^v q) (`clear_denominator`),
+multiplication, fraction-free right pseudo-division, exponent
+substitutions, sections, interreduction, and content normalization all
+live here.
 """
 
 from __future__ import annotations
@@ -256,19 +258,24 @@ def image_below(
     return lcm, {m: s for m, s in acc.items() if s}
 
 
-def apply_below(
-    op: MahlerOperator,
-    den: int,
-    nums: Sequence[tuple[int, int]],
-    limit: int,
-    scale: int = 1,
-) -> dict[int, Fraction]:
-    """Terms of op applied to sum(v x^(e/scale)) / den with exponent
-    below limit/scale: the image of `image_below` over the nonzero int
-    `den`, each nonzero coefficient as a Fraction."""
-    lcm, image = image_below(op, nums, limit, scale)
-    den *= lcm
-    return {m: Fraction(s, den) for m, s in image.items()}
+def clear_denominator(op: MahlerOperator, v: int, q: Poly) -> MahlerOperator:
+    """The operator whose polynomial solutions p are exactly the
+    numerators of the solutions p / (x^v q) of op: its coefficient of M^k
+    is l_k x^(s - b^k v) prod_(i != k) q(x^(b^i)), where s = max_k(b^k v -
+    v(l_k)) is the least shift that leaves no negative exponent.  The
+    zero operator stays zero."""
+    b = op.radix
+    orbit = [mahler_substitute(q, b, i) if i else q for i in range(len(op.coeffs))]
+    s = max((b**k * v - lk.valuation for k, lk in op.nonzero_coefficients()), default=0)
+    coeffs = []
+    for k, lk in enumerate(op.coeffs):
+        if lk:
+            lk = lk.shift(s - b**k * v)
+            for i, image in enumerate(orbit):
+                if i != k:
+                    lk = lk * image
+        coeffs.append(lk)
+    return MahlerOperator(b, coeffs)
 
 
 # -- right pseudo-division ----------------------------------------------------

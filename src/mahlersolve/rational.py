@@ -28,7 +28,7 @@ from .errors import (
 )
 from .linalg import independent, rref
 from .newton import mu_nu, ramification_data
-from .operator import MahlerOperator, PhiTransform, phi_apply
+from .operator import MahlerOperator, PhiTransform, clear_denominator, phi_apply
 from .poly import Poly, graeffe, lcm_orbit, mahler_substitute, poly_sections
 from .solver import (
     SolutionBasis,
@@ -223,17 +223,15 @@ def denominator_bound(op: MahlerOperator) -> DenominatorBound:
 def rational_basis(op: MahlerOperator, auto_normalize: bool = True) -> SolutionBasis:
     """Basis of the rational-function solutions.
 
-    Change of unknown y = p / (x^v_bar q_star) turns the problem into a
-    bounded-degree polynomial solve for p.
+    The change of unknown y = p / (x^v_bar q_star) (`clear_denominator`)
+    turns the problem into a bounded-degree polynomial solve for p.
     """
     op = solving_operator(op, auto_normalize)
     kind = "rational_basis"
     r = op.order
     if r < 1:
         return SolutionBasis(kind, ())
-    b = op.radix
-    delta = op.degree
-    if delta < b ** (r - 1):
+    if op.degree < op.radix ** (r - 1):
         total = Poly.zero()
         for _, c in op.nonzero_coefficients():
             total = total + c
@@ -243,20 +241,7 @@ def rational_basis(op: MahlerOperator, auto_normalize: bool = True) -> SolutionB
 
     bound = denominator_bound(op)
     q_star, v_bar = bound.q_star, bound.v_bar
-    shift_base = (b * delta) // (b - 1)
-    orbit = [mahler_substitute(q_star, b, i) if i else q_star for i in range(r + 1)]
-    coeffs = []
-    for k in range(r + 1):
-        lk = op.coefficient(k)
-        if not lk:
-            coeffs.append(Poly.zero())
-            continue
-        cofactor = Poly.one()
-        for i in range(r + 1):
-            if i != k:
-                cofactor = cofactor * orbit[i]
-        coeffs.append(lk.shift(shift_base - b**k * v_bar) * cofactor)
-    aux = MahlerOperator(b, coeffs)
+    aux = clear_denominator(op, v_bar, q_star)
 
     w = q_star.degree + 2 * v_bar + 1
     numerators = polynomial_solutions_bounded(aux, w, auto_normalize=False).elements

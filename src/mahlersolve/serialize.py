@@ -125,28 +125,25 @@ def _series_element_to_json(elem: PuiseuxSeries) -> dict:
     }
 
 
+def _rational_to_json(f) -> dict:
+    """A RationalFunction numerator / (x^x_power denominator)."""
+    return {
+        "numerator": poly_to_json(f.numerator),
+        "x_power": f.x_power,
+        "denominator": poly_to_json(f.denominator),
+    }
+
+
 def basis_to_json(basis: SolutionBasis) -> dict:
     doc: dict = {"kind": basis.kind, "dimension": basis.dimension}
     if basis.note:
         doc["note"] = basis.note
     if basis.kind == "rational_basis":
-        doc["elements"] = [
-            {
-                "numerator": poly_to_json(f.numerator),
-                "x_power": f.x_power,
-                "denominator": poly_to_json(f.denominator),
-            }
-            for f in basis.elements
-        ]
+        doc["elements"] = [_rational_to_json(f) for f in basis.elements]
         return doc
     if basis.kind == "ramified_rational_basis":
         doc["elements"] = [
-            {
-                "ramification": f.ramification,
-                "numerator": poly_to_json(f.function.numerator),
-                "x_power": f.function.x_power,
-                "denominator": poly_to_json(f.function.denominator),
-            }
+            {"ramification": f.ramification, **_rational_to_json(f.function)}
             for f in basis.elements
         ]
         return doc

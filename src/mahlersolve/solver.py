@@ -5,12 +5,12 @@ which substitutes a basis back into its equation.
 The simple shape shared by all solvers: pick the window parameters from
 the Newton polygon, solve the window with `rmatrix.solve_prescribed`,
 and, for series-like output, extend each basis element with
-`rmatrix.prolong`.  Both pass a vector as (den, pairs), the nonzero
-coefficients only, as integer numerators over one denominator, so the
-cost follows the size of the answer, not the window width or the
+`rmatrix.prolong` (`_series`).  Both pass a vector as (den, pairs), the
+nonzero coefficients only, as integer numerators over one denominator,
+so the cost follows the size of the answer, not the window width or the
 truncation order; a `Poly` or `PuiseuxSeries` keeps that form through
-`certify` (which applies the operator on the same ints) to the JSON
-writer, and no per-coefficient Fraction is built on the way.
+`certify` (which applies an operator by `operator.image_below` on the
+same ints) to the JSON writer, and no per-coefficient Fraction is built.
 """
 
 from __future__ import annotations
@@ -29,8 +29,15 @@ from .errors import (
 )
 from .newton import mu_nu, ramification_data, select_edge_for_ramification
 from .normalize import normalize_l0
-from .operator import IDENTITY_PHI, MahlerOperator, PhiTransform, apply_below, phi_apply
-from .poly import Poly, lowest_terms, mahler_substitute
+from .operator import (
+    IDENTITY_PHI,
+    MahlerOperator,
+    PhiTransform,
+    clear_denominator,
+    image_below,
+    phi_apply,
+)
+from .poly import Poly, lowest_terms
 from .rmatrix import prolong, solve_prescribed
 
 
@@ -138,18 +145,22 @@ def solving_operator(op: MahlerOperator, auto_normalize: bool) -> MahlerOperator
     return normalize_l0(op)
 
 
-def _approximate_heads(op: MahlerOperator) -> tuple[int, tuple]:
-    """(w, heads): the coefficients 0..w-1, w = floor(nu)+1, of a basis
-    of the power-series solutions of op (trailing coefficient nonzero),
-    each as the (den, pairs) of `solve_prescribed`."""
-    if op.order < 1:
+def _series(op: MahlerOperator, phi: PhiTransform, top: int) -> tuple[int, tuple]:
+    """(t, vectors): a basis of the power-series solutions of phi(op),
+    whose trailing coefficient is nonzero, each as the (den, pairs) of
+    `prolong` for its coefficients 0..t-1, t - 1 = max(top, floor(nu)).
+    The window fixes the coefficients up to floor(nu); each head is then
+    prolonged."""
+    transformed = phi_apply(op, phi)
+    if transformed.order < 1:
         return 0, ()
-    nu, mu = mu_nu(op)
+    nu, mu = mu_nu(transformed)
     if nu < 0:
         return 0, ()
-    h = math.floor(mu) + 1
     w = math.floor(nu) + 1
-    return w, solve_prescribed(op, IDENTITY_PHI, h, w, "lower")
+    t = max(top + 1, w)
+    heads = solve_prescribed(op, phi, math.floor(mu) + 1, w, "lower")
+    return t, tuple(prolong(op, phi, head, t - w) for head in heads)
 
 
 def approximate_series_basis(
@@ -159,10 +170,10 @@ def approximate_series_basis(
 
     Each element extends to exactly one power-series solution.
     """
-    w, heads = _approximate_heads(solving_operator(op, auto_normalize))
+    t, vectors = _series(solving_operator(op, auto_normalize), IDENTITY_PHI, 0)
     return SolutionBasis(
         "approximate_series_basis",
-        tuple(PuiseuxSeries.from_integers(1, *v, w) for v in heads),
+        tuple(PuiseuxSeries.from_integers(1, *v, t) for v in vectors),
     )
 
 
@@ -173,14 +184,10 @@ def series_basis(op: MahlerOperator, order: int, auto_normalize: bool = True) ->
     """
     if order < 0:
         raise InvalidArgumentError(f"order must be >= 0, got {order}")
-    op = solving_operator(op, auto_normalize)
-    w, heads = _approximate_heads(op)
-    extra = max(0, order + 1 - w)
-    elements = tuple(
-        PuiseuxSeries.from_integers(1, *prolong(op, IDENTITY_PHI, head, extra), w + extra)
-        for head in heads
+    t, vectors = _series(solving_operator(op, auto_normalize), IDENTITY_PHI, order)
+    return SolutionBasis(
+        "series_basis", tuple(PuiseuxSeries.from_integers(1, *v, t) for v in vectors)
     )
-    return SolutionBasis("series_basis", elements)
 
 
 def polynomial_solutions_bounded(
@@ -229,8 +236,6 @@ def puiseux_basis(op: MahlerOperator, ramification: int, order: int) -> Solution
     w0 = op.m_valuation
     if w0 > 0:
         op = op.m_shift(-w0)
-        if op.order == 0:
-            return SolutionBasis(kind, ())
         order = order * op.radix**w0
     if op.order == 0:
         return SolutionBasis(kind, ())
@@ -248,23 +253,15 @@ def puiseux_basis(op: MahlerOperator, ramification: int, order: int) -> Solution
         raise InternalInvariantError("edge data is not integral for the chosen ramification")
     shift = int(ns)
     phi = PhiTransform(-shift, ramification, int(nc))
-    transformed = phi_apply(op, phi)
-    nu, mu = mu_nu(transformed)
-    h = math.floor(mu) + 1
-    width = math.floor(nu) + 1
-    kernel = solve_prescribed(op, phi, h, width, "lower")
-
     # like series_basis, never cut an element below the window head
-    top = max(shift + ramification * order, math.floor(nu))
-    extra = top - math.floor(nu)
-    trunc = Fraction(top + 1 - shift, out_ram)
-    elements = []
-    for head in kernel:
-        den, pairs = prolong(op, phi, head, extra)
-        # coefficient i carries the exponent (-slope + i/ramification)/b^w0 = (i - ns)/out_ram
-        nums = [(i - shift, c) for i, c in pairs if i <= top]
-        elements.append(PuiseuxSeries.from_integers(out_ram, den, nums, trunc))
-    return SolutionBasis(kind, tuple(elements))
+    t, vectors = _series(op, phi, shift + ramification * order)
+    trunc = Fraction(t - shift, out_ram)
+    # coefficient i carries the exponent (-slope + i/ramification)/b^w0 = (i - ns)/out_ram
+    elements = tuple(
+        PuiseuxSeries.from_integers(out_ram, den, [(i - shift, c) for i, c in pairs], trunc)
+        for den, pairs in vectors
+    )
+    return SolutionBasis(kind, elements)
 
 
 def puiseux_basis_all(op: MahlerOperator, order: int) -> SolutionBasis:
@@ -292,18 +289,18 @@ def certificate_order(op: MahlerOperator, truncation_order: Fraction) -> Fractio
 
 
 def residual_valuation(
-    op: MahlerOperator, den: int, nums: Sequence[tuple[int, int]], scale: int = 1
+    op: MahlerOperator, nums: Sequence[tuple[int, int]], scale: int = 1
 ) -> Optional[Fraction]:
     """Smallest exponent with nonzero coefficient in op applied to
-    sum(v x^(e/scale)) / den, if any; `nums` holds the (e, v) pairs, e
-    and v ints, in increasing order of e."""
+    sum(v x^(e/scale)) / den for any den, if any; `nums` holds the
+    (e, v) pairs, e and v ints, in increasing order of e."""
     if not nums:
         return None
     top = max(
         (c.degree * scale + op.radix**k * nums[-1][0] for k, c in op.nonzero_coefficients()),
         default=0,
     )
-    image = apply_below(op, den, nums, top + 1, scale)
+    _, image = image_below(op, nums, top + 1, scale)
     return Fraction(min(image), scale) if image else None
 
 
@@ -312,7 +309,7 @@ def _check_residual(op: MahlerOperator, elem: PuiseuxSeries) -> Fraction:
     vanishes below that order."""
     bound = certificate_order(op, elem.truncation_order)
     scale = elem.scale
-    image = apply_below(op, elem.den, elem.nums, math.ceil(bound * scale), scale)
+    _, image = image_below(op, elem.nums, math.ceil(bound * scale), scale)
     if image:
         val = Fraction(min(image), scale)
         raise InternalInvariantError(f"residual has a term of exponent {val} below {bound}")
@@ -323,32 +320,31 @@ def certify(op: MahlerOperator, basis: SolutionBasis) -> list[Optional[Fraction]
     """Substitute every element of a solution basis back into op.
 
     Returns, element by element, the certified order of a truncated
-    series (see certificate_order) or None for an exact polynomial or
-    rational solution; raises InternalInvariantError when an element
-    fails its certificate.  Series, approximate-series, Puiseux,
-    polynomial and rational bases are understood.
+    series (see certificate_order) or None for an exact solution; raises
+    InternalInvariantError when an element fails its certificate.  An
+    exact element is a numerator whose image must vanish: a polynomial p
+    under op, N / (x^v D) under clear_denominator(op, v, D), and a
+    rational function of x^(1/n) likewise after x -> x^n in op.
     """
-    if basis.kind in ("series_basis", "approximate_series_basis", "puiseux_basis"):
+    kind = basis.kind
+    if kind in ("series_basis", "approximate_series_basis", "puiseux_basis"):
         return [_check_residual(op, elem) for elem in basis.elements]
-    if basis.kind == "polynomial_basis":
-        for p in basis.elements:
-            if residual_valuation(op, p.den, p.nums) is not None:
-                raise InternalInvariantError("polynomial certificate failed")
-        return [None] * basis.dimension
-    if basis.kind == "rational_basis":
-        # op(N / den) = 0 with den = x^v D exactly when N solves the
-        # operator with coefficients l_k * prod_{i != k} den(x^(b^i))
-        b = op.radix
-        for f in basis.elements:
-            den = f.denominator.shift(f.x_power)
-            images = [mahler_substitute(den, b, i) if i else den for i in range(op.order + 1)]
-            coeffs = list(op.coeffs)
-            for k, _ in op.nonzero_coefficients():
-                for i, img in enumerate(images):
-                    if i != k:
-                        coeffs[k] = coeffs[k] * img
-            num = f.numerator
-            if residual_valuation(MahlerOperator(b, coeffs), num.den, num.nums) is not None:
-                raise InternalInvariantError("rational certificate failed")
-        return [None] * basis.dimension
-    raise InvalidArgumentError(f"cannot certify a {basis.kind}")
+    if kind == "polynomial_basis":
+        pairs = [(op, p) for p in basis.elements]
+    elif kind == "rational_basis":
+        pairs = [
+            (clear_denominator(op, f.x_power, f.denominator), f.numerator) for f in basis.elements
+        ]
+    elif kind == "ramified_rational_basis":
+        pairs = []
+        for elem in basis.elements:
+            n, f = elem.ramification, elem.function
+            substituted = MahlerOperator(op.radix, [c.substitute_power(n) for c in op.coeffs])
+            pairs.append((clear_denominator(substituted, f.x_power, f.denominator), f.numerator))
+    else:
+        raise InvalidArgumentError(f"cannot certify a {kind}")
+    for cleared, num in pairs:
+        if residual_valuation(cleared, num.nums) is not None:
+            name = kind.removesuffix("_basis").replace("_", " ")
+            raise InternalInvariantError(f"{name} certificate failed")
+    return [None] * basis.dimension

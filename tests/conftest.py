@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from mahlersolve.operator import MahlerOperator, apply_below
+from mahlersolve.operator import MahlerOperator, image_below
 from mahlersolve.poly import Poly
 
 # Property tests draw the same examples on every run and keep no example
@@ -42,11 +42,19 @@ def operator(radix, *coeffs) -> MahlerOperator:
     return MahlerOperator(radix, list(coeffs))
 
 
+def image_fractions(op, den: int, nums, limit: int, scale: int = 1) -> dict[int, Fraction]:
+    """op applied to sum(v x^(e/scale)) / den below x^(limit/scale), as
+    `image_below` gives it, each nonzero coefficient s over the
+    operator's lcm L read as Fraction(s, den L)."""
+    lcm, image = image_below(op, nums, limit, scale)
+    return {m: Fraction(s, den * lcm) for m, s in image.items()}
+
+
 def recurrence_row(op, m: int, width: int) -> list[tuple[int, Fraction]]:
     """Nonzero entries (n, value) of row m of the recurrence of op on the
     columns 0..width-1: the coefficient of x^m in op(x^n), read from the
     library's one operator application."""
-    return [(n, v) for n in range(width) if (v := apply_below(op, 1, [(n, 1)], m + 1).get(m))]
+    return [(n, v) for n in range(width) if (v := image_fractions(op, 1, [(n, 1)], m + 1).get(m))]
 
 
 def dense(elem) -> list[Fraction]:

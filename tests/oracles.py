@@ -3,7 +3,7 @@
 Everything here goes through plain Fraction term arithmetic and a
 self-contained Gaussian elimination, independent of the library's
 integer kernels (`linalg.rref` and `independent`, the integer `Poly`
-arithmetic, `apply_below`) and of the push loop behind its window solve
+arithmetic, `image_below`) and of the push loop behind its window solve
 and prolongation (`rmatrix`): the oracles build dense recurrence rows
 and visit every row, zero or not.  The polynomial oracles take and
 return term tuples, sorted (exponent, nonzero Fraction) pairs, as

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import (
     dense,
+    image_fractions,
     operator,
     pol,
     random_operator,
@@ -33,7 +34,6 @@ from mahlersolve.normalize import gcrd, normalize_l0, split
 from mahlersolve.operator import (
     IDENTITY_PHI,
     MahlerOperator,
-    apply_below,
     operator_sections,
     right_divide,
 )
@@ -121,7 +121,7 @@ def test_criterion_3_recurrence_rows(running_example):
         width = rng.randint(5, 15)
         for m in sorted(rng.sample(range(80), 5)):
             for n in range(min(width, 5)):
-                entry = apply_below(op, 1, [(n, 1)], m + 1).get(m, 0)
+                entry = image_fractions(op, 1, [(n, 1)], m + 1).get(m, 0)
                 assert entry == entry_oracle(op, IDENTITY_PHI, m, n)
                 positions += 1
     assert positions >= 1000

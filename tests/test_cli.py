@@ -259,7 +259,7 @@ def test_certify_failure_exit(run, running_example_file, monkeypatch):
     # a residual term below the certified order fails the certificate: exit 5
     from mahlersolve import solver
 
-    monkeypatch.setattr(solver, "apply_below", lambda op, den, nums, limit, scale: {0: F(1)})
+    monkeypatch.setattr(solver, "image_below", lambda op, nums, limit, scale: (1, {0: 1}))
     code, out, err = run("series", running_example_file, "--order", "12", "--certify")
     assert code == 5
     assert not out

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    image_fractions,
     integer_pairs,
     mono,
     operator,
@@ -25,7 +26,6 @@ from mahlersolve.operator import (
     IDENTITY_PHI,
     MahlerOperator,
     PhiTransform,
-    apply_below,
     image_below,
     interreduce,
     operator_section,
@@ -84,20 +84,20 @@ def test_mixed_radix_rejected():
         operator(2, ONE) * operator(3, ONE)
 
 
-def test_apply_below_solutions(running_example, running_example_series):
+def test_image_below_solutions(running_example, running_example_series):
     y = [(n, c) for n, c in enumerate(running_example_series[:10]) if c]
-    assert apply_below(running_example, *integer_pairs(y), 16) == {}
-    assert apply_below(running_example, 1, [], 5) == {}
+    assert image_below(running_example, integer_pairs(y)[1], 16)[1] == {}
+    assert image_below(running_example, [], 5)[1] == {}
     lop = operator(2, X, -pol(1, 1), ONE)
-    assert apply_below(lop, 1, [(0, 1)], 12) == {}
+    assert image_below(lop, [(0, 1)], 12)[1] == {}
 
 
-def test_apply_below_matches_whole_image(running_example):
+def test_image_below_matches_whole_image(running_example):
     # the reference forms the whole image with rational exponents;
-    # apply_below must agree with it on every exponent below the limit,
-    # as the same canonical Fractions.  Operators with denominators and
-    # supports with denominators such as 6 exercise the lcms by which
-    # the integer kernel scales both.
+    # image_below, read over den * lcm, must agree with it on every
+    # exponent below the limit, as the same canonical Fractions.
+    # Operators with denominators and supports with denominators such
+    # as 6 exercise the lcms by which the integer kernel scales both.
     rng = random.Random(9090)
     phi = PhiTransform(1, 5, -2)  # 5 is coprime to both radices
     cases = [(phi_apply(running_example, PhiTransform(-1, 2, -3)), 1)]
@@ -115,12 +115,11 @@ def test_apply_below_matches_whole_image(running_example):
         for limit in (rng.randint(-5, 40), rng.randint(40, 200), 10**6):
             want = sorted((int(e * scale), c) for e, c in whole.items() if e * scale < limit)
             den, nums = integer_pairs(support)
-            image = apply_below(op, den, nums, limit, scale)
-            assert repr(sorted(image.items())) == repr(want)
-            # the int image behind it: nonzero ints over the operator's lcm
+            # nonzero ints over the operator's lcm, read over den * lcm
             lcm, ints = image_below(op, nums, limit, scale)
             assert all(type(v) is int and v for v in ints.values())
-            assert {m: F(v, den * lcm) for m, v in ints.items()} == image
+            image = {m: F(v, den * lcm) for m, v in ints.items()}
+            assert repr(sorted(image.items())) == repr(want)
 
 
 def test_apply_composition():
@@ -133,13 +132,13 @@ def test_apply_composition():
         a2 = random_operator(rng, b, rng.randint(0, 2), 5, nonzero_l0=False)
         y = [(n, F(c)) for n in range(6) if (c := rng.randint(-3, 3))]
         t = 12
-        inner = sorted(apply_below(a2, *integer_pairs(y), t).items())
-        assert apply_below(a1 * a2, *integer_pairs(y), t) == apply_below(
+        inner = sorted(image_fractions(a2, *integer_pairs(y), t).items())
+        assert image_fractions(a1 * a2, *integer_pairs(y), t) == image_fractions(
             a1, *integer_pairs(inner), t
         )
 
 
-def test_apply_below_matches_exact_polynomial_image():
+def test_image_below_matches_exact_polynomial_image():
     rng = random.Random(17)
     for _ in range(20):
         op = random_operator(rng, 2, 2, 5, nonzero_l0=False)
@@ -147,7 +146,7 @@ def test_apply_below_matches_exact_polynomial_image():
         img = apply_exact(op, p)
         for limit in (img.degree + 2 if img else 8, rng.randint(0, 12)):
             want = {e: c for e, c in img.terms if e < limit}
-            assert apply_below(op, p.den, p.nums, limit) == want
+            assert image_fractions(op, p.den, p.nums, limit) == want
 
 
 def test_right_divide_examples():

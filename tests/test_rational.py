@@ -27,6 +27,7 @@ from mahlersolve.newton import mu_nu
 from mahlersolve.operator import MahlerOperator
 from mahlersolve.poly import Poly, gcd, mahler_substitute, poly_sections
 from mahlersolve.rational import (
+    RamifiedRationalFunction,
     RationalFunction,
     bell_coons_dimensions,
     bell_coons_rank,
@@ -251,6 +252,48 @@ def test_ramified_solutions_certify():
     assert basis.dimension == 1 and basis.elements[0].ramification == 8
     for elem in basis.elements:
         assert certify_ramified(msq3, elem)
+
+
+# M^2 - x (n = 3), M^2 - x M (M-valuation 1, n = 2) and M^2 - x in radix
+# 3 (n = 8): the three kinds of ramification the solver rescales by
+RAMIFIED_FAMILY = (
+    operator(2, -X, Poly.zero(), ONE),
+    operator(2, Poly.zero(), -X, ONE),
+    operator(3, -X, Poly.zero(), ONE),
+)
+
+
+def test_certify_ramified_matches_exact_identity():
+    # certify checks a ramified rational basis against the caller's
+    # operator; it accepts exactly when the exact identity holds
+    rng = random.Random(2718)
+    rejected = Counter()
+    for i in range(30):
+        base = RAMIFIED_FAMILY[i % 3]
+        if i < 3:
+            op = base
+        else:
+            op = random_operator(rng, base.radix, rng.randint(0, 1), 2) * base
+        basis = ramified_rational_basis(op)
+        assert basis.dimension >= 1
+        assert certify(op, basis) == [None] * basis.dimension
+        for elem in basis.elements:
+            f = elem.function
+            bump = f.numerator + Poly.monomial(rng.randint(0, 4))
+            bad = RamifiedRationalFunction(
+                elem.ramification, RationalFunction(bump, f.x_power, f.denominator)
+            )
+            for g in (elem, bad):
+                single = SolutionBasis("ramified_rational_basis", (g,))
+                if certify_ramified(op, g):
+                    assert certify(op, single) == [None]
+                else:
+                    rejected[i % 3] += 1
+                    with pytest.raises(
+                        InternalInvariantError, match="ramified rational certificate failed"
+                    ):
+                        certify(op, single)
+    assert all(rejected[k] >= 3 for k in range(3))
 
 
 def test_transcendence_test(rat_example):

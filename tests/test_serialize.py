@@ -13,6 +13,7 @@ from mahlersolve.serialize import (
     parse_poly,
     poly_to_json,
 )
+from mahlersolve.rational import RamifiedRationalFunction, RationalFunction
 from mahlersolve.solver import PuiseuxSeries, SolutionBasis
 
 F = Fraction
@@ -100,3 +101,16 @@ def test_basis_documents():
     poly_basis = SolutionBasis("polynomial_basis", (pol(1, 0, 2),))
     doc = basis_to_json(poly_basis)
     assert doc["elements"][0]["terms"] == [[0, "1"], [2, "2"]]
+
+
+def test_rational_element_key_order():
+    # a ramified element is its ramification, then the rational element
+    f = RationalFunction.make(pol(1, 1), 2, pol(1, 0, 1))
+    rat = basis_to_json(SolutionBasis("rational_basis", (f,)))["elements"][0]
+    assert list(rat) == ["numerator", "x_power", "denominator"]
+    assert rat["numerator"] == [[0, "1"], [1, "1"]] and rat["x_power"] == 2
+    assert rat["denominator"] == [[0, "1"], [2, "1"]]
+    basis = SolutionBasis("ramified_rational_basis", (RamifiedRationalFunction(3, f),))
+    ram = basis_to_json(basis)["elements"][0]
+    assert list(ram) == ["ramification", "numerator", "x_power", "denominator"]
+    assert ram == {"ramification": 3, **rat}

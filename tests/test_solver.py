@@ -32,7 +32,12 @@ from mahlersolve.newton import (
 )
 from mahlersolve.operator import MahlerOperator
 from mahlersolve.poly import Poly
-from mahlersolve.rational import rational_basis
+from mahlersolve.rational import (
+    RamifiedRationalFunction,
+    RationalFunction,
+    ramified_rational_basis,
+    rational_basis,
+)
 from mahlersolve.solver import (
     approximate_series_basis,
     certificate_order,
@@ -311,7 +316,7 @@ def test_valuation_zero_corollary():
 
 def test_certificate_order_formula(running_example):
     assert certificate_order(running_example, F(10)) == 16
-    assert residual_valuation(running_example, 1, [(0, 1)]) is not None
+    assert residual_valuation(running_example, [(0, 1)]) is not None
 
 
 def test_residual_valuation_matches_whole_image():
@@ -326,7 +331,7 @@ def test_residual_valuation_matches_whole_image():
         image = apply_to_fractional(op, terms)
         # the constructor sorts the terms and writes them over integers
         s = PuiseuxSeries(1, terms, F(0))
-        assert residual_valuation(op, s.den, s.nums, s.scale) == (min(image) if image else None)
+        assert residual_valuation(op, s.nums, s.scale) == (min(image) if image else None)
 
 
 def _power_series(coeffs):
@@ -426,10 +431,29 @@ def test_certify_polynomials_matches_exact_image(rat_example_transformed):
 
 
 def test_certify_rejects_other_kinds(running_example):
-    for kind in ("ramified_rational_basis", "newton"):
+    for kind in ("newton", "no_such_basis"):
         with pytest.raises(InvalidArgumentError, match=f"cannot certify a {kind}"):
             certify(running_example, SolutionBasis(kind, ()))
     assert certify(running_example, SolutionBasis("series_basis", ())) == []
+    # every basis kind a solver returns certifies, ramified rational too
+    for lop in (running_example, operator(2, -X, Poly.zero(), ONE)):
+        basis = ramified_rational_basis(lop)
+        assert certify(lop, basis) == [None] * basis.dimension
+    assert certify(running_example, SolutionBasis("ramified_rational_basis", ())) == []
+
+
+def test_certify_zero_operator_accepts_exact_elements():
+    # the zero operator annihilates everything: no certificate fails, and
+    # clearing its denominators raises no untyped error
+    zero = MahlerOperator(2)
+    f = RationalFunction.make(pol(1, 1), 2, pol(1, 0, 1))
+    bases = (
+        SolutionBasis("polynomial_basis", (pol(1, 2),)),
+        SolutionBasis("rational_basis", (f,)),
+        SolutionBasis("ramified_rational_basis", (RamifiedRationalFunction(3, f),)),
+    )
+    for basis in bases:
+        assert certify(zero, basis) == [None]
 
 
 def test_puiseux_argument_errors(running_example):
