@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import errors as E
@@ -22,7 +23,7 @@ from .errors import (
     MahlerError,
     UnsupportedEquationError,
 )
-from .newton import lower_polygon, mu_nu, ramification_data, upper_polygon
+from .newton import lower_polygon, mu_nu, ramification_bound, upper_polygon
 from .normalize import certify_gcrd, gcrd_raw, normalize_l0_raw
 from .operator import MahlerOperator, primitive_part
 from .poly import format_terms
@@ -45,13 +46,21 @@ from .solver import (
 
 
 def _load_operator(path: str) -> MahlerOperator:
+    """The operator on stdin for "-", else in a file, read as strict UTF-8
+    by plain `os.read` calls, not through the io layer's objects."""
     try:
         if path == "-":
-            doc = json.load(sys.stdin)
+            text = sys.stdin.read()
         else:
-            with open(path) as fh:
-                doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            fd, data = os.open(path, os.O_RDONLY), b""
+            try:
+                while chunk := os.read(fd, 1 << 16):
+                    data += chunk
+            finally:
+                os.close(fd)
+            text = data.decode()
+        doc = json.loads(text)
+    except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     return parse_operator(doc)
 
@@ -94,18 +103,16 @@ def _basis_doc(op, basis, certified: bool) -> dict:
 
 def _cmd_newton(args) -> dict:
     op = _load_operator(args.file)
+    lower = lower_polygon(op)
     doc = {
         "kind": "newton",
-        "lower": [edge_to_json(e) for e in lower_polygon(op)],
+        "lower": [edge_to_json(e) for e in lower],
         "upper": [edge_to_json(e) for e in upper_polygon(op)],
     }
     if op.coefficient(0) and op.order >= 1:
         nu, mu = mu_nu(op)
-        q_set, n = ramification_data(op)
-        doc["nu"] = str(nu)
-        doc["mu"] = str(mu)
-        doc["Q"] = sorted(q_set)
-        doc["N"] = n
+        q_set, n = ramification_bound(lower, op.radix)
+        doc.update(nu=str(nu), mu=str(mu), Q=sorted(q_set), N=n)
     return doc
 
 
@@ -266,6 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Solve linear Mahler equations exactly over the rationals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # subcommand name -> its parser, for `_parse`
 
     def common(p, certify=True):
         p.add_argument("--format", choices=("json", "text"), default="json")
@@ -345,9 +353,22 @@ def _exit_code(exc: MahlerError) -> int:
     return E.EXIT_BAD_INPUT
 
 
-def main(argv=None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, with the same output and exits,
+    but a known subcommand's arguments go straight to its own parser."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
+def main(argv=None) -> int:
+    args = _parse(sys.argv[1:] if argv is None else argv)
     fmt = getattr(args, "format", "json")
     try:
         doc = args.handler(args)

@@ -124,26 +124,23 @@ def ramification_data(op: MahlerOperator) -> tuple[set[int], int]:
         raise UnsupportedEquationError("ramification data of the zero operator")
     if not op.coefficient(0):
         raise ZeroTrailingCoefficientError("ramification data needs a nonzero trailing coefficient")
-    q_set = set()
-    for edge in lower_polygon(op):
-        if not edge.admissible:
-            continue
-        q = edge.slope.denominator
-        if math.gcd(q, op.radix) == 1:
-            q_set.add(q)
-    n = 1
-    for q in q_set:
-        n = math.lcm(n, q)
-    return q_set, n
+    return ramification_bound(lower_polygon(op), op.radix)
+
+
+def ramification_bound(edges: list[PolygonEdge], radix: int) -> tuple[set[int], int]:
+    """`ramification_data` of an operator whose lower polygon has these edges."""
+    q_set = {e.slope.denominator for e in edges if e.admissible}
+    q_set = {q for q in q_set if math.gcd(q, radix) == 1}
+    return q_set, math.lcm(*q_set)
 
 
 def select_edge_for_ramification(
-    op: MahlerOperator, ramification: int
+    edges: list[PolygonEdge], ramification: int
 ) -> tuple[Fraction, Fraction]:
-    """Slope and V-intercept of the rightmost admissible lower edge whose
-    slope is an integer multiple of 1/ramification."""
+    """Slope and V-intercept of the rightmost admissible edge of a lower
+    polygon whose slope is an integer multiple of 1/ramification."""
     chosen = None
-    for edge in lower_polygon(op):
+    for edge in edges:
         if edge.admissible and (edge.slope * ramification).denominator == 1:
             chosen = edge
     if chosen is None:

@@ -231,19 +231,19 @@ def integer_terms(op: MahlerOperator) -> tuple[int, list[tuple[int, int, int]]]:
 
 
 def image_below(
-    op: MahlerOperator,
+    op_terms: tuple[int, Sequence[tuple[int, int, int]]],
     nums: Sequence[tuple[int, int]],
     limit: int,
     scale: int = 1,
 ) -> tuple[int, dict[int, int]]:
-    """(L, image): op applied to sum(v x^(e/scale)), the (e, v) pairs in
-    `nums` ints in increasing order of e, below x^(limit/scale).  `image`
-    maps each exponent, in units of 1/scale, to L times its nonzero
-    coefficient, an int: L is the lcm of op's denominators.  M^k
+    """(L, image): op, given as its `integer_terms` (L, terms), applied to
+    sum(v x^(e/scale)), the (e, v) pairs in `nums` ints in increasing
+    order of e, below x^(limit/scale).  `image` maps each exponent, in
+    units of 1/scale, to L times its nonzero coefficient, an int.  M^k
     multiplies exponents by b^k, so a truncated series is known only far
     below most of its image; the terms from limit/scale on are never
     formed."""
-    lcm, terms = integer_terms(op)
+    lcm, terms = op_terms
     acc: dict[int, int] = {}
     for bk, j, c in terms:
         js = j * scale

@@ -29,6 +29,10 @@ run on ints: every coefficient is an integer numerator over the input's
 denominator times a power of the diagonal.  Coefficient vectors come in
 and go out in one form, (den, pairs): the nonzero (n, den y_n) ints over
 a positive den, n increasing.
+
+The recurrence data, phi(op) with its `integer_terms`, nu and mu, is
+computed by `series_solutions` once for the window and every head, and
+by `solve_prescribed` and `prolong` each for itself; no call keeps it.
 """
 
 from __future__ import annotations
@@ -258,18 +262,22 @@ def solve_prescribed(
         raise InvalidArgumentError("orientation must be 'lower' or 'upper'")
     if not op:
         raise UnsupportedEquationError("zero operator")
-    sign = 1 if orientation == "lower" else -1
     transformed = phi_apply(op, phi)
-    _, terms = integer_terms(transformed)
-    terms = [(bk, sign * j, c) for bk, j, c in terms]
+    sign = 1 if orientation == "lower" else -1
+    return _window(transformed.order, integer_terms(transformed), h, width, sign)
+
+
+def _window(order: int, op_terms: tuple, h: int, width: int, sign: int) -> tuple:
+    """`solve_prescribed` for an operator of this order with these `integer_terms`."""
+    terms = [(bk, sign * j, c) for bk, j, c in op_terms[1]]
     lines = _lines(terms)
     lo, hi = (0, width - 1) if sign == 1 else (1 - width, 0)
 
     ties = _ties(lines, lo, hi)
     seeds = sorted(n for n, g in ties.items() if not g)
-    if len(seeds) > op.order:
+    if len(seeds) > order:
         raise InternalInvariantError(
-            f"{len(seeds)} zero diagonal entries exceed the order {op.order}"
+            f"{len(seeds)} zero diagonal entries exceed the order {order}"
         )
     d = math.lcm(*(abs(g) for g in ties.values() if g), *(abs(c) for _, _, c in lines))
 
@@ -290,7 +298,7 @@ def solve_prescribed(
     # One row [residual below x^h | candidate] per candidate; the reduced
     # rows with their pivot in the candidate half span the combinations
     # whose residual vanishes, in reduced echelon form.
-    residuals = [image_below(transformed, sorted(vec.items()), h)[1] for vec in candidates]
+    residuals = [image_below(op_terms, sorted(vec.items()), h)[1] for vec in candidates]
     nonzero_rows = sorted(set().union(*residuals))
     support = sorted(set().union(*candidates))
     rows = [
@@ -344,19 +352,23 @@ def prolong(
         raise InvalidArgumentError(
             f"approximate solution needs increasing indices in 0..{head - 1}"
         )
-    mu_floor = math.floor(mu)
-    _, residual = image_below(transformed, support, mu_floor + 1)
+    op_terms = integer_terms(transformed)
+    _, residual = image_below(op_terms, support, math.floor(mu) + 1)
     if residual:
         bad = min(residual)
         raise IncompatiblePrefixError(
             f"prefix violates the relation for the coefficient of x^{bad}"
         )
+    return _prolong(op_terms[1], math.floor(mu), den, support, extra)
+
+
+def _prolong(terms: list[Term], mu_floor: int, den: int, support: Sequence, extra: int) -> tuple:
+    """`prolong` from `integer_terms`, for a head that holds the rows up to mu_floor."""
     if extra == 0:
         return lowest_terms(den, support)
 
     # Scaled by L, row m reads d y_{m - v(l_0)} + (sum of c y_n over the
     # other terms) = 0; the trailing term d x^v(l_0) of l_0 comes first.
-    _, terms = integer_terms(transformed)
     (_, tv0, d), terms = terms[0], terms[1:]
 
     top = mu_floor + extra
@@ -380,3 +392,22 @@ def prolong(
         found = _push(terms, support, d, mu_floor, top, tv0)
     scale, pairs = _over_common(support, found, d)
     return lowest_terms(den * scale, pairs)
+
+
+def series_solutions(op: MahlerOperator, phi: PhiTransform, top: int) -> tuple[int, tuple]:
+    """(t, vectors): a basis of the power-series solutions of phi(op),
+    whose trailing coefficient is nonzero, each as the (den, pairs) of
+    `prolong` for its coefficients 0..t-1, t - 1 = max(top, floor(nu)).
+    The window fixes the coefficients up to floor(nu), and each head is
+    then prolonged, all from one phi(op), integer terms, nu and mu."""
+    transformed = phi_apply(op, phi)
+    if transformed.order < 1:
+        return 0, ()
+    nu, mu = mu_nu(transformed)
+    if nu < 0:
+        return 0, ()
+    op_terms = integer_terms(transformed)
+    w, mu_floor = math.floor(nu) + 1, math.floor(mu)
+    t = max(top + 1, w)
+    heads = _window(transformed.order, op_terms, mu_floor + 1, w, 1)
+    return t, tuple(_prolong(op_terms[1], mu_floor, *head, t - w) for head in heads)

@@ -3,14 +3,15 @@ and ramified (Puiseux) bases of linear Mahler equations, and `certify`,
 which substitutes a basis back into its equation.
 
 The simple shape shared by all solvers: pick the window parameters from
-the Newton polygon, solve the window with `rmatrix.solve_prescribed`,
-and, for series-like output, extend each basis element with
-`rmatrix.prolong` (`_series`).  Both pass a vector as (den, pairs), the
-nonzero coefficients only, as integer numerators over one denominator,
-so the cost follows the size of the answer, not the window width or the
-truncation order; a `Poly` or `PuiseuxSeries` keeps that form through
-`certify` (which applies an operator by `operator.image_below` on the
-same ints) to the JSON writer, and no per-coefficient Fraction is built.
+the Newton polygon, solve the window, and, for series-like output,
+extend each basis element; `rmatrix.series_solutions` does both from one
+computation of the recurrence data, `certify` applies op through one
+`integer_terms`, and nothing is kept between calls.  Vectors pass as
+(den, pairs), the nonzero coefficients only, as integer numerators over
+one denominator, so the cost follows the size of the answer, not the
+window width or the truncation order; a `Poly` or `PuiseuxSeries` keeps
+that form through `certify` (`operator.image_below` runs on the same
+ints) to the JSON writer, and no per-coefficient Fraction is built.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     UnsupportedEquationError,
     ZeroTrailingCoefficientError,
 )
-from .newton import mu_nu, ramification_data, select_edge_for_ramification
+from .newton import lower_polygon, mu_nu, ramification_bound, select_edge_for_ramification
 from .normalize import normalize_l0
 from .operator import (
     IDENTITY_PHI,
@@ -35,10 +36,10 @@ from .operator import (
     PhiTransform,
     clear_denominator,
     image_below,
-    phi_apply,
+    integer_terms,
 )
 from .poly import Poly, lowest_terms
-from .rmatrix import prolong, solve_prescribed
+from .rmatrix import series_solutions, solve_prescribed
 
 
 class PuiseuxSeries:
@@ -145,24 +146,6 @@ def solving_operator(op: MahlerOperator, auto_normalize: bool) -> MahlerOperator
     return normalize_l0(op)
 
 
-def _series(op: MahlerOperator, phi: PhiTransform, top: int) -> tuple[int, tuple]:
-    """(t, vectors): a basis of the power-series solutions of phi(op),
-    whose trailing coefficient is nonzero, each as the (den, pairs) of
-    `prolong` for its coefficients 0..t-1, t - 1 = max(top, floor(nu)).
-    The window fixes the coefficients up to floor(nu); each head is then
-    prolonged."""
-    transformed = phi_apply(op, phi)
-    if transformed.order < 1:
-        return 0, ()
-    nu, mu = mu_nu(transformed)
-    if nu < 0:
-        return 0, ()
-    w = math.floor(nu) + 1
-    t = max(top + 1, w)
-    heads = solve_prescribed(op, phi, math.floor(mu) + 1, w, "lower")
-    return t, tuple(prolong(op, phi, head, t - w) for head in heads)
-
-
 def approximate_series_basis(
     op: MahlerOperator, auto_normalize: bool = True
 ) -> SolutionBasis:
@@ -170,7 +153,7 @@ def approximate_series_basis(
 
     Each element extends to exactly one power-series solution.
     """
-    t, vectors = _series(solving_operator(op, auto_normalize), IDENTITY_PHI, 0)
+    t, vectors = series_solutions(solving_operator(op, auto_normalize), IDENTITY_PHI, 0)
     return SolutionBasis(
         "approximate_series_basis",
         tuple(PuiseuxSeries.from_integers(1, *v, t) for v in vectors),
@@ -184,7 +167,7 @@ def series_basis(op: MahlerOperator, order: int, auto_normalize: bool = True) ->
     """
     if order < 0:
         raise InvalidArgumentError(f"order must be >= 0, got {order}")
-    t, vectors = _series(solving_operator(op, auto_normalize), IDENTITY_PHI, order)
+    t, vectors = series_solutions(solving_operator(op, auto_normalize), IDENTITY_PHI, order)
     return SolutionBasis(
         "series_basis", tuple(PuiseuxSeries.from_integers(1, *v, t) for v in vectors)
     )
@@ -198,10 +181,7 @@ def polynomial_solutions_bounded(
         raise InvalidArgumentError(f"degree bound must be >= 1, got {w}")
     op = solving_operator(op, auto_normalize)
     kind = "polynomial_basis"
-    if op.order < 1:
-        return SolutionBasis(kind, ())
-    nu, _ = mu_nu(op)
-    if nu < 0:
+    if op.order < 1 or mu_nu(op)[0] < 0:
         return SolutionBasis(kind, ())
     h = op.degree + (w - 1) * op.radix**op.order + 1
     kernel = solve_prescribed(op, IDENTITY_PHI, h, w, "upper")
@@ -221,17 +201,33 @@ def polynomial_basis(op: MahlerOperator, auto_normalize: bool = True) -> Solutio
 
 def puiseux_basis(op: MahlerOperator, ramification: int, order: int) -> SolutionBasis:
     """Basis of solutions with exponents in (1/ramification)Z, truncated
-    at O(x^(order+1)).
+    at O(x^(order+1)); the ramification must be coprime to the radix.
 
     A right factor M^w is stripped first and the output exponents are
     rescaled by b^-w; the effective ramification is then ramification*b^w.
     """
-    if not op:
-        raise UnsupportedEquationError("zero operator")
     if ramification < 1:
         raise InvalidArgumentError(f"ramification must be >= 1, got {ramification}")
+    return _puiseux(op, ramification, order)
+
+
+def puiseux_basis_all(op: MahlerOperator, order: int) -> SolutionBasis:
+    """Basis of all Puiseux-series solutions; the ramification bound is
+    the lcm of the admissible slope denominators coprime to the radix."""
+    return _puiseux(op, None, order)
+
+
+def _puiseux(op: MahlerOperator, ramification: Optional[int], order: int) -> SolutionBasis:
+    """`puiseux_basis`, or `puiseux_basis_all` when `ramification` is None:
+    one lower polygon gives both the ramification bound and the edge."""
+    if not op:
+        raise UnsupportedEquationError("zero operator")
     if order < 0:
         raise InvalidArgumentError(f"order must be >= 0, got {order}")
+    if ramification is not None and math.gcd(ramification, op.radix) != 1:
+        raise InvalidArgumentError(
+            f"ramification {ramification} is not coprime to radix {op.radix}"
+        )
     kind = "puiseux_basis"
     w0 = op.m_valuation
     if w0 > 0:
@@ -240,21 +236,22 @@ def puiseux_basis(op: MahlerOperator, ramification: int, order: int) -> Solution
     if op.order == 0:
         return SolutionBasis(kind, ())
 
-    scale = op.radix**w0
-    out_ram = ramification * scale
+    edges = lower_polygon(op)
+    if ramification is None:
+        _, ramification = ramification_bound(edges, op.radix)
+    out_ram = ramification * op.radix**w0
     try:
-        slope, intercept = select_edge_for_ramification(op, ramification)
+        slope, intercept = select_edge_for_ramification(edges, ramification)
     except NoAdmissibleEdgeError:
         return SolutionBasis(kind, (), note="no-admissible-edge")
 
-    ns = slope * ramification
-    nc = intercept * ramification
+    ns, nc = slope * ramification, intercept * ramification
     if ns.denominator != 1 or nc.denominator != 1:
         raise InternalInvariantError("edge data is not integral for the chosen ramification")
     shift = int(ns)
     phi = PhiTransform(-shift, ramification, int(nc))
     # like series_basis, never cut an element below the window head
-    t, vectors = _series(op, phi, shift + ramification * order)
+    t, vectors = series_solutions(op, phi, shift + ramification * order)
     trunc = Fraction(t - shift, out_ram)
     # coefficient i carries the exponent (-slope + i/ramification)/b^w0 = (i - ns)/out_ram
     elements = tuple(
@@ -262,18 +259,6 @@ def puiseux_basis(op: MahlerOperator, ramification: int, order: int) -> Solution
         for den, pairs in vectors
     )
     return SolutionBasis(kind, elements)
-
-
-def puiseux_basis_all(op: MahlerOperator, order: int) -> SolutionBasis:
-    """Basis of all Puiseux-series solutions; the ramification bound is
-    the lcm of the admissible slope denominators coprime to the radix."""
-    if not op:
-        raise UnsupportedEquationError("zero operator")
-    stripped = op.m_shift(-op.m_valuation)
-    if stripped.order == 0:
-        return SolutionBasis("puiseux_basis", ())
-    _, n = ramification_data(stripped)
-    return puiseux_basis(op, n, order)
 
 
 # -- residual certificates -----------------------------------------------------
@@ -300,20 +285,8 @@ def residual_valuation(
         (c.degree * scale + op.radix**k * nums[-1][0] for k, c in op.nonzero_coefficients()),
         default=0,
     )
-    _, image = image_below(op, nums, top + 1, scale)
+    _, image = image_below(integer_terms(op), nums, top + 1, scale)
     return Fraction(min(image), scale) if image else None
-
-
-def _check_residual(op: MahlerOperator, elem: PuiseuxSeries) -> Fraction:
-    """Certified order of a truncated solution; raises unless its image
-    vanishes below that order."""
-    bound = certificate_order(op, elem.truncation_order)
-    scale = elem.scale
-    _, image = image_below(op, elem.nums, math.ceil(bound * scale), scale)
-    if image:
-        val = Fraction(min(image), scale)
-        raise InternalInvariantError(f"residual has a term of exponent {val} below {bound}")
-    return bound
 
 
 def certify(op: MahlerOperator, basis: SolutionBasis) -> list[Optional[Fraction]]:
@@ -328,7 +301,15 @@ def certify(op: MahlerOperator, basis: SolutionBasis) -> list[Optional[Fraction]
     """
     kind = basis.kind
     if kind in ("series_basis", "approximate_series_basis", "puiseux_basis"):
-        return [_check_residual(op, elem) for elem in basis.elements]
+        op_terms, orders = integer_terms(op), []
+        for elem in basis.elements:
+            bound, scale = certificate_order(op, elem.truncation_order), elem.scale
+            _, image = image_below(op_terms, elem.nums, math.ceil(bound * scale), scale)
+            if image:
+                val = Fraction(min(image), scale)
+                raise InternalInvariantError(f"residual has a term of exponent {val} below {bound}")
+            orders.append(bound)
+        return orders
     if kind == "polynomial_basis":
         pairs = [(op, p) for p in basis.elements]
     elif kind == "rational_basis":

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from mahlersolve.operator import MahlerOperator, image_below
+from mahlersolve.operator import MahlerOperator, image_below, integer_terms
 from mahlersolve.poly import Poly
 
 # Property tests draw the same examples on every run and keep no example
@@ -46,7 +46,7 @@ def image_fractions(op, den: int, nums, limit: int, scale: int = 1) -> dict[int,
     """op applied to sum(v x^(e/scale)) / den below x^(limit/scale), as
     `image_below` gives it, each nonzero coefficient s over the
     operator's lcm L read as Fraction(s, den L)."""
-    lcm, image = image_below(op, nums, limit, scale)
+    lcm, image = image_below(integer_terms(op), nums, limit, scale)
     return {m: Fraction(s, den * lcm) for m, s in image.items()}
 
 

@@ -440,3 +440,105 @@ def test_no_untyped_errors_or_asserts():
                 if isinstance(exc, ast.Name) and exc.id in ("ValueError", "AssertionError"):
                     offenders.append((name, node.lineno, exc.id))
     assert offenders == []
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv), argparse's exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_dispatch_matches_the_top_level_parser(running_example_file, rat_example_file, tmp_path, monkeypatch, capsys):
+    # `main` hands a known subcommand's arguments straight to its parser;
+    # every outcome must be the one of parsing through the top-level parser
+    f, g = running_example_file, rat_example_file
+    argvs = [
+        ("newton", f),
+        ("newton", f, "--format", "text"),
+        ("series", f, "--order", "6", "--certify"),
+        ("poly", g),
+        ("rational", g, "--certify"),
+        ("puiseux", f, "--order", "4"),
+        ("puiseux", f, "--order", "4", "--ramification", "2"),
+        ("normalize", g),
+        ("gcrd", f, g),
+        ("transcendence", f, "--initial", "0,0,0,1", "--oracle", "bell-coons"),
+        ("-h",),
+        ("series", "-h"),
+        (),
+        ("frobnicate", f),
+        ("newton", str(tmp_path / "missing.json")),
+        ("series", f, "--order", "-1"),
+        ("series", f, "--order=5"),
+        ("series", f, "--order", "3", "--cert"),
+        ("poly", f, "--no-auto-normalize"),
+        ("newton", f, "--bogus", "extra"),
+        ("newton", f, "--format"),
+        ("gcrd", f, g, f, "--certify"),
+        ("--format", "json", "newton", f),
+    ]
+    direct = [_outcome(argv, capsys) for argv in argvs]
+    monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
+    assert [_outcome(argv, capsys) for argv in argvs] == direct
+    assert [code for code, _, _ in direct] == [0] * 10 + [0, 0, 2, 2, 2, 2, 0, 0, 0, 2, 2, 0, 2]
+
+
+MALFORMED = {
+    "not-utf8.json": b'{"radix": 2, "coefficients": [{"order": 0, "terms": [[0, "1\xff"]]}]}',
+    "bom.json": b'\xef\xbb\xbf{"radix": 2, "coefficients": []}',
+    "empty.json": b"",
+    "deep.json": b"[" * 100000 + b"]" * 100000,
+    "list.json": b"[1, 2]",
+    "radix.json": b'{"radix": 1, "coefficients": []}',
+    "exponent.json": b'{"radix": 2, "coefficients": [{"order": 0, "terms": [[-1, "1"]]}]}',
+    "coefficient.json": b'{"radix": 2, "coefficients": [{"order": 1, "terms": [[0, "1/0"]]}]}',
+}
+
+SUBCOMMANDS = [
+    ("newton",),
+    ("series", "--order", "3"),
+    ("poly",),
+    ("rational",),
+    ("puiseux", "--order", "3"),
+    ("normalize",),
+    ("gcrd",),
+    ("transcendence", "--initial", "1,0"),
+]
+
+
+@pytest.mark.parametrize("form", SUBCOMMANDS, ids=" ".join)
+def test_malformed_input_exits_2(form, tmp_path, capsys):
+    # the README's exit-code contract: malformed input exits 2 with one
+    # JSON line on stderr and no traceback, on every subcommand
+    paths = [str(tmp_path), str(tmp_path / "missing.json")]
+    for name, data in MALFORMED.items():
+        (tmp_path / name).write_bytes(data)
+        paths.append(str(tmp_path / name))
+    for path in paths:
+        code, out, err = _outcome([form[0], path, *form[1:]], capsys)
+        assert code == 2 and out == "", path
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == 2 and "Traceback" not in err
+
+
+def test_undecodable_input(tmp_path, running_example, monkeypatch, capsys):
+    import io
+
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(MALFORMED["not-utf8.json"])
+    code, _, err = _outcome(["newton", str(bad)], capsys)
+    assert code == 2 and "'utf-8' codec can't decode byte 0xff" in json.loads(err)["message"]
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + json.dumps(operator_to_json(running_example)).encode())
+    code, _, err = _outcome(["newton", str(bom)], capsys)
+    assert code == 2
+    assert "Unexpected UTF-8 BOM (decode using utf-8-sig)" in json.loads(err)["message"]
+    # a stdin that decodes strictly, as under a UTF-8 locale, fails the same way
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(bad.read_bytes()), encoding="utf-8"))
+    code, _, err = _outcome(["newton", "-"], capsys)
+    assert code == 2 and "can't decode byte 0xff" in json.loads(err)["message"]
+

@@ -90,12 +90,12 @@ def test_zero_operator_has_no_diagram_or_polygon():
 
 
 def test_select_edge(running_example, sparse_stretch_example):
-    assert select_edge_for_ramification(running_example, 2) == (F(1, 2), F(-3, 2))
-    assert select_edge_for_ramification(running_example, 1) == (F(-3), F(9))
-    s, c = select_edge_for_ramification(sparse_stretch_example, 65)
+    assert select_edge_for_ramification(lower_polygon(running_example), 2) == (F(1, 2), F(-3, 2))
+    assert select_edge_for_ramification(lower_polygon(running_example), 1) == (F(-3), F(9))
+    s, c = select_edge_for_ramification(lower_polygon(sparse_stretch_example), 65)
     assert s == F(221, 5) and 65 * c == -6283186
     with pytest.raises(NoAdmissibleEdgeError):
-        select_edge_for_ramification(operator(2, pol(0, -2), ONE), 1)
+        select_edge_for_ramification(lower_polygon(operator(2, pol(0, -2), ONE)), 1)
 
 
 def test_polygon_invariants_random():

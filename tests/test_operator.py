@@ -27,6 +27,7 @@ from mahlersolve.operator import (
     MahlerOperator,
     PhiTransform,
     image_below,
+    integer_terms,
     interreduce,
     operator_section,
     operator_sections,
@@ -86,10 +87,10 @@ def test_mixed_radix_rejected():
 
 def test_image_below_solutions(running_example, running_example_series):
     y = [(n, c) for n, c in enumerate(running_example_series[:10]) if c]
-    assert image_below(running_example, integer_pairs(y)[1], 16)[1] == {}
-    assert image_below(running_example, [], 5)[1] == {}
+    assert image_below(integer_terms(running_example), integer_pairs(y)[1], 16)[1] == {}
+    assert image_below(integer_terms(running_example), [], 5)[1] == {}
     lop = operator(2, X, -pol(1, 1), ONE)
-    assert image_below(lop, [(0, 1)], 12)[1] == {}
+    assert image_below(integer_terms(lop), [(0, 1)], 12)[1] == {}
 
 
 def test_image_below_matches_whole_image(running_example):
@@ -116,7 +117,7 @@ def test_image_below_matches_whole_image(running_example):
             want = sorted((int(e * scale), c) for e, c in whole.items() if e * scale < limit)
             den, nums = integer_pairs(support)
             # nonzero ints over the operator's lcm, read over den * lcm
-            lcm, ints = image_below(op, nums, limit, scale)
+            lcm, ints = image_below(integer_terms(op), nums, limit, scale)
             assert all(type(v) is int and v for v in ints.values())
             image = {m: F(v, den * lcm) for m, v in ints.items()}
             assert repr(sorted(image.items())) == repr(want)

@@ -27,6 +27,7 @@ from mahlersolve.errors import (
     ZeroTrailingCoefficientError,
 )
 from mahlersolve.newton import (
+    lower_polygon,
     ramification_data,
     select_edge_for_ramification,
 )
@@ -187,7 +188,7 @@ def test_puiseux_exponents_match_former_formula():
         w0 = op.m_valuation
         stripped = op.m_shift(-w0)
         _, ram = ramification_data(stripped)
-        slope, _ = select_edge_for_ramification(stripped, ram)
+        slope, _ = select_edge_for_ramification(lower_polygon(stripped), ram)
         scale = op.radix**w0
         order = 5
         basis = puiseux_basis(op, ram, order)
@@ -303,8 +304,6 @@ def test_valuation_zero_corollary():
         op2 = MahlerOperator(radix, coeffs)
         if not op2 or not op2.coefficient(0) or op2.order < 1:
             continue
-        from mahlersolve.newton import lower_polygon
-
         leftmost = lower_polygon(op2)[0]
         if leftmost.slope != 0 or leftmost.start[1] != 0 or not leftmost.admissible:
             continue
@@ -490,3 +489,64 @@ def test_zero_operator_is_unsupported():
     for solve in solves:
         with pytest.raises(UnsupportedEquationError, match="zero operator"):
             solve()
+
+
+def test_ramification_must_be_coprime_to_the_radix():
+    # the check comes before any edge is selected, so every operator gets
+    # the same answer: an error that names the ramification
+    rng = random.Random(3)
+    for _ in range(300):
+        op = random_operator(rng, 2, rng.randint(1, 3), 6, nonzero_l0=rng.random() < 0.7)
+        for ramification in (2, 4, 6):
+            with pytest.raises(InvalidArgumentError, match=f"ramification {ramification} is not coprime"):
+                puiseux_basis(op, ramification, 4)
+        assert puiseux_basis(op, 3, 4).kind == "puiseux_basis"
+
+
+def _count_calls(monkeypatch, names) -> list:
+    """Wrap the functions `names` wherever the solver and the recurrence
+    module call them; returns the list of (name, first argument, result)
+    that the wrappers fill."""
+    from mahlersolve import rmatrix, solver
+
+    seen = []
+    for module in (solver, rmatrix):
+        for name in names:
+            if hasattr(module, name):
+
+                def counted(*args, _name=name, _fn=getattr(module, name)):
+                    result = _fn(*args)
+                    seen.append((_name, args[0], result))
+                    return result
+
+                monkeypatch.setattr(module, name, counted)
+    return seen
+
+
+def test_recurrence_data_is_computed_once(monkeypatch, running_example):
+    # phi(op), its integer terms, nu and mu are computed once per basis,
+    # however many heads are prolonged; certify applies op through one
+    # integer_terms call
+    seen = _count_calls(monkeypatch, ("phi_apply", "mu_nu", "integer_terms", "lower_polygon"))
+    lop = operator(2, X, -pol(1, 1), ONE)
+    cases = [
+        (lambda op: series_basis(op, 30), lop, 2),
+        (lambda op: series_basis(op, 30), running_example, 1),
+        (lambda op: puiseux_basis_all(op, 12), lop, 2),
+        (lambda op: puiseux_basis_all(op, 12), running_example, 2),
+        (lambda op: puiseux_basis(op, 1, 12), running_example, 1),
+    ]
+    for solve, op, dimension in cases:
+        seen.clear()
+        basis = solve(op)
+        assert basis.dimension == dimension
+        names = [name for name, _, _ in seen]
+        expected = ["phi_apply", "mu_nu", "integer_terms"]
+        if basis.kind == "puiseux_basis":
+            expected.insert(0, "lower_polygon")
+        assert names == expected
+        transformed = seen[-3][2]
+        assert all(arg is transformed for _, arg, _ in seen[-2:])
+        seen.clear()
+        certify(op, basis)
+        assert [(name, arg) for name, arg, _ in seen] == [("integer_terms", op)]
