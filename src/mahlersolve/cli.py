@@ -2,9 +2,14 @@
 
 Subcommands: newton, series, poly, rational, puiseux, normalize, gcrd,
 transcendence.  Input operators are JSON documents (path or "-" for
-stdin); results go to stdout as JSON (default) or text.  Exit codes:
-0 ok, 2 malformed input, 3 unsupported equation, 4 exponent overflow,
-5 internal invariant violation.
+stdin); results go to stdout as JSON (default) or text.  The exit code
+is 0, or the error class's `exit_code`: 2 malformed input, 3
+unsupported equation, 4 exponent overflow, 5 internal invariant violation.
+
+`build_parser` declares each subcommand once; the four basis
+subcommands share the handler `_cmd_basis` and name their solver as
+`solve`.  `_render` writes a handler's document: `_json`, or one text
+renderer per kind of document.
 """
 
 from __future__ import annotations
@@ -15,14 +20,7 @@ import json
 import os
 import sys
 
-from . import errors as E
-from .errors import (
-    ExponentOverflowError,
-    InputFormatError,
-    InternalInvariantError,
-    MahlerError,
-    UnsupportedEquationError,
-)
+from .errors import InputFormatError, MahlerError
 from .newton import lower_polygon, mu_nu, ramification_bound, upper_polygon
 from .normalize import certify_gcrd, gcrd_raw, normalize_l0_raw
 from .operator import MahlerOperator, primitive_part
@@ -35,6 +33,7 @@ from .serialize import (
     parse_fraction,
     parse_operator,
     poly_to_json,
+    rational_to_json,
 )
 from .solver import (
     certify,
@@ -46,11 +45,12 @@ from .solver import (
 
 
 def _load_operator(path: str) -> MahlerOperator:
-    """The operator on stdin for "-", else in a file, read as strict UTF-8
-    by plain `os.read` calls, not through the io layer's objects."""
+    """The operator on stdin for "-", else in a file, read as bytes and
+    decoded as strict UTF-8; a file is read by plain `os.read` calls, not
+    through the io layer's objects."""
     try:
         if path == "-":
-            text = sys.stdin.read()
+            data = sys.stdin.buffer.read()
         else:
             fd, data = os.open(path, os.O_RDONLY), b""
             try:
@@ -58,11 +58,17 @@ def _load_operator(path: str) -> MahlerOperator:
                     data += chunk
             finally:
                 os.close(fd)
-            text = data.decode()
-        doc = json.loads(text)
+        doc = json.loads(data.decode())
     except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     return parse_operator(doc)
+
+
+def _rational_text(doc: dict) -> str:
+    num = format_terms(doc["numerator"])
+    den = format_terms(doc["denominator"])
+    pole = f" / x^{doc['x_power']}" if doc["x_power"] else ""
+    return f"({num}) / ({den}){pole}"
 
 
 def _basis_text(doc: dict) -> str:
@@ -71,12 +77,7 @@ def _basis_text(doc: dict) -> str:
         lines.append(f"note: {doc['note']}")
     for i, elem in enumerate(doc.get("elements", []), start=1):
         if "numerator" in elem:
-            num = format_terms(elem["numerator"])
-            den = format_terms(elem["denominator"])
-            pole = f" / x^{elem['x_power']}" if elem["x_power"] else ""
-            body = f"({num}) / ({den}){pole}"
-            if "ramification" in elem and elem["ramification"] != 1:
-                body += f"  in x^(1/{elem['ramification']})"
+            body = _rational_text(elem)
         else:
             body = format_terms(elem["terms"])
             if "truncation_order" in elem:
@@ -88,11 +89,13 @@ def _basis_text(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _basis_doc(op, basis, certified: bool) -> dict:
-    """The basis document; with `certified`, every element also carries
-    its certificate from `certify`."""
+def _cmd_basis(args) -> dict:
+    """The basis document of `args.solve`, the subcommand's solver; with
+    --certify, every element also carries its certificate from `certify`."""
+    op = _load_operator(args.file)
+    basis = args.solve(op, args)
     doc = basis_to_json(basis)
-    if certified:
+    if args.certify:
         for order, edoc in zip(certify(op, basis), doc["elements"]):
             if order is None:
                 edoc["certified"] = True
@@ -116,52 +119,22 @@ def _cmd_newton(args) -> dict:
     return doc
 
 
-def _cmd_series(args) -> dict:
-    op = _load_operator(args.file)
-    basis = series_basis(op, args.order, auto_normalize=args.auto_normalize)
-    return _basis_doc(op, basis, args.certify)
-
-
-def _cmd_poly(args) -> dict:
-    op = _load_operator(args.file)
-    basis = polynomial_basis(op, auto_normalize=args.auto_normalize)
-    return _basis_doc(op, basis, args.certify)
-
-
-def _cmd_rational(args) -> dict:
-    op = _load_operator(args.file)
-    basis = rational_basis(op, auto_normalize=args.auto_normalize)
-    return _basis_doc(op, basis, args.certify)
-
-
-def _cmd_puiseux(args) -> dict:
-    op = _load_operator(args.file)
-    if args.ramification is not None:
-        basis = puiseux_basis(op, args.ramification, args.order)
-    else:
-        basis = puiseux_basis_all(op, args.order)
-    return _basis_doc(op, basis, args.certify)
+def _operator_doc(kind: str, content, primitive: MahlerOperator) -> dict:
+    """The document of an operator, content times primitive part."""
+    return {**operator_to_json(primitive), "kind": kind, "content": poly_to_json(content)}
 
 
 def _cmd_normalize(args) -> dict:
     op = _load_operator(args.file)
-    content, primitive = primitive_part(normalize_l0_raw(op))
-    doc = operator_to_json(primitive)
-    doc["kind"] = "normalized_operator"
-    doc["content"] = poly_to_json(content)
-    return doc
+    return _operator_doc("normalized_operator", *primitive_part(normalize_l0_raw(op)))
 
 
 def _cmd_gcrd(args) -> dict:
     ops = [_load_operator(path) for path in args.files]
-    raw = gcrd_raw(ops)
-    content, primitive = primitive_part(raw)
+    content, primitive = primitive_part(gcrd_raw(ops))
     if args.certify:
         certify_gcrd(ops, primitive)
-    doc = operator_to_json(primitive)
-    doc["kind"] = "gcrd"
-    doc["content"] = poly_to_json(content)
-    return doc
+    return _operator_doc("gcrd", content, primitive)
 
 
 def _cmd_transcendence(args) -> dict:
@@ -169,19 +142,12 @@ def _cmd_transcendence(args) -> dict:
     prefix = [parse_fraction(tok.strip()) for tok in args.initial.split(",")]
     test = bell_coons_test if args.oracle == "bell-coons" else transcendence_test
     verdict = test(op, prefix)
-    doc = {
+    return {
         "kind": "transcendence",
         "method": verdict.method,
         "verdict": verdict.verdict,
-        "witness": None,
+        "witness": None if verdict.witness is None else rational_to_json(verdict.witness),
     }
-    if verdict.witness is not None:
-        doc["witness"] = {
-            "numerator": poly_to_json(verdict.witness.numerator),
-            "x_power": verdict.witness.x_power,
-            "denominator": poly_to_json(verdict.witness.denominator),
-        }
-    return doc
 
 
 _enc = json.encoder.encode_basestring_ascii
@@ -218,18 +184,14 @@ def _render(doc: dict, fmt: str) -> str:
     if fmt == "json":
         return _json(doc)
     if doc.get("kind") == "newton":
-        lines = ["lower polygon:"]
-        lines += [
-            f"  {e['from']} -> {e['to']}  slope {e['slope']}"
-            f"  {'admissible' if e['admissible'] else 'not admissible'}"
-            for e in doc["lower"]
-        ]
-        lines.append("upper polygon:")
-        lines += [
-            f"  {e['from']} -> {e['to']}  slope {e['slope']}"
-            f"  {'admissible' if e['admissible'] else 'not admissible'}"
-            for e in doc["upper"]
-        ]
+        lines = []
+        for side in ("lower", "upper"):
+            lines.append(f"{side} polygon:")
+            lines += [
+                f"  {e['from']} -> {e['to']}  slope {e['slope']}"
+                f"  {'admissible' if e['admissible'] else 'not admissible'}"
+                for e in doc[side]
+            ]
         if "nu" in doc:
             lines.append(f"nu = {doc['nu']}, mu = {doc['mu']}, Q = {doc['Q']}, N = {doc['N']}")
         return "\n".join(lines)
@@ -242,11 +204,7 @@ def _render(doc: dict, fmt: str) -> str:
     if doc.get("kind") == "transcendence":
         line = f"{doc['verdict']} (method: {doc['method']})"
         if doc.get("witness"):
-            w = doc["witness"]
-            num = format_terms(w["numerator"])
-            den = format_terms(w["denominator"])
-            pole = f" / x^{w['x_power']}" if w["x_power"] else ""
-            line += f"; witness ({num}) / ({den}){pole}"
+            line += f"; witness {_rational_text(doc['witness'])}"
         return line
     return _basis_text(doc)
 
@@ -274,83 +232,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # subcommand name -> its parser, for `_parse`
+    order = ("--order", dict(type=_int_at_least(0), required=True))
+    auto = ("--auto-normalize", dict(action=argparse.BooleanOptionalAction, default=True))
 
-    def common(p, certify=True):
+    def command(name, help, handler, *options, operand=("file", {}), certify=True, **defaults):
+        """The subparser `name`: its operand, `options`, both as (name,
+        keywords) pairs, --format, and --certify unless `certify` is off."""
+        p = sub.add_parser(name, help=help)
+        for flag, keywords in (operand, *options):
+            p.add_argument(flag, **keywords)
         p.add_argument("--format", choices=("json", "text"), default="json")
         if certify:
             p.add_argument("--certify", action="store_true")
+        p.set_defaults(handler=handler, **defaults)
 
-    p = sub.add_parser("newton", help="Newton polygons and ramification data")
-    p.add_argument("file")
-    common(p, certify=False)
-    p.set_defaults(handler=_cmd_newton)
-
-    p = sub.add_parser("series", help="truncated power-series solution basis")
-    p.add_argument("file")
-    p.add_argument("--order", type=_int_at_least(0), required=True)
-    p.add_argument(
-        "--auto-normalize",
-        action=argparse.BooleanOptionalAction,
-        default=True,
+    # each solver is looked up when called, so replacing it in this module
+    # (a trace wrapper, a test's monkeypatch) takes effect
+    command("newton", "Newton polygons and ramification data", _cmd_newton, certify=False)
+    command(
+        "series", "truncated power-series solution basis", _cmd_basis, order, auto,
+        solve=lambda op, a: series_basis(op, a.order, auto_normalize=a.auto_normalize),
     )
-    common(p)
-    p.set_defaults(handler=_cmd_series)
-
-    p = sub.add_parser("poly", help="polynomial solution basis")
-    p.add_argument("file")
-    p.add_argument(
-        "--auto-normalize",
-        action=argparse.BooleanOptionalAction,
-        default=True,
+    command(
+        "poly", "polynomial solution basis", _cmd_basis, auto,
+        solve=lambda op, a: polynomial_basis(op, auto_normalize=a.auto_normalize),
     )
-    common(p)
-    p.set_defaults(handler=_cmd_poly)
-
-    p = sub.add_parser("rational", help="rational-function solution basis")
-    p.add_argument("file")
-    p.add_argument(
-        "--auto-normalize",
-        action=argparse.BooleanOptionalAction,
-        default=True,
+    command(
+        "rational", "rational-function solution basis", _cmd_basis, auto,
+        solve=lambda op, a: rational_basis(op, auto_normalize=a.auto_normalize),
     )
-    common(p)
-    p.set_defaults(handler=_cmd_rational)
-
-    p = sub.add_parser("puiseux", help="ramified (Puiseux) solution basis")
-    p.add_argument("file")
-    p.add_argument("--order", type=_int_at_least(0), required=True)
-    p.add_argument("--ramification", type=_int_at_least(1), default=None)
-    common(p)
-    p.set_defaults(handler=_cmd_puiseux)
-
-    p = sub.add_parser("normalize", help="equivalent equation with nonzero trailing coefficient")
-    p.add_argument("file")
-    common(p, certify=False)
-    p.set_defaults(handler=_cmd_normalize)
-
-    p = sub.add_parser("gcrd", help="greatest common right divisor of operators")
-    p.add_argument("files", nargs="+")
-    common(p)
-    p.set_defaults(handler=_cmd_gcrd)
-
-    p = sub.add_parser("transcendence", help="rational-or-transcendental test")
-    p.add_argument("file")
-    p.add_argument("--initial", required=True, help="comma-separated coefficients")
-    p.add_argument("--oracle", choices=("rational-basis", "bell-coons"), default="rational-basis")
-    common(p, certify=False)
-    p.set_defaults(handler=_cmd_transcendence)
-
+    command(
+        "puiseux", "ramified (Puiseux) solution basis", _cmd_basis, order,
+        ("--ramification", dict(type=_int_at_least(1), default=None)),
+        solve=lambda op, a: (
+            puiseux_basis_all(op, a.order)
+            if a.ramification is None
+            else puiseux_basis(op, a.ramification, a.order)
+        ),
+    )
+    command(
+        "normalize", "equivalent equation with nonzero trailing coefficient", _cmd_normalize,
+        certify=False,
+    )
+    command(
+        "gcrd", "greatest common right divisor of operators", _cmd_gcrd,
+        operand=("files", dict(nargs="+")),
+    )
+    command(
+        "transcendence", "rational-or-transcendental test", _cmd_transcendence,
+        ("--initial", dict(required=True, help="comma-separated coefficients")),
+        ("--oracle", dict(choices=("rational-basis", "bell-coons"), default="rational-basis")),
+        certify=False,
+    )
     return parser
-
-
-def _exit_code(exc: MahlerError) -> int:
-    if isinstance(exc, InternalInvariantError):
-        return E.EXIT_INTERNAL
-    if isinstance(exc, ExponentOverflowError):
-        return E.EXIT_OVERFLOW
-    if isinstance(exc, UnsupportedEquationError):
-        return E.EXIT_UNSUPPORTED
-    return E.EXIT_BAD_INPUT
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
@@ -369,18 +303,16 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
-    fmt = getattr(args, "format", "json")
     try:
         doc = args.handler(args)
     except MahlerError as exc:
-        code = _exit_code(exc)
-        if fmt == "json":
-            json.dump({"error": code, "message": str(exc)}, sys.stderr)
+        if args.format == "json":
+            json.dump({"error": exc.exit_code, "message": str(exc)}, sys.stderr)
             sys.stderr.write("\n")
         else:
             sys.stderr.write(f"error: {exc}\n")
-        return code
-    print(_render(doc, fmt))
+        return exc.exit_code
+    print(_render(doc, args.format))
     return 0
 
 

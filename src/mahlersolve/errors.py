@@ -1,8 +1,17 @@
-"""Exception hierarchy and CLI exit codes."""
+"""Exception hierarchy and CLI exit codes: each class's `exit_code`,
+which its subclasses inherit, is the code the CLI exits with."""
+
+# CLI exit codes.
+EXIT_BAD_INPUT = 2
+EXIT_UNSUPPORTED = 3
+EXIT_OVERFLOW = 4
+EXIT_INTERNAL = 5
 
 
 class MahlerError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = EXIT_BAD_INPUT
 
 
 class InputFormatError(MahlerError):
@@ -11,6 +20,8 @@ class InputFormatError(MahlerError):
 
 class UnsupportedEquationError(MahlerError):
     """The equation is outside what the solvers handle."""
+
+    exit_code = EXIT_UNSUPPORTED
 
 
 class ZeroTrailingCoefficientError(UnsupportedEquationError):
@@ -24,6 +35,8 @@ class MixedRadixError(UnsupportedEquationError):
 
 class ExponentOverflowError(MahlerError):
     """An exponent left the supported index range."""
+
+    exit_code = EXIT_OVERFLOW
 
 
 class ExactDivisionError(MahlerError):
@@ -57,10 +70,4 @@ class InvalidArgumentError(MahlerError):
 class InternalInvariantError(MahlerError):
     """An internal consistency check failed; this indicates a bug."""
 
-
-# CLI exit codes.
-EXIT_OK = 0
-EXIT_BAD_INPUT = 2
-EXIT_UNSUPPORTED = 3
-EXIT_OVERFLOW = 4
-EXIT_INTERNAL = 5
+    exit_code = EXIT_INTERNAL

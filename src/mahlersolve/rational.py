@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 from . import poly as P
 from .errors import (
+    ExponentOverflowError,
     InconsistentPrefixError,
     InsufficientPrefixError,
     InvalidArgumentError,
@@ -407,7 +408,8 @@ def bell_coons_test(op: MahlerOperator, prefix: Sequence[Fraction]) -> Transcend
 
 def bell_coons_dimensions(op: MahlerOperator) -> tuple[int, int]:
     """(kappa, bound) such that the rank test needs the Hankel-style
-    matrix with kappa+1 rows and bound+1 columns."""
+    matrix with kappa+1 rows and bound+1 columns, from kappa + bound + 1
+    coefficients; more than MAX_EXPONENT raise ExponentOverflowError."""
     if not op:
         raise UnsupportedEquationError("zero operator")
     if not op.coefficient(0):
@@ -421,6 +423,8 @@ def bell_coons_dimensions(op: MahlerOperator) -> tuple[int, int]:
     kappa2 = d // ((b - 1) * b ** (r - 1))
     kappa = kappa1 + kappa2 + 1
     bound = d + kappa * (b ** (r + 1) - 1) // (b - 1)
+    if kappa + bound + 1 > P.MAX_EXPONENT:
+        raise ExponentOverflowError(f"Bell-Coons test needs {kappa + bound + 1} coefficients")
     return kappa, bound
 
 

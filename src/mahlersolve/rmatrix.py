@@ -44,6 +44,7 @@ from operator import add
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
+    ExponentOverflowError,
     IncompatiblePrefixError,
     InternalInvariantError,
     InvalidArgumentError,
@@ -52,7 +53,7 @@ from .errors import (
 from .linalg import rref
 from .newton import mu_nu
 from .operator import MahlerOperator, PhiTransform, image_below, integer_terms, phi_apply
-from .poly import lowest_terms
+from .poly import MAX_EXPONENT, lowest_terms
 
 Term = tuple[int, int, int]  # (b^k, j, c): the term c x^j M^k
 
@@ -399,7 +400,8 @@ def series_solutions(op: MahlerOperator, phi: PhiTransform, top: int) -> tuple[i
     whose trailing coefficient is nonzero, each as the (den, pairs) of
     `prolong` for its coefficients 0..t-1, t - 1 = max(top, floor(nu)).
     The window fixes the coefficients up to floor(nu), and each head is
-    then prolonged, all from one phi(op), integer terms, nu and mu."""
+    then prolonged, all from one phi(op), integer terms, nu and mu.
+    A t beyond MAX_EXPONENT raises ExponentOverflowError."""
     transformed = phi_apply(op, phi)
     if transformed.order < 1:
         return 0, ()
@@ -409,5 +411,7 @@ def series_solutions(op: MahlerOperator, phi: PhiTransform, top: int) -> tuple[i
     op_terms = integer_terms(transformed)
     w, mu_floor = math.floor(nu) + 1, math.floor(mu)
     t = max(top + 1, w)
+    if t > MAX_EXPONENT:
+        raise ExponentOverflowError(f"truncation order {t} exceeds {MAX_EXPONENT}")
     heads = _window(transformed.order, op_terms, mu_floor + 1, w, 1)
     return t, tuple(_prolong(op_terms[1], mu_floor, *head, t - w) for head in heads)

@@ -125,7 +125,7 @@ def _series_element_to_json(elem: PuiseuxSeries) -> dict:
     }
 
 
-def _rational_to_json(f) -> dict:
+def rational_to_json(f) -> dict:
     """A RationalFunction numerator / (x^x_power denominator)."""
     return {
         "numerator": poly_to_json(f.numerator),
@@ -139,11 +139,11 @@ def basis_to_json(basis: SolutionBasis) -> dict:
     if basis.note:
         doc["note"] = basis.note
     if basis.kind == "rational_basis":
-        doc["elements"] = [_rational_to_json(f) for f in basis.elements]
+        doc["elements"] = [rational_to_json(f) for f in basis.elements]
         return doc
     if basis.kind == "ramified_rational_basis":
         doc["elements"] = [
-            {"ramification": f.ramification, **_rational_to_json(f.function)}
+            {"ramification": f.ramification, **rational_to_json(f.function)}
             for f in basis.elements
         ]
         return doc

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -269,8 +270,8 @@ def test_certify_failure_exit(run, running_example_file, monkeypatch):
 def test_stdin_input(running_example, monkeypatch, capsys):
     import io
 
-    doc = json.dumps(operator_to_json(running_example))
-    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    doc = json.dumps(operator_to_json(running_example)).encode()
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(doc), encoding="utf-8"))
     code = main(["newton", "-"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["N"] == 2
@@ -542,3 +543,96 @@ def test_undecodable_input(tmp_path, running_example, monkeypatch, capsys):
     code, _, err = _outcome(["newton", "-"], capsys)
     assert code == 2 and "can't decode byte 0xff" in json.loads(err)["message"]
 
+
+
+
+def test_undecodable_key_exits_2_on_every_path(tmp_path, running_example, monkeypatch, capsys):
+    # a byte 0xff in a key the parser ignores, and a BOM: stdin is decoded
+    # as a file is, even when the interpreter opened it with surrogate
+    # escapes (as in UTF-8 mode under a C locale)
+    import io
+
+    data = json.dumps({**operator_to_json(running_example), "note": 1}).encode()
+    path = tmp_path / "input.json"
+    for payload in (data.replace(b'"note"', b'"note\xff"'), b"\xef\xbb\xbf" + data):
+        path.write_bytes(payload)
+        from_file = _outcome(["newton", str(path)], capsys)
+        stdin = io.TextIOWrapper(io.BytesIO(payload), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        from_stdin = _outcome(["newton", "-"], capsys)
+        assert from_file[:2] == from_stdin[:2] == (2, "")
+        assert json.loads(from_file[2])["message"].replace(str(path), "-") == json.loads(from_stdin[2])["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("series", "F", "--order", str(10**20)),
+        ("puiseux", "F", "--order", str(10**20)),
+        ("transcendence", "G", "--initial", "1,0,0", "--oracle", "bell-coons"),
+        ("transcendence", "H", "--initial", "1,0,0", "--oracle", "bell-coons"),
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_sizes_beyond_the_exponent_range_exit_4(argv, tmp_path, capsys):
+    # a truncation order or a Bell-Coons prefix length past MAX_EXPONENT is
+    # an exponent overflow, not an OverflowError traceback
+    operators = {
+        "F": operator(2, pol(-1, 1), Poly.one()),
+        "G": operator(2, Poly.one(), Poly.monomial(2**63 - 1, 1)),
+        "H": operator(2, -Poly.one(), *[Poly.zero()] * 69, Poly.one()),
+    }
+    for name, op in operators.items():
+        (tmp_path / name).write_text(json.dumps(operator_to_json(op)))
+    code, out, err = _outcome([argv[0], str(tmp_path / argv[1]), *argv[2:]], capsys)
+    assert code == 4 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == 4 and "Traceback" not in err
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_exit_codes_by_class():
+    # the README's exit codes: 3 unsupported equation, 4 exponent overflow,
+    # 5 internal invariant violation, 2 any other (malformed input)
+    from mahlersolve.errors import (
+        ExponentOverflowError,
+        InternalInvariantError,
+        MahlerError,
+        UnsupportedEquationError,
+    )
+
+    codes = {UnsupportedEquationError: 3, ExponentOverflowError: 4, InternalInvariantError: 5}
+    classes = [MahlerError, *_subclasses(MahlerError)]
+    assert len(classes) == 14
+    for cls in classes:
+        expected = next((c for base, c in codes.items() if issubclass(cls, base)), 2)
+        assert cls.exit_code == expected, cls.__name__
+
+
+def _readme_flag_table() -> dict:
+    """Subcommand -> the option strings the README's flag table gives it."""
+    with open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")) as fh:
+        rows = [line for line in fh if line.startswith("| `--")]
+    table = {name: {"-h", "--help"} for name in build_parser().commands}
+    for row in rows:
+        flags_cell, commands_cell = re.split(r"(?<!\\)\|", row)[1:3]
+        commands = table if commands_cell.strip() == "all" else commands_cell.strip().split(", ")
+        for name in commands:
+            table[name] |= set(re.findall(r"`(--[a-z-]+)", flags_cell))
+    return table
+
+
+def test_each_subcommand_takes_its_documented_flags():
+    table = _readme_flag_table()
+    assert table["series"] == {
+        "-h", "--help", "--order", "--auto-normalize", "--no-auto-normalize", "--format", "--certify"
+    }
+    assert "--certify" not in table["newton"] | table["normalize"] | table["transcendence"]
+    for name, parser in build_parser().commands.items():
+        taken = {flag for action in parser._actions for flag in action.option_strings}
+        assert taken == table[name], name
