@@ -232,14 +232,6 @@ def rational_basis(op: MahlerOperator, auto_normalize: bool = True) -> SolutionB
     r = op.order
     if r < 1:
         return SolutionBasis(kind, ())
-    if op.degree < op.radix ** (r - 1):
-        total = Poly.zero()
-        for _, c in op.nonzero_coefficients():
-            total = total + c
-        if not total:
-            return SolutionBasis(kind, (RationalFunction.constant(1),))
-        return SolutionBasis(kind, ())
-
     bound = denominator_bound(op)
     q_star, v_bar = bound.q_star, bound.v_bar
     aux = clear_denominator(op, v_bar, q_star)
@@ -300,18 +292,11 @@ def ramified_rational_basis(op: MahlerOperator) -> SolutionBasis:
         op = op.m_shift(-w0)
     if op.order == 0:
         return SolutionBasis(kind, ())
-    scale = op.radix**w0
     _, n = ramification_data(op)
-    if n == 1 and scale == 1:
-        inner = rational_basis(op)
-        return SolutionBasis(
-            kind,
-            tuple(RamifiedRationalFunction(1, f) for f in inner.elements),
-        )
     gamma = n * min(c.valuation for _, c in op.nonzero_coefficients())
     rescaled = phi_apply(op, PhiTransform(0, n, gamma))
     inner = rational_basis(rescaled)
-    out_ram = n * scale
+    out_ram = n * op.radix**w0
     return SolutionBasis(
         kind,
         tuple(RamifiedRationalFunction(out_ram, f) for f in inner.elements),

@@ -28,7 +28,9 @@ nonzero coefficient, where one push step costs about 3-5.  Both kernels
 run on ints: every coefficient is an integer numerator over the input's
 denominator times a power of the diagonal.  Coefficient vectors come in
 and go out in one form, (den, pairs): the nonzero (n, den y_n) ints over
-a positive den, n increasing.
+a positive den, n increasing.  Both kernels return (scale, pairs): the
+support and the solved coefficients over den x scale, the support alone
+when no row is left; the push's (n, num, lev) triples never leave it.
 
 The recurrence data, phi(op) with its `integer_terms`, nu and mu, is
 computed by `series_solutions` once for the window and every head, and
@@ -72,7 +74,7 @@ def _push(
     last: int,
     shift: int = 0,
     position: Optional[Callable[[int], Optional[tuple[int, int]]]] = None,
-) -> list[tuple[int, int, int]]:
+) -> tuple[int, list[tuple[int, int]]]:
     """Forward substitution from the nonzero coefficients in `support`.
 
     `support` holds (n, num) pairs, num standing for D y_n with D a
@@ -84,8 +86,9 @@ def _push(
     `position` is given: then position(m) is None when row m determines
     no coefficient, else (n, d / diagonal of row m).  The sums run on
     ints: a coefficient or pending sum is a pair (num, lev) standing for
-    num / (D d^lev).  Returns the new nonzero coefficients as
-    (n, num, lev) triples in the order of their rows.
+    num / (D d^lev).  Returns (s, pairs): the support and the new nonzero
+    coefficients as (n, s D y_n) over the common scale s = d^(largest
+    lev), in increasing order of n.
     """
     # the terms of each power of M by increasing j: a group ends at the
     # first row beyond `last`
@@ -140,7 +143,12 @@ def _push(
             lev -= 1
         found.append((n, num, lev))
         push(n, num, lev, m)
-    return found
+    top = max((lev for _, _, lev in found), default=0)
+    scale = d**top
+    pairs = [(n, num * scale) for n, num in support]
+    pairs += [(n, num * d ** (top - lev)) for n, num, lev in found]
+    pairs.sort()
+    return scale, pairs
 
 
 def _walk(
@@ -150,7 +158,7 @@ def _walk(
     start: int,
     last: int,
     shift: int,
-) -> list[tuple[int, int, int]]:
+) -> tuple[int, list[tuple[int, int]]]:
     """`_push` for prolongation with a unit diagonal d = +-1, on lists.
 
     Rows start+1..last determine y_{start+1-shift}..y_{last-shift}, row
@@ -161,9 +169,8 @@ def _walk(
     update per term adds c y_i to row j + b^k i for every known i not
     added yet, and every row below the least j + b^k N then has all its
     terms.  The gap j - shift + (b^k - 1) N is positive, as `prolong`
-    checks, so each block solves at least one row.  Returns the nonzero
-    coefficients as (n, num, 0) triples in the order of their rows, as
-    `_push` does.
+    checks, so each block solves at least one row.  Returns (1, pairs)
+    for the support and the new coefficients, as `_push` does.
     """
     first, end = start + 1 - shift, last - shift
     tail = [(j - shift, c) for bk, j, c in terms if bk == 1 and j - shift <= end]
@@ -198,20 +205,7 @@ def _walk(
                 s += c * y[m - o]
             y[m] = neg * s
         n = stop
-    return [(n, y[n], 0) for n in range(first, end + 1) if y[n]]
-
-
-def _over_common(
-    support: Sequence[tuple[int, int]], found: Sequence[tuple[int, int, int]], d: int
-) -> tuple[int, list[tuple[int, int]]]:
-    """(s, pairs): the support and the (n, num, lev) triples of `_push`,
-    merged over the common scale d^maxlev = s, in increasing order of n."""
-    top = max((lev for _, _, lev in found), default=0)
-    scale = d**top
-    pairs = [(n, num * scale) for n, num in support]
-    pairs += [(n, num * d ** (top - lev)) for n, num, lev in found]
-    pairs.sort()
-    return scale, pairs
+    return 1, [(n, v) for n, v in enumerate(y[: end + 1]) if v]
 
 
 def _lines(terms: Sequence[Term]) -> list[Term]:
@@ -291,9 +285,8 @@ def _window(order: int, op_terms: tuple, h: int, width: int, sign: int) -> tuple
     candidates = []
     for s in seeds:
         start = _diagonal(lines, s)[0]
-        found = _push(terms, [(s, 1)], d, start, last, position=position)
         # a candidate scaled by a constant spans the same line
-        _, pairs = _over_common([(s, 1)], found, d)
+        _, pairs = _push(terms, [(s, 1)], d, start, last, position=position)
         candidates.append({sign * n: v for n, v in pairs})
 
     # One row [residual below x^h | candidate] per candidate; the reduced
@@ -365,9 +358,6 @@ def prolong(
 
 def _prolong(terms: list[Term], mu_floor: int, den: int, support: Sequence, extra: int) -> tuple:
     """`prolong` from `integer_terms`, for a head that holds the rows up to mu_floor."""
-    if extra == 0:
-        return lowest_terms(den, support)
-
     # Scaled by L, row m reads d y_{m - v(l_0)} + (sum of c y_n over the
     # other terms) = 0; the trailing term d x^v(l_0) of l_0 comes first.
     (_, tv0, d), terms = terms[0], terms[1:]
@@ -387,11 +377,8 @@ def _prolong(terms: list[Term], mu_floor: int, den: int, support: Sequence, extr
     # terms are sorted by b^k, then j: the first one left is l_0's tail
     # term of least offset, if l_0 has a tail
     bk, j, _ = terms[0]
-    if abs(d) == 1 and bk == 1 and j - tv0 <= _NEAR_TAIL:
-        found = _walk(terms, support, d, mu_floor, top, tv0)
-    else:
-        found = _push(terms, support, d, mu_floor, top, tv0)
-    scale, pairs = _over_common(support, found, d)
+    kernel = _walk if abs(d) == 1 and bk == 1 and j - tv0 <= _NEAR_TAIL else _push
+    scale, pairs = kernel(terms, support, d, mu_floor, top, tv0)
     return lowest_terms(den * scale, pairs)
 
 

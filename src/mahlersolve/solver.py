@@ -17,7 +17,7 @@ ints) to the JSON writer, and no per-coefficient Fraction is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -153,11 +153,7 @@ def approximate_series_basis(
 
     Each element extends to exactly one power-series solution.
     """
-    t, vectors = series_solutions(solving_operator(op, auto_normalize), IDENTITY_PHI, 0)
-    return SolutionBasis(
-        "approximate_series_basis",
-        tuple(PuiseuxSeries.from_integers(1, *v, t) for v in vectors),
-    )
+    return replace(series_basis(op, 0, auto_normalize), kind="approximate_series_basis")
 
 
 def series_basis(op: MahlerOperator, order: int, auto_normalize: bool = True) -> SolutionBasis:

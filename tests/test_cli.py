@@ -346,10 +346,13 @@ def test_error_exits(run, tmp_path):
 def test_console_script_entry_point(tmp_path, running_example):
     path = tmp_path / "op.json"
     path.write_text(json.dumps(operator_to_json(running_example)))
+    # run from the directory holding the imported package, so that `-m`
+    # finds the copy under test whether or not one is installed
     proc = subprocess.run(
         [sys.executable, "-m", "mahlersolve.cli", "series", str(path), "--order", "4"],
         capture_output=True,
         text=True,
+        cwd=os.path.dirname(os.path.dirname(cli.__file__)),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dimension"] == 1

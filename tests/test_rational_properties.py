@@ -16,10 +16,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_operator, random_series_solvable_operator
+from conftest import random_operator, random_poly_solvable, random_series_solvable_operator
 from oracles import (
     bell_coons_oracle,
     rational_basis_oracle,
@@ -27,16 +27,19 @@ from oracles import (
 )
 from mahlersolve import rational
 from mahlersolve.errors import MahlerError
-from mahlersolve.newton import mu_nu
+from mahlersolve.linalg import rref
+from mahlersolve.newton import mu_nu, ramification_data
 from mahlersolve.operator import MahlerOperator
 from mahlersolve.poly import Poly, bareiss_determinant, mahler_substitute
 from mahlersolve.rational import (
+    RamifiedRationalFunction,
     RationalFunction,
     bell_coons_test,
+    ramified_rational_basis,
     rational_basis,
     transcendence_test,
 )
-from mahlersolve.solver import SolutionBasis, series_basis
+from mahlersolve.solver import SolutionBasis, certify, polynomial_basis, series_basis
 
 F = Fraction
 ONE = Poly.one()
@@ -151,6 +154,71 @@ def test_rational_basis_matches_oracle(case):
     assert basis.elements == rational_basis_oracle(op)
     assert basis.dimension >= n
     assert_reduced_echelon(basis.elements)
+
+
+@st.composite
+def low_degree_equations(draw):
+    """(op, sum of its coefficients): radix 2-3, order r = 1-3, every
+    coefficient of degree < b^(r-1), about a third with sum 0, and some
+    behind a zero l_0 (M-valuation 1).  Only constants can solve these."""
+    radix = draw(st.sampled_from((2, 3)))
+    r = draw(st.integers(1, 3))
+    width = radix ** (r - 1)
+    coefficient = st.lists(small, min_size=width, max_size=width).map(
+        lambda cs: Poly([(e, F(c)) for e, c in enumerate(cs)])
+    )
+    coeffs = [draw(coefficient) for _ in range(r)]
+    if draw(st.integers(0, 2)) == 0:
+        coeffs.append(-sum(coeffs, Poly.zero()))
+    else:
+        coeffs.append(draw(coefficient))
+    assume(coeffs[0] and coeffs[-1])
+    if draw(st.integers(0, 3)) == 0:
+        coeffs.insert(0, Poly.zero())
+    return MahlerOperator(radix, coeffs), sum(coeffs, Poly.zero())
+
+
+@settings(max_examples=100, derandomize=True)
+@given(low_degree_equations())
+def test_low_degree_equations_take_the_general_path(case):
+    # degree < b^(r-1) gives v_bar = 0 and q_star = 1 on the general path,
+    # so the rational basis is the constant 1 exactly when it solves
+    op, total = case
+    basis = rational_basis(op)
+    assert basis.elements == (() if total else (RationalFunction.constant(1),))
+    assert basis.elements == rational_basis_oracle(op)
+    ramified = ramified_rational_basis(op)
+    if op.m_valuation == 0 and ramification_data(op)[1] == 1:
+        assert ramified.elements == tuple(RamifiedRationalFunction(1, f) for f in basis.elements)
+    assert certify(op, basis) == [None] * basis.dimension
+    assert certify(op, ramified) == [None] * ramified.dimension
+
+
+def _rank(rows) -> int:
+    return len(rref(rows)[2]) if rows else 0
+
+
+@st.composite
+def solver_families(draw):
+    """An operator from `equations()`, or one with a known polynomial
+    solution behind a random left factor."""
+    if draw(st.booleans()):
+        return draw(equations())[0]
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    return random_poly_solvable(rng, draw(st.sampled_from((2, 3))), draw(st.integers(1, 2)))[0]
+
+
+@settings(max_examples=150, derandomize=True)
+@given(solver_families())
+def test_polynomial_solutions_lie_in_the_rational_span(op):
+    # compared by the rank of the Laurent expansions up to x^40
+    rational_elements = rational_basis(op).elements
+    polynomials = polynomial_basis(op).elements
+    assert len(polynomials) <= len(rational_elements)
+    lo = min([0] + [f.valuation for f in rational_elements])
+    rows = [f.laurent_coefficients(lo, 41) for f in rational_elements]
+    extended = rows + [[p.coefficient(e) for e in range(lo, 41)] for p in polynomials]
+    assert _rank(extended) == _rank(rows)
 
 
 @settings(max_examples=80)

@@ -35,7 +35,7 @@ from mahlersolve.operator import (
     integer_terms,
     phi_apply,
 )
-from mahlersolve.poly import Poly, mahler_substitute
+from mahlersolve.poly import Poly, lowest_terms, mahler_substitute
 from mahlersolve.rmatrix import prolong, solve_prescribed
 from mahlersolve.solver import approximate_series_basis, puiseux_basis_all, series_basis
 
@@ -596,6 +596,33 @@ def test_walk_matches_oracle(case):
     den, pairs = head
     approx = _coeffs([(n, F(v, den)) for n, v in pairs], math.floor(nu) + 1)
     _same_as_oracle(out, prolong_oracle(op, phi, approx, extra))
+    if _walks(op, phi):
+        # where the walk runs, the push gives the same (scale, pairs) result
+        assert [lowest_terms(den * s, p) for s, p in _both_kernels(op, phi, pairs, extra)] == [out] * 2
+
+
+def _both_kernels(op, phi, support, extra) -> list:
+    """(scale, pairs) of `_walk` and of `_push`, called as `prolong` calls
+    them, on phi(op), a head's support and `extra` rows past floor(mu)."""
+    transformed = phi_apply(op, phi)
+    (_, tv0, d), *terms = integer_terms(transformed)[1]
+    mu_floor = math.floor(mu_nu(transformed)[1])
+    args = (terms, support, d, mu_floor, mu_floor + extra, tv0)
+    return [rmatrix._walk(*args), rmatrix._push(*args)]
+
+
+def test_kernels_return_the_head_with_no_row_to_solve(running_example):
+    # with no row past floor(mu) both kernels return the support over
+    # scale 1, and `prolong` puts it in lowest terms; a diagonal of 2 pushes
+    assert _both_kernels(running_example, IDENTITY_PHI, [(3, 6)], 0) == [(1, [(3, 6)])] * 2
+    assert prolong(running_example, IDENTITY_PHI, (6, ((3, 6),)), 0) == (1, ((3, 1),))
+    op = _tail_product(3, 2, [(1, 1), (2, -1)])
+    (head,) = _heads(op, IDENTITY_PHI)
+    (_, tv0, d), *terms = integer_terms(op)[1]
+    mu_floor = math.floor(mu_nu(op)[1])
+    scaled = [(n, 4 * v) for n, v in head[1]]
+    scale, pairs = rmatrix._push(terms, scaled, d, mu_floor, mu_floor, tv0)
+    assert d == -2 and scale == 1 and lowest_terms(4 * head[0], pairs) == head
 
 
 def test_prolong_kernel_choice(monkeypatch, running_example, sparse_stretch_example):
