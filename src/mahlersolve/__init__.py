@@ -10,7 +10,6 @@ of families of Mahler operators.
 from .errors import (
     ExactDivisionError,
     ExponentOverflowError,
-    IncompatiblePrefixError,
     InconsistentPrefixError,
     InputFormatError,
     InsufficientPrefixError,

@@ -51,10 +51,6 @@ class NoAdmissibleEdgeError(MahlerError):
     """No admissible edge with the requested slope constraint exists."""
 
 
-class IncompatiblePrefixError(MahlerError):
-    """A coefficient prefix is not an approximate series solution."""
-
-
 class InconsistentPrefixError(MahlerError):
     """A coefficient prefix extends to no series solution."""
 

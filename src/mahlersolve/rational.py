@@ -2,13 +2,11 @@
 the full rational solver, ramified rational solving, and the two
 transcendence tests.
 
-Every answer here is read off a reduced echelon basis rather than
-solved for.  The rational basis is put in canonical form by one
-`linalg.rref` on the expansions of its numerators.  The series basis
-has unit pivots below its head, so a prefix picks its combination at
-those pivots; the rational basis has unit pivots at its valuations, so
-a series picks its rational witness there.  Each combination is then
-checked once against what it must reproduce.
+The rational basis is put in canonical form by one `linalg.rref` on
+the expansions of its numerators.  It has unit pivots at its
+valuations, so a series picks its rational witness there, and the
+witness is then checked once against the series.  The series solution
+a transcendence prefix starts is its head extended by `rmatrix.prolong`.
 """
 
 from __future__ import annotations
@@ -29,14 +27,10 @@ from .errors import (
 )
 from .linalg import independent, rref
 from .newton import mu_nu, ramification_data
-from .operator import MahlerOperator, PhiTransform, clear_denominator, phi_apply
+from .operator import IDENTITY_PHI, MahlerOperator, PhiTransform, clear_denominator, phi_apply
 from .poly import Poly, graeffe, lcm_orbit, mahler_substitute, poly_sections
-from .solver import (
-    SolutionBasis,
-    polynomial_solutions_bounded,
-    series_basis,
-    solving_operator,
-)
+from .rmatrix import prolong
+from .solver import SolutionBasis, polynomial_solutions_bounded, solving_operator
 
 _ZERO = Fraction(0)
 
@@ -315,33 +309,31 @@ def _consistent_extension(
 ) -> tuple[int, list[int]]:
     """The series solution that starts with the prefix, to
     max(length, len(prefix)) coefficients, as (den, nums): int
-    numerators over one positive int den.  Raises when no solution
-    starts with the prefix.
+    numerators over one positive int den.  Raises
+    InconsistentPrefixError when no solution starts with the prefix.
 
-    The series basis is reduced echelon with its pivots, of value 1,
-    below the head, so the one combination that can match the prefix
-    takes the prefix coefficient at each element's pivot.
+    A series solution is fixed by its head, its first
+    max(floor(nu) + 1, 0) coefficients, so `prolong` checks the
+    prefix's head against the relation rows and extends it; the rest
+    of the prefix must then agree with the extension.
     """
     for c in prefix:
         if type(c) is not int and not isinstance(c, Fraction):
             raise InvalidArgumentError(f"prefix entries must be int or Fraction, got {c!r}")
     target = max(length, len(prefix))
-    elements = ()
+    den, nums = 1, [0] * target
     if op.order >= 1:
         nu, _ = mu_nu(op)
-        head = math.floor(nu) + 1 if nu >= 0 else 0
+        head = max(math.floor(nu) + 1, 0)
         if len(prefix) < max(head, 1):
             raise InsufficientPrefixError(
                 f"need at least {max(head, 1)} coefficients, got {len(prefix)}"
             )
-        elements = series_basis(op, target - 1, auto_normalize=False).elements
-    combo = [(c, elem) for elem in elements if (c := prefix[elem.nums[0][0]])]
-    den = math.lcm(*(c.denominator * elem.den for c, elem in combo))
-    nums = [0] * target
-    for c, elem in combo:
-        f = c.numerator * (den // (c.denominator * elem.den))
-        for e, v in elem.nums:
-            nums[e] += f * v
+        den = math.lcm(*(c.denominator for c in prefix[:head]))
+        pairs = [(n, c.numerator * den // c.denominator) for n, c in enumerate(prefix[:head]) if c]
+        den, pairs = prolong(op, IDENTITY_PHI, (den, pairs), target - head)
+        for n, v in pairs:
+            nums[n] = v
     if any(c.numerator * den != v * c.denominator for c, v in zip(prefix, nums)):
         raise InconsistentPrefixError("prefix extends to no series solution")
     return den, nums

@@ -35,6 +35,8 @@ when no row is left; the push's (n, num, lev) triples never leave it.
 The recurrence data, phi(op) with its `integer_terms`, nu and mu, is
 computed by `series_solutions` once for the window and every head, and
 by `solve_prescribed` and `prolong` each for itself; no call keeps it.
+Besides the series pipeline, `prolong` extends the head of a prefix to
+the series solution it starts, for the transcendence tests of `rational`.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     ExponentOverflowError,
-    IncompatiblePrefixError,
+    InconsistentPrefixError,
     InternalInvariantError,
     InvalidArgumentError,
     UnsupportedEquationError,
@@ -317,11 +319,13 @@ def prolong(
     """Extend an approximate series solution of phi(op) by `extra` terms.
 
     `approx` is (den, pairs), as `solve_prescribed` returns it, for the
-    coefficients 0..floor(nu); it must satisfy the relation rows up to
-    floor(mu).  Beyond the Newton corner row m determines
-    y_{m - v(l_0)}, so each further row gives one new coefficient.
-    Returns (den, pairs) for the coefficients 0..floor(nu) + extra, head
-    first, in lowest terms.
+    t = max(floor(nu) + 1, 0) coefficients of the head; it must satisfy
+    the relation rows up to floor(mu), else InconsistentPrefixError
+    names the first row it breaks.  Beyond the Newton corner row m
+    determines y_{m - v(l_0)}, so each further row gives one new
+    coefficient.  Returns (den, pairs) for the first t + extra
+    coefficients, head first, in lowest terms; a t + extra beyond
+    MAX_EXPONENT raises ExponentOverflowError.
     """
     if extra < 0:
         raise InvalidArgumentError("extra must be >= 0")
@@ -340,17 +344,23 @@ def prolong(
     if transformed.order < 1:
         raise UnsupportedEquationError("prolongation needs an operator of order >= 1")
     nu, mu = mu_nu(transformed)
-    head = math.floor(nu) + 1
+    head = max(math.floor(nu) + 1, 0)
+    if head + extra > MAX_EXPONENT:
+        raise ExponentOverflowError(f"truncation order {head + extra} exceeds {MAX_EXPONENT}")
     bounds = [-1] + [n for n, _ in support] + [head]
     if any(a >= b for a, b in zip(bounds, bounds[1:])):
         raise InvalidArgumentError(
             f"approximate solution needs increasing indices in 0..{head - 1}"
         )
+    # the zero head extends to zero; it is the only head when nu < 0,
+    # where the kernels' first position floor(nu) + 1 may be negative
+    if not support:
+        return 1, ()
     op_terms = integer_terms(transformed)
     _, residual = image_below(op_terms, support, math.floor(mu) + 1)
     if residual:
         bad = min(residual)
-        raise IncompatiblePrefixError(
+        raise InconsistentPrefixError(
             f"prefix violates the relation for the coefficient of x^{bad}"
         )
     return _prolong(op_terms[1], math.floor(mu), den, support, extra)

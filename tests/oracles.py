@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 
 from mahlersolve.errors import (
-    IncompatiblePrefixError,
+    InconsistentPrefixError,
     InternalInvariantError,
     UnsupportedEquationError,
     ZeroTrailingCoefficientError,
@@ -331,7 +331,7 @@ def prolong_oracle(
     mu_floor = math.floor(mu)
     image = apply_to_fractional(transformed, list(enumerate(approx)))
     if any(m <= mu_floor for m in image):
-        raise IncompatiblePrefixError("prefix violates a relation row")
+        raise InconsistentPrefixError("prefix violates a relation row")
     l0 = transformed.coeffs[0]
     tv0 = l0.valuation
     diag = l0.terms[0][1]
@@ -442,7 +442,7 @@ def consistent_extension_oracle(op: MahlerOperator, prefix, length: int) -> list
     """The series solution starting with the prefix, to max(length,
     len(prefix)) coefficients, by solving the prefix against the dense
     expansions of the library's series basis; raises like the library."""
-    from mahlersolve.errors import InconsistentPrefixError, InsufficientPrefixError
+    from mahlersolve.errors import InsufficientPrefixError
     from mahlersolve.solver import series_basis
 
     target = max(length, len(prefix))

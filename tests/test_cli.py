@@ -225,6 +225,20 @@ def test_transcendence_order_zero(run, tmp_path):
         assert doc["verdict"] == "rational" and doc["method"] == oracle
 
 
+def test_transcendence_head_breaks_a_relation_row(run, tmp_path, running_example):
+    # prolong rejects the head 1,1,1,1 at its first broken row; a head that
+    # holds with a tail that differs fails the closing comparison
+    path = tmp_path / "running.json"
+    path.write_text(json.dumps(operator_to_json(running_example)))
+    for oracle in ("rational-basis", "bell-coons"):
+        code, _, err = run("transcendence", str(path), "--initial", "1,1,1,1,0", "--oracle", oracle)
+        assert code == 2
+        assert json.loads(err)["message"] == "prefix violates the relation for the coefficient of x^0"
+        code, _, err = run("transcendence", str(path), "--initial", "0,0,0,1,0,0", "--oracle", oracle)
+        assert code == 2
+        assert json.loads(err)["message"] == "prefix extends to no series solution"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -611,7 +625,7 @@ def test_exit_codes_by_class():
 
     codes = {UnsupportedEquationError: 3, ExponentOverflowError: 4, InternalInvariantError: 5}
     classes = [MahlerError, *_subclasses(MahlerError)]
-    assert len(classes) == 14
+    assert len(classes) == 13
     for cls in classes:
         expected = next((c for base, c in codes.items() if issubclass(cls, base)), 2)
         assert cls.exit_code == expected, cls.__name__

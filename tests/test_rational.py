@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     count_fraction_arithmetic,
     dense,
+    integer_pairs,
     operator,
     pol,
     random_operator,
@@ -24,7 +25,7 @@ from mahlersolve.errors import (
     ZeroTrailingCoefficientError,
 )
 from mahlersolve.newton import mu_nu
-from mahlersolve.operator import MahlerOperator
+from mahlersolve.operator import IDENTITY_PHI, MahlerOperator
 from mahlersolve.poly import Poly, gcd, mahler_substitute, poly_sections
 from mahlersolve.rational import (
     RamifiedRationalFunction,
@@ -37,6 +38,7 @@ from mahlersolve.rational import (
     rational_basis,
     transcendence_test,
 )
+from mahlersolve.rmatrix import prolong
 from mahlersolve.solver import SolutionBasis, certify, series_basis
 
 F = Fraction
@@ -370,9 +372,9 @@ def test_bell_coons(rat_example):
 
 def test_series_extension_runs_on_ints(monkeypatch, rat_example):
     # Bell-Coons extends the prefix to kappa + bound + 1 coefficients by
-    # combining the series basis on its integer numerators: beyond the
-    # Fractions of mu_nu and of the series basis itself, neither the
-    # extension nor the Hankel test builds or computes with one
+    # prolonging its head on ints: beyond the Fractions of mu_nu and of
+    # the prolongation itself, neither the extension nor the Hankel test
+    # builds or computes with one
     lop = operator(2, X, -pol(1, 1), ONE)
     witness = RationalFunction.make(ONE, 0, pol(-1, -1, 1))
     cases = [
@@ -383,9 +385,11 @@ def test_series_extension_runs_on_ints(monkeypatch, rat_example):
     lengths, counts = [], []
     for op, prefix, verdict in cases:
         kappa, bound = bell_coons_dimensions(op)
+        head = int(mu_nu(op)[0]) + 1
+        approx = integer_pairs([(n, c) for n, c in enumerate(prefix[:head]) if c])
         calls = count_fraction_arithmetic(monkeypatch)
         mu_nu(op)
-        series_basis(op, kappa + bound, auto_normalize=False)
+        prolong(op, IDENTITY_PHI, approx, kappa + bound + 1 - head)
         parts = calls.copy()
         calls.clear()
         got = bell_coons_test(op, prefix)
@@ -395,11 +399,43 @@ def test_series_extension_runs_on_ints(monkeypatch, rat_example):
         assert got.verdict == verdict
         lengths.append(kappa + bound + 1)
         counts.append(total)
-    # the same count for 18 coefficients as for 200: the slopes of mu_nu
-    # and the truncation orders, nothing per coefficient; the window solve
-    # builds none, and mu_nu runs once per basis, not once per element
+    # the same count for 18 coefficients as for 200: the slopes of the two
+    # mu_nu calls, the extension's and prolong's, nothing per coefficient
     assert lengths == [18, 18, 200]
-    assert counts == [Counter({"new": 8, "arithmetic": 2})] * 3
+    assert counts == [Counter({"new": 6, "arithmetic": 2})] * 3
+
+
+def test_extension_prolongs_the_head_once(monkeypatch, rat_example, running_example):
+    # the extension is one prolongation of the prefix's head: no series
+    # basis, and a head that breaks a relation row fails inside prolong
+    from mahlersolve import rmatrix, solver
+
+    assert not hasattr(rational, "series_basis")
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(rational, "prolong", counted("prolong", rmatrix.prolong))
+    for module, name in ((solver, "series_basis"), (solver, "series_solutions")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    lop = operator(2, X, -pol(1, 1), ONE)
+    prefix = RationalFunction.make(ONE, 0, pol(-1, -1, 1)).laurent_coefficients(0, 8)
+    for op, start in ((lop, [F(0), F(1), F(1), F(0), F(1)]), (rat_example, prefix)):
+        calls.clear()
+        rational._consistent_extension(op, start, 40)
+        assert calls == Counter({"prolong": 1})
+    calls.clear()
+    with pytest.raises(InconsistentPrefixError, match="relation for the coefficient of x"):
+        rational._consistent_extension(running_example, [F(1)] * 4, 8)
+    assert calls == Counter({"prolong": 1})
+    calls.clear()
+    rational._consistent_extension(operator(2, pol(1, 1)), [F(0)] * 3, 3)
+    assert not calls
 
 
 def test_bell_coons_dimensions_errors():

@@ -19,9 +19,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_operator, random_poly_solvable, random_series_solvable_operator
+from conftest import (
+    random_operator,
+    random_poly,
+    random_poly_solvable,
+    random_series_solvable_operator,
+)
 from oracles import (
     bell_coons_oracle,
+    consistent_extension_oracle,
     rational_basis_oracle,
     transcendence_oracle,
 )
@@ -39,7 +45,13 @@ from mahlersolve.rational import (
     rational_basis,
     transcendence_test,
 )
-from mahlersolve.solver import SolutionBasis, certify, polynomial_basis, series_basis
+from mahlersolve.solver import (
+    SolutionBasis,
+    certify,
+    polynomial_basis,
+    series_basis,
+    solving_operator,
+)
 
 F = Fraction
 ONE = Poly.one()
@@ -243,6 +255,63 @@ def test_bell_coons_test_matches_oracle(data):
     got = outcome(bell_coons_test, op, prefix)
     want = outcome(bell_coons_oracle, op, prefix)
     assert (got if isinstance(got, type) else got.verdict) == want
+
+
+@st.composite
+def extension_operators(draw):
+    """An operator with nonzero l_0: from `equations()`, a random one
+    with l_0 shifted up (nu >= 0 and most heads break a relation row),
+    one with nu < 0 (each l_k, k >= 1, of higher valuation than l_0), or
+    one of order 0."""
+    kind = draw(st.sampled_from(("equation", "equation", "random", "negative", "order 0")))
+    if kind == "equation":
+        return solving_operator(draw(equations())[0], True)
+    radix = draw(st.sampled_from((2, 3)))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    if kind == "order 0":
+        return MahlerOperator(radix, [random_poly(rng, 3)])
+    l0, *rest = random_operator(rng, radix, draw(st.integers(1, 2)), 3).coeffs
+    if kind == "random":
+        return MahlerOperator(radix, [l0.shift(draw(st.integers(1, 4)))] + rest)
+    return MahlerOperator(radix, [l0] + [lk.shift(l0.valuation + 1) for lk in rest])
+
+
+@st.composite
+def extension_prefixes(draw, op):
+    """The start of a series solution of op (a random combination of the
+    series basis), the same with one coefficient of the head or of the
+    tail bumped, or a prefix one coefficient too short."""
+    head = max(math.floor(mu_nu(op)[0]) + 1, 0) if op.order >= 1 else 0
+    length = max(head, 1) + draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(("solution", "head", "head", "tail", "short")))
+    if kind == "short":
+        return [F(draw(small)) for _ in range(max(head, 1) - 1)]
+    prefix = [F(0)] * length
+    if op.order >= 1:
+        for elem in series_basis(op, length - 1, auto_normalize=False).elements:
+            c = F(draw(small), draw(st.integers(1, 3)))
+            for e, v in elem.terms:
+                prefix[int(e)] += c * v
+    if kind == "head" and head:
+        prefix[draw(st.integers(0, head - 1))] += 1
+    if kind == "tail" and length > head:
+        prefix[draw(st.integers(head, length - 1))] += 1
+    return prefix
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_consistent_extension_matches_oracle(data):
+    # value for value, or the same error class: a bumped head fails in
+    # prolong, a bumped tail in the closing comparison
+    op = data.draw(extension_operators())
+    prefix = data.draw(extension_prefixes(op))
+    length = data.draw(st.integers(0, 12))
+    got = outcome(rational._consistent_extension, op, prefix, length)
+    if isinstance(got, tuple):
+        den, nums = got
+        got = [F(v, den) for v in nums]
+    assert got == outcome(consistent_extension_oracle, op, prefix, length)
 
 
 def test_candidate_past_the_prefix(monkeypatch, rat_example):

@@ -21,7 +21,8 @@ from conftest import (
 import oracles
 from oracles import entry_oracle, prolong_oracle
 from mahlersolve.errors import (
-    IncompatiblePrefixError,
+    ExponentOverflowError,
+    InconsistentPrefixError,
     InternalInvariantError,
     InvalidArgumentError,
 )
@@ -35,7 +36,7 @@ from mahlersolve.operator import (
     integer_terms,
     phi_apply,
 )
-from mahlersolve.poly import Poly, lowest_terms, mahler_substitute
+from mahlersolve.poly import MAX_EXPONENT, Poly, lowest_terms, mahler_substitute
 from mahlersolve.rmatrix import prolong, solve_prescribed
 from mahlersolve.solver import approximate_series_basis, puiseux_basis_all, series_basis
 
@@ -252,7 +253,7 @@ def test_prolong_running_example(running_example, running_example_series):
     _same_as_oracle(out, running_example_series)
     assert prolong(running_example, IDENTITY_PHI, approx, 0) == (1, ((3, 1),))
     assert prolong(running_example, IDENTITY_PHI, (6, [(3, 4)]), 0) == (3, ((3, 2),))
-    with pytest.raises(IncompatiblePrefixError):
+    with pytest.raises(InconsistentPrefixError):
         prolong(running_example, IDENTITY_PHI, (1, ((0, 1), (1, 1), (2, 1), (3, 1))), 3)
     # the head must be the coefficients 0..floor(nu) = 0..3, in order
     for bad in ([(4, 1)], [(-1, 1)], [(3, 1), (2, 1)], [(3, 1), (3, 1)]):
@@ -260,6 +261,20 @@ def test_prolong_running_example(running_example, running_example_series):
             prolong(running_example, IDENTITY_PHI, (1, bad), 3)
     with pytest.raises(InvalidArgumentError):
         prolong(running_example, IDENTITY_PHI, approx, -1)
+
+
+def test_prolong_past_the_exponent_range():
+    # a prolongation past MAX_EXPONENT coefficients raises the typed error
+    # of series_basis before it allocates anything
+    op = MahlerOperator(2, [X - ONE, ONE])
+    for extra in (MAX_EXPONENT, 2**63, 2**64):
+        with pytest.raises(ExponentOverflowError, match="exceeds"):
+            prolong(op, IDENTITY_PHI, (1, ((0, 1),)), extra)
+        with pytest.raises(ExponentOverflowError, match="exceeds"):
+            series_basis(op, extra)
+    with pytest.raises(ExponentOverflowError, match="exceeds"):
+        prolong(MahlerOperator(2, [ONE, X]), IDENTITY_PHI, (1, ()), MAX_EXPONENT + 1)
+    assert prolong(op, IDENTITY_PHI, (1, ((0, 1),)), 3) == (1, ((0, 1), (1, 1), (2, 2), (3, 2)))
 
 
 def test_prolong_rejects_malformed_heads(running_example):
@@ -309,7 +324,7 @@ def test_prolong_prefix_check_reaches_row_floor_mu():
                 try:
                     solve(op, IDENTITY_PHI, approx, 3)
                     outcomes.append(False)
-                except IncompatiblePrefixError:
+                except InconsistentPrefixError:
                     outcomes.append(True)
             assert outcomes[0] == outcomes[1]
             verdicts[outcomes[0]] += 1
@@ -648,10 +663,20 @@ def test_prolong_kernel_choice(monkeypatch, running_example, sparse_stretch_exam
         assert calls == Counter({kernel: 1})
         approx = _coeffs(_fractions(head), int(mu_nu(op)[0]) + 1)
         _same_as_oracle(out, prolong_oracle(op, IDENTITY_PHI, approx, 300))
-    # y(x) + x y(x) + x y(x^2) walks; nu = -1 leaves only the empty head
-    op = MahlerOperator(2, [ONE + X, X])
-    assert _walks(op, IDENTITY_PHI) and mu_nu(op)[0] == -1
-    assert prolong(op, IDENTITY_PHI, (1, ()), 5) == (1, ())
+    # nu = -1 leaves only the empty head, which extends to zero, and so do
+    # nu = -3, on an operator that walks and on one that pushes, and
+    # nu = -1/4; the kernels never start below position 0
+    x3 = Poly.monomial(3)
+    assert _walks(MahlerOperator(2, [ONE + X, X]), IDENTITY_PHI)
+    assert _walks(MahlerOperator(2, [ONE + X, x3]), IDENTITY_PHI)
+    negative = [(2, [ONE + X, X]), (2, [ONE + X, x3]), (2, [ONE, x3]), (5, [ONE, X])]
+    for (radix, coeffs), nu in zip(negative, (-1, -3, -3, F(-1, 4))):
+        op = MahlerOperator(radix, coeffs)
+        assert mu_nu(op)[0] == nu
+        for extra in (0, 1, 5, 7):
+            assert prolong(op, IDENTITY_PHI, (1, ()), extra) == (1, ())
+        with pytest.raises(InvalidArgumentError, match="increasing indices"):
+            prolong(op, IDENTITY_PHI, (1, ((0, 1),)), 7)
 
     # the window solve pushes; the sparse products M - (1 +- x^e), e >= 2000,
     # at order 10^4 and the stretch operator push everywhere
