@@ -9,6 +9,12 @@ Euclidean division and a primitive remainder sequence for gcds.  The
 (exponent, Fraction) view `terms` is built the first time it is read.
 Exponents are capped at MAX_EXPONENT so that index arithmetic
 downstream stays inside a machine-word-like range.
+
+A Gräffe step Res_y(y^b - x, p(y)) takes b n^2 integer operations (n =
+deg p, lead c): Newton's identities give the power sums s_1..s_(b n) of
+the roots c*alpha of the monic integer q(y) = c^(n-1) p(y/c); from the
+s_(b j) they rebuild R = sum r_i z^(n-i), roots (c*alpha)^b, exactly.
+The step is (-1)^(n(b+1)) c^b R(c^b x) / c^(b n), over den^b.
 """
 
 from __future__ import annotations
@@ -444,34 +450,25 @@ def mahler_substitute(p: Poly, radix: int, power: int = 1) -> Poly:
     return p.substitute_power(checked_power(radix, power))
 
 
-def poly_sections(p: Poly, radix: int) -> list[Poly]:
-    """Split p into its radix residue classes.
-
-    Returns (f_0, ..., f_{radix-1}) with p(x) = sum of x**i * f_i(x**radix);
-    section i collects the exponents congruent to i, shifted and divided.
-    """
-    if radix < 2:
-        raise InvalidArgumentError("radix must be >= 2")
-    buckets: list[list[tuple[int, int]]] = [[] for _ in range(radix)]
+def residue_sections(p: Poly, radix: int) -> dict[int, Poly]:
+    """The nonzero radix sections of p, {i: f_i} for the residues i that
+    occur, so that p(x) = sum of x**i * f_i(x**radix); radix 1 gives
+    {0: p}.  The cost does not grow with the radix."""
+    if radix < 1:
+        raise InvalidArgumentError("radix must be >= 1")
+    buckets: dict[int, list[tuple[int, int]]] = {}
     for e, c in p.nums:
         i = e % radix
-        buckets[i].append(((e - i) // radix, c))
-    return [_reduced(p.den, b) if b else _POLY_ZERO for b in buckets]
+        buckets.setdefault(i, []).append(((e - i) // radix, c))
+    return {i: _reduced(p.den, b) for i, b in buckets.items()}
 
 
-def _graeffe_step(p: Poly, radix: int) -> Poly:
-    # Determinant of the multiplication-by-p(y) map on the free module
-    # with basis 1, y, ..., y^(radix-1) over Q[x], modulo y^radix = x.
-    sections = poly_sections(p, radix)
-    mat = [[Poly.zero()] * radix for _ in range(radix)]
-    for j in range(radix):
-        for i, f in enumerate(sections):
-            if not f:
-                continue
-            row = (i + j) % radix
-            entry = f if i + j < radix else f.shift(1)
-            mat[row][j] = mat[row][j] + entry
-    return bareiss_determinant(mat)
+def poly_sections(p: Poly, radix: int) -> list[Poly]:
+    """The radix sections (f_0, ..., f_{radix-1}) of p, zeros included."""
+    if radix < 2:
+        raise InvalidArgumentError("radix must be >= 2")
+    found = residue_sections(p, radix)
+    return [found.get(i, _POLY_ZERO) for i in range(radix)]
 
 
 def graeffe(p: Poly, radix: int, power: int = 1) -> Poly:
@@ -483,48 +480,39 @@ def graeffe(p: Poly, radix: int, power: int = 1) -> Poly:
         raise InvalidArgumentError("radix must be >= 2")
     if power < 1:
         raise InvalidArgumentError("power must be >= 1")
-    result = p
     for _ in range(power):
-        result = _graeffe_step(result, radix)
-    return result
+        p = _root_power(p, radix)
+    return p
+
+
+def _root_power(p: Poly, b: int) -> Poly:
+    """One radix-b step of `graeffe`, by power sums (module docstring)."""
+    if not p.nums:
+        return p
+    n, c = p.nums[-1]
+    a = dict(p.nums)
+    e = [1] + [a.get(n - i, 0) * c ** (i - 1) for i in range(1, n + 1)]
+    s = [n]
+    for m in range(1, b * n + 1):
+        acc = m * e[m] if m <= n else 0
+        s.append(-acc - sum(e[i] * s[m - i] for i in range(1, min(m, n + 1))))
+    r = [1]
+    for m in range(1, n + 1):
+        r.append(-sum(r[i] * s[b * (m - i)] for i in range(m)) // m)
+    sign, cb = (-1) ** (n * (b + 1)), c**b
+    nums = [(n - i, sign * r[i] * cb // cb**i) for i in range(n + 1) if r[i]]
+    return Poly.from_integers(p.den**b, nums[::-1])
 
 
 def lcm_orbit(a: Poly, radix: int, order: int) -> Poly:
-    """lcm of a, Ma, ..., M^(order-1) a, monic-normalized."""
+    """lcm of a, Ma, ..., M^(order-1) a, monic-normalized.  It recurses
+    on L_k = lcm(a, M L_(k-1)), since M maps lcms to lcms (gcd(M p, M q)
+    = M gcd(p, q)), so every gcd has the operand a of degree deg a."""
     if not a:
         raise InvalidArgumentError("lcm_orbit of the zero polynomial")
     if order < 1:
         raise InvalidArgumentError("order must be >= 1")
     result = a.monic()
-    img = a
     for _ in range(1, order):
-        img = mahler_substitute(img, radix)
-        result = lcm(result, img)
+        result = lcm(a, mahler_substitute(result, radix))
     return result
-
-
-def bareiss_determinant(mat: list[list[Poly]]) -> Poly:
-    """Fraction-free determinant of a square matrix of polynomials."""
-    n = len(mat)
-    if n == 0:
-        return Poly.one()
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = Poly.one()
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Poly.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = Poly.zero()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det

@@ -28,7 +28,7 @@ from .errors import (
 from .linalg import independent, rref
 from .newton import mu_nu, ramification_data
 from .operator import IDENTITY_PHI, MahlerOperator, PhiTransform, clear_denominator, phi_apply
-from .poly import Poly, graeffe, lcm_orbit, mahler_substitute, poly_sections
+from .poly import Poly, graeffe, lcm_orbit, mahler_substitute, residue_sections
 from .rmatrix import prolong
 from .solver import SolutionBasis, polynomial_solutions_bounded, solving_operator
 
@@ -197,15 +197,12 @@ def denominator_bound(op: MahlerOperator) -> DenominatorBound:
     ell = op.coeffs[r]
     u_steps = []
     while True:
-        sections = poly_sections(ell, b**r)
-        u = P.gcd_all(s for s in sections if s)
+        u = P.gcd_all(residue_sections(ell, b**r).values())
         u_steps.append(u)
         if u.degree < 1:
             break
         ell = ell.exact_div(mahler_substitute(u, b, r)) * lcm_orbit(u, b, r)
-    # one level down; for order 1 the "sections" are the polynomial itself
-    sections = poly_sections(ell, b ** (r - 1)) if r > 1 else [ell]
-    u_tilde = P.gcd_all(s for s in sections if s)
+    u_tilde = P.gcd_all(residue_sections(ell, b ** (r - 1)).values())
 
     q_star = Poly.one()
     for u in u_steps[:-1]:

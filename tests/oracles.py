@@ -7,9 +7,15 @@ arithmetic, `image_below`) and of the push loop behind its window solve
 and prolongation (`rmatrix`): the oracles build dense recurrence rows
 and visit every row, zero or not.  The polynomial oracles take and
 return term tuples, sorted (exponent, nonzero Fraction) pairs, as
-`Poly.terms`.  `graeffe_monic` and `alt_denominator_bound` are the
-exception: they are built on the library's `Poly` and `graeffe` and
-serve as cross-checks of the denominator bound; `candidate_valuations`
+`Poly.terms`.  The Gräffe and orbit oracles are the exception: they
+are built on the library's `Poly` and serve as cross-checks of the
+denominator bound.  `graeffe_oracle` is the determinant route the
+library took before it computed Gräffe steps by power sums, a
+`bareiss_determinant` of multiplication by p(y) modulo y^b = x;
+`lcm_orbit_oracle` folds the orbit M^k a into its lcm one image at a
+time, where the library recurses on L_k = lcm(a, M L_(k-1));
+`graeffe_monic` and `alt_denominator_bound` use the library's
+`graeffe` itself.  `candidate_valuations`
 and `candidate_degrees` read the library's Newton polygons and bound
 the exponents the solvers may return.  The rational and
 transcendence oracles at the end take the routes the library took
@@ -30,7 +36,7 @@ from mahlersolve.errors import (
 )
 from mahlersolve.newton import lower_polygon, mu_nu, upper_polygon
 from mahlersolve.operator import MahlerOperator, PhiTransform, phi_apply
-from mahlersolve.poly import Poly, graeffe
+from mahlersolve.poly import Poly, graeffe, lcm, mahler_substitute, poly_sections
 
 ZERO = Fraction(0)
 
@@ -187,6 +193,60 @@ def sort_key_oracle(op: MahlerOperator):
 def graeffe_monic(p: Poly, radix: int, power: int = 1) -> Poly:
     """Monic associate of graeffe()."""
     return graeffe(p, radix, power).monic()
+
+
+def bareiss_determinant(mat: list[list[Poly]]) -> Poly:
+    """Fraction-free determinant of a square matrix of polynomials."""
+    n = len(mat)
+    if n == 0:
+        return Poly.one()
+    m = [row[:] for row in mat]
+    sign = 1
+    prev = Poly.one()
+    for k in range(n - 1):
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Poly.zero()
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                m[i][j] = num.exact_div(prev)
+            m[i][k] = Poly.zero()
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return det if sign == 1 else -det
+
+
+def graeffe_oracle(p: Poly, radix: int, power: int = 1) -> Poly:
+    """`graeffe` as a determinant: each step is the determinant of
+    multiplication by p(y) on the free Q[x]-module with basis
+    1, y, ..., y^(radix-1), modulo y^radix = x."""
+    for _ in range(power):
+        sections = poly_sections(p, radix)
+        mat = [[Poly.zero()] * radix for _ in range(radix)]
+        for j in range(radix):
+            for i, f in enumerate(sections):
+                if f:
+                    row = (i + j) % radix
+                    mat[row][j] = mat[row][j] + (f if i + j < radix else f.shift(1))
+        p = bareiss_determinant(mat)
+    return p
+
+
+def lcm_orbit_oracle(a: Poly, radix: int, order: int) -> Poly:
+    """lcm(a, Ma, ..., M^(order-1) a), monic, folding in one image at a
+    time, so the gcds reach degree about radix^order deg a."""
+    result = a.monic()
+    image = a
+    for _ in range(1, order):
+        image = mahler_substitute(image, radix)
+        result = lcm(result, image)
+    return result
 
 
 def _integer_log(base: int, value: int) -> int:

@@ -1,26 +1,43 @@
-"""Completeness of the polynomial solver against an independent oracle.
+"""Completeness of the polynomial solver, and the polynomial primitives
+behind the denominator bound, against independent oracles.
 
 `certify` proves that each basis element solves its equation, not that
 the basis is complete: a degree bound that is too small would drop
 solutions silently.  Here sympy takes the nullspace of the coefficient
 system of op on y = c_0 + c_1 x + ... + c_(W-1) x^(W-1), with W above
 any degree a polynomial solution can have, and `polynomial_basis` must
-span exactly that nullspace.  The oracle shares no code with the
+span exactly that nullspace.  A wrong Gräffe image or gcd would shrink
+the denominator bound and drop rational solutions the same way, so
+`graeffe` is compared with the determinant of sympy's Sylvester matrix
+and `poly.gcd` with `sympy.gcd`.  The oracles share no code with the
 library; sympy is a test-only dependency.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from conftest import random_operator, random_poly_solvable
+from conftest import random_operator, random_poly, random_poly_solvable
+from mahlersolve.poly import Poly, gcd, graeffe
 from mahlersolve.solver import polynomial_basis
 
 sympy = pytest.importorskip("sympy")
+X, Y = sympy.symbols("x y")
 
 
 def _rational(c) -> "sympy.Rational":
     return sympy.Rational(c.numerator, c.denominator)
+
+
+def to_sympy(p: Poly, var) -> "sympy.Expr":
+    return sum((_rational(c) * var**e for e, c in p.terms), sympy.Integer(0))
+
+
+def from_sympy(expr) -> Poly:
+    """The library Poly of a sympy polynomial in x."""
+    terms = sympy.Poly(expr, X).terms()
+    return Poly((e, Fraction(int(c.p), int(c.q))) for (e,), c in terms)
 
 
 def coefficient_system(op, width: int) -> "sympy.Matrix":
@@ -57,3 +74,34 @@ def test_polynomial_basis_spans_the_nullspace():
             assert sympy.Matrix(rows).rank() == len(kernel), op
         nonempty += bool(basis)
     assert nonempty >= 20
+
+
+def test_graeffe_is_the_sylvester_determinant():
+    # Res_y(y^b - x, p(y)) as the determinant of the Sylvester matrix;
+    # sympy.resultant is not the reference, since it returns the
+    # opposite sign on some inputs (radix 3, p = 3/2 + 2x + 2x^2 + 2x^3
+    # - 2x^4 + x^5), where the determinant agrees with graeffe
+    from sympy.polys.subresultants_qq_zz import sylvester
+
+    rng = random.Random(1612)
+    cases = [(Poly([(0, Fraction(3, 2)), (1, 2), (2, 2), (3, 2), (4, -2), (5, 1)]), 3)]
+    while len(cases) < 60:
+        terms = [(e, Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))) for e in range(rng.randint(0, 4) + 1)]
+        p = Poly(terms).shift(rng.choice((0, 0, 1)))
+        if p:
+            cases.append((p, rng.randint(2, 5)))
+    for p, radix in cases:
+        det = sylvester(Y**radix - X, to_sympy(p, Y), Y).det(method="domain-ge")
+        assert graeffe(p, radix) == from_sympy(sympy.expand(det)), (p, radix)
+
+
+def test_gcd_is_the_monic_sympy_gcd():
+    rng = random.Random(5518)
+    for _ in range(60):
+        common = random_poly(rng, rng.randint(0, 3))
+        a = random_poly(rng, rng.randint(0, 4)) * common
+        b = random_poly(rng, rng.randint(0, 4)) * common
+        if not a or not b:
+            continue
+        want = sympy.Poly(sympy.gcd(to_sympy(a, X), to_sympy(b, X)), X).monic()
+        assert gcd(a, b) == from_sympy(want.as_expr()), (a, b)

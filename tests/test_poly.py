@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import derivative, evaluate, pol
-from oracles import graeffe_monic, poly_mul_oracle
+from oracles import bareiss_determinant, graeffe_monic, poly_mul_oracle
 from mahlersolve.errors import ExactDivisionError, ExponentOverflowError, InvalidArgumentError
 from mahlersolve.poly import (
     MAX_EXPONENT,
     Poly,
-    bareiss_determinant,
     gcd,
     gcd_all,
     graeffe,
@@ -99,6 +98,17 @@ def test_graeffe_examples():
     g = graeffe_monic(pol(-1, 2) * pol(-1, -1, 1), 3)
     assert g == (pol(-1, 8) * pol(-1, -4, 1)).monic()
     assert graeffe(Poly.monomial(0, 5), 2) == Poly.monomial(0, 25)
+
+
+def test_graeffe_at_a_large_radix():
+    # a constant c maps to c^b; the roots of x^2 + x + 1, primitive cube
+    # roots of unity, are their own b-th powers for b = 1 mod 3 and have
+    # b-th power 1 for b = 0 mod 3
+    b = 10**4
+    c = Fraction(-3, 2)
+    assert graeffe(Poly.monomial(0, c), b) == Poly.monomial(0, c**b)
+    assert graeffe(pol(1, 1, 1), b) == pol(1, 1, 1)
+    assert graeffe(pol(1, 1, 1), b + 2) == pol(1, -2, 1)
 
 
 def test_graeffe_matches_direct_resultant_radix():

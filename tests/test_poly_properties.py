@@ -8,10 +8,12 @@ in canonical integer form.
 import math
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    graeffe_oracle,
+    lcm_orbit_oracle,
     poly_add_oracle,
     poly_content_oracle,
     poly_divmod_oracle,
@@ -20,7 +22,7 @@ from oracles import (
     poly_primitive_oracle,
     poly_sections_oracle,
 )
-from mahlersolve.poly import Poly, gcd, poly_sections
+from mahlersolve.poly import Poly, gcd, graeffe, lcm_orbit, poly_sections, residue_sections
 
 numerators = st.one_of(st.integers(-12, 12), st.integers(-(10**20), 10**20))
 coefficients = st.builds(Fraction, numerators, st.sampled_from((1, 2, 3, 4, 6, 7, 9, 10**12)))
@@ -94,6 +96,35 @@ def test_sections(a, radix):
     for section in sections:
         assert_canonical(section)
     assert [s.terms for s in sections] == poly_sections_oracle(a.terms, radix)
+    assert residue_sections(a, radix) == {i: s for i, s in enumerate(sections) if s}
+    assert residue_sections(a, 1) == ({0: a} if a else {})
+
+
+@settings(max_examples=300)
+@given(polys(), st.integers(2, 7), st.integers(1, 2))
+def test_graeffe(a, radix, power):
+    # constants, zero roots (the shift), negative leads and rational
+    # coefficients all go through the one power-sum path
+    result = graeffe(a, radix, power)
+    assert_canonical(result)
+    assert result == graeffe_oracle(a, radix, power)
+
+
+small = st.builds(Fraction, st.integers(-5, 5), st.sampled_from((1, 2, 3)))
+# factors that make gcd(u, M^j u) nontrivial: roots of unity and zero,
+# and u | u(x^b) for x - 1, x, and x^2 + x + 1 at radix 2
+special = st.sampled_from(
+    [Poly.one(), Poly.x(), Poly([(0, -1), (1, 1)]), Poly([(0, 1), (1, 1)]),
+     Poly([(0, 1), (1, 1), (2, 1)]), Poly([(0, -1), (3, 1)])]
+)
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), small), max_size=4), special, special,
+       st.integers(2, 3), st.integers(1, 3))
+def test_lcm_orbit(terms, f, g, radix, order):
+    u = Poly(terms) * f * g
+    assume(u)
+    assert lcm_orbit(u, radix, order) == lcm_orbit_oracle(u, radix, order)
 
 
 @given(st.lists(st.tuples(st.integers(0, 10), coefficients), max_size=6))

@@ -26,6 +26,7 @@ from conftest import (
     random_series_solvable_operator,
 )
 from oracles import (
+    bareiss_determinant,
     bell_coons_oracle,
     consistent_extension_oracle,
     rational_basis_oracle,
@@ -36,7 +37,7 @@ from mahlersolve.errors import MahlerError
 from mahlersolve.linalg import rref
 from mahlersolve.newton import mu_nu, ramification_data
 from mahlersolve.operator import MahlerOperator
-from mahlersolve.poly import Poly, bareiss_determinant, mahler_substitute
+from mahlersolve.poly import Poly, mahler_substitute
 from mahlersolve.rational import (
     RamifiedRationalFunction,
     RationalFunction,
