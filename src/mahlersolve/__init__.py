@@ -37,7 +37,6 @@ from .operator import (
     MahlerOperator,
     PhiTransform,
     interreduce,
-    operator_section,
     operator_sections,
     phi_apply,
     primitive_part,

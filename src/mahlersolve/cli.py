@@ -139,7 +139,7 @@ def _cmd_gcrd(args) -> dict:
 
 def _cmd_transcendence(args) -> dict:
     op = _load_operator(args.file)
-    prefix = [parse_fraction(tok.strip()) for tok in args.initial.split(",")]
+    prefix = [parse_fraction(tok.strip(" ")) for tok in args.initial.split(",")]
     test = bell_coons_test if args.oracle == "bell-coons" else transcendence_test
     verdict = test(op, prefix)
     return {

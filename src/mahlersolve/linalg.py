@@ -10,7 +10,8 @@ stay as small as determinants; the result is int rows over the last
 pivot, and no Fraction is built.  `independent` answers the yes/no
 question of full row rank with the same Bareiss step, forward only, one
 row at a time, and stops at the first row that depends on the rows
-before it.
+before it; ranking the Bell–Coons rows with `rref` instead took the
+algebra benchmark's wall_s from 0.12 to 0.14 s.
 """
 
 from __future__ import annotations

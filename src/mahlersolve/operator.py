@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import poly as P
@@ -78,10 +77,6 @@ class MahlerOperator:
     @classmethod
     def zero(cls, radix: int) -> "MahlerOperator":
         return cls(radix)
-
-    @classmethod
-    def m_power(cls, radix: int, k: int) -> "MahlerOperator":
-        return cls(radix, [Poly.zero()] * k + [Poly.one()])
 
     # -- structure ---------------------------------------------------------
 
@@ -156,17 +151,10 @@ class MahlerOperator:
     def __sub__(self, other: "MahlerOperator") -> "MahlerOperator":
         return self + (-other)
 
-    def __mul__(self, other) -> "MahlerOperator":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, Poly):
-            # self * (other as a multiplication operator)
-            return self * MahlerOperator(self.radix, [other])
+    def __mul__(self, other: "MahlerOperator") -> "MahlerOperator":
         if not isinstance(other, MahlerOperator):
             return NotImplemented
         self._require_same_radix(other)
-        if not self or not other:
-            return MahlerOperator.zero(self.radix)
         acc: dict[int, Poly] = {}
         for k, a in self.nonzero_coefficients():
             for kk, bb in other.nonzero_coefficients():
@@ -175,16 +163,11 @@ class MahlerOperator:
                 acc[key] = acc.get(key, Poly.zero()) + a * moved
         return MahlerOperator.from_dict(self.radix, acc)
 
-    def __rmul__(self, other) -> "MahlerOperator":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, Poly):
-            # (poly) * operator: plain coefficient-wise multiplication
-            return MahlerOperator(self.radix, [other * c for c in self.coeffs])
-        return NotImplemented
-
-    def scale(self, c) -> "MahlerOperator":
-        return MahlerOperator(self.radix, [p.scale(c) for p in self.coeffs])
+    def __rmul__(self, other: Poly) -> "MahlerOperator":
+        # (poly) * operator: plain coefficient-wise multiplication
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return MahlerOperator(self.radix, [other * c for c in self.coeffs])
 
     def m_shift(self, delta: int) -> "MahlerOperator":
         """Multiply by M^delta on the right: shift all M-exponents by delta."""
@@ -367,19 +350,10 @@ def phi_apply(op: MahlerOperator, phi: PhiTransform) -> MahlerOperator:
 # -- sections, interreduction, content ------------------------------------------
 
 
-def operator_section(op: MahlerOperator, i: int) -> MahlerOperator:
-    """Section map: x^j M^(k+1) -> x^((j-i)/b) M^k when b | j-i, else 0.
-
-    Terms of M-degree zero are annihilated.
-    """
-    if not 0 <= i < op.radix:
-        raise InvalidArgumentError(f"section index {i} out of range for radix {op.radix}")
-    return operator_sections(op)[i]
-
-
 def operator_sections(op: MahlerOperator) -> list[MahlerOperator]:
-    """All b sections, operator_section(op, i) for i < b; each coefficient
-    is split into its residue classes once."""
+    """The b sections: section i maps x^j M^(k+1) to x^((j-i)/b) M^k when
+    b | j-i, else to 0, and annihilates the terms of M-degree zero.  Each
+    coefficient is split into its residue classes once."""
     b = op.radix
     outs: list[dict[int, Poly]] = [{} for _ in range(b)]
     for k, lk in op.nonzero_coefficients():

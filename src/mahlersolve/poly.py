@@ -158,9 +158,7 @@ class Poly:
             return NotImplemented
         return _combine(self, other, -1)
 
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
         if not (self.nums and other.nums):
@@ -173,8 +171,6 @@ class Poly:
                 acc[e] = acc.get(e, 0) + c1 * c2
         return _reduced(self.den * other.den, [(e, s) for e, s in sorted(acc.items()) if s])
 
-    __rmul__ = __mul__
-
     def scale(self, c) -> "Poly":
         if not isinstance(c, (int, Fraction)):
             c = Fraction(c)
@@ -182,19 +178,6 @@ class Poly:
             return _POLY_ZERO
         p = c.numerator
         return _reduced(self.den * c.denominator, [(e, p * v) for e, v in self.nums])
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise InvalidArgumentError("negative power")
-        result = _POLY_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
 
     def shift(self, e: int) -> "Poly":
         """Multiply by x**e."""
@@ -225,12 +208,6 @@ class Poly:
             raise ExactDivisionError(f"({self}) is not divisible by ({other})")
         return q
 
-    def divides(self, other: "Poly") -> bool:
-        """Whether self divides other (zero divides only zero)."""
-        if not self:
-            return not other
-        return not other.divmod(self)[1]
-
     # -- normalizations ---------------------------------------------------
 
     def monic(self) -> "Poly":
@@ -238,18 +215,6 @@ class Poly:
         if not nums or nums[-1][1] == self.den:
             return self
         return _monic(nums)
-
-    def content(self) -> Fraction:
-        """Positive rational c with self/c integer, coprime coefficients."""
-        if not self.nums:
-            return _ZERO
-        return Fraction(math.gcd(*(c for _, c in self.nums)), self.den)
-
-    def primitive(self) -> "Poly":
-        """self divided by its content (zero stays zero)."""
-        if not self.nums:
-            return self
-        return _raw(1, _primitive(self.nums))
 
     # -- substitution -------------------------------------------------------
 

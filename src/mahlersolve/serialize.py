@@ -20,12 +20,12 @@ from .operator import MahlerOperator
 from .poly import MAX_EXPONENT, Poly
 from .solver import PuiseuxSeries, SolutionBasis
 
-_COEFF_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_COEFF_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def _parse_ratio(text) -> tuple[int, int]:
     """(numerator, positive denominator) of a coefficient in lowest terms."""
-    if not isinstance(text, str) or not _COEFF_RE.match(text):
+    if not isinstance(text, str) or not _COEFF_RE.fullmatch(text):
         raise InputFormatError(f"bad coefficient {text!r}")
     num, _, den = text.partition("/")
     if not den:

@@ -267,7 +267,7 @@ def random_rational_operator(
     diag = rng.choice((Fraction(2), Fraction(-2), Fraction(3), Fraction(-3), Fraction(3, 2)))
     l0 = Poly([(l0.valuation, diag), *l0.terms[1:]])
     scale = rng.choice((Fraction(2, 3), Fraction(5, 7)))
-    return MahlerOperator(radix, (l0, *op.coeffs[1:])).scale(scale)
+    return mono(0, scale) * MahlerOperator(radix, (l0, *op.coeffs[1:]))
 
 
 def random_series_solvable_operator(

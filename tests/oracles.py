@@ -158,21 +158,6 @@ def poly_gcd_oracle(a: tuple, b: tuple) -> tuple:
     return a
 
 
-def poly_content_oracle(a: tuple) -> Fraction:
-    num, den = 0, 1
-    for _, c in a:
-        num = math.gcd(num, c.numerator)
-        den = math.lcm(den, c.denominator)
-    return Fraction(num, den)
-
-
-def poly_primitive_oracle(a: tuple) -> tuple:
-    if not a:
-        return a
-    content = poly_content_oracle(a)
-    return tuple((e, c / content) for e, c in a)
-
-
 def poly_sections_oracle(a: tuple, radix: int) -> list[tuple]:
     buckets: list[list] = [[] for _ in range(radix)]
     for e, c in a:

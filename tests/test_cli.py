@@ -209,6 +209,14 @@ def test_transcendence_command(run, tmp_path):
     )
     doc = json.loads(out)
     assert doc["verdict"] == "transcendental" and doc["method"] == "bell-coons"
+    # a prefix entry is a coefficient string as in an operator file:
+    # ASCII digits only, with nothing after them
+    for entry in ("-\u0661", "1\n", "1.5"):
+        code, out, err = run("transcendence", str(path), "--initial", "0," + entry)
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"] == f"bad coefficient {entry!r}"
+    code, _, _ = run("transcendence", str(path), "--initial", "1, 0, 0")
+    assert code == 0
 
 
 def test_transcendence_order_zero(run, tmp_path):
@@ -440,6 +448,33 @@ def test_no_unused_module_names():
     assert offenders == []
 
 
+def test_no_unused_public_names():
+    # a public function, class or method that no library module reads
+    # and the README does not name in code is surface kept for tests only
+    package = os.path.dirname(cli.__file__)
+    defined, read = [], set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(name, m.name) for m in node.body if isinstance(m, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    with open(os.path.join(os.path.dirname(os.path.dirname(package)), "README.md")) as fh:
+        spans = re.findall(r"`+([^`]+)`+", fh.read())
+    named = {word for span in spans for word in re.findall(r"[A-Za-z_]\w*", span)}
+    offenders = [(m, n) for m, n in defined if not n.startswith("_") and n not in read | named]
+    assert offenders == []
+
+
 def test_no_untyped_errors_or_asserts():
     # library validation raises typed MahlerErrors; an assert vanishes
     # under python -O and an untyped raise escapes the exit-code contract
@@ -514,6 +549,8 @@ MALFORMED = {
     "radix.json": b'{"radix": 1, "coefficients": []}',
     "exponent.json": b'{"radix": 2, "coefficients": [{"order": 0, "terms": [[-1, "1"]]}]}',
     "coefficient.json": b'{"radix": 2, "coefficients": [{"order": 1, "terms": [[0, "1/0"]]}]}',
+    "digit.json": b'{"radix": 2, "coefficients": [{"order": 0, "terms": [[0, "-\\u0661"]]}]}',
+    "newline.json": b'{"radix": 2, "coefficients": [{"order": 0, "terms": [[0, "1\\n"]]}]}',
 }
 
 SUBCOMMANDS = [

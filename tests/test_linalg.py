@@ -219,7 +219,6 @@ def test_poly_arithmetic_runs_on_ints(monkeypatch):
         a.exact_div(common),
         gcd(a, b),
         p.monic(),
-        p.primitive(),
         p.scale(c),
         p.scale(7),
         *poly_sections(p, 3),

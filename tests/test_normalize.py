@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import operator, pol, random_operator
+from conftest import mono, operator, pol, random_operator
 from oracles import same_span, series_prefix_space, sort_key_oracle
 from mahlersolve.errors import (
     InternalInvariantError,
@@ -35,7 +35,7 @@ X = Poly.x()
 def test_split_examples(reduction_example):
     keep = operator(2, pol(1, 1), ONE)
     assert split(keep) == [keep]
-    assert split(MahlerOperator.m_power(2, 1)) == [operator(2, Poly.one())]
+    assert split(operator(2, Poly.zero(), ONE)) == [operator(2, Poly.one())]
     members = split(reduction_example)
     assert sorted((m.order, m.degree) for m in members) == [
         (2, 12),
@@ -56,7 +56,7 @@ def test_split_rejects_a_wrong_section(monkeypatch, reduction_example):
     swapped = [right[1], right[0], *right[2:]]
     bumped = [right[0] + operator(b, Poly.zero(), X), *right[1:]]
     # a term above the order of op, which no coefficient of op can match
-    longer = [*right[:2], right[2] + MahlerOperator.m_power(b, r), *right[3:]]
+    longer = [*right[:2], right[2] + operator(b, ONE).m_shift(r), *right[3:]]
     for wrong in (swapped, bumped, longer):
         # wrong sections for op itself, right ones for its sections
         monkeypatch.setattr(
@@ -91,13 +91,13 @@ def test_normalize_golden(reduction_example, reduction_example_normalized):
     assert prim == reduction_example_normalized
     content, prim2 = primitive_part(normalize_l0_raw(reduction_example))
     assert prim2 == prim
-    expected_content = (X**3 * pol(1, 1, 1) * pol(1, -1, 1)).monic()
+    expected_content = (mono(3) * pol(1, 1, 1) * pol(1, -1, 1)).monic()
     assert content.monic() == expected_content
     # the original lies in the left ideal generated by the primitive part
     _, _, rem = right_divide(reduction_example, prim)
     assert not rem
     # and the factorization through the stripped M also divides exactly
-    composed = MahlerOperator.m_power(3, 1) * prim
+    composed = operator(3, Poly.zero(), ONE) * prim
     _, _, rem = right_divide(reduction_example, composed)
     assert not rem
 

@@ -29,7 +29,6 @@ from mahlersolve.operator import (
     image_below,
     integer_terms,
     interreduce,
-    operator_section,
     operator_sections,
     phi_apply,
     primitive_part,
@@ -55,7 +54,7 @@ def test_structure():
 
 def test_multiply_commutation():
     # M * x = x^b M
-    m = MahlerOperator.m_power(3, 1)
+    m = operator(3, Poly.zero(), ONE)
     xop = operator(3, X)
     assert m * xop == operator(3, Poly.zero(), Poly.monomial(3))
     # (M - x)(M - 1) = M^2 - (1+x) M + x
@@ -222,9 +221,9 @@ def test_phi_apply_negative_exponent():
 
 
 def test_operator_sections():
-    m = MahlerOperator.m_power(2, 1)
-    assert operator_section(m, 0) == operator(2, Poly.one())
-    assert not operator_section(m, 1)
+    m = operator(2, Poly.zero(), ONE)
+    assert operator_sections(m)[0] == operator(2, Poly.one())
+    assert not operator_sections(m)[1]
     # reconstruction: sum of x^i M S_i(L) = L for positive M-valuation
     rng = random.Random(3)
     for _ in range(200):
@@ -233,7 +232,7 @@ def test_operator_sections():
         shifted = op.m_shift(1) if op.coefficient(0) else op
         total = MahlerOperator.zero(radix)
         for i, s in enumerate(operator_sections(shifted)):
-            total = total + operator(radix, Poly.monomial(i)) * MahlerOperator.m_power(radix, 1) * s
+            total = total + operator(radix, Poly.monomial(i)) * operator(radix, Poly.zero(), ONE) * s
         assert total == shifted
 
 
@@ -254,10 +253,6 @@ def test_operator_sections_split_each_coefficient_once(monkeypatch):
                 if terms:
                     expected[i][k - 1] = Poly(terms)
         assert sections == [MahlerOperator.from_dict(radix, e) for e in expected]
-        assert [operator_section(op, i) for i in range(radix)] == sections
-        for i in (-1, radix):
-            with pytest.raises(InvalidArgumentError, match="out of range"):
-                operator_section(op, i)
 
 
 def test_section_right_factor_compatibility():
@@ -267,11 +262,10 @@ def test_section_right_factor_compatibility():
         radix = rng.choice((2, 3))
         p1 = random_operator(rng, radix, rng.randint(0, 2), 4, nonzero_l0=False)
         p2 = random_operator(rng, radix, rng.randint(0, 2), 4, nonzero_l0=False)
-        m = MahlerOperator.m_power(radix, 1)
-        for i in range(radix):
-            lhs = operator_section(p1 * m * p2, i)
-            rhs = operator_section(p1 * m, i) * p2
-            assert lhs == rhs
+        m = operator(radix, Poly.zero(), ONE)
+        lhs = operator_sections(p1 * m * p2)
+        rhs = [s * p2 for s in operator_sections(p1 * m)]
+        assert lhs == rhs
 
 
 def test_interreduce():

@@ -15,11 +15,9 @@ from oracles import (
     graeffe_oracle,
     lcm_orbit_oracle,
     poly_add_oracle,
-    poly_content_oracle,
     poly_divmod_oracle,
     poly_gcd_oracle,
     poly_monic_oracle,
-    poly_primitive_oracle,
     poly_sections_oracle,
 )
 from mahlersolve.poly import Poly, gcd, graeffe, lcm_orbit, poly_sections, residue_sections
@@ -79,15 +77,13 @@ def test_gcd(a, b, common):
 
 
 @given(polys(), coefficients)
-def test_monic_primitive_content_scale(a, c):
+def test_monic_scale(a, c):
     for result, want in (
         (a.monic(), poly_monic_oracle(a.terms)),
-        (a.primitive(), poly_primitive_oracle(a.terms)),
         (a.scale(c), tuple((e, v * c) for e, v in a.terms if v * c)),
     ):
         assert_canonical(result)
         assert result.terms == want
-    assert a.content() == poly_content_oracle(a.terms)
 
 
 @given(polys(), st.integers(2, 5))

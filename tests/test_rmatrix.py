@@ -66,7 +66,7 @@ def test_golden_rows(running_example):
 def test_empty_selection():
     # y(x^2) = 2 y(x): the one tie, at n = 0, has diagonal -2 + 1, so no
     # position is seeded and the window solve returns the empty basis
-    op = operator(2, F(-2) * ONE, ONE)
+    op = operator(2, Poly.monomial(0, -2), ONE)
     assert solve_prescribed(op, IDENTITY_PHI, 5, 3, "lower") == ()
     assert oracles.kernel(oracles.brute_rows(op, 4, 3), 3) == []
 
@@ -649,8 +649,8 @@ def test_prolong_kernel_choice(monkeypatch, running_example, sparse_stretch_exam
         (_tail_product(3, -1, [(K, -1), (2 * K, 2)]), "walk"),
         (_tail_product(2, 1, [(K + 1, 1), (K + 2, -1)]), "push"),
         (_tail_product(3, 2, [(1, 1)]), "push"),
-        (_tail_product(2, 1, [(1, -1), (2, 1)]).scale(F(2, 3)), "push"),
-        (_tail_product(2, -1, [(1, 1)]).scale(F(-1)), "walk"),
+        (Poly.monomial(0, F(2, 3)) * _tail_product(2, 1, [(1, -1), (2, 1)]), "push"),
+        (-_tail_product(2, -1, [(1, 1)]), "walk"),
         (MahlerOperator(2, [Poly.monomial(1, -1), ONE + X]), "push"),
         (running_example, "walk"),
     ]

@@ -23,8 +23,9 @@ def test_fraction_round_trip():
     for text in ("0", "-7", "3/2", "-11/5", "+4"):
         f = parse_fraction(text)
         assert parse_fraction(str(f)) == f
-    with pytest.raises(InputFormatError):
-        parse_fraction("1.5")
+    for text in ("1.5", "-\u0661", "1\n", " 1"):
+        with pytest.raises(InputFormatError):
+            parse_fraction(text)
     with pytest.raises(InputFormatError):
         parse_fraction("2/4")
     with pytest.raises(InputFormatError):
