@@ -50,7 +50,7 @@ from .newton import (
     select_edge_for_ramification,
     upper_polygon,
 )
-from .rmatrix import prolong, solve_prescribed
+from .rmatrix import Recurrence
 from .solver import (
     PuiseuxSeries,
     SolutionBasis,

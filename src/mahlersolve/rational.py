@@ -6,7 +6,8 @@ The rational basis is put in canonical form by one `linalg.rref` on
 the expansions of its numerators.  It has unit pivots at its
 valuations, so a series picks its rational witness there, and the
 witness is then checked once against the series.  The series solution
-a transcendence prefix starts is its head extended by `rmatrix.prolong`.
+a transcendence prefix starts is its head extended by the `prolong` of
+one `rmatrix.Recurrence`, which also gives the head length.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from .errors import (
     ZeroTrailingCoefficientError,
 )
 from .linalg import independent, rref
-from .newton import mu_nu, ramification_data
+from .newton import ramification_data
 from .operator import IDENTITY_PHI, MahlerOperator, PhiTransform, clear_denominator, phi_apply
 from .poly import Poly, graeffe, lcm_orbit, mahler_substitute, residue_sections
-from .rmatrix import prolong
+from .rmatrix import Recurrence
 from .solver import SolutionBasis, polynomial_solutions_bounded, solving_operator
 
 _ZERO = Fraction(0)
@@ -310,9 +311,9 @@ def _consistent_extension(
     InconsistentPrefixError when no solution starts with the prefix.
 
     A series solution is fixed by its head, its first
-    max(floor(nu) + 1, 0) coefficients, so `prolong` checks the
-    prefix's head against the relation rows and extends it; the rest
-    of the prefix must then agree with the extension.
+    max(floor(nu) + 1, 0) coefficients, so `Recurrence.prolong` checks
+    the prefix's head against the relation rows and extends it; the
+    rest of the prefix must then agree with the extension.
     """
     for c in prefix:
         if type(c) is not int and not isinstance(c, Fraction):
@@ -320,15 +321,15 @@ def _consistent_extension(
     target = max(length, len(prefix))
     den, nums = 1, [0] * target
     if op.order >= 1:
-        nu, _ = mu_nu(op)
-        head = max(math.floor(nu) + 1, 0)
+        rec = Recurrence(op, IDENTITY_PHI)
+        head = rec.head
         if len(prefix) < max(head, 1):
             raise InsufficientPrefixError(
                 f"need at least {max(head, 1)} coefficients, got {len(prefix)}"
             )
         den = math.lcm(*(c.denominator for c in prefix[:head]))
         pairs = [(n, c.numerator * den // c.denominator) for n, c in enumerate(prefix[:head]) if c]
-        den, pairs = prolong(op, IDENTITY_PHI, (den, pairs), target - head)
+        den, pairs = rec.prolong((den, pairs), target - head)
         for n, v in pairs:
             nums[n] = v
     if any(c.numerator * den != v * c.denominator for c, v in zip(prefix, nums)):

@@ -18,7 +18,7 @@ use it.  The walk kernel `_walk` keeps the coefficients and the pending
 row sums in lists: each row pulls the terms of l_0 above its trailing
 term, and the terms of M^k, k >= 1, are added in blocks of extended-slice
 updates.  It costs rows x (tail terms of l_0 + 1) list reads, whether
-the coefficients are zero or not.  `prolong` walks exactly when the
+the coefficients are zero or not.  Prolongation walks exactly when the
 diagonal d of the transformed operator is +-1 and the smallest offset
 o_min of l_0's tail above its trailing term is at most `_NEAR_TAIL`:
 each nonzero y_n then adds a term to row n + o_min, so unless terms
@@ -32,15 +32,16 @@ a positive den, n increasing.  Both kernels return (scale, pairs): the
 support and the solved coefficients over den x scale, the support alone
 when no row is left; the push's (n, num, lev) triples never leave it.
 
-The recurrence data, phi(op) with its `integer_terms`, nu and mu, is
-computed by `series_solutions` once for the window and every head, and
-by `solve_prescribed` and `prolong` each for itself; no call keeps it.
-Besides the series pipeline, `prolong` extends the head of a prefix to
-the series solution it starts, for the transcendence tests of `rational`.
+A `Recurrence` is built once per (op, phi) and holds phi(op), nu, mu and
+the head length; its `integer_terms` are built on first read.  Its
+`window` is the window solve, its `prolong` extends the head of a prefix
+to the series solution it starts, for the transcendence tests of
+`rational`, and `series_solutions` runs both from one `Recurrence`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from heapq import heappop, heappush
 from itertools import combinations
@@ -52,7 +53,6 @@ from .errors import (
     InconsistentPrefixError,
     InternalInvariantError,
     InvalidArgumentError,
-    UnsupportedEquationError,
 )
 from .linalg import rref
 from .newton import mu_nu
@@ -61,7 +61,7 @@ from .poly import MAX_EXPONENT, lowest_terms
 
 Term = tuple[int, int, int]  # (b^k, j, c): the term c x^j M^k
 
-# Largest o_min for which `prolong` walks.  On M - u with u = 1 + x^o
+# Largest o_min for which prolongation walks.  On M - u with u = 1 + x^o
 # + ..., whose series solution has one nonzero coefficient in every o,
 # 500 rows took the walk 0.9-1.0 times the push's time at o = 4 and
 # 1.0-1.4 times at o = 5 to 6 (CPython 3.11, x86-64).
@@ -170,7 +170,7 @@ def _walk(
     are added in blocks: once y_0..y_{N-1} are known, one extended-slice
     update per term adds c y_i to row j + b^k i for every known i not
     added yet, and every row below the least j + b^k N then has all its
-    terms.  The gap j - shift + (b^k - 1) N is positive, as `prolong`
+    terms.  The gap j - shift + (b^k - 1) N is positive, as `_prolong`
     checks, so each block solves at least one row.  Returns (1, pairs)
     for the support and the new coefficients, as `_push` does.
     """
@@ -239,42 +239,95 @@ def _ties(lines: Sequence[Term], lo: int, hi: int) -> dict[int, int]:
     return ties
 
 
-def solve_prescribed(
-    op: MahlerOperator,
-    phi: PhiTransform,
-    h: int,
-    width: int,
-    orientation: str,
-) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """Basis of {y of degree < width : phi(op) y = 0 mod x^h}.
-
-    Each basis vector is (den, pairs), in lowest terms; the basis is
-    reduced echelon with pivots at the lowest nonzero coefficient, pivot
-    coefficients 1, ordered by pivot.  Every position whose row has a
-    zero diagonal gets a unit seed, and forward substitution from it
-    gives one candidate; the candidates are then recombined so that all
-    rows below x^h hold, not only the rows that determine a position.
+class Recurrence:
+    """The recurrence of phi(op), built once per (op, phi): the transformed
+    operator `op`, `nu` and `mu` of its lower Newton polygon, and `head` =
+    max(floor(nu) + 1, 0), the number of coefficients that fix a series
+    solution.  phi(op) needs order >= 1 and a nonzero trailing
+    coefficient, as `mu_nu` does.  `integer_terms` is built on first
+    read, so an operator with nu < 0 that solves nothing never builds it.
     """
-    if orientation not in ("lower", "upper"):
-        raise InvalidArgumentError("orientation must be 'lower' or 'upper'")
-    if not op:
-        raise UnsupportedEquationError("zero operator")
-    transformed = phi_apply(op, phi)
-    sign = 1 if orientation == "lower" else -1
-    return _window(transformed.order, integer_terms(transformed), h, width, sign)
+
+    def __init__(self, op: MahlerOperator, phi: PhiTransform):
+        self.op = phi_apply(op, phi)
+        self.nu, self.mu = mu_nu(self.op)
+        self.head = max(math.floor(self.nu) + 1, 0)
+
+    @functools.cached_property
+    def integer_terms(self) -> tuple[int, list[Term]]:
+        return integer_terms(self.op)
+
+    def window(self, h: int, width: int, orientation: str) -> tuple[tuple[int, tuple], ...]:
+        """Basis of {y of degree < width : phi(op) y = 0 mod x^h}.
+
+        Each basis vector is (den, pairs), in lowest terms; the basis is
+        reduced echelon with pivots at the lowest nonzero coefficient, pivot
+        coefficients 1, ordered by pivot.  Every position whose row has a
+        zero diagonal gets a unit seed, and forward substitution from it
+        gives one candidate; the candidates are then recombined so that all
+        rows below x^h hold, not only the rows that determine a position.
+        """
+        if orientation not in ("lower", "upper"):
+            raise InvalidArgumentError("orientation must be 'lower' or 'upper'")
+        return _window(self, h, width, 1 if orientation == "lower" else -1)
+
+    def prolong(self, approx: tuple[int, Iterable], extra: int) -> tuple[int, tuple]:
+        """Extend an approximate series solution of phi(op) by `extra` terms.
+
+        `approx` is (den, pairs), as `window` returns it, for the `head`
+        coefficients; it must satisfy the relation rows up to floor(mu),
+        else InconsistentPrefixError names the first row it breaks.
+        Beyond the Newton corner row m determines y_{m - v(l_0)}, so each
+        further row gives one new coefficient.  Returns (den, pairs) for
+        the first head + extra coefficients, head first, in lowest terms;
+        a head + extra beyond MAX_EXPONENT raises ExponentOverflowError.
+        """
+        if extra < 0:
+            raise InvalidArgumentError("extra must be >= 0")
+        try:
+            den, support = approx
+            support = tuple(support)
+            ok = type(den) is int and den > 0
+            ok = ok and all(type(n) is type(v) is int and v for n, v in support)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise InvalidArgumentError(
+                "approximate solution must be a positive int den and nonzero (int, int) pairs"
+            )
+        head = self.head
+        if head + extra > MAX_EXPONENT:
+            raise ExponentOverflowError(f"truncation order {head + extra} exceeds {MAX_EXPONENT}")
+        bounds = [-1] + [n for n, _ in support] + [head]
+        if any(a >= b for a, b in zip(bounds, bounds[1:])):
+            raise InvalidArgumentError(
+                f"approximate solution needs increasing indices in 0..{head - 1}"
+            )
+        # the zero head extends to zero; it is the only head when nu < 0,
+        # where the kernels' first position floor(nu) + 1 may be negative
+        if not support:
+            return 1, ()
+        _, residual = image_below(self.integer_terms, support, math.floor(self.mu) + 1)
+        if residual:
+            bad = min(residual)
+            raise InconsistentPrefixError(
+                f"prefix violates the relation for the coefficient of x^{bad}"
+            )
+        return _prolong(self, den, support, extra)
 
 
-def _window(order: int, op_terms: tuple, h: int, width: int, sign: int) -> tuple:
-    """`solve_prescribed` for an operator of this order with these `integer_terms`."""
+def _window(rec: Recurrence, h: int, width: int, sign: int) -> tuple:
+    """`Recurrence.window`, lower for sign 1 and upper for sign -1."""
+    op_terms = rec.integer_terms
     terms = [(bk, sign * j, c) for bk, j, c in op_terms[1]]
     lines = _lines(terms)
     lo, hi = (0, width - 1) if sign == 1 else (1 - width, 0)
 
     ties = _ties(lines, lo, hi)
     seeds = sorted(n for n, g in ties.items() if not g)
-    if len(seeds) > order:
+    if len(seeds) > rec.op.order:
         raise InternalInvariantError(
-            f"{len(seeds)} zero diagonal entries exceed the order {order}"
+            f"{len(seeds)} zero diagonal entries exceed the order {rec.op.order}"
         )
     d = math.lcm(*(abs(g) for g in ties.values() if g), *(abs(c) for _, _, c in lines))
 
@@ -310,67 +363,12 @@ def _window(order: int, op_terms: tuple, h: int, width: int, sign: int) -> tuple
     )
 
 
-def prolong(
-    op: MahlerOperator,
-    phi: PhiTransform,
-    approx: tuple[int, Iterable[tuple[int, int]]],
-    extra: int,
-) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Extend an approximate series solution of phi(op) by `extra` terms.
-
-    `approx` is (den, pairs), as `solve_prescribed` returns it, for the
-    t = max(floor(nu) + 1, 0) coefficients of the head; it must satisfy
-    the relation rows up to floor(mu), else InconsistentPrefixError
-    names the first row it breaks.  Beyond the Newton corner row m
-    determines y_{m - v(l_0)}, so each further row gives one new
-    coefficient.  Returns (den, pairs) for the first t + extra
-    coefficients, head first, in lowest terms; a t + extra beyond
-    MAX_EXPONENT raises ExponentOverflowError.
-    """
-    if extra < 0:
-        raise InvalidArgumentError("extra must be >= 0")
-    try:
-        den, support = approx
-        support = tuple(support)
-        ok = type(den) is int and den > 0
-        ok = ok and all(type(n) is type(v) is int and v for n, v in support)
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
-        raise InvalidArgumentError(
-            "approximate solution must be a positive int den and nonzero (int, int) pairs"
-        )
-    transformed = phi_apply(op, phi)
-    if transformed.order < 1:
-        raise UnsupportedEquationError("prolongation needs an operator of order >= 1")
-    nu, mu = mu_nu(transformed)
-    head = max(math.floor(nu) + 1, 0)
-    if head + extra > MAX_EXPONENT:
-        raise ExponentOverflowError(f"truncation order {head + extra} exceeds {MAX_EXPONENT}")
-    bounds = [-1] + [n for n, _ in support] + [head]
-    if any(a >= b for a, b in zip(bounds, bounds[1:])):
-        raise InvalidArgumentError(
-            f"approximate solution needs increasing indices in 0..{head - 1}"
-        )
-    # the zero head extends to zero; it is the only head when nu < 0,
-    # where the kernels' first position floor(nu) + 1 may be negative
-    if not support:
-        return 1, ()
-    op_terms = integer_terms(transformed)
-    _, residual = image_below(op_terms, support, math.floor(mu) + 1)
-    if residual:
-        bad = min(residual)
-        raise InconsistentPrefixError(
-            f"prefix violates the relation for the coefficient of x^{bad}"
-        )
-    return _prolong(op_terms[1], math.floor(mu), den, support, extra)
-
-
-def _prolong(terms: list[Term], mu_floor: int, den: int, support: Sequence, extra: int) -> tuple:
-    """`prolong` from `integer_terms`, for a head that holds the rows up to mu_floor."""
+def _prolong(rec: Recurrence, den: int, support: Sequence, extra: int) -> tuple:
+    """`Recurrence.prolong` for a head that holds the rows up to floor(mu)."""
     # Scaled by L, row m reads d y_{m - v(l_0)} + (sum of c y_n over the
     # other terms) = 0; the trailing term d x^v(l_0) of l_0 comes first.
-    (_, tv0, d), terms = terms[0], terms[1:]
+    (_, tv0, d), *terms = rec.integer_terms[1]
+    mu_floor = math.floor(rec.mu)
 
     top = mu_floor + extra
     # Row j + b^k n reads y_n through the term c x^j M^k and determines
@@ -395,20 +393,17 @@ def _prolong(terms: list[Term], mu_floor: int, den: int, support: Sequence, extr
 def series_solutions(op: MahlerOperator, phi: PhiTransform, top: int) -> tuple[int, tuple]:
     """(t, vectors): a basis of the power-series solutions of phi(op),
     whose trailing coefficient is nonzero, each as the (den, pairs) of
-    `prolong` for its coefficients 0..t-1, t - 1 = max(top, floor(nu)).
-    The window fixes the coefficients up to floor(nu), and each head is
-    then prolonged, all from one phi(op), integer terms, nu and mu.
+    `Recurrence.prolong` for its coefficients 0..t-1, t - 1 = max(top,
+    floor(nu)).  One `Recurrence` gives the window, which fixes the
+    coefficients up to floor(nu), and the prolongation of every head.
     A t beyond MAX_EXPONENT raises ExponentOverflowError."""
-    transformed = phi_apply(op, phi)
-    if transformed.order < 1:
+    if op.order < 1:
         return 0, ()
-    nu, mu = mu_nu(transformed)
-    if nu < 0:
+    rec = Recurrence(op, phi)
+    if rec.nu < 0:
         return 0, ()
-    op_terms = integer_terms(transformed)
-    w, mu_floor = math.floor(nu) + 1, math.floor(mu)
-    t = max(top + 1, w)
+    t = max(top + 1, rec.head)
     if t > MAX_EXPONENT:
         raise ExponentOverflowError(f"truncation order {t} exceeds {MAX_EXPONENT}")
-    heads = _window(transformed.order, op_terms, mu_floor + 1, w, 1)
-    return t, tuple(_prolong(op_terms[1], mu_floor, *head, t - w) for head in heads)
+    heads = _window(rec, math.floor(rec.mu) + 1, rec.head, 1)
+    return t, tuple(_prolong(rec, *head, t - rec.head) for head in heads)

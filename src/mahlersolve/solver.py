@@ -5,13 +5,14 @@ which substitutes a basis back into its equation.
 The simple shape shared by all solvers: pick the window parameters from
 the Newton polygon, solve the window, and, for series-like output,
 extend each basis element; `rmatrix.series_solutions` does both from one
-computation of the recurrence data, `certify` applies op through one
-`integer_terms`, and nothing is kept between calls.  Vectors pass as
-(den, pairs), the nonzero coefficients only, as integer numerators over
-one denominator, so the cost follows the size of the answer, not the
-window width or the truncation order; a `Poly` or `PuiseuxSeries` keeps
-that form through `certify` (`operator.image_below` runs on the same
-ints) to the JSON writer, and no per-coefficient Fraction is built.
+`rmatrix.Recurrence`, the polynomial solver solves the window of another,
+`certify` applies op through one `integer_terms`, and nothing is kept
+between calls.  Vectors pass as (den, pairs), the nonzero coefficients
+only, as integer numerators over one denominator, so the cost follows
+the size of the answer, not the window width or the truncation order; a
+`Poly` or `PuiseuxSeries` keeps that form through `certify`
+(`operator.image_below` runs on the same ints) to the JSON writer, and
+no per-coefficient Fraction is built.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     UnsupportedEquationError,
     ZeroTrailingCoefficientError,
 )
-from .newton import lower_polygon, mu_nu, ramification_bound, select_edge_for_ramification
+from .newton import lower_polygon, ramification_bound, select_edge_for_ramification
 from .normalize import normalize_l0
 from .operator import (
     IDENTITY_PHI,
@@ -39,7 +40,7 @@ from .operator import (
     integer_terms,
 )
 from .poly import Poly, lowest_terms
-from .rmatrix import series_solutions, solve_prescribed
+from .rmatrix import Recurrence, series_solutions
 
 
 class PuiseuxSeries:
@@ -177,10 +178,13 @@ def polynomial_solutions_bounded(
         raise InvalidArgumentError(f"degree bound must be >= 1, got {w}")
     op = solving_operator(op, auto_normalize)
     kind = "polynomial_basis"
-    if op.order < 1 or mu_nu(op)[0] < 0:
+    if op.order < 1:
+        return SolutionBasis(kind, ())
+    rec = Recurrence(op, IDENTITY_PHI)
+    if rec.nu < 0:
         return SolutionBasis(kind, ())
     h = op.degree + (w - 1) * op.radix**op.order + 1
-    kernel = solve_prescribed(op, IDENTITY_PHI, h, w, "upper")
+    kernel = rec.window(h, w, "upper")
     return SolutionBasis(kind, tuple(Poly.from_integers(*v) for v in kernel))
 
 

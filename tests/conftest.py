@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 from collections import Counter
 from fractions import Fraction
 
@@ -13,6 +14,32 @@ from mahlersolve.poly import Poly
 # database, so the suite stays deterministic.
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
+
+# Seconds a test may run before it fails; the slowest takes about 2 s, so
+# only a hang (say, a kernel loop that stops advancing) reaches this.
+TEST_TIME_LIMIT_S = 120
+
+
+class TimeLimitExceeded(BaseException):
+    """Not an Exception, so that neither `except Exception` nor
+    Hypothesis, which would rerun the example to shrink it, catches it."""
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail the test that runs past TEST_TIME_LIMIT_S, so that a hang
+    fails one test instead of stalling the suite."""
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"test ran past its {TEST_TIME_LIMIT_S} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def pol(*coeffs) -> Poly:

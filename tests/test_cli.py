@@ -2,6 +2,7 @@ import ast
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import operator, pol
+from conftest import TEST_TIME_LIMIT_S, TimeLimitExceeded, operator, pol
 from mahlersolve import cli
 from mahlersolve.cli import build_parser, main
 from mahlersolve.poly import Poly
@@ -450,9 +451,11 @@ def test_no_unused_module_names():
 
 def test_no_unused_public_names():
     # a public function, class or method that no library module reads
-    # and the README does not name in code is surface kept for tests only
+    # and the README does not name in code is surface kept for tests only;
+    # a method is read only as an attribute, so a local variable of the
+    # same name does not count for it
     package = os.path.dirname(cli.__file__)
-    defined, read = [], set()
+    defined, names, attributes = [], set(), set()
     for name in sorted(os.listdir(package)):
         if not name.endswith(".py"):
             continue
@@ -460,18 +463,22 @@ def test_no_unused_public_names():
             tree = ast.parse(fh.read())
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((name, node.name))
+                defined.append((name, node.name, False))
             if isinstance(node, ast.ClassDef):
-                defined += [(name, m.name) for m in node.body if isinstance(m, ast.FunctionDef)]
+                defined += [(name, m.name, True) for m in node.body if isinstance(m, ast.FunctionDef)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
     with open(os.path.join(os.path.dirname(os.path.dirname(package)), "README.md")) as fh:
         spans = re.findall(r"`+([^`]+)`+", fh.read())
     named = {word for span in spans for word in re.findall(r"[A-Za-z_]\w*", span)}
-    offenders = [(m, n) for m, n in defined if not n.startswith("_") and n not in read | named]
+    offenders = [
+        (m, n)
+        for m, n, method in defined
+        if not n.startswith("_") and n not in named and n not in (attributes if method else names | attributes)
+    ]
     assert offenders == []
 
 
@@ -493,6 +500,16 @@ def test_no_untyped_errors_or_asserts():
                 if isinstance(exc, ast.Name) and exc.id in ("ValueError", "AssertionError"):
                     offenders.append((name, node.lineno, exc.id))
     assert offenders == []
+
+
+def test_every_test_runs_under_the_time_limit():
+    # conftest arms SIGALRM around each test, and the handler raises what
+    # neither `except Exception` nor Hypothesis catches
+    remaining = signal.alarm(0)
+    signal.alarm(remaining)
+    assert 0 < remaining <= TEST_TIME_LIMIT_S
+    with pytest.raises(TimeLimitExceeded):
+        signal.getsignal(signal.SIGALRM)(signal.SIGALRM, None)
 
 
 def _outcome(argv, capsys):

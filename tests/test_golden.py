@@ -68,9 +68,10 @@ def test_golden_digests(workload, tmp_path):
 def test_tracer_leaves_outcomes_unchanged(
     tmp_path, running_example, running_example_series, rat_example, reduction_example
 ):
-    # perfbench/trace.py wraps the library from outside: it reads the
-    # head and the width of `prolong` and `solve_prescribed` by position
-    # and replaces the solvers the subcommand lambdas look up when called
+    # perfbench/trace.py wraps the library from outside: it replaces the
+    # public functions and methods, `Recurrence.prolong` and
+    # `Recurrence.window` among them, and the solvers the subcommand
+    # lambdas look up when called
     paths = {}
     for name, op in (("run", running_example), ("rat", rat_example), ("red", reduction_example)):
         paths[name] = str(tmp_path / f"{name}.json")
@@ -106,5 +107,5 @@ def test_tracer_leaves_outcomes_unchanged(
         tracer.uninstall()
     assert [code for code, _ in untraced] == [0] * len(argvs)
     assert traced == untraced
-    assert tracer.calls["rmatrix.prolong"] and tracer.calls["rmatrix.solve_prescribed"]
+    assert tracer.calls["rmatrix.Recurrence.prolong"] and tracer.calls["rmatrix.Recurrence.window"]
     assert tracer.calls["solver.series_basis"] and tracer.calls["rational.rational_basis"]

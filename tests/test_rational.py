@@ -38,7 +38,7 @@ from mahlersolve.rational import (
     rational_basis,
     transcendence_test,
 )
-from mahlersolve.rmatrix import prolong
+from mahlersolve.rmatrix import Recurrence
 from mahlersolve.solver import SolutionBasis, certify, series_basis
 
 F = Fraction
@@ -372,9 +372,9 @@ def test_bell_coons(rat_example):
 
 def test_series_extension_runs_on_ints(monkeypatch, rat_example):
     # Bell-Coons extends the prefix to kappa + bound + 1 coefficients by
-    # prolonging its head on ints: beyond the Fractions of mu_nu and of
-    # the prolongation itself, neither the extension nor the Hankel test
-    # builds or computes with one
+    # prolonging its head on ints: beyond the Fractions of the one
+    # Recurrence's nu and mu and of the prolongation itself, neither the
+    # extension nor the Hankel test builds or computes with one
     lop = operator(2, X, -pol(1, 1), ONE)
     witness = RationalFunction.make(ONE, 0, pol(-1, -1, 1))
     cases = [
@@ -388,8 +388,7 @@ def test_series_extension_runs_on_ints(monkeypatch, rat_example):
         head = int(mu_nu(op)[0]) + 1
         approx = integer_pairs([(n, c) for n, c in enumerate(prefix[:head]) if c])
         calls = count_fraction_arithmetic(monkeypatch)
-        mu_nu(op)
-        prolong(op, IDENTITY_PHI, approx, kappa + bound + 1 - head)
+        Recurrence(op, IDENTITY_PHI).prolong(approx, kappa + bound + 1 - head)
         parts = calls.copy()
         calls.clear()
         got = bell_coons_test(op, prefix)
@@ -399,15 +398,16 @@ def test_series_extension_runs_on_ints(monkeypatch, rat_example):
         assert got.verdict == verdict
         lengths.append(kappa + bound + 1)
         counts.append(total)
-    # the same count for 18 coefficients as for 200: the slopes of the two
-    # mu_nu calls, the extension's and prolong's, nothing per coefficient
+    # the same count for 18 coefficients as for 200: the slopes of one
+    # mu_nu call per extension, nothing per coefficient
     assert lengths == [18, 18, 200]
-    assert counts == [Counter({"new": 6, "arithmetic": 2})] * 3
+    assert counts == [Counter({"new": 3, "arithmetic": 1})] * 3
 
 
 def test_extension_prolongs_the_head_once(monkeypatch, rat_example, running_example):
-    # the extension is one prolongation of the prefix's head: no series
-    # basis, and a head that breaks a relation row fails inside prolong
+    # the extension builds one Recurrence and prolongs the prefix's head
+    # once: no series basis, and a head that breaks a relation row fails
+    # inside the prolongation; the order-0 path does neither
     from mahlersolve import rmatrix, solver
 
     assert not hasattr(rational, "series_basis")
@@ -420,7 +420,8 @@ def test_extension_prolongs_the_head_once(monkeypatch, rat_example, running_exam
 
         return wrapper
 
-    monkeypatch.setattr(rational, "prolong", counted("prolong", rmatrix.prolong))
+    monkeypatch.setattr(rational, "Recurrence", counted("Recurrence", rmatrix.Recurrence))
+    monkeypatch.setattr(rmatrix.Recurrence, "prolong", counted("prolong", rmatrix.Recurrence.prolong))
     for module, name in ((solver, "series_basis"), (solver, "series_solutions")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     lop = operator(2, X, -pol(1, 1), ONE)
@@ -428,11 +429,11 @@ def test_extension_prolongs_the_head_once(monkeypatch, rat_example, running_exam
     for op, start in ((lop, [F(0), F(1), F(1), F(0), F(1)]), (rat_example, prefix)):
         calls.clear()
         rational._consistent_extension(op, start, 40)
-        assert calls == Counter({"prolong": 1})
+        assert calls == Counter({"Recurrence": 1, "prolong": 1})
     calls.clear()
     with pytest.raises(InconsistentPrefixError, match="relation for the coefficient of x"):
         rational._consistent_extension(running_example, [F(1)] * 4, 8)
-    assert calls == Counter({"prolong": 1})
+    assert calls == Counter({"Recurrence": 1, "prolong": 1})
     calls.clear()
     rational._consistent_extension(operator(2, pol(1, 1)), [F(0)] * 3, 3)
     assert not calls

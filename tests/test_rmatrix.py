@@ -37,7 +37,7 @@ from mahlersolve.operator import (
     phi_apply,
 )
 from mahlersolve.poly import MAX_EXPONENT, Poly, lowest_terms, mahler_substitute
-from mahlersolve.rmatrix import prolong, solve_prescribed
+from mahlersolve.rmatrix import Recurrence
 from mahlersolve.solver import approximate_series_basis, puiseux_basis_all, series_basis
 
 F = Fraction
@@ -67,7 +67,7 @@ def test_empty_selection():
     # y(x^2) = 2 y(x): the one tie, at n = 0, has diagonal -2 + 1, so no
     # position is seeded and the window solve returns the empty basis
     op = operator(2, Poly.monomial(0, -2), ONE)
-    assert solve_prescribed(op, IDENTITY_PHI, 5, 3, "lower") == ()
+    assert Recurrence(op, IDENTITY_PHI).window(5, 3, "lower") == ()
     assert oracles.kernel(oracles.brute_rows(op, 4, 3), 3) == []
 
 
@@ -137,8 +137,8 @@ def _coeffs(pairs, length):
 
 
 def test_solve_prescribed_running_example(running_example):
-    nu, mu = mu_nu(running_example)
-    basis = solve_prescribed(running_example, IDENTITY_PHI, int(mu) + 1, int(nu) + 1, "lower")
+    rec = Recurrence(running_example, IDENTITY_PHI)
+    basis = rec.window(int(rec.mu) + 1, int(rec.nu) + 1, "lower")
     assert basis == ((1, ((3, 1),)),)
 
 
@@ -146,7 +146,7 @@ def test_solve_prescribed_upper(rat_example_transformed):
     op = rat_example_transformed
     w = 6
     h = op.degree + (w - 1) * 3**2 + 1
-    basis = solve_prescribed(op, IDENTITY_PHI, h, w, "upper")
+    basis = Recurrence(op, IDENTITY_PHI).window(h, w, "upper")
     assert len(basis) == 2
     for vec in basis:
         assert not image_below(integer_terms(op), vec[1], h)[1]
@@ -154,12 +154,10 @@ def test_solve_prescribed_upper(rat_example_transformed):
 
 def test_solve_prescribed_with_transform(running_example):
     # sheared solve: two families, of valuations 0 and 7 in the new variable
-    phi = PhiTransform(-1, 2, -3)
-    transformed = phi_apply(running_example, phi)
-    nu, mu = mu_nu(transformed)
-    assert (nu, mu) == (F(7), F(21))
-    w, h = int(nu) + 1, int(mu) + 1
-    basis = solve_prescribed(running_example, phi, h, w, "lower")
+    rec = Recurrence(running_example, PhiTransform(-1, 2, -3))
+    assert (rec.nu, rec.mu, rec.head) == (F(7), F(21), 8)
+    w, h = int(rec.nu) + 1, int(rec.mu) + 1
+    basis = rec.window(h, w, "lower")
     assert [_coeffs(_fractions(vec), w) for vec in basis] == [
         [F(1), F(0), F(-1), F(0), F(1), F(0), F(-1), F(0)],
         [F(0), F(0), F(0), F(0), F(0), F(0), F(0), F(1)],
@@ -168,7 +166,7 @@ def test_solve_prescribed_with_transform(running_example):
 
 def test_solve_prescribed_constants():
     op = operator(2, -ONE, ONE)  # M - 1
-    assert solve_prescribed(op, IDENTITY_PHI, 1, 1, "lower") == ((1, ((0, 1),)),)
+    assert Recurrence(op, IDENTITY_PHI).window(1, 1, "lower") == ((1, ((0, 1),)),)
 
 
 def test_solve_prescribed_matches_dense_oracle():
@@ -196,7 +194,7 @@ def test_solve_prescribed_matches_dense_oracle():
         ]
         top = min(ends) if orientation == "lower" else max(ends)
         h = top + 1 + rng.randint(0, 6)
-        basis = solve_prescribed(op, phi, h, w, orientation)
+        basis = Recurrence(op, phi).window(h, w, orientation)
         for vec in basis:
             pairs = _fractions(vec)
             assert pairs and [n for n, _ in pairs] == sorted({n for n, _ in pairs})
@@ -216,7 +214,7 @@ def test_solve_prescribed_detects_bad_selection(monkeypatch):
     op = operator(2, -ONE, ONE)
     monkeypatch.setattr(rmatrix, "_ties", lambda lines, lo, hi: {0: 0, 1: 0})
     with pytest.raises(InternalInvariantError, match="exceed the order 1"):
-        solve_prescribed(op, IDENTITY_PHI, 10, 3, "lower")
+        Recurrence(op, IDENTITY_PHI).window(10, 3, "lower")
 
 
 def _fractions(out):
@@ -238,8 +236,13 @@ def _same_as_oracle(out, expected):
 
 
 def _lower_kernel(op):
-    nu, mu = mu_nu(op)
-    return solve_prescribed(op, IDENTITY_PHI, int(mu) + 1, int(nu) + 1, "lower")
+    rec = Recurrence(op, IDENTITY_PHI)
+    return rec.window(int(rec.mu) + 1, int(rec.nu) + 1, "lower")
+
+
+def _prolong(op, phi, approx, extra):
+    """`Recurrence.prolong` of phi(op), called as `prolong_oracle` is."""
+    return Recurrence(op, phi).prolong(approx, extra)
 
 
 def _pairs(vec):
@@ -249,18 +252,20 @@ def _pairs(vec):
 
 def test_prolong_running_example(running_example, running_example_series):
     approx = (1, ((3, 1),))
-    out = prolong(running_example, IDENTITY_PHI, approx, 9)
+    rec = Recurrence(running_example, IDENTITY_PHI)
+    assert rec.head == 4
+    out = rec.prolong(approx, 9)
     _same_as_oracle(out, running_example_series)
-    assert prolong(running_example, IDENTITY_PHI, approx, 0) == (1, ((3, 1),))
-    assert prolong(running_example, IDENTITY_PHI, (6, [(3, 4)]), 0) == (3, ((3, 2),))
+    assert rec.prolong(approx, 0) == (1, ((3, 1),))
+    assert rec.prolong((6, [(3, 4)]), 0) == (3, ((3, 2),))
     with pytest.raises(InconsistentPrefixError):
-        prolong(running_example, IDENTITY_PHI, (1, ((0, 1), (1, 1), (2, 1), (3, 1))), 3)
+        rec.prolong((1, ((0, 1), (1, 1), (2, 1), (3, 1))), 3)
     # the head must be the coefficients 0..floor(nu) = 0..3, in order
     for bad in ([(4, 1)], [(-1, 1)], [(3, 1), (2, 1)], [(3, 1), (3, 1)]):
-        with pytest.raises(InvalidArgumentError, match="increasing indices"):
-            prolong(running_example, IDENTITY_PHI, (1, bad), 3)
+        with pytest.raises(InvalidArgumentError, match=r"increasing indices in 0\.\.3$"):
+            rec.prolong((1, bad), 3)
     with pytest.raises(InvalidArgumentError):
-        prolong(running_example, IDENTITY_PHI, approx, -1)
+        rec.prolong(approx, -1)
 
 
 def test_prolong_past_the_exponent_range():
@@ -269,12 +274,13 @@ def test_prolong_past_the_exponent_range():
     op = MahlerOperator(2, [X - ONE, ONE])
     for extra in (MAX_EXPONENT, 2**63, 2**64):
         with pytest.raises(ExponentOverflowError, match="exceeds"):
-            prolong(op, IDENTITY_PHI, (1, ((0, 1),)), extra)
+            Recurrence(op, IDENTITY_PHI).prolong((1, ((0, 1),)), extra)
         with pytest.raises(ExponentOverflowError, match="exceeds"):
             series_basis(op, extra)
     with pytest.raises(ExponentOverflowError, match="exceeds"):
-        prolong(MahlerOperator(2, [ONE, X]), IDENTITY_PHI, (1, ()), MAX_EXPONENT + 1)
-    assert prolong(op, IDENTITY_PHI, (1, ((0, 1),)), 3) == (1, ((0, 1), (1, 1), (2, 2), (3, 2)))
+        Recurrence(MahlerOperator(2, [ONE, X]), IDENTITY_PHI).prolong((1, ()), MAX_EXPONENT + 1)
+    want = (1, ((0, 1), (1, 1), (2, 2), (3, 2)))
+    assert Recurrence(op, IDENTITY_PHI).prolong((1, ((0, 1),)), 3) == want
 
 
 def test_prolong_rejects_malformed_heads(running_example):
@@ -303,7 +309,7 @@ def test_prolong_rejects_malformed_heads(running_example):
     ]
     for head in malformed:
         with pytest.raises(InvalidArgumentError, match="positive int den"):
-            prolong(running_example, IDENTITY_PHI, head, 3)
+            Recurrence(running_example, IDENTITY_PHI).prolong(head, 3)
 
 
 def test_prolong_prefix_check_reaches_row_floor_mu():
@@ -319,7 +325,7 @@ def test_prolong_prefix_check_reaches_row_floor_mu():
         head = int(nu) + 1
         for vec in oracles.kernel(oracles.brute_rows(op, int(mu) - 1, head), head):
             outcomes = []
-            heads = ((prolong, integer_pairs(_pairs(vec))), (prolong_oracle, list(vec)))
+            heads = ((_prolong, integer_pairs(_pairs(vec))), (prolong_oracle, list(vec)))
             for solve, approx in heads:
                 try:
                     solve(op, IDENTITY_PHI, approx, 3)
@@ -334,12 +340,12 @@ def test_prolong_prefix_check_reaches_row_floor_mu():
 def test_prolong_transformed(running_example):
     phi = PhiTransform(-1, 2, -3)
     approx = [F(c) for c in [1, 0, -1, 0, 1, 0, -1, 0]]
-    out = prolong(running_example, phi, integer_pairs(_pairs(approx)), 5)
+    out = Recurrence(running_example, phi).prolong(integer_pairs(_pairs(approx)), 5)
     expected = [F(c) for c in [1, 0, -1, 0, 1, 0, -1, 0, 1, 0, -1, 0, 1]]
     _same_as_oracle(out, expected)
     for extra in (0, 1, 5, 40):
         _same_as_oracle(
-            prolong(running_example, phi, integer_pairs(_pairs(approx)), extra),
+            Recurrence(running_example, phi).prolong(integer_pairs(_pairs(approx)), extra),
             prolong_oracle(running_example, phi, approx, extra),
         )
     # residual of the transformed operator vanishes far out
@@ -364,7 +370,7 @@ def test_prolong_residual_guarantee():
             # kernel contract: solutions modulo x^h before prolongation
             assert not image_below(integer_terms(op), vec[1], h)[1]
             extra = rng.randint(1, 10)
-            out = prolong(op, IDENTITY_PHI, vec, extra)
+            out = Recurrence(op, IDENTITY_PHI).prolong(vec, extra)
             assert not image_below(integer_terms(op), out[1], int(mu) + extra + 1)[1]
     assert checked >= 25
 
@@ -384,7 +390,7 @@ def test_prolong_matches_oracle_on_random_operators():
             checked += 1
             extra = rng.randint(0, 60)
             _same_as_oracle(
-                prolong(op, IDENTITY_PHI, vec, extra),
+                Recurrence(op, IDENTITY_PHI).prolong(vec, extra),
                 prolong_oracle(op, IDENTITY_PHI, _coeffs(_fractions(vec), int(nu) + 1), extra),
             )
     assert checked >= 30
@@ -416,7 +422,7 @@ def test_prolong_over_common_denominators():
             unit = rng.choice((F(1, 6), F(-5, 6), F(7, 3)))
             approx = [(n, c * unit) for n, c in _fractions(vec)]
             extra = rng.randint(0, 40)
-            out = prolong(op, t, integer_pairs(approx), extra)
+            out = Recurrence(op, t).prolong(integer_pairs(approx), extra)
             _same_as_oracle(out, prolong_oracle(op, t, _coeffs(approx, int(nu) + 1), extra))
             prefix_den = max(c.denominator for _, c in approx)
             grown += max(c.denominator for _, c in _fractions(out)) > prefix_den
@@ -438,7 +444,7 @@ def test_prolong_matches_oracle_on_sparse_products():
         heads = approximate_series_basis(op, auto_normalize=False).elements
         assert heads
         for head in heads:
-            out = prolong(op, IDENTITY_PHI, (head.den, head.nums), 2500)
+            out = Recurrence(op, IDENTITY_PHI).prolong((head.den, head.nums), 2500)
             assert any(n >= 2000 for n, _ in out[1])
             _same_as_oracle(out, prolong_oracle(op, IDENTITY_PHI, dense(head), 2500))
 
@@ -464,7 +470,7 @@ def test_prolong_invariant_check_matches_oracle(monkeypatch, running_example):
 
     shift[0] = 1
     with pytest.raises(InternalInvariantError):
-        prolong(running_example, IDENTITY_PHI, (1, ((3, 1),)), 5)
+        Recurrence(running_example, IDENTITY_PHI).prolong((1, ((3, 1),)), 5)
 
     rng = random.Random(606)
     seen = set()
@@ -478,7 +484,7 @@ def test_prolong_invariant_check_matches_oracle(monkeypatch, running_example):
         for vec in _lower_kernel(op):
             shift[0] = rng.randint(1, 4)
             extra = rng.randint(0, 20)
-            verdict = raises(prolong, op, vec, extra)
+            verdict = raises(_prolong, op, vec, extra)
             assert verdict == raises(
                 prolong_oracle, op, _coeffs(_fractions(vec), int(nu) + 1), extra
             )
@@ -488,13 +494,12 @@ def test_prolong_invariant_check_matches_oracle(monkeypatch, running_example):
 
 def test_window_solve_runs_on_ints(monkeypatch, running_example):
     # seeds, push, residuals and the one rref all run on ints, and the
-    # basis comes back as (den, pairs): no Fraction is built or used
-    nu, mu = mu_nu(running_example)
-    phi = PhiTransform(-1, 2, -3)
-    nu2, mu2 = mu_nu(phi_apply(running_example, phi))
+    # basis comes back as (den, pairs): no Fraction is built or used; nu
+    # and mu are Fractions, read before the count starts
+    recs = [Recurrence(running_example, phi) for phi in (IDENTITY_PHI, PhiTransform(-1, 2, -3))]
+    sizes = [(int(rec.mu) + 1, int(rec.nu) + 1) for rec in recs]
     calls = count_fraction_arithmetic(monkeypatch)
-    basis = solve_prescribed(running_example, IDENTITY_PHI, int(mu) + 1, int(nu) + 1, "lower")
-    sheared = solve_prescribed(running_example, phi, int(mu2) + 1, int(nu2) + 1, "lower")
+    basis, sheared = [rec.window(h, w, "lower") for rec, (h, w) in zip(recs, sizes)]
     assert calls == Counter()
     monkeypatch.undo()
     assert basis == ((1, ((3, 1),)),)
@@ -504,9 +509,9 @@ def test_window_solve_runs_on_ints(monkeypatch, running_example):
 def test_prolong_reads_an_iterator_head_once(running_example, running_example_series):
     op = MahlerOperator(2, [ONE - X, -ONE])  # y(x) - x y(x) - y(x^2)
     want = (1, ((0, 1), (1, 1), (2, 2), (3, 2), (4, 4), (5, 4)))
-    assert prolong(op, IDENTITY_PHI, (1, ((0, 1),)), 5) == want
-    assert prolong(op, IDENTITY_PHI, (1, iter([(0, 1)])), 5) == want
-    out = prolong(running_example, IDENTITY_PHI, (1, (p for p in [(3, 1)])), 9)
+    assert Recurrence(op, IDENTITY_PHI).prolong((1, ((0, 1),)), 5) == want
+    assert Recurrence(op, IDENTITY_PHI).prolong((1, iter([(0, 1)])), 5) == want
+    out = Recurrence(running_example, IDENTITY_PHI).prolong((1, (p for p in [(3, 1)])), 9)
     _same_as_oracle(out, running_example_series)
 
 
@@ -550,8 +555,8 @@ def _tail_product(radix, d, tail, left=None) -> MahlerOperator:
 
 def _heads(op, phi):
     """The window-solve basis of phi(op) for prolongation, nu >= 0."""
-    nu, mu = mu_nu(phi_apply(op, phi))
-    return solve_prescribed(op, phi, math.floor(mu) + 1, math.floor(nu) + 1, "lower")
+    rec = Recurrence(op, phi)
+    return rec.window(math.floor(rec.mu) + 1, math.floor(rec.nu) + 1, "lower")
 
 
 def _combine(heads, weights):
@@ -606,7 +611,7 @@ def test_walk_matches_oracle(case):
     nu = mu_nu(phi_apply(op, phi))[0]
     with pytest.MonkeyPatch.context() as mp:
         calls = _kernel_calls(mp)
-        out = prolong(op, phi, head, extra)
+        out = Recurrence(op, phi).prolong(head, extra)
     assert calls == Counter({"walk" if _walks(op, phi) else "push": 1})
     den, pairs = head
     approx = _coeffs([(n, F(v, den)) for n, v in pairs], math.floor(nu) + 1)
@@ -617,24 +622,25 @@ def test_walk_matches_oracle(case):
 
 
 def _both_kernels(op, phi, support, extra) -> list:
-    """(scale, pairs) of `_walk` and of `_push`, called as `prolong` calls
+    """(scale, pairs) of `_walk` and of `_push`, called as `_prolong` calls
     them, on phi(op), a head's support and `extra` rows past floor(mu)."""
-    transformed = phi_apply(op, phi)
-    (_, tv0, d), *terms = integer_terms(transformed)[1]
-    mu_floor = math.floor(mu_nu(transformed)[1])
+    rec = Recurrence(op, phi)
+    (_, tv0, d), *terms = rec.integer_terms[1]
+    mu_floor = math.floor(rec.mu)
     args = (terms, support, d, mu_floor, mu_floor + extra, tv0)
     return [rmatrix._walk(*args), rmatrix._push(*args)]
 
 
 def test_kernels_return_the_head_with_no_row_to_solve(running_example):
     # with no row past floor(mu) both kernels return the support over
-    # scale 1, and `prolong` puts it in lowest terms; a diagonal of 2 pushes
+    # scale 1, and `Recurrence.prolong` puts it in lowest terms; a diagonal of 2 pushes
     assert _both_kernels(running_example, IDENTITY_PHI, [(3, 6)], 0) == [(1, [(3, 6)])] * 2
-    assert prolong(running_example, IDENTITY_PHI, (6, ((3, 6),)), 0) == (1, ((3, 1),))
+    assert Recurrence(running_example, IDENTITY_PHI).prolong((6, ((3, 6),)), 0) == (1, ((3, 1),))
     op = _tail_product(3, 2, [(1, 1), (2, -1)])
     (head,) = _heads(op, IDENTITY_PHI)
-    (_, tv0, d), *terms = integer_terms(op)[1]
-    mu_floor = math.floor(mu_nu(op)[1])
+    rec = Recurrence(op, IDENTITY_PHI)
+    (_, tv0, d), *terms = rec.integer_terms[1]
+    mu_floor = math.floor(rec.mu)
     scaled = [(n, 4 * v) for n, v in head[1]]
     scale, pairs = rmatrix._push(terms, scaled, d, mu_floor, mu_floor, tv0)
     assert d == -2 and scale == 1 and lowest_terms(4 * head[0], pairs) == head
@@ -658,7 +664,7 @@ def test_prolong_kernel_choice(monkeypatch, running_example, sparse_stretch_exam
         assert _walks(op, IDENTITY_PHI) == (kernel == "walk")
         (head,) = _heads(op, IDENTITY_PHI)
         calls = _kernel_calls(monkeypatch)
-        out = prolong(op, IDENTITY_PHI, head, 300)
+        out = Recurrence(op, IDENTITY_PHI).prolong(head, 300)
         monkeypatch.undo()
         assert calls == Counter({kernel: 1})
         approx = _coeffs(_fractions(head), int(mu_nu(op)[0]) + 1)
@@ -674,9 +680,9 @@ def test_prolong_kernel_choice(monkeypatch, running_example, sparse_stretch_exam
         op = MahlerOperator(radix, coeffs)
         assert mu_nu(op)[0] == nu
         for extra in (0, 1, 5, 7):
-            assert prolong(op, IDENTITY_PHI, (1, ()), extra) == (1, ())
+            assert Recurrence(op, IDENTITY_PHI).prolong((1, ()), extra) == (1, ())
         with pytest.raises(InvalidArgumentError, match="increasing indices"):
-            prolong(op, IDENTITY_PHI, (1, ((0, 1),)), 7)
+            Recurrence(op, IDENTITY_PHI).prolong((1, ((0, 1),)), 7)
 
     # the window solve pushes; the sparse products M - (1 +- x^e), e >= 2000,
     # at order 10^4 and the stretch operator push everywhere
@@ -716,7 +722,7 @@ def test_walk_runs_on_ints(monkeypatch, running_example):
         return out
 
     monkeypatch.setattr(rmatrix, "_walk", counted)
-    results = [prolong(op, phi, head, 60) for (op, phi), head in zip(cases, heads)]
+    results = [Recurrence(op, phi).prolong(head, 60) for (op, phi), head in zip(cases, heads)]
     monkeypatch.undo()
     assert walked == [Counter()] * 3
     assert len(results[0][1]) > 30 and results[1] == results[2] == (1, p.nums)

@@ -38,6 +38,7 @@ from mahlersolve.rational import (
     RationalFunction,
     ramified_rational_basis,
     rational_basis,
+    transcendence_test,
 )
 from mahlersolve.solver import (
     approximate_series_basis,
@@ -535,6 +536,7 @@ def test_recurrence_data_is_computed_once(monkeypatch, running_example):
         (lambda op: puiseux_basis_all(op, 12), lop, 2),
         (lambda op: puiseux_basis_all(op, 12), running_example, 2),
         (lambda op: puiseux_basis(op, 1, 12), running_example, 1),
+        (polynomial_basis, lop, 1),
     ]
     for solve, op, dimension in cases:
         seen.clear()
@@ -550,3 +552,15 @@ def test_recurrence_data_is_computed_once(monkeypatch, running_example):
         seen.clear()
         certify(op, basis)
         assert [(name, arg) for name, arg, _ in seen] == [("integer_terms", op)]
+    # with nu = -1 there is no head to solve for: the recurrence stops at
+    # nu and never builds its integer terms
+    negative = operator(2, ONE + X, X)
+    solvers = (
+        lambda op: series_basis(op, 30),
+        polynomial_basis,
+        lambda op: transcendence_test(op, [0]),
+    )
+    for solve in solvers:
+        seen.clear()
+        solve(negative)
+        assert [name for name, _, _ in seen] == ["phi_apply", "mu_nu"]
