@@ -6,10 +6,12 @@ stdin); results go to stdout as JSON (default) or text.  The exit code
 is 0, or the error class's `exit_code`: 2 malformed input, 3
 unsupported equation, 4 exponent overflow, 5 internal invariant violation.
 
-`build_parser` declares each subcommand once; the four basis
-subcommands share the handler `_cmd_basis` and name their solver as
-`solve`.  `_render` writes a handler's document: `_json`, or one text
-renderer per kind of document.
+`build_parser` declares each subcommand once, in argparse; the four
+basis subcommands share the handler `_cmd_basis` and name their solver
+as `solve`.  `_parse` reads plain exact tokens with a reader built from
+a subcommand's actions and leaves help, abbreviations and errors to
+argparse.  `_render` writes a handler's document: `_json`, which writes
+a `Terms` in one step, or one text renderer per kind of document.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .operator import MahlerOperator, primitive_part
 from .poly import format_terms
 from .rational import bell_coons_test, rational_basis, transcendence_test
 from .serialize import (
+    Terms,
     basis_to_json,
     edge_to_json,
     operator_to_json,
@@ -35,13 +38,7 @@ from .serialize import (
     poly_to_json,
     rational_to_json,
 )
-from .solver import (
-    certify,
-    polynomial_basis,
-    puiseux_basis,
-    puiseux_basis_all,
-    series_basis,
-)
+from .solver import certify, polynomial_basis, puiseux_basis, puiseux_basis_all, series_basis
 
 
 def _load_operator(path: str) -> MahlerOperator:
@@ -155,27 +152,29 @@ _enc = json.encoder.encode_basestring_ascii
 
 def _json(value, indent: str = "") -> str:
     """What `json.dumps` writes with an indent of 2, byte for byte, for the
-    values the CLI renders: dicts with str keys, lists, strs, ints, bools
-    and None.  A list of [str, str] or [int, str] pairs (the terms of a
-    series or of a polynomial) is written with one f-string per pair: the
-    indenting encoder makes several generator steps per item."""
-    if type(value) is str:
+    values the CLI renders (dicts with str keys, lists, strs, ints, bools
+    and None), written without `json.dumps`.  A `Terms` is written with one
+    f-string per pair, its strings quoted as they are: they hold only
+    ASCII digits, "-" and "/"."""
+    kind = type(value)
+    if kind is str:
         return _enc(value)
-    if not isinstance(value, (dict, list)) or not value:
-        return json.dumps(value)
+    if kind is int:
+        return str(value)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    if not value:
+        return "{}" if kind is dict else "[]"
     inner = indent + "  "
-    if isinstance(value, dict):
+    if kind is Terms:
+        deep = inner + "  "
+        body = f"\n{inner}],\n{inner}[\n{deep}".join(
+            [f'"{a}",\n{deep}"{b}"' if type(a) is str else f'{a},\n{deep}"{b}"' for a, b in value]
+        )
+        return f"[\n{inner}[\n{deep}{body}\n{inner}]\n{indent}]"
+    if kind is dict:
         body = f",\n{inner}".join([f"{_enc(k)}: {_json(v, inner)}" for k, v in value.items()])
         return f"{{\n{inner}{body}\n{indent}}}"
-    if all(
-        type(p) is list and len(p) == 2 and type(p[0]) in (str, int) and type(p[1]) is str
-        for p in value
-    ):
-        deeper = inner + "  "
-        body = f"\n{inner}],\n{inner}[\n{deeper}".join(
-            [f"{_enc(a) if type(a) is str else a},\n{deeper}{_enc(b)}" for a, b in value]
-        )
-        return f"[\n{inner}[\n{deeper}{body}\n{inner}]\n{indent}]"
     body = f",\n{inner}".join([_json(v, inner) for v in value])
     return f"[\n{inner}{body}\n{indent}]"
 
@@ -224,6 +223,61 @@ def _int_at_least(low: int):
     return parse
 
 
+def _token_reader(parser: argparse.ArgumentParser):
+    """A reader, from `parser`'s own actions, of exact option strings and
+    --option=value for store, store_true and --[no-]flag actions, with type,
+    choices and required options, and one contiguous run of operands.  It
+    returns the Namespace of `parser.parse_known_args`, or None for anything
+    else (-h, abbreviations, "-", "--", a value that starts with "-", a bad
+    value, a leftover), which argparse then parses or rejects."""
+    defaults, options, required = {**parser._defaults}, {}, set()
+    stores = (argparse._StoreAction, argparse._StoreTrueAction)
+    for action in parser._actions:
+        if action.dest != argparse.SUPPRESS and action.default != argparse.SUPPRESS:
+            defaults[action.dest] = action.default
+        if not action.option_strings:
+            operand = action  # each subparser has one, nargs None or "+"
+        elif action.required:
+            required.add(action)
+        for flag in action.option_strings:
+            if type(action) is argparse.BooleanOptionalAction:
+                options[flag] = (action, not flag.startswith("--no-"))
+            elif type(action) in stores and not action.nargs:
+                options[flag] = (action, action.const)  # None: takes one value
+
+    def read(tokens: list[str]):
+        values, seen, operands, after = dict(defaults), set(), [], False
+        tokens = iter(tokens)
+        for token in tokens:
+            if token[:1] != "-":
+                if after:  # operands split by an option
+                    return None
+                operands.append(token)
+                continue
+            after = bool(operands)
+            flag, eq, text = token.partition("=")
+            action, value = options.get(flag, (None, None))
+            if action is None or eq and value is not None:
+                return None
+            if value is None:
+                if not eq and (text := next(tokens, "-"))[:1] == "-":  # none, or "-..."
+                    return None
+                try:
+                    value = action.type(text) if action.type else text
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+                if action.choices is not None and value not in action.choices:
+                    return None
+            values[action.dest] = value
+            seen.add(action)
+        if not operands or (operand.nargs is None and len(operands) > 1) or required - seen:
+            return None
+        values[operand.dest] = operands if operand.nargs else operands[0]
+        return argparse.Namespace(**values)
+
+    return read
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -237,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, help, handler, *options, operand=("file", {}), certify=True, **defaults):
         """The subparser `name`: its operand, `options`, both as (name,
-        keywords) pairs, --format, and --certify unless `certify` is off."""
+        keywords) pairs, --format, and --certify unless `certify` is off;
+        its `read_tokens` is the `_token_reader` of its actions."""
         p = sub.add_parser(name, help=help)
         for flag, keywords in (operand, *options):
             p.add_argument(flag, **keywords)
@@ -245,6 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         if certify:
             p.add_argument("--certify", action="store_true")
         p.set_defaults(handler=handler, **defaults)
+        p.read_tokens = _token_reader(p)
 
     # each solver is looked up when called, so replacing it in this module
     # (a trace wrapper, a test's monkeypatch) takes effect
@@ -289,14 +345,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """`build_parser().parse_args(argv)`, with the same output and exits,
-    but a known subcommand's arguments go straight to its own parser."""
+    but a known subcommand's arguments go straight to its own parser:
+    first to its exact-token reader, and to argparse when that reader
+    returns None."""
     parser = build_parser()
     sub = parser.commands.get(argv[0]) if argv else None
     if sub is None:
         return parser.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args = sub.read_tokens(argv[1:])
+    if args is None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     args.command = argv[0]
     return args
 

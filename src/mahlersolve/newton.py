@@ -10,15 +10,14 @@ monomials sitting exactly on it sum to zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import NoAdmissibleEdgeError, UnsupportedEquationError, ZeroTrailingCoefficientError
 from .operator import MahlerOperator
 
 
-@dataclass(frozen=True)
-class PolygonEdge:
+class PolygonEdge(NamedTuple):
     start: tuple[int, int]
     end: tuple[int, int]
     slope: Fraction

@@ -12,8 +12,7 @@ live here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import poly as P
 from .errors import (
@@ -63,9 +62,7 @@ class MahlerOperator:
         cs = list(coeffs)
         while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "radix", radix)
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_key", None)
+        self.radix, self.coeffs, self._key = radix, tuple(cs), None
 
     @classmethod
     def from_dict(cls, radix: int, coeffs: Mapping[int, Poly]) -> "MahlerOperator":
@@ -297,29 +294,21 @@ def right_divide(
 # -- exponent substitutions ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PhiTransform:
+class PhiTransform(NamedTuple):
     """Exponent map x^j M^k -> x^(alpha*b^k + beta*j - gamma) M^k.
 
-    beta must be positive and coprime to the radix; the operator it is
-    applied to must come out with nonnegative exponents.
+    beta must be positive and coprime to the radix, which `validate_for`
+    checks; the operator it is applied to must come out with nonnegative
+    exponents.
     """
 
     alpha: int
     beta: int
     gamma: int
 
-    def __post_init__(self):
+    def validate_for(self, radix: int) -> None:
         if self.beta < 1:
             raise InvalidArgumentError(f"beta must be positive, got {self.beta}")
-
-    def exponent(self, radix: int, k: int, j: int) -> int:
-        return self.alpha * checked_power(radix, k) + self.beta * j - self.gamma
-
-    def is_identity(self) -> bool:
-        return self.alpha == 0 and self.beta == 1 and self.gamma == 0
-
-    def validate_for(self, radix: int) -> None:
         if math.gcd(self.beta, radix) != 1:
             raise InvalidArgumentError(f"beta={self.beta} is not coprime to radix {radix}")
 
@@ -330,13 +319,14 @@ IDENTITY_PHI = PhiTransform(0, 1, 0)
 def phi_apply(op: MahlerOperator, phi: PhiTransform) -> MahlerOperator:
     """Apply the exponent map to every monomial of the operator."""
     phi.validate_for(op.radix)
-    if phi.is_identity():
+    if phi == IDENTITY_PHI:
         return op
+    alpha, beta, gamma = phi
     out = []
     for k, lk in enumerate(op.coeffs):
         nums = []
         for j, c in lk.nums:
-            e = phi.exponent(op.radix, k, j)
+            e = alpha * checked_power(op.radix, k) + beta * j - gamma
             if e < 0:
                 raise NegativeExponentError(
                     f"x^{j} M^{k} maps to exponent {e} < 0 under {phi}"

@@ -13,9 +13,8 @@ one `rmatrix.Recurrence`, which also gives the head length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import poly as P
 from .errors import (
@@ -36,8 +35,7 @@ from .solver import SolutionBasis, polynomial_solutions_bounded, solving_operato
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(NamedTuple):
     """numerator / (x^x_power * denominator) in lowest terms.
 
     Invariants: x_power >= 0, the denominator is monic with nonzero
@@ -156,16 +154,14 @@ def _power_series_div(num: Poly, den: Poly, length: int) -> list[int]:
     return ints
 
 
-@dataclass(frozen=True)
-class RamifiedRationalFunction:
+class RamifiedRationalFunction(NamedTuple):
     """A rational function of x^(1/ramification)."""
 
     ramification: int
     function: RationalFunction
 
 
-@dataclass(frozen=True)
-class DenominatorBound:
+class DenominatorBound(NamedTuple):
     """Result of the leading-coefficient analysis, with the intermediate
     cofactor trace kept for inspection."""
 
@@ -295,8 +291,7 @@ def ramified_rational_basis(op: MahlerOperator) -> SolutionBasis:
     )
 
 
-@dataclass(frozen=True)
-class TranscendenceVerdict:
+class TranscendenceVerdict(NamedTuple):
     verdict: str  # "rational" | "transcendental"
     witness: Optional[RationalFunction]
     method: str  # "rational-basis" | "bell-coons"

@@ -2,7 +2,8 @@
 
 Polynomial fragment: a list of [exponent, coefficient] pairs, exponents
 nonnegative decimal integers in ascending order, coefficients written as
-"num" or "num/den" in lowest terms, no zero coefficients.
+"num" or "num/den" in lowest terms, no zero coefficients.  The writers
+return the pairs of a polynomial or a series as `Terms`.
 
 Operator document: {"radix": b, "coefficients": [{"order": k, "terms":
 <poly fragment>}, ...]} with omitted orders meaning zero.
@@ -52,9 +53,17 @@ def _ratio(num: int, den: int) -> str:
     return f"{num // g}/{den // g}"
 
 
-def poly_to_json(p: Poly) -> list:
+class Terms(list):
+    """The [exponent, coefficient] pairs of a polynomial or of a series:
+    an int or str exponent and a str coefficient, every str written with
+    ASCII digits, "-" and "/" only, so `cli._json` quotes it as it is."""
+
+    __slots__ = ()
+
+
+def poly_to_json(p: Poly) -> Terms:
     den = p.den
-    return [[e, _ratio(c, den)] for e, c in p.nums]
+    return Terms([[e, _ratio(c, den)] for e, c in p.nums])
 
 
 def parse_poly(doc) -> Poly:
@@ -120,7 +129,7 @@ def parse_operator(doc) -> MahlerOperator:
 def _series_element_to_json(elem: PuiseuxSeries) -> dict:
     scale, den = elem.scale, elem.den
     return {
-        "terms": [[_ratio(e, scale), _ratio(v, den)] for e, v in elem.nums],
+        "terms": Terms([[_ratio(e, scale), _ratio(v, den)] for e, v in elem.nums]),
         "truncation_order": str(elem.truncation_order),
     }
 

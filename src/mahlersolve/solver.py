@@ -18,9 +18,8 @@ no per-coefficient Fraction is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     InternalInvariantError,
@@ -123,8 +122,7 @@ class PuiseuxSeries:
         return f"PuiseuxSeries({self.ramification}, {self.terms!r}, {self.truncation_order!r})"
 
 
-@dataclass(frozen=True)
-class SolutionBasis:
+class SolutionBasis(NamedTuple):
     kind: str
     elements: tuple
     note: Optional[str] = None
@@ -154,7 +152,7 @@ def approximate_series_basis(
 
     Each element extends to exactly one power-series solution.
     """
-    return replace(series_basis(op, 0, auto_normalize), kind="approximate_series_basis")
+    return series_basis(op, 0, auto_normalize)._replace(kind="approximate_series_basis")
 
 
 def series_basis(op: MahlerOperator, order: int, auto_normalize: bool = True) -> SolutionBasis:
@@ -310,22 +308,26 @@ def certify(op: MahlerOperator, basis: SolutionBasis) -> list[Optional[Fraction]
                 raise InternalInvariantError(f"residual has a term of exponent {val} below {bound}")
             orders.append(bound)
         return orders
+    # (operator, numerators): every polynomial shares op, and each
+    # rational numerator has its own cleared operator
     if kind == "polynomial_basis":
-        pairs = [(op, p) for p in basis.elements]
+        groups = [(op, basis.elements)]
     elif kind == "rational_basis":
-        pairs = [
-            (clear_denominator(op, f.x_power, f.denominator), f.numerator) for f in basis.elements
+        groups = [
+            (clear_denominator(op, f.x_power, f.denominator), [f.numerator]) for f in basis.elements
         ]
     elif kind == "ramified_rational_basis":
-        pairs = []
+        groups = []
         for elem in basis.elements:
             n, f = elem.ramification, elem.function
             substituted = MahlerOperator(op.radix, [c.substitute_power(n) for c in op.coeffs])
-            pairs.append((clear_denominator(substituted, f.x_power, f.denominator), f.numerator))
+            groups.append((clear_denominator(substituted, f.x_power, f.denominator), [f.numerator]))
     else:
         raise InvalidArgumentError(f"cannot certify a {kind}")
-    for cleared, num in pairs:
-        if residual_valuation(cleared, num.nums) is not None:
+    for cleared, numerators in groups:
+        op_terms = integer_terms(cleared)
+        # no limit: the whole image must vanish
+        if any(image_below(op_terms, num.nums, math.inf)[1] for num in numerators):
             name = kind.removesuffix("_basis").replace("_", " ")
             raise InternalInvariantError(f"{name} certificate failed")
     return [None] * basis.dimension

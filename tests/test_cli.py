@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,6 +11,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import TEST_TIME_LIMIT_S, TimeLimitExceeded, operator, pol
 from mahlersolve import cli
@@ -381,6 +385,19 @@ def test_console_script_entry_point(tmp_path, running_example):
     assert json.loads(proc.stdout)["dimension"] == 1
 
 
+def test_import_leaves_out_dataclasses_and_inspect():
+    # a fresh import compiles and loads every module it reaches; the
+    # record types are NamedTuples, so neither of these is among them
+    code = "import sys, mahlersolve.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=os.path.dirname(os.path.dirname(cli.__file__)),
+    )
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
@@ -555,6 +572,113 @@ def test_dispatch_matches_the_top_level_parser(running_example_file, rat_example
     monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
     assert [_outcome(argv, capsys) for argv in argvs] == direct
     assert [code for code, _, _ in direct] == [0] * 10 + [0, 0, 2, 2, 2, 2, 0, 0, 0, 2, 2, 0, 2]
+
+
+def _token_groups(parser) -> tuple[list[list[str]], list[list[str]]]:
+    """(plain, odd): argv pieces for the subcommand `parser`, drawn from
+    its own actions.  Each plain piece sets one option to a value it
+    takes, or is one operand; the odd pieces are abbreviations, `=`
+    forms, bad and negative values, a missing value, "-", "--", -h and
+    unknown options."""
+    plain, odd = [["a.json"], ["b.json"]], [["-"], ["--"], ["-h"], ["--bogus"], [""], ["c d"]]
+    for action in parser._actions:
+        for flag in action.option_strings:
+            if flag in ("-h", "--help"):
+                continue
+            odd += [[flag[:-2]], [f"{flag}=1"], [f"{flag}="]]
+            if action.nargs == 0:
+                plain.append([flag])
+                continue
+            good = list(action.choices or (("1", "2", "12") if action.type else ("1,0", "0,1/2")))
+            for value in good:
+                plain += [[flag, value], [f"{flag}={value}"]]
+            for value in ("x", "-1", "", "-1,0", " 5", "007", good[0] + "x"):
+                odd += [[flag, value], [f"{flag}={value}"], [flag[:-1], value]]
+            odd.append([flag])
+    return plain, odd
+
+
+@st.composite
+def _argvs(draw):
+    """An argv for one subcommand: mostly a valid one (its operands and
+    required options in some order) with pieces added, dropped or
+    moved, so that valid argvs and near misses both occur often."""
+    commands = build_parser().commands
+    name = draw(st.sampled_from(sorted(commands)))
+    plain, odd = _token_groups(commands[name])
+    pieces = [["a.json"]] + [["b.json"]] * draw(st.integers(0, 1)) * (name == "gcrd")
+    for action in commands[name]._actions:
+        if action.required and action.option_strings:
+            flag = action.option_strings[0]
+            pieces.append(draw(st.sampled_from([p for p in plain if p[0].startswith(flag)])))
+    pieces = draw(st.permutations(pieces))
+    if pieces and draw(st.integers(0, 5)) == 0:
+        del pieces[draw(st.integers(0, len(pieces) - 1))]
+    for _ in range(draw(st.integers(0, 3))):
+        piece = draw(st.sampled_from(odd if draw(st.integers(0, 2)) == 0 else plain))
+        pieces.insert(draw(st.integers(0, len(pieces))), piece)
+    return [name] + [token for piece in pieces for token in piece]
+
+
+def _parsed(parse, argv):
+    """(vars of the Namespace, or the exit code; stdout; stderr) of parse(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, derandomize=True)
+@given(_argvs())
+@example(["gcrd", "a.json", "--certify", "b.json"])  # positionals split by an option
+@example(["gcrd", "--certify", "a.json", "b.json", "--format=text"])
+@example(["series", "a.json", "--cert", "--order", "3"])
+@example(["series", "a.json", "--order", "3", "--order=5", "--no-auto-normalize", "--auto-normalize"])
+@example(["series", "a.json", "--order=-1"])
+@example(["puiseux", "--ramification", "0", "a.json", "--order", "1"])
+@example(["transcendence", "a.json", "--initial", "-1,0"])
+@example(["transcendence", "a.json", "--initial=", "--oracle", "bell-coons"])
+@example(["newton", "-"])
+@example(["newton", "--", "a.json"])
+@example(["poly", "a.json", "--auto-normalize=1"])
+@example(["rational", "a.json", "b.json"])
+@example(["normalize", "--format", "text"])
+def test_token_reader_matches_argparse(argv):
+    # whatever `_parse` reads itself must be what the top-level parser
+    # reads, and whatever it hands on must fail or help the same way
+    assert _parsed(cli._parse, argv) == _parsed(build_parser().parse_args, argv)
+
+
+def test_token_reader_takes_plain_argvs():
+    # plain argvs never reach argparse; the rest always do
+    commands = build_parser().commands
+    plain = [
+        ("newton", "a.json", "--format", "text"),
+        ("series", "--order", "6", "a.json", "--certify", "--no-auto-normalize"),
+        ("series", "a.json", "--order=6", "--order", "7"),
+        ("puiseux", "a.json", "--order", "4", "--ramification=2"),
+        ("gcrd", "--certify", "a.json", "b.json", "c.json", "--format=json"),
+        ("transcendence", "a.json", "--initial", "", "--oracle", "bell-coons"),
+    ]
+    handed_on = [
+        ("gcrd", "a.json", "--certify", "b.json"),
+        ("newton", "a.json", "b.json"),
+        ("newton", "-"),
+        ("newton", "--", "a.json"),
+        ("series", "a.json", "--ord", "6"),
+        ("series", "a.json", "--order", "-1"),
+        ("series", "a.json", "--order", "x"),
+        ("series", "a.json", "--certify=1"),
+        ("series", "a.json"),
+        ("poly", "a.json", "-h"),
+        ("poly",),
+        ("transcendence", "a.json", "--initial", "1", "--oracle", "other"),
+    ]
+    assert all(commands[argv[0]].read_tokens(list(argv[1:])) is not None for argv in plain)
+    assert all(commands[argv[0]].read_tokens(list(argv[1:])) is None for argv in handed_on)
 
 
 MALFORMED = {

@@ -527,9 +527,11 @@ def _count_calls(monkeypatch, names) -> list:
 def test_recurrence_data_is_computed_once(monkeypatch, running_example):
     # phi(op), its integer terms, nu and mu are computed once per basis,
     # however many heads are prolonged; certify applies op through one
-    # integer_terms call
+    # integer_terms call, however many elements the basis has
     seen = _count_calls(monkeypatch, ("phi_apply", "mu_nu", "integer_terms", "lower_polygon"))
     lop = operator(2, X, -pol(1, 1), ONE)
+    # 1 and x both solve (x + x^2) - (1 + x + x^2) M + M^2
+    two_polys = operator(2, pol(0, 1, 1), -pol(1, 1, 1), ONE)
     cases = [
         (lambda op: series_basis(op, 30), lop, 2),
         (lambda op: series_basis(op, 30), running_example, 1),
@@ -537,6 +539,7 @@ def test_recurrence_data_is_computed_once(monkeypatch, running_example):
         (lambda op: puiseux_basis_all(op, 12), running_example, 2),
         (lambda op: puiseux_basis(op, 1, 12), running_example, 1),
         (polynomial_basis, lop, 1),
+        (polynomial_basis, two_polys, 2),
     ]
     for solve, op, dimension in cases:
         seen.clear()
