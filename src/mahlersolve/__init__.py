@@ -61,7 +61,6 @@ from .solver import (
     polynomial_solutions_bounded,
     puiseux_basis,
     puiseux_basis_all,
-    residual_valuation,
     series_basis,
 )
 from .rational import (

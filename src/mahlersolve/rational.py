@@ -225,7 +225,7 @@ def rational_basis(op: MahlerOperator, auto_normalize: bool = True) -> SolutionB
     aux = clear_denominator(op, v_bar, q_star)
 
     w = q_star.degree + 2 * v_bar + 1
-    numerators = polynomial_solutions_bounded(aux, w, auto_normalize=False).elements
+    numerators = polynomial_solutions_bounded(aux, w).elements
     return SolutionBasis(kind, _echelon(numerators, v_bar, q_star))
 
 
@@ -332,9 +332,7 @@ def _consistent_extension(
     return den, nums
 
 
-def transcendence_test(
-    op: MahlerOperator, prefix: Sequence[Fraction], auto_normalize: bool = True
-) -> TranscendenceVerdict:
+def transcendence_test(op: MahlerOperator, prefix: Sequence[Fraction]) -> TranscendenceVerdict:
     """Decide whether the series solution identified by the prefix is a
     rational function (with witness) or transcendental.
 
@@ -345,7 +343,7 @@ def transcendence_test(
     at each valuation (0 at a negative one or one past the prefix); its
     expansion is then checked against the series.
     """
-    op = solving_operator(op, auto_normalize)
+    op = solving_operator(op, True)
     den, series = _consistent_extension(op, prefix, len(prefix))
     if not any(series):
         return TranscendenceVerdict("rational", RationalFunction.constant(0), "rational-basis")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
     InternalInvariantError,
@@ -63,7 +63,12 @@ class PuiseuxSeries:
         terms: Iterable[tuple[Fraction, Fraction]],
         truncation_order: Fraction,
     ):
-        items = sorted((Fraction(e), Fraction(c)) for e, c in terms if c)
+        # repeated exponents are summed and vanishing sums dropped, as in Poly
+        acc: dict[Fraction, Fraction] = {}
+        for e, c in terms:
+            e = Fraction(e)
+            acc[e] = acc.get(e, 0) + Fraction(c)
+        items = sorted((e, c) for e, c in acc.items() if c)
         scale = math.lcm(ramification, *(e.denominator for e, _ in items))
         den = math.lcm(*(c.denominator for _, c in items))
         self.ramification = ramification
@@ -145,14 +150,12 @@ def solving_operator(op: MahlerOperator, auto_normalize: bool) -> MahlerOperator
     return normalize_l0(op)
 
 
-def approximate_series_basis(
-    op: MahlerOperator, auto_normalize: bool = True
-) -> SolutionBasis:
+def approximate_series_basis(op: MahlerOperator) -> SolutionBasis:
     """Truncations to order floor(nu)+1 of all power-series solutions.
 
     Each element extends to exactly one power-series solution.
     """
-    return series_basis(op, 0, auto_normalize)._replace(kind="approximate_series_basis")
+    return series_basis(op, 0)._replace(kind="approximate_series_basis")
 
 
 def series_basis(op: MahlerOperator, order: int, auto_normalize: bool = True) -> SolutionBasis:
@@ -168,13 +171,11 @@ def series_basis(op: MahlerOperator, order: int, auto_normalize: bool = True) ->
     )
 
 
-def polynomial_solutions_bounded(
-    op: MahlerOperator, w: int, auto_normalize: bool = True
-) -> SolutionBasis:
+def polynomial_solutions_bounded(op: MahlerOperator, w: int) -> SolutionBasis:
     """Basis of polynomial solutions of degree < w."""
     if w < 1:
         raise InvalidArgumentError(f"degree bound must be >= 1, got {w}")
-    op = solving_operator(op, auto_normalize)
+    op = solving_operator(op, True)
     kind = "polynomial_basis"
     if op.order < 1:
         return SolutionBasis(kind, ())
@@ -194,7 +195,7 @@ def polynomial_basis(op: MahlerOperator, auto_normalize: bool = True) -> Solutio
         return SolutionBasis("polynomial_basis", ())
     b, r = solving.radix, solving.order
     w = solving.degree // (b**r - b ** (r - 1)) + 1
-    return polynomial_solutions_bounded(solving, w, auto_normalize=False)
+    return polynomial_solutions_bounded(solving, w)
 
 
 def puiseux_basis(op: MahlerOperator, ramification: int, order: int) -> SolutionBasis:
@@ -269,22 +270,6 @@ def certificate_order(op: MahlerOperator, truncation_order: Fraction) -> Fractio
         c.valuation + op.radix**k * truncation_order
         for k, c in op.nonzero_coefficients()
     )
-
-
-def residual_valuation(
-    op: MahlerOperator, nums: Sequence[tuple[int, int]], scale: int = 1
-) -> Optional[Fraction]:
-    """Smallest exponent with nonzero coefficient in op applied to
-    sum(v x^(e/scale)) / den for any den, if any; `nums` holds the
-    (e, v) pairs, e and v ints, in increasing order of e."""
-    if not nums:
-        return None
-    top = max(
-        (c.degree * scale + op.radix**k * nums[-1][0] for k, c in op.nonzero_coefficients()),
-        default=0,
-    )
-    _, image = image_below(integer_terms(op), nums, top + 1, scale)
-    return Fraction(min(image), scale) if image else None
 
 
 def certify(op: MahlerOperator, basis: SolutionBasis) -> list[Optional[Fraction]]:

@@ -477,7 +477,7 @@ def rational_basis_oracle(op: MahlerOperator) -> tuple:
         lk = op.coefficient(k)
         coeffs.append(lk.shift(b * delta // (b - 1) - b**k * v_bar) * cofactor if lk else lk)
     aux = MahlerOperator(b, coeffs)
-    numerators = polynomial_solutions_bounded(aux, q_star.degree + 2 * v_bar + 1, False)
+    numerators = polynomial_solutions_bounded(aux, q_star.degree + 2 * v_bar + 1)
     return canonicalize_rational_oracle(
         [RationalFunction.make(p, v_bar, q_star) for p in numerators.elements]
     )

@@ -441,7 +441,7 @@ def test_prolong_matches_oracle_on_sparse_products():
             u = ONE + Poly([(e, F(rng.choice((-1, 1)))) for e in exps])
             factor = MahlerOperator(radix, [-u, ONE])
             op = factor if op is None else op * factor
-        heads = approximate_series_basis(op, auto_normalize=False).elements
+        heads = approximate_series_basis(op).elements
         assert heads
         for head in heads:
             out = Recurrence(op, IDENTITY_PHI).prolong((head.den, head.nums), 2500)

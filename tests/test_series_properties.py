@@ -72,3 +72,12 @@ def test_fraction_constructor_keeps_finer_exponents():
         ["1/3", "1/2"],
         ["1/2", "-3"],
     ]
+    # repeated exponents are summed, and a sum that vanishes is dropped
+    twice = PuiseuxSeries(1, [(0, 1), (0, 2)], 5)
+    assert twice.nums == ((0, 3),) and twice == PuiseuxSeries(1, [(0, 3)], 5)
+    assert basis_to_json(SolutionBasis("series_basis", (twice,)))["elements"][0]["terms"] == [
+        ["0", "3"]
+    ]
+    cancelled = PuiseuxSeries(2, [(F(1, 2), 1), (1, 4), (F(1, 2), -1)], 5)
+    assert (cancelled.scale, cancelled.den, cancelled.nums) == (2, 1, ((2, 4),))
+    assert cancelled == PuiseuxSeries(2, [(1, 4)], 5)

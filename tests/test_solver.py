@@ -50,7 +50,6 @@ from mahlersolve.solver import (
     SolutionBasis,
     puiseux_basis,
     puiseux_basis_all,
-    residual_valuation,
     series_basis,
 )
 
@@ -316,22 +315,6 @@ def test_valuation_zero_corollary():
 
 def test_certificate_order_formula(running_example):
     assert certificate_order(running_example, F(10)) == 16
-    assert residual_valuation(running_example, [(0, 1)]) is not None
-
-
-def test_residual_valuation_matches_whole_image():
-    rng = random.Random(77)
-    for _ in range(40):
-        radix = rng.choice((2, 3))
-        op = random_operator(rng, radix, rng.randint(1, 3), 6, nonzero_l0=False)
-        scale = rng.choice((1, 2, 6))
-        exps = sorted(rng.sample(range(-10, 20), rng.randint(0, 6)))
-        terms = [(F(e, scale), F(rng.choice((-2, -1, 1, 2)))) for e in exps]
-        rng.shuffle(terms)
-        image = apply_to_fractional(op, terms)
-        # the constructor sorts the terms and writes them over integers
-        s = PuiseuxSeries(1, terms, F(0))
-        assert residual_valuation(op, s.nums, s.scale) == (min(image) if image else None)
 
 
 def _power_series(coeffs):
