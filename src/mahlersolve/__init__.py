@@ -54,13 +54,11 @@ from .rmatrix import Recurrence
 from .solver import (
     PuiseuxSeries,
     SolutionBasis,
-    approximate_series_basis,
     certificate_order,
     certify,
     polynomial_basis,
     polynomial_solutions_bounded,
     puiseux_basis,
-    puiseux_basis_all,
     series_basis,
 )
 from .rational import (

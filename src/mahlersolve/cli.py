@@ -17,6 +17,7 @@ a `Terms` in one step, or one text renderer per kind of document.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -38,7 +39,23 @@ from .serialize import (
     poly_to_json,
     rational_to_json,
 )
-from .solver import certify, polynomial_basis, puiseux_basis, puiseux_basis_all, series_basis
+from .solver import certify, polynomial_basis, puiseux_basis, series_basis
+
+_READ_DIGITS = sys.get_int_max_str_digits()  # the interpreter's, for what is read
+
+
+@contextlib.contextmanager
+def _max_str_digits(limit: int):
+    """Python's limit on int <-> str digits set to `limit` (0: none) in the
+    block.  `main` lifts it, since an exact answer may have more digits than
+    its input; what is read from outside is read under `_READ_DIGITS`, since
+    int() of a 10^6-digit string takes seconds."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def _load_operator(path: str) -> MahlerOperator:
@@ -55,10 +72,10 @@ def _load_operator(path: str) -> MahlerOperator:
                     data += chunk
             finally:
                 os.close(fd)
-        doc = json.loads(data.decode())
+        with _max_str_digits(_READ_DIGITS):
+            return parse_operator(json.loads(data.decode()))
     except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    return parse_operator(doc)
 
 
 def _rational_text(doc: dict) -> str:
@@ -136,7 +153,8 @@ def _cmd_gcrd(args) -> dict:
 
 def _cmd_transcendence(args) -> dict:
     op = _load_operator(args.file)
-    prefix = [parse_fraction(tok.strip(" ")) for tok in args.initial.split(",")]
+    with _max_str_digits(_READ_DIGITS):
+        prefix = [parse_fraction(tok.strip(" ")) for tok in args.initial.split(",")]
     test = bell_coons_test if args.oracle == "bell-coons" else transcendence_test
     verdict = test(op, prefix)
     return {
@@ -225,8 +243,8 @@ def _int_at_least(low: int):
 
 def _token_reader(parser: argparse.ArgumentParser):
     """A reader, from `parser`'s own actions, of exact option strings and
-    --option=value for store, store_true and --[no-]flag actions, with type,
-    choices and required options, and one contiguous run of operands.  It
+    --option=value for store and store_true actions, with type, choices
+    and required options, and one contiguous run of operands.  It
     returns the Namespace of `parser.parse_known_args`, or None for anything
     else (-h, abbreviations, "-", "--", a value that starts with "-", a bad
     value, a leftover), which argparse then parses or rejects."""
@@ -239,10 +257,8 @@ def _token_reader(parser: argparse.ArgumentParser):
             operand = action  # each subparser has one, nargs None or "+"
         elif action.required:
             required.add(action)
-        for flag in action.option_strings:
-            if type(action) is argparse.BooleanOptionalAction:
-                options[flag] = (action, not flag.startswith("--no-"))
-            elif type(action) in stores and not action.nargs:
+        if type(action) in stores and not action.nargs:
+            for flag in action.option_strings:
                 options[flag] = (action, action.const)  # None: takes one value
 
     def read(tokens: list[str]):
@@ -287,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # subcommand name -> its parser, for `_parse`
     order = ("--order", dict(type=_int_at_least(0), required=True))
-    auto = ("--auto-normalize", dict(action=argparse.BooleanOptionalAction, default=True))
 
     def command(name, help, handler, *options, operand=("file", {}), certify=True, **defaults):
         """The subparser `name`: its operand, `options`, both as (name,
@@ -306,25 +321,20 @@ def build_parser() -> argparse.ArgumentParser:
     # (a trace wrapper, a test's monkeypatch) takes effect
     command("newton", "Newton polygons and ramification data", _cmd_newton, certify=False)
     command(
-        "series", "truncated power-series solution basis", _cmd_basis, order, auto,
-        solve=lambda op, a: series_basis(op, a.order, auto_normalize=a.auto_normalize),
+        "series", "truncated power-series solution basis", _cmd_basis, order,
+        solve=lambda op, a: series_basis(op, a.order),
     )
     command(
-        "poly", "polynomial solution basis", _cmd_basis, auto,
-        solve=lambda op, a: polynomial_basis(op, auto_normalize=a.auto_normalize),
+        "poly", "polynomial solution basis", _cmd_basis, solve=lambda op, a: polynomial_basis(op)
     )
     command(
-        "rational", "rational-function solution basis", _cmd_basis, auto,
-        solve=lambda op, a: rational_basis(op, auto_normalize=a.auto_normalize),
+        "rational", "rational-function solution basis", _cmd_basis,
+        solve=lambda op, a: rational_basis(op),
     )
     command(
         "puiseux", "ramified (Puiseux) solution basis", _cmd_basis, order,
         ("--ramification", dict(type=_int_at_least(1), default=None)),
-        solve=lambda op, a: (
-            puiseux_basis_all(op, a.order)
-            if a.ramification is None
-            else puiseux_basis(op, a.ramification, a.order)
-        ),
+        solve=lambda op, a: puiseux_basis(op, a.ramification, a.order),
     )
     command(
         "normalize", "equivalent equation with nonzero trailing coefficient", _cmd_normalize,
@@ -363,16 +373,17 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
-    try:
-        doc = args.handler(args)
-    except MahlerError as exc:
-        if args.format == "json":
-            json.dump({"error": exc.exit_code, "message": str(exc)}, sys.stderr)
-            sys.stderr.write("\n")
-        else:
-            sys.stderr.write(f"error: {exc}\n")
-        return exc.exit_code
-    print(_render(doc, args.format))
+    with _max_str_digits(0):  # the handlers read under _READ_DIGITS
+        try:
+            doc = args.handler(args)
+        except MahlerError as exc:
+            if args.format == "json":
+                json.dump({"error": exc.exit_code, "message": str(exc)}, sys.stderr)
+                sys.stderr.write("\n")
+            else:
+                sys.stderr.write(f"error: {exc}\n")
+            return exc.exit_code
+        print(_render(doc, args.format))
     return 0
 
 

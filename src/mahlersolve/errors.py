@@ -25,8 +25,7 @@ class UnsupportedEquationError(MahlerError):
 
 
 class ZeroTrailingCoefficientError(UnsupportedEquationError):
-    """The trailing coefficient is zero where a routine needs it nonzero
-    (normalize first, or enable auto-normalization)."""
+    """The trailing coefficient is zero where a routine needs it nonzero."""
 
 
 class MixedRadixError(UnsupportedEquationError):

@@ -456,11 +456,11 @@ def _root_power(p: Poly, b: int) -> Poly:
         return p
     n, c = p.nums[-1]
     a = dict(p.nums)
-    e = [1] + [a.get(n - i, 0) * c ** (i - 1) for i in range(1, n + 1)]
+    e = [a.get(n - i, 0) * c ** (i - 1) for i in range(1, n + 1)]  # e[i - 1] = e_i
     s = [n]
     for m in range(1, b * n + 1):
-        acc = m * e[m] if m <= n else 0
-        s.append(-acc - sum(e[i] * s[m - i] for i in range(1, min(m, n + 1))))
+        acc = m * e[m - 1] if m <= n else 0
+        s.append(-acc - sum(e[i - 1] * s[m - i] for i in range(1, min(m, n + 1))))
     r = [1]
     for m in range(1, n + 1):
         r.append(-sum(r[i] * s[b * (m - i)] for i in range(m)) // m)

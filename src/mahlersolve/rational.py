@@ -209,13 +209,13 @@ def denominator_bound(op: MahlerOperator) -> DenominatorBound:
     return DenominatorBound(q_star, v_bar, tuple(u_steps), u_tilde)
 
 
-def rational_basis(op: MahlerOperator, auto_normalize: bool = True) -> SolutionBasis:
+def rational_basis(op: MahlerOperator) -> SolutionBasis:
     """Basis of the rational-function solutions.
 
     The change of unknown y = p / (x^v_bar q_star) (`clear_denominator`)
     turns the problem into a bounded-degree polynomial solve for p.
     """
-    op = solving_operator(op, auto_normalize)
+    op = solving_operator(op)
     kind = "rational_basis"
     r = op.order
     if r < 1:
@@ -343,13 +343,13 @@ def transcendence_test(op: MahlerOperator, prefix: Sequence[Fraction]) -> Transc
     at each valuation (0 at a negative one or one past the prefix); its
     expansion is then checked against the series.
     """
-    op = solving_operator(op, True)
+    op = solving_operator(op)
     den, series = _consistent_extension(op, prefix, len(prefix))
     if not any(series):
         return TranscendenceVerdict("rational", RationalFunction.constant(0), "rational-basis")
     hi = len(series)
     witness = RationalFunction.constant(0)
-    for f in rational_basis(op, auto_normalize=False).elements:
+    for f in rational_basis(op).elements:
         v = f.valuation
         if 0 <= v < hi and series[v]:
             witness = witness + f.scale(Fraction(series[v], den))
@@ -363,7 +363,7 @@ def bell_coons_test(op: MahlerOperator, prefix: Sequence[Fraction]) -> Transcend
     """The Bell-Coons oracle for the same question as transcendence_test:
     extend the prefix to the series solution it identifies and decide by
     the Hankel rank; gives no witness."""
-    op = solving_operator(op, True)
+    op = solving_operator(op)
     if op.order < 1:
         # only the zero series solves l_0 y = 0; this raises otherwise
         _consistent_extension(op, prefix, len(prefix))

@@ -29,9 +29,10 @@ def _parse_ratio(text) -> tuple[int, int]:
     if not isinstance(text, str) or not _COEFF_RE.fullmatch(text):
         raise InputFormatError(f"bad coefficient {text!r}")
     num, _, den = text.partition("/")
-    if not den:
-        return int(num), 1
-    n, d = int(num), int(den)
+    try:
+        n, d = int(num), int(den or 1)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise InputFormatError(f"{len(text)}-character coefficient has too many digits") from None
     if d == 0:
         raise InputFormatError(f"zero denominator in {text!r}")
     if math.gcd(n, d) != 1:

@@ -26,7 +26,6 @@ from .errors import (
     InvalidArgumentError,
     NoAdmissibleEdgeError,
     UnsupportedEquationError,
-    ZeroTrailingCoefficientError,
 )
 from .newton import lower_polygon, ramification_bound, select_edge_for_ramification
 from .normalize import normalize_l0
@@ -137,35 +136,20 @@ class SolutionBasis(NamedTuple):
         return len(self.elements)
 
 
-def solving_operator(op: MahlerOperator, auto_normalize: bool) -> MahlerOperator:
+def solving_operator(op: MahlerOperator) -> MahlerOperator:
     """Validate the equation and make its trailing coefficient nonzero."""
     if not op:
         raise UnsupportedEquationError("zero operator")
-    if op.coefficient(0):
-        return op
-    if not auto_normalize:
-        raise ZeroTrailingCoefficientError(
-            "trailing coefficient is zero; normalize first or enable auto-normalization"
-        )
-    return normalize_l0(op)
+    return op if op.coefficient(0) else normalize_l0(op)
 
 
-def approximate_series_basis(op: MahlerOperator) -> SolutionBasis:
-    """Truncations to order floor(nu)+1 of all power-series solutions.
-
-    Each element extends to exactly one power-series solution.
-    """
-    return series_basis(op, 0)._replace(kind="approximate_series_basis")
-
-
-def series_basis(op: MahlerOperator, order: int, auto_normalize: bool = True) -> SolutionBasis:
-    """Basis of power-series solutions truncated at O(x^(order+1)).
-
-    The truncation never drops below the approximate order floor(nu)+1.
-    """
+def series_basis(op: MahlerOperator, order: int) -> SolutionBasis:
+    """Basis of power-series solutions truncated at O(x^(order+1)), never
+    below the approximate order floor(nu)+1: at order 0, each element
+    extends to exactly one power-series solution."""
     if order < 0:
         raise InvalidArgumentError(f"order must be >= 0, got {order}")
-    t, vectors = series_solutions(solving_operator(op, auto_normalize), IDENTITY_PHI, order)
+    t, vectors = series_solutions(solving_operator(op), IDENTITY_PHI, order)
     return SolutionBasis(
         "series_basis", tuple(PuiseuxSeries.from_integers(1, *v, t) for v in vectors)
     )
@@ -175,7 +159,7 @@ def polynomial_solutions_bounded(op: MahlerOperator, w: int) -> SolutionBasis:
     """Basis of polynomial solutions of degree < w."""
     if w < 1:
         raise InvalidArgumentError(f"degree bound must be >= 1, got {w}")
-    op = solving_operator(op, True)
+    op = solving_operator(op)
     kind = "polynomial_basis"
     if op.order < 1:
         return SolutionBasis(kind, ())
@@ -187,10 +171,10 @@ def polynomial_solutions_bounded(op: MahlerOperator, w: int) -> SolutionBasis:
     return SolutionBasis(kind, tuple(Poly.from_integers(*v) for v in kernel))
 
 
-def polynomial_basis(op: MahlerOperator, auto_normalize: bool = True) -> SolutionBasis:
+def polynomial_basis(op: MahlerOperator) -> SolutionBasis:
     """Basis of all polynomial solutions; the degree bound comes from the
     upper Newton polygon."""
-    solving = solving_operator(op, auto_normalize)
+    solving = solving_operator(op)
     if solving.order < 1:
         return SolutionBasis("polynomial_basis", ())
     b, r = solving.radix, solving.order
@@ -198,27 +182,17 @@ def polynomial_basis(op: MahlerOperator, auto_normalize: bool = True) -> Solutio
     return polynomial_solutions_bounded(solving, w)
 
 
-def puiseux_basis(op: MahlerOperator, ramification: int, order: int) -> SolutionBasis:
+def puiseux_basis(op: MahlerOperator, ramification: Optional[int], order: int) -> SolutionBasis:
     """Basis of solutions with exponents in (1/ramification)Z, truncated
     at O(x^(order+1)); the ramification must be coprime to the radix.
+    None: all Puiseux-series solutions, the ramification being the lcm
+    of the admissible slope denominators coprime to the radix.
 
     A right factor M^w is stripped first and the output exponents are
     rescaled by b^-w; the effective ramification is then ramification*b^w.
     """
-    if ramification < 1:
+    if ramification is not None and ramification < 1:
         raise InvalidArgumentError(f"ramification must be >= 1, got {ramification}")
-    return _puiseux(op, ramification, order)
-
-
-def puiseux_basis_all(op: MahlerOperator, order: int) -> SolutionBasis:
-    """Basis of all Puiseux-series solutions; the ramification bound is
-    the lcm of the admissible slope denominators coprime to the radix."""
-    return _puiseux(op, None, order)
-
-
-def _puiseux(op: MahlerOperator, ramification: Optional[int], order: int) -> SolutionBasis:
-    """`puiseux_basis`, or `puiseux_basis_all` when `ramification` is None:
-    one lower polygon gives both the ramification bound and the edge."""
     if not op:
         raise UnsupportedEquationError("zero operator")
     if order < 0:
@@ -283,7 +257,7 @@ def certify(op: MahlerOperator, basis: SolutionBasis) -> list[Optional[Fraction]
     rational function of x^(1/n) likewise after x -> x^n in op.
     """
     kind = basis.kind
-    if kind in ("series_basis", "approximate_series_basis", "puiseux_basis"):
+    if kind in ("series_basis", "puiseux_basis"):
         op_terms, orders = integer_terms(op), []
         for elem in basis.elements:
             bound, scale = certificate_order(op, elem.truncation_order), elem.scale

@@ -497,7 +497,7 @@ def consistent_extension_oracle(op: MahlerOperator, prefix, length: int) -> list
         head = math.floor(nu) + 1 if nu >= 0 else 0
         if len(prefix) < max(head, 1):
             raise InsufficientPrefixError(f"need at least {max(head, 1)} coefficients")
-        for elem in series_basis(op, target - 1, auto_normalize=False).elements:
+        for elem in series_basis(op, target - 1).elements:
             dense = [ZERO] * target
             for e, c in elem.terms:
                 dense[int(e)] = c

@@ -48,10 +48,9 @@ from mahlersolve.rational import (
     transcendence_test,
 )
 from mahlersolve.solver import (
-    approximate_series_basis,
     certify,
     polynomial_basis,
-    puiseux_basis_all,
+    puiseux_basis,
     series_basis,
 )
 
@@ -67,7 +66,7 @@ def report(name: str) -> None:
 def test_criterion_1_running_example_series(running_example, running_example_series):
     start = time.perf_counter()
     assert mu_nu(running_example) == (F(3), F(9))
-    approx = approximate_series_basis(running_example)
+    approx = series_basis(running_example, 0)
     assert [dense(e) for e in approx.elements] == [[F(0), F(0), F(0), F(1)]]
     basis = series_basis(running_example, 12)
     assert basis.dimension == 1
@@ -82,7 +81,7 @@ def test_criterion_2_running_example_puiseux(running_example):
     start = time.perf_counter()
     _, n = ramification_data(running_example)
     assert n == 2
-    basis = puiseux_basis_all(running_example, 5)
+    basis = puiseux_basis(running_example, None, 5)
     assert basis.dimension == 2
     ramified = [e for e in basis.elements if e.valuation == F(-1, 2)]
     assert len(ramified) == 1
@@ -182,7 +181,7 @@ def test_criterion_5_normalization(reduction_example, reduction_example_normaliz
 def test_criterion_6_one_liners():
     for radix in (2, 3):
         lop = MahlerOperator(radix, [Poly.monomial(1, -1), Poly.zero(), ONE])
-        basis = puiseux_basis_all(lop, 2)
+        basis = puiseux_basis(lop, None, 2)
         assert basis.dimension == 1
         assert basis.elements[0].terms == ((F(1, radix**2 - 1), F(1)),)
 
@@ -217,7 +216,7 @@ def test_criterion_7_sparse_stretch(sparse_stretch_example):
     ]
     _, n = ramification_data(sparse_stretch_example)
     assert n == 65
-    basis = puiseux_basis_all(sparse_stretch_example, 20000)
+    basis = puiseux_basis(sparse_stretch_example, None, 20000)
     assert basis.dimension == 2
     leading = sorted(e.terms[0][0] for e in basis.elements)
     assert leading == [F(-221, 5), F(203, 13)]
@@ -242,7 +241,7 @@ def test_criterion_7_sparse_stretch(sparse_stretch_example):
 
 def test_criterion_7_sparse_stretch_low_order(sparse_stretch_example):
     """Criterion 7 at order 1000, fast enough for every run."""
-    basis = puiseux_basis_all(sparse_stretch_example, 1000)
+    basis = puiseux_basis(sparse_stretch_example, None, 1000)
     assert basis.dimension == 2
     by_val = {e.terms[0][0]: e for e in basis.elements}
     assert [t[0] for t in by_val[F(-221, 5)].terms] == [F(-221, 5), F(1939, 5)]
@@ -268,7 +267,7 @@ def test_criterion_8a_residual_certificates():
         for elem, bound in zip(series.elements, certify(op, series)):
             assert bound >= v0 + order or elem.truncation_order > order
             series_checked += 1
-        puiseux = puiseux_basis_all(op, order)
+        puiseux = puiseux_basis(op, None, order)
         for bound in certify(op, puiseux):
             assert bound >= v0 + order
             puiseux_checked += 1
@@ -316,7 +315,7 @@ def test_criterion_8b_oracle_equivalence():
         count += 1
         length = 12
         expected = series_prefix_space(op, length)
-        approx = approximate_series_basis(op)
+        approx = series_basis(op, 0)
         got_series = series_basis(op, length - 1)
         assert same_span([dense(e) for e in got_series.elements], expected)
         assert got_series.dimension == len(expected) == approx.dimension

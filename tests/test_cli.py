@@ -357,8 +357,9 @@ def test_error_exits(run, tmp_path):
     lop = operator(2, Poly.zero(), -Poly.one(), Poly.one())
     noauto = tmp_path / "noauto.json"
     noauto.write_text(json.dumps(operator_to_json(lop)))
-    code, _, _ = run("series", str(noauto), "--order", "3", "--no-auto-normalize")
-    assert code == 3
+    with pytest.raises(SystemExit) as exited:  # no such flag: l_0 = 0 is always normalized
+        run("series", str(noauto), "--order", "3", "--no-auto-normalize")
+    assert exited.value.code == 2
     code, _, _ = run("series", str(noauto), "--order", "3")
     assert code == 0
 
@@ -571,7 +572,7 @@ def test_dispatch_matches_the_top_level_parser(running_example_file, rat_example
     direct = [_outcome(argv, capsys) for argv in argvs]
     monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
     assert [_outcome(argv, capsys) for argv in argvs] == direct
-    assert [code for code, _, _ in direct] == [0] * 10 + [0, 0, 2, 2, 2, 2, 0, 0, 0, 2, 2, 0, 2]
+    assert [code for code, _, _ in direct] == [0] * 10 + [0, 0, 2, 2, 2, 2, 0, 0, 2, 2, 2, 0, 2]
 
 
 def _token_groups(parser) -> tuple[list[list[str]], list[list[str]]]:
@@ -657,7 +658,7 @@ def test_token_reader_takes_plain_argvs():
     commands = build_parser().commands
     plain = [
         ("newton", "a.json", "--format", "text"),
-        ("series", "--order", "6", "a.json", "--certify", "--no-auto-normalize"),
+        ("series", "--order", "6", "a.json", "--certify"),
         ("series", "a.json", "--order=6", "--order", "7"),
         ("puiseux", "a.json", "--order", "4", "--ramification=2"),
         ("gcrd", "--certify", "a.json", "b.json", "c.json", "--format=json"),
@@ -672,6 +673,8 @@ def test_token_reader_takes_plain_argvs():
         ("series", "a.json", "--order", "-1"),
         ("series", "a.json", "--order", "x"),
         ("series", "a.json", "--certify=1"),
+        ("series", "--order", "6", "a.json", "--certify", "--no-auto-normalize"),
+        ("rational", "a.json", "--auto-normalize"),
         ("series", "a.json"),
         ("poly", "a.json", "-h"),
         ("poly",),
@@ -679,6 +682,67 @@ def test_token_reader_takes_plain_argvs():
     ]
     assert all(commands[argv[0]].read_tokens(list(argv[1:])) is not None for argv in plain)
     assert all(commands[argv[0]].read_tokens(list(argv[1:])) is None for argv in handed_on)
+
+
+@pytest.mark.parametrize("flag", ["--auto-normalize", "--no-auto-normalize", "--auto-normalize=1"])
+def test_normalization_has_no_switch(flag, running_example_file, capsys):
+    # an equation with l_0 = 0 is always normalized first; the switch that
+    # turned that off is gone, so its flags are unknown, whichever of the
+    # token reader and argparse reads the rest of the argv
+    for form in (("series", "--order", "3"), ("poly",), ("rational",)):
+        for rest in ((), ("--format", "text"), ("--cert",)):
+            argv = [form[0], running_example_file, *form[1:], *rest, flag]
+            code, out, err = _outcome(argv, capsys)
+            assert code == 2 and out == "", argv
+            assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+
+
+def test_integers_past_the_digit_limit_are_rejected_on_input(tmp_path, capsys):
+    # Python converts at most sys.get_int_max_str_digits() digits between
+    # int and str, and int() of a longer string takes time quadratic in
+    # its length: a longer coefficient, --initial entry or JSON number is
+    # malformed input
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    term = lambda e, c: {"radix": 2, "coefficients": [{"order": 0, "terms": [[e, c]]}]}
+    cases = {"num.json": term(0, digits), "den.json": term(0, "1/" + digits)}
+    for name, doc in cases.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    (tmp_path / "exponent.json").write_text(json.dumps(term(0, "1")).replace("[0,", f"[{digits},"))
+    argvs = [["series", str(tmp_path / name), "--order", "3"] for name in (*cases, "exponent.json")]
+    argvs += [
+        ["transcendence", str(tmp_path / "num.json"), "--initial", "1"],
+        ["transcendence", str(tmp_path / "exponent.json"), "--initial", "1", "--format", "text"],
+    ]
+    (tmp_path / "ok.json").write_text(json.dumps(operator_to_json(operator(2, pol(-1, 1), Poly.one()))))
+    argvs.append(["transcendence", str(tmp_path / "ok.json"), "--initial", f"1,{digits}"])
+    limit = sys.get_int_max_str_digits()
+    for argv in argvs:
+        code, out, err = _outcome(argv, capsys)
+        assert code == 2 and out == "", argv
+        assert "Traceback" not in err and sys.get_int_max_str_digits() == limit
+
+
+def test_integers_past_the_digit_limit_are_written_exactly(tmp_path, capsys):
+    # y(x^2) = (1 + a x) y(x) with a of 3,000 digits: the series solution
+    # 1 - a x + (a^2 - a) x^2 + (a^2 - a^3) x^3 + ... has coefficients of
+    # 6,000 and 9,000 digits, written in full in both formats
+    a = int("7" * 3000)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(operator_to_json(operator(2, -Poly([(0, 1), (1, a)]), Poly.one()))))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [["0", "1"], ["1", str(-a)], ["2", str(a * a - a)], ["3", str(a * a - a**3)]]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    code, out, err = _outcome(["series", str(path), "--order", "3", "--certify"], capsys)
+    assert (code, err) == (0, "")
+    (element,) = json.loads(out)["elements"]
+    assert element["terms"] == expected and element["truncation_order"] == "4"
+    code, out, err = _outcome(["series", str(path), "--order", "3", "--format", "text"], capsys)
+    assert (code, err) == (0, "")
+    assert all(c.lstrip("-") in out for _, c in expected[1:])
+    assert sys.get_int_max_str_digits() == limit
 
 
 MALFORMED = {
@@ -824,9 +888,7 @@ def _readme_flag_table() -> dict:
 
 def test_each_subcommand_takes_its_documented_flags():
     table = _readme_flag_table()
-    assert table["series"] == {
-        "-h", "--help", "--order", "--auto-normalize", "--no-auto-normalize", "--format", "--certify"
-    }
+    assert table["series"] == {"-h", "--help", "--order", "--format", "--certify"}
     assert "--certify" not in table["newton"] | table["normalize"] | table["transcendence"]
     for name, parser in build_parser().commands.items():
         taken = {flag for action in parser._actions for flag in action.option_strings}

@@ -266,7 +266,7 @@ def extension_operators(draw):
     one of order 0."""
     kind = draw(st.sampled_from(("equation", "equation", "random", "negative", "order 0")))
     if kind == "equation":
-        return solving_operator(draw(equations())[0], True)
+        return solving_operator(draw(equations())[0])
     radix = draw(st.sampled_from((2, 3)))
     rng = random.Random(draw(st.integers(0, 2**16)))
     if kind == "order 0":
@@ -289,7 +289,7 @@ def extension_prefixes(draw, op):
         return [F(draw(small)) for _ in range(max(head, 1) - 1)]
     prefix = [F(0)] * length
     if op.order >= 1:
-        for elem in series_basis(op, length - 1, auto_normalize=False).elements:
+        for elem in series_basis(op, length - 1).elements:
             c = F(draw(small), draw(st.integers(1, 3)))
             for e, v in elem.terms:
                 prefix[int(e)] += c * v
@@ -324,7 +324,7 @@ def test_candidate_past_the_prefix(monkeypatch, rat_example):
     for extra in (8, 11):
         fake = true_basis + (RationalFunction.make(Poly.monomial(extra), 0, ONE),)
         basis = SolutionBasis("rational_basis", fake)
-        monkeypatch.setattr(rational, "rational_basis", lambda op, auto_normalize: basis)
+        monkeypatch.setattr(rational, "rational_basis", lambda op: basis)
         got = transcendence_test(rat_example, prefix)
         assert (got.verdict, got.witness) == transcendence_oracle(rat_example, prefix, fake)
         assert got.witness == target

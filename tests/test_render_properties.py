@@ -25,7 +25,7 @@ from mahlersolve.serialize import (
     poly_to_json,
     rational_to_json,
 )
-from mahlersolve.solver import polynomial_basis, puiseux_basis_all, series_basis
+from mahlersolve.solver import polynomial_basis, puiseux_basis, series_basis
 
 strings = st.text(
     st.one_of(st.sampled_from('"\\/\n\r\t\b\f\x00\x1f\x7fé \U0001f600'), st.characters()),
@@ -123,7 +123,7 @@ def test_serializers_give_terms(running_example, rat_example):
             basis_to_json(basis)
             for basis in (
                 series_basis(running_example, 8),
-                puiseux_basis_all(running_example, 6),
+                puiseux_basis(running_example, None, 6),
                 polynomial_basis(lop),
                 rational_basis(rat_example),
                 ramified_rational_basis(operator(2, -X, Poly.zero(), ONE)),

@@ -24,13 +24,13 @@ from mahlersolve.errors import (
     InvalidArgumentError,
     MahlerError,
     UnsupportedEquationError,
-    ZeroTrailingCoefficientError,
 )
 from mahlersolve.newton import (
     lower_polygon,
     ramification_data,
     select_edge_for_ramification,
 )
+from mahlersolve.normalize import normalize_l0
 from mahlersolve.operator import MahlerOperator
 from mahlersolve.poly import Poly
 from mahlersolve.rational import (
@@ -41,7 +41,6 @@ from mahlersolve.rational import (
     transcendence_test,
 )
 from mahlersolve.solver import (
-    approximate_series_basis,
     certificate_order,
     certify,
     polynomial_basis,
@@ -49,7 +48,6 @@ from mahlersolve.solver import (
     PuiseuxSeries,
     SolutionBasis,
     puiseux_basis,
-    puiseux_basis_all,
     series_basis,
 )
 
@@ -59,12 +57,12 @@ X = Poly.x()
 
 
 def test_approximate_basis_examples(running_example):
-    basis = approximate_series_basis(running_example)
+    basis = series_basis(running_example, 0)
     assert [dense(e) for e in basis.elements] == [[F(0), F(0), F(0), F(1)]]
     # M - 2 admits no series solution: the only edge is not admissible
-    assert approximate_series_basis(operator(2, pol(-2), ONE)).dimension == 0
+    assert series_basis(operator(2, pol(-2), ONE), 0).dimension == 0
     # negative corner slope rules out series solutions outright
-    assert approximate_series_basis(operator(2, pol(-1, -1), Poly.monomial(2))).dimension == 0
+    assert series_basis(operator(2, pol(-1, -1), Poly.monomial(2)), 0).dimension == 0
 
 
 def test_series_basis_golden(running_example, running_example_series):
@@ -107,7 +105,7 @@ def test_polynomial_solutions(rat_example_transformed, running_example):
 
 
 def test_puiseux_running_example(running_example):
-    basis = puiseux_basis_all(running_example, 5)
+    basis = puiseux_basis(running_example, None, 5)
     assert basis.dimension == 2
     ramified = [e for e in basis.elements if e.valuation == F(-1, 2)]
     assert len(ramified) == 1
@@ -129,7 +127,7 @@ def test_puiseux_running_example(running_example):
 def test_puiseux_one_liners():
     for radix in (2, 3):
         lop = MahlerOperator(radix, [Poly.monomial(1, -1), Poly.zero(), ONE])
-        basis = puiseux_basis_all(lop, 2)
+        basis = puiseux_basis(lop, None, 2)
         assert basis.dimension == 1
         n = radix**2 - 1
         assert basis.elements[0].terms == ((F(1, n), F(1)),)
@@ -150,7 +148,7 @@ def test_puiseux_excludes_non_puiseux_ramification():
     # (M - x)(M - 1) annihilates x^(1/2) + x^(1/4) + ..., which is not a
     # Puiseux series; the solver must not produce b-power ramifications
     lop = operator(2, X, -pol(1, 1), ONE)
-    basis = puiseux_basis_all(lop, 4)
+    basis = puiseux_basis(lop, None, 4)
     assert basis.dimension == 2
     assert {e.valuation for e in basis.elements} == {F(0), F(1)}
     assert any(e.terms == ((F(0), F(1)),) for e in basis.elements)
@@ -160,7 +158,7 @@ def test_puiseux_positive_m_valuation():
     # M^2 - x M: stripping the right factor M gives M - x with solution x,
     # so the original has the ramified solution x^(1/2)
     lop = operator(2, Poly.zero(), -X, ONE)
-    basis = puiseux_basis_all(lop, 3)
+    basis = puiseux_basis(lop, None, 3)
     assert basis.dimension == 1
     elem = basis.elements[0]
     assert elem.terms == ((F(1, 2), F(1)),)
@@ -173,7 +171,7 @@ def test_puiseux_exponents_match_former_formula():
     # each exponent is built as one Fraction((i - ns), ramification * b^w0);
     # it must equal the former (-slope + i/ramification) / b^w0 for an
     # integer i in the prolonged range, on operators with a right factor M^w0
-    assert puiseux_basis_all(operator(2, Poly.zero(), -X, Poly.zero(), ONE), 4).elements[0].terms == (
+    assert puiseux_basis(operator(2, Poly.zero(), -X, Poly.zero(), ONE), None, 4).elements[0].terms == (
         (F(1, 6), F(1)),
     )
     rng = random.Random(2718)
@@ -209,13 +207,30 @@ def test_no_admissible_edge_flag():
     assert basis.note == "no-admissible-edge"
 
 
-def test_auto_normalization_toggle():
+def test_zero_trailing_coefficient_is_normalized_first(rat_example, reduction_example):
+    # an equation with l_0 = 0 gets the bases of its normalize_l0 form
     lop = operator(2, Poly.zero(), -ONE, ONE)  # M(M - 1)
     basis = series_basis(lop, 6)
     assert basis.dimension == 1
     assert dense(basis.elements[0])[0] == 1
-    with pytest.raises(ZeroTrailingCoefficientError):
-        series_basis(lop, 6, auto_normalize=False)
+    # M L has l_0 = 0 and the solutions of L
+    m = {b: MahlerOperator(b, [Poly.zero(), ONE]) for b in (2, 3)}
+    ops = [lop, reduction_example, m[3] * rat_example, rat_example * m[3]]
+    rng = random.Random(2024)
+    for _ in range(8):
+        b = rng.choice((2, 3))
+        ops.append(m[b] * random_series_solvable_operator(rng, b, rng.randint(1, 2)))
+        ops.append(m[b] * random_poly_solvable(rng, b, 2)[0])
+    dimensions = [0, 0, 0]
+    for op in ops:
+        assert not op.coefficient(0)
+        normalized = normalize_l0(op)
+        assert normalized.coefficient(0)
+        for i, solve in enumerate((lambda op: series_basis(op, 8), polynomial_basis, rational_basis)):
+            basis = solve(op)
+            assert basis == solve(normalized)
+            dimensions[i] += basis.dimension
+    assert all(dimensions), dimensions
 
 
 def test_series_oracle_equivalence_random():
@@ -275,9 +290,9 @@ def test_residual_certificates_random():
         for elem, order in zip(basis.elements, certify(op, basis)):
             v0 = op.coeffs[0].valuation
             assert order >= v0 + n or elem.truncation_order > n
-        puiseux = puiseux_basis_all(op, n)
+        puiseux = puiseux_basis(op, None, n)
         assert len(certify(op, puiseux)) == puiseux.dimension
-        approx = approximate_series_basis(op)
+        approx = series_basis(op, 0)
         assert certify(op, approx) == [
             certificate_order(op, e.truncation_order) for e in approx.elements
         ]
@@ -308,7 +323,7 @@ def test_valuation_zero_corollary():
         if leftmost.slope != 0 or leftmost.start[1] != 0 or not leftmost.admissible:
             continue
         found += 1
-        basis = approximate_series_basis(op2)
+        basis = series_basis(op2, 0)
         assert any(dense(e)[0] != 0 for e in basis.elements)
     assert found >= 30
 
@@ -374,7 +389,7 @@ def test_certificates_reject_perturbed_coefficients(running_example):
             else:
                 with pytest.raises(InternalInvariantError):
                     _certify_one(op, bad, "series_basis")
-        for elem in puiseux_basis_all(op, n).elements:
+        for elem in puiseux_basis(op, None, n).elements:
             # doubled on the integer form: one numerator over the same den
             nums = list(elem.nums)
             k = rng.randrange(len(nums))
@@ -450,7 +465,7 @@ def test_puiseux_argument_errors(running_example):
     with pytest.raises(UnsupportedEquationError):
         puiseux_basis(zero, 1, 5)
     with pytest.raises(UnsupportedEquationError):
-        puiseux_basis_all(zero, 5)
+        puiseux_basis(zero, None, 5)
 
 
 def test_order_and_degree_bound_errors(running_example):
@@ -465,7 +480,7 @@ def test_zero_operator_is_unsupported():
     zero = MahlerOperator(2, [])
     solves = (
         lambda: series_basis(zero, 5),
-        lambda: approximate_series_basis(zero),
+        lambda: series_basis(zero, 0),
         lambda: polynomial_basis(zero),
         lambda: polynomial_solutions_bounded(zero, 3),
         lambda: rational_basis(zero),
@@ -518,8 +533,8 @@ def test_recurrence_data_is_computed_once(monkeypatch, running_example):
     cases = [
         (lambda op: series_basis(op, 30), lop, 2),
         (lambda op: series_basis(op, 30), running_example, 1),
-        (lambda op: puiseux_basis_all(op, 12), lop, 2),
-        (lambda op: puiseux_basis_all(op, 12), running_example, 2),
+        (lambda op: puiseux_basis(op, None, 12), lop, 2),
+        (lambda op: puiseux_basis(op, None, 12), running_example, 2),
         (lambda op: puiseux_basis(op, 1, 12), running_example, 1),
         (polynomial_basis, lop, 1),
         (polynomial_basis, two_polys, 2),
