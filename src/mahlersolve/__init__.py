@@ -46,7 +46,9 @@ from .newton import (
     PolygonEdge,
     lower_polygon,
     mu_nu,
+    nu_ratio,
     ramification_data,
+    ramification_edge,
     select_edge_for_ramification,
     upper_polygon,
 )

@@ -17,7 +17,6 @@ a `Terms` in one step, or one text renderer per kind of document.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import os
@@ -44,18 +43,24 @@ from .solver import certify, polynomial_basis, puiseux_basis, series_basis
 _READ_DIGITS = sys.get_int_max_str_digits()  # the interpreter's, for what is read
 
 
-@contextlib.contextmanager
-def _max_str_digits(limit: int):
-    """Python's limit on int <-> str digits set to `limit` (0: none) in the
-    block.  `main` lifts it, since an exact answer may have more digits than
-    its input; what is read from outside is read under `_READ_DIGITS`, since
-    int() of a 10^6-digit string takes seconds."""
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
+class _max_str_digits:
+    """Python's limit on int <-> str digits set to `limit` (0: none) in a
+    `with` block, and put back however the block ends.  `main` lifts it,
+    since an exact answer may have more digits than its input; what is
+    read from outside is read under `_READ_DIGITS`, since int() of a
+    10^6-digit string takes seconds."""
+
+    __slots__ = ("limit", "saved")
+
+    def __init__(self, limit: int):
+        self.limit = limit
+
+    def __enter__(self) -> None:
+        self.saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(self.limit)
+
+    def __exit__(self, *exc) -> None:
+        sys.set_int_max_str_digits(self.saved)
 
 
 def _load_operator(path: str) -> MahlerOperator:

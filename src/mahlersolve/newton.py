@@ -4,7 +4,9 @@ Every monomial x^j M^k of an operator contributes the diagram point
 (b^k, j).  The lower (upper) polygon is the lower (upper) boundary of
 the convex hull; edge slopes encode the candidate valuations (degrees)
 of solutions.  An edge is admissible when the coefficients of the
-monomials sitting exactly on it sum to zero.
+monomials sitting exactly on it sum to zero.  Hulls, edge membership,
+admissibility and nu run on ints; a Fraction is built only where a
+slope, an intercept or mu_nu's values are read.
 """
 
 from __future__ import annotations
@@ -18,26 +20,25 @@ from .operator import MahlerOperator
 
 
 class PolygonEdge(NamedTuple):
+    """An edge from the diagram point `start` to `end`, each (b^k, j), in
+    ints; `slope` and `intercept` build their Fraction when read."""
+
     start: tuple[int, int]
     end: tuple[int, int]
-    slope: Fraction
     admissible: bool
-    # (k, exponent, coefficient) for every operator monomial on the edge
-    edge_points: tuple[tuple[int, int, Fraction], ...]
+    # (k, exponent) for every operator monomial on the edge
+    edge_points: tuple[tuple[int, int], ...]
+
+    @property
+    def slope(self) -> Fraction:
+        (u1, j1), (u2, j2) = self.start, self.end
+        return Fraction(j2 - j1, u2 - u1)
 
     @property
     def intercept(self) -> Fraction:
         """V-intercept of the supporting line."""
-        return self.start[1] - self.slope * self.start[0]
-
-
-def _column_points(op: MahlerOperator, lower: bool) -> list[tuple[int, int, int]]:
-    """One extreme point per nonzero coefficient: (k, u=b^k, j)."""
-    pts = []
-    for k, c in op.nonzero_coefficients():
-        j = c.valuation if lower else c.degree
-        pts.append((k, op.radix**k, j))
-    return pts
+        (u1, j1), (u2, j2) = self.start, self.end
+        return Fraction(j1 * u2 - j2 * u1, u2 - u1)
 
 
 def _hull(points: list[tuple[int, int]], lower: bool) -> list[tuple[int, int]]:
@@ -59,29 +60,25 @@ def _hull(points: list[tuple[int, int]], lower: bool) -> list[tuple[int, int]]:
 
 
 def _polygon(op: MahlerOperator, lower: bool) -> list[PolygonEdge]:
+    """The edges on ints: points on an edge by cross-multiplication, and
+    admissibility from the coefficients' numerators over their lcm."""
     if not op:
         raise UnsupportedEquationError("zero operator has no Newton polygon")
-    cols = _column_points(op, lower)
-    hull = _hull([(u, j) for _, u, j in cols], lower)
+    lcm = math.lcm(*(c.den for c in op.coeffs))
+    # (k, b^k, j, lcm * coefficient) of the extreme term of each coefficient
+    cols = []
+    for k, c in op.nonzero_coefficients():
+        j, v = c.nums[0] if lower else c.nums[-1]
+        cols.append((k, op.radix**k, j, v * (lcm // c.den)))
+    hull = _hull([(u, j) for _, u, j, _ in cols], lower)
     edges = []
     for (u1, j1), (u2, j2) in zip(hull, hull[1:]):
-        slope = Fraction(j2 - j1, u2 - u1)
-        on_edge = []
-        total = Fraction(0)
-        for k, u, j in cols:
-            if u1 <= u <= u2 and j1 + slope * (u - u1) == j:
-                c = op.coeffs[k].coefficient(j)
-                on_edge.append((k, j, c))
-                total += c
-        edges.append(
-            PolygonEdge(
-                start=(u1, j1),
-                end=(u2, j2),
-                slope=slope,
-                admissible=(total == 0),
-                edge_points=tuple(on_edge),
-            )
-        )
+        du, dj = u2 - u1, j2 - j1
+        on_edge = [
+            (k, j, v) for k, u, j, v in cols if u1 <= u <= u2 and (j - j1) * du == dj * (u - u1)
+        ]
+        points = tuple((k, j) for k, j, _ in on_edge)
+        edges.append(PolygonEdge((u1, j1), (u2, j2), sum(v for *_, v in on_edge) == 0, points))
     return edges
 
 
@@ -95,25 +92,35 @@ def upper_polygon(op: MahlerOperator) -> list[PolygonEdge]:
     return _polygon(op, lower=False)
 
 
-def mu_nu(op: MahlerOperator) -> tuple[Fraction, Fraction]:
-    """(nu, mu): opposite slope and V-intercept of the leftmost lower edge.
+def nu_ratio(op: MahlerOperator) -> tuple[int, int]:
+    """nu, the opposite slope of the leftmost lower edge, as (p, q): p / q
+    in lowest terms, q > 0.
 
-    nu = max over k >= 1 of (v_0 - v_k)/(b^k - 1) and mu = v_0 + nu.
-    Requires a nonzero M^0 coefficient and order >= 1.
+    nu = max over k >= 1 of (v_0 - v_k)/(b^k - 1), compared by
+    cross-multiplication.  Requires a nonzero M^0 coefficient and order
+    >= 1.
     """
     if not op:
-        raise UnsupportedEquationError("mu_nu of the zero operator")
+        raise UnsupportedEquationError("nu of the zero operator")
     if not op.coefficient(0):
-        raise ZeroTrailingCoefficientError("mu_nu needs a nonzero trailing coefficient")
+        raise ZeroTrailingCoefficientError("nu needs a nonzero trailing coefficient")
     if op.order < 1:
-        raise UnsupportedEquationError("mu_nu requires order >= 1")
+        raise UnsupportedEquationError("nu requires order >= 1")
     v0 = op.coeffs[0].valuation
-    nu = max(
-        Fraction(v0 - c.valuation, op.radix**k - 1)
-        for k, c in op.nonzero_coefficients()
-        if k >= 1
-    )
-    return nu, v0 + nu
+    p = q = None
+    for k, c in op.nonzero_coefficients()[1:]:
+        num, den = v0 - c.valuation, op.radix**k - 1
+        if q is None or num * q > p * den:
+            p, q = num, den
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+def mu_nu(op: MahlerOperator) -> tuple[Fraction, Fraction]:
+    """(nu, mu): opposite slope and V-intercept of the leftmost lower edge,
+    mu = v_0 + nu, as Fractions of `nu_ratio`'s pair."""
+    p, q = nu_ratio(op)
+    return Fraction(p, q), Fraction(p + op.coeffs[0].valuation * q, q)
 
 
 def ramification_data(op: MahlerOperator) -> tuple[set[int], int]:
@@ -128,22 +135,34 @@ def ramification_data(op: MahlerOperator) -> tuple[set[int], int]:
 
 def ramification_bound(edges: list[PolygonEdge], radix: int) -> tuple[set[int], int]:
     """`ramification_data` of an operator whose lower polygon has these edges."""
-    q_set = {e.slope.denominator for e in edges if e.admissible}
-    q_set = {q for q in q_set if math.gcd(q, radix) == 1}
+    q_set = set()
+    for edge in edges:
+        if edge.admissible:
+            (u1, j1), (u2, j2) = edge.start, edge.end
+            q = (u2 - u1) // math.gcd(j2 - j1, u2 - u1)
+            if math.gcd(q, radix) == 1:
+                q_set.add(q)
     return q_set, math.lcm(*q_set)
 
 
-def select_edge_for_ramification(
-    edges: list[PolygonEdge], ramification: int
-) -> tuple[Fraction, Fraction]:
-    """Slope and V-intercept of the rightmost admissible edge of a lower
-    polygon whose slope is an integer multiple of 1/ramification."""
+def ramification_edge(edges: list[PolygonEdge], ramification: int) -> PolygonEdge:
+    """The rightmost admissible edge of a lower polygon whose slope is an
+    integer multiple of 1/ramification."""
     chosen = None
     for edge in edges:
-        if edge.admissible and (edge.slope * ramification).denominator == 1:
+        (u1, j1), (u2, j2) = edge.start, edge.end
+        if edge.admissible and (j2 - j1) * ramification % (u2 - u1) == 0:
             chosen = edge
     if chosen is None:
         raise NoAdmissibleEdgeError(
             f"no admissible edge with slope in (1/{ramification})Z"
         )
-    return chosen.slope, chosen.intercept
+    return chosen
+
+
+def select_edge_for_ramification(
+    edges: list[PolygonEdge], ramification: int
+) -> tuple[Fraction, Fraction]:
+    """Slope and V-intercept of `ramification_edge(edges, ramification)`."""
+    edge = ramification_edge(edges, ramification)
+    return edge.slope, edge.intercept

@@ -372,14 +372,17 @@ def primitive_part(op: MahlerOperator) -> tuple[Poly, MahlerOperator]:
     """Factor op = content * primitive.
 
     The content is the monic gcd of the coefficients scaled so that the
-    primitive part has a monic leading coefficient.
+    primitive part has a monic leading coefficient.  The leading
+    coefficient n / d scales on ints: d / n times each coefficient of the
+    primitive part, n / d times the content.
     """
     if not op:
         raise UnsupportedEquationError("primitive part of the zero operator")
     g = P.gcd_all(c for c in op.coeffs if c)
     reduced = [c.exact_div(g) if c else c for c in op.coeffs]
-    lam = reduced[-1].leading_coefficient
-    if lam != 1:
-        reduced = [c.scale(1 / lam) for c in reduced]
-        g = g.scale(lam)
+    lead = reduced[-1]
+    n, d = lead.nums[-1][1], lead.den
+    if n != d:
+        reduced = [Poly.from_integers(c.den * n, [(e, v * d) for e, v in c.nums]) for c in reduced]
+        g = Poly.from_integers(g.den * d, [(e, v * n) for e, v in g.nums])
     return g, MahlerOperator(op.radix, reduced)

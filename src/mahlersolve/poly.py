@@ -121,12 +121,6 @@ class Poly:
             raise InvalidArgumentError("zero polynomial has no valuation")
         return self.nums[0][0]
 
-    @property
-    def leading_coefficient(self) -> Fraction:
-        if not self.nums:
-            raise InvalidArgumentError("zero polynomial has no leading coefficient")
-        return Fraction(self.nums[-1][1], self.den)
-
     def coefficient(self, e: int) -> Fraction:
         for exp, c in self.nums:
             if exp == e:

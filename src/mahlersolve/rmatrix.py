@@ -32,16 +32,16 @@ a positive den, n increasing.  Both kernels return (scale, pairs): the
 support and the solved coefficients over den x scale, the support alone
 when no row is left; the push's (n, num, lev) triples never leave it.
 
-A `Recurrence` is built once per (op, phi) and holds phi(op), nu, mu and
-the head length; its `integer_terms` are built on first read.  Its
-`window` is the window solve, its `prolong` extends the head of a prefix
-to the series solution it starts, for the transcendence tests of
-`rational`, and `series_solutions` runs both from one `Recurrence`.
+A `Recurrence` is built once per (op, phi) and holds phi(op), and
+floor(nu), floor(mu) and the head length as ints; its `integer_terms`
+are built on first read.  Its `window` is the window solve, its
+`prolong` extends the head of a prefix to the series solution it
+starts, for the transcendence tests of `rational`, and
+`series_solutions` runs both from one `Recurrence`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from heapq import heappop, heappush
 from itertools import combinations
@@ -55,7 +55,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .linalg import rref
-from .newton import mu_nu
+from .newton import mu_nu, nu_ratio
 from .operator import MahlerOperator, PhiTransform, image_below, integer_terms, phi_apply
 from .poly import MAX_EXPONENT, lowest_terms
 
@@ -241,21 +241,42 @@ def _ties(lines: Sequence[Term], lo: int, hi: int) -> dict[int, int]:
 
 class Recurrence:
     """The recurrence of phi(op), built once per (op, phi): the transformed
-    operator `op`, `nu` and `mu` of its lower Newton polygon, and `head` =
-    max(floor(nu) + 1, 0), the number of coefficients that fix a series
-    solution.  phi(op) needs order >= 1 and a nonzero trailing
-    coefficient, as `mu_nu` does.  `integer_terms` is built on first
-    read, so an operator with nu < 0 that solves nothing never builds it.
+    operator `op`, the ints `nu_floor` and `mu_floor`, floor(nu) and
+    floor(mu) of its lower Newton polygon, and `head` = max(floor(nu) + 1,
+    0), the number of coefficients that fix a series solution.  phi(op)
+    needs order >= 1 and a nonzero trailing coefficient, as `nu_ratio`
+    does.  `nu` and `mu`, read as Fractions, come from `mu_nu` on each
+    read.  `integer_terms` is built on first read, so an operator with
+    nu < 0 that solves nothing never builds it.
     """
 
-    def __init__(self, op: MahlerOperator, phi: PhiTransform):
-        self.op = phi_apply(op, phi)
-        self.nu, self.mu = mu_nu(self.op)
-        self.head = max(math.floor(self.nu) + 1, 0)
+    __slots__ = ("op", "nu_floor", "mu_floor", "head", "_terms")
 
-    @functools.cached_property
+    def __init__(self, op: MahlerOperator, phi: PhiTransform):
+        self.op = op = phi_apply(op, phi)
+        p, q = nu_ratio(op)
+        self.nu_floor = p // q
+        # mu = v(l_0) + nu with v(l_0) an int
+        self.mu_floor = op.coeffs[0].valuation + self.nu_floor
+        self.head = max(self.nu_floor + 1, 0)
+        self._terms = None
+
+    @property
+    def nu(self):
+        """nu as a Fraction."""
+        return mu_nu(self.op)[0]
+
+    @property
+    def mu(self):
+        """mu as a Fraction."""
+        return mu_nu(self.op)[1]
+
+    @property
     def integer_terms(self) -> tuple[int, list[Term]]:
-        return integer_terms(self.op)
+        terms = self._terms
+        if terms is None:
+            terms = self._terms = integer_terms(self.op)
+        return terms
 
     def window(self, h: int, width: int, orientation: str) -> tuple[tuple[int, tuple], ...]:
         """Basis of {y of degree < width : phi(op) y = 0 mod x^h}.
@@ -307,7 +328,7 @@ class Recurrence:
         # where the kernels' first position floor(nu) + 1 may be negative
         if not support:
             return 1, ()
-        _, residual = image_below(self.integer_terms, support, math.floor(self.mu) + 1)
+        _, residual = image_below(self.integer_terms, support, self.mu_floor + 1)
         if residual:
             bad = min(residual)
             raise InconsistentPrefixError(
@@ -368,7 +389,7 @@ def _prolong(rec: Recurrence, den: int, support: Sequence, extra: int) -> tuple:
     # Scaled by L, row m reads d y_{m - v(l_0)} + (sum of c y_n over the
     # other terms) = 0; the trailing term d x^v(l_0) of l_0 comes first.
     (_, tv0, d), *terms = rec.integer_terms[1]
-    mu_floor = math.floor(rec.mu)
+    mu_floor = rec.mu_floor
 
     top = mu_floor + extra
     # Row j + b^k n reads y_n through the term c x^j M^k and determines
@@ -400,10 +421,10 @@ def series_solutions(op: MahlerOperator, phi: PhiTransform, top: int) -> tuple[i
     if op.order < 1:
         return 0, ()
     rec = Recurrence(op, phi)
-    if rec.nu < 0:
+    if rec.nu_floor < 0:
         return 0, ()
     t = max(top + 1, rec.head)
     if t > MAX_EXPONENT:
         raise ExponentOverflowError(f"truncation order {t} exceeds {MAX_EXPONENT}")
-    heads = _window(rec, math.floor(rec.mu) + 1, rec.head, 1)
+    heads = _window(rec, rec.mu_floor + 1, rec.head, 1)
     return t, tuple(_prolong(rec, *head, t - rec.head) for head in heads)

@@ -7,7 +7,10 @@ the Newton polygon, solve the window, and, for series-like output,
 extend each basis element; `rmatrix.series_solutions` does both from one
 `rmatrix.Recurrence`, the polynomial solver solves the window of another,
 `certify` applies op through one `integer_terms`, and nothing is kept
-between calls.  Vectors pass as (den, pairs), the nonzero coefficients
+between calls.  The window parameters are ints: the chosen edge's ends
+give the Puiseux shift and gamma, and a truncation order or certified
+order is an int whenever it is integral, a Fraction otherwise.  Vectors
+pass as (den, pairs), the nonzero coefficients
 only, as integer numerators over one denominator, so the cost follows
 the size of the answer, not the window width or the truncation order; a
 `Poly` or `PuiseuxSeries` keeps that form through `certify`
@@ -27,7 +30,7 @@ from .errors import (
     NoAdmissibleEdgeError,
     UnsupportedEquationError,
 )
-from .newton import lower_polygon, ramification_bound, select_edge_for_ramification
+from .newton import lower_polygon, ramification_bound, ramification_edge
 from .normalize import normalize_l0
 from .operator import (
     IDENTITY_PHI,
@@ -41,10 +44,17 @@ from .poly import Poly, lowest_terms
 from .rmatrix import Recurrence, series_solutions
 
 
+def _exact(num: int, den: int):
+    """num / den (den > 0): an int when den divides num, else a Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
 class PuiseuxSeries:
     """Finitely many terms c x^e with e in (1/ramification)Z, exponents
     strictly increasing, truncated at O(x^truncation_order).  A power
-    series is the case ramification = 1.
+    series is the case ramification = 1.  The truncation order is an int
+    when it is integral and a Fraction otherwise.
 
     Stored like a `Poly`: `scale` is the least multiple of the
     ramification in whose units every exponent is an integer, and the
@@ -60,7 +70,7 @@ class PuiseuxSeries:
         self,
         ramification: int,
         terms: Iterable[tuple[Fraction, Fraction]],
-        truncation_order: Fraction,
+        truncation_order,
     ):
         # repeated exponents are summed and vanishing sums dropped, as in Poly
         acc: dict[Fraction, Fraction] = {}
@@ -77,7 +87,8 @@ class PuiseuxSeries:
             (e.numerator * (scale // e.denominator), c.numerator * (den // c.denominator))
             for e, c in items
         )
-        self.truncation_order = Fraction(truncation_order)
+        t = Fraction(truncation_order)
+        self.truncation_order = t.numerator if t.denominator == 1 else t
         self._terms = tuple(items)
 
     @classmethod
@@ -86,15 +97,17 @@ class PuiseuxSeries:
         ramification: int,
         den: int,
         nums: Iterable[tuple[int, int]],
-        truncation_order: Fraction,
+        truncation_order,
     ) -> "PuiseuxSeries":
         """nums / den from a nonzero int den and (e, int) pairs, e in
         units of 1/ramification and strictly increasing, the ints
-        nonzero; common factors are divided out."""
+        nonzero; common factors are divided out.  The truncation order is
+        an int or a Fraction."""
         s = cls.__new__(cls)
         s.ramification = s.scale = ramification
         s.den, s.nums = lowest_terms(den, nums)
-        s.truncation_order = Fraction(truncation_order)
+        t = truncation_order
+        s.truncation_order = t.numerator if t.denominator == 1 else t
         s._terms = None
         return s
 
@@ -164,7 +177,7 @@ def polynomial_solutions_bounded(op: MahlerOperator, w: int) -> SolutionBasis:
     if op.order < 1:
         return SolutionBasis(kind, ())
     rec = Recurrence(op, IDENTITY_PHI)
-    if rec.nu < 0:
+    if rec.nu_floor < 0:
         return SolutionBasis(kind, ())
     h = op.degree + (w - 1) * op.radix**op.order + 1
     kernel = rec.window(h, w, "upper")
@@ -214,19 +227,22 @@ def puiseux_basis(op: MahlerOperator, ramification: Optional[int], order: int) -
         _, ramification = ramification_bound(edges, op.radix)
     out_ram = ramification * op.radix**w0
     try:
-        slope, intercept = select_edge_for_ramification(edges, ramification)
+        edge = ramification_edge(edges, ramification)
     except NoAdmissibleEdgeError:
         return SolutionBasis(kind, (), note="no-admissible-edge")
 
-    ns, nc = slope * ramification, intercept * ramification
-    if ns.denominator != 1 or nc.denominator != 1:
+    # shift = slope * ramification and gamma = intercept * ramification,
+    # from the ends (u1, j1) and (u2, j2) of the edge: gamma = j1 *
+    # ramification - shift * u1 is an int whenever shift is
+    (u1, j1), (u2, j2) = edge.start, edge.end
+    shift, rem = divmod((j2 - j1) * ramification, u2 - u1)
+    if rem:
         raise InternalInvariantError("edge data is not integral for the chosen ramification")
-    shift = int(ns)
-    phi = PhiTransform(-shift, ramification, int(nc))
+    phi = PhiTransform(-shift, ramification, j1 * ramification - shift * u1)
     # like series_basis, never cut an element below the window head
     t, vectors = series_solutions(op, phi, shift + ramification * order)
-    trunc = Fraction(t - shift, out_ram)
-    # coefficient i carries the exponent (-slope + i/ramification)/b^w0 = (i - ns)/out_ram
+    trunc = _exact(t - shift, out_ram)
+    # coefficient i carries the exponent (-slope + i/ramification)/b^w0 = (i - shift)/out_ram
     elements = tuple(
         PuiseuxSeries.from_integers(out_ram, den, [(i - shift, c) for i, c in pairs], trunc)
         for den, pairs in vectors
@@ -237,13 +253,14 @@ def puiseux_basis(op: MahlerOperator, ramification: Optional[int], order: int) -
 # -- residual certificates -----------------------------------------------------
 
 
-def certificate_order(op: MahlerOperator, truncation_order: Fraction) -> Fraction:
+def certificate_order(op: MahlerOperator, truncation_order):
     """Largest order to which the image of a truncation is trustworthy:
-    a truncated solution satisfies the equation modulo x^(this value)."""
-    return min(
-        c.valuation + op.radix**k * truncation_order
-        for k, c in op.nonzero_coefficients()
-    )
+    a truncated solution satisfies the equation modulo x^(this value).
+    An int or Fraction truncation order gives an int when the value is
+    integral and a Fraction otherwise."""
+    n, d = truncation_order.numerator, truncation_order.denominator
+    top = min(c.valuation * d + op.radix**k * n for k, c in op.nonzero_coefficients())
+    return _exact(top, d)
 
 
 def certify(op: MahlerOperator, basis: SolutionBasis) -> list[Optional[Fraction]]:
@@ -261,7 +278,8 @@ def certify(op: MahlerOperator, basis: SolutionBasis) -> list[Optional[Fraction]
         op_terms, orders = integer_terms(op), []
         for elem in basis.elements:
             bound, scale = certificate_order(op, elem.truncation_order), elem.scale
-            _, image = image_below(op_terms, elem.nums, math.ceil(bound * scale), scale)
+            limit = -(-bound.numerator * scale // bound.denominator)  # ceil(bound * scale)
+            _, image = image_below(op_terms, elem.nums, limit, scale)
             if image:
                 val = Fraction(min(image), scale)
                 raise InternalInvariantError(f"residual has a term of exponent {val} below {bound}")

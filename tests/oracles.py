@@ -282,6 +282,53 @@ def candidate_degrees(op: MahlerOperator) -> set[Fraction]:
     return {-e.slope for e in upper_polygon(op) if e.admissible}
 
 
+def _hull_oracle(points: list[tuple[int, int]], lower: bool) -> list[tuple[int, int]]:
+    """Vertices of the lower (upper) hull of points with distinct u, by gift
+    wrapping on Fraction slopes: from each vertex the next one is, among
+    the points to its right, the one of least (greatest) slope, the
+    farthest one on a tie."""
+    hull = [min(points)]
+    while True:
+        u0, j0 = hull[-1]
+        right = [(Fraction(j - j0, u - u0), (u, j)) for u, j in points if u > u0]
+        if not right:
+            return hull
+        best = (min if lower else max)(slope for slope, _ in right)
+        hull.append(max(p for slope, p in right if slope == best))
+
+
+def newton_oracle(op: MahlerOperator) -> dict:
+    """The `newton` subcommand's JSON document, on Fractions: each edge's
+    slope, and its admissibility from the Fraction coefficients of the
+    diagram points on its line; nu and mu the opposite slope and the
+    V-intercept of the leftmost lower edge; Q and N from the slopes'
+    denominators."""
+    doc = {"kind": "newton"}
+    for side, lower in (("lower", True), ("upper", False)):
+        points = {}  # (b^k, exponent) -> coefficient of the extreme term of l_k
+        for k, c in op.nonzero_coefficients():
+            j = c.valuation if lower else c.degree
+            points[(op.radix**k, j)] = c.coefficient(j)
+        hull = _hull_oracle(list(points), lower)
+        edges = []
+        for (u1, j1), (u2, j2) in zip(hull, hull[1:]):
+            slope = Fraction(j2 - j1, u2 - u1)
+            on_line = [
+                c for (u, j), c in points.items() if u1 <= u <= u2 and j == j1 + slope * (u - u1)
+            ]
+            edge = {"from": [u1, j1], "to": [u2, j2], "slope": str(slope)}
+            edges.append({**edge, "admissible": sum(on_line) == 0})
+        doc[side] = edges
+    if op.coefficient(0) and op.order >= 1:
+        first = doc["lower"][0]
+        slope = Fraction(first["slope"])
+        u1, j1 = first["from"]
+        slopes = [Fraction(e["slope"]) for e in doc["lower"] if e["admissible"]]
+        q_set = {s.denominator for s in slopes if math.gcd(s.denominator, op.radix) == 1}
+        doc.update(nu=str(-slope), mu=str(j1 - slope * u1), Q=sorted(q_set), N=math.lcm(*q_set))
+    return doc
+
+
 def kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     reduced, pivots = eliminate(rows)
     pivot_set = set(pivots)

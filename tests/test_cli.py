@@ -272,12 +272,14 @@ def test_argument_ranges(argv, message, running_example_file, capsys):
 
 def test_puiseux_invariant_exit(run, running_example_file, monkeypatch):
     # an edge whose data is not integral for the ramification is a bug:
-    # exit 5 with a message, not a traceback
+    # exit 5 with a message, not a traceback; this edge has slope 1/3 and
+    # intercept 0
     from mahlersolve import solver
+    from mahlersolve.newton import PolygonEdge
 
-    monkeypatch.setattr(
-        solver, "select_edge_for_ramification", lambda op, q: (F(1, 3), F(0))
-    )
+    edge = PolygonEdge(start=(3, 1), end=(6, 2), admissible=True, edge_points=())
+    assert (edge.slope, edge.intercept) == (F(1, 3), F(0))
+    monkeypatch.setattr(solver, "ramification_edge", lambda edges, q: edge)
     code, _, err = run("puiseux", running_example_file, "--order", "5", "--ramification", "1")
     assert code == 5
     assert "not integral" in json.loads(err)["message"]
@@ -464,6 +466,31 @@ def test_no_unused_module_names():
         private = [n for n in private if n.startswith("_") and not n.startswith("__")]
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         offenders += [(name, n) for n in imported + private if n not in read]
+    assert offenders == []
+
+
+def test_no_generator_context_managers_or_cached_properties():
+    # after gc.collect(), each pure-Python stdlib layer a request enters
+    # is slow: a @contextlib.contextmanager guard costs about twice a
+    # slotted class with __enter__ and __exit__, and a
+    # functools.cached_property about three times a plain property over a
+    # slot, so the library uses neither
+    package = os.path.dirname(cli.__file__)
+    offenders = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                offenders += [(name, a.name) for a in node.names if a.name == "contextlib"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "contextlib":
+                offenders.append((name, "contextlib"))
+            elif isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+                word = getattr(node, "id", None) or getattr(node, "attr", None) or node.name
+                if word == "cached_property":
+                    offenders.append((name, word))
     assert offenders == []
 
 
@@ -743,6 +770,28 @@ def test_integers_past_the_digit_limit_are_written_exactly(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert all(c.lstrip("-") in out for _, c in expected[1:])
     assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("target", ["series_basis", "parse_operator"])
+def test_digit_limit_is_restored_after_an_unexpected_error(
+    target, running_example_file, monkeypatch
+):
+    # main lifts Python's int/str digit limit around the handler and reads
+    # the operator under the interpreter's own; an exception that is no
+    # MahlerError, raised by the solver or inside the reading guard, still
+    # leaves the limit as main found it
+    def broken(*args):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli, target, broken)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit + 1000)
+    try:
+        with pytest.raises(RuntimeError, match="unexpected"):
+            main(["series", running_example_file, "--order", "3"])
+        assert sys.get_int_max_str_digits() == limit + 1000
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 MALFORMED = {

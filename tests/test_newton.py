@@ -1,10 +1,18 @@
+import contextlib
+import io
+import json
+import os
 import random
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import operator, pol, random_operator
-from oracles import candidate_degrees, candidate_valuations
+from oracles import candidate_degrees, candidate_valuations, newton_oracle
+from mahlersolve.cli import main
 from mahlersolve.errors import (
     NoAdmissibleEdgeError,
     UnsupportedEquationError,
@@ -19,6 +27,7 @@ from mahlersolve.newton import (
 )
 from mahlersolve.operator import MahlerOperator
 from mahlersolve.poly import Poly
+from mahlersolve.serialize import operator_to_json
 
 F = Fraction
 ONE = Poly.one()
@@ -121,9 +130,10 @@ def test_polygon_invariants_random():
             for edge in upper:
                 line = edge.start[1] + edge.slope * (u - edge.start[0])
                 assert c.degree <= line or u < edge.start[0] or u > edge.end[0]
-        # admissible edge coefficients sum to zero exactly
+        # admissible edge coefficients sum to zero exactly; edge_points
+        # holds the (k, exponent) of each monomial on the edge
         for edge in lower:
-            total = sum((coeff for _, _, coeff in edge.edge_points), F(0))
+            total = sum((op.coeffs[k].coefficient(j) for k, j in edge.edge_points), F(0))
             assert (total == 0) == edge.admissible
         # valuation bounds from the hull
         v0 = op.coeffs[0].valuation
@@ -145,3 +155,72 @@ def test_supporting_lines_hold_globally():
         for edge in upper_polygon(op):
             for k, c in op.nonzero_coefficients():
                 assert c.degree <= edge.intercept + edge.slope * 2**k
+
+
+_COEFFICIENTS = st.sampled_from([F(1), F(-1), F(1, 2), F(-1, 2)])
+
+
+@st.composite
+def _newton_operators(draw) -> MahlerOperator:
+    """Radix 2 or 3, order 0 to 3, up to three terms per coefficient of
+    degree at most 10.  Coefficients in +-1 and +-1/2 cancel on an edge
+    often, three points as 1/2 + 1/2 - 1 included: of the 150
+    derandomized examples, 34 have an admissible lower edge and 12 a
+    ramification bound N > 1.  Every coefficient but the leading one may
+    be zero, l_0 included."""
+    radix, order = draw(st.integers(2, 3)), draw(st.integers(0, 3))
+    terms = st.dictionaries(st.integers(0, 10), _COEFFICIENTS, max_size=3)
+    coeffs = [draw(terms) for _ in range(order)]
+    coeffs.append(draw(terms.filter(bool)))
+    return MahlerOperator(radix, [Poly(c.items()) for c in coeffs])
+
+
+def _newton_text(doc: dict) -> str:
+    """The text form of a `newton` document."""
+    lines = []
+    for side in ("lower", "upper"):
+        lines.append(f"{side} polygon:")
+        for e in doc[side]:
+            verdict = "admissible" if e["admissible"] else "not admissible"
+            lines.append(f"  {e['from']} -> {e['to']}  slope {e['slope']}  {verdict}")
+    if "nu" in doc:
+        lines.append(f"nu = {doc['nu']}, mu = {doc['mu']}, Q = {doc['Q']}, N = {doc['N']}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150)
+@given(_newton_operators())
+def test_newton_command_matches_hull_oracle(op):
+    # the polygons, admissibility, nu/mu and Q, N run on ints; both
+    # output formats must equal what gift wrapping on Fraction slopes
+    # gives, and so must the Fractions the library hands its callers
+    expected = newton_oracle(op)
+    outputs = []
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "op.json")
+        with open(path, "w") as fh:
+            json.dump(operator_to_json(op), fh)
+        for fmt in ("json", "text"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["newton", path, "--format", fmt]) == 0
+            outputs.append(out.getvalue())
+    assert json.loads(outputs[0]) == expected
+    assert outputs[1] == _newton_text(expected)
+    lower = lower_polygon(op)
+    for edge, want in zip(lower, expected["lower"]):
+        (u1, j1), slope = edge.start, F(want["slope"])
+        assert (edge.slope, edge.intercept) == (slope, j1 - slope * u1)
+    if "nu" in expected:
+        assert mu_nu(op) == (F(expected["nu"]), F(expected["mu"]))
+        assert ramification_data(op) == (set(expected["Q"]), expected["N"])
+        n = expected["N"]
+        fits = [
+            e for e in expected["lower"] if e["admissible"] and (F(e["slope"]) * n).denominator == 1
+        ]
+        if fits:
+            slope, (u1, j1) = F(fits[-1]["slope"]), fits[-1]["from"]
+            assert select_edge_for_ramification(lower, n) == (slope, j1 - slope * u1)
+        else:
+            with pytest.raises(NoAdmissibleEdgeError):
+                select_edge_for_ramification(lower, n)

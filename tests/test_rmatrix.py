@@ -452,13 +452,21 @@ def test_prolong_matches_oracle_on_sparse_products():
 def test_prolong_invariant_check_matches_oracle(monkeypatch, running_example):
     # An understated mu makes prolongation rows read coefficients they
     # are meant to determine; both forms must notice on the same inputs.
+    # The Recurrence keeps floor(mu) as the int `mu_floor`; the oracle
+    # reads mu from mu_nu.
     shift = [0]
 
     def shifted_mu_nu(op):
         nu, mu = mu_nu(op)
         return nu, mu - shift[0]
 
-    monkeypatch.setattr(rmatrix, "mu_nu", shifted_mu_nu)
+    init = Recurrence.__init__
+
+    def understated(rec, op, phi):
+        init(rec, op, phi)
+        rec.mu_floor -= shift[0]
+
+    monkeypatch.setattr(Recurrence, "__init__", understated)
     monkeypatch.setattr(oracles, "mu_nu", shifted_mu_nu)
 
     def raises(fn, op, approx, extra):

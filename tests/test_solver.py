@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
+    count_fraction_arithmetic,
     dense,
     operator,
     pol,
@@ -502,6 +504,28 @@ def test_ramification_must_be_coprime_to_the_radix():
         assert puiseux_basis(op, 3, 4).kind == "puiseux_basis"
 
 
+def test_solvers_build_no_fraction(monkeypatch, running_example):
+    # the window parameters come from the Newton polygon on ints, and a
+    # truncation or certified order that is integral is an int: the
+    # series, Puiseux at ramification 1 and polynomial solvers and their
+    # certificates build no Fraction and compute with none, on the
+    # running example and on a sparse product of two factors M - u
+    u = Poly.from_integers(1, [(0, 1), (2000, -1), (3100, 1)])
+    v = Poly.from_integers(1, [(0, 1), (2500, 1), (4000, -1)])
+    product = MahlerOperator(2, [-u, ONE]) * MahlerOperator(2, [-v, ONE])
+    calls = count_fraction_arithmetic(monkeypatch)
+    dimensions, orders = [], []
+    for op, order in ((running_example, 40), (product, 5000)):
+        for basis in (series_basis(op, order), puiseux_basis(op, 1, order), polynomial_basis(op)):
+            orders += certify(op, basis)
+            dimensions.append(basis.dimension)
+    monkeypatch.undo()
+    assert calls == Counter()
+    assert dimensions == [1, 1, 0, 1, 1, 0]
+    assert orders == [47, 47, 5001, 5001]
+    assert all(type(order) is int for order in orders)
+
+
 def _count_calls(monkeypatch, names) -> list:
     """Wrap the functions `names` wherever the solver and the recurrence
     module call them; returns the list of (name, first argument, result)
@@ -523,10 +547,12 @@ def _count_calls(monkeypatch, names) -> list:
 
 
 def test_recurrence_data_is_computed_once(monkeypatch, running_example):
-    # phi(op), its integer terms, nu and mu are computed once per basis,
-    # however many heads are prolonged; certify applies op through one
-    # integer_terms call, however many elements the basis has
-    seen = _count_calls(monkeypatch, ("phi_apply", "mu_nu", "integer_terms", "lower_polygon"))
+    # phi(op), its integer terms and nu, on ints, are computed once per
+    # basis, however many heads are prolonged, and mu_nu's Fractions are
+    # never built; certify applies op through one integer_terms call,
+    # however many elements the basis has
+    wrapped = ("phi_apply", "mu_nu", "nu_ratio", "integer_terms", "lower_polygon")
+    seen = _count_calls(monkeypatch, wrapped)
     lop = operator(2, X, -pol(1, 1), ONE)
     # 1 and x both solve (x + x^2) - (1 + x + x^2) M + M^2
     two_polys = operator(2, pol(0, 1, 1), -pol(1, 1, 1), ONE)
@@ -544,7 +570,7 @@ def test_recurrence_data_is_computed_once(monkeypatch, running_example):
         basis = solve(op)
         assert basis.dimension == dimension
         names = [name for name, _, _ in seen]
-        expected = ["phi_apply", "mu_nu", "integer_terms"]
+        expected = ["phi_apply", "nu_ratio", "integer_terms"]
         if basis.kind == "puiseux_basis":
             expected.insert(0, "lower_polygon")
         assert names == expected
@@ -564,4 +590,4 @@ def test_recurrence_data_is_computed_once(monkeypatch, running_example):
     for solve in solvers:
         seen.clear()
         solve(negative)
-        assert [name for name, _, _ in seen] == ["phi_apply", "mu_nu"]
+        assert [name for name, _, _ in seen] == ["phi_apply", "nu_ratio"]
