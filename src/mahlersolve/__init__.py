@@ -45,11 +45,9 @@ from .operator import (
 from .newton import (
     PolygonEdge,
     lower_polygon,
-    mu_nu,
     nu_ratio,
     ramification_data,
     ramification_edge,
-    select_edge_for_ramification,
     upper_polygon,
 )
 from .rmatrix import Recurrence

@@ -23,7 +23,6 @@ import os
 import sys
 
 from .errors import InputFormatError, MahlerError
-from .newton import lower_polygon, mu_nu, ramification_bound, upper_polygon
 from .normalize import certify_gcrd, gcrd_raw, normalize_l0_raw
 from .operator import MahlerOperator, primitive_part
 from .poly import format_terms
@@ -31,10 +30,10 @@ from .rational import bell_coons_test, rational_basis, transcendence_test
 from .serialize import (
     Terms,
     basis_to_json,
-    edge_to_json,
+    newton_to_json,
     operator_to_json,
-    parse_fraction,
     parse_operator,
+    parse_prefix,
     poly_to_json,
     rational_to_json,
 )
@@ -124,18 +123,7 @@ def _cmd_basis(args) -> dict:
 
 
 def _cmd_newton(args) -> dict:
-    op = _load_operator(args.file)
-    lower = lower_polygon(op)
-    doc = {
-        "kind": "newton",
-        "lower": [edge_to_json(e) for e in lower],
-        "upper": [edge_to_json(e) for e in upper_polygon(op)],
-    }
-    if op.coefficient(0) and op.order >= 1:
-        nu, mu = mu_nu(op)
-        q_set, n = ramification_bound(lower, op.radix)
-        doc.update(nu=str(nu), mu=str(mu), Q=sorted(q_set), N=n)
-    return doc
+    return newton_to_json(_load_operator(args.file))
 
 
 def _operator_doc(kind: str, content, primitive: MahlerOperator) -> dict:
@@ -159,7 +147,7 @@ def _cmd_gcrd(args) -> dict:
 def _cmd_transcendence(args) -> dict:
     op = _load_operator(args.file)
     with _max_str_digits(_READ_DIGITS):
-        prefix = [parse_fraction(tok.strip(" ")) for tok in args.initial.split(",")]
+        prefix = parse_prefix(args.initial)
     test = bell_coons_test if args.oracle == "bell-coons" else transcendence_test
     verdict = test(op, prefix)
     return {

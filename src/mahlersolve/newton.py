@@ -5,14 +5,13 @@ Every monomial x^j M^k of an operator contributes the diagram point
 the convex hull; edge slopes encode the candidate valuations (degrees)
 of solutions.  An edge is admissible when the coefficients of the
 monomials sitting exactly on it sum to zero.  Hulls, edge membership,
-admissibility and nu run on ints; a Fraction is built only where a
-slope, an intercept or mu_nu's values are read.
+admissibility, nu and the edge a ramification selects run on ints, and
+the module builds no Fraction.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import NoAdmissibleEdgeError, UnsupportedEquationError, ZeroTrailingCoefficientError
@@ -21,24 +20,14 @@ from .operator import MahlerOperator
 
 class PolygonEdge(NamedTuple):
     """An edge from the diagram point `start` to `end`, each (b^k, j), in
-    ints; `slope` and `intercept` build their Fraction when read."""
+    ints: its slope is (j2 - j1) / (u2 - u1) for start (u1, j1) and end
+    (u2, j2), u1 < u2."""
 
     start: tuple[int, int]
     end: tuple[int, int]
     admissible: bool
     # (k, exponent) for every operator monomial on the edge
     edge_points: tuple[tuple[int, int], ...]
-
-    @property
-    def slope(self) -> Fraction:
-        (u1, j1), (u2, j2) = self.start, self.end
-        return Fraction(j2 - j1, u2 - u1)
-
-    @property
-    def intercept(self) -> Fraction:
-        """V-intercept of the supporting line."""
-        (u1, j1), (u2, j2) = self.start, self.end
-        return Fraction(j1 * u2 - j2 * u1, u2 - u1)
 
 
 def _hull(points: list[tuple[int, int]], lower: bool) -> list[tuple[int, int]]:
@@ -97,8 +86,9 @@ def nu_ratio(op: MahlerOperator) -> tuple[int, int]:
     in lowest terms, q > 0.
 
     nu = max over k >= 1 of (v_0 - v_k)/(b^k - 1), compared by
-    cross-multiplication.  Requires a nonzero M^0 coefficient and order
-    >= 1.
+    cross-multiplication.  mu, the V-intercept of that edge, is
+    v(l_0) + nu = (p + v(l_0) q) / q, also in lowest terms.  Requires a
+    nonzero M^0 coefficient and order >= 1.
     """
     if not op:
         raise UnsupportedEquationError("nu of the zero operator")
@@ -114,13 +104,6 @@ def nu_ratio(op: MahlerOperator) -> tuple[int, int]:
             p, q = num, den
     g = math.gcd(p, q)
     return p // g, q // g
-
-
-def mu_nu(op: MahlerOperator) -> tuple[Fraction, Fraction]:
-    """(nu, mu): opposite slope and V-intercept of the leftmost lower edge,
-    mu = v_0 + nu, as Fractions of `nu_ratio`'s pair."""
-    p, q = nu_ratio(op)
-    return Fraction(p, q), Fraction(p + op.coeffs[0].valuation * q, q)
 
 
 def ramification_data(op: MahlerOperator) -> tuple[set[int], int]:
@@ -158,11 +141,3 @@ def ramification_edge(edges: list[PolygonEdge], ramification: int) -> PolygonEdg
             f"no admissible edge with slope in (1/{ramification})Z"
         )
     return chosen
-
-
-def select_edge_for_ramification(
-    edges: list[PolygonEdge], ramification: int
-) -> tuple[Fraction, Fraction]:
-    """Slope and V-intercept of `ramification_edge(edges, ramification)`."""
-    edge = ramification_edge(edges, ramification)
-    return edge.slope, edge.intercept

@@ -28,11 +28,9 @@ from .errors import (
 from .linalg import independent, rref
 from .newton import ramification_data
 from .operator import IDENTITY_PHI, MahlerOperator, PhiTransform, clear_denominator, phi_apply
-from .poly import Poly, graeffe, lcm_orbit, mahler_substitute, residue_sections
+from .poly import Poly, graeffe, lcm_orbit, lowest_terms, mahler_substitute, residue_sections
 from .rmatrix import Recurrence
 from .solver import SolutionBasis, polynomial_solutions_bounded, solving_operator
-
-_ZERO = Fraction(0)
 
 
 class RationalFunction(NamedTuple):
@@ -70,7 +68,6 @@ class RationalFunction(NamedTuple):
 
     @classmethod
     def constant(cls, c) -> "RationalFunction":
-        c = Fraction(c)
         if not c:
             return cls(Poly.zero(), 0, Poly.one())
         return cls(Poly.monomial(0, c), 0, Poly.one())
@@ -82,7 +79,7 @@ class RationalFunction(NamedTuple):
         return self.numerator.valuation - self.x_power
 
     def scale(self, c) -> "RationalFunction":
-        if not Fraction(c):
+        if not c:
             return RationalFunction.constant(0)
         return RationalFunction.make(
             self.numerator.scale(c), self.x_power, self.denominator
@@ -94,29 +91,24 @@ class RationalFunction(NamedTuple):
         num = self.numerator * db + other.numerator * da
         return RationalFunction.make(num, 0, da * db)
 
-    def laurent_coefficients(self, lo: int, hi: int) -> list[Fraction]:
-        """Exact expansion coefficients for exponents lo..hi-1."""
-        if hi <= lo:
-            return []
-        if not self.numerator:
-            return [_ZERO] * (hi - lo)
-        # numerator/denominator is a power series; shift by x_power.
-        length = hi + self.x_power
-        if length <= 0:
-            return [_ZERO] * (hi - lo)
+    def laurent_coefficients(self, lo: int, hi: int) -> tuple[int, list[int]]:
+        """The exact expansion coefficients for exponents lo..hi-1 as
+        (den, nums): int numerators over one positive den, in lowest
+        terms."""
+        # x^e is the term e + x_power of the power series numerator/denominator
+        first, length = lo + self.x_power, hi + self.x_power
+        if not self.numerator or length <= max(first, 0):
+            return 1, [0] * max(hi - lo, 0)
         num, den = self.numerator, self.denominator
         ints = _power_series_div(num, den, length)
+        # term n is t_n den.den / (d0^(n+1) num.den), so its numerator over
+        # d0^length num.den is t_n den.den d0^(length-1-n)
         d0 = den.nums[0][1]
-        series = []
-        power = 1  # d0^(n+1)
-        for t in ints:
-            power *= d0
-            series.append(Fraction(t * den.den, power * num.den) if t else _ZERO)
-        out = []
-        for e in range(lo, hi):
-            idx = e + self.x_power
-            out.append(series[idx] if 0 <= idx < length else _ZERO)
-        return out
+        nums = [
+            ints[n] * den.den * d0 ** (length - 1 - n) if n >= 0 else 0 for n in range(first, length)
+        ]
+        common, pairs = lowest_terms(d0**length * num.den, enumerate(nums))
+        return common, [v for _, v in pairs]
 
     def __str__(self) -> str:
         den_parts = []
@@ -298,7 +290,7 @@ class TranscendenceVerdict(NamedTuple):
 
 
 def _consistent_extension(
-    op: MahlerOperator, prefix: Sequence[Fraction], length: int
+    op: MahlerOperator, prefix: Sequence[int | Fraction], length: int
 ) -> tuple[int, list[int]]:
     """The series solution that starts with the prefix, to
     max(length, len(prefix)) coefficients, as (den, nums): int
@@ -332,7 +324,9 @@ def _consistent_extension(
     return den, nums
 
 
-def transcendence_test(op: MahlerOperator, prefix: Sequence[Fraction]) -> TranscendenceVerdict:
+def transcendence_test(
+    op: MahlerOperator, prefix: Sequence[int | Fraction]
+) -> TranscendenceVerdict:
     """Decide whether the series solution identified by the prefix is a
     rational function (with witness) or transcendental.
 
@@ -353,13 +347,15 @@ def transcendence_test(op: MahlerOperator, prefix: Sequence[Fraction]) -> Transc
         v = f.valuation
         if 0 <= v < hi and series[v]:
             witness = witness + f.scale(Fraction(series[v], den))
-    expansion = witness.laurent_coefficients(0, hi)
-    if any(c.numerator * den != n * c.denominator for c, n in zip(expansion, series)):
+    exp_den, expansion = witness.laurent_coefficients(0, hi)
+    if any(c * den != n * exp_den for c, n in zip(expansion, series)):
         return TranscendenceVerdict("transcendental", None, "rational-basis")
     return TranscendenceVerdict("rational", witness, "rational-basis")
 
 
-def bell_coons_test(op: MahlerOperator, prefix: Sequence[Fraction]) -> TranscendenceVerdict:
+def bell_coons_test(
+    op: MahlerOperator, prefix: Sequence[int | Fraction]
+) -> TranscendenceVerdict:
     """The Bell-Coons oracle for the same question as transcendence_test:
     extend the prefix to the series solution it identifies and decide by
     the Hankel rank; gives no witness."""
@@ -396,7 +392,7 @@ def bell_coons_dimensions(op: MahlerOperator) -> tuple[int, int]:
     return kappa, bound
 
 
-def bell_coons_rank(op: MahlerOperator, series: Sequence[Fraction]) -> bool:
+def bell_coons_rank(op: MahlerOperator, series: Sequence[int | Fraction]) -> bool:
     """Hankel-rank transcendence test: True means transcendental.
 
     Needs at least kappa + bound + 1 coefficients of a true series

@@ -55,7 +55,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .linalg import rref
-from .newton import mu_nu, nu_ratio
+from .newton import nu_ratio
 from .operator import MahlerOperator, PhiTransform, image_below, integer_terms, phi_apply
 from .poly import MAX_EXPONENT, lowest_terms
 
@@ -245,8 +245,7 @@ class Recurrence:
     floor(mu) of its lower Newton polygon, and `head` = max(floor(nu) + 1,
     0), the number of coefficients that fix a series solution.  phi(op)
     needs order >= 1 and a nonzero trailing coefficient, as `nu_ratio`
-    does.  `nu` and `mu`, read as Fractions, come from `mu_nu` on each
-    read.  `integer_terms` is built on first read, so an operator with
+    does.  `integer_terms` is built on first read, so an operator with
     nu < 0 that solves nothing never builds it.
     """
 
@@ -260,16 +259,6 @@ class Recurrence:
         self.mu_floor = op.coeffs[0].valuation + self.nu_floor
         self.head = max(self.nu_floor + 1, 0)
         self._terms = None
-
-    @property
-    def nu(self):
-        """nu as a Fraction."""
-        return mu_nu(self.op)[0]
-
-    @property
-    def mu(self):
-        """mu as a Fraction."""
-        return mu_nu(self.op)[1]
 
     @property
     def integer_terms(self) -> tuple[int, list[Term]]:

@@ -7,6 +7,12 @@ return the pairs of a polynomial or a series as `Terms`.
 
 Operator document: {"radix": b, "coefficients": [{"order": k, "terms":
 <poly fragment>}, ...]} with omitted orders meaning zero.
+
+Transcendence prefix: comma-separated coefficients, each read as an int
+when it is integral and as a Fraction otherwise.
+
+Newton document: both polygons, each edge with its slope, and nu, mu,
+Q and N, all written from the ints of `newton`.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import re
 from fractions import Fraction
 
 from .errors import ExponentOverflowError, InputFormatError
-from .newton import PolygonEdge
+from .newton import PolygonEdge, lower_polygon, nu_ratio, ramification_bound, upper_polygon
 from .operator import MahlerOperator
 from .poly import MAX_EXPONENT, Poly
 from .solver import PuiseuxSeries, SolutionBasis
@@ -40,8 +46,14 @@ def _parse_ratio(text) -> tuple[int, int]:
     return n, d
 
 
-def parse_fraction(text) -> Fraction:
-    return Fraction(*_parse_ratio(text))
+def parse_prefix(text: str) -> list[int | Fraction]:
+    """The entries of a comma-separated prefix, spaces around each one
+    stripped: an int for an integral entry, else a Fraction."""
+    prefix = []
+    for token in text.split(","):
+        n, d = _parse_ratio(token.strip(" "))
+        prefix.append(n if d == 1 else Fraction(n, d))
+    return prefix
 
 
 def _ratio(num: int, den: int) -> str:
@@ -165,10 +177,28 @@ def basis_to_json(basis: SolutionBasis) -> dict:
     return doc
 
 
-def edge_to_json(edge: PolygonEdge) -> dict:
+def _edge_to_json(edge: PolygonEdge) -> dict:
+    (u1, j1), (u2, j2) = edge.start, edge.end
     return {
-        "from": list(edge.start),
-        "to": list(edge.end),
-        "slope": str(edge.slope),
+        "from": [u1, j1],
+        "to": [u2, j2],
+        "slope": _ratio(j2 - j1, u2 - u1),
         "admissible": edge.admissible,
     }
+
+
+def newton_to_json(op: MahlerOperator) -> dict:
+    """The Newton document of op; nu, mu, Q and N only for order >= 1 and
+    a nonzero trailing coefficient."""
+    lower = lower_polygon(op)
+    doc = {
+        "kind": "newton",
+        "lower": [_edge_to_json(e) for e in lower],
+        "upper": [_edge_to_json(e) for e in upper_polygon(op)],
+    }
+    if op.coefficient(0) and op.order >= 1:
+        p, q = nu_ratio(op)
+        q_set, n = ramification_bound(lower, op.radix)
+        mu = p + op.coeffs[0].valuation * q
+        doc.update(nu=_ratio(p, q), mu=_ratio(mu, q), Q=sorted(q_set), N=n)
+    return doc

@@ -34,7 +34,7 @@ from mahlersolve.errors import (
     UnsupportedEquationError,
     ZeroTrailingCoefficientError,
 )
-from mahlersolve.newton import lower_polygon, mu_nu, upper_polygon
+from mahlersolve.newton import lower_polygon, upper_polygon
 from mahlersolve.operator import MahlerOperator, PhiTransform, phi_apply
 from mahlersolve.poly import Poly, graeffe, lcm, mahler_substitute, poly_sections
 
@@ -270,16 +270,28 @@ def alt_denominator_bound(op: MahlerOperator) -> Poly:
     return result.monic()
 
 
+def edge_slope(edge) -> Fraction:
+    """The slope of a `PolygonEdge`, from its ends."""
+    (u1, j1), (u2, j2) = edge.start, edge.end
+    return Fraction(j2 - j1, u2 - u1)
+
+
+def laurent(f, lo: int, hi: int) -> list[Fraction]:
+    """`f.laurent_coefficients(lo, hi)` as Fractions."""
+    den, nums = f.laurent_coefficients(lo, hi)
+    return [Fraction(v, den) for v in nums]
+
+
 def candidate_valuations(op: MahlerOperator) -> set[Fraction]:
     """Possible valuations of Puiseux-series solutions: the opposites of
     the slopes of admissible lower edges."""
-    return {-e.slope for e in lower_polygon(op) if e.admissible}
+    return {-edge_slope(e) for e in lower_polygon(op) if e.admissible}
 
 
 def candidate_degrees(op: MahlerOperator) -> set[Fraction]:
     """Possible top exponents of finite solutions, reported raw; callers
     filter for nonnegative integers when looking for polynomials."""
-    return {-e.slope for e in upper_polygon(op) if e.admissible}
+    return {-edge_slope(e) for e in upper_polygon(op) if e.admissible}
 
 
 def _hull_oracle(points: list[tuple[int, int]], lower: bool) -> list[tuple[int, int]]:
@@ -327,6 +339,12 @@ def newton_oracle(op: MahlerOperator) -> dict:
         q_set = {s.denominator for s in slopes if math.gcd(s.denominator, op.radix) == 1}
         doc.update(nu=str(-slope), mu=str(j1 - slope * u1), Q=sorted(q_set), N=math.lcm(*q_set))
     return doc
+
+
+def nu_mu_oracle(op: MahlerOperator) -> tuple[Fraction, Fraction]:
+    """(nu, mu) of `newton_oracle`, as Fractions."""
+    doc = newton_oracle(op)
+    return Fraction(doc["nu"]), Fraction(doc["mu"])
 
 
 def kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
@@ -417,7 +435,7 @@ def prolong_oracle(
     """Prolongation row by row: every row from floor(mu)+1 on determines
     one coefficient, pulled from all operator terms, zero or not."""
     transformed = phi_apply(op, phi)
-    nu, mu = mu_nu(transformed)
+    nu, mu = nu_mu_oracle(transformed)
     if len(approx) != math.floor(nu) + 1:
         raise ValueError("approximate solution has the wrong length")
     mu_floor = math.floor(mu)
@@ -474,11 +492,11 @@ def canonicalize_rational_oracle(elements) -> tuple:
     while work:
         work.sort(key=lambda f: f.valuation)
         head = work.pop(0)
-        head = head.scale(1 / head.laurent_coefficients(head.valuation, head.valuation + 1)[0])
+        head = head.scale(1 / laurent(head, head.valuation, head.valuation + 1)[0])
         reduced = []
         for f in work:
             if f.valuation == head.valuation:
-                c = f.laurent_coefficients(f.valuation, f.valuation + 1)[0]
+                c = laurent(f, f.valuation, f.valuation + 1)[0]
                 g = f + head.scale(-c)
                 if g.numerator:
                     reduced.append(g)
@@ -490,7 +508,7 @@ def canonicalize_rational_oracle(elements) -> tuple:
     for i in range(len(done)):
         for j in range(i + 1, len(done)):
             pv = done[j].valuation
-            c = done[i].laurent_coefficients(pv, pv + 1)[0]
+            c = laurent(done[i], pv, pv + 1)[0]
             if c:
                 done[i] = done[i] + done[j].scale(-c)
     return tuple(done)
@@ -540,7 +558,7 @@ def consistent_extension_oracle(op: MahlerOperator, prefix, length: int) -> list
     target = max(length, len(prefix))
     expanded = []
     if op.order >= 1:
-        nu, _ = mu_nu(op)
+        nu, _ = nu_mu_oracle(op)
         head = math.floor(nu) + 1 if nu >= 0 else 0
         if len(prefix) < max(head, 1):
             raise InsufficientPrefixError(f"need at least {max(head, 1)} coefficients")
@@ -570,7 +588,7 @@ def transcendence_oracle(op: MahlerOperator, prefix, candidates) -> tuple:
         return "transcendental", None
     lo = min(0, min(f.valuation for f in candidates))
     hi = len(series)
-    expansions = [f.laurent_coefficients(lo, hi) for f in candidates]
+    expansions = [laurent(f, lo, hi) for f in candidates]
     rhs = [ZERO] * -lo + series
     rows = [[exp[i] for exp in expansions] for i in range(hi - lo)]
     combo = solve_oracle(rows, rhs)

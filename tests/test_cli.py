@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,6 @@ from mahlersolve import cli
 from mahlersolve.cli import build_parser, main
 from mahlersolve.poly import Poly
 from mahlersolve.serialize import operator_to_json
-
-F = Fraction
 
 
 @pytest.fixture()
@@ -252,6 +251,77 @@ def test_transcendence_head_breaks_a_relation_row(run, tmp_path, running_example
         assert json.loads(err)["message"] == "prefix extends to no series solution"
 
 
+def _fractions_built(monkeypatch) -> Counter:
+    """Count every Fraction built from now on under the innermost
+    `mahlersolve` function that builds it, as "module.function"."""
+    built = Counter()
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame and not frame.f_globals.get("__name__", "").startswith("mahlersolve."):
+            frame = frame.f_back
+        if frame:
+            module = frame.f_globals["__name__"].removeprefix("mahlersolve.")
+            built[f"{module}.{frame.f_code.co_name}"] += 1
+        else:
+            built["outside mahlersolve"] += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    return built
+
+
+def test_requests_on_integers_build_no_fraction(
+    run, monkeypatch, tmp_path, running_example, rat_example, reduction_example
+):
+    # on integer input with integral orders no subcommand builds a
+    # Fraction; a transcendence request builds one only for a prefix
+    # entry that is not integral and for each scale factor of a witness
+    g = operator(2, -Poly.one(), Poly.one())
+    ops = {
+        "running": running_example,
+        "rat": rat_example,
+        "reduction": reduction_example,
+        "a": operator(2, -Poly.x(), Poly.one()) * g,
+        "b": operator(2, pol(0, 0, 1), Poly.one()) * g,
+        "two_polys": operator(2, pol(0, 1, 1), -pol(1, 1, 1), Poly.one()),
+        "lop": operator(2, Poly.x(), -pol(1, 1), Poly.one()),
+    }
+    files = {}
+    for name, op in ops.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        with open(files[name], "w") as fh:
+            json.dump(operator_to_json(op), fh)
+    requests = [
+        ("newton", files["running"]),
+        ("normalize", files["reduction"]),
+        ("gcrd", files["a"], files["b"], "--certify"),
+        ("series", files["running"], "--order", "12", "--certify"),
+        ("puiseux", files["rat"], "--order", "5", "--certify"),
+        ("poly", files["two_polys"], "--certify"),
+        ("rational", files["rat"], "--certify"),
+    ]
+    built = _fractions_built(monkeypatch)
+    for argv in requests:
+        code, out, _ = run(*argv)
+        assert (argv[0], code, built) == (argv[0], 0, Counter())
+    # 1/(x^2 - x - 1) + 3/(2x - 1) solves rat_example; its witness sums
+    # the two basis elements, of valuations 0 and 1, scaled by -4 and -5
+    scale = "rational.transcendence_test"
+    cases = [
+        ("lop", "0,1,1,0,1", "transcendental", []),
+        ("lop", "1,0,0,0,0", "rational", [scale]),
+        ("rat", "-4,-5,-14,-21,-53,-88,-205,-363", "rational", [scale, scale]),
+        ("lop", "3/2,0,0", "rational", ["serialize.parse_prefix", scale]),
+    ]
+    for name, prefix, verdict, want in cases:
+        built.clear()
+        code, out, _ = run("transcendence", files[name], f"--initial={prefix}")
+        assert (code, json.loads(out)["verdict"], built) == (0, verdict, Counter(want))
+    monkeypatch.undo()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -278,7 +348,6 @@ def test_puiseux_invariant_exit(run, running_example_file, monkeypatch):
     from mahlersolve.newton import PolygonEdge
 
     edge = PolygonEdge(start=(3, 1), end=(6, 2), admissible=True, edge_points=())
-    assert (edge.slope, edge.intercept) == (F(1, 3), F(0))
     monkeypatch.setattr(solver, "ramification_edge", lambda edges, q: edge)
     code, _, err = run("puiseux", running_example_file, "--order", "5", "--ramification", "1")
     assert code == 5
@@ -430,6 +499,9 @@ def test_calls_in_a_row_match_calls_alone(run, running_example_file, tmp_path):
 
 
 def test_no_private_cross_module_imports():
+    # no module reads another module's _private name, imported by name
+    # (`from .poly import _raw`) or read off an imported module
+    # (`P._raw` after `from . import poly as P`, or `import mahlersolve.poly`)
     package = os.path.dirname(cli.__file__)
     offenders = []
     for name in sorted(os.listdir(package)):
@@ -437,9 +509,19 @@ def test_no_private_cross_module_imports():
             continue
         with open(os.path.join(package, name)) as fh:
             tree = ast.parse(fh.read())
+        modules = set()  # the local names bound to mahlersolve modules
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("mahlersolve")):
                 offenders += [(name, a.name) for a in node.names if a.name.startswith("_")]
+                if node.module in (None, "mahlersolve"):
+                    modules |= {a.asname or a.name for a in node.names}
+            elif isinstance(node, ast.Import):
+                modules |= {a.asname or a.name for a in node.names if a.name.startswith("mahlersolve")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.endswith("__"):
+                owner = ast.unparse(node.value)
+                if owner in modules or owner.startswith("mahlersolve."):
+                    offenders.append((name, f"{owner}.{node.attr}"))
     assert offenders == []
 
 

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import operator, pol, random_operator
-from oracles import candidate_degrees, candidate_valuations, newton_oracle
+from oracles import (
+    candidate_degrees,
+    candidate_valuations,
+    edge_slope,
+    newton_oracle,
+    nu_mu_oracle,
+)
 from mahlersolve.cli import main
 from mahlersolve.errors import (
     NoAdmissibleEdgeError,
@@ -20,9 +26,9 @@ from mahlersolve.errors import (
 )
 from mahlersolve.newton import (
     lower_polygon,
-    mu_nu,
+    nu_ratio,
     ramification_data,
-    select_edge_for_ramification,
+    ramification_edge,
     upper_polygon,
 )
 from mahlersolve.operator import MahlerOperator
@@ -37,11 +43,11 @@ X = Poly.x()
 def test_running_example_polygons(running_example):
     lower = lower_polygon(running_example)
     assert [(e.start, e.end) for e in lower] == [((1, 6), (3, 0)), ((3, 0), (9, 3))]
-    assert [e.slope for e in lower] == [F(-3), F(1, 2)]
+    assert [edge_slope(e) for e in lower] == [F(-3), F(1, 2)]
     assert all(e.admissible for e in lower)
     upper = upper_polygon(running_example)
     assert [(e.start, e.end) for e in upper] == [((1, 37), (3, 40)), ((3, 40), (9, 19))]
-    assert [e.slope for e in upper] == [F(3, 2), F(-7, 2)]
+    assert [edge_slope(e) for e in upper] == [F(3, 2), F(-7, 2)]
 
 
 def test_candidate_sets(running_example, rat_example_transformed):
@@ -54,7 +60,7 @@ def test_candidate_sets(running_example, rat_example_transformed):
     lower = lower_polygon(msq)
     assert len(lower) == 1
     assert lower[0].start == (1, 1) and lower[0].end == (4, 0)
-    assert lower[0].slope == F(-1, 3) and lower[0].admissible
+    assert edge_slope(lower[0]) == F(-1, 3) and lower[0].admissible
     assert candidate_valuations(msq) == {F(1, 3)}
     # non-admissible edge gives no candidates
     assert candidate_valuations(operator(2, pol(0, -2), ONE)) == set()
@@ -63,22 +69,29 @@ def test_candidate_sets(running_example, rat_example_transformed):
 
 
 def test_mu_nu(running_example):
-    assert mu_nu(running_example) == (F(3), F(9))
-    assert mu_nu(operator(2, -ONE, ONE)) == (F(0), F(0))
-    assert mu_nu(operator(2, X, -pol(1, 1), ONE)) == (F(1), F(2))
+    # nu as a reduced pair, beside the oracle's nu and mu = v(l_0) + nu
+    cases = [
+        (running_example, (3, 1), (F(3), F(9))),
+        (operator(2, -ONE, ONE), (0, 1), (F(0), F(0))),
+        (operator(2, X, -pol(1, 1), ONE), (1, 1), (F(1), F(2))),
+        (operator(2, -X, Poly.zero(), ONE), (1, 3), (F(1, 3), F(4, 3))),
+    ]
+    for op, ratio, nu_mu in cases:
+        assert nu_ratio(op) == ratio
+        assert nu_mu_oracle(op) == nu_mu
     with pytest.raises(ZeroTrailingCoefficientError):
-        mu_nu(operator(2, Poly.zero(), ONE))
+        nu_ratio(operator(2, Poly.zero(), ONE))
     with pytest.raises(UnsupportedEquationError):
-        mu_nu(operator(2, ONE))
+        nu_ratio(operator(2, ONE))
     with pytest.raises(UnsupportedEquationError, match="zero operator"):
-        mu_nu(MahlerOperator.zero(2))
+        nu_ratio(MahlerOperator.zero(2))
 
 
 def test_ramification_data(running_example, sparse_stretch_example):
     assert ramification_data(running_example) == ({1, 2}, 2)
     q_set, n = ramification_data(sparse_stretch_example)
     assert q_set == {1, 5, 13} and n == 65
-    slopes = [e.slope for e in lower_polygon(sparse_stretch_example)]
+    slopes = [edge_slope(e) for e in lower_polygon(sparse_stretch_example)]
     assert slopes == [F(-203, 13), F(-3), F(0), F(1, 1458), F(221, 5)]
     assert all(e.admissible for e in lower_polygon(sparse_stretch_example))
     assert ramification_data(operator(2, -X, Poly.zero(), ONE)) == ({3}, 3)
@@ -99,12 +112,14 @@ def test_zero_operator_has_no_diagram_or_polygon():
 
 
 def test_select_edge(running_example, sparse_stretch_example):
-    assert select_edge_for_ramification(lower_polygon(running_example), 2) == (F(1, 2), F(-3, 2))
-    assert select_edge_for_ramification(lower_polygon(running_example), 1) == (F(-3), F(9))
-    s, c = select_edge_for_ramification(lower_polygon(sparse_stretch_example), 65)
-    assert s == F(221, 5) and 65 * c == -6283186
+    lower = lower_polygon(running_example)
+    assert ramification_edge(lower, 2) == lower[1]
+    assert ramification_edge(lower, 1) == lower[0]
+    edge = ramification_edge(lower_polygon(sparse_stretch_example), 65)
+    (u1, j1), s = edge.start, edge_slope(edge)
+    assert s == F(221, 5) and 65 * (j1 - s * u1) == -6283186
     with pytest.raises(NoAdmissibleEdgeError):
-        select_edge_for_ramification(lower_polygon(operator(2, pol(0, -2), ONE)), 1)
+        ramification_edge(lower_polygon(operator(2, pol(0, -2), ONE)), 1)
 
 
 def test_polygon_invariants_random():
@@ -117,18 +132,18 @@ def test_polygon_invariants_random():
         assert len(lower) <= op.order and len(upper) <= op.order
         # slopes strictly increase (lower) / decrease (upper)
         for a, b in zip(lower, lower[1:]):
-            assert a.slope < b.slope
+            assert edge_slope(a) < edge_slope(b)
         for a, b in zip(upper, upper[1:]):
-            assert a.slope > b.slope
+            assert edge_slope(a) > edge_slope(b)
         # every diagram point lies on or above each lower edge line,
         # on or below each upper edge line
         for k, c in op.nonzero_coefficients():
             u = radix**k
             for edge in lower:
-                line = edge.start[1] + edge.slope * (u - edge.start[0])
+                line = edge.start[1] + edge_slope(edge) * (u - edge.start[0])
                 assert c.valuation >= line or u < edge.start[0] or u > edge.end[0]
             for edge in upper:
-                line = edge.start[1] + edge.slope * (u - edge.start[0])
+                line = edge.start[1] + edge_slope(edge) * (u - edge.start[0])
                 assert c.degree <= line or u < edge.start[0] or u > edge.end[0]
         # admissible edge coefficients sum to zero exactly; edge_points
         # holds the (k, exponent) of each monomial on the edge
@@ -151,10 +166,10 @@ def test_supporting_lines_hold_globally():
         op = random_operator(rng, 2, 3, 6)
         for edge in lower_polygon(op):
             for k, c in op.nonzero_coefficients():
-                assert c.valuation >= edge.intercept + edge.slope * 2**k
+                assert c.valuation >= edge.start[1] + edge_slope(edge) * (2**k - edge.start[0])
         for edge in upper_polygon(op):
             for k, c in op.nonzero_coefficients():
-                assert c.degree <= edge.intercept + edge.slope * 2**k
+                assert c.degree <= edge.start[1] + edge_slope(edge) * (2**k - edge.start[0])
 
 
 _COEFFICIENTS = st.sampled_from([F(1), F(-1), F(1, 2), F(-1, 2)])
@@ -193,7 +208,7 @@ def _newton_text(doc: dict) -> str:
 def test_newton_command_matches_hull_oracle(op):
     # the polygons, admissibility, nu/mu and Q, N run on ints; both
     # output formats must equal what gift wrapping on Fraction slopes
-    # gives, and so must the Fractions the library hands its callers
+    # gives, and so must nu_ratio and the edge ramification_edge picks
     expected = newton_oracle(op)
     outputs = []
     with tempfile.TemporaryDirectory() as directory:
@@ -208,19 +223,17 @@ def test_newton_command_matches_hull_oracle(op):
     assert json.loads(outputs[0]) == expected
     assert outputs[1] == _newton_text(expected)
     lower = lower_polygon(op)
-    for edge, want in zip(lower, expected["lower"]):
-        (u1, j1), slope = edge.start, F(want["slope"])
-        assert (edge.slope, edge.intercept) == (slope, j1 - slope * u1)
     if "nu" in expected:
-        assert mu_nu(op) == (F(expected["nu"]), F(expected["mu"]))
+        nu = F(expected["nu"])
+        assert nu_ratio(op) == (nu.numerator, nu.denominator)
         assert ramification_data(op) == (set(expected["Q"]), expected["N"])
         n = expected["N"]
         fits = [
             e for e in expected["lower"] if e["admissible"] and (F(e["slope"]) * n).denominator == 1
         ]
         if fits:
-            slope, (u1, j1) = F(fits[-1]["slope"]), fits[-1]["from"]
-            assert select_edge_for_ramification(lower, n) == (slope, j1 - slope * u1)
+            edge = ramification_edge(lower, n)
+            assert [list(edge.start), list(edge.end)] == [fits[-1]["from"], fits[-1]["to"]]
         else:
             with pytest.raises(NoAdmissibleEdgeError):
-                select_edge_for_ramification(lower, n)
+                ramification_edge(lower, n)

@@ -19,7 +19,7 @@ from conftest import (
     recurrence_row,
 )
 import oracles
-from oracles import entry_oracle, prolong_oracle
+from oracles import edge_slope, entry_oracle, nu_mu_oracle, prolong_oracle
 from mahlersolve.errors import (
     ExponentOverflowError,
     InconsistentPrefixError,
@@ -27,7 +27,7 @@ from mahlersolve.errors import (
     InvalidArgumentError,
 )
 from mahlersolve import rmatrix
-from mahlersolve.newton import lower_polygon, mu_nu, select_edge_for_ramification
+from mahlersolve.newton import lower_polygon, ramification_edge
 from mahlersolve.operator import (
     IDENTITY_PHI,
     MahlerOperator,
@@ -138,7 +138,7 @@ def _coeffs(pairs, length):
 
 def test_solve_prescribed_running_example(running_example):
     rec = Recurrence(running_example, IDENTITY_PHI)
-    basis = rec.window(int(rec.mu) + 1, int(rec.nu) + 1, "lower")
+    basis = rec.window(rec.mu_floor + 1, rec.nu_floor + 1, "lower")
     assert basis == ((1, ((3, 1),)),)
 
 
@@ -155,8 +155,9 @@ def test_solve_prescribed_upper(rat_example_transformed):
 def test_solve_prescribed_with_transform(running_example):
     # sheared solve: two families, of valuations 0 and 7 in the new variable
     rec = Recurrence(running_example, PhiTransform(-1, 2, -3))
-    assert (rec.nu, rec.mu, rec.head) == (F(7), F(21), 8)
-    w, h = int(rec.nu) + 1, int(rec.mu) + 1
+    assert (rec.nu_floor, rec.mu_floor, rec.head) == (7, 21, 8)
+    assert nu_mu_oracle(rec.op) == (F(7), F(21))
+    w, h = rec.nu_floor + 1, rec.mu_floor + 1
     basis = rec.window(h, w, "lower")
     assert [_coeffs(_fractions(vec), w) for vec in basis] == [
         [F(1), F(0), F(-1), F(0), F(1), F(0), F(-1), F(0)],
@@ -237,7 +238,7 @@ def _same_as_oracle(out, expected):
 
 def _lower_kernel(op):
     rec = Recurrence(op, IDENTITY_PHI)
-    return rec.window(int(rec.mu) + 1, int(rec.nu) + 1, "lower")
+    return rec.window(rec.mu_floor + 1, rec.nu_floor + 1, "lower")
 
 
 def _prolong(op, phi, approx, extra):
@@ -319,7 +320,7 @@ def test_prolong_prefix_check_reaches_row_floor_mu():
     verdicts = {True: 0, False: 0}
     for _ in range(200):
         op = random_operator(rng, rng.choice((2, 3)), rng.randint(1, 3), 6)
-        nu, mu = mu_nu(op)
+        nu, mu = nu_mu_oracle(op)
         if nu < 0 or mu < 1:
             continue
         head = int(nu) + 1
@@ -361,7 +362,7 @@ def test_prolong_residual_guarantee():
             break
         radix = rng.choice((2, 3))
         op = random_operator(rng, radix, rng.randint(1, 3), 6)
-        nu, mu = mu_nu(op)
+        nu, mu = nu_mu_oracle(op)
         if nu < 0:
             continue
         h = int(mu) + 1
@@ -383,7 +384,7 @@ def test_prolong_matches_oracle_on_random_operators():
             break
         radix = rng.choice((2, 3))
         op = random_operator(rng, radix, rng.randint(1, 3), 6)
-        nu = mu_nu(op)[0]
+        nu = nu_mu_oracle(op)[0]
         if nu < 0:
             continue
         for vec in _lower_kernel(op):
@@ -413,7 +414,7 @@ def test_prolong_over_common_denominators():
         op = op * random_series_solvable_operator(rng, radix, rng.randint(1, 2), lead)
         t = phi if i % 3 == 0 else IDENTITY_PHI
         transformed = phi_apply(op, t)
-        nu = mu_nu(transformed)[0]
+        nu = nu_mu_oracle(transformed)[0]
         if nu < 0:
             continue
         for vec in _lower_kernel(transformed):
@@ -453,11 +454,11 @@ def test_prolong_invariant_check_matches_oracle(monkeypatch, running_example):
     # An understated mu makes prolongation rows read coefficients they
     # are meant to determine; both forms must notice on the same inputs.
     # The Recurrence keeps floor(mu) as the int `mu_floor`; the oracle
-    # reads mu from mu_nu.
+    # reads mu from nu_mu_oracle.
     shift = [0]
 
-    def shifted_mu_nu(op):
-        nu, mu = mu_nu(op)
+    def shifted_nu_mu(op):
+        nu, mu = nu_mu_oracle(op)
         return nu, mu - shift[0]
 
     init = Recurrence.__init__
@@ -467,7 +468,7 @@ def test_prolong_invariant_check_matches_oracle(monkeypatch, running_example):
         rec.mu_floor -= shift[0]
 
     monkeypatch.setattr(Recurrence, "__init__", understated)
-    monkeypatch.setattr(oracles, "mu_nu", shifted_mu_nu)
+    monkeypatch.setattr(oracles, "nu_mu_oracle", shifted_nu_mu)
 
     def raises(fn, op, approx, extra):
         try:
@@ -486,7 +487,7 @@ def test_prolong_invariant_check_matches_oracle(monkeypatch, running_example):
         radix = rng.choice((2, 3))
         op = random_operator(rng, radix, rng.randint(1, 3), 6)
         shift[0] = 0
-        nu = mu_nu(op)[0]
+        nu = nu_mu_oracle(op)[0]
         if nu < 0:
             continue
         for vec in _lower_kernel(op):
@@ -502,10 +503,9 @@ def test_prolong_invariant_check_matches_oracle(monkeypatch, running_example):
 
 def test_window_solve_runs_on_ints(monkeypatch, running_example):
     # seeds, push, residuals and the one rref all run on ints, and the
-    # basis comes back as (den, pairs): no Fraction is built or used; nu
-    # and mu are Fractions, read before the count starts
+    # basis comes back as (den, pairs): no Fraction is built or used
     recs = [Recurrence(running_example, phi) for phi in (IDENTITY_PHI, PhiTransform(-1, 2, -3))]
-    sizes = [(int(rec.mu) + 1, int(rec.nu) + 1) for rec in recs]
+    sizes = [(rec.mu_floor + 1, rec.nu_floor + 1) for rec in recs]
     calls = count_fraction_arithmetic(monkeypatch)
     basis, sheared = [rec.window(h, w, "lower") for rec, (h, w) in zip(recs, sizes)]
     assert calls == Counter()
@@ -564,7 +564,7 @@ def _tail_product(radix, d, tail, left=None) -> MahlerOperator:
 def _heads(op, phi):
     """The window-solve basis of phi(op) for prolongation, nu >= 0."""
     rec = Recurrence(op, phi)
-    return rec.window(math.floor(rec.mu) + 1, math.floor(rec.nu) + 1, "lower")
+    return rec.window(rec.mu_floor + 1, rec.nu_floor + 1, "lower")
 
 
 def _combine(heads, weights):
@@ -602,7 +602,9 @@ def walk_cases(draw):
     phi = IDENTITY_PHI
     ramification = draw(st.sampled_from((1, 3, 5) if radix == 2 else (1, 2, 5)))
     if ramification > 1:
-        slope, intercept = select_edge_for_ramification(lower_polygon(op), ramification)
+        edge = ramification_edge(lower_polygon(op), ramification)
+        slope, (u1, j1) = edge_slope(edge), edge.start
+        intercept = j1 - slope * u1
         phi = PhiTransform(-int(slope * ramification), ramification, int(intercept * ramification))
     weights = draw(st.lists(st.sampled_from((1, -1, 2, -3)), min_size=4, max_size=4))
     return op, phi, draw(st.integers(1, 60)), weights
@@ -616,7 +618,7 @@ def test_walk_matches_oracle(case):
     heads = _heads(op, phi)
     assert heads  # the right factor's series solution, at least
     head = _combine(heads, weights)
-    nu = mu_nu(phi_apply(op, phi))[0]
+    nu = nu_mu_oracle(phi_apply(op, phi))[0]
     with pytest.MonkeyPatch.context() as mp:
         calls = _kernel_calls(mp)
         out = Recurrence(op, phi).prolong(head, extra)
@@ -634,7 +636,7 @@ def _both_kernels(op, phi, support, extra) -> list:
     them, on phi(op), a head's support and `extra` rows past floor(mu)."""
     rec = Recurrence(op, phi)
     (_, tv0, d), *terms = rec.integer_terms[1]
-    mu_floor = math.floor(rec.mu)
+    mu_floor = rec.mu_floor
     args = (terms, support, d, mu_floor, mu_floor + extra, tv0)
     return [rmatrix._walk(*args), rmatrix._push(*args)]
 
@@ -648,7 +650,7 @@ def test_kernels_return_the_head_with_no_row_to_solve(running_example):
     (head,) = _heads(op, IDENTITY_PHI)
     rec = Recurrence(op, IDENTITY_PHI)
     (_, tv0, d), *terms = rec.integer_terms[1]
-    mu_floor = math.floor(rec.mu)
+    mu_floor = rec.mu_floor
     scaled = [(n, 4 * v) for n, v in head[1]]
     scale, pairs = rmatrix._push(terms, scaled, d, mu_floor, mu_floor, tv0)
     assert d == -2 and scale == 1 and lowest_terms(4 * head[0], pairs) == head
@@ -675,7 +677,7 @@ def test_prolong_kernel_choice(monkeypatch, running_example, sparse_stretch_exam
         out = Recurrence(op, IDENTITY_PHI).prolong(head, 300)
         monkeypatch.undo()
         assert calls == Counter({kernel: 1})
-        approx = _coeffs(_fractions(head), int(mu_nu(op)[0]) + 1)
+        approx = _coeffs(_fractions(head), int(nu_mu_oracle(op)[0]) + 1)
         _same_as_oracle(out, prolong_oracle(op, IDENTITY_PHI, approx, 300))
     # nu = -1 leaves only the empty head, which extends to zero, and so do
     # nu = -3, on an operator that walks and on one that pushes, and
@@ -686,7 +688,7 @@ def test_prolong_kernel_choice(monkeypatch, running_example, sparse_stretch_exam
     negative = [(2, [ONE + X, X]), (2, [ONE + X, x3]), (2, [ONE, x3]), (5, [ONE, X])]
     for (radix, coeffs), nu in zip(negative, (-1, -3, -3, F(-1, 4))):
         op = MahlerOperator(radix, coeffs)
-        assert mu_nu(op)[0] == nu
+        assert nu_mu_oracle(op)[0] == nu
         for extra in (0, 1, 5, 7):
             assert Recurrence(op, IDENTITY_PHI).prolong((1, ()), extra) == (1, ())
         with pytest.raises(InvalidArgumentError, match="increasing indices"):
@@ -735,5 +737,5 @@ def test_walk_runs_on_ints(monkeypatch, running_example):
     assert walked == [Counter()] * 3
     assert len(results[0][1]) > 30 and results[1] == results[2] == (1, p.nums)
     for (op, phi), head, out in zip(cases, heads, results):
-        approx = _coeffs(_fractions(head), int(mu_nu(phi_apply(op, phi))[0]) + 1)
+        approx = _coeffs(_fractions(head), int(nu_mu_oracle(phi_apply(op, phi))[0]) + 1)
         _same_as_oracle(out, prolong_oracle(op, phi, approx, 60))

@@ -8,9 +8,9 @@ from mahlersolve.poly import Poly
 from mahlersolve.serialize import (
     basis_to_json,
     operator_to_json,
-    parse_fraction,
     parse_operator,
     parse_poly,
+    parse_prefix,
     poly_to_json,
 )
 from mahlersolve.rational import RamifiedRationalFunction, RationalFunction
@@ -20,18 +20,13 @@ F = Fraction
 
 
 def test_fraction_round_trip():
-    for text in ("0", "-7", "3/2", "-11/5", "+4"):
-        f = parse_fraction(text)
-        assert parse_fraction(str(f)) == f
-    for text in ("1.5", "-\u0661", "1\n", " 1"):
+    # an integral entry is read as an int, any other as a Fraction
+    prefix = parse_prefix("0,-7, 3/2 ,-11/5,+4")
+    assert [repr(c) for c in prefix] == ["0", "-7", repr(F(3, 2)), repr(F(-11, 5)), "4"]
+    assert parse_prefix(",".join(map(str, prefix))) == prefix
+    for text in ("1.5", "-\u0661", "1\n", "\t1", "1,", "", "2/4", "1/0"):
         with pytest.raises(InputFormatError):
-            parse_fraction(text)
-    with pytest.raises(InputFormatError):
-        parse_fraction("2/4")
-    with pytest.raises(InputFormatError):
-        parse_fraction("1/0")
-    with pytest.raises(InputFormatError):
-        parse_fraction(3)
+            parse_prefix(text)
 
 
 def test_poly_round_trip():

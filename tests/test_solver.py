@@ -16,6 +16,7 @@ from conftest import (
 from oracles import (
     apply_exact,
     candidate_valuations,
+    edge_slope,
     apply_to_fractional,
     polynomial_solution_space,
     same_span,
@@ -27,11 +28,7 @@ from mahlersolve.errors import (
     MahlerError,
     UnsupportedEquationError,
 )
-from mahlersolve.newton import (
-    lower_polygon,
-    ramification_data,
-    select_edge_for_ramification,
-)
+from mahlersolve.newton import lower_polygon, ramification_data, ramification_edge
 from mahlersolve.normalize import normalize_l0
 from mahlersolve.operator import MahlerOperator
 from mahlersolve.poly import Poly
@@ -188,7 +185,7 @@ def test_puiseux_exponents_match_former_formula():
         w0 = op.m_valuation
         stripped = op.m_shift(-w0)
         _, ram = ramification_data(stripped)
-        slope, _ = select_edge_for_ramification(lower_polygon(stripped), ram)
+        slope = edge_slope(ramification_edge(lower_polygon(stripped), ram))
         scale = op.radix**w0
         order = 5
         basis = puiseux_basis(op, ram, order)
@@ -322,7 +319,7 @@ def test_valuation_zero_corollary():
         if not op2 or not op2.coefficient(0) or op2.order < 1:
             continue
         leftmost = lower_polygon(op2)[0]
-        if leftmost.slope != 0 or leftmost.start[1] != 0 or not leftmost.admissible:
+        if leftmost.end[1] != 0 or leftmost.start[1] != 0 or not leftmost.admissible:
             continue
         found += 1
         basis = series_basis(op2, 0)
@@ -548,10 +545,9 @@ def _count_calls(monkeypatch, names) -> list:
 
 def test_recurrence_data_is_computed_once(monkeypatch, running_example):
     # phi(op), its integer terms and nu, on ints, are computed once per
-    # basis, however many heads are prolonged, and mu_nu's Fractions are
-    # never built; certify applies op through one integer_terms call,
-    # however many elements the basis has
-    wrapped = ("phi_apply", "mu_nu", "nu_ratio", "integer_terms", "lower_polygon")
+    # basis, however many heads are prolonged; certify applies op through
+    # one integer_terms call, however many elements the basis has
+    wrapped = ("phi_apply", "nu_ratio", "integer_terms", "lower_polygon")
     seen = _count_calls(monkeypatch, wrapped)
     lop = operator(2, X, -pol(1, 1), ONE)
     # 1 and x both solve (x + x^2) - (1 + x + x^2) M + M^2
