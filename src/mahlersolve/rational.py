@@ -102,11 +102,12 @@ class RationalFunction(NamedTuple):
         num, den = self.numerator, self.denominator
         ints = _power_series_div(num, den, length)
         # term n is t_n den.den / (d0^(n+1) num.den), so its numerator over
-        # d0^length num.den is t_n den.den d0^(length-1-n)
+        # d0^length num.den is t_n den.den d0^(length-1-n): one running power
         d0 = den.nums[0][1]
-        nums = [
-            ints[n] * den.den * d0 ** (length - 1 - n) if n >= 0 else 0 for n in range(first, length)
-        ]
+        nums, power = [0] * (length - first), den.den
+        for n in range(length - 1, max(first, 0) - 1, -1):
+            nums[n - first] = ints[n] * power
+            power *= d0
         common, pairs = lowest_terms(d0**length * num.den, enumerate(nums))
         return common, [v for _, v in pairs]
 

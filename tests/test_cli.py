@@ -346,8 +346,11 @@ def test_puiseux_invariant_exit(run, running_example_file, monkeypatch):
     # intercept 0
     from mahlersolve import solver
     from mahlersolve.newton import PolygonEdge
+    from oracles import edge_slope
 
     edge = PolygonEdge(start=(3, 1), end=(6, 2), admissible=True, edge_points=())
+    assert edge_slope(edge) == Fraction(1, 3)
+    assert edge.start[1] - edge_slope(edge) * edge.start[0] == 0
     monkeypatch.setattr(solver, "ramification_edge", lambda edges, q: edge)
     code, _, err = run("puiseux", running_example_file, "--order", "5", "--ramification", "1")
     assert code == 5
@@ -887,6 +890,7 @@ MALFORMED = {
     "coefficient.json": b'{"radix": 2, "coefficients": [{"order": 1, "terms": [[0, "1/0"]]}]}',
     "digit.json": b'{"radix": 2, "coefficients": [{"order": 0, "terms": [[0, "-\\u0661"]]}]}',
     "newline.json": b'{"radix": 2, "coefficients": [{"order": 0, "terms": [[0, "1\\n"]]}]}',
+    "number.json": b'{"radix": 2, "coefficients": [{"order": 0, "terms": [[0, 1]]}]}',
 }
 
 SUBCOMMANDS = [

@@ -46,6 +46,8 @@ def test_poly_rejects_malformed():
         parse_poly([[-1, "1"]])
     with pytest.raises(InputFormatError):
         parse_poly([[0]])
+    with pytest.raises(InputFormatError):
+        parse_poly([[0, 3]])  # a JSON number, not a coefficient string
     with pytest.raises(ExponentOverflowError):
         parse_poly([[2**64, "1"]])
 
