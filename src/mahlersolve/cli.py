@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from .errors import InputFormatError, MahlerError
@@ -287,6 +288,9 @@ def _token_reader(parser: argparse.ArgumentParser):
     return read
 
 
+_NEGATIVE_VALUE = re.compile(r"-\d")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -302,6 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
         keywords) pairs, --format, and --certify unless `certify` is off;
         its `read_tokens` is the `_token_reader` of its actions."""
         p = sub.add_parser(name, help=help)
+        # "-" and a digit starts a value, never an option: argparse's own
+        # pattern takes "-1" and "-0.5" but not "-1,0,0" or "-3/2"
+        p._negative_number_matcher = _NEGATIVE_VALUE
         for flag, keywords in (operand, *options):
             p.add_argument(flag, **keywords)
         p.add_argument("--format", choices=("json", "text"), default="json")

@@ -158,6 +158,14 @@ class Poly:
         if not (self.nums and other.nums):
             return _POLY_ZERO
         _check_exponent(self.degree + other.degree)
+        if len(self.nums) == 1:
+            self, other = other, self
+        if len(other.nums) == 1:
+            # a one-term operand c x^k: shift and scale, no dict and no sort
+            ((k, c),) = other.nums
+            if c == other.den:
+                return self.shift(k)
+            return _reduced(self.den * other.den, [(e + k, v * c) for e, v in self.nums])
         acc: dict[int, int] = {}
         for e1, c1 in self.nums:
             for e2, c2 in other.nums:

@@ -2,12 +2,16 @@
 the full rational solver, ramified rational solving, and the two
 transcendence tests.
 
-The rational basis is put in canonical form by one `linalg.rref` on
-the expansions of its numerators.  It has unit pivots at its
-valuations, so a series picks its rational witness there, and the
-witness is then checked once against the series.  The series solution
-a transcendence prefix starts is its head extended by the `prolong` of
-one `rmatrix.Recurrence`, which also gives the head length.
+Every rational solution is p / (x^v_bar q_star) with deg p < w =
+deg q_star + 2 v_bar + 1 (`denominator_bound`).  The rational basis
+solves for all such p and is put in canonical form by one
+`linalg.rref` on the expansions of its numerators.  The
+rational-basis transcendence test solves for nothing: the only
+possible witness has the numerator x^v_bar q_star y mod x^w, read off
+the series y, and it is certified and checked once against the series.
+The series solution a transcendence prefix starts is its head extended
+by the `prolong` of one `rmatrix.Recurrence`, which also gives the
+head length.
 """
 
 from __future__ import annotations
@@ -27,7 +31,15 @@ from .errors import (
 )
 from .linalg import independent, rref
 from .newton import ramification_data
-from .operator import IDENTITY_PHI, MahlerOperator, PhiTransform, clear_denominator, phi_apply
+from .operator import (
+    IDENTITY_PHI,
+    MahlerOperator,
+    PhiTransform,
+    clear_denominator,
+    image_below,
+    integer_terms,
+    phi_apply,
+)
 from .poly import Poly, graeffe, lcm_orbit, lowest_terms, mahler_substitute, residue_sections
 from .rmatrix import Recurrence
 from .solver import SolutionBasis, polynomial_solutions_bounded, solving_operator
@@ -77,19 +89,6 @@ class RationalFunction(NamedTuple):
         if not self.numerator:
             raise InvalidArgumentError("zero function has no valuation")
         return self.numerator.valuation - self.x_power
-
-    def scale(self, c) -> "RationalFunction":
-        if not c:
-            return RationalFunction.constant(0)
-        return RationalFunction.make(
-            self.numerator.scale(c), self.x_power, self.denominator
-        )
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        da = self.denominator.shift(self.x_power)
-        db = other.denominator.shift(other.x_power)
-        num = self.numerator * db + other.numerator * da
-        return RationalFunction.make(num, 0, da * db)
 
     def laurent_coefficients(self, lo: int, hi: int) -> tuple[int, list[int]]:
         """The exact expansion coefficients for exponents lo..hi-1 as
@@ -332,25 +331,43 @@ def transcendence_test(
     rational function (with witness) or transcendental.
 
     Solutions of a linear Mahler equation are never algebraic irrational,
-    so the verdict is a dichotomy.  The rational basis is reduced echelon
-    in Laurent coordinates with its pivots at the valuations, so the one
-    combination that can match the series takes the series coefficient
-    at each valuation (0 at a negative one or one past the prefix); its
-    expansion is then checked against the series.
+    so the verdict is a dichotomy.  Every rational solution is
+    p / (x^v_bar q_star) with deg p < w = deg q_star + 2 v_bar + 1
+    (`denominator_bound`), so when the series y is rational, z = x^v_bar
+    q_star y is the polynomial p.  The series is extended until z is
+    known below x^w; a known term of z at degree >= w makes y
+    transcendental, and otherwise p = z mod x^w gives the only possible
+    witness.  The witness must pass the certificate of a rational basis
+    element and expand to the series.  The expansion can differ only
+    when x divides q_star: z below x^(v_bar + n) then fixes fewer than
+    the n known terms of y.
     """
     op = solving_operator(op)
     den, series = _consistent_extension(op, prefix, len(prefix))
     if not any(series):
         return TranscendenceVerdict("rational", RationalFunction.constant(0), "rational-basis")
-    hi = len(series)
-    witness = RationalFunction.constant(0)
-    for f in rational_basis(op).elements:
-        v = f.valuation
-        if 0 <= v < hi and series[v]:
-            witness = witness + f.scale(Fraction(series[v], den))
-    exp_den, expansion = witness.laurent_coefficients(0, hi)
+    bound = denominator_bound(op)
+    q_star, v_bar = bound.q_star, bound.v_bar
+    w = q_star.degree + 2 * v_bar + 1
+    if w - v_bar > len(series):
+        den, series = _consistent_extension(op, prefix, w - v_bar)
+    # z_i, the coefficient of x^(v_bar + i) in z, times den q_star.den
+    z = [0] * len(series)
+    for e, c in q_star.nums:
+        for i, s in enumerate(series[: len(series) - e]):
+            if s:
+                z[i + e] += c * s
+    transcendental = TranscendenceVerdict("transcendental", None, "rational-basis")
+    if any(z[w - v_bar :]):
+        return transcendental
+    p = Poly.from_integers(den * q_star.den, [(v_bar + i, c) for i, c in enumerate(z) if c])
+    witness = RationalFunction.make(p, v_bar, q_star)
+    cleared = clear_denominator(op, witness.x_power, witness.denominator)
+    if image_below(integer_terms(cleared), witness.numerator.nums, math.inf)[1]:
+        return transcendental
+    exp_den, expansion = witness.laurent_coefficients(0, len(series))
     if any(c * den != n * exp_den for c, n in zip(expansion, series)):
-        return TranscendenceVerdict("transcendental", None, "rational-basis")
+        return transcendental
     return TranscendenceVerdict("rational", witness, "rational-basis")
 
 

@@ -125,6 +125,18 @@ def count_fraction_arithmetic(monkeypatch) -> Counter:
     return calls
 
 
+def forbid_basis_solve(monkeypatch) -> None:
+    """Make the rational basis solver, its window solve and its echelon
+    form raise when `rational` calls them, from now on."""
+    from mahlersolve import rational
+
+    def unreachable(*args):
+        raise AssertionError("solved for a rational basis")
+
+    for name in ("rational_basis", "polynomial_solutions_bounded", "_echelon"):
+        monkeypatch.setattr(rational, name, unreachable)
+
+
 @pytest.fixture(scope="session")
 def running_example() -> MahlerOperator:
     """Order-2 radix-3 operator whose Newton polygon has slopes -3 and 1/2."""

@@ -482,22 +482,40 @@ def solve_oracle(rows: list[list[Fraction]], rhs: list[Fraction]):
     return sol
 
 
+def rational_sum(f, g):
+    """f + g for RationalFunctions, over the product of their denominators."""
+    from mahlersolve.rational import RationalFunction
+
+    da = f.denominator.shift(f.x_power)
+    db = g.denominator.shift(g.x_power)
+    return RationalFunction.make(f.numerator * db + g.numerator * da, 0, da * db)
+
+
+def rational_scale(f, c):
+    """c f for a RationalFunction f and a number c."""
+    from mahlersolve.rational import RationalFunction
+
+    if not c:
+        return RationalFunction.constant(0)
+    return RationalFunction.make(f.numerator.scale(c), f.x_power, f.denominator)
+
+
 def canonicalize_rational_oracle(elements) -> tuple:
     """Echelon form of RationalFunctions on their expansions by
     elimination on the functions themselves: distinct valuations
     ascending, leading coefficient one, each valuation cleared from the
-    other elements.  Every step goes through `RationalFunction` sums."""
+    other elements.  Every step goes through `rational_sum`."""
     work = [e for e in elements if e.numerator]
     done = []
     while work:
         work.sort(key=lambda f: f.valuation)
         head = work.pop(0)
-        head = head.scale(1 / laurent(head, head.valuation, head.valuation + 1)[0])
+        head = rational_scale(head, 1 / laurent(head, head.valuation, head.valuation + 1)[0])
         reduced = []
         for f in work:
             if f.valuation == head.valuation:
                 c = laurent(f, f.valuation, f.valuation + 1)[0]
-                g = f + head.scale(-c)
+                g = rational_sum(f, rational_scale(head, -c))
                 if g.numerator:
                     reduced.append(g)
             else:
@@ -510,7 +528,7 @@ def canonicalize_rational_oracle(elements) -> tuple:
             pv = done[j].valuation
             c = laurent(done[i], pv, pv + 1)[0]
             if c:
-                done[i] = done[i] + done[j].scale(-c)
+                done[i] = rational_sum(done[i], rational_scale(done[j], -c))
     return tuple(done)
 
 
@@ -597,7 +615,7 @@ def transcendence_oracle(op: MahlerOperator, prefix, candidates) -> tuple:
     witness = RationalFunction.constant(0)
     for c, f in zip(combo, candidates):
         if c:
-            witness = witness + f.scale(c)
+            witness = rational_sum(witness, rational_scale(f, c))
     return "rational", witness
 
 

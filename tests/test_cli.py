@@ -277,7 +277,7 @@ def test_requests_on_integers_build_no_fraction(
 ):
     # on integer input with integral orders no subcommand builds a
     # Fraction; a transcendence request builds one only for a prefix
-    # entry that is not integral and for each scale factor of a witness
+    # entry that is not integral
     g = operator(2, -Poly.one(), Poly.one())
     ops = {
         "running": running_example,
@@ -306,20 +306,35 @@ def test_requests_on_integers_build_no_fraction(
     for argv in requests:
         code, out, _ = run(*argv)
         assert (argv[0], code, built) == (argv[0], 0, Counter())
-    # 1/(x^2 - x - 1) + 3/(2x - 1) solves rat_example; its witness sums
-    # the two basis elements, of valuations 0 and 1, scaled by -4 and -5
-    scale = "rational.transcendence_test"
+    # 1/(x^2 - x - 1) + 3/(2x - 1) solves rat_example, a witness with
+    # two poles
     cases = [
         ("lop", "0,1,1,0,1", "transcendental", []),
-        ("lop", "1,0,0,0,0", "rational", [scale]),
-        ("rat", "-4,-5,-14,-21,-53,-88,-205,-363", "rational", [scale, scale]),
-        ("lop", "3/2,0,0", "rational", ["serialize.parse_prefix", scale]),
+        ("lop", "1,0,0,0,0", "rational", []),
+        ("rat", "-4,-5,-14,-21,-53,-88,-205,-363", "rational", []),
+        ("lop", "3/2,0,0", "rational", ["serialize.parse_prefix"]),
+        ("lop", "3/2,1/2,1/2", "transcendental", ["serialize.parse_prefix"] * 3),
     ]
     for name, prefix, verdict, want in cases:
         built.clear()
         code, out, _ = run("transcendence", files[name], f"--initial={prefix}")
         assert (code, json.loads(out)["verdict"], built) == (0, verdict, Counter(want))
     monkeypatch.undo()
+
+
+@pytest.mark.parametrize("prefix", ["-4,-5,-14,-21,-53,-88,-205,-363", "-1/2,-1,-2,-4,-8,-16,-32,-64"])
+def test_initial_may_start_with_a_minus_sign(rat_example_file, prefix, capsys):
+    # "--initial VALUE" and "--initial=VALUE" read the same prefix when the
+    # value starts with "-" and a digit, which argparse would otherwise
+    # take for an option
+    outcomes = [
+        _outcome(("transcendence", rat_example_file, *initial, "--format", "text"), capsys)
+        for initial in (("--initial", prefix), (f"--initial={prefix}",))
+    ]
+    assert outcomes[0] == outcomes[1]
+    code, out, err = outcomes[0]
+    assert (code, err) == (0, "")
+    assert out.startswith("rational (method: rational-basis); witness")
 
 
 @pytest.mark.parametrize(
@@ -667,6 +682,9 @@ def test_dispatch_matches_the_top_level_parser(running_example_file, rat_example
         ("normalize", g),
         ("gcrd", f, g),
         ("transcendence", f, "--initial", "0,0,0,1", "--oracle", "bell-coons"),
+        ("transcendence", g, "--initial", "-4,-5,-14,-21,-53,-88,-205,-363"),
+        ("transcendence", g, "--initial", "-1/2,-1,-2,-4,-8,-16,-32,-64", "--format", "text"),
+        ("transcendence", g, "--initial", "-x"),
         ("-h",),
         ("series", "-h"),
         (),
@@ -684,7 +702,7 @@ def test_dispatch_matches_the_top_level_parser(running_example_file, rat_example
     direct = [_outcome(argv, capsys) for argv in argvs]
     monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
     assert [_outcome(argv, capsys) for argv in argvs] == direct
-    assert [code for code, _, _ in direct] == [0] * 10 + [0, 0, 2, 2, 2, 2, 0, 0, 2, 2, 2, 0, 2]
+    assert [code for code, _, _ in direct] == [0] * 12 + [2] + [0, 0, 2, 2, 2, 2, 0, 0, 2, 2, 2, 0, 2]
 
 
 def _token_groups(parser) -> tuple[list[list[str]], list[list[str]]]:

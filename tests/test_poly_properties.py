@@ -18,6 +18,7 @@ from oracles import (
     poly_divmod_oracle,
     poly_gcd_oracle,
     poly_monic_oracle,
+    poly_mul_oracle,
     poly_sections_oracle,
 )
 from mahlersolve.poly import Poly, gcd, graeffe, lcm_orbit, poly_sections, residue_sections
@@ -56,6 +57,17 @@ def test_sum_and_difference(a, b):
     ):
         assert_canonical(result)
         assert result.terms == want
+
+
+@given(polys(), st.integers(0, 6), st.one_of(st.just(Fraction(1)), coefficients))
+def test_one_term_product(a, k, c):
+    # a one-term operand c x^k, on either side, takes the shift-and-scale
+    # path (a plain shift for c = 1) and must agree with the general product
+    m = Poly([(k, c)])
+    want = poly_mul_oracle(a, m)
+    for result in (a * m, m * a):
+        assert_canonical(result)
+        assert result == want
 
 
 @given(polys(), nonzero_polys)

@@ -1,3 +1,4 @@
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from conftest import (
     count_fraction_arithmetic,
     dense,
+    forbid_basis_solve,
     integer_pairs,
     operator,
     pol,
@@ -327,6 +329,61 @@ def test_transcendence_test(rat_example):
         transcendence_test(lop, [F(1)])
 
 
+LOP = operator(2, X, -pol(1, 1), ONE)
+
+
+@pytest.mark.parametrize(
+    "op, prefix, calls, verdict, witness",
+    [
+        # the zero series
+        (LOP, [0, 0, 0], (1, 0, 0), "rational", RationalFunction.constant(0)),
+        # y = x - x^3 - ...: q_star = 1, v_bar = 0, w = 1, and z = y has the
+        # known term x at degree 1 >= w
+        (operator(2, pol(0, -1), ONE, -ONE), [0, 1], (1, 0, 0), "transcendental", None),
+        # y(x^4) = (1 + x) y: w = 1, so the witness is y(0) = 1, which fails
+        # the certificate
+        (operator(2, pol(-1, -1), Poly.zero(), ONE), [1], (1, 1, 0), "transcendental", None),
+        # y = prod (1 - x^(2^k)): q_star = x - 1, v_bar = 1 and w = 4, so the
+        # prefix is extended to w - v_bar = 3 terms; the witness fails the
+        # certificate
+        (operator(2, -ONE, pol(1, -1)), [1], (2, 1, 0), "transcendental", None),
+        # y = x^2 - x^8 + ...: q_star = x, v_bar = 1 and w = 4, and z = x^2 y
+        # is known only below x^4, where it is 0; the zero witness
+        # certifies but does not expand to y
+        (operator(2, pol(0, 0, -1), ONE, pol(0, 0, -1)), [0, 0, 1], (1, 1, 1), "transcendental", None),
+        (LOP, [1, 0, 0, 0, 0], (1, 1, 1), "rational", RationalFunction.constant(1)),
+        # y = 1/(1 - x): q_star = (x - 1)^2, v_bar = 2 and w = 7, so the
+        # prefix is extended to 5 terms
+        (
+            operator(2, pol(-1, 1), pol(1, 0, -1)), [1], (2, 1, 1), "rational",
+            RationalFunction.make(ONE, 0, pol(1, -1)),
+        ),
+    ],
+    ids=[
+        "zero", "tail", "certificate", "certificate-extended", "expansion", "rational",
+        "rational-extended",
+    ],
+)
+def test_transcendence_test_exits(monkeypatch, op, prefix, calls, verdict, witness):
+    # every way out of the witness route, told apart by its calls:
+    # (extensions of the prefix, certificates, comparisons with the series);
+    # none solves for a rational basis
+    forbid_basis_solve(monkeypatch)
+    seen = Counter()
+    for owner, name in (
+        (rational, "_consistent_extension"),
+        (rational, "clear_denominator"),
+        (RationalFunction, "laurent_coefficients"),
+    ):
+        monkeypatch.setattr(owner, name, _counted(seen, name, getattr(owner, name)))
+    got = transcendence_test(op, prefix)
+    monkeypatch.undo()
+    names = ("_consistent_extension", "clear_denominator", "laurent_coefficients")
+    assert tuple(seen[name] for name in names) == calls
+    assert (got.verdict, got.witness) == (verdict, witness)
+    assert got.verdict == bell_coons_test(op, prefix).verdict
+
+
 NON_RATIONAL_PREFIXES = (
     [0.5, 0, 0, 0, 0],
     [F(1), F(0), 0.0, F(0), F(0)],
@@ -409,6 +466,16 @@ def test_series_extension_runs_on_ints(monkeypatch, rat_example):
     assert counts == [Counter()] * 3
 
 
+def _counted(calls: Counter, name: str, original):
+    """`original`, counting each call in calls[name]."""
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    return wrapper
+
+
 def test_extension_prolongs_the_head_once(monkeypatch, rat_example, running_example):
     # the extension builds one Recurrence and prolongs the prefix's head
     # once: no series basis, and a head that breaks a relation row fails
@@ -417,14 +484,7 @@ def test_extension_prolongs_the_head_once(monkeypatch, rat_example, running_exam
 
     assert not hasattr(rational, "series_basis")
     calls = Counter()
-
-    def counted(name, original):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        return wrapper
-
+    counted = functools.partial(_counted, calls)
     monkeypatch.setattr(rational, "Recurrence", counted("Recurrence", rmatrix.Recurrence))
     monkeypatch.setattr(rmatrix.Recurrence, "prolong", counted("prolong", rmatrix.Recurrence.prolong))
     for module, name in ((solver, "series_basis"), (solver, "series_solutions")):

@@ -1,14 +1,14 @@
 """Rational bases and both transcendence oracles against the routes
 they replaced.
 
-`rational_basis` reads its canonical basis off one `rref`, and the
-transcendence tests read their combinations off the pivots of echelon
-bases.  The oracles in oracles.py take the old routes: elimination on
-the rational functions themselves, and exact solves of dense systems of
-expansions.  Equations are built with known rational solutions, so
-bases of dimension 2 occur, with Laurent (negative valuation) and
-high-valuation elements; a random left factor adds series solutions
-that are not rational.
+`rational_basis` reads its canonical basis off one `rref`, and
+`transcendence_test` reads its one candidate witness off the series.
+The oracles in oracles.py take the old routes: elimination on the
+rational functions themselves, and exact solves of the series against
+the dense expansions of a whole rational basis.  Equations are built
+with known rational solutions, so bases of dimension 2 occur, with
+Laurent (negative valuation) and high-valuation elements; a random left
+factor adds series solutions that are not rational.
 """
 
 import math
@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    forbid_basis_solve,
     random_operator,
     random_poly,
     random_poly_solvable,
@@ -44,12 +45,12 @@ from mahlersolve.rational import (
     RamifiedRationalFunction,
     RationalFunction,
     bell_coons_test,
+    denominator_bound,
     ramified_rational_basis,
     rational_basis,
     transcendence_test,
 )
 from mahlersolve.solver import (
-    SolutionBasis,
     certify,
     polynomial_basis,
     series_basis,
@@ -136,14 +137,28 @@ def outcome(fn, *args):
         return type(exc)
 
 
+def _numerator_reach(op) -> int:
+    """w - v_bar = deg q_star + v_bar + 1: the number of series
+    coefficients that fix the numerator of a rational solution, and so
+    the length `transcendence_test` extends a shorter prefix to; 0 where
+    the bound does not apply."""
+    try:
+        bound = denominator_bound(solving_operator(op))
+    except MahlerError:
+        return 0
+    return bound.q_star.degree + bound.v_bar + 1
+
+
 @st.composite
 def prefixes(draw, op):
     """A prefix of one of five kinds: the start of a series solution
     (a random combination of the basis), random numbers, zeros, one
-    coefficient too few, and a solution with one coefficient bumped."""
+    coefficient too few, and a solution with one coefficient bumped.
+    Lengths run from the head to past `_numerator_reach`, so that
+    prefixes both shorter and longer than the witness needs occur."""
     nu, _ = nu_mu_oracle(op)
     head = max(1, math.floor(nu) + 1)
-    length = head + draw(st.integers(0, 4))
+    length = draw(st.integers(head, max(head, _numerator_reach(op)) + 2))
     kind = draw(st.sampled_from(("solution", "solution", "random", "zero", "short", "bumped")))
     if kind == "zero":
         return [F(0)] * length
@@ -318,15 +333,16 @@ def test_consistent_extension_matches_oracle(data):
 
 
 def test_candidate_past_the_prefix(monkeypatch, rat_example):
-    # a basis element whose valuation is at or past the end of the prefix
-    # takes no part in the combination, with either route
+    # the witness is read off the series, never combined from a rational
+    # basis: with the basis solver, its window solve and its echelon form
+    # all made to raise, a basis with extra elements of valuation 8 and 11
+    # >= len(prefix) = 8 cannot enter, and the witness is still the target
     target = RationalFunction.make(ONE, 0, Poly([(0, F(-1)), (1, F(-1)), (2, F(1))]))
     prefix = laurent(target, 0, 8)
     true_basis = rational_basis(rat_example).elements
+    forbid_basis_solve(monkeypatch)
     for extra in (8, 11):
         fake = true_basis + (RationalFunction.make(Poly.monomial(extra), 0, ONE),)
-        basis = SolutionBasis("rational_basis", fake)
-        monkeypatch.setattr(rational, "rational_basis", lambda op: basis)
         got = transcendence_test(rat_example, prefix)
         assert (got.verdict, got.witness) == transcendence_oracle(rat_example, prefix, fake)
         assert got.witness == target
