@@ -6,7 +6,7 @@ integers, in lowest terms (gcd(den, every num) = 1); the zero polynomial
 has den 1 and no nums.  Every operation runs on these ints: sums over a
 common denominator, products of numerators, pseudo-division for
 Euclidean division and a primitive remainder sequence for gcds.  The
-(exponent, Fraction) view `terms` is built the first time it is read.
+(exponent, Fraction) view `terms` is computed each time it is read.
 Exponents are capped at MAX_EXPONENT so that index arithmetic
 downstream stays inside a machine-word-like range.
 
@@ -44,7 +44,7 @@ def checked_power(base: int, exp: int) -> int:
 class Poly:
     """Immutable sparse polynomial with rational coefficients."""
 
-    __slots__ = ("den", "nums", "_terms")
+    __slots__ = ("den", "nums")
 
     def __init__(self, terms: Iterable[tuple[int, Fraction]] = ()):
         acc: dict[int, Fraction] = {}
@@ -62,7 +62,6 @@ class Poly:
         den = math.lcm(*(c.denominator for _, c in items))
         self.den = den
         self.nums = tuple((e, c.numerator * (den // c.denominator)) for e, c in items)
-        self._terms = tuple(items)
 
     # -- construction helpers ------------------------------------------
 
@@ -99,12 +98,9 @@ class Poly:
 
     @property
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
-        """The (exponent, Fraction coefficient) pairs, built on first use."""
-        t = self._terms
-        if t is None:
-            den = self.den
-            t = self._terms = tuple((e, Fraction(n, den)) for e, n in self.nums)
-        return t
+        """The (exponent, Fraction coefficient) pairs."""
+        den = self.den
+        return tuple((e, Fraction(n, den)) for e, n in self.nums)
 
     def __bool__(self) -> bool:
         return bool(self.nums)
@@ -274,7 +270,6 @@ def _raw(den: int, nums: tuple) -> Poly:
     p = Poly.__new__(Poly)
     p.den = den
     p.nums = nums
-    p._terms = None
     return p
 
 
@@ -368,9 +363,9 @@ def _pseudo_divmod(a, b) -> tuple[int, list, list]:
     return m, sorted(q.items()), sorted(rem.items())
 
 
-_POLY_ZERO = Poly()
-_POLY_ONE = Poly([(0, Fraction(1))])
-_POLY_X = Poly([(1, Fraction(1))])
+_POLY_ZERO = _raw(1, ())
+_POLY_ONE = _raw(1, ((0, 1),))
+_POLY_X = _raw(1, ((1, 1),))
 
 
 def gcd(a: Poly, b: Poly) -> Poly:

@@ -98,16 +98,9 @@ class RationalFunction(NamedTuple):
         first, length = lo + self.x_power, hi + self.x_power
         if not self.numerator or length <= max(first, 0):
             return 1, [0] * max(hi - lo, 0)
-        num, den = self.numerator, self.denominator
-        ints = _power_series_div(num, den, length)
-        # term n is t_n den.den / (d0^(n+1) num.den), so its numerator over
-        # d0^length num.den is t_n den.den d0^(length-1-n): one running power
-        d0 = den.nums[0][1]
-        nums, power = [0] * (length - first), den.den
-        for n in range(length - 1, max(first, 0) - 1, -1):
-            nums[n - first] = ints[n] * power
-            power *= d0
-        common, pairs = lowest_terms(d0**length * num.den, enumerate(nums))
+        common, nums = _power_series_div(self.numerator, self.denominator, length)
+        nums = [0] * -first + nums if first < 0 else nums[first:]
+        common, pairs = lowest_terms(common, enumerate(nums))
         return common, [v for _, v in pairs]
 
     def __str__(self) -> str:
@@ -121,12 +114,12 @@ class RationalFunction(NamedTuple):
         return f"({self.numerator}) / ({' * '.join(den_parts)})"
 
 
-def _power_series_div(num: Poly, den: Poly, length: int) -> list[int]:
-    """The integer form of the first `length` coefficients of num/den,
-    den(0) nonzero: with A = num.nums, D = den.nums and d0 = D(0), the
-    int t_n = A_n d0^n - sum_e D_e d0^(e-1) t_(n-e) is the coefficient of
-    x^n in A/D times d0^(n+1), so that of num/den is
-    t_n den.den / (d0^(n+1) num.den).
+def _power_series_div(num: Poly, den: Poly, length: int) -> tuple[int, list[int]]:
+    """The first `length` coefficients of num/den, den(0) nonzero, as
+    (common, nums), int numerators over common = d0^length num.den: with
+    A = num.nums, D = den.nums and d0 = D(0), the int t_n = A_n d0^n -
+    sum_e D_e d0^(e-1) t_(n-e) is the coefficient of x^n in A/D times
+    d0^(n+1), and t_n den.den d0^(length-1-n) that of num/den over common.
     """
     if not den.nums or den.nums[0][0]:
         raise ZeroDivisionError("denominator vanishes at 0")
@@ -143,7 +136,11 @@ def _power_series_div(num: Poly, den: Poly, length: int) -> list[int]:
             acc -= c * ints[n - e]
         ints[n] = acc
         power *= d0
-    return ints
+    common, power = power * num.den, den.den
+    for n in range(length - 1, -1, -1):
+        ints[n] *= power
+        power *= d0
+    return common, ints
 
 
 class RamifiedRationalFunction(NamedTuple):
@@ -235,17 +232,15 @@ def _echelon(numerators: Sequence[Poly], v_bar: int, q_star: Poly) -> tuple:
     if not numerators:
         return ()
     q0 = q_star.shift(-q_star.valuation)
-    d0 = q0.nums[0][1]
     w = 1 + max(p.degree for p in numerators)
     rows = []
     for p in numerators:
-        # the row times p.den d0^w, t_n q0.den d0^(w-1-n) | p.nums d0^w,
-        # then divided by its content
-        ints = _power_series_div(p, q0, w)
-        row = [t * q0.den * d0 ** (w - 1 - n) for n, t in enumerate(ints)]
+        # the row over the expansion's common denominator, then divided by its content
+        common, row = _power_series_div(p, q0, w)
+        scale = common // p.den
         row += [0] * w
         for e, c in p.nums:
-            row[w + e] = c * d0**w
+            row[w + e] = c * scale
         g = math.gcd(*row)
         rows.append([v // g for v in row])
     den, reduced, _ = rref(rows)

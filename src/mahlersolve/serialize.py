@@ -140,9 +140,9 @@ def parse_operator(doc) -> MahlerOperator:
 
 
 def _series_element_to_json(elem: PuiseuxSeries) -> dict:
-    scale, den = elem.scale, elem.den
+    ram, den = elem.ramification, elem.den
     return {
-        "terms": Terms([[_ratio(e, scale), _ratio(v, den)] for e, v in elem.nums]),
+        "terms": Terms([[_ratio(e, ram), _ratio(v, den)] for e, v in elem.nums]),
         "truncation_order": str(elem.truncation_order),
     }
 

@@ -13,9 +13,9 @@ order is an int whenever it is integral, a Fraction otherwise.  Vectors
 pass as (den, pairs), the nonzero coefficients
 only, as integer numerators over one denominator, so the cost follows
 the size of the answer, not the window width or the truncation order; a
-`Poly` or `PuiseuxSeries` keeps that form through `certify`
-(`operator.image_below` runs on the same ints) to the JSON writer, and
-no per-coefficient Fraction is built.
+`Poly` or `PuiseuxSeries` stores that form alone and keeps it through
+`certify` (`operator.image_below` runs on the same ints) to the JSON
+writer, and no per-coefficient Fraction is built.
 """
 
 from __future__ import annotations
@@ -50,46 +50,21 @@ def _exact(num: int, den: int):
     return Fraction(num, den) if r else q
 
 
-class PuiseuxSeries:
+class PuiseuxSeries(NamedTuple):
     """Finitely many terms c x^e with e in (1/ramification)Z, exponents
     strictly increasing, truncated at O(x^truncation_order).  A power
     series is the case ramification = 1.  The truncation order is an int
     when it is integral and a Fraction otherwise.
 
-    Stored like a `Poly`: `scale` is the least multiple of the
-    ramification in whose units every exponent is an integer, and the
-    terms are nums / den, `den` a positive int and `nums` the
-    (e, int) pairs, e in units of 1/scale and strictly increasing, the
-    ints nonzero and in lowest terms with den.  The (exponent, Fraction)
-    view `terms` is built the first time it is read.
+    Stored like a `Poly`: the terms are nums / den, `den` a positive int
+    and `nums` the (e, int) pairs, e in units of 1/ramification and
+    strictly increasing, the ints nonzero and in lowest terms with den.
     """
 
-    __slots__ = ("ramification", "scale", "den", "nums", "truncation_order", "_terms")
-
-    def __init__(
-        self,
-        ramification: int,
-        terms: Iterable[tuple[Fraction, Fraction]],
-        truncation_order,
-    ):
-        # repeated exponents are summed and vanishing sums dropped, as in Poly
-        acc: dict[Fraction, Fraction] = {}
-        for e, c in terms:
-            e = Fraction(e)
-            acc[e] = acc.get(e, 0) + Fraction(c)
-        items = sorted((e, c) for e, c in acc.items() if c)
-        scale = math.lcm(ramification, *(e.denominator for e, _ in items))
-        den = math.lcm(*(c.denominator for _, c in items))
-        self.ramification = ramification
-        self.scale = scale
-        self.den = den
-        self.nums = tuple(
-            (e.numerator * (scale // e.denominator), c.numerator * (den // c.denominator))
-            for e, c in items
-        )
-        t = Fraction(truncation_order)
-        self.truncation_order = t.numerator if t.denominator == 1 else t
-        self._terms = tuple(items)
+    ramification: int
+    den: int
+    nums: tuple
+    truncation_order: int | Fraction
 
     @classmethod
     def from_integers(
@@ -103,40 +78,18 @@ class PuiseuxSeries:
         units of 1/ramification and strictly increasing, the ints
         nonzero; common factors are divided out.  The truncation order is
         an int or a Fraction."""
-        s = cls.__new__(cls)
-        s.ramification = s.scale = ramification
-        s.den, s.nums = lowest_terms(den, nums)
         t = truncation_order
-        s.truncation_order = t.numerator if t.denominator == 1 else t
-        s._terms = None
-        return s
+        return cls(ramification, *lowest_terms(den, nums), t.numerator if t.denominator == 1 else t)
 
     @property
     def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """The (exponent, Fraction coefficient) pairs, built on first use."""
-        t = self._terms
-        if t is None:
-            den, scale = self.den, self.scale
-            t = self._terms = tuple((Fraction(e, scale), Fraction(v, den)) for e, v in self.nums)
-        return t
+        """The (exponent, Fraction coefficient) pairs."""
+        ramification, den = self.ramification, self.den
+        return tuple((Fraction(e, ramification), Fraction(v, den)) for e, v in self.nums)
 
     @property
     def valuation(self) -> Optional[Fraction]:
-        return Fraction(self.nums[0][0], self.scale) if self.nums else None
-
-    def _key(self) -> tuple:
-        return (self.ramification, self.scale, self.den, self.nums, self.truncation_order)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PuiseuxSeries):
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"PuiseuxSeries({self.ramification}, {self.terms!r}, {self.truncation_order!r})"
+        return Fraction(self.nums[0][0], self.ramification) if self.nums else None
 
 
 class SolutionBasis(NamedTuple):
@@ -163,9 +116,8 @@ def series_basis(op: MahlerOperator, order: int) -> SolutionBasis:
     if order < 0:
         raise InvalidArgumentError(f"order must be >= 0, got {order}")
     t, vectors = series_solutions(solving_operator(op), IDENTITY_PHI, order)
-    return SolutionBasis(
-        "series_basis", tuple(PuiseuxSeries.from_integers(1, *v, t) for v in vectors)
-    )
+    # the vectors are in lowest terms already
+    return SolutionBasis("series_basis", tuple(PuiseuxSeries(1, *v, t) for v in vectors))
 
 
 def polynomial_solutions_bounded(op: MahlerOperator, w: int) -> SolutionBasis:
@@ -244,7 +196,7 @@ def puiseux_basis(op: MahlerOperator, ramification: Optional[int], order: int) -
     trunc = _exact(t - shift, out_ram)
     # coefficient i carries the exponent (-slope + i/ramification)/b^w0 = (i - shift)/out_ram
     elements = tuple(
-        PuiseuxSeries.from_integers(out_ram, den, [(i - shift, c) for i, c in pairs], trunc)
+        PuiseuxSeries(out_ram, den, tuple((i - shift, c) for i, c in pairs), trunc)
         for den, pairs in vectors
     )
     return SolutionBasis(kind, elements)
@@ -277,11 +229,11 @@ def certify(op: MahlerOperator, basis: SolutionBasis) -> list[Optional[Fraction]
     if kind in ("series_basis", "puiseux_basis"):
         op_terms, orders = integer_terms(op), []
         for elem in basis.elements:
-            bound, scale = certificate_order(op, elem.truncation_order), elem.scale
-            limit = -(-bound.numerator * scale // bound.denominator)  # ceil(bound * scale)
-            _, image = image_below(op_terms, elem.nums, limit, scale)
+            bound, ram = certificate_order(op, elem.truncation_order), elem.ramification
+            limit = -(-bound.numerator * ram // bound.denominator)  # ceil(bound * ram)
+            _, image = image_below(op_terms, elem.nums, limit, ram)
             if image:
-                val = Fraction(min(image), scale)
+                val = Fraction(min(image), ram)
                 raise InternalInvariantError(f"residual has a term of exponent {val} below {bound}")
             orders.append(bound)
         return orders

@@ -7,7 +7,8 @@ arithmetic, `image_below`) and of the push loop behind its window solve
 and prolongation (`rmatrix`): the oracles build dense recurrence rows
 and visit every row, zero or not.  The polynomial oracles take and
 return term tuples, sorted (exponent, nonzero Fraction) pairs, as
-`Poly.terms`.  The Gräffe and orbit oracles are the exception: they
+`Poly.terms`; `series_oracle` builds a `PuiseuxSeries` record from
+such pairs.  The Gräffe and orbit oracles are the exception: they
 are built on the library's `Poly` and serve as cross-checks of the
 denominator bound.  `graeffe_oracle` is the determinant route the
 library took before it computed Gräffe steps by power sums, a
@@ -408,6 +409,25 @@ def apply_exact(op: MahlerOperator, p: Poly) -> Poly:
         img = mahler_substitute(p, op.radix, k) if k else p
         total = total + lk * img
     return total
+
+
+def series_oracle(ramification: int, terms, truncation_order):
+    """The PuiseuxSeries of the (exponent, coefficient) pairs `terms`,
+    exponents in (1/ramification)Z and strictly increasing, coefficients
+    nonzero, built from Fractions: the numerators over the lcm of the
+    coefficients' denominators, the exponents times the ramification."""
+    from mahlersolve.solver import PuiseuxSeries
+
+    terms = [(Fraction(e), Fraction(c)) for e, c in terms]
+    den = math.lcm(*(c.denominator for _, c in terms))
+    nums = []
+    for e, c in terms:
+        units = e * ramification
+        if units.denominator != 1:
+            raise ValueError(f"exponent {e} is not in (1/{ramification})Z")
+        nums.append((units.numerator, c.numerator * (den // c.denominator)))
+    t = Fraction(truncation_order)
+    return PuiseuxSeries(ramification, den, tuple(nums), t.numerator if t.denominator == 1 else t)
 
 
 def apply_to_fractional(

@@ -79,7 +79,7 @@ def test_zero_coefficient_entries_allowed():
 
 def test_basis_documents():
     series = SolutionBasis(
-        "series_basis", (PuiseuxSeries(1, ((F(1), F(1)), (F(2), F(-2))), F(3)),)
+        "series_basis", (PuiseuxSeries.from_integers(1, 1, [(1, 1), (2, -2)], F(3)),)
     )
     doc = basis_to_json(series)
     assert doc["dimension"] == 1
@@ -89,7 +89,7 @@ def test_basis_documents():
 
     puiseux = SolutionBasis(
         "puiseux_basis",
-        (PuiseuxSeries(2, ((F(-1, 2), F(1)), (F(3, 2), F(-1))), F(5, 2)),),
+        (PuiseuxSeries.from_integers(2, 1, [(-1, 1), (3, -1)], F(5, 2)),),
     )
     doc = basis_to_json(puiseux)
     assert doc["ramification"] == 2

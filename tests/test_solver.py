@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     count_fraction_arithmetic,
     dense,
+    integer_pairs,
     operator,
     pol,
     random_operator,
@@ -333,8 +334,8 @@ def test_certificate_order_formula(running_example):
 
 def _power_series(coeffs):
     """c_0 + c_1 x + ... + O(x^len(coeffs)) as a PuiseuxSeries."""
-    terms = tuple((F(i), c) for i, c in enumerate(coeffs) if c)
-    return PuiseuxSeries(1, terms, F(len(coeffs)))
+    den, pairs = integer_pairs([(i, c) for i, c in enumerate(coeffs) if c])
+    return PuiseuxSeries.from_integers(1, den, pairs, len(coeffs))
 
 
 def _certify_one(op, elem, kind="puiseux_basis"):
@@ -355,16 +356,18 @@ def test_certificates_reject_perturbed_coefficients(running_example):
     with pytest.raises(InternalInvariantError, match="below 19"):
         _certify_one(running_example, _power_series(coeffs), "series_basis")
     puiseux = puiseux_basis(running_example, 2, 5).elements[0]
-    terms = list(puiseux.terms)
-    terms[2] = (terms[2][0], 2 * terms[2][1])
-    bad = PuiseuxSeries(puiseux.ramification, tuple(terms), puiseux.truncation_order)
+    nums = list(puiseux.nums)
+    nums[2] = (nums[2][0], 2 * nums[2][1])
+    bad = PuiseuxSeries.from_integers(
+        puiseux.ramification, puiseux.den, nums, puiseux.truncation_order
+    )
     with pytest.raises(InternalInvariantError, match="residual has a term"):
         _certify_one(running_example, bad)
     # a truncation order finer than the ramification: x^(1/2) - x is not
     # cancelled below O(x^(2/3)) by y(x^2) - y(x)
     shift = operator(2, -ONE, ONE)
     with pytest.raises(InternalInvariantError, match="exponent 1/2 below 2/3"):
-        _certify_one(shift, PuiseuxSeries(2, ((F(1, 2), F(1)),), F(2, 3)))
+        _certify_one(shift, PuiseuxSeries.from_integers(2, 1, [(1, 1)], F(2, 3)))
 
     # on random equations, one perturbed coefficient below the truncation
     # is rejected exactly when the whole image has a term below the bound
