@@ -238,27 +238,17 @@ _ZERO = Fraction(0)
 
 
 def format_terms(terms: Iterable[tuple]) -> str:
-    """The terms c x^e as text, "0" for none.  Each e and c is anything
-    `Fraction` reads, such as an int or a string "-1/2"; a negative or
-    fractional exponent is written in parentheses."""
+    """The terms c x^e as text, "0" for none.  Each e and c is an int, a
+    Fraction or a string as `str(Fraction)` writes it, such as "-1/2"; a
+    negative or fractional exponent is written in parentheses."""
     parts = []
     for e, c in terms:
-        e, c = Fraction(e), Fraction(c)
-        if e == 0:
-            body = str(c)
+        e, c = str(e), str(c)
+        if e == "0":
+            body = c
         else:
-            if e == 1:
-                mono = "x"
-            elif e.denominator == 1 and e > 0:
-                mono = f"x^{e}"
-            else:
-                mono = f"x^({e})"
-            if c == 1:
-                body = mono
-            elif c == -1:
-                body = f"-{mono}"
-            else:
-                body = f"{c}*{mono}"
+            mono = "x" if e == "1" else f"x^{e}" if e.isdigit() else f"x^({e})"
+            body = {"1": mono, "-1": f"-{mono}"}.get(c, f"{c}*{mono}")
         if parts and not body.startswith("-"):
             parts.append("+")
         parts.append(body)

@@ -9,9 +9,8 @@ solves for all such p and is put in canonical form by one
 rational-basis transcendence test solves for nothing: the only
 possible witness has the numerator x^v_bar q_star y mod x^w, read off
 the series y, and it is certified and checked once against the series.
-The series solution a transcendence prefix starts is its head extended
-by the `prolong` of one `rmatrix.Recurrence`, which also gives the
-head length.
+The series solution a transcendence prefix starts comes from
+`rmatrix.extend_prefix`, which checks the prefix and prolongs its head.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from typing import NamedTuple, Optional, Sequence
 from . import poly as P
 from .errors import (
     ExponentOverflowError,
-    InconsistentPrefixError,
     InsufficientPrefixError,
     InvalidArgumentError,
     UnsupportedEquationError,
@@ -32,7 +30,6 @@ from .errors import (
 from .linalg import independent, rref
 from .newton import ramification_data
 from .operator import (
-    IDENTITY_PHI,
     MahlerOperator,
     PhiTransform,
     clear_denominator,
@@ -41,7 +38,7 @@ from .operator import (
     phi_apply,
 )
 from .poly import Poly, graeffe, lcm_orbit, lowest_terms, mahler_substitute, residue_sections
-from .rmatrix import Recurrence
+from .rmatrix import extend_prefix
 from .solver import SolutionBasis, polynomial_solutions_bounded, solving_operator
 
 
@@ -284,41 +281,6 @@ class TranscendenceVerdict(NamedTuple):
     method: str  # "rational-basis" | "bell-coons"
 
 
-def _consistent_extension(
-    op: MahlerOperator, prefix: Sequence[int | Fraction], length: int
-) -> tuple[int, list[int]]:
-    """The series solution that starts with the prefix, to
-    max(length, len(prefix)) coefficients, as (den, nums): int
-    numerators over one positive int den.  Raises
-    InconsistentPrefixError when no solution starts with the prefix.
-
-    A series solution is fixed by its head, its first
-    max(floor(nu) + 1, 0) coefficients, so `Recurrence.prolong` checks
-    the prefix's head against the relation rows and extends it; the
-    rest of the prefix must then agree with the extension.
-    """
-    for c in prefix:
-        if type(c) is not int and not isinstance(c, Fraction):
-            raise InvalidArgumentError(f"prefix entries must be int or Fraction, got {c!r}")
-    target = max(length, len(prefix))
-    den, nums = 1, [0] * target
-    if op.order >= 1:
-        rec = Recurrence(op, IDENTITY_PHI)
-        head = rec.head
-        if len(prefix) < max(head, 1):
-            raise InsufficientPrefixError(
-                f"need at least {max(head, 1)} coefficients, got {len(prefix)}"
-            )
-        den = math.lcm(*(c.denominator for c in prefix[:head]))
-        pairs = [(n, c.numerator * den // c.denominator) for n, c in enumerate(prefix[:head]) if c]
-        den, pairs = rec.prolong((den, pairs), target - head)
-        for n, v in pairs:
-            nums[n] = v
-    if any(c.numerator * den != v * c.denominator for c, v in zip(prefix, nums)):
-        raise InconsistentPrefixError("prefix extends to no series solution")
-    return den, nums
-
-
 def transcendence_test(
     op: MahlerOperator, prefix: Sequence[int | Fraction]
 ) -> TranscendenceVerdict:
@@ -338,14 +300,14 @@ def transcendence_test(
     the n known terms of y.
     """
     op = solving_operator(op)
-    den, series = _consistent_extension(op, prefix, len(prefix))
+    den, series = extend_prefix(op, prefix, len(prefix))
     if not any(series):
         return TranscendenceVerdict("rational", RationalFunction.constant(0), "rational-basis")
     bound = denominator_bound(op)
     q_star, v_bar = bound.q_star, bound.v_bar
     w = q_star.degree + 2 * v_bar + 1
     if w - v_bar > len(series):
-        den, series = _consistent_extension(op, prefix, w - v_bar)
+        den, series = extend_prefix(op, prefix, w - v_bar)
     # z_i, the coefficient of x^(v_bar + i) in z, times den q_star.den
     z = [0] * len(series)
     for e, c in q_star.nums:
@@ -375,10 +337,10 @@ def bell_coons_test(
     op = solving_operator(op)
     if op.order < 1:
         # only the zero series solves l_0 y = 0; this raises otherwise
-        _consistent_extension(op, prefix, len(prefix))
+        extend_prefix(op, prefix, len(prefix))
         return TranscendenceVerdict("rational", None, "bell-coons")
     kappa, bound = bell_coons_dimensions(op)
-    _, series = _consistent_extension(op, prefix, kappa + bound + 1)
+    _, series = extend_prefix(op, prefix, kappa + bound + 1)
     verdict = "transcendental" if bell_coons_rank(op, series) else "rational"
     return TranscendenceVerdict(verdict, None, "bell-coons")
 

@@ -34,29 +34,39 @@ when no row is left; the push's (n, num, lev) triples never leave it.
 
 A `Recurrence` is built once per (op, phi) and holds phi(op), and
 floor(nu), floor(mu) and the head length as ints; its `integer_terms`
-are built on first read.  Its `window` is the window solve, its
-`prolong` extends the head of a prefix to the series solution it
-starts, for the transcendence tests of `rational`, and
-`series_solutions` runs both from one `Recurrence`.
+are built on first read, and its `window` is the window solve.  Two
+entry points prolong heads, each from one `Recurrence`:
+`series_solutions` prolongs every head of the window solve, and
+`extend_prefix` checks a caller's prefix and prolongs its head, for the
+transcendence tests of `rational`.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
 from operator import add
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     ExponentOverflowError,
     InconsistentPrefixError,
+    InsufficientPrefixError,
     InternalInvariantError,
     InvalidArgumentError,
 )
 from .linalg import rref
 from .newton import nu_ratio
-from .operator import MahlerOperator, PhiTransform, image_below, integer_terms, phi_apply
+from .operator import (
+    IDENTITY_PHI,
+    MahlerOperator,
+    PhiTransform,
+    image_below,
+    integer_terms,
+    phi_apply,
+)
 from .poly import MAX_EXPONENT, lowest_terms
 
 Term = tuple[int, int, int]  # (b^k, j, c): the term c x^j M^k
@@ -281,50 +291,6 @@ class Recurrence:
             raise InvalidArgumentError("orientation must be 'lower' or 'upper'")
         return _window(self, h, width, 1 if orientation == "lower" else -1)
 
-    def prolong(self, approx: tuple[int, Iterable], extra: int) -> tuple[int, tuple]:
-        """Extend an approximate series solution of phi(op) by `extra` terms.
-
-        `approx` is (den, pairs), as `window` returns it, for the `head`
-        coefficients; it must satisfy the relation rows up to floor(mu),
-        else InconsistentPrefixError names the first row it breaks.
-        Beyond the Newton corner row m determines y_{m - v(l_0)}, so each
-        further row gives one new coefficient.  Returns (den, pairs) for
-        the first head + extra coefficients, head first, in lowest terms;
-        a head + extra beyond MAX_EXPONENT raises ExponentOverflowError.
-        """
-        if extra < 0:
-            raise InvalidArgumentError("extra must be >= 0")
-        try:
-            den, support = approx
-            support = tuple(support)
-            ok = type(den) is int and den > 0
-            ok = ok and all(type(n) is type(v) is int and v for n, v in support)
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            raise InvalidArgumentError(
-                "approximate solution must be a positive int den and nonzero (int, int) pairs"
-            )
-        head = self.head
-        if head + extra > MAX_EXPONENT:
-            raise ExponentOverflowError(f"truncation order {head + extra} exceeds {MAX_EXPONENT}")
-        bounds = [-1] + [n for n, _ in support] + [head]
-        if any(a >= b for a, b in zip(bounds, bounds[1:])):
-            raise InvalidArgumentError(
-                f"approximate solution needs increasing indices in 0..{head - 1}"
-            )
-        # the zero head extends to zero; it is the only head when nu < 0,
-        # where the kernels' first position floor(nu) + 1 may be negative
-        if not support:
-            return 1, ()
-        _, residual = image_below(self.integer_terms, support, self.mu_floor + 1)
-        if residual:
-            bad = min(residual)
-            raise InconsistentPrefixError(
-                f"prefix violates the relation for the coefficient of x^{bad}"
-            )
-        return _prolong(self, den, support, extra)
-
 
 def _window(rec: Recurrence, h: int, width: int, sign: int) -> tuple:
     """`Recurrence.window`, lower for sign 1 and upper for sign -1."""
@@ -374,7 +340,9 @@ def _window(rec: Recurrence, h: int, width: int, sign: int) -> tuple:
 
 
 def _prolong(rec: Recurrence, den: int, support: Sequence, extra: int) -> tuple:
-    """`Recurrence.prolong` for a head that holds the rows up to floor(mu)."""
+    """A head, the nonzero (n, int) pairs `support` over den, that holds
+    the rows up to floor(mu), extended by `extra` coefficients, as
+    (den, pairs) in lowest terms: row m > floor(mu) gives y_{m - v(l_0)}."""
     # Scaled by L, row m reads d y_{m - v(l_0)} + (sum of c y_n over the
     # other terms) = 0; the trailing term d x^v(l_0) of l_0 comes first.
     (_, tv0, d), *terms = rec.integer_terms[1]
@@ -402,11 +370,11 @@ def _prolong(rec: Recurrence, den: int, support: Sequence, extra: int) -> tuple:
 
 def series_solutions(op: MahlerOperator, phi: PhiTransform, top: int) -> tuple[int, tuple]:
     """(t, vectors): a basis of the power-series solutions of phi(op),
-    whose trailing coefficient is nonzero, each as the (den, pairs) of
-    `Recurrence.prolong` for its coefficients 0..t-1, t - 1 = max(top,
-    floor(nu)).  One `Recurrence` gives the window, which fixes the
-    coefficients up to floor(nu), and the prolongation of every head.
-    A t beyond MAX_EXPONENT raises ExponentOverflowError."""
+    whose trailing coefficient is nonzero, each as (den, pairs) for its
+    coefficients 0..t-1, t - 1 = max(top, floor(nu)), in lowest terms.
+    One `Recurrence` gives the window, which fixes the coefficients up
+    to floor(nu), and the prolongation of every head.  A t beyond
+    MAX_EXPONENT raises ExponentOverflowError."""
     if op.order < 1:
         return 0, ()
     rec = Recurrence(op, phi)
@@ -417,3 +385,49 @@ def series_solutions(op: MahlerOperator, phi: PhiTransform, top: int) -> tuple[i
         raise ExponentOverflowError(f"truncation order {t} exceeds {MAX_EXPONENT}")
     heads = _window(rec, rec.mu_floor + 1, rec.head, 1)
     return t, tuple(_prolong(rec, *head, t - rec.head) for head in heads)
+
+
+def extend_prefix(
+    op: MahlerOperator, prefix: Sequence[int | Fraction], length: int
+) -> tuple[int, list[int]]:
+    """The series solution of op that starts with the int or Fraction
+    prefix, to max(length, len(prefix)) coefficients, as (den, nums): int
+    numerators over one positive den, in lowest terms.  Its head, the
+    first `head` = max(floor(nu) + 1, 0) coefficients, fixes it (of order
+    0, only the zero series solves).  Raises, in this order,
+    InvalidArgumentError for another entry, InsufficientPrefixError for
+    fewer than max(head, 1) entries, ExponentOverflowError past
+    MAX_EXPONENT coefficients, and InconsistentPrefixError for a head that
+    breaks a relation row, named, or a rest that differs from the head's
+    prolongation."""
+    for c in prefix:
+        if type(c) is not int and not isinstance(c, Fraction):
+            raise InvalidArgumentError(f"prefix entries must be int or Fraction, got {c!r}")
+    target = max(length, len(prefix))
+    head = 0
+    if op.order >= 1:
+        rec = Recurrence(op, IDENTITY_PHI)
+        head = rec.head
+        if len(prefix) < max(head, 1):
+            raise InsufficientPrefixError(
+                f"need at least {max(head, 1)} coefficients, got {len(prefix)}"
+            )
+    if target > MAX_EXPONENT:
+        raise ExponentOverflowError(f"truncation order {target} exceeds {MAX_EXPONENT}")
+    den = math.lcm(*(c.denominator for c in prefix[:head]))
+    pairs = [(n, c.numerator * den // c.denominator) for n, c in enumerate(prefix[:head]) if c]
+    # the zero head extends to zero; it is the only head when nu < 0,
+    # where the kernels' first position floor(nu) + 1 may be negative
+    if pairs:
+        _, residual = image_below(rec.integer_terms, pairs, rec.mu_floor + 1)
+        if residual:
+            raise InconsistentPrefixError(
+                f"prefix violates the relation for the coefficient of x^{min(residual)}"
+            )
+        den, pairs = _prolong(rec, den, pairs, target - head)
+    nums = [0] * target
+    for n, v in pairs:
+        nums[n] = v
+    if any(c.numerator * den != v * c.denominator for c, v in zip(prefix, nums)):
+        raise InconsistentPrefixError("prefix extends to no series solution")
+    return den, nums

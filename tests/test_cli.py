@@ -238,7 +238,7 @@ def test_transcendence_order_zero(run, tmp_path):
 
 
 def test_transcendence_head_breaks_a_relation_row(run, tmp_path, running_example):
-    # prolong rejects the head 1,1,1,1 at its first broken row; a head that
+    # extend_prefix rejects the head 1,1,1,1 at its first broken row; a head that
     # holds with a tail that differs fails the closing comparison
     path = tmp_path / "running.json"
     path.write_text(json.dumps(operator_to_json(running_example)))
@@ -276,8 +276,8 @@ def test_requests_on_integers_build_no_fraction(
     run, monkeypatch, tmp_path, running_example, rat_example, reduction_example
 ):
     # on integer input with integral orders no subcommand builds a
-    # Fraction; a transcendence request builds one only for a prefix
-    # entry that is not integral
+    # Fraction, in JSON or in text; a transcendence request builds one
+    # only for a prefix entry that is not integral
     g = operator(2, -Poly.one(), Poly.one())
     ops = {
         "running": running_example,
@@ -287,6 +287,7 @@ def test_requests_on_integers_build_no_fraction(
         "b": operator(2, pol(0, 0, 1), Poly.one()) * g,
         "two_polys": operator(2, pol(0, 1, 1), -pol(1, 1, 1), Poly.one()),
         "lop": operator(2, Poly.x(), -pol(1, 1), Poly.one()),
+        "unit": operator(2, pol(-1, 1), Poly.one()),
     }
     files = {}
     for name, op in ops.items():
@@ -301,11 +302,12 @@ def test_requests_on_integers_build_no_fraction(
         ("puiseux", files["rat"], "--order", "5", "--certify"),
         ("poly", files["two_polys"], "--certify"),
         ("rational", files["rat"], "--certify"),
+        ("series", files["unit"], "--order", "20"),
     ]
     built = _fractions_built(monkeypatch)
-    for argv in requests:
+    for argv in requests + [(*argv, "--format", "text") for argv in requests]:
         code, out, _ = run(*argv)
-        assert (argv[0], code, built) == (argv[0], 0, Counter())
+        assert (argv, code, built) == (argv, 0, Counter())
     # 1/(x^2 - x - 1) + 3/(2x - 1) solves rat_example, a witness with
     # two poles
     cases = [
@@ -319,6 +321,9 @@ def test_requests_on_integers_build_no_fraction(
         built.clear()
         code, out, _ = run("transcendence", files[name], f"--initial={prefix}")
         assert (code, json.loads(out)["verdict"], built) == (0, verdict, Counter(want))
+        built.clear()
+        code, out, _ = run("transcendence", files[name], f"--initial={prefix}", "--format=text")
+        assert (code, out.split(" ")[0], built) == (0, verdict, Counter(want))
     monkeypatch.undo()
 
 

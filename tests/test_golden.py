@@ -69,7 +69,7 @@ def test_tracer_leaves_outcomes_unchanged(
     tmp_path, running_example, running_example_series, rat_example, reduction_example
 ):
     # perfbench/trace.py wraps the library from outside: it replaces the
-    # public functions and methods, `Recurrence.prolong` and
+    # public functions and methods, `rmatrix.extend_prefix` and
     # `Recurrence.window` among them, and the solvers the subcommand
     # lambdas look up when called
     paths = {}
@@ -107,5 +107,5 @@ def test_tracer_leaves_outcomes_unchanged(
         tracer.uninstall()
     assert [code for code, _ in untraced] == [0] * len(argvs)
     assert traced == untraced
-    assert tracer.calls["rmatrix.Recurrence.prolong"] and tracer.calls["rmatrix.Recurrence.window"]
+    assert tracer.calls["rmatrix.extend_prefix"] and tracer.calls["rmatrix.Recurrence.window"]
     assert tracer.calls["solver.series_basis"] and tracer.calls["rational.rational_basis"]

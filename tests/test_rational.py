@@ -9,7 +9,6 @@ from conftest import (
     count_fraction_arithmetic,
     dense,
     forbid_basis_solve,
-    integer_pairs,
     operator,
     pol,
     random_operator,
@@ -26,7 +25,7 @@ from mahlersolve.errors import (
     UnsupportedEquationError,
     ZeroTrailingCoefficientError,
 )
-from mahlersolve.operator import IDENTITY_PHI, MahlerOperator
+from mahlersolve.operator import MahlerOperator
 from mahlersolve.poly import Poly, gcd, mahler_substitute, poly_sections
 from mahlersolve.rational import (
     RamifiedRationalFunction,
@@ -39,7 +38,7 @@ from mahlersolve.rational import (
     rational_basis,
     transcendence_test,
 )
-from mahlersolve.rmatrix import Recurrence
+from mahlersolve.rmatrix import extend_prefix
 from mahlersolve.solver import SolutionBasis, certify, series_basis
 
 F = Fraction
@@ -371,14 +370,14 @@ def test_transcendence_test_exits(monkeypatch, op, prefix, calls, verdict, witne
     forbid_basis_solve(monkeypatch)
     seen = Counter()
     for owner, name in (
-        (rational, "_consistent_extension"),
+        (rational, "extend_prefix"),
         (rational, "clear_denominator"),
         (RationalFunction, "laurent_coefficients"),
     ):
         monkeypatch.setattr(owner, name, _counted(seen, name, getattr(owner, name)))
     got = transcendence_test(op, prefix)
     monkeypatch.undo()
-    names = ("_consistent_extension", "clear_denominator", "laurent_coefficients")
+    names = ("extend_prefix", "clear_denominator", "laurent_coefficients")
     assert tuple(seen[name] for name in names) == calls
     assert (got.verdict, got.witness) == (verdict, witness)
     assert got.verdict == bell_coons_test(op, prefix).verdict
@@ -436,8 +435,9 @@ def test_bell_coons(rat_example):
 def test_series_extension_runs_on_ints(monkeypatch, rat_example):
     # Bell-Coons extends the prefix to kappa + bound + 1 coefficients by
     # prolonging its head on ints: the one Recurrence reads floor(nu) and
-    # floor(mu) on ints, and neither the prolongation, the extension nor
-    # the Hankel test builds or computes with a Fraction
+    # floor(mu) on ints, and neither the extension of the head, the
+    # comparison with the rest of the prefix nor the Hankel test builds
+    # or computes with a Fraction
     lop = operator(2, X, -pol(1, 1), ONE)
     witness = RationalFunction.make(ONE, 0, pol(-1, -1, 1))
     cases = [
@@ -448,10 +448,9 @@ def test_series_extension_runs_on_ints(monkeypatch, rat_example):
     lengths, counts = [], []
     for op, prefix, verdict in cases:
         kappa, bound = bell_coons_dimensions(op)
-        head = int(nu_mu_oracle(op)[0]) + 1
-        approx = integer_pairs([(n, c) for n, c in enumerate(prefix[:head]) if c])
+        head = prefix[: int(nu_mu_oracle(op)[0]) + 1]
         calls = count_fraction_arithmetic(monkeypatch)
-        Recurrence(op, IDENTITY_PHI).prolong(approx, kappa + bound + 1 - head)
+        extend_prefix(op, head, kappa + bound + 1)
         parts = calls.copy()
         calls.clear()
         got = bell_coons_test(op, prefix)
@@ -479,28 +478,29 @@ def _counted(calls: Counter, name: str, original):
 def test_extension_prolongs_the_head_once(monkeypatch, rat_example, running_example):
     # the extension builds one Recurrence and prolongs the prefix's head
     # once: no series basis, and a head that breaks a relation row fails
-    # inside the prolongation; the order-0 path does neither
+    # before the prolongation; the order-0 path does neither
     from mahlersolve import rmatrix, solver
 
     assert not hasattr(rational, "series_basis")
+    assert not hasattr(rational, "Recurrence")
     calls = Counter()
     counted = functools.partial(_counted, calls)
-    monkeypatch.setattr(rational, "Recurrence", counted("Recurrence", rmatrix.Recurrence))
-    monkeypatch.setattr(rmatrix.Recurrence, "prolong", counted("prolong", rmatrix.Recurrence.prolong))
+    for name in ("Recurrence", "_prolong"):
+        monkeypatch.setattr(rmatrix, name, counted(name, getattr(rmatrix, name)))
     for module, name in ((solver, "series_basis"), (solver, "series_solutions")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     lop = operator(2, X, -pol(1, 1), ONE)
     prefix = laurent(RationalFunction.make(ONE, 0, pol(-1, -1, 1)), 0, 8)
     for op, start in ((lop, [F(0), F(1), F(1), F(0), F(1)]), (rat_example, prefix)):
         calls.clear()
-        rational._consistent_extension(op, start, 40)
-        assert calls == Counter({"Recurrence": 1, "prolong": 1})
+        extend_prefix(op, start, 40)
+        assert calls == Counter({"Recurrence": 1, "_prolong": 1})
     calls.clear()
     with pytest.raises(InconsistentPrefixError, match="relation for the coefficient of x"):
-        rational._consistent_extension(running_example, [F(1)] * 4, 8)
-    assert calls == Counter({"Recurrence": 1, "prolong": 1})
+        extend_prefix(running_example, [F(1)] * 4, 8)
+    assert calls == Counter({"Recurrence": 1})
     calls.clear()
-    rational._consistent_extension(operator(2, pol(1, 1)), [F(0)] * 3, 3)
+    extend_prefix(operator(2, pol(1, 1)), [F(0)] * 3, 3)
     assert not calls
 
 

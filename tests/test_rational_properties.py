@@ -35,12 +35,12 @@ from oracles import (
     rational_basis_oracle,
     transcendence_oracle,
 )
-from mahlersolve import rational
 from mahlersolve.errors import MahlerError
 from mahlersolve.linalg import rref
 from mahlersolve.newton import ramification_data
 from mahlersolve.operator import MahlerOperator
 from mahlersolve.poly import Poly, mahler_substitute
+from mahlersolve.rmatrix import extend_prefix
 from mahlersolve.rational import (
     RamifiedRationalFunction,
     RationalFunction,
@@ -320,12 +320,12 @@ def extension_prefixes(draw, op):
 @settings(max_examples=100)
 @given(st.data())
 def test_consistent_extension_matches_oracle(data):
-    # value for value, or the same error class: a bumped head fails in
-    # prolong, a bumped tail in the closing comparison
+    # value for value, or the same error class: a bumped head fails the
+    # relation rows, a bumped tail the closing comparison
     op = data.draw(extension_operators())
     prefix = data.draw(extension_prefixes(op))
     length = data.draw(st.integers(0, 12))
-    got = outcome(rational._consistent_extension, op, prefix, length)
+    got = outcome(extend_prefix, op, prefix, length)
     if isinstance(got, tuple):
         den, nums = got
         got = [F(v, den) for v in nums]

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import (
     count_fraction_arithmetic,
     dense,
-    integer_pairs,
     operator,
     random_operator,
     random_poly_solvable,
@@ -23,6 +22,7 @@ from oracles import edge_slope, entry_oracle, nu_mu_oracle, prolong_oracle
 from mahlersolve.errors import (
     ExponentOverflowError,
     InconsistentPrefixError,
+    InsufficientPrefixError,
     InternalInvariantError,
     InvalidArgumentError,
 )
@@ -37,7 +37,7 @@ from mahlersolve.operator import (
     phi_apply,
 )
 from mahlersolve.poly import MAX_EXPONENT, Poly, lowest_terms, mahler_substitute
-from mahlersolve.rmatrix import Recurrence
+from mahlersolve.rmatrix import Recurrence, extend_prefix
 from mahlersolve.solver import puiseux_basis, series_basis
 
 F = Fraction
@@ -241,80 +241,67 @@ def _lower_kernel(op):
     return rec.window(rec.mu_floor + 1, rec.nu_floor + 1, "lower")
 
 
-def _prolong(op, phi, approx, extra):
-    """`Recurrence.prolong` of phi(op), called as `prolong_oracle` is."""
-    return Recurrence(op, phi).prolong(approx, extra)
-
-
-def _pairs(vec):
-    """The nonzero (n, c) pairs of a dense coefficient list."""
-    return [(n, c) for n, c in enumerate(vec) if c]
+def _extend(op, phi, approx, extra):
+    """`extend_prefix` of phi(op) from the dense head `approx` to `extra`
+    more coefficients, called as `prolong_oracle` is, as (den, pairs):
+    the nonzero (n, int) pairs over den."""
+    den, nums = extend_prefix(phi_apply(op, phi), approx, len(approx) + extra)
+    return den, tuple((n, v) for n, v in enumerate(nums) if v)
 
 
 def test_prolong_running_example(running_example, running_example_series):
-    approx = (1, ((3, 1),))
     rec = Recurrence(running_example, IDENTITY_PHI)
     assert rec.head == 4
-    out = rec.prolong(approx, 9)
-    _same_as_oracle(out, running_example_series)
-    assert rec.prolong(approx, 0) == (1, ((3, 1),))
-    assert rec.prolong((6, [(3, 4)]), 0) == (3, ((3, 2),))
-    with pytest.raises(InconsistentPrefixError):
-        rec.prolong((1, ((0, 1), (1, 1), (2, 1), (3, 1))), 3)
-    # the head must be the coefficients 0..floor(nu) = 0..3, in order
-    for bad in ([(4, 1)], [(-1, 1)], [(3, 1), (2, 1)], [(3, 1), (3, 1)]):
-        with pytest.raises(InvalidArgumentError, match=r"increasing indices in 0\.\.3$"):
-            rec.prolong((1, bad), 3)
-    with pytest.raises(InvalidArgumentError):
-        rec.prolong(approx, -1)
+    head = [0, 0, 0, 1]
+    _same_as_oracle(_extend(running_example, IDENTITY_PHI, head, 9), running_example_series)
+    assert extend_prefix(running_example, head, 0) == (1, [0, 0, 0, 1])
+    assert extend_prefix(running_example, [0, 0, 0, F(4, 6)], 4) == (3, [0, 0, 0, 2])
+    with pytest.raises(InconsistentPrefixError, match=r"coefficient of x\^0$"):
+        extend_prefix(running_example, [1, 1, 1, 1], 7)
 
 
 def test_prolong_past_the_exponent_range():
-    # a prolongation past MAX_EXPONENT coefficients raises the typed error
-    # of series_basis before it allocates anything
+    # an extension past MAX_EXPONENT coefficients raises the typed error
+    # of series_basis before it allocates anything, on order 0 and for
+    # nu < 0 too; a prefix shorter than the head fails first
     op = MahlerOperator(2, [X - ONE, ONE])
     for extra in (MAX_EXPONENT, 2**63, 2**64):
         with pytest.raises(ExponentOverflowError, match="exceeds"):
-            Recurrence(op, IDENTITY_PHI).prolong((1, ((0, 1),)), extra)
+            extend_prefix(op, [1], extra + 1)
         with pytest.raises(ExponentOverflowError, match="exceeds"):
             series_basis(op, extra)
-    with pytest.raises(ExponentOverflowError, match="exceeds"):
-        Recurrence(MahlerOperator(2, [ONE, X]), IDENTITY_PHI).prolong((1, ()), MAX_EXPONENT + 1)
-    want = (1, ((0, 1), (1, 1), (2, 2), (3, 2)))
-    assert Recurrence(op, IDENTITY_PHI).prolong((1, ((0, 1),)), 3) == want
+    for coeffs in ([ONE, X], [ONE + X]):
+        with pytest.raises(ExponentOverflowError, match="exceeds"):
+            extend_prefix(MahlerOperator(2, coeffs), [0], MAX_EXPONENT + 1)
+    with pytest.raises(InsufficientPrefixError):
+        extend_prefix(op, [], MAX_EXPONENT + 1)
+    assert extend_prefix(op, [1], 4) == (1, [1, 1, 2, 2])
 
 
-def test_prolong_rejects_malformed_heads(running_example):
-    # a head is (den, pairs): a positive int den and nonzero (int, int)
-    # pairs; a bare list of (n, Fraction) pairs and every near miss are
-    # rejected before any work
-    malformed = [
-        [(3, F(1))],
-        [(3, 1)],
-        ((3, 1),),
-        (1, [(3, F(1))]),
-        (1, [(F(3), 1)]),
-        (1, [(3, 1.0)]),
-        (1, [(3, True)]),
-        (1, [(3, 0)]),
-        (1, [(3,)]),
-        (1, [3]),
-        (1, None),
-        (0, [(3, 1)]),
-        (-1, [(3, 1)]),
-        (F(1), [(3, 1)]),
-        (True, [(3, 1)]),
-        (1.0, [(3, 1)]),
-        (1, [(3, 1)], 0),
-        None,
+def test_extend_prefix_faults(running_example):
+    # each prefix fault raises its own error, checked in this order:
+    # entries, length, the head's relation rows, then the tail
+    faults = [
+        ([0, 0, 0, 1.0], InvalidArgumentError, "must be int or Fraction, got 1.0"),
+        ([1, 1, "1"], InvalidArgumentError, "must be int or Fraction"),
+        ([0, 0, 1], InsufficientPrefixError, "need at least 4 coefficients, got 3"),
+        ([1, 1, 1, 1, 0], InconsistentPrefixError, r"relation for the coefficient of x\^0$"),
+        ([0, 0, 0, 1, 0, 0], InconsistentPrefixError, "prefix extends to no series solution"),
     ]
-    for head in malformed:
-        with pytest.raises(InvalidArgumentError, match="positive int den"):
-            Recurrence(running_example, IDENTITY_PHI).prolong(head, 3)
+    for prefix, error, message in faults:
+        with pytest.raises(error, match=message):
+            extend_prefix(running_example, prefix, 8)
+    # order 0 checks the entries and the tail alone
+    op = MahlerOperator(2, [ONE + X])
+    assert extend_prefix(op, [], 2) == (1, [0, 0])
+    with pytest.raises(InvalidArgumentError):
+        extend_prefix(op, [True], 2)
+    with pytest.raises(InconsistentPrefixError, match="extends to no series solution"):
+        extend_prefix(op, [0, F(1, 2)], 2)
 
 
 def test_prolong_prefix_check_reaches_row_floor_mu():
-    # prefixes that satisfy every relation row below floor(mu): prolong
+    # prefixes that satisfy every relation row below floor(mu): extend_prefix
     # rejects exactly those that break row floor(mu), as the oracle does
     rng = random.Random(606)
     verdicts = {True: 0, False: 0}
@@ -326,10 +313,9 @@ def test_prolong_prefix_check_reaches_row_floor_mu():
         head = int(nu) + 1
         for vec in oracles.kernel(oracles.brute_rows(op, int(mu) - 1, head), head):
             outcomes = []
-            heads = ((_prolong, integer_pairs(_pairs(vec))), (prolong_oracle, list(vec)))
-            for solve, approx in heads:
+            for solve in (_extend, prolong_oracle):
                 try:
-                    solve(op, IDENTITY_PHI, approx, 3)
+                    solve(op, IDENTITY_PHI, list(vec), 3)
                     outcomes.append(False)
                 except InconsistentPrefixError:
                     outcomes.append(True)
@@ -341,12 +327,12 @@ def test_prolong_prefix_check_reaches_row_floor_mu():
 def test_prolong_transformed(running_example):
     phi = PhiTransform(-1, 2, -3)
     approx = [F(c) for c in [1, 0, -1, 0, 1, 0, -1, 0]]
-    out = Recurrence(running_example, phi).prolong(integer_pairs(_pairs(approx)), 5)
+    out = _extend(running_example, phi, approx, 5)
     expected = [F(c) for c in [1, 0, -1, 0, 1, 0, -1, 0, 1, 0, -1, 0, 1]]
     _same_as_oracle(out, expected)
     for extra in (0, 1, 5, 40):
         _same_as_oracle(
-            Recurrence(running_example, phi).prolong(integer_pairs(_pairs(approx)), extra),
+            _extend(running_example, phi, approx, extra),
             prolong_oracle(running_example, phi, approx, extra),
         )
     # residual of the transformed operator vanishes far out
@@ -371,7 +357,7 @@ def test_prolong_residual_guarantee():
             # kernel contract: solutions modulo x^h before prolongation
             assert not image_below(integer_terms(op), vec[1], h)[1]
             extra = rng.randint(1, 10)
-            out = Recurrence(op, IDENTITY_PHI).prolong(vec, extra)
+            out = _extend(op, IDENTITY_PHI, _coeffs(_fractions(vec), int(nu) + 1), extra)
             assert not image_below(integer_terms(op), out[1], int(mu) + extra + 1)[1]
     assert checked >= 25
 
@@ -390,15 +376,16 @@ def test_prolong_matches_oracle_on_random_operators():
         for vec in _lower_kernel(op):
             checked += 1
             extra = rng.randint(0, 60)
+            approx = _coeffs(_fractions(vec), int(nu) + 1)
             _same_as_oracle(
-                Recurrence(op, IDENTITY_PHI).prolong(vec, extra),
-                prolong_oracle(op, IDENTITY_PHI, _coeffs(_fractions(vec), int(nu) + 1), extra),
+                _extend(op, IDENTITY_PHI, approx, extra),
+                prolong_oracle(op, IDENTITY_PHI, approx, extra),
             )
     assert checked >= 30
 
 
 def test_prolong_over_common_denominators():
-    # prolong runs on ints: the operator scaled by L, the prefix by D, and
+    # prolongation runs on ints: the operator scaled by L, the prefix by D, and
     # each new coefficient kept as num / (D d^lev) with d = L diag.  Scaled
     # operators, diagonals other than +-1 and prefixes with denominators
     # exercise L, D and lev, which integer operators with unit diagonals
@@ -423,8 +410,9 @@ def test_prolong_over_common_denominators():
             unit = rng.choice((F(1, 6), F(-5, 6), F(7, 3)))
             approx = [(n, c * unit) for n, c in _fractions(vec)]
             extra = rng.randint(0, 40)
-            out = Recurrence(op, t).prolong(integer_pairs(approx), extra)
-            _same_as_oracle(out, prolong_oracle(op, t, _coeffs(approx, int(nu) + 1), extra))
+            head = _coeffs(approx, int(nu) + 1)
+            out = _extend(op, t, head, extra)
+            _same_as_oracle(out, prolong_oracle(op, t, head, extra))
             prefix_den = max(c.denominator for _, c in approx)
             grown += max(c.denominator for _, c in _fractions(out)) > prefix_den
     assert checked >= 40 and transformed_checked >= 10 and grown >= 20
@@ -445,7 +433,7 @@ def test_prolong_matches_oracle_on_sparse_products():
         heads = series_basis(op, 0).elements
         assert heads
         for head in heads:
-            out = Recurrence(op, IDENTITY_PHI).prolong((head.den, head.nums), 2500)
+            out = _extend(op, IDENTITY_PHI, dense(head), 2500)
             assert any(n >= 2000 for n, _ in out[1])
             _same_as_oracle(out, prolong_oracle(op, IDENTITY_PHI, dense(head), 2500))
 
@@ -479,7 +467,7 @@ def test_prolong_invariant_check_matches_oracle(monkeypatch, running_example):
 
     shift[0] = 1
     with pytest.raises(InternalInvariantError):
-        Recurrence(running_example, IDENTITY_PHI).prolong((1, ((3, 1),)), 5)
+        extend_prefix(running_example, [0, 0, 0, 1], 9)
 
     rng = random.Random(606)
     seen = set()
@@ -493,10 +481,9 @@ def test_prolong_invariant_check_matches_oracle(monkeypatch, running_example):
         for vec in _lower_kernel(op):
             shift[0] = rng.randint(1, 4)
             extra = rng.randint(0, 20)
-            verdict = raises(_prolong, op, vec, extra)
-            assert verdict == raises(
-                prolong_oracle, op, _coeffs(_fractions(vec), int(nu) + 1), extra
-            )
+            approx = _coeffs(_fractions(vec), int(nu) + 1)
+            verdict = raises(_extend, op, approx, extra)
+            assert verdict == raises(prolong_oracle, op, approx, extra)
             seen.add(verdict)
     assert seen == {True, False}
 
@@ -512,15 +499,6 @@ def test_window_solve_runs_on_ints(monkeypatch, running_example):
     monkeypatch.undo()
     assert basis == ((1, ((3, 1),)),)
     assert sheared == ((1, ((0, 1), (2, -1), (4, 1), (6, -1))), (1, ((7, 1),)))
-
-
-def test_prolong_reads_an_iterator_head_once(running_example, running_example_series):
-    op = MahlerOperator(2, [ONE - X, -ONE])  # y(x) - x y(x) - y(x^2)
-    want = (1, ((0, 1), (1, 1), (2, 2), (3, 2), (4, 4), (5, 4)))
-    assert Recurrence(op, IDENTITY_PHI).prolong((1, ((0, 1),)), 5) == want
-    assert Recurrence(op, IDENTITY_PHI).prolong((1, iter([(0, 1)])), 5) == want
-    out = Recurrence(running_example, IDENTITY_PHI).prolong((1, (p for p in [(3, 1)])), 9)
-    _same_as_oracle(out, running_example_series)
 
 
 K = rmatrix._NEAR_TAIL
@@ -619,12 +597,12 @@ def test_walk_matches_oracle(case):
     assert heads  # the right factor's series solution, at least
     head = _combine(heads, weights)
     nu = nu_mu_oracle(phi_apply(op, phi))[0]
-    with pytest.MonkeyPatch.context() as mp:
-        calls = _kernel_calls(mp)
-        out = Recurrence(op, phi).prolong(head, extra)
-    assert calls == Counter({"walk" if _walks(op, phi) else "push": 1})
     den, pairs = head
     approx = _coeffs([(n, F(v, den)) for n, v in pairs], math.floor(nu) + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _kernel_calls(mp)
+        out = _extend(op, phi, approx, extra)
+    assert calls == Counter({"walk" if _walks(op, phi) else "push": 1})
     _same_as_oracle(out, prolong_oracle(op, phi, approx, extra))
     if _walks(op, phi):
         # where the walk runs, the push gives the same (scale, pairs) result
@@ -643,9 +621,10 @@ def _both_kernels(op, phi, support, extra) -> list:
 
 def test_kernels_return_the_head_with_no_row_to_solve(running_example):
     # with no row past floor(mu) both kernels return the support over
-    # scale 1, and `Recurrence.prolong` puts it in lowest terms; a diagonal of 2 pushes
+    # scale 1, and `extend_prefix` returns the head in lowest terms; a
+    # diagonal of 2 pushes
     assert _both_kernels(running_example, IDENTITY_PHI, [(3, 6)], 0) == [(1, [(3, 6)])] * 2
-    assert Recurrence(running_example, IDENTITY_PHI).prolong((6, ((3, 6),)), 0) == (1, ((3, 1),))
+    assert extend_prefix(running_example, [0, 0, 0, F(6, 6)], 0) == (1, [0, 0, 0, 1])
     op = _tail_product(3, 2, [(1, 1), (2, -1)])
     (head,) = _heads(op, IDENTITY_PHI)
     rec = Recurrence(op, IDENTITY_PHI)
@@ -673,15 +652,15 @@ def test_prolong_kernel_choice(monkeypatch, running_example, sparse_stretch_exam
     for op, kernel in cases:
         assert _walks(op, IDENTITY_PHI) == (kernel == "walk")
         (head,) = _heads(op, IDENTITY_PHI)
+        approx = _coeffs(_fractions(head), int(nu_mu_oracle(op)[0]) + 1)
         calls = _kernel_calls(monkeypatch)
-        out = Recurrence(op, IDENTITY_PHI).prolong(head, 300)
+        out = _extend(op, IDENTITY_PHI, approx, 300)
         monkeypatch.undo()
         assert calls == Counter({kernel: 1})
-        approx = _coeffs(_fractions(head), int(nu_mu_oracle(op)[0]) + 1)
         _same_as_oracle(out, prolong_oracle(op, IDENTITY_PHI, approx, 300))
-    # nu = -1 leaves only the empty head, which extends to zero, and so do
-    # nu = -3, on an operator that walks and on one that pushes, and
-    # nu = -1/4; the kernels never start below position 0
+    # nu = -1 leaves only the empty head, which extends to zero with no
+    # kernel, and so do nu = -3, on an operator that walks and on one that
+    # pushes, and nu = -1/4; the kernels never start below position 0
     x3 = Poly.monomial(3)
     assert _walks(MahlerOperator(2, [ONE + X, X]), IDENTITY_PHI)
     assert _walks(MahlerOperator(2, [ONE + X, x3]), IDENTITY_PHI)
@@ -689,10 +668,13 @@ def test_prolong_kernel_choice(monkeypatch, running_example, sparse_stretch_exam
     for (radix, coeffs), nu in zip(negative, (-1, -3, -3, F(-1, 4))):
         op = MahlerOperator(radix, coeffs)
         assert nu_mu_oracle(op)[0] == nu
-        for extra in (0, 1, 5, 7):
-            assert Recurrence(op, IDENTITY_PHI).prolong((1, ()), extra) == (1, ())
-        with pytest.raises(InvalidArgumentError, match="increasing indices"):
-            Recurrence(op, IDENTITY_PHI).prolong((1, ((0, 1),)), 7)
+        calls = _kernel_calls(monkeypatch)
+        for length in (1, 2, 6, 8):
+            assert extend_prefix(op, [0], length) == (1, [0] * length)
+        with pytest.raises(InconsistentPrefixError, match="extends to no series solution"):
+            extend_prefix(op, [1], 8)
+        monkeypatch.undo()
+        assert not calls
 
     # the window solve pushes; the sparse products M - (1 +- x^e), e >= 2000,
     # at order 10^4 and the stretch operator push everywhere
@@ -721,6 +703,10 @@ def test_walk_runs_on_ints(monkeypatch, running_example):
         op = left * MahlerOperator(radix, [-mahler_substitute(p, radix), p])
         cases.append((op, IDENTITY_PHI))
     heads = [_heads(op, phi)[0] for op, phi in cases]
+    approxes = [
+        _coeffs(_fractions(head), int(nu_mu_oracle(phi_apply(op, phi))[0]) + 1)
+        for (op, phi), head in zip(cases, heads)
+    ]
     calls = count_fraction_arithmetic(monkeypatch)
     walked = []
     original = rmatrix._walk
@@ -732,10 +718,9 @@ def test_walk_runs_on_ints(monkeypatch, running_example):
         return out
 
     monkeypatch.setattr(rmatrix, "_walk", counted)
-    results = [Recurrence(op, phi).prolong(head, 60) for (op, phi), head in zip(cases, heads)]
+    results = [_extend(op, phi, approx, 60) for (op, phi), approx in zip(cases, approxes)]
     monkeypatch.undo()
     assert walked == [Counter()] * 3
     assert len(results[0][1]) > 30 and results[1] == results[2] == (1, p.nums)
-    for (op, phi), head, out in zip(cases, heads, results):
-        approx = _coeffs(_fractions(head), int(nu_mu_oracle(phi_apply(op, phi))[0]) + 1)
+    for (op, phi), approx, out in zip(cases, approxes, results):
         _same_as_oracle(out, prolong_oracle(op, phi, approx, 60))

@@ -11,21 +11,33 @@ and the two transcendence tests give the same verdict:
 - each rational solution's expansion below x^10 lies in the span of
   the Puiseux basis of all ramifications;
 - `transcendence_test` and `bell_coons_test` agree on the prefixes of
-  the first two series basis elements.
+  the first two series basis elements;
+- the head of each series basis element, its first floor(nu) + 1
+  coefficients, extends by `rmatrix.extend_prefix` to that element
+  exactly: the prolongation behind the series basis and the one behind
+  the transcendence tests agree.
 
 The spans are compared by the Fraction elimination of oracles.py, not
 by `linalg`.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from conftest import dense
-from oracles import eliminate, laurent
+from oracles import eliminate, laurent, nu_mu_oracle
 from mahlersolve.operator import MahlerOperator
 from mahlersolve.poly import Poly
 from mahlersolve.rational import bell_coons_test, rational_basis, transcendence_test
-from mahlersolve.solver import certify, polynomial_basis, puiseux_basis, series_basis
+from mahlersolve.rmatrix import extend_prefix
+from mahlersolve.solver import (
+    certify,
+    polynomial_basis,
+    puiseux_basis,
+    series_basis,
+    solving_operator,
+)
 
 ORDER = 10
 
@@ -60,7 +72,15 @@ def below(elem, top) -> dict:
 
 def test_small_operators_agree_across_solvers():
     counts = dict.fromkeys(
-        ("operators", "polynomial", "rational", "rational verdicts", "transcendental"), 0
+        (
+            "operators",
+            "polynomial",
+            "rational",
+            "rational verdicts",
+            "transcendental",
+            "extensions",
+        ),
+        0,
     )
     for op in small_operators():
         counts["operators"] += 1
@@ -84,6 +104,17 @@ def test_small_operators_agree_across_solvers():
             lo = min(0, f.valuation)
             expansion = dict(zip(range(lo, ORDER), laurent(f, lo, ORDER)))
             assert in_span({e: c for e, c in expansion.items() if c}, span), (op, f)
+
+        if series.elements:
+            solving = solving_operator(op)
+            head = math.floor(nu_mu_oracle(solving)[0]) + 1
+        for elem in series.elements:
+            counts["extensions"] += 1
+            nums = [0] * elem.truncation_order
+            for e, v in elem.nums:
+                nums[e] = v
+            got = extend_prefix(solving, dense(elem)[:head], elem.truncation_order)
+            assert got == (elem.den, nums), (op, elem)
 
         for elem in series.elements[:2]:
             prefix = dense(elem)
