@@ -24,28 +24,34 @@ from .operator import (
     primitive_part,
     right_divide,
 )
-from .poly import Poly
 
 
 def split(op: MahlerOperator) -> list[MahlerOperator]:
     """Replace op by an equivalent family of operators of M-valuation 0.
 
     All members have order at most order - w and degree at most
-    degree / b^w, where w is the M-valuation of op.
+    degree / b^w, where w is the M-valuation of op.  The sections are
+    checked against op on the integer forms: op = sum_i x^i M section_i,
+    so every term (e, v / den_i) of the coefficient of M^(k-1) in
+    section i must equal the term of l_k at exponent b e + i, compared
+    across the two denominators, and the term counts must agree.
     """
     if not op:
         raise UnsupportedEquationError("cannot split the zero operator")
     if op.m_valuation == 0:
         return [op]
     sections = operator_sections(op)
-    # op = sum_i x^i M section_i: l_k interleaves the sections' coefficients
-    # of M^(k-1), substituted x -> x^b, by exponent residue
+    b = op.radix
     top = max(op.order, 1 + max(s.order for s in sections))
     for k in range(1, top + 1):
-        total = Poly.zero()
-        for i, s in enumerate(sections):
-            total = total + s.coefficient(k - 1).substitute_power(op.radix).shift(i)
-        if total != op.coefficient(k):
+        lk = op.coefficient(k)
+        den, terms = lk.den, dict(lk.nums)
+        parts = [s.coefficient(k - 1) for s in sections]
+        if sum(len(c.nums) for c in parts) != len(terms) or any(
+            terms.get(b * e + i, 0) * c.den != v * den
+            for i, c in enumerate(parts)
+            for e, v in c.nums
+        ):
             raise InternalInvariantError(f"section reconstruction failed at M^{k}")
     members = []
     for section in sections:

@@ -22,7 +22,7 @@ from .errors import (
     NegativeExponentError,
     UnsupportedEquationError,
 )
-from .poly import Poly, checked_power, mahler_substitute, poly_sections
+from .poly import Poly, checked_power, mahler_substitute, mul_sub, poly_sections
 
 
 class _TermsKey(tuple):
@@ -267,7 +267,11 @@ def right_divide(
     """Fraction-free right pseudo-division.
 
     Returns (c, q, r) with c a nonzero polynomial, c*a = q*b + r and
-    order(r) < order(b).  b right-divides a exactly when r = 0.
+    order(r) < order(b).  b right-divides a exactly when r = 0.  A step
+    with top = r_(order r), k = order r - order b and g = M^k(lead b)
+    updates the remainder coefficient-wise on the integer forms,
+    r_j <- g r_j - top b_(j-k)(x^(b^k)) through `poly.mul_sub`, with no
+    operator product.
     """
     if not b:
         raise UnsupportedEquationError("right division by the zero operator")
@@ -282,9 +286,10 @@ def right_divide(
         k = r.order - nb
         g = mahler_substitute(lead_b, radix, k) if k else lead_b
         top = r.coeffs[-1]
-        step = MahlerOperator.from_dict(radix, {k: top})
-        r = (g * r) - (step * b)
-        q = (g * q) + step
+        # the coefficients of M^k b, aligned with those of r
+        mk_b = [Poly.zero()] * k + [mahler_substitute(bj, radix, k) if k else bj for bj in b.coeffs]
+        r = MahlerOperator(radix, [mul_sub(g, rj, top, sj) for rj, sj in zip(r.coeffs, mk_b)])
+        q = (g * q) + MahlerOperator.from_dict(radix, {k: top})
         c = g * c
         if r and r.order >= nb + k:
             raise InternalInvariantError("pseudo-division failed to reduce the order")
@@ -359,13 +364,20 @@ def interreduce(op1: MahlerOperator, op2: MahlerOperator) -> MahlerOperator:
 
     Both operators must be nonzero with M-valuation 0; the result has a
     zero M^0 coefficient, hence is zero or has positive M-valuation.
+    Its coefficient of M^k, k >= 1, is `poly.mul_sub(c2, op1_k, c1,
+    op2_k)` on the integer forms; no operator product is formed.
     """
     op1._require_same_radix(op2)
     if not op1 or not op2 or op1.m_valuation != 0 or op2.m_valuation != 0:
         raise UnsupportedEquationError("interreduce requires nonzero operators of M-valuation 0")
     c1 = op1.coeffs[0]
     c2 = op2.coeffs[0]
-    return (c2 * op1) - (c1 * op2)
+    n = max(len(op1.coeffs), len(op2.coeffs))
+    return MahlerOperator(
+        op1.radix,
+        [Poly.zero()]
+        + [mul_sub(c2, op1.coefficient(k), c1, op2.coefficient(k)) for k in range(1, n)],
+    )
 
 
 def primitive_part(op: MahlerOperator) -> tuple[Poly, MahlerOperator]:

@@ -4,9 +4,10 @@ A polynomial is nums / den: `den` is a positive int and `nums` a tuple
 of (exponent, int) pairs with strictly increasing exponents and nonzero
 integers, in lowest terms (gcd(den, every num) = 1); the zero polynomial
 has den 1 and no nums.  Every operation runs on these ints: sums over a
-common denominator, products of numerators, pseudo-division for
-Euclidean division and a primitive remainder sequence for gcds.  The
-(exponent, Fraction) view `terms` is computed each time it is read.
+common denominator, products of numerators (a*p - b*q in one pass,
+`mul_sub`), pseudo-division for Euclidean division and a primitive
+remainder sequence for gcds.  The (exponent, Fraction) view `terms` is
+computed each time it is read; text comes from the ints (`ratio_text`).
 Exponents are capped at MAX_EXPONENT so that index arithmetic
 downstream stays inside a machine-word-like range.
 
@@ -163,10 +164,7 @@ class Poly:
                 return self.shift(k)
             return _reduced(self.den * other.den, [(e + k, v * c) for e, v in self.nums])
         acc: dict[int, int] = {}
-        for e1, c1 in self.nums:
-            for e2, c2 in other.nums:
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
+        _accumulate(acc, self.nums, other.nums, 1)
         return _reduced(self.den * other.den, [(e, s) for e, s in sorted(acc.items()) if s])
 
     def scale(self, c) -> "Poly":
@@ -228,13 +226,24 @@ class Poly:
     # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:
-        return format_terms(self.terms)
+        den = self.den
+        return format_terms((e, ratio_text(c, den)) for e, c in self.nums)
 
     def __repr__(self) -> str:
         return f"Poly({list(self.terms)!r})"
 
 
 _ZERO = Fraction(0)
+
+
+def ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for a positive den, without the Fraction."""
+    if den == 1:
+        return str(num)
+    g = math.gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return f"{num // g}/{den // g}"
 
 
 def format_terms(terms: Iterable[tuple]) -> str:
@@ -296,6 +305,31 @@ def _combine(a: Poly, b: Poly, sign: int) -> Poly:
     for e, c in b.nums:
         acc[e] = acc.get(e, 0) + c * fb
     return _reduced(da * (db // g), [(e, s) for e, s in sorted(acc.items()) if s])
+
+
+def _accumulate(acc: dict, a, b, f: int) -> None:
+    """Add f times the product of the integer term lists a and b into acc,
+    exponent by exponent: the schoolbook loop of every product."""
+    for e1, c1 in a:
+        c1 *= f
+        for e2, c2 in b:
+            e = e1 + e2
+            acc[e] = acc.get(e, 0) + c1 * c2
+
+
+def mul_sub(a: Poly, p: Poly, b: Poly, q: Poly) -> Poly:
+    """a*p - b*q, both products accumulated into one dict over the lcm of
+    their denominators and reduced once."""
+    dp, dq = a.den * p.den, b.den * q.den
+    if a.nums and p.nums:
+        _check_exponent(a.degree + p.degree)
+    if b.nums and q.nums:
+        _check_exponent(b.degree + q.degree)
+    g = math.gcd(dp, dq)
+    acc: dict[int, int] = {}
+    _accumulate(acc, a.nums, p.nums, dq // g)
+    _accumulate(acc, b.nums, q.nums, -(dp // g))
+    return _reduced(dp * (dq // g), [(e, s) for e, s in sorted(acc.items()) if s])
 
 
 def _primitive(nums) -> tuple:

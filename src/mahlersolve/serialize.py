@@ -24,7 +24,7 @@ from fractions import Fraction
 from .errors import ExponentOverflowError, InputFormatError
 from .newton import PolygonEdge, lower_polygon, nu_ratio, ramification_bound, upper_polygon
 from .operator import MahlerOperator
-from .poly import MAX_EXPONENT, Poly
+from .poly import MAX_EXPONENT, Poly, ratio_text
 from .solver import PuiseuxSeries, SolutionBasis
 
 _COEFF_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
@@ -56,16 +56,6 @@ def parse_prefix(text: str) -> list[int | Fraction]:
     return prefix
 
 
-def _ratio(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for a positive den, without the Fraction."""
-    if den == 1:
-        return str(num)
-    g = math.gcd(num, den)
-    if g == den:
-        return str(num // g)
-    return f"{num // g}/{den // g}"
-
-
 class Terms(list):
     """The [exponent, coefficient] pairs of a polynomial or of a series:
     an int or str exponent and a str coefficient, every str written with
@@ -76,7 +66,7 @@ class Terms(list):
 
 def poly_to_json(p: Poly) -> Terms:
     den = p.den
-    return Terms([[e, _ratio(c, den)] for e, c in p.nums])
+    return Terms([[e, ratio_text(c, den)] for e, c in p.nums])
 
 
 def parse_poly(doc) -> Poly:
@@ -142,7 +132,7 @@ def parse_operator(doc) -> MahlerOperator:
 def _series_element_to_json(elem: PuiseuxSeries) -> dict:
     ram, den = elem.ramification, elem.den
     return {
-        "terms": Terms([[_ratio(e, ram), _ratio(v, den)] for e, v in elem.nums]),
+        "terms": Terms([[ratio_text(e, ram), ratio_text(v, den)] for e, v in elem.nums]),
         "truncation_order": str(elem.truncation_order),
     }
 
@@ -182,7 +172,7 @@ def _edge_to_json(edge: PolygonEdge) -> dict:
     return {
         "from": [u1, j1],
         "to": [u2, j2],
-        "slope": _ratio(j2 - j1, u2 - u1),
+        "slope": ratio_text(j2 - j1, u2 - u1),
         "admissible": edge.admissible,
     }
 
@@ -200,5 +190,5 @@ def newton_to_json(op: MahlerOperator) -> dict:
         p, q = nu_ratio(op)
         q_set, n = ramification_bound(lower, op.radix)
         mu = p + op.coeffs[0].valuation * q
-        doc.update(nu=_ratio(p, q), mu=_ratio(mu, q), Q=sorted(q_set), N=n)
+        doc.update(nu=ratio_text(p, q), mu=ratio_text(mu, q), Q=sorted(q_set), N=n)
     return doc

@@ -176,6 +176,12 @@ def sort_key_oracle(op: MahlerOperator):
     )
 
 
+def interreduce_oracle(op1: MahlerOperator, op2: MahlerOperator) -> MahlerOperator:
+    """c2*op1 - c1*op2 (c1, c2 the M^0 coefficients) by the operator ring
+    operations: two coefficient-wise products, a negation and a sum."""
+    return (op2.coeffs[0] * op1) - (op1.coeffs[0] * op2)
+
+
 def graeffe_monic(p: Poly, radix: int, power: int = 1) -> Poly:
     """Monic associate of graeffe()."""
     return graeffe(p, radix, power).monic()

@@ -57,7 +57,13 @@ def test_split_rejects_a_wrong_section(monkeypatch, reduction_example):
     bumped = [right[0] + operator(b, Poly.zero(), X), *right[1:]]
     # a term above the order of op, which no coefficient of op can match
     longer = [*right[:2], right[2] + operator(b, ONE).m_shift(r), *right[3:]]
-    for wrong in (swapped, bumped, longer):
+    # the same numerators over another denominator, which only a
+    # comparison across denominators tells from the right section
+    first = right[0].coeffs
+    halved = Poly.from_integers(2 * first[0].den, first[0].nums)
+    assert halved.nums == first[0].nums
+    rescaled = [MahlerOperator(b, [halved, *first[1:]]), *right[1:]]
+    for wrong in (swapped, bumped, longer, rescaled):
         # wrong sections for op itself, right ones for its sections
         monkeypatch.setattr(
             normalize,

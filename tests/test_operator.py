@@ -13,7 +13,7 @@ from conftest import (
     random_poly,
     random_rational_operator,
 )
-from oracles import apply_exact, apply_to_fractional, poly_sections_oracle
+from oracles import apply_exact, apply_to_fractional, interreduce_oracle, poly_sections_oracle
 from mahlersolve.errors import (
     InternalInvariantError,
     InvalidArgumentError,
@@ -176,8 +176,9 @@ def test_right_divide_identity_random():
 
 def test_right_divide_invariant_is_typed(monkeypatch):
     # a step that leaves the order unreduced is a bug in the library:
-    # a typed error, not an AssertionError
-    monkeypatch.setattr(MahlerOperator, "__sub__", lambda self, other: self)
+    # a typed error, not an AssertionError; here the fused remainder step
+    # forms g r_j and drops the subtraction of top b_(j-k)(x^(b^k))
+    monkeypatch.setattr(operator_module, "mul_sub", lambda a, p, b, q: a * p)
     with pytest.raises(InternalInvariantError, match="failed to reduce the order"):
         right_divide(operator(2, X, -pol(1, 1), ONE), operator(2, -ONE, ONE))
 
@@ -276,6 +277,19 @@ def test_interreduce():
     assert not red or red.m_valuation >= 1
     with pytest.raises(UnsupportedEquationError):
         interreduce(op.m_shift(1), op)
+
+
+def test_interreduce_matches_ring_formula():
+    # the coefficient-wise mul_sub against c2*op1 - c1*op2 built from
+    # operator products, on operators with and without denominators
+    rng = random.Random(71)
+    for _ in range(60):
+        radix = rng.choice((2, 3))
+        make = rng.choice((random_operator, random_rational_operator))
+        op1 = make(rng, radix, rng.randint(0, 3), 4)
+        op2 = make(rng, radix, rng.randint(0, 3), 4)
+        for first, second in ((op1, op2), (op2, op1), (op1, op1)):
+            assert interreduce(first, second) == interreduce_oracle(first, second)
 
 
 def test_interreduce_right_factor_compatibility():

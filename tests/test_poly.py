@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import derivative, evaluate, pol
+from conftest import count_fraction_arithmetic, derivative, evaluate, pol
 from oracles import bareiss_determinant, graeffe_monic, poly_mul_oracle
 from mahlersolve.errors import ExactDivisionError, ExponentOverflowError, InvalidArgumentError
 from mahlersolve.poly import (
     MAX_EXPONENT,
     Poly,
+    format_terms,
     gcd,
     gcd_all,
     graeffe,
@@ -19,6 +20,7 @@ from mahlersolve.poly import (
     mahler_substitute,
     poly_sections,
 )
+from mahlersolve.rational import RationalFunction
 from mahlersolve.solver import PuiseuxSeries
 
 
@@ -255,3 +257,17 @@ def test_integer_forms_read_an_iterator_once():
     assert elem.nums == ((0, 2), (1, 3)) and elem == PuiseuxSeries.from_integers(1, 2, pairs, 3)
     with pytest.raises(InvalidArgumentError):
         Poly.from_integers(1, iter([(-1, 1)]))
+
+
+def test_str_builds_no_fraction(monkeypatch):
+    # str of a Poly and of a RationalFunction writes each coefficient
+    # from the integer form: the text of the Fraction terms, no Fraction
+    p = Poly([(0, Fraction(-1, 2)), (3, Fraction(2, 3)), (5, Fraction(7))])
+    f = RationalFunction.make(p, 1, Poly([(0, Fraction(1, 3)), (2, Fraction(1))]))
+    assert len(f.numerator.nums) == 3 and len(f.denominator.nums) == 2
+    want_p = format_terms(p.terms)
+    want_f = f"({format_terms(f.numerator.terms)}) / (x * ({format_terms(f.denominator.terms)}))"
+    assert want_p == "-1/2 + 2/3*x^3 + 7*x^5"
+    calls = count_fraction_arithmetic(monkeypatch)
+    assert (str(p), str(f)) == (want_p, want_f)
+    assert calls["new"] == 0

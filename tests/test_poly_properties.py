@@ -21,7 +21,15 @@ from oracles import (
     poly_mul_oracle,
     poly_sections_oracle,
 )
-from mahlersolve.poly import Poly, gcd, graeffe, lcm_orbit, poly_sections, residue_sections
+from mahlersolve.poly import (
+    Poly,
+    gcd,
+    graeffe,
+    lcm_orbit,
+    mul_sub,
+    poly_sections,
+    residue_sections,
+)
 
 numerators = st.one_of(st.integers(-12, 12), st.integers(-(10**20), 10**20))
 coefficients = st.builds(Fraction, numerators, st.sampled_from((1, 2, 3, 4, 6, 7, 9, 10**12)))
@@ -38,6 +46,12 @@ def polys(draw):
 
 
 nonzero_polys = polys().filter(bool)
+# zero and one-term operands beside general ones
+operands = st.one_of(
+    polys(),
+    st.builds(lambda e, c: Poly([(e, c)]), st.integers(0, 6), coefficients),
+    st.just(Poly.zero()),
+)
 
 
 def assert_canonical(p: Poly) -> None:
@@ -68,6 +82,15 @@ def test_one_term_product(a, k, c):
     for result in (a * m, m * a):
         assert_canonical(result)
         assert result == want
+
+
+@given(operands, operands, operands, operands)
+def test_mul_sub(a, p, b, q):
+    # both products over the lcm of their denominators, reduced once
+    result = mul_sub(a, p, b, q)
+    assert_canonical(result)
+    want = poly_add_oracle(poly_mul_oracle(a, p).terms, (-poly_mul_oracle(b, q)).terms)
+    assert result.terms == want
 
 
 @given(polys(), nonzero_polys)
