@@ -40,7 +40,7 @@ from .operator import (
     operator_sections,
     phi_apply,
     primitive_part,
-    right_divide,
+    right_remainder,
 )
 from .newton import (
     PolygonEdge,
@@ -73,6 +73,6 @@ from .rational import (
     rational_basis,
     transcendence_test,
 )
-from .normalize import certify_gcrd, gcrd, gcrd_raw, normalize_l0, normalize_l0_raw, split
+from .normalize import certify_gcrd, gcrd, normalize_l0, split
 
 __version__ = "0.1.0"

@@ -24,8 +24,8 @@ import re
 import sys
 
 from .errors import InputFormatError, MahlerError
-from .normalize import certify_gcrd, gcrd_raw, normalize_l0_raw
-from .operator import MahlerOperator, primitive_part
+from .normalize import certify_gcrd, gcrd, normalize_l0
+from .operator import MahlerOperator
 from .poly import format_terms
 from .rational import bell_coons_test, rational_basis, transcendence_test
 from .serialize import (
@@ -134,12 +134,12 @@ def _operator_doc(kind: str, content, primitive: MahlerOperator) -> dict:
 
 def _cmd_normalize(args) -> dict:
     op = _load_operator(args.file)
-    return _operator_doc("normalized_operator", *primitive_part(normalize_l0_raw(op)))
+    return _operator_doc("normalized_operator", *normalize_l0(op))
 
 
 def _cmd_gcrd(args) -> dict:
     ops = [_load_operator(path) for path in args.files]
-    content, primitive = primitive_part(gcrd_raw(ops))
+    content, primitive = gcrd(ops)
     if args.certify:
         certify_gcrd(ops, primitive)
     return _operator_doc("gcrd", content, primitive)

@@ -22,8 +22,9 @@ from .operator import (
     interreduce,
     operator_sections,
     primitive_part,
-    right_divide,
+    right_remainder,
 )
+from .poly import Poly
 
 
 def split(op: MahlerOperator) -> list[MahlerOperator]:
@@ -87,26 +88,27 @@ def _reduce_to_singleton(worklist: list[MahlerOperator]) -> MahlerOperator:
     return worklist[0]
 
 
-def normalize_l0_raw(op: MahlerOperator) -> MahlerOperator:
-    """Single operator with M-valuation 0 and the same series solutions,
-    as produced by the interreduction loop (no normalization applied)."""
+def normalize_l0(op: MahlerOperator) -> tuple[Poly, MahlerOperator]:
+    """(content, primitive): a single operator with M-valuation 0 and the
+    same series solutions, the interreduction loop's result, factored
+    by `operator.primitive_part` so that the primitive part has a monic
+    leading coefficient."""
     if not op:
         raise UnsupportedEquationError("cannot normalize the zero operator")
-    return _reduce_to_singleton(split(op))
+    return primitive_part(_reduce_to_singleton(split(op)))
 
 
-def normalize_l0(op: MahlerOperator) -> MahlerOperator:
-    """Like normalize_l0_raw but in primitive, monic-leading form."""
-    return primitive_part(normalize_l0_raw(op))[1]
-
-
-def gcrd_raw(ops: list[MahlerOperator]) -> MahlerOperator:
-    """A greatest common right divisor of the family.
+def gcrd(ops: list[MahlerOperator]) -> tuple[Poly, MahlerOperator]:
+    """(content, primitive): a greatest common right divisor of the
+    family, factored by `operator.primitive_part` so that the primitive
+    part has a monic leading coefficient.
 
     The minimal M-valuation w is factored off on the right, the quotients
     are split and interreduced to a singleton, and M^w is restored.  The
     result right-divides every input and lies in the left ideal the
-    inputs generate (over rational-function coefficients).
+    inputs generate (over rational-function coefficients), so every
+    common right divisor right-divides it; the tests check it against an
+    independent Euclid in Q(x)[M], `oracles.gcrd_oracle`.
     """
     if not ops:
         raise InvalidArgumentError("gcrd of an empty family")
@@ -119,17 +121,12 @@ def gcrd_raw(ops: list[MahlerOperator]) -> MahlerOperator:
     worklist = []
     for op in ops:
         worklist.extend(split(op.m_shift(-w)))
-    return _reduce_to_singleton(worklist).m_shift(w)
-
-
-def gcrd(ops: list[MahlerOperator]) -> MahlerOperator:
-    """gcrd_raw in primitive, monic-leading canonical form."""
-    return primitive_part(gcrd_raw(ops))[1]
+    return primitive_part(_reduce_to_singleton(worklist).m_shift(w))
 
 
 def certify_gcrd(ops: list[MahlerOperator], g: MahlerOperator) -> None:
     """Check that g right-divides every member of the family; raise
     InternalInvariantError naming the first input it does not divide."""
     for i, op in enumerate(ops):
-        if right_divide(op, g)[2]:
+        if right_remainder(op, g):
             raise InternalInvariantError(f"gcrd does not right-divide input {i}")

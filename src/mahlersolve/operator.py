@@ -4,9 +4,9 @@ of the radix-b substitution map M, with the commutation rule M x = x^b M.
 The coefficient of M^k sits at index k of ``coeffs``; the zero operator
 is the empty tuple.  Operator application (`image_below`, the only one),
 the change of unknown y = p / (x^v q) (`clear_denominator`),
-multiplication, fraction-free right pseudo-division, exponent
-substitutions, sections, interreduction, and content normalization all
-live here.
+multiplication, the remainder of fraction-free right pseudo-division
+(`right_remainder`), exponent substitutions, sections, interreduction,
+and content normalization all live here.
 """
 
 from __future__ import annotations
@@ -261,24 +261,20 @@ def clear_denominator(op: MahlerOperator, v: int, q: Poly) -> MahlerOperator:
 # -- right pseudo-division ----------------------------------------------------
 
 
-def right_divide(
-    a: MahlerOperator, b: MahlerOperator
-) -> tuple[Poly, MahlerOperator, MahlerOperator]:
-    """Fraction-free right pseudo-division.
+def right_remainder(a: MahlerOperator, b: MahlerOperator) -> MahlerOperator:
+    """The remainder r of fraction-free right pseudo-division of a by b.
 
-    Returns (c, q, r) with c a nonzero polynomial, c*a = q*b + r and
-    order(r) < order(b).  b right-divides a exactly when r = 0.  A step
-    with top = r_(order r), k = order r - order b and g = M^k(lead b)
-    updates the remainder coefficient-wise on the integer forms,
-    r_j <- g r_j - top b_(j-k)(x^(b^k)) through `poly.mul_sub`, with no
-    operator product.
+    Some nonzero polynomial c and operator q give c*a = q*b + r with
+    order(r) < order(b); b right-divides a exactly when r = 0.  Neither
+    c nor q is formed.  A step with top = r_(order r), k = order r -
+    order b and g = M^k(lead b) updates the remainder coefficient-wise
+    on the integer forms, r_j <- g r_j - top b_(j-k)(x^(b^k)) through
+    `poly.mul_sub`, with no operator product.
     """
     if not b:
         raise UnsupportedEquationError("right division by the zero operator")
     a._require_same_radix(b)
     radix = a.radix
-    c = Poly.one()
-    q = MahlerOperator.zero(radix)
     r = a
     nb = b.order
     lead_b = b.coeffs[-1]
@@ -289,11 +285,9 @@ def right_divide(
         # the coefficients of M^k b, aligned with those of r
         mk_b = [Poly.zero()] * k + [mahler_substitute(bj, radix, k) if k else bj for bj in b.coeffs]
         r = MahlerOperator(radix, [mul_sub(g, rj, top, sj) for rj, sj in zip(r.coeffs, mk_b)])
-        q = (g * q) + MahlerOperator.from_dict(radix, {k: top})
-        c = g * c
         if r and r.order >= nb + k:
             raise InternalInvariantError("pseudo-division failed to reduce the order")
-    return c, q, r
+    return r
 
 
 # -- exponent substitutions ----------------------------------------------------

@@ -106,7 +106,7 @@ def solving_operator(op: MahlerOperator) -> MahlerOperator:
     """Validate the equation and make its trailing coefficient nonzero."""
     if not op:
         raise UnsupportedEquationError("zero operator")
-    return op if op.coefficient(0) else normalize_l0(op)
+    return op if op.coefficient(0) else normalize_l0(op)[1]
 
 
 def series_basis(op: MahlerOperator, order: int) -> SolutionBasis:

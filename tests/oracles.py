@@ -24,6 +24,10 @@ before it read its answers off echelon bases: elimination on the
 `RationalFunction`s themselves, and exact solves of dense systems of
 expansions.  They start from the library's denominator bound, its
 polynomial solutions of the auxiliary equation and its series basis.
+`interreduce_oracle` and `right_divide_oracle` form the library's
+operator ring products where it runs the fused `mul_sub` kernel;
+`gcrd_oracle` runs Euclid on sympy rational functions and shares no
+code with the library.
 """
 
 import math
@@ -180,6 +184,82 @@ def interreduce_oracle(op1: MahlerOperator, op2: MahlerOperator) -> MahlerOperat
     """c2*op1 - c1*op2 (c1, c2 the M^0 coefficients) by the operator ring
     operations: two coefficient-wise products, a negation and a sum."""
     return (op2.coeffs[0] * op1) - (op1.coeffs[0] * op2)
+
+
+def right_divide_oracle(
+    a: MahlerOperator, b: MahlerOperator
+) -> tuple[Poly, MahlerOperator, MahlerOperator]:
+    """Fraction-free right pseudo-division by the operator ring
+    operations: (c, q, r) with c a nonzero polynomial, c*a = q*b + r and
+    order(r) < order(b).  A step with top = r_(order r), k = order r -
+    order b and g = M^k(lead b) sets r <- g r - (top M^k) b, q <- g q +
+    top M^k and c <- g c, with operator products where
+    `operator.right_remainder` updates r alone on the integer forms."""
+    radix = a.radix
+    c = Poly.one()
+    q = MahlerOperator.zero(radix)
+    r = a
+    nb = b.order
+    lead_b = b.coeffs[-1]
+    while r and r.order >= nb:
+        k = r.order - nb
+        g = mahler_substitute(lead_b, radix, k) if k else lead_b
+        step = MahlerOperator.from_dict(radix, {k: r.coeffs[-1]})
+        r = (g * r) - (step * b)
+        q = (g * q) + step
+        c = g * c
+        assert not r or r.order < nb + k
+    return c, q, r
+
+
+def qx_monic(op: MahlerOperator) -> list:
+    """The coefficients of op as sympy rational functions, elements of
+    the field Q(x), divided by the leading one."""
+    from sympy import QQ
+    from sympy.polys.fields import field
+
+    K, x = field("x", QQ)
+    coeffs = [
+        sum((QQ(c.numerator, c.denominator) * x**e for e, c in lk.terms), K.zero)
+        for lk in op.coeffs
+    ]
+    return [c / coeffs[-1] for c in coeffs]
+
+
+def gcrd_oracle(ops: list[MahlerOperator]) -> list:
+    """The gcrd of the family, monic in M, by left Euclid in Q(x)[M].
+
+    An operator is the list of its coefficients in Q(x), as `qx_monic`
+    gives them; M f(x) = f(x^b) M.  Right division by order subtracts
+    (top / M^k(lead b)) M^k b until the order drops below that of b;
+    Euclid replaces (a, b) by (b, a mod b) until the remainder is zero.
+    Nothing is shared with the library's split and interreduction;
+    sympy is a test-only dependency."""
+    radix = ops[0].radix
+
+    def substitute(f, k):
+        # f(x^(b^k)): every exponent of numerator and denominator times b^k
+        n = radix**k
+        return f.field.new(f.numer.inflate([n]), f.denom.inflate([n]))
+
+    def remainder(a, b):
+        r = list(a)
+        while r and len(r) >= len(b):
+            k = len(r) - len(b)
+            shifted = [0] * k + [substitute(bj, k) for bj in b]
+            t = r[-1] / shifted[-1]
+            r = [rj - t * sj for rj, sj in zip(r, shifted)]
+            while r and not r[-1]:
+                r.pop()
+        return r
+
+    g = qx_monic(ops[0])
+    for op in ops[1:]:
+        a, b = g, qx_monic(op)
+        while b:
+            a, b = b, remainder(a, b)
+        g = [c / a[-1] for c in a]
+    return g
 
 
 def graeffe_monic(p: Poly, radix: int, power: int = 1) -> Poly:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import mono, operator, pol, random_operator
-from oracles import same_span, series_prefix_space, sort_key_oracle
+from oracles import gcrd_oracle, qx_monic, same_span, series_prefix_space, sort_key_oracle
 from mahlersolve.errors import (
     InternalInvariantError,
     InvalidArgumentError,
@@ -16,14 +16,12 @@ from mahlersolve.normalize import (
     certify_gcrd,
     gcrd,
     normalize_l0,
-    normalize_l0_raw,
     split,
 )
 from mahlersolve.operator import (
     MahlerOperator,
     operator_sections,
-    primitive_part,
-    right_divide,
+    right_remainder,
 )
 from mahlersolve.poly import Poly
 
@@ -46,7 +44,7 @@ def test_split_examples(reduction_example):
     with pytest.raises(UnsupportedEquationError):
         split(MahlerOperator.zero(2))
     with pytest.raises(UnsupportedEquationError):
-        normalize_l0_raw(MahlerOperator.zero(2))
+        normalize_l0(MahlerOperator.zero(2))
 
 
 def test_split_rejects_a_wrong_section(monkeypatch, reduction_example):
@@ -93,25 +91,21 @@ def test_split_bounds_random():
 
 
 def test_normalize_golden(reduction_example, reduction_example_normalized):
-    prim = normalize_l0(reduction_example)
+    content, prim = normalize_l0(reduction_example)
     assert prim == reduction_example_normalized
-    content, prim2 = primitive_part(normalize_l0_raw(reduction_example))
-    assert prim2 == prim
     expected_content = (mono(3) * pol(1, 1, 1) * pol(1, -1, 1)).monic()
     assert content.monic() == expected_content
     # the original lies in the left ideal generated by the primitive part
-    _, _, rem = right_divide(reduction_example, prim)
-    assert not rem
+    assert not right_remainder(reduction_example, prim)
     # and the factorization through the stripped M also divides exactly
     composed = operator(3, Poly.zero(), ONE) * prim
-    _, _, rem = right_divide(reduction_example, composed)
-    assert not rem
+    assert not right_remainder(reduction_example, composed)
 
 
 def test_normalize_identity_and_degenerate():
     keep = operator(2, pol(1, 1), ONE)
-    assert normalize_l0(keep) == keep
-    collapsed = normalize_l0(operator(2, Poly.zero(), -X, ONE))  # M^2 - xM
+    assert normalize_l0(keep)[1] == keep
+    collapsed = normalize_l0(operator(2, Poly.zero(), -X, ONE))[1]  # M^2 - xM
     assert collapsed == operator(2, Poly.one())
 
 
@@ -124,7 +118,7 @@ def test_normalize_preserves_series_solutions():
         if op.coefficient(0):
             op = op.m_shift(1)
         w = op.m_valuation
-        reduced = normalize_l0(op)
+        reduced = normalize_l0(op)[1]
         assert reduced.m_valuation == 0
         assert reduced.order <= op.order - w
         assert reduced.degree <= op.degree // radix**w
@@ -172,37 +166,34 @@ def _l0_zero_prefix_space(op, length):
 
 def test_gcrd_singleton(reduction_example):
     keep = operator(2, pol(1, 1), ONE)
-    assert gcrd([keep]) == keep
-    single = gcrd([reduction_example])
+    assert gcrd([keep])[1] == keep
+    single = gcrd([reduction_example])[1]
     assert single.m_valuation == 1
-    _, _, rem = right_divide(reduction_example, single)
-    assert not rem
+    assert not right_remainder(reduction_example, single)
 
 
 def test_gcrd_common_factor():
     g = operator(2, -ONE, ONE)  # M - 1
     a = operator(2, -X, ONE) * g
     b = operator(2, pol(0, 0, 1), ONE) * g
-    result = gcrd([a, b])
+    result = gcrd([a, b])[1]
     assert result.order == 1
-    _, _, r1 = right_divide(a, result)
-    _, _, r2 = right_divide(b, result)
-    assert not r1 and not r2
-    _, _, r3 = right_divide(result, g)
-    assert not r3
+    assert not right_remainder(a, result) and not right_remainder(b, result)
+    assert not right_remainder(result, g)
 
 
 def test_gcrd_with_composed_family(reduction_example):
     shifted = reduction_example * operator(3, -ONE, ONE)
-    result = gcrd([reduction_example, shifted])
+    result = gcrd([reduction_example, shifted])[1]
     for member in (reduction_example, shifted):
-        _, _, rem = right_divide(member, result)
-        assert not rem
+        assert not right_remainder(member, result)
 
 
-def test_gcrd_right_divides_random_families():
-    rng = random.Random(515)
-    for _ in range(100):
+def _planted_families(seed: int, count: int):
+    """(common, family) pairs: one to three random left factors of order
+    at most 2 times a random right factor of order at most 1."""
+    rng = random.Random(seed)
+    for _ in range(count):
         radix = rng.choice((2, 3))
         common = random_operator(rng, radix, rng.randint(0, 1), 2)
         family = []
@@ -211,17 +202,60 @@ def test_gcrd_right_divides_random_families():
             if not left:
                 left = operator(radix, Poly.one())
             family.append(left * common)
-        result = gcrd(family)
+        yield common, family
+
+
+def test_gcrd_right_divides_random_families():
+    for common, family in _planted_families(515, 100):
+        result = gcrd(family)[1]
         assert result.order <= max(op.order for op in family)
         assert result.degree <= max(op.degree for op in family)
         assert result.m_valuation == min(op.m_valuation for op in family)
         certify_gcrd(family, result)
         for op in family:
-            _, _, rem = right_divide(op, result)
-            assert not rem
+            assert not right_remainder(op, result)
         # the common right factor still right-divides the gcrd
-        _, _, rem = right_divide(result, common)
-        assert not rem
+        assert not right_remainder(result, common)
+
+
+def test_gcrd_matches_euclid_oracle():
+    # divisibility does not show that the gcrd is greatest; left Euclid
+    # in Q(x)[M] does, and its monic result must be the library's
+    # primitive part divided by its leading coefficient
+    pytest.importorskip("sympy")
+    larger = shared = with_m = 0
+    for common, family in _planted_families(515, 100):
+        result = gcrd(family)[1]
+        assert qx_monic(result) == gcrd_oracle(family)
+        if result.order > common.order:
+            larger += 1
+            shared += len(family) > 1
+            with_m += result.m_valuation > 0
+    # gcrds above the planted factor, some of several members, some with
+    # a right factor M
+    assert larger >= 3 and shared >= 1 and with_m >= 1
+
+
+def test_certify_gcrd_forms_no_quotient(monkeypatch):
+    # certification needs only the remainders: no quotient or multiplier
+    # is built, so no Poly product and no operator sum is formed
+    family = next(
+        f for _, f in _planted_families(515, 100) if len(f) > 1 and min(op.order for op in f) >= 2
+    )
+    result = gcrd(family)[1]
+    counts = {"mul": 0, "add": 0}
+
+    def counting(name, method):
+        def wrapper(*args):
+            counts[name] += 1
+            return method(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(Poly, "__mul__", counting("mul", Poly.__mul__))
+    monkeypatch.setattr(MahlerOperator, "__add__", counting("add", MahlerOperator.__add__))
+    certify_gcrd(family, result)
+    assert counts == {"mul": 0, "add": 0}
 
 
 def test_gcrd_errors():
@@ -236,7 +270,7 @@ def test_gcrd_errors():
 def test_certify_gcrd_names_the_failing_input():
     common = operator(2, pol(1, 1), ONE)
     family = [operator(2, ONE, X) * common, operator(2, X, ONE) * common, common]
-    certify_gcrd(family, gcrd(family))
+    certify_gcrd(family, gcrd(family)[1])
     certify_gcrd(family, common)
     wrong = operator(2, pol(2, 1), ONE)
     with pytest.raises(InternalInvariantError, match="input 0"):

@@ -13,7 +13,13 @@ from conftest import (
     random_poly,
     random_rational_operator,
 )
-from oracles import apply_exact, apply_to_fractional, interreduce_oracle, poly_sections_oracle
+from oracles import (
+    apply_exact,
+    apply_to_fractional,
+    interreduce_oracle,
+    poly_sections_oracle,
+    right_divide_oracle,
+)
 from mahlersolve.errors import (
     InternalInvariantError,
     InvalidArgumentError,
@@ -32,7 +38,7 @@ from mahlersolve.operator import (
     operator_sections,
     phi_apply,
     primitive_part,
-    right_divide,
+    right_remainder,
 )
 from mahlersolve.poly import Poly
 
@@ -152,12 +158,12 @@ def test_image_below_matches_exact_polynomial_image():
 def test_right_divide_examples():
     a = operator(2, X, -pol(1, 1), ONE)
     b = operator(2, -ONE, ONE)
-    c, q, r = right_divide(a, b)
-    assert not r
+    c, q, r = right_divide_oracle(a, b)
+    assert not r and not right_remainder(a, b)
     # quotient is the matching associate of M - x
     assert q == c * operator(2, -X, ONE)
-    c2, q2, r2 = right_divide(a, a)
-    assert not r2 and q2.order == 0
+    c2, q2, r2 = right_divide_oracle(a, a)
+    assert not r2 and not right_remainder(a, a) and q2.order == 0
 
 
 def test_right_divide_identity_random():
@@ -168,10 +174,11 @@ def test_right_divide_identity_random():
         b = random_operator(rng, radix, rng.randint(0, 2), 3, nonzero_l0=False)
         if not b:
             continue
-        c, q, r = right_divide(a, b)
+        c, q, r = right_divide_oracle(a, b)
         assert c
         assert c * a == q * b + r
         assert not r or r.order < b.order
+        assert right_remainder(a, b) == r
 
 
 def test_right_divide_invariant_is_typed(monkeypatch):
@@ -180,7 +187,7 @@ def test_right_divide_invariant_is_typed(monkeypatch):
     # forms g r_j and drops the subtraction of top b_(j-k)(x^(b^k))
     monkeypatch.setattr(operator_module, "mul_sub", lambda a, p, b, q: a * p)
     with pytest.raises(InternalInvariantError, match="failed to reduce the order"):
-        right_divide(operator(2, X, -pol(1, 1), ONE), operator(2, -ONE, ONE))
+        right_remainder(operator(2, X, -pol(1, 1), ONE), operator(2, -ONE, ONE))
 
 
 def test_phi_apply_running_example(running_example):

@@ -224,7 +224,7 @@ def test_zero_trailing_coefficient_is_normalized_first(rat_example, reduction_ex
     dimensions = [0, 0, 0]
     for op in ops:
         assert not op.coefficient(0)
-        normalized = normalize_l0(op)
+        normalized = normalize_l0(op)[1]
         assert normalized.coefficient(0)
         for i, solve in enumerate((lambda op: series_basis(op, 8), polynomial_basis, rational_basis)):
             basis = solve(op)
