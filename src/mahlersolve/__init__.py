@@ -50,7 +50,7 @@ from .newton import (
     ramification_edge,
     upper_polygon,
 )
-from .rmatrix import Recurrence, extend_prefix
+from .rmatrix import extend_prefix
 from .solver import (
     PuiseuxSeries,
     SolutionBasis,

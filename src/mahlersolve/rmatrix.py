@@ -32,13 +32,12 @@ a positive den, n increasing.  Both kernels return (scale, pairs): the
 support and the solved coefficients over den x scale, the support alone
 when no row is left; the push's (n, num, lev) triples never leave it.
 
-A `Recurrence` is built once per (op, phi) and holds phi(op), and
-floor(nu), floor(mu) and the head length as ints; its `integer_terms`
-are built on first read, and its `window` is the window solve.  Two
-entry points prolong heads, each from one `Recurrence`:
-`series_solutions` prolongs every head of the window solve, and
-`extend_prefix` checks a caller's prefix and prolongs its head, for the
-transcendence tests of `rational`.
+A `Recurrence` holds phi(op), floor(nu), floor(mu) and the head length
+as ints, and `integer_terms` when nu >= 0.  Only the three entry points
+build one, and they set every window and prolongation size:
+`series_solutions` solves the lower window and prolongs every head,
+`polynomial_solutions` solves the upper window, and `extend_prefix`
+checks a caller's prefix and prolongs its head, for `rational`.
 """
 
 from __future__ import annotations
@@ -187,7 +186,10 @@ def _walk(
     first, end = start + 1 - shift, last - shift
     tail = [(j - shift, c) for bk, j, c in terms if bk == 1 and j - shift <= end]
     # y_n sits at index n, followed by zeros that y[n - o] reads for n < o
-    y = [0] * (end + 1 + max((o for o, _ in tail), default=0))
+    size = end + 1 + max((o for o, _ in tail), default=0)
+    if size > MAX_EXPONENT:
+        raise ExponentOverflowError(f"padded truncation order {size} exceeds {MAX_EXPONENT}")
+    y = [0] * size
     for n, num in support:
         y[n] = num
     pending = [0] * (end + 1)  # the M^k terms already added to row n + shift
@@ -252,14 +254,13 @@ def _ties(lines: Sequence[Term], lo: int, hi: int) -> dict[int, int]:
 class Recurrence:
     """The recurrence of phi(op), built once per (op, phi): the transformed
     operator `op`, the ints `nu_floor` and `mu_floor`, floor(nu) and
-    floor(mu) of its lower Newton polygon, and `head` = max(floor(nu) + 1,
-    0), the number of coefficients that fix a series solution.  phi(op)
-    needs order >= 1 and a nonzero trailing coefficient, as `nu_ratio`
-    does.  `integer_terms` is built on first read, so an operator with
-    nu < 0 that solves nothing never builds it.
+    floor(mu) of its lower Newton polygon, `head` = max(floor(nu) + 1,
+    0), the number of coefficients that fix a series solution, and the
+    `integer_terms` of phi(op), None when nu < 0 and nothing solves.
+    phi(op) needs order >= 1 and a nonzero trailing coefficient.
     """
 
-    __slots__ = ("op", "nu_floor", "mu_floor", "head", "_terms")
+    __slots__ = ("op", "nu_floor", "mu_floor", "head", "integer_terms")
 
     def __init__(self, op: MahlerOperator, phi: PhiTransform):
         self.op = op = phi_apply(op, phi)
@@ -268,33 +269,22 @@ class Recurrence:
         # mu = v(l_0) + nu with v(l_0) an int
         self.mu_floor = op.coeffs[0].valuation + self.nu_floor
         self.head = max(self.nu_floor + 1, 0)
-        self._terms = None
-
-    @property
-    def integer_terms(self) -> tuple[int, list[Term]]:
-        terms = self._terms
-        if terms is None:
-            terms = self._terms = integer_terms(self.op)
-        return terms
-
-    def window(self, h: int, width: int, orientation: str) -> tuple[tuple[int, tuple], ...]:
-        """Basis of {y of degree < width : phi(op) y = 0 mod x^h}.
-
-        Each basis vector is (den, pairs), in lowest terms; the basis is
-        reduced echelon with pivots at the lowest nonzero coefficient, pivot
-        coefficients 1, ordered by pivot.  Every position whose row has a
-        zero diagonal gets a unit seed, and forward substitution from it
-        gives one candidate; the candidates are then recombined so that all
-        rows below x^h hold, not only the rows that determine a position.
-        """
-        if orientation not in ("lower", "upper"):
-            raise InvalidArgumentError("orientation must be 'lower' or 'upper'")
-        return _window(self, h, width, 1 if orientation == "lower" else -1)
+        self.integer_terms = integer_terms(op) if self.nu_floor >= 0 else None
 
 
 def _window(rec: Recurrence, h: int, width: int, sign: int) -> tuple:
-    """`Recurrence.window`, lower for sign 1 and upper for sign -1."""
-    op_terms = rec.integer_terms
+    """Basis of {y of degree < width : phi(op) y = 0 mod x^h}, read in the
+    lower orientation for sign 1 and in the upper one for sign -1.
+
+    Each basis vector is (den, pairs), in lowest terms; the basis is
+    reduced echelon with pivots at the lowest nonzero coefficient, pivot
+    coefficients 1, ordered by pivot.  Every position whose row has a
+    zero diagonal gets a unit seed, and forward substitution from it
+    gives one candidate; the candidates are then recombined so that all
+    rows below x^h hold, not only the rows that determine a position.
+    With nu < 0, which no entry point solves, the terms are built here.
+    """
+    op_terms = rec.integer_terms or integer_terms(rec.op)
     terms = [(bk, sign * j, c) for bk, j, c in op_terms[1]]
     lines = _lines(terms)
     lo, hi = (0, width - 1) if sign == 1 else (1 - width, 0)
@@ -374,7 +364,8 @@ def series_solutions(op: MahlerOperator, phi: PhiTransform, top: int) -> tuple[i
     coefficients 0..t-1, t - 1 = max(top, floor(nu)), in lowest terms.
     One `Recurrence` gives the window, which fixes the coefficients up
     to floor(nu), and the prolongation of every head.  A t beyond
-    MAX_EXPONENT raises ExponentOverflowError."""
+    MAX_EXPONENT raises ExponentOverflowError, and so does a walk whose
+    zeros for l_0's tail take its list past MAX_EXPONENT entries."""
     if op.order < 1:
         return 0, ()
     rec = Recurrence(op, phi)
@@ -385,6 +376,19 @@ def series_solutions(op: MahlerOperator, phi: PhiTransform, top: int) -> tuple[i
         raise ExponentOverflowError(f"truncation order {t} exceeds {MAX_EXPONENT}")
     heads = _window(rec, rec.mu_floor + 1, rec.head, 1)
     return t, tuple(_prolong(rec, *head, t - rec.head) for head in heads)
+
+
+def polynomial_solutions(op: MahlerOperator, w: int) -> tuple:
+    """A basis of the polynomial solutions of op of degree < w, each as
+    (den, pairs) in lowest terms: the upper window of height
+    h = deg op + (w - 1) b^r + 1 holds the image of any such polynomial.
+    Of order 0, or with nu < 0, only the zero polynomial solves."""
+    if op.order < 1:
+        return ()
+    rec = Recurrence(op, IDENTITY_PHI)
+    if rec.nu_floor < 0:
+        return ()
+    return _window(rec, op.degree + (w - 1) * op.radix**op.order + 1, w, -1)
 
 
 def extend_prefix(
@@ -399,7 +403,9 @@ def extend_prefix(
     fewer than max(head, 1) entries, ExponentOverflowError past
     MAX_EXPONENT coefficients, and InconsistentPrefixError for a head that
     breaks a relation row, named, or a rest that differs from the head's
-    prolongation."""
+    prolongation; a walk whose zeros for l_0's tail take its list past
+    MAX_EXPONENT entries raises ExponentOverflowError before the rest is
+    compared."""
     for c in prefix:
         if type(c) is not int and not isinstance(c, Fraction):
             raise InvalidArgumentError(f"prefix entries must be int or Fraction, got {c!r}")

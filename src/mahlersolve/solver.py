@@ -4,13 +4,13 @@ which substitutes a basis back into its equation.
 
 The simple shape shared by all solvers: pick the window parameters from
 the Newton polygon, solve the window, and, for series-like output,
-extend each basis element; `rmatrix.series_solutions` does both from one
-`rmatrix.Recurrence`, the polynomial solver solves the window of another,
-`certify` applies op through one `integer_terms`, and nothing is kept
-between calls.  The window parameters are ints: the chosen edge's ends
-give the Puiseux shift and gamma, and a truncation order or certified
-order is an int whenever it is integral, a Fraction otherwise.  Vectors
-pass as (den, pairs), the nonzero coefficients
+extend each basis element.  `rmatrix.series_solutions` and
+`rmatrix.polynomial_solutions` size and solve every window and
+extension, `certify` applies op through one `integer_terms`, and
+nothing is kept between calls.  The window parameters are ints: the
+chosen edge's ends give the Puiseux shift and gamma, and a truncation
+order or certified order is an int whenever it is integral, a Fraction
+otherwise.  Vectors pass as (den, pairs), the nonzero coefficients
 only, as integer numerators over one denominator, so the cost follows
 the size of the answer, not the window width or the truncation order; a
 `Poly` or `PuiseuxSeries` stores that form alone and keeps it through
@@ -41,7 +41,7 @@ from .operator import (
     integer_terms,
 )
 from .poly import Poly, lowest_terms
-from .rmatrix import Recurrence, series_solutions
+from .rmatrix import polynomial_solutions, series_solutions
 
 
 def _exact(num: int, den: int):
@@ -124,16 +124,8 @@ def polynomial_solutions_bounded(op: MahlerOperator, w: int) -> SolutionBasis:
     """Basis of polynomial solutions of degree < w."""
     if w < 1:
         raise InvalidArgumentError(f"degree bound must be >= 1, got {w}")
-    op = solving_operator(op)
-    kind = "polynomial_basis"
-    if op.order < 1:
-        return SolutionBasis(kind, ())
-    rec = Recurrence(op, IDENTITY_PHI)
-    if rec.nu_floor < 0:
-        return SolutionBasis(kind, ())
-    h = op.degree + (w - 1) * op.radix**op.order + 1
-    kernel = rec.window(h, w, "upper")
-    return SolutionBasis(kind, tuple(Poly.from_integers(*v) for v in kernel))
+    vectors = polynomial_solutions(solving_operator(op), w)
+    return SolutionBasis("polynomial_basis", tuple(Poly.from_integers(*v) for v in vectors))
 
 
 def polynomial_basis(op: MahlerOperator) -> SolutionBasis:

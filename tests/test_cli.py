@@ -548,6 +548,24 @@ def test_no_private_cross_module_imports():
     assert offenders == []
 
 
+def test_only_rmatrix_names_the_recurrence():
+    # every window and prolongation is sized in rmatrix: no other module
+    # defines, imports, re-exports or reads `Recurrence`
+    package = os.path.dirname(cli.__file__)
+    naming = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            # a name read or bound, an attribute, an import alias or a class
+            fields = ("id", "attr", "name", "asname")
+            if "Recurrence" in (getattr(node, field, None) for field in fields):
+                naming.add(name)
+    assert naming == {"rmatrix.py"}
+
+
 def test_no_unused_module_names():
     # a module-level import, or a module-level _private name, that its
     # module never reads again is dead code left behind by a refactor
@@ -985,6 +1003,8 @@ def test_undecodable_key_exits_2_on_every_path(tmp_path, running_example, monkey
     "argv",
     [
         ("series", "F", "--order", str(10**20)),
+        # t = MAX_EXPONENT passes, but the walk pads its list past it
+        pytest.param(("series", "F", "--order", str(2**63 - 2)), id="series F padded"),
         ("puiseux", "F", "--order", str(10**20)),
         ("transcendence", "G", "--initial", "1,0,0", "--oracle", "bell-coons"),
         ("transcendence", "H", "--initial", "1,0,0", "--oracle", "bell-coons"),

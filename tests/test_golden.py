@@ -70,8 +70,8 @@ def test_tracer_leaves_outcomes_unchanged(
 ):
     # perfbench/trace.py wraps the library from outside: it replaces the
     # public functions and methods, `rmatrix.extend_prefix` and
-    # `Recurrence.window` among them, and the solvers the subcommand
-    # lambdas look up when called
+    # `rmatrix.polynomial_solutions` among them, and the solvers the
+    # subcommand lambdas look up when called
     paths = {}
     for name, op in (("run", running_example), ("rat", rat_example), ("red", reduction_example)):
         paths[name] = str(tmp_path / f"{name}.json")
@@ -107,5 +107,5 @@ def test_tracer_leaves_outcomes_unchanged(
         tracer.uninstall()
     assert [code for code, _ in untraced] == [0] * len(argvs)
     assert traced == untraced
-    assert tracer.calls["rmatrix.extend_prefix"] and tracer.calls["rmatrix.Recurrence.window"]
+    assert tracer.calls["rmatrix.extend_prefix"] and tracer.calls["rmatrix.polynomial_solutions"]
     assert tracer.calls["solver.series_basis"] and tracer.calls["rational.rational_basis"]

@@ -67,7 +67,7 @@ def test_empty_selection():
     # y(x^2) = 2 y(x): the one tie, at n = 0, has diagonal -2 + 1, so no
     # position is seeded and the window solve returns the empty basis
     op = operator(2, Poly.monomial(0, -2), ONE)
-    assert Recurrence(op, IDENTITY_PHI).window(5, 3, "lower") == ()
+    assert rmatrix._window(Recurrence(op, IDENTITY_PHI), 5, 3, 1) == ()
     assert oracles.kernel(oracles.brute_rows(op, 4, 3), 3) == []
 
 
@@ -138,7 +138,7 @@ def _coeffs(pairs, length):
 
 def test_solve_prescribed_running_example(running_example):
     rec = Recurrence(running_example, IDENTITY_PHI)
-    basis = rec.window(rec.mu_floor + 1, rec.nu_floor + 1, "lower")
+    basis = rmatrix._window(rec, rec.mu_floor + 1, rec.nu_floor + 1, 1)
     assert basis == ((1, ((3, 1),)),)
 
 
@@ -146,7 +146,7 @@ def test_solve_prescribed_upper(rat_example_transformed):
     op = rat_example_transformed
     w = 6
     h = op.degree + (w - 1) * 3**2 + 1
-    basis = Recurrence(op, IDENTITY_PHI).window(h, w, "upper")
+    basis = rmatrix._window(Recurrence(op, IDENTITY_PHI), h, w, -1)
     assert len(basis) == 2
     for vec in basis:
         assert not image_below(integer_terms(op), vec[1], h)[1]
@@ -158,7 +158,7 @@ def test_solve_prescribed_with_transform(running_example):
     assert (rec.nu_floor, rec.mu_floor, rec.head) == (7, 21, 8)
     assert nu_mu_oracle(rec.op) == (F(7), F(21))
     w, h = rec.nu_floor + 1, rec.mu_floor + 1
-    basis = rec.window(h, w, "lower")
+    basis = rmatrix._window(rec, h, w, 1)
     assert [_coeffs(_fractions(vec), w) for vec in basis] == [
         [F(1), F(0), F(-1), F(0), F(1), F(0), F(-1), F(0)],
         [F(0), F(0), F(0), F(0), F(0), F(0), F(0), F(1)],
@@ -167,7 +167,7 @@ def test_solve_prescribed_with_transform(running_example):
 
 def test_solve_prescribed_constants():
     op = operator(2, -ONE, ONE)  # M - 1
-    assert Recurrence(op, IDENTITY_PHI).window(1, 1, "lower") == ((1, ((0, 1),)),)
+    assert rmatrix._window(Recurrence(op, IDENTITY_PHI), 1, 1, 1) == ((1, ((0, 1),)),)
 
 
 def test_solve_prescribed_matches_dense_oracle():
@@ -195,7 +195,7 @@ def test_solve_prescribed_matches_dense_oracle():
         ]
         top = min(ends) if orientation == "lower" else max(ends)
         h = top + 1 + rng.randint(0, 6)
-        basis = Recurrence(op, phi).window(h, w, orientation)
+        basis = rmatrix._window(Recurrence(op, phi), h, w, 1 if orientation == "lower" else -1)
         for vec in basis:
             pairs = _fractions(vec)
             assert pairs and [n for n, _ in pairs] == sorted({n for n, _ in pairs})
@@ -215,7 +215,7 @@ def test_solve_prescribed_detects_bad_selection(monkeypatch):
     op = operator(2, -ONE, ONE)
     monkeypatch.setattr(rmatrix, "_ties", lambda lines, lo, hi: {0: 0, 1: 0})
     with pytest.raises(InternalInvariantError, match="exceed the order 1"):
-        Recurrence(op, IDENTITY_PHI).window(10, 3, "lower")
+        rmatrix._window(Recurrence(op, IDENTITY_PHI), 10, 3, 1)
 
 
 def _fractions(out):
@@ -238,7 +238,7 @@ def _same_as_oracle(out, expected):
 
 def _lower_kernel(op):
     rec = Recurrence(op, IDENTITY_PHI)
-    return rec.window(rec.mu_floor + 1, rec.nu_floor + 1, "lower")
+    return rmatrix._window(rec, rec.mu_floor + 1, rec.nu_floor + 1, 1)
 
 
 def _extend(op, phi, approx, extra):
@@ -275,6 +275,13 @@ def test_prolong_past_the_exponent_range():
             extend_prefix(MahlerOperator(2, coeffs), [0], MAX_EXPONENT + 1)
     with pytest.raises(InsufficientPrefixError):
         extend_prefix(op, [], MAX_EXPONENT + 1)
+    # MAX_EXPONENT coefficients pass, but the walk's zeros for l_0's tail
+    # term x would take its list one entry past them
+    padded = f"padded truncation order {MAX_EXPONENT + 1} exceeds"
+    with pytest.raises(ExponentOverflowError, match=padded):
+        extend_prefix(op, [1], MAX_EXPONENT)
+    with pytest.raises(ExponentOverflowError, match=padded):
+        series_basis(op, MAX_EXPONENT - 1)
     assert extend_prefix(op, [1], 4) == (1, [1, 1, 2, 2])
 
 
@@ -494,7 +501,7 @@ def test_window_solve_runs_on_ints(monkeypatch, running_example):
     recs = [Recurrence(running_example, phi) for phi in (IDENTITY_PHI, PhiTransform(-1, 2, -3))]
     sizes = [(rec.mu_floor + 1, rec.nu_floor + 1) for rec in recs]
     calls = count_fraction_arithmetic(monkeypatch)
-    basis, sheared = [rec.window(h, w, "lower") for rec, (h, w) in zip(recs, sizes)]
+    basis, sheared = [rmatrix._window(rec, h, w, 1) for rec, (h, w) in zip(recs, sizes)]
     assert calls == Counter()
     monkeypatch.undo()
     assert basis == ((1, ((3, 1),)),)
@@ -542,7 +549,7 @@ def _tail_product(radix, d, tail, left=None) -> MahlerOperator:
 def _heads(op, phi):
     """The window-solve basis of phi(op) for prolongation, nu >= 0."""
     rec = Recurrence(op, phi)
-    return rec.window(rec.mu_floor + 1, rec.nu_floor + 1, "lower")
+    return rmatrix._window(rec, rec.mu_floor + 1, rec.nu_floor + 1, 1)
 
 
 def _combine(heads, weights):
