@@ -222,8 +222,29 @@ def image_below(
     units of 1/scale, to L times its nonzero coefficient, an int.  M^k
     multiplies exponents by b^k, so a truncated series is known only far
     below most of its image; the terms from limit/scale on are never
-    formed."""
+    formed.
+
+    A dense input runs on lists: one with more pairs than terms, whose
+    span of exponents and whose image window, from the least image
+    exponent up to min(limit, the greatest + 1), are each under
+    2 len(nums).  The pairs fill a list of the span, and each term adds
+    into a list of the window with one `add_scaled` loop.  Any other
+    input, such as a series with long runs of zeros or a polynomial of a
+    few terms, sums each term's products into a dict."""
     lcm, terms = op_terms
+    if 0 < len(terms) < len(nums):
+        first, last = nums[0][0], nums[-1][0]
+        span = last - first + 1
+        base = min(j * scale + bk * first for bk, j, _ in terms)
+        window = min(limit, max(j * scale + bk * last for bk, j, _ in terms) + 1) - base
+        if span < 2 * len(nums) and window < 2 * len(nums):
+            ys = [0] * span
+            for e, v in nums:
+                ys[e - first] = v
+            sums = [0] * window
+            for bk, j, c in terms:
+                add_scaled(sums, zip(range(j * scale + bk * first - base, window, bk), ys), c)
+            return lcm, {m + base: s for m, s in enumerate(sums) if s}
     acc: dict[int, int] = {}
     for bk, j, c in terms:
         js = j * scale
@@ -236,6 +257,20 @@ def image_below(
             else:
                 acc[m] = c * v
     return lcm, {m: s for m, s in acc.items() if s}
+
+
+def add_scaled(acc: list[int], pairs: Iterable[tuple[int, int]], c: int) -> None:
+    """acc[m] += c v for every (m, v) in pairs; a unit c adds or
+    subtracts v without a multiplication."""
+    if c == 1:
+        for m, v in pairs:
+            acc[m] += v
+    elif c == -1:
+        for m, v in pairs:
+            acc[m] -= v
+    else:
+        for m, v in pairs:
+            acc[m] += c * v
 
 
 def clear_denominator(op: MahlerOperator, v: int, q: Poly) -> MahlerOperator:

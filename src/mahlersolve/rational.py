@@ -24,6 +24,7 @@ from .errors import (
     ExponentOverflowError,
     InsufficientPrefixError,
     InvalidArgumentError,
+    MahlerError,
     UnsupportedEquationError,
     ZeroTrailingCoefficientError,
 )
@@ -291,23 +292,31 @@ def transcendence_test(
     so the verdict is a dichotomy.  Every rational solution is
     p / (x^v_bar q_star) with deg p < w = deg q_star + 2 v_bar + 1
     (`denominator_bound`), so when the series y is rational, z = x^v_bar
-    q_star y is the polynomial p.  The series is extended until z is
-    known below x^w; a known term of z at degree >= w makes y
-    transcendental, and otherwise p = z mod x^w gives the only possible
-    witness.  The witness must pass the certificate of a rational basis
-    element and expand to the series.  The expansion can differ only
-    when x divides q_star: z below x^(v_bar + n) then fixes fewer than
-    the n known terms of y.
+    q_star y is the polynomial p.  The series is extended once, to
+    max(len(prefix), w - v_bar) terms, so that z is known below x^w; a
+    known term of z at degree >= w makes y transcendental, and otherwise
+    p = z mod x^w gives the only possible witness.  The witness must
+    pass the certificate of a rational basis element and expand to the
+    series.  The expansion can differ only when x divides q_star: z
+    below x^(v_bar + n) then fixes fewer than the n known terms of y.
+
+    A zero prefix, or any prefix when the order is 0 and only the zero
+    series solves, is checked by `extend_prefix` alone, with no bound.
+    A fault of the prefix is reported before any fault of the bound or
+    of the extension to w - v_bar terms.
     """
     op = solving_operator(op)
-    den, series = extend_prefix(op, prefix, len(prefix))
-    if not any(series):
+    if op.order < 1 or not any(prefix):
+        extend_prefix(op, prefix, len(prefix))
         return TranscendenceVerdict("rational", RationalFunction.constant(0), "rational-basis")
-    bound = denominator_bound(op)
-    q_star, v_bar = bound.q_star, bound.v_bar
-    w = q_star.degree + 2 * v_bar + 1
-    if w - v_bar > len(series):
+    try:
+        bound = denominator_bound(op)
+        q_star, v_bar = bound.q_star, bound.v_bar
+        w = q_star.degree + 2 * v_bar + 1
         den, series = extend_prefix(op, prefix, w - v_bar)
+    except MahlerError:
+        extend_prefix(op, prefix, len(prefix))
+        raise
     # z_i, the coefficient of x^(v_bar + i) in z, times den q_star.den
     z = [0] * len(series)
     for e, c in q_star.nums:

@@ -16,9 +16,11 @@ costs about (nonzero coefficients) x (operator terms), however wide the
 window or long the truncation; the window solve and most prolongations
 use it.  The walk kernel `_walk` keeps the coefficients and the pending
 row sums in lists: each row pulls the terms of l_0 above its trailing
-term, and the terms of M^k, k >= 1, are added in blocks of extended-slice
-updates.  It costs rows x (tail terms of l_0 + 1) list reads, whether
-the coefficients are zero or not.  Prolongation walks exactly when the
+term, and the terms of M^k, k >= 1, are added in blocks, one plain loop
+over the block's rows per term.  A term with coefficient +-1 adds or
+subtracts without a multiplication, in the tail and in the blocks.  It
+costs rows x (tail terms of l_0 + 1) list reads, whether the
+coefficients are zero or not.  Prolongation walks exactly when the
 diagonal d of the transformed operator is +-1 and the smallest offset
 o_min of l_0's tail above its trailing term is at most `_NEAR_TAIL`:
 each nonzero y_n then adds a term to row n + o_min, so unless terms
@@ -46,7 +48,6 @@ import math
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
-from operator import add
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -62,6 +63,7 @@ from .operator import (
     IDENTITY_PHI,
     MahlerOperator,
     PhiTransform,
+    add_scaled,
     image_below,
     integer_terms,
     phi_apply,
@@ -70,10 +72,10 @@ from .poly import MAX_EXPONENT, lowest_terms
 
 Term = tuple[int, int, int]  # (b^k, j, c): the term c x^j M^k
 
-# Largest o_min for which prolongation walks.  On M - u with u = 1 + x^o
-# + ..., whose series solution has one nonzero coefficient in every o,
-# 500 rows took the walk 0.9-1.0 times the push's time at o = 4 and
-# 1.0-1.4 times at o = 5 to 6 (CPython 3.11, x86-64).
+# Largest o_min for which prolongation walks.  On M - u in radix 2 with
+# u = 1 + x^o + x^2o - x^3o, whose series solution has one nonzero
+# coefficient in every o, 500 rows took the walk 0.93 times the push's
+# time at o = 4 and 1.2-1.8 times at o = 5 to 8 (CPython 3.11, x86-64).
 _NEAR_TAIL = 4
 
 
@@ -176,12 +178,14 @@ def _walk(
     m the coefficient y_{m - shift}, and every coefficient is an int
     over the head's denominator D.  Row n + shift pulls c y_{n - o} for
     each term (1, shift + o, c) of l_0's tail.  The terms of M^k, k >= 1,
-    are added in blocks: once y_0..y_{N-1} are known, one extended-slice
-    update per term adds c y_i to row j + b^k i for every known i not
+    are added in blocks: once y_0..y_{N-1} are known, one `add_scaled`
+    loop per term adds c y_i to row j + b^k i for every known i not
     added yet, and every row below the least j + b^k N then has all its
     terms.  The gap j - shift + (b^k - 1) N is positive, as `_prolong`
-    checks, so each block solves at least one row.  Returns (1, pairs)
-    for the support and the new coefficients, as `_push` does.
+    checks, so each block solves at least one row.  Tail terms with
+    c = 1 and c = -1 add and subtract y_{n - o} without a multiplication.
+    Returns (1, pairs) for the support and the new coefficients, as
+    `_push` does.
     """
     first, end = start + 1 - shift, last - shift
     tail = [(j - shift, c) for bk, j, c in terms if bk == 1 and j - shift <= end]
@@ -189,6 +193,9 @@ def _walk(
     size = end + 1 + max((o for o, _ in tail), default=0)
     if size > MAX_EXPONENT:
         raise ExponentOverflowError(f"padded truncation order {size} exceeds {MAX_EXPONENT}")
+    plus = [o for o, c in tail if c == 1]
+    minus = [o for o, c in tail if c == -1]
+    other = [(o, c) for o, c in tail if c not in (1, -1)]
     y = [0] * size
     for n, num in support:
         y[n] = num
@@ -206,16 +213,18 @@ def _walk(
             bk, o, c, i = block
             if i < n:
                 hi = min(n, (end - o) // bk + 1)
-                if i < hi:
-                    rows = slice(o + bk * i, o + bk * hi, bk)
-                    pending[rows] = map(add, pending[rows], map(c.__mul__, y[i:hi]))
+                add_scaled(pending, zip(range(o + bk * i, o + bk * hi, bk), y[i:hi]), c)
                 block[3] = i = n
             stop = min(stop, o + bk * i)
         if stop <= n:
             raise InternalInvariantError("prolongation block solved no row")
         for m in range(n, stop):
             s = pending[m]
-            for o, c in tail:
+            for o in plus:
+                s += y[m - o]
+            for o in minus:
+                s -= y[m - o]
+            for o, c in other:
                 s += c * y[m - o]
             y[m] = neg * s
         n = stop

@@ -98,34 +98,100 @@ def test_image_below_solutions(running_example, running_example_series):
     assert image_below(integer_terms(lop), [(0, 1)], 12)[1] == {}
 
 
-def test_image_below_matches_whole_image(running_example):
+def test_image_below_matches_whole_image(running_example, monkeypatch):
     # the reference forms the whole image with rational exponents;
     # image_below, read over den * lcm, must agree with it on every
     # exponent below the limit, as the same canonical Fractions.
     # Operators with denominators and supports with denominators such
     # as 6 exercise the lcms by which the integer kernel scales both.
-    rng = random.Random(9090)
-    phi = PhiTransform(1, 5, -2)  # 5 is coprime to both radices
-    cases = [(phi_apply(running_example, PhiTransform(-1, 2, -3)), 1)]
-    for i in range(90):
-        radix = rng.choice((2, 3))
-        if i % 2:
-            op = random_operator(rng, radix, rng.randint(1, 3), 6, nonzero_l0=False)
-        else:
-            op = random_rational_operator(rng, radix, rng.randint(1, 3), 6)
-        cases.append((phi_apply(op, phi) if i % 3 == 0 else op, rng.choice((1, 2, 5))))
-    for op, scale in cases:
-        exps = sorted(rng.sample(range(-8 if scale > 1 else 0, 30), rng.randint(0, 8)))
-        support = [(e, F(rng.choice((-5, -2, -1, 1, 2, 7)), rng.choice((1, 2, 3, 6)))) for e in exps]
+    # Short sparse supports sum into a dict.  Runs of 40-200 nonzero
+    # coefficients, with negative exponents under a scale > 1, and
+    # supports on either side of the cutover (more pairs than terms, and
+    # a span and an image window under 2 len(nums)) reach the list path
+    # too, the one path that calls add_scaled.  limit 10**6 stands for
+    # math.inf.
+    listed = []  # the coefficients add_scaled took during one call
+    units = set()  # 1, -1, and 0 for any other coefficient, over all calls
+    add_scaled = operator_module.add_scaled
+
+    def counted(acc, pairs, c):
+        listed.append(c)
+        units.add(c if c in (1, -1) else 0)
+        add_scaled(acc, pairs, c)
+
+    monkeypatch.setattr(operator_module, "add_scaled", counted)
+
+    def check(op, scale, support, limits) -> list[bool]:
+        """Compare every limit with the reference; whether each ran on lists."""
         whole = apply_to_fractional(op, [(F(e, scale), c) for e, c in support])
-        for limit in (rng.randint(-5, 40), rng.randint(40, 200), 10**6):
+        den, nums = integer_pairs(support)
+        paths = []
+        for limit in limits:
             want = sorted((int(e * scale), c) for e, c in whole.items() if e * scale < limit)
-            den, nums = integer_pairs(support)
+            listed.clear()
             # nonzero ints over the operator's lcm, read over den * lcm
             lcm, ints = image_below(integer_terms(op), nums, limit, scale)
             assert all(type(v) is int and v for v in ints.values())
             image = {m: F(v, den * lcm) for m, v in ints.items()}
             assert repr(sorted(image.items())) == repr(want)
+            paths.append(bool(listed))
+        return paths
+
+    rng = random.Random(9090)
+    phi = PhiTransform(1, 5, -2)  # 5 is coprime to both radices
+
+    def random_case(i):
+        radix = rng.choice((2, 3))
+        if i % 2:
+            op = random_operator(rng, radix, rng.randint(1, 3), 6, nonzero_l0=False)
+        else:
+            op = random_rational_operator(rng, radix, rng.randint(1, 3), 6)
+        return phi_apply(op, phi) if i % 3 == 0 else op, rng.choice((1, 2, 5))
+
+    def value():
+        return F(rng.choice((-5, -2, -1, 1, 2, 7)), rng.choice((1, 2, 3, 6)))
+
+    cases = [(phi_apply(running_example, PhiTransform(-1, 2, -3)), 1)]
+    cases += [random_case(i) for i in range(90)]
+    for op, scale in cases:
+        exps = sorted(rng.sample(range(-8 if scale > 1 else 0, 30), rng.randint(0, 8)))
+        support = [(e, value()) for e in exps]
+        check(op, scale, support, (rng.randint(-5, 40), rng.randint(40, 200), 10**6))
+    runs = []
+    for i in range(24):
+        op, scale = random_case(i)
+        n = rng.randint(40, 200)
+        first = rng.randint(-8, 0) if scale > 1 else rng.randint(0, 5)
+        support = [(first + k, value()) for k in range(n)]
+        limits = (rng.randint(0, n), rng.randint(n, 3 * n), 10**6)
+        runs += check(op, scale, support, limits)
+    # at the cutover: n pairs against the number of terms, a span of
+    # 2n - 1 or 2n exponents, and a limit 2n - 1 or 2n above the least
+    # image exponent
+    cutover = []
+    for i in range(12):
+        op, scale = random_case(i)
+        terms = integer_terms(op)[1]
+        for n in (len(terms), len(terms) + 1 + i % 3):
+            for span in (2 * n - 1, 2 * n):
+                first = rng.randint(-3, 3)
+                last = first + span - 1
+                inner = sorted(rng.sample(range(first + 1, last), n - 2))
+                support = [(e, value()) for e in (first, *inner, last)]
+                base = min(j * scale + bk * first for bk, j, _ in terms)
+                top = max(j * scale + bk * last for bk, j, _ in terms) + 1
+                limits = (base + 2 * n - 1, base + 2 * n)
+                dense = [
+                    n > len(terms) and span < 2 * n and min(limit, top) - base < 2 * n
+                    for limit in limits
+                ]
+                assert check(op, scale, support, limits) == dense
+                cutover += dense
+    # the zero operator has no terms and no image, however dense its input
+    run = [(e, value()) for e in range(60)]
+    assert check(MahlerOperator(2, []), 1, run, (30, 10**6)) == [False, False]
+    assert any(runs) and not all(runs) and any(cutover) and not all(cutover)
+    assert units == {1, -1, 0}
 
 
 def test_apply_composition():

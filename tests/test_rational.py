@@ -18,6 +18,7 @@ from conftest import (
 from oracles import alt_denominator_bound, eliminate, laurent, nu_mu_oracle, same_span
 from mahlersolve import rational
 from mahlersolve.errors import (
+    ExponentOverflowError,
     InconsistentPrefixError,
     InsufficientPrefixError,
     InternalInvariantError,
@@ -26,8 +27,9 @@ from mahlersolve.errors import (
     ZeroTrailingCoefficientError,
 )
 from mahlersolve.operator import MahlerOperator
-from mahlersolve.poly import Poly, gcd, mahler_substitute, poly_sections
+from mahlersolve.poly import MAX_EXPONENT, Poly, gcd, mahler_substitute, poly_sections
 from mahlersolve.rational import (
+    DenominatorBound,
     RamifiedRationalFunction,
     RationalFunction,
     bell_coons_dimensions,
@@ -305,7 +307,7 @@ def test_certify_ramified_matches_exact_identity():
     assert all(rejected[k] >= 3 for k in range(3))
 
 
-def test_transcendence_test(rat_example):
+def test_transcendence_test(rat_example, monkeypatch):
     lop = operator(2, X, -pol(1, 1), ONE)
     prefix = [F(0), F(1), F(1), F(0), F(1)]
     verdict = transcendence_test(lop, prefix)
@@ -327,6 +329,23 @@ def test_transcendence_test(rat_example):
     with pytest.raises(InsufficientPrefixError):
         transcendence_test(lop, [F(1)])
 
+    # a fault of the bound, or of the one extension to w - v_bar terms,
+    # comes after every fault of the prefix; the zero prefix reads no bound
+    def no_bound(op):
+        raise UnsupportedEquationError("no bound")
+
+    def overflowing_bound(op):
+        return DenominatorBound(Poly.one(), MAX_EXPONENT, (), Poly.one())
+
+    faults = ((no_bound, UnsupportedEquationError), (overflowing_bound, ExponentOverflowError))
+    for bound, error in faults:
+        monkeypatch.setattr(rational, "denominator_bound", bound)
+        with pytest.raises(InconsistentPrefixError):
+            transcendence_test(lop, [F(1), F(2), F(3), F(4), F(5)])
+        with pytest.raises(error):
+            transcendence_test(lop, [F(1), F(0), F(0), F(0), F(0)])
+        assert transcendence_test(lop, [0, 0, 0]).witness == RationalFunction.constant(0)
+
 
 LOP = operator(2, X, -pol(1, 1), ONE)
 
@@ -345,7 +364,7 @@ LOP = operator(2, X, -pol(1, 1), ONE)
         # y = prod (1 - x^(2^k)): q_star = x - 1, v_bar = 1 and w = 4, so the
         # prefix is extended to w - v_bar = 3 terms; the witness fails the
         # certificate
-        (operator(2, -ONE, pol(1, -1)), [1], (2, 1, 0), "transcendental", None),
+        (operator(2, -ONE, pol(1, -1)), [1], (1, 1, 0), "transcendental", None),
         # y = x^2 - x^8 + ...: q_star = x, v_bar = 1 and w = 4, and z = x^2 y
         # is known only below x^4, where it is 0; the zero witness
         # certifies but does not expand to y
@@ -354,7 +373,7 @@ LOP = operator(2, X, -pol(1, 1), ONE)
         # y = 1/(1 - x): q_star = (x - 1)^2, v_bar = 2 and w = 7, so the
         # prefix is extended to 5 terms
         (
-            operator(2, pol(-1, 1), pol(1, 0, -1)), [1], (2, 1, 1), "rational",
+            operator(2, pol(-1, 1), pol(1, 0, -1)), [1], (1, 1, 1), "rational",
             RationalFunction.make(ONE, 0, pol(1, -1)),
         ),
     ],

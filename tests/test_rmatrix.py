@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -546,6 +546,15 @@ def _tail_product(radix, d, tail, left=None) -> MahlerOperator:
     return right if left is None else left * right
 
 
+def _factors(radix, factors) -> MahlerOperator:
+    """The product of the factors d M - u, u = d + (the tail's terms),
+    for the (d, tail) pairs in `factors`, the first one on the right."""
+    op = _tail_product(radix, *factors[0])
+    for d, tail in factors[1:]:
+        op = _tail_product(radix, d, tail) * op
+    return op
+
+
 def _heads(op, phi):
     """The window-solve basis of phi(op) for prolongation, nu >= 0."""
     rec = Recurrence(op, phi)
@@ -571,19 +580,31 @@ def walk_cases(draw):
     """(op, phi, extra, weights): o_min from 1 to K + 1, diagonals +-1 and
     2, left factors x^a + l_1 M that lengthen the head, and the Puiseux
     transforms `puiseux_basis` prolongs under, which multiply o_min by
-    the ramification."""
+    the ramification; and, one case in four, a product of two or three
+    factors d M - u with d = +-1 and o_min <= 2 prolonged 300 to 400
+    rows, whose coefficients are dense and whose terms mix +1, -1 and
+    other coefficients in l_0's tail and in the M^k blocks."""
     radix = draw(st.sampled_from((2, 3)))
+    weights = draw(st.lists(st.sampled_from((1, -1, 2, -3)), min_size=4, max_size=4))
+
+    def tail(o_min):
+        above = sorted(draw(st.sets(st.integers(o_min + 1, 3 * K), max_size=3)))
+        return [(o, draw(coefficients)) for o in [o_min, *above]]
+
+    if draw(st.integers(0, 3)) == 0:
+        factors = [
+            (draw(st.sampled_from((1, -1))), tail(draw(st.integers(1, 2))))
+            for _ in range(draw(st.integers(2, 3)))
+        ]
+        return _factors(radix, factors), IDENTITY_PHI, draw(st.integers(300, 400)), weights
     d = draw(st.sampled_from((1, -1, 2)))
-    o_min = draw(st.integers(1, K + 1))
-    above = sorted(draw(st.sets(st.integers(o_min + 1, 3 * K), max_size=3)))
-    tail = [(o, draw(coefficients)) for o in [o_min, *above]]
     left = None
     if draw(st.booleans()):
         l0 = Poly.monomial(draw(st.integers(0, 8)), draw(st.sampled_from((1, -1))))
         exps = sorted({0} | draw(st.sets(st.integers(1, 3), max_size=2)))
         l1 = Poly.from_integers(1, [(e, draw(coefficients)) for e in exps])
         left = MahlerOperator(radix, [l0, l1])
-    op = _tail_product(radix, d, tail, left)
+    op = _tail_product(radix, d, tail(draw(st.integers(1, K + 1))), left)
     phi = IDENTITY_PHI
     ramification = draw(st.sampled_from((1, 3, 5) if radix == 2 else (1, 2, 5)))
     if ramification > 1:
@@ -591,10 +612,15 @@ def walk_cases(draw):
         slope, (u1, j1) = edge_slope(edge), edge.start
         intercept = j1 - slope * u1
         phi = PhiTransform(-int(slope * ramification), ramification, int(intercept * ramification))
-    weights = draw(st.lists(st.sampled_from((1, -1, 2, -3)), min_size=4, max_size=4))
     return op, phi, draw(st.integers(1, 60)), weights
 
 
+# l_0's tail and the M^k blocks of this product each have coefficients
+# +1, -1 and others, and it is prolonged 320 rows
+THREE_FACTORS = _factors(2, [(1, [(1, 2), (2, 2)]), (-1, [(1, 1)]), (-1, [(2, -1), (4, 2)])])
+
+
+@example((THREE_FACTORS, IDENTITY_PHI, 320, [1, -1, 2, -3]))
 @given(walk_cases())
 def test_walk_matches_oracle(case):
     # each prolongation takes the kernel the rule names, and both give
