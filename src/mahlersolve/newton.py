@@ -14,7 +14,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import NoAdmissibleEdgeError, UnsupportedEquationError, ZeroTrailingCoefficientError
+from .errors import (
+    InvalidArgumentError,
+    NoAdmissibleEdgeError,
+    UnsupportedEquationError,
+    ZeroTrailingCoefficientError,
+)
 from .operator import MahlerOperator
 
 
@@ -130,7 +135,9 @@ def ramification_bound(edges: list[PolygonEdge], radix: int) -> tuple[set[int], 
 
 def ramification_edge(edges: list[PolygonEdge], ramification: int) -> PolygonEdge:
     """The rightmost admissible edge of a lower polygon whose slope is an
-    integer multiple of 1/ramification."""
+    integer multiple of 1/ramification (a positive int)."""
+    if ramification < 1:
+        raise InvalidArgumentError(f"ramification must be >= 1, got {ramification}")
     chosen = None
     for edge in edges:
         (u1, j1), (u2, j2) = edge.start, edge.end

@@ -71,10 +71,6 @@ class MahlerOperator:
         top = max(coeffs)
         return cls(radix, [coeffs.get(k, Poly.zero()) for k in range(top + 1)])
 
-    @classmethod
-    def zero(cls, radix: int) -> "MahlerOperator":
-        return cls(radix)
-
     # -- structure ---------------------------------------------------------
 
     def __bool__(self) -> bool:

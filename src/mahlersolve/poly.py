@@ -6,8 +6,8 @@ integers, in lowest terms (gcd(den, every num) = 1); the zero polynomial
 has den 1 and no nums.  Every operation runs on these ints: sums over a
 common denominator, products of numerators (a*p - b*q in one pass,
 `mul_sub`), pseudo-division for Euclidean division and a primitive
-remainder sequence for gcds.  The (exponent, Fraction) view `terms` is
-computed each time it is read; text comes from the ints (`ratio_text`).
+remainder sequence for gcds.  No Fraction is built: `from_integers` is
+the one constructor and text comes from the ints (`ratio_text`).
 Exponents are capped at MAX_EXPONENT so that index arithmetic
 downstream stays inside a machine-word-like range.
 
@@ -21,7 +21,6 @@ The step is (-1)^(n(b+1)) c^b R(c^b x) / c^(b n), over den^b.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable
 
 from .errors import ExactDivisionError, ExponentOverflowError, InvalidArgumentError
@@ -47,23 +46,6 @@ class Poly:
 
     __slots__ = ("den", "nums")
 
-    def __init__(self, terms: Iterable[tuple[int, Fraction]] = ()):
-        acc: dict[int, Fraction] = {}
-        for e, c in terms:
-            if e < 0:
-                raise InvalidArgumentError(f"negative exponent {e}")
-            _check_exponent(e)
-            c = acc.get(e, _ZERO) + Fraction(c)
-            if c:
-                acc[e] = c
-            elif e in acc:
-                del acc[e]
-        items = sorted(acc.items())
-        # lowest-terms coefficients over their lcm leave no common factor
-        den = math.lcm(*(c.denominator for _, c in items))
-        self.den = den
-        self.nums = tuple((e, c.numerator * (den // c.denominator)) for e, c in items)
-
     # -- construction helpers ------------------------------------------
 
     @classmethod
@@ -80,7 +62,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, e: int, c=1) -> "Poly":
-        c = Fraction(c)
+        """c x^e for an int or Fraction c."""
         return cls.from_integers(c.denominator, [(e, c.numerator)] if c else [])
 
     @classmethod
@@ -88,6 +70,8 @@ class Poly:
         """nums / den from a nonzero int den and (e, int) pairs with
         strictly increasing exponents and nonzero ints; common factors
         are divided out."""
+        if not den:
+            raise InvalidArgumentError("zero denominator")
         nums = tuple(nums)
         if nums:
             if nums[0][0] < 0:
@@ -96,12 +80,6 @@ class Poly:
         return _reduced(den, nums)
 
     # -- basic queries --------------------------------------------------
-
-    @property
-    def terms(self) -> tuple[tuple[int, Fraction], ...]:
-        """The (exponent, Fraction coefficient) pairs."""
-        den = self.den
-        return tuple((e, Fraction(n, den)) for e, n in self.nums)
 
     def __bool__(self) -> bool:
         return bool(self.nums)
@@ -117,14 +95,6 @@ class Poly:
         if not self.nums:
             raise InvalidArgumentError("zero polynomial has no valuation")
         return self.nums[0][0]
-
-    def coefficient(self, e: int) -> Fraction:
-        for exp, c in self.nums:
-            if exp == e:
-                return Fraction(c, self.den)
-            if exp > e:
-                break
-        return _ZERO
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
@@ -167,14 +137,6 @@ class Poly:
         _accumulate(acc, self.nums, other.nums, 1)
         return _reduced(self.den * other.den, [(e, s) for e, s in sorted(acc.items()) if s])
 
-    def scale(self, c) -> "Poly":
-        if not isinstance(c, (int, Fraction)):
-            c = Fraction(c)
-        if not c:
-            return _POLY_ZERO
-        p = c.numerator
-        return _reduced(self.den * c.denominator, [(e, p * v) for e, v in self.nums])
-
     def shift(self, e: int) -> "Poly":
         """Multiply by x**e."""
         if e == 0 or not self.nums:
@@ -192,7 +154,7 @@ class Poly:
         rescaling: self = (Q other.den / (m self.den)) other + R / (m self.den).
         """
         if not other:
-            raise ZeroDivisionError("polynomial division by zero")
+            raise InvalidArgumentError("polynomial division by zero")
         m, q, r = _pseudo_divmod(self.nums, other.nums)
         den = m * self.den
         quotient = _reduced(den, [(e, c * other.den) for e, c in q])
@@ -230,14 +192,11 @@ class Poly:
         return format_terms((e, ratio_text(c, den)) for e, c in self.nums)
 
     def __repr__(self) -> str:
-        return f"Poly({list(self.terms)!r})"
-
-
-_ZERO = Fraction(0)
+        return f"Poly.from_integers({self.den!r}, {list(self.nums)!r})"
 
 
 def ratio_text(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for a positive den, without the Fraction."""
+    """num / den (den positive) in lowest terms as text: "n" or "n/d"."""
     if den == 1:
         return str(num)
     g = math.gcd(num, den)
@@ -247,9 +206,9 @@ def ratio_text(num: int, den: int) -> str:
 
 
 def format_terms(terms: Iterable[tuple]) -> str:
-    """The terms c x^e as text, "0" for none.  Each e and c is an int, a
-    Fraction or a string as `str(Fraction)` writes it, such as "-1/2"; a
-    negative or fractional exponent is written in parentheses."""
+    """The terms c x^e as text, "0" for none.  Each e and c is an int or
+    a string "n" or "n/d" in lowest terms, such as "-1/2"; a negative or
+    fractional exponent is written in parentheses."""
     parts = []
     for e, c in terms:
         e, c = str(e), str(c)

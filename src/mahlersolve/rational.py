@@ -23,6 +23,7 @@ from . import poly as P
 from .errors import (
     ExponentOverflowError,
     InsufficientPrefixError,
+    InternalInvariantError,
     InvalidArgumentError,
     MahlerError,
     UnsupportedEquationError,
@@ -58,7 +59,7 @@ class RationalFunction(NamedTuple):
     @classmethod
     def make(cls, numerator: Poly, x_power: int, denominator: Poly) -> "RationalFunction":
         if not denominator:
-            raise ZeroDivisionError("zero denominator")
+            raise InvalidArgumentError("zero denominator")
         if x_power < 0:
             raise InvalidArgumentError(f"negative x power {x_power}")
         if not numerator:
@@ -120,7 +121,7 @@ def _power_series_div(num: Poly, den: Poly, length: int) -> tuple[int, list[int]
     d0^(n+1), and t_n den.den d0^(length-1-n) that of num/den over common.
     """
     if not den.nums or den.nums[0][0]:
-        raise ZeroDivisionError("denominator vanishes at 0")
+        raise InternalInvariantError("denominator vanishes at 0")
     d0 = den.nums[0][1]
     tail = [(e, c * d0 ** (e - 1)) for e, c in den.nums[1:]]
     num_map = dict(num.nums)

@@ -78,18 +78,10 @@ class PuiseuxSeries(NamedTuple):
         units of 1/ramification and strictly increasing, the ints
         nonzero; common factors are divided out.  The truncation order is
         an int or a Fraction."""
+        if not den:
+            raise InvalidArgumentError("zero denominator")
         t = truncation_order
         return cls(ramification, *lowest_terms(den, nums), t.numerator if t.denominator == 1 else t)
-
-    @property
-    def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """The (exponent, Fraction coefficient) pairs."""
-        ramification, den = self.ramification, self.den
-        return tuple((Fraction(e, ramification), Fraction(v, den)) for e, v in self.nums)
-
-    @property
-    def valuation(self) -> Optional[Fraction]:
-        return Fraction(self.nums[0][0], self.ramification) if self.nums else None
 
 
 class SolutionBasis(NamedTuple):

@@ -42,27 +42,52 @@ def time_limit():
         signal.signal(signal.SIGALRM, previous)
 
 
+def from_terms(pairs) -> Poly:
+    """The polynomial sum of c x^e over the (e, c) pairs, c an int or a
+    Fraction; repeated exponents add up and zero sums drop out."""
+    acc = Counter()
+    for e, c in pairs:
+        acc[e] += Fraction(c)
+    return Poly.from_integers(*integer_pairs(sorted((e, c) for e, c in acc.items() if c)))
+
+
+def terms(x) -> tuple:
+    """The (exponent, Fraction coefficient) pairs of a Poly, or of a
+    PuiseuxSeries with Fraction exponents."""
+    ram = getattr(x, "ramification", None)
+    return tuple((e if ram is None else Fraction(e, ram), Fraction(n, x.den)) for e, n in x.nums)
+
+
+def coefficient(p: Poly, e: int) -> Fraction:
+    return dict(terms(p)).get(e, Fraction(0))
+
+
+def valuation(series):
+    """The least exponent of a PuiseuxSeries as a Fraction; None for 0."""
+    return Fraction(series.nums[0][0], series.ramification) if series.nums else None
+
+
 def pol(*coeffs) -> Poly:
     """Dense helper: pol(c0, c1, ...) = c0 + c1 x + ..."""
-    return Poly((i, Fraction(c)) for i, c in enumerate(coeffs) if c)
+    return from_terms(enumerate(coeffs))
 
 
 def evaluate(p: Poly, point) -> Fraction:
     """p(point), term by term."""
-    return sum((c * Fraction(point) ** e for e, c in p.terms), Fraction(0))
+    return sum((c * Fraction(point) ** e for e, c in terms(p)), Fraction(0))
 
 
 def derivative(p: Poly) -> Poly:
-    return Poly((e - 1, e * c) for e, c in p.terms if e)
+    return from_terms((e - 1, e * c) for e, c in terms(p) if e)
 
 
 def mono(e, c=1) -> Poly:
-    return Poly.monomial(e, Fraction(c))
+    return Poly.monomial(e, c)
 
 
 def signed(plus, minus=()) -> Poly:
     """Polynomial with +1 coefficients at `plus` and -1 at `minus`."""
-    return Poly([(e, Fraction(1)) for e in plus] + [(e, Fraction(-1)) for e in minus])
+    return from_terms([(e, 1) for e in plus] + [(e, -1) for e in minus])
 
 
 def operator(radix, *coeffs) -> MahlerOperator:
@@ -89,7 +114,7 @@ def dense(elem) -> list[Fraction]:
     given as a PuiseuxSeries of ramification 1."""
     assert elem.ramification == 1 and elem.truncation_order.denominator == 1
     out = [Fraction(0)] * int(elem.truncation_order)
-    for e, c in elem.terms:
+    for e, c in terms(elem):
         out[int(e)] = c
     return out
 
@@ -239,7 +264,7 @@ def reduction_example() -> MahlerOperator:
 def reduction_example_normalized() -> MahlerOperator:
     """The primitive order-2 operator the reduction example collapses to."""
     e0 = mono(2) * signed([0, 8], [4])
-    e1 = -(signed([0, 4, 8], [2, 6]) * Poly([(0, Fraction(1)), (2, Fraction(2)), (4, Fraction(1))]))
+    e1 = -(signed([0, 4, 8], [2, 6]) * pol(1, 0, 2, 0, 1))
     e2 = signed([0, 3, 6]) * signed([0, 6], [3])
     return MahlerOperator(3, [e0, e1, e2])
 
@@ -262,7 +287,7 @@ def sparse_stretch_example() -> MahlerOperator:
         [(2577744, 1)],
         [(7733233, -1)],
     ]
-    return MahlerOperator(3, [Poly([(e, Fraction(c)) for e, c in t]) for t in data])
+    return MahlerOperator(3, [from_terms(t) for t in data])
 
 
 def random_poly(rng: random.Random, max_degree: int, min_terms=1, zero_ok=False) -> Poly:
@@ -270,13 +295,13 @@ def random_poly(rng: random.Random, max_degree: int, min_terms=1, zero_ok=False)
         return Poly.zero()
     nterms = rng.randint(min_terms, max(min_terms, min(max_degree + 1, 4)))
     exps = rng.sample(range(max_degree + 1), min(nterms, max_degree + 1))
-    terms = []
+    pairs = []
     for e in exps:
         c = 0
         while c == 0:
             c = rng.randint(-3, 3)
-        terms.append((e, Fraction(c)))
-    return Poly(terms)
+        pairs.append((e, c))
+    return from_terms(pairs)
 
 
 def random_operator(
@@ -304,7 +329,7 @@ def random_rational_operator(
     op = random_operator(rng, radix, order, max_degree)
     l0 = op.coeffs[0]
     diag = rng.choice((Fraction(2), Fraction(-2), Fraction(3), Fraction(-3), Fraction(3, 2)))
-    l0 = Poly([(l0.valuation, diag), *l0.terms[1:]])
+    l0 = from_terms([(l0.valuation, diag), *terms(l0)[1:]])
     scale = rng.choice((Fraction(2, 3), Fraction(5, 7)))
     return mono(0, scale) * MahlerOperator(radix, (l0, *op.coeffs[1:]))
 

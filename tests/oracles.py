@@ -7,7 +7,7 @@ arithmetic, `image_below`) and of the push loop behind its window solve
 and prolongation (`rmatrix`): the oracles build dense recurrence rows
 and visit every row, zero or not.  The polynomial oracles take and
 return term tuples, sorted (exponent, nonzero Fraction) pairs, as
-`Poly.terms`; `series_oracle` builds a `PuiseuxSeries` record from
+conftest's `terms` reads them off a `Poly`; `series_oracle` builds a `PuiseuxSeries` record from
 such pairs.  The Gräffe and orbit oracles are the exception: they
 are built on the library's `Poly` and serve as cross-checks of the
 denominator bound.  `graeffe_oracle` is the determinant route the
@@ -33,6 +33,7 @@ code with the library.
 import math
 from fractions import Fraction
 
+from conftest import coefficient, from_terms, mono, terms
 from mahlersolve.errors import (
     InconsistentPrefixError,
     InternalInvariantError,
@@ -53,7 +54,7 @@ def entry_oracle(op: MahlerOperator, phi: PhiTransform, m: int, n: int) -> Fract
     total = ZERO
     for k, lk in op.nonzero_coefficients():
         bk = op.radix**k
-        for j, c in lk.terms:
+        for j, c in terms(lk):
             if phi.alpha * bk + phi.beta * j - phi.gamma + bk * n == m:
                 total += c
     return total
@@ -66,7 +67,7 @@ def brute_rows(op: MahlerOperator, max_row: int, ncols: int) -> list[list[Fracti
     rows = [[ZERO] * ncols for _ in range(max_row + 1)]
     for k, lk in op.nonzero_coefficients():
         bk = op.radix**k
-        for j, c in lk.terms:
+        for j, c in terms(lk):
             for n in range(ncols):
                 m = j + bk * n
                 if m > max_row:
@@ -105,15 +106,15 @@ def eliminate(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[in
 def poly_mul_oracle(a: Poly, b: Poly) -> Poly:
     """Schoolbook product, one Fraction multiply-add per pair of terms."""
     acc: dict[int, Fraction] = {}
-    for e1, c1 in a.terms:
-        for e2, c2 in b.terms:
+    for e1, c1 in terms(a):
+        for e2, c2 in terms(b):
             e = e1 + e2
             s = acc.get(e, ZERO) + c1 * c2
             if s:
                 acc[e] = s
             elif e in acc:
                 del acc[e]
-    return Poly(sorted(acc.items()))
+    return from_terms(sorted(acc.items()))
 
 
 def _sorted_terms(acc: dict) -> tuple:
@@ -176,7 +177,7 @@ def sort_key_oracle(op: MahlerOperator):
     return (
         -op.order,
         op.degree,
-        tuple((k, c.terms) for k, c in op.nonzero_coefficients()),
+        tuple((k, terms(c)) for k, c in op.nonzero_coefficients()),
     )
 
 
@@ -197,7 +198,7 @@ def right_divide_oracle(
     `operator.right_remainder` updates r alone on the integer forms."""
     radix = a.radix
     c = Poly.one()
-    q = MahlerOperator.zero(radix)
+    q = MahlerOperator(radix)
     r = a
     nb = b.order
     lead_b = b.coeffs[-1]
@@ -220,7 +221,7 @@ def qx_monic(op: MahlerOperator) -> list:
 
     K, x = field("x", QQ)
     coeffs = [
-        sum((QQ(c.numerator, c.denominator) * x**e for e, c in lk.terms), K.zero)
+        sum((QQ(c.numerator, c.denominator) * x**e for e, c in terms(lk)), K.zero)
         for lk in op.coeffs
     ]
     return [c / coeffs[-1] for c in coeffs]
@@ -407,7 +408,7 @@ def newton_oracle(op: MahlerOperator) -> dict:
         points = {}  # (b^k, exponent) -> coefficient of the extreme term of l_k
         for k, c in op.nonzero_coefficients():
             j = c.valuation if lower else c.degree
-            points[(op.radix**k, j)] = c.coefficient(j)
+            points[(op.radix**k, j)] = coefficient(c, j)
         hull = _hull_oracle(list(points), lower)
         edges = []
         for (u1, j1), (u2, j2) in zip(hull, hull[1:]):
@@ -484,7 +485,7 @@ def polynomial_solution_space(op: MahlerOperator, bound: int) -> list[Poly]:
     coefficients over the full (finite) system."""
     max_row = op.degree + op.radix**op.order * (bound - 1)
     vecs = kernel(brute_rows(op, max_row, bound), bound)
-    return [Poly((i, c) for i, c in enumerate(v) if c) for v in vecs]
+    return [from_terms((i, c) for i, c in enumerate(v) if c) for v in vecs]
 
 
 def apply_exact(op: MahlerOperator, p: Poly) -> Poly:
@@ -517,15 +518,15 @@ def series_oracle(ramification: int, terms, truncation_order):
 
 
 def apply_to_fractional(
-    op: MahlerOperator, terms: list[tuple[Fraction, Fraction]]
+    op: MahlerOperator, pairs: list[tuple[Fraction, Fraction]]
 ) -> dict[Fraction, Fraction]:
     """Whole image of a finite sum of terms c x^e (e rational) under op,
     term by term, with no truncation."""
     acc: dict[Fraction, Fraction] = {}
     for k, lk in op.nonzero_coefficients():
         bk = op.radix**k
-        for j, c in lk.terms:
-            for e, v in terms:
+        for j, c in terms(lk):
+            for e, v in pairs:
                 key = j + bk * e
                 s = acc.get(key, ZERO) + c * v
                 if s:
@@ -550,18 +551,18 @@ def prolong_oracle(
         raise InconsistentPrefixError("prefix violates a relation row")
     l0 = transformed.coeffs[0]
     tv0 = l0.valuation
-    diag = l0.terms[0][1]
-    terms = [
+    diag = terms(l0)[0][1]
+    entries = [
         (transformed.radix**k, j, c)
         for k, lk in transformed.nonzero_coefficients()
-        for j, c in lk.terms
+        for j, c in terms(lk)
         if k or j != tv0
     ]
     y = list(approx)
     for m in range(mu_floor + 1, mu_floor + extra + 1):
         target = m - tv0
         acc = ZERO
-        for bk, j, c in terms:
+        for bk, j, c in entries:
             t = m - j
             if t < 0 or t % bk:
                 continue
@@ -603,7 +604,7 @@ def rational_scale(f, c):
 
     if not c:
         return RationalFunction.constant(0)
-    return RationalFunction.make(f.numerator.scale(c), f.x_power, f.denominator)
+    return RationalFunction.make(f.numerator * mono(0, c), f.x_power, f.denominator)
 
 
 def canonicalize_rational_oracle(elements) -> tuple:
@@ -688,7 +689,7 @@ def consistent_extension_oracle(op: MahlerOperator, prefix, length: int) -> list
             raise InsufficientPrefixError(f"need at least {max(head, 1)} coefficients")
         for elem in series_basis(op, target - 1).elements:
             dense = [ZERO] * target
-            for e, c in elem.terms:
+            for e, c in terms(elem):
                 dense[int(e)] = c
             expanded.append(dense)
     rows = [[exp[i] for exp in expanded] for i in range(len(prefix))]

@@ -15,11 +15,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import TEST_TIME_LIMIT_S, TimeLimitExceeded, operator, pol
+from conftest import TEST_TIME_LIMIT_S, TimeLimitExceeded, from_terms, operator, pol
 from mahlersolve import cli
 from mahlersolve.cli import build_parser, main
+from mahlersolve.operator import MahlerOperator
 from mahlersolve.poly import Poly
 from mahlersolve.serialize import operator_to_json
+from mahlersolve.solver import PuiseuxSeries
 
 
 @pytest.fixture()
@@ -621,7 +623,8 @@ def test_no_unused_public_names():
     # a public function, class or method that no library module reads
     # and the README does not name in code is surface kept for tests only;
     # a method is read only as an attribute, so a local variable of the
-    # same name does not count for it
+    # same name does not count for it, and the README names it only as
+    # `Class.method`, so a parameter of the same name does not either
     package = os.path.dirname(cli.__file__)
     defined, names, attributes = [], set(), set()
     for name in sorted(os.listdir(package)):
@@ -631,9 +634,9 @@ def test_no_unused_public_names():
             tree = ast.parse(fh.read())
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((name, node.name, False))
+                defined.append((name, None, node.name))
             if isinstance(node, ast.ClassDef):
-                defined += [(name, m.name, True) for m in node.body if isinstance(m, ast.FunctionDef)]
+                defined += [(name, node.name, m.name) for m in node.body if isinstance(m, ast.FunctionDef)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
@@ -641,11 +644,18 @@ def test_no_unused_public_names():
                 attributes.add(node.attr)
     with open(os.path.join(os.path.dirname(os.path.dirname(package)), "README.md")) as fh:
         spans = re.findall(r"`+([^`]+)`+", fh.read())
-    named = {word for span in spans for word in re.findall(r"[A-Za-z_]\w*", span)}
+    dotted = [word.split(".") for span in spans for word in re.findall(r"[A-Za-z_][\w.]*", span)]
+    named = {part for parts in dotted for part in parts}
+    named_methods = {f"{a}.{b}" for parts in dotted for a, b in zip(parts, parts[1:])}
     offenders = [
         (m, n)
-        for m, n, method in defined
-        if not n.startswith("_") and n not in named and n not in (attributes if method else names | attributes)
+        for m, cls, n in defined
+        if not n.startswith("_")
+        and (
+            f"{cls}.{n}" not in named_methods and n not in attributes
+            if cls
+            else n not in named and n not in names | attributes
+        )
     ]
     assert offenders == []
 
@@ -665,9 +675,38 @@ def test_no_untyped_errors_or_asserts():
                 offenders.append((name, node.lineno, "assert"))
             elif isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                if isinstance(exc, ast.Name) and exc.id in ("ValueError", "AssertionError"):
+                if isinstance(exc, ast.Name) and exc.id in ("ValueError", "AssertionError", "ZeroDivisionError"):
                     offenders.append((name, node.lineno, exc.id))
     assert offenders == []
+
+
+def test_value_types_hold_no_fraction_views():
+    # one form per value type: poly.py neither imports nor names Fraction,
+    # PuiseuxSeries names it only in the annotation of its truncation
+    # order, and the Fraction views and second constructors stay deleted
+    package = os.path.dirname(cli.__file__)
+    with open(os.path.join(package, "poly.py")) as fh:
+        poly = ast.parse(fh.read())
+    with open(os.path.join(package, "solver.py")) as fh:
+        series = next(n for n in ast.parse(fh.read()).body if getattr(n, "name", None) == "PuiseuxSeries")
+    annotations = {
+        id(a)
+        for node in ast.walk(series)
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None))
+        if ann is not None
+        for a in ast.walk(ann)
+    }
+
+    def fraction(node):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            return "fractions" in [getattr(node, "module", None), *(a.name for a in node.names)]
+        return "Fraction" in (getattr(node, "id", None), getattr(node, "attr", None))
+
+    assert [n.lineno for n in ast.walk(poly) if fraction(n)] == []
+    assert [n.lineno for n in ast.walk(series) if fraction(n) and id(n) not in annotations] == []
+    gone = [(Poly, "__init__"), (Poly, "terms"), (Poly, "coefficient"), (Poly, "scale")]
+    gone += [(PuiseuxSeries, "terms"), (PuiseuxSeries, "valuation"), (MahlerOperator, "zero")]
+    assert [(cls.__name__, m) for cls, m in gone if m in vars(cls)] == []
 
 
 def test_every_test_runs_under_the_time_limit():
@@ -881,7 +920,7 @@ def test_integers_past_the_digit_limit_are_written_exactly(tmp_path, capsys):
     # 6,000 and 9,000 digits, written in full in both formats
     a = int("7" * 3000)
     path = tmp_path / "long.json"
-    path.write_text(json.dumps(operator_to_json(operator(2, -Poly([(0, 1), (1, a)]), Poly.one()))))
+    path.write_text(json.dumps(operator_to_json(operator(2, -from_terms([(0, 1), (1, a)]), Poly.one()))))
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

@@ -18,7 +18,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_operator, random_poly, random_poly_solvable
+from conftest import (
+    coefficient,
+    from_terms,
+    random_operator,
+    random_poly,
+    random_poly_solvable,
+    terms,
+)
 from mahlersolve.poly import Poly, gcd, graeffe
 from mahlersolve.solver import polynomial_basis
 
@@ -31,13 +38,13 @@ def _rational(c) -> "sympy.Rational":
 
 
 def to_sympy(p: Poly, var) -> "sympy.Expr":
-    return sum((_rational(c) * var**e for e, c in p.terms), sympy.Integer(0))
+    return sum((_rational(c) * var**e for e, c in terms(p)), sympy.Integer(0))
 
 
 def from_sympy(expr) -> Poly:
     """The library Poly of a sympy polynomial in x."""
-    terms = sympy.Poly(expr, X).terms()
-    return Poly((e, Fraction(int(c.p), int(c.q))) for (e,), c in terms)
+    pairs = sympy.Poly(expr, X).terms()
+    return from_terms((e, Fraction(int(c.p), int(c.q))) for (e,), c in pairs)
 
 
 def coefficient_system(op, width: int) -> "sympy.Matrix":
@@ -46,7 +53,7 @@ def coefficient_system(op, width: int) -> "sympy.Matrix":
     rows: dict[int, list] = {}
     for k, lk in enumerate(op.coeffs):
         bk = op.radix**k
-        for j, c in lk.terms:
+        for j, c in terms(lk):
             for i in range(width):
                 rows.setdefault(j + bk * i, [0] * width)[i] += _rational(c)
     return sympy.Matrix([rows[m] for m in sorted(rows)])
@@ -69,7 +76,7 @@ def test_polynomial_basis_spans_the_nullspace():
         basis = polynomial_basis(op).elements
         assert len(basis) == len(kernel), op
         rows = [list(v) for v in kernel]
-        rows += [[_rational(p.coefficient(e)) for e in range(width)] for p in basis]
+        rows += [[_rational(coefficient(p, e)) for e in range(width)] for p in basis]
         if rows:
             assert sympy.Matrix(rows).rank() == len(kernel), op
         nonempty += bool(basis)
@@ -84,10 +91,10 @@ def test_graeffe_is_the_sylvester_determinant():
     from sympy.polys.subresultants_qq_zz import sylvester
 
     rng = random.Random(1612)
-    cases = [(Poly([(0, Fraction(3, 2)), (1, 2), (2, 2), (3, 2), (4, -2), (5, 1)]), 3)]
+    cases = [(from_terms([(0, Fraction(3, 2)), (1, 2), (2, 2), (3, 2), (4, -2), (5, 1)]), 3)]
     while len(cases) < 60:
-        terms = [(e, Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))) for e in range(rng.randint(0, 4) + 1)]
-        p = Poly(terms).shift(rng.choice((0, 0, 1)))
+        pairs = [(e, Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))) for e in range(rng.randint(0, 4) + 1)]
+        p = from_terms(pairs).shift(rng.choice((0, 0, 1)))
         if p:
             cases.append((p, rng.randint(2, 5)))
     for p, radix in cases:

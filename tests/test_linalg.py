@@ -6,11 +6,11 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import count_fraction_arithmetic
+from conftest import count_fraction_arithmetic, from_terms, mono
 from oracles import eliminate
 from mahlersolve.linalg import independent, rref
 from mahlersolve.operator import MahlerOperator, integer_terms
-from mahlersolve.poly import Poly, gcd, poly_sections
+from mahlersolve.poly import gcd, poly_sections
 
 F = Fraction
 DENOMINATORS = (1, 2, 3, 7)
@@ -186,8 +186,8 @@ def test_kernels_run_on_ints(monkeypatch):
     rng = random.Random(3)
     series = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(20 + 146)]
     matrix = hankel(series, 20, 146)
-    p = Poly((e, F(rng.randint(-9, 9), rng.randint(1, 7))) for e in range(0, 40, 3))
-    q = Poly((e, F(rng.randint(-9, 9), rng.randint(1, 7))) for e in range(0, 30, 2))
+    p = from_terms((e, F(rng.randint(-9, 9), rng.randint(1, 7))) for e in range(0, 40, 3))
+    q = from_terms((e, F(rng.randint(-9, 9), rng.randint(1, 7))) for e in range(0, 30, 2))
     rational = hankel(recurrence_series(rng, 4, 20 + 146), 20, 146)
     calls = count_fraction_arithmetic(monkeypatch)
     den, reduced, pivots = rref(matrix)
@@ -205,7 +205,7 @@ def test_poly_arithmetic_runs_on_ints(monkeypatch):
     rng = random.Random(5)
 
     def draw(top):
-        return Poly((e, F(rng.randint(-9, 9), rng.randint(1, 7))) for e in range(0, top, 2))
+        return from_terms((e, F(rng.randint(-9, 9), rng.randint(1, 7))) for e in range(0, top, 2))
 
     p, q, common = draw(40), draw(30), draw(8)
     a, b = p * common, q * common
@@ -221,8 +221,8 @@ def test_poly_arithmetic_runs_on_ints(monkeypatch):
         a.exact_div(common),
         gcd(a, b),
         p.monic(),
-        p.scale(c),
-        p.scale(7),
+        p * mono(0, c),
+        p * mono(0, 7),
         *poly_sections(p, 3),
         integer_terms(op),
     ]

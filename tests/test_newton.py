@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import operator, pol, random_operator
+from conftest import coefficient, from_terms, operator, pol, random_operator
 from oracles import (
     candidate_degrees,
     candidate_valuations,
@@ -20,6 +20,7 @@ from oracles import (
 )
 from mahlersolve.cli import main
 from mahlersolve.errors import (
+    InvalidArgumentError,
     NoAdmissibleEdgeError,
     UnsupportedEquationError,
     ZeroTrailingCoefficientError,
@@ -84,7 +85,7 @@ def test_mu_nu(running_example):
     with pytest.raises(UnsupportedEquationError):
         nu_ratio(operator(2, ONE))
     with pytest.raises(UnsupportedEquationError, match="zero operator"):
-        nu_ratio(MahlerOperator.zero(2))
+        nu_ratio(MahlerOperator(2))
 
 
 def test_ramification_data(running_example, sparse_stretch_example):
@@ -101,11 +102,11 @@ def test_ramification_data_errors():
     with pytest.raises(ZeroTrailingCoefficientError):
         ramification_data(operator(2, Poly.zero(), ONE))
     with pytest.raises(UnsupportedEquationError, match="zero operator"):
-        ramification_data(MahlerOperator.zero(3))
+        ramification_data(MahlerOperator(3))
 
 
 def test_zero_operator_has_no_diagram_or_polygon():
-    zero = MahlerOperator.zero(2)
+    zero = MahlerOperator(2)
     for fn in (lower_polygon, upper_polygon):
         with pytest.raises(UnsupportedEquationError, match="zero operator"):
             fn(zero)
@@ -120,6 +121,13 @@ def test_select_edge(running_example, sparse_stretch_example):
     assert s == F(221, 5) and 65 * (j1 - s * u1) == -6283186
     with pytest.raises(NoAdmissibleEdgeError):
         ramification_edge(lower_polygon(operator(2, pol(0, -2), ONE)), 1)
+
+
+def test_ramification_edge_rejects_ramification_below_one(running_example):
+    lower = lower_polygon(running_example)
+    for ramification in (0, -3):
+        with pytest.raises(InvalidArgumentError):
+            ramification_edge(lower, ramification)
 
 
 def test_polygon_invariants_random():
@@ -148,7 +156,7 @@ def test_polygon_invariants_random():
         # admissible edge coefficients sum to zero exactly; edge_points
         # holds the (k, exponent) of each monomial on the edge
         for edge in lower:
-            total = sum((op.coeffs[k].coefficient(j) for k, j in edge.edge_points), F(0))
+            total = sum((coefficient(op.coeffs[k], j) for k, j in edge.edge_points), F(0))
             assert (total == 0) == edge.admissible
         # valuation bounds from the hull
         v0 = op.coeffs[0].valuation
@@ -187,7 +195,7 @@ def _newton_operators(draw) -> MahlerOperator:
     terms = st.dictionaries(st.integers(0, 10), _COEFFICIENTS, max_size=3)
     coeffs = [draw(terms) for _ in range(order)]
     coeffs.append(draw(terms.filter(bool)))
-    return MahlerOperator(radix, [Poly(c.items()) for c in coeffs])
+    return MahlerOperator(radix, [from_terms(c.items()) for c in coeffs])
 
 
 def _newton_text(doc: dict) -> str:

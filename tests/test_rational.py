@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    coefficient,
     count_fraction_arithmetic,
     dense,
     forbid_basis_solve,
+    from_terms,
     operator,
     pol,
     random_operator,
@@ -181,7 +183,7 @@ def test_rational_basis_golden(rat_example):
     for f in basis.elements:
         assert verify_rational_solution(rat_example, f)
         assert gcd(f.numerator, f.denominator) == ONE
-        assert f.denominator.coefficient(0) != 0
+        assert coefficient(f.denominator, 0) != 0
 
 
 def test_rational_basis_reduction_example(reduction_example_normalized):
@@ -664,8 +666,8 @@ def _expansion(p: Poly, q: Poly, w: int) -> list[Fraction]:
     """First w coefficients of p/q, q(0) nonzero, divided out on Fractions."""
     out = []
     for n in range(w):
-        s = p.coefficient(n) - sum(q.coefficient(e) * out[n - e] for e in range(1, n + 1))
-        out.append(s / q.coefficient(0))
+        s = coefficient(p, n) - sum(coefficient(q, e) * out[n - e] for e in range(1, n + 1))
+        out.append(s / coefficient(q, 0))
     return out
 
 
@@ -697,10 +699,10 @@ def test_echelon_runs_on_ints(monkeypatch, rat_example):
     for (numerators, v_bar, q_star), out, count in seen:
         assert count == Counter()
         q0 = q_star.shift(-q_star.valuation)
-        leads.append(abs(q0.coefficient(0)))
+        leads.append(abs(coefficient(q0, 0)))
         w = 1 + max(p.degree for p in numerators)
-        rows = [_expansion(p, q0, w) + [p.coefficient(e) for e in range(w)] for p in numerators]
+        rows = [_expansion(p, q0, w) + [coefficient(p, e) for e in range(w)] for p in numerators]
         reduced, _ = eliminate(rows)
-        numerators = [Poly((e, c) for e, c in enumerate(r[w:]) if c) for r in reduced]
+        numerators = [from_terms((e, c) for e, c in enumerate(r[w:]) if c) for r in reduced]
         assert list(out) == [RationalFunction.make(p, v_bar, q_star) for p in numerators]
     assert max(leads) > 1

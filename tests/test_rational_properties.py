@@ -20,11 +20,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    coefficient,
     forbid_basis_solve,
+    from_terms,
     random_operator,
     random_poly,
     random_poly_solvable,
     random_series_solvable_operator,
+    terms,
 )
 from oracles import (
     bareiss_determinant,
@@ -66,8 +69,8 @@ nonzero = small.filter(bool)
 @st.composite
 def rational_functions(draw, max_degree=2):
     """(a, c) for a / c: a = x^t (nonzero + ...), c = x^s (1 + ...)."""
-    a = Poly([(0, F(draw(nonzero)))] + [(e, F(draw(small))) for e in range(1, max_degree + 1)])
-    c = Poly([(0, F(1))] + [(e, F(draw(small))) for e in range(1, max_degree + 1)])
+    a = from_terms([(0, F(draw(nonzero)))] + [(e, F(draw(small))) for e in range(1, max_degree + 1)])
+    c = from_terms([(0, F(1))] + [(e, F(draw(small))) for e in range(1, max_degree + 1)])
     return a.shift(draw(st.integers(0, 2))), c.shift(draw(st.integers(0, 1)))
 
 
@@ -169,7 +172,7 @@ def prefixes(draw, op):
     prefix = [F(0)] * length
     for elem in series_basis(op, length - 1).elements:
         c = F(draw(nonzero))
-        for e, v in elem.terms:
+        for e, v in terms(elem):
             prefix[int(e)] += c * v
     if kind == "bumped":
         prefix[draw(st.integers(0, length - 1))] += 1
@@ -195,7 +198,7 @@ def low_degree_equations(draw):
     r = draw(st.integers(1, 3))
     width = radix ** (r - 1)
     coefficient = st.lists(small, min_size=width, max_size=width).map(
-        lambda cs: Poly([(e, F(c)) for e, c in enumerate(cs)])
+        lambda cs: from_terms([(e, F(c)) for e, c in enumerate(cs)])
     )
     coeffs = [draw(coefficient) for _ in range(r)]
     if draw(st.integers(0, 2)) == 0:
@@ -247,7 +250,7 @@ def test_polynomial_solutions_lie_in_the_rational_span(op):
     assert len(polynomials) <= len(rational_elements)
     lo = min([0] + [f.valuation for f in rational_elements])
     rows = [laurent(f, lo, 41) for f in rational_elements]
-    extended = rows + [[p.coefficient(e) for e in range(lo, 41)] for p in polynomials]
+    extended = rows + [[coefficient(p, e) for e in range(lo, 41)] for p in polynomials]
     assert _rank(extended) == _rank(rows)
 
 
@@ -308,7 +311,7 @@ def extension_prefixes(draw, op):
     if op.order >= 1:
         for elem in series_basis(op, length - 1).elements:
             c = F(draw(small), draw(st.integers(1, 3)))
-            for e, v in elem.terms:
+            for e, v in terms(elem):
                 prefix[int(e)] += c * v
     if kind == "head" and head:
         prefix[draw(st.integers(0, head - 1))] += 1
@@ -337,7 +340,7 @@ def test_candidate_past_the_prefix(monkeypatch, rat_example):
     # basis: with the basis solver, its window solve and its echelon form
     # all made to raise, a basis with extra elements of valuation 8 and 11
     # >= len(prefix) = 8 cannot enter, and the witness is still the target
-    target = RationalFunction.make(ONE, 0, Poly([(0, F(-1)), (1, F(-1)), (2, F(1))]))
+    target = RationalFunction.make(ONE, 0, from_terms([(0, F(-1)), (1, F(-1)), (2, F(1))]))
     prefix = laurent(target, 0, 8)
     true_basis = rational_basis(rat_example).elements
     forbid_basis_solve(monkeypatch)

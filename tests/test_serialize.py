@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import pol
+from conftest import from_terms, pol
 from mahlersolve.errors import ExponentOverflowError, InputFormatError
 from mahlersolve.poly import Poly
 from mahlersolve.serialize import (
@@ -30,7 +30,7 @@ def test_fraction_round_trip():
 
 
 def test_poly_round_trip():
-    p = Poly([(0, F(1, 2)), (3, F(-2)), (17, F(5))])
+    p = from_terms([(0, F(1, 2)), (3, F(-2)), (17, F(5))])
     doc = poly_to_json(p)
     assert doc == [[0, "1/2"], [3, "-2"], [17, "5"]]
     assert parse_poly(doc) == p

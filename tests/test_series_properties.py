@@ -4,7 +4,8 @@ A series is stored as integer numerators over one denominator, with
 exponents in units of 1/ramification.  These properties check that the
 integer form means the same as its Fraction terms: the JSON strings,
 the canonical form `from_integers` builds (against a Fraction build in
-oracles.py), equality, hashing and the `terms` view.  Prolongation is
+oracles.py), equality, hashing and the pairs conftest's `terms` reads
+back.  Prolongation is
 compared with its Fraction oracle in test_rmatrix.py, and certificates
 of perturbed series are checked in test_solver.py.
 """
@@ -15,6 +16,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import terms, valuation
 from oracles import series_oracle
 from mahlersolve.poly import Poly
 from mahlersolve.serialize import basis_to_json, poly_to_json
@@ -54,12 +56,12 @@ def test_json_strings_match_fractions(case):
 def test_from_integers_matches_fraction_oracle(case):
     ramification, den, nums, truncation = case
     elem = PuiseuxSeries.from_integers(ramification, den, nums, truncation)
-    terms = [(F(e, ramification), F(v, den)) for e, v in nums]
-    want = series_oracle(ramification, terms, truncation)
+    pairs = [(F(e, ramification), F(v, den)) for e, v in nums]
+    want = series_oracle(ramification, pairs, truncation)
     assert (elem.den, elem.nums) == (want.den, want.nums)
     assert elem == want and hash(elem) == hash(want)
     assert type(elem.truncation_order) is type(want.truncation_order)
     # canonical integer form: positive den in lowest terms with the nums
     assert elem.den > 0 and math.gcd(elem.den, *(v for _, v in elem.nums)) == 1
-    assert elem.terms == tuple(terms)
-    assert elem.valuation == (terms[0][0] if terms else None)
+    assert terms(elem) == tuple(pairs)
+    assert valuation(elem) == (pairs[0][0] if pairs else None)

@@ -25,7 +25,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from conftest import dense
+from conftest import dense, terms
 from oracles import eliminate, laurent, nu_mu_oracle
 from mahlersolve.operator import MahlerOperator
 from mahlersolve.poly import Poly
@@ -67,7 +67,7 @@ def in_span(vector: dict, basis: list[dict]) -> bool:
 
 def below(elem, top) -> dict:
     """The terms of a series or polynomial below x^top."""
-    return {e: c for e, c in elem.terms if e < top}
+    return {e: c for e, c in terms(elem) if e < top}
 
 
 def test_small_operators_agree_across_solvers():
