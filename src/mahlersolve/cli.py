@@ -26,7 +26,7 @@ import sys
 from .errors import InputFormatError, MahlerError
 from .normalize import certify_gcrd, gcrd, normalize_l0
 from .operator import MahlerOperator
-from .poly import format_terms
+from .poly import format_terms, ratio_text
 from .rational import bell_coons_test, rational_basis, transcendence_test
 from .serialize import (
     Terms,
@@ -115,11 +115,11 @@ def _cmd_basis(args) -> dict:
     basis = args.solve(op, args)
     doc = basis_to_json(basis)
     if args.certify:
-        for order, edoc in zip(certify(op, basis), doc["elements"]):
+        for elem, order, edoc in zip(basis.elements, certify(op, basis), doc["elements"]):
             if order is None:
                 edoc["certified"] = True
             else:
-                edoc["certified_order"] = str(order)
+                edoc["certified_order"] = ratio_text(order, elem.ramification)
     return doc
 
 

@@ -21,6 +21,7 @@ The step is (-1)^(n(b+1)) c^b R(c^b x) / c^(b n), over den^b.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Iterable
 
 from .errors import ExactDivisionError, ExponentOverflowError, InvalidArgumentError
@@ -63,6 +64,8 @@ class Poly:
     @classmethod
     def monomial(cls, e: int, c=1) -> "Poly":
         """c x^e for an int or Fraction c."""
+        if not isinstance(c, numbers.Rational):
+            raise InvalidArgumentError(f"coefficient {c!r} is not an int or a Fraction")
         return cls.from_integers(c.denominator, [(e, c.numerator)] if c else [])
 
     @classmethod

@@ -83,12 +83,6 @@ class RationalFunction(NamedTuple):
             return cls(Poly.zero(), 0, Poly.one())
         return cls(Poly.monomial(0, c), 0, Poly.one())
 
-    @property
-    def valuation(self) -> int:
-        if not self.numerator:
-            raise InvalidArgumentError("zero function has no valuation")
-        return self.numerator.valuation - self.x_power
-
     def laurent_coefficients(self, lo: int, hi: int) -> tuple[int, list[int]]:
         """The exact expansion coefficients for exponents lo..hi-1 as
         (den, nums): int numerators over one positive den, in lowest

@@ -3,7 +3,9 @@
 Polynomial fragment: a list of [exponent, coefficient] pairs, exponents
 nonnegative decimal integers in ascending order, coefficients written as
 "num" or "num/den" in lowest terms, no zero coefficients.  The writers
-return the pairs of a polynomial or a series as `Terms`.
+return the pairs of a polynomial or a series as `Terms`; a series'
+exponents and truncation order, ints in units of 1/ramification, are
+written the same way.
 
 Operator document: {"radix": b, "coefficients": [{"order": k, "terms":
 <poly fragment>}, ...]} with omitted orders meaning zero.
@@ -133,7 +135,7 @@ def _series_element_to_json(elem: PuiseuxSeries) -> dict:
     ram, den = elem.ramification, elem.den
     return {
         "terms": Terms([[ratio_text(e, ram), ratio_text(v, den)] for e, v in elem.nums]),
-        "truncation_order": str(elem.truncation_order),
+        "truncation_order": ratio_text(elem.truncation_order, ram),
     }
 
 

@@ -8,9 +8,10 @@ extend each basis element.  `rmatrix.series_solutions` and
 `rmatrix.polynomial_solutions` size and solve every window and
 extension, `certify` applies op through one `integer_terms`, and
 nothing is kept between calls.  The window parameters are ints: the
-chosen edge's ends give the Puiseux shift and gamma, and a truncation
-order or certified order is an int whenever it is integral, a Fraction
-otherwise.  Vectors pass as (den, pairs), the nonzero coefficients
+chosen edge's ends give the Puiseux shift and gamma.  A series' term
+exponents, truncation order and certified order are all ints in units
+of 1/ramification, turned into text only by the writers
+(`poly.ratio_text`).  Vectors pass as (den, pairs), the nonzero coefficients
 only, as integer numerators over one denominator, so the cost follows
 the size of the answer, not the window width or the truncation order; a
 `Poly` or `PuiseuxSeries` stores that form alone and keeps it through
@@ -21,7 +22,6 @@ writer, and no per-coefficient Fraction is built.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
@@ -40,31 +40,26 @@ from .operator import (
     image_below,
     integer_terms,
 )
-from .poly import Poly, lowest_terms
+from .poly import Poly, lowest_terms, ratio_text
 from .rmatrix import polynomial_solutions, series_solutions
-
-
-def _exact(num: int, den: int):
-    """num / den (den > 0): an int when den divides num, else a Fraction."""
-    q, r = divmod(num, den)
-    return Fraction(num, den) if r else q
 
 
 class PuiseuxSeries(NamedTuple):
     """Finitely many terms c x^e with e in (1/ramification)Z, exponents
-    strictly increasing, truncated at O(x^truncation_order).  A power
-    series is the case ramification = 1.  The truncation order is an int
-    when it is integral and a Fraction otherwise.
+    strictly increasing, truncated at O(x^(truncation_order/ramification)).
+    A power series is the case ramification = 1.
 
-    Stored like a `Poly`: the terms are nums / den, `den` a positive int
-    and `nums` the (e, int) pairs, e in units of 1/ramification and
-    strictly increasing, the ints nonzero and in lowest terms with den.
+    Stored like a `Poly`, on ints only: the terms are nums / den, `den` a
+    positive int and `nums` the (e, int) pairs, e in units of
+    1/ramification and strictly increasing, the ints nonzero and in
+    lowest terms with den.  The truncation order is an int in the same
+    unit as e.
     """
 
     ramification: int
     den: int
     nums: tuple
-    truncation_order: int | Fraction
+    truncation_order: int
 
     @classmethod
     def from_integers(
@@ -72,16 +67,19 @@ class PuiseuxSeries(NamedTuple):
         ramification: int,
         den: int,
         nums: Iterable[tuple[int, int]],
-        truncation_order,
+        truncation_order: int,
     ) -> "PuiseuxSeries":
         """nums / den from a nonzero int den and (e, int) pairs, e in
         units of 1/ramification and strictly increasing, the ints
         nonzero; common factors are divided out.  The truncation order is
-        an int or a Fraction."""
+        an int in units of 1/ramification too."""
         if not den:
             raise InvalidArgumentError("zero denominator")
-        t = truncation_order
-        return cls(ramification, *lowest_terms(den, nums), t.numerator if t.denominator == 1 else t)
+        if ramification < 1:
+            raise InvalidArgumentError(f"ramification must be >= 1, got {ramification}")
+        if not isinstance(truncation_order, int):
+            raise InvalidArgumentError(f"truncation order {truncation_order!r} is not an int")
+        return cls(ramification, *lowest_terms(den, nums), truncation_order)
 
 
 class SolutionBasis(NamedTuple):
@@ -177,10 +175,9 @@ def puiseux_basis(op: MahlerOperator, ramification: Optional[int], order: int) -
     phi = PhiTransform(-shift, ramification, j1 * ramification - shift * u1)
     # like series_basis, never cut an element below the window head
     t, vectors = series_solutions(op, phi, shift + ramification * order)
-    trunc = _exact(t - shift, out_ram)
     # coefficient i carries the exponent (-slope + i/ramification)/b^w0 = (i - shift)/out_ram
     elements = tuple(
-        PuiseuxSeries(out_ram, den, tuple((i - shift, c) for i, c in pairs), trunc)
+        PuiseuxSeries(out_ram, den, tuple((i - shift, c) for i, c in pairs), t - shift)
         for den, pairs in vectors
     )
     return SolutionBasis(kind, elements)
@@ -189,21 +186,23 @@ def puiseux_basis(op: MahlerOperator, ramification: Optional[int], order: int) -
 # -- residual certificates -----------------------------------------------------
 
 
-def certificate_order(op: MahlerOperator, truncation_order):
+def certificate_order(op: MahlerOperator, truncation_order: int, ramification: int) -> int:
     """Largest order to which the image of a truncation is trustworthy:
-    a truncated solution satisfies the equation modulo x^(this value).
-    An int or Fraction truncation order gives an int when the value is
-    integral and a Fraction otherwise."""
-    n, d = truncation_order.numerator, truncation_order.denominator
-    top = min(c.valuation * d + op.radix**k * n for k, c in op.nonzero_coefficients())
-    return _exact(top, d)
+    a solution truncated at O(x^(truncation_order/ramification))
+    satisfies the equation modulo x^(c/ramification), where c, the value
+    returned, is min_k (v(l_k) ramification + b^k truncation_order)."""
+    if not op:
+        raise UnsupportedEquationError("zero operator")
+    t = truncation_order
+    return min(c.valuation * ramification + op.radix**k * t for k, c in op.nonzero_coefficients())
 
 
-def certify(op: MahlerOperator, basis: SolutionBasis) -> list[Optional[Fraction]]:
+def certify(op: MahlerOperator, basis: SolutionBasis) -> list[Optional[int]]:
     """Substitute every element of a solution basis back into op.
 
     Returns, element by element, the certified order of a truncated
-    series (see certificate_order) or None for an exact solution; raises
+    series (see certificate_order), an int in units of 1/ramification of
+    the element, or None for an exact solution; raises
     InternalInvariantError when an element fails its certificate.  An
     exact element is a numerator whose image must vanish: a polynomial p
     under op, N / (x^v D) under clear_denominator(op, v, D), and a
@@ -212,13 +211,12 @@ def certify(op: MahlerOperator, basis: SolutionBasis) -> list[Optional[Fraction]
     kind = basis.kind
     if kind in ("series_basis", "puiseux_basis"):
         op_terms, orders = integer_terms(op), []
-        for elem in basis.elements:
-            bound, ram = certificate_order(op, elem.truncation_order), elem.ramification
-            limit = -(-bound.numerator * ram // bound.denominator)  # ceil(bound * ram)
-            _, image = image_below(op_terms, elem.nums, limit, ram)
+        for ram, _, nums, t in basis.elements:
+            bound = certificate_order(op, t, ram)
+            _, image = image_below(op_terms, nums, bound, ram)
             if image:
-                val = Fraction(min(image), ram)
-                raise InternalInvariantError(f"residual has a term of exponent {val} below {bound}")
+                val, top = ratio_text(min(image), ram), ratio_text(bound, ram)
+                raise InternalInvariantError(f"residual has a term of exponent {val} below {top}")
             orders.append(bound)
         return orders
     # (operator, numerators): every polynomial shares op, and each

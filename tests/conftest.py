@@ -67,6 +67,12 @@ def valuation(series):
     return Fraction(series.nums[0][0], series.ramification) if series.nums else None
 
 
+def rational_valuation(f) -> int:
+    """The least exponent of the Laurent expansion of a nonzero
+    RationalFunction numerator / (x^x_power denominator)."""
+    return f.numerator.valuation - f.x_power
+
+
 def pol(*coeffs) -> Poly:
     """Dense helper: pol(c0, c1, ...) = c0 + c1 x + ..."""
     return from_terms(enumerate(coeffs))
@@ -112,8 +118,8 @@ def recurrence_row(op, m: int, width: int) -> list[tuple[int, Fraction]]:
 def dense(elem) -> list[Fraction]:
     """Coefficients 0..T-1 of a power series c_0 + c_1 x + ... + O(x^T),
     given as a PuiseuxSeries of ramification 1."""
-    assert elem.ramification == 1 and elem.truncation_order.denominator == 1
-    out = [Fraction(0)] * int(elem.truncation_order)
+    assert elem.ramification == 1
+    out = [Fraction(0)] * elem.truncation_order
     for e, c in terms(elem):
         out[int(e)] = c
     return out

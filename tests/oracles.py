@@ -33,7 +33,7 @@ code with the library.
 import math
 from fractions import Fraction
 
-from conftest import coefficient, from_terms, mono, terms
+from conftest import coefficient, from_terms, mono, rational_valuation, terms
 from mahlersolve.errors import (
     InconsistentPrefixError,
     InternalInvariantError,
@@ -502,7 +502,8 @@ def series_oracle(ramification: int, terms, truncation_order):
     """The PuiseuxSeries of the (exponent, coefficient) pairs `terms`,
     exponents in (1/ramification)Z and strictly increasing, coefficients
     nonzero, built from Fractions: the numerators over the lcm of the
-    coefficients' denominators, the exponents times the ramification."""
+    coefficients' denominators, the exponents and the truncation order
+    times the ramification."""
     from mahlersolve.solver import PuiseuxSeries
 
     terms = [(Fraction(e), Fraction(c)) for e, c in terms]
@@ -513,8 +514,10 @@ def series_oracle(ramification: int, terms, truncation_order):
         if units.denominator != 1:
             raise ValueError(f"exponent {e} is not in (1/{ramification})Z")
         nums.append((units.numerator, c.numerator * (den // c.denominator)))
-    t = Fraction(truncation_order)
-    return PuiseuxSeries(ramification, den, tuple(nums), t.numerator if t.denominator == 1 else t)
+    t = Fraction(truncation_order) * ramification
+    if t.denominator != 1:
+        raise ValueError(f"truncation order {truncation_order} is not in (1/{ramification})Z")
+    return PuiseuxSeries(ramification, den, tuple(nums), t.numerator)
 
 
 def apply_to_fractional(
@@ -615,13 +618,14 @@ def canonicalize_rational_oracle(elements) -> tuple:
     work = [e for e in elements if e.numerator]
     done = []
     while work:
-        work.sort(key=lambda f: f.valuation)
+        work.sort(key=rational_valuation)
         head = work.pop(0)
-        head = rational_scale(head, 1 / laurent(head, head.valuation, head.valuation + 1)[0])
+        hv = rational_valuation(head)
+        head = rational_scale(head, 1 / laurent(head, hv, hv + 1)[0])
         reduced = []
         for f in work:
-            if f.valuation == head.valuation:
-                c = laurent(f, f.valuation, f.valuation + 1)[0]
+            if rational_valuation(f) == hv:
+                c = laurent(f, hv, hv + 1)[0]
                 g = rational_sum(f, rational_scale(head, -c))
                 if g.numerator:
                     reduced.append(g)
@@ -632,7 +636,7 @@ def canonicalize_rational_oracle(elements) -> tuple:
     # back-substitution: clear each pivot exponent from the earlier rows
     for i in range(len(done)):
         for j in range(i + 1, len(done)):
-            pv = done[j].valuation
+            pv = rational_valuation(done[j])
             c = laurent(done[i], pv, pv + 1)[0]
             if c:
                 done[i] = rational_sum(done[i], rational_scale(done[j], -c))
@@ -711,7 +715,7 @@ def transcendence_oracle(op: MahlerOperator, prefix, candidates) -> tuple:
         return "rational", RationalFunction.constant(0)
     if not candidates:
         return "transcendental", None
-    lo = min(0, min(f.valuation for f in candidates))
+    lo = min(0, min(map(rational_valuation, candidates)))
     hi = len(series)
     expansions = [laurent(f, lo, hi) for f in candidates]
     rhs = [ZERO] * -lo + series

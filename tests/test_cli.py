@@ -16,10 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TEST_TIME_LIMIT_S, TimeLimitExceeded, from_terms, operator, pol
-from mahlersolve import cli
+import mahlersolve as ms
+from mahlersolve import cli, solver
 from mahlersolve.cli import build_parser, main
-from mahlersolve.operator import MahlerOperator
+from mahlersolve.operator import MahlerOperator, clear_denominator
 from mahlersolve.poly import Poly
+from mahlersolve.rational import RationalFunction
 from mahlersolve.serialize import operator_to_json
 from mahlersolve.solver import PuiseuxSeries
 
@@ -624,7 +626,10 @@ def test_no_unused_public_names():
     # and the README does not name in code is surface kept for tests only;
     # a method is read only as an attribute, so a local variable of the
     # same name does not count for it, and the README names it only as
-    # `Class.method`, so a parameter of the same name does not either
+    # `Class.method`, so a parameter of the same name does not either.
+    # An attribute read cannot tell which class it reads, so a method
+    # name that two or more classes define counts as used for a class
+    # only when the README names `Class.method`
     package = os.path.dirname(cli.__file__)
     defined, names, attributes = [], set(), set()
     for name in sorted(os.listdir(package)):
@@ -647,12 +652,13 @@ def test_no_unused_public_names():
     dotted = [word.split(".") for span in spans for word in re.findall(r"[A-Za-z_][\w.]*", span)]
     named = {part for parts in dotted for part in parts}
     named_methods = {f"{a}.{b}" for parts in dotted for a, b in zip(parts, parts[1:])}
+    shared = {n for n, count in Counter(n for _, cls, n in defined if cls).items() if count > 1}
     offenders = [
-        (m, n)
+        (m, cls, n)
         for m, cls, n in defined
         if not n.startswith("_")
         and (
-            f"{cls}.{n}" not in named_methods and n not in attributes
+            f"{cls}.{n}" not in named_methods and (n in shared or n not in attributes)
             if cls
             else n not in named and n not in names | attributes
         )
@@ -680,32 +686,79 @@ def test_no_untyped_errors_or_asserts():
     assert offenders == []
 
 
-def test_value_types_hold_no_fraction_views():
-    # one form per value type: poly.py neither imports nor names Fraction,
-    # PuiseuxSeries names it only in the annotation of its truncation
-    # order, and the Fraction views and second constructors stay deleted
-    package = os.path.dirname(cli.__file__)
-    with open(os.path.join(package, "poly.py")) as fh:
-        poly = ast.parse(fh.read())
-    with open(os.path.join(package, "solver.py")) as fh:
-        series = next(n for n in ast.parse(fh.read()).body if getattr(n, "name", None) == "PuiseuxSeries")
-    annotations = {
-        id(a)
-        for node in ast.walk(series)
-        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None))
-        if ann is not None
-        for a in ast.walk(ann)
+def test_zero_operator_gets_a_typed_answer():
+    # every public entry point that takes an operator returns or raises a
+    # MahlerError on the zero operator, never an untyped error
+    zero, one = MahlerOperator(2), operator(2, -Poly.one(), Poly.one())
+    series = ms.SolutionBasis("series_basis", (PuiseuxSeries.from_integers(1, 1, [(0, 1)], 3),))
+    polys = ms.SolutionBasis("polynomial_basis", (Poly.one(),))
+    calls = {
+        "series_basis": lambda: ms.series_basis(zero, 3),
+        "polynomial_solutions_bounded": lambda: ms.polynomial_solutions_bounded(zero, 2),
+        "polynomial_basis": lambda: ms.polynomial_basis(zero),
+        "puiseux_basis": lambda: ms.puiseux_basis(zero, None, 3),
+        "rational_basis": lambda: ms.rational_basis(zero),
+        "ramified_rational_basis": lambda: ms.ramified_rational_basis(zero),
+        "certify series": lambda: ms.certify(zero, series),
+        "certify polynomials": lambda: ms.certify(zero, polys),
+        "certificate_order": lambda: ms.certificate_order(zero, 3, 1),
+        "normalize_l0": lambda: ms.normalize_l0(zero),
+        "gcrd": lambda: ms.gcrd([zero, one]),
+        "gcrd of zeros": lambda: ms.gcrd([zero, zero]),
+        "split": lambda: ms.split(zero),
+        "lower_polygon": lambda: ms.lower_polygon(zero),
+        "upper_polygon": lambda: ms.upper_polygon(zero),
+        "ramification_data": lambda: ms.ramification_data(zero),
+        "nu_ratio": lambda: ms.nu_ratio(zero),
+        "denominator_bound": lambda: ms.denominator_bound(zero),
+        "transcendence_test": lambda: ms.transcendence_test(zero, [1, 0, 1]),
+        "bell_coons_test": lambda: ms.bell_coons_test(zero, [1, 0, 1]),
+        "extend_prefix": lambda: ms.extend_prefix(zero, [1, 0, 1], 5),
+        "primitive_part": lambda: ms.primitive_part(zero),
+        "interreduce": lambda: ms.interreduce(zero, one),
+        "interreduce of zeros": lambda: ms.interreduce(zero, zero),
+        "right_remainder": lambda: ms.right_remainder(zero, one),
+        "right_remainder by zero": lambda: ms.right_remainder(one, zero),
+        "certify_gcrd": lambda: ms.certify_gcrd([zero, one], one),
+        "certify_gcrd by zero": lambda: ms.certify_gcrd([one], zero),
+        "phi_apply": lambda: ms.phi_apply(zero, ms.PhiTransform(1, 1, 0)),
+        "clear_denominator": lambda: clear_denominator(zero, 1, Poly.one()),
+        "m_shift": lambda: zero.m_shift(1),
     }
+    untyped = []
+    for name, call in calls.items():
+        try:
+            call()
+        except ms.MahlerError:
+            pass
+        except Exception as exc:
+            untyped.append((name, type(exc).__name__))
+    assert untyped == []
+
+
+def test_value_types_hold_no_fraction_views():
+    # one form per value type: poly.py and solver.py neither import nor
+    # name Fraction, a PuiseuxSeries holds its truncation order as an int
+    # in units of 1/ramification, and the Fraction views, the second
+    # constructors and the unit converter stay deleted
+    package = os.path.dirname(cli.__file__)
+    trees = {}
+    for name in ("poly.py", "solver.py"):
+        with open(os.path.join(package, name)) as fh:
+            trees[name] = ast.parse(fh.read())
 
     def fraction(node):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             return "fractions" in [getattr(node, "module", None), *(a.name for a in node.names)]
         return "Fraction" in (getattr(node, "id", None), getattr(node, "attr", None))
 
-    assert [n.lineno for n in ast.walk(poly) if fraction(n)] == []
-    assert [n.lineno for n in ast.walk(series) if fraction(n) and id(n) not in annotations] == []
+    assert [(name, n.lineno) for name, tree in trees.items() for n in ast.walk(tree) if fraction(n)] == []
+    series = next(n for n in trees["solver.py"].body if getattr(n, "name", None) == "PuiseuxSeries")
+    fields = {n.target.id: ast.unparse(n.annotation) for n in series.body if isinstance(n, ast.AnnAssign)}
+    assert fields["truncation_order"] == "int"
     gone = [(Poly, "__init__"), (Poly, "terms"), (Poly, "coefficient"), (Poly, "scale")]
     gone += [(PuiseuxSeries, "terms"), (PuiseuxSeries, "valuation"), (MahlerOperator, "zero")]
+    gone += [(RationalFunction, "valuation"), (solver, "_exact")]
     assert [(cls.__name__, m) for cls, m in gone if m in vars(cls)] == []
 
 

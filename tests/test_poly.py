@@ -51,6 +51,27 @@ def test_series_from_integers_rejects_zero_denominator():
         PuiseuxSeries.from_integers(1, 0, [(0, 1)], 3)
 
 
+@pytest.mark.parametrize("ramification", [0, -2])
+def test_series_from_integers_rejects_ramification_below_one(ramification):
+    # the unit of every exponent is 1/ramification
+    with pytest.raises(InvalidArgumentError):
+        PuiseuxSeries.from_integers(ramification, 1, [(1, 1)], 3)
+
+
+@pytest.mark.parametrize("order", [Fraction(11, 2), Fraction(4), 5.5, "3", None])
+def test_series_from_integers_takes_only_an_int_truncation_order(order):
+    # in units of 1/ramification, so a Fraction would be read in the wrong unit
+    with pytest.raises(InvalidArgumentError):
+        PuiseuxSeries.from_integers(2, 1, [(-1, 1)], order)
+    assert PuiseuxSeries.from_integers(2, 2, [(-1, 2)], 11) == PuiseuxSeries(2, 1, ((-1, 1),), 11)
+
+
+@pytest.mark.parametrize("c", [0.5, "1", None, 1j])
+def test_monomial_rejects_a_coefficient_that_is_not_rational(c):
+    with pytest.raises(InvalidArgumentError):
+        Poly.monomial(0, c)
+
+
 def test_monomial_builds_no_fraction(monkeypatch):
     c = Fraction(-2, 3)
     calls = count_fraction_arithmetic(monkeypatch)

@@ -16,6 +16,7 @@ from conftest import (
     random_operator,
     random_poly,
     random_series_solvable_operator,
+    rational_valuation,
 )
 from oracles import alt_denominator_bound, eliminate, laurent, nu_mu_oracle, same_span
 from mahlersolve import rational
@@ -73,7 +74,7 @@ def test_rational_function_normal_form():
     assert f.x_power == 1
     assert f.denominator == pol(-1, 1)
     assert f.numerator == ONE
-    assert f.valuation == -1
+    assert rational_valuation(f) == -1
     assert f.laurent_coefficients(-1, 3) == (1, [-1, -1, -1, -1])
     # (den, nums) in lowest terms, zeros below -x_power and no terms for
     # an empty range: 1/(x (2 - x)) = 1/2 x^-1 + 1/4 + 1/8 x + ...

@@ -43,7 +43,7 @@ def integer_series(draw):
 @given(integer_series())
 def test_json_strings_match_fractions(case):
     ramification, den, nums, truncation = case
-    elem = PuiseuxSeries.from_integers(ramification, den, nums, truncation)
+    elem = PuiseuxSeries.from_integers(ramification, den, nums, int(truncation * ramification))
     doc = basis_to_json(SolutionBasis("puiseux_basis", (elem,)))
     want = [[str(F(e, ramification)), str(F(v, den))] for e, v in nums]
     assert doc["elements"][0]["terms"] == want
@@ -55,12 +55,13 @@ def test_json_strings_match_fractions(case):
 @given(integer_series())
 def test_from_integers_matches_fraction_oracle(case):
     ramification, den, nums, truncation = case
-    elem = PuiseuxSeries.from_integers(ramification, den, nums, truncation)
+    elem = PuiseuxSeries.from_integers(ramification, den, nums, int(truncation * ramification))
     pairs = [(F(e, ramification), F(v, den)) for e, v in nums]
     want = series_oracle(ramification, pairs, truncation)
     assert (elem.den, elem.nums) == (want.den, want.nums)
     assert elem == want and hash(elem) == hash(want)
-    assert type(elem.truncation_order) is type(want.truncation_order)
+    assert type(elem.truncation_order) is type(want.truncation_order) is int
+    assert F(elem.truncation_order, ramification) == truncation
     # canonical integer form: positive den in lowest terms with the nums
     assert elem.den > 0 and math.gcd(elem.den, *(v for _, v in elem.nums)) == 1
     assert terms(elem) == tuple(pairs)

@@ -114,7 +114,7 @@ def test_puiseux_running_example(running_example):
     assert len(ramified) == 1
     elem = ramified[0]
     assert elem.ramification == 2
-    assert elem.truncation_order == F(11, 2)
+    assert F(elem.truncation_order, elem.ramification) == F(11, 2)
     assert terms(elem) == (
         (F(-1, 2), F(1)),
         (F(1, 2), F(-1)),
@@ -297,7 +297,7 @@ def test_residual_certificates_random():
         assert len(certify(op, puiseux)) == puiseux.dimension
         approx = series_basis(op, 0)
         assert certify(op, approx) == [
-            certificate_order(op, e.truncation_order) for e in approx.elements
+            certificate_order(op, e.truncation_order, e.ramification) for e in approx.elements
         ]
 
 
@@ -332,7 +332,12 @@ def test_valuation_zero_corollary():
 
 
 def test_certificate_order_formula(running_example):
-    assert certificate_order(running_example, F(10)) == 16
+    assert certificate_order(running_example, 10, 1) == 16
+    # in units of 1/ramification: O(x^(11/2)) is certified modulo x^(23/2)
+    assert certificate_order(running_example, 11, 2) == 23
+    basis = puiseux_basis(running_example, None, 5)
+    orders = certify(running_example, basis)
+    assert [F(c, e.ramification) for e, c in zip(basis.elements, orders)] == [F(23, 2)] * 2
 
 
 def _power_series(coeffs):
@@ -345,11 +350,12 @@ def _certify_one(op, elem, kind="puiseux_basis"):
     return certify(op, SolutionBasis(kind, (elem,)))[0]
 
 
-def _whole_image_accepts(op, terms, truncation_order):
+def _whole_image_accepts(op, elem):
     """The certificate computed from the whole image: its lowest term
     must not lie below the certified order."""
-    image = apply_to_fractional(op, terms)
-    return not image or min(image) >= certificate_order(op, truncation_order)
+    image = apply_to_fractional(op, list(terms(elem)))
+    bound = certificate_order(op, elem.truncation_order, elem.ramification)
+    return not image or min(image) >= F(bound, elem.ramification)
 
 
 def test_certificates_reject_perturbed_coefficients(running_example):
@@ -366,11 +372,11 @@ def test_certificates_reject_perturbed_coefficients(running_example):
     )
     with pytest.raises(InternalInvariantError, match="residual has a term"):
         _certify_one(running_example, bad)
-    # a truncation order finer than the ramification: x^(1/2) - x is not
-    # cancelled below O(x^(2/3)) by y(x^2) - y(x)
+    # a truncation order finer than the terms need, in units of 1/6:
+    # x^(1/2) - x is not cancelled below O(x^(2/3)) by y(x^2) - y(x)
     shift = operator(2, -ONE, ONE)
     with pytest.raises(InternalInvariantError, match="exponent 1/2 below 2/3"):
-        _certify_one(shift, PuiseuxSeries.from_integers(2, 1, [(1, 1)], F(2, 3)))
+        _certify_one(shift, PuiseuxSeries.from_integers(6, 1, [(3, 1)], 4))
 
     # on random equations, one perturbed coefficient below the truncation
     # is rejected exactly when the whole image has a term below the bound
@@ -387,7 +393,7 @@ def test_certificates_reject_perturbed_coefficients(running_example):
             coeffs = dense(elem)
             coeffs[rng.randrange(len(coeffs))] += 1
             bad = _power_series(coeffs)
-            accepts = _whole_image_accepts(op, list(terms(bad)), bad.truncation_order)
+            accepts = _whole_image_accepts(op, bad)
             verdicts[accepts] += 1
             if accepts:
                 _certify_one(op, bad, "series_basis")
@@ -402,7 +408,7 @@ def test_certificates_reject_perturbed_coefficients(running_example):
             bad = PuiseuxSeries.from_integers(
                 elem.ramification, elem.den, nums, elem.truncation_order
             )
-            accepts = _whole_image_accepts(op, list(terms(bad)), bad.truncation_order)
+            accepts = _whole_image_accepts(op, bad)
             verdicts[accepts] += 1
             if accepts:
                 _certify_one(op, bad)
